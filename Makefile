@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-shard vet fmt lint benchguard bench-arb bench-shard serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
+.PHONY: all check build test race race-shard vet fmt lint benchguard bench-arb bench-shard perf perf-pairs serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
 
 all: build vet test
 
@@ -69,6 +69,19 @@ bench-shard:
 	$(GO) test -run='^$$' -bench='SwitchCycleSharded|MeshCycleSharded' \
 		-benchmem -benchtime=20000x ./internal/switchsim/ ./internal/mesh/
 	$(GO) run ./cmd/ssvc-benchguard
+
+# The repository's benchmark (bench/README.md, BENCHMARK.json): six
+# workloads, nine end-to-end metrics. perf-pairs builds ./bench in a
+# second checkout and in this one and alternates ten paired runs, the
+# only comparison a claim or a no-regression statement may rest on:
+#   make perf-pairs BASE=/path/to/parent-checkout [WORKLOAD=routed_sat]
+PERF_WORKLOAD = $(if $(WORKLOAD),-workload $(WORKLOAD))
+perf:
+	$(GO) run ./bench $(PERF_WORKLOAD)
+
+perf-pairs:
+	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<checkout of the parent commit>"; exit 2; }
+	$(GO) run ./bench -compare -pairs 10 $(PERF_WORKLOAD) $(BASE) .
 
 # End-to-end crash-recovery gate for the control plane: run the scripted
 # ssvc-serve scenario uninterrupted, SIGKILL a paced copy mid-run and

@@ -504,7 +504,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	// no suppressions at all, and the allowlist must not grow: new
 	// findings are fixed at the source, not waved through.
 	entries := allowlistEntries(t, root)
-	const allowBudget = 7
+	const allowBudget = 6
 	if len(entries) > allowBudget {
 		t.Errorf("lint.allow has %d entries, budget is %d; fix findings instead of suppressing them", len(entries), allowBudget)
 	}

@@ -57,7 +57,6 @@ var PanicFreezePackages = []string{
 // to a sink; RecycleSources names the pool methods that hand them out.
 var RecyclePackages = []string{
 	"internal/switchsim",
-	"internal/mesh",
 	"internal/compose",
 	"internal/fabric",
 }
@@ -68,14 +67,14 @@ var RecycleSources = []MethodRule{
 	{TypeName: "TxPool", Method: "Get"},
 }
 
-// ShardSafetyPackages hold shard.Executor stage programs (the three
-// engines) plus the executor itself; their Par stages must touch only
-// shard-owned state (see shardsafety.go for the ownership rules and
-// the //ssvc:shards family of annotations).
+// ShardSafetyPackages hold shard.Executor stage programs (the two
+// engines; internal/mesh is a topology over compose's) plus the executor
+// itself; their Par stages must touch only shard-owned state (see
+// shardsafety.go for the ownership rules and the //ssvc:shards family
+// of annotations).
 var ShardSafetyPackages = []string{
 	"internal/shard",
 	"internal/switchsim",
-	"internal/mesh",
 	"internal/compose",
 }
 

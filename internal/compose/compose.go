@@ -1,15 +1,18 @@
-// Package compose simulates networks built from multiple crossbar
-// switches, the scaling path the paper declines (§4.4): "Scaling to more
-// nodes involves composing multiple switches, which makes the QoS
-// technique more complex. Crosspoints will have to be shared by several
-// flows, requiring more per-flow state storage."
+// Package compose is the routed-network engine: it simulates networks
+// built from multiple crossbar switches, the scaling path the paper
+// declines (§4.4): "Scaling to more nodes involves composing multiple
+// switches, which makes the QoS technique more complex. Crosspoints will
+// have to be shared by several flows, requiring more per-flow state
+// storage."
 //
-// A composed network is a set of crossbar nodes joined by links, with
+// A routed network is a set of crossbar nodes joined by links, with
 // static routing from every node toward every terminal. Each node is the
 // same model as the single-stage switch: per-input-port packet buffers,
 // one arbiter per output port, whole-packet (virtual cut-through)
 // switching with downstream buffer reservation, and a one-cycle
-// arbitration overhead per traversed node.
+// arbitration overhead per traversed node. The wiring is a Topology;
+// TwoLevelClos and Mesh construct the two the experiments use, and a
+// new wiring is a new constructor, not a new engine.
 //
 // The point the package exists to make: a first-stage crosspoint
 // (terminal, uplink) carries every flow that terminal sends through the
@@ -17,13 +20,13 @@
 // of their reservations — per-flow guarantees dissolve at the first
 // merge, unless routers grow per-flow state. The TwoLevelClos constructor
 // plus the experiments package's Compose experiment quantify exactly
-// that.
+// that; the Mesh constructor (through package mesh) plus the Motivation
+// experiment make the same point about the paper's multi-hop baseline.
 package compose
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/fabric"
@@ -39,64 +42,103 @@ type PortRef struct {
 	Port int
 }
 
-// Topology describes a composed network. Ports[n] is node n's port
+// Topology describes a routed network. Ports[n] is node n's port
 // count; Links joins output ports to input ports (unidirectional);
 // Terminals[t] is the node/port where terminal t attaches (both its
 // injection and ejection point); Route gives the output port at a node
-// for traffic toward a terminal.
+// for traffic toward a terminal. Only constructors can set the two
+// unexported fields (see Mesh for why they exist).
 type Topology struct {
 	Ports     []int
 	Links     map[PortRef]PortRef // from (node, output port) to (node, input port)
 	Terminals []PortRef           //ssvc:owned-index
 	Route     func(node, terminal int) int
+
+	// flowGroups gives every flow its own injection group, so a terminal
+	// admits one packet per flow per cycle. Unset, a terminal's flows
+	// share one group and it admits one packet per cycle.
+	flowGroups bool
+	// grantAtSource stamps Packet.GrantedAt only at the node the packet's
+	// source terminal attaches to. Unset, any node stamps it while it is
+	// still zero.
+	grantAtSource bool
 }
 
-// Validate reports a descriptive error for malformed topologies.
+// Validate reports a descriptive error for malformed topologies. Every
+// topology passes through it (New calls it), so the engine may assume
+// what it checks: every reference is in range, every linked input port
+// has exactly one upstream link, and no link feeds a port a terminal
+// injects into.
 func (t Topology) Validate() error {
 	if len(t.Ports) == 0 {
 		return fmt.Errorf("compose: no nodes")
 	}
+	base := make([]int, len(t.Ports)) // flat index of each node's port 0
+	total := 0
 	for n, p := range t.Ports {
 		if p < 1 {
 			return fmt.Errorf("compose: node %d has %d ports", n, p)
 		}
+		base[n] = total
+		total += p
 	}
 	if len(t.Terminals) < 2 {
 		return fmt.Errorf("compose: need at least 2 terminals")
 	}
-	check := func(r PortRef) error {
-		if r.Node < 0 || r.Node >= len(t.Ports) || r.Port < 0 || r.Port >= t.Ports[r.Node] {
-			return fmt.Errorf("compose: port reference %+v out of range", r)
-		}
-		return nil
+	inRange := func(r PortRef) bool {
+		return r.Node >= 0 && r.Node < len(t.Ports) && r.Port >= 0 && r.Port < t.Ports[r.Node]
 	}
-	// Check links in sorted order so the first error reported does not
-	// depend on map iteration order.
-	froms := make([]PortRef, 0, len(t.Links))
-	for from := range t.Links {
-		froms = append(froms, from)
-	}
-	sort.Slice(froms, func(i, j int) bool {
-		if froms[i].Node != froms[j].Node {
-			return froms[i].Node < froms[j].Node
-		}
-		return froms[i].Port < froms[j].Port
-	})
-	for _, from := range froms {
-		if err := check(from); err != nil {
-			return err
-		}
-		if err := check(t.Links[from]); err != nil {
-			return err
-		}
-	}
+	fed := make([]bool, total) // input ports a terminal or a link already feeds
 	for _, term := range t.Terminals {
-		if err := check(term); err != nil {
-			return err
+		if !inRange(term) {
+			return fmt.Errorf("compose: port reference %+v out of range", term)
 		}
+		fed[base[term.Node]+term.Port] = true
+	}
+	// Walk the ports in order and look each one up, rather than ranging
+	// over the map, so the first error reported does not depend on map
+	// iteration order; a link leaving a port that does not exist is the
+	// one the walk never meets.
+	matched := 0
+	for n, ports := range t.Ports {
+		for p := 0; p < ports; p++ {
+			from := PortRef{Node: n, Port: p}
+			to, ok := t.Links[from]
+			if !ok {
+				continue
+			}
+			matched++
+			if !inRange(to) {
+				return fmt.Errorf("compose: port reference %+v out of range", to)
+			}
+			flat := base[to.Node] + to.Port
+			if fed[flat] {
+				return fmt.Errorf("compose: link %+v -> %+v enters an input port a terminal or an earlier link already feeds", from, to)
+			}
+			fed[flat] = true
+		}
+	}
+	if matched != len(t.Links) {
+		return fmt.Errorf("compose: %d of %d links leave a port reference out of range", len(t.Links)-matched, len(t.Links))
 	}
 	if t.Route == nil {
 		return fmt.Errorf("compose: no routing function")
+	}
+	return nil
+}
+
+// checkRoutes calls Route for every (node, terminal) pair and rejects a
+// result that is not one of the node's ports: no output would ever match
+// it, so the packet would sit at the head of its buffer for ever, and
+// with a fault schedule installed PortBase(node)+route would name another
+// node's port.
+func (t Topology) checkRoutes() error {
+	for n, ports := range t.Ports {
+		for term := range t.Terminals {
+			if r := t.Route(n, term); r < 0 || r >= ports {
+				return fmt.Errorf("compose: Route(%d, %d) = %d, outside node %d's %d ports", n, term, r, n, ports)
+			}
+		}
 	}
 	return nil
 }
@@ -148,6 +190,77 @@ func TwoLevelClos(leaves, terminalsPerLeaf, uplinks int) (Topology, error) {
 		}
 		// Uplink, picked deterministically by destination.
 		return terminalsPerLeaf + terminal%uplinks
+	}
+	return topo, nil
+}
+
+// Port numbering of a Mesh node; package mesh names them for callers.
+const (
+	meshLocal = iota
+	meshNorth // -y
+	meshSouth // +y
+	meshEast  // +x
+	meshWest  // -x
+	meshPorts
+)
+
+// Mesh builds a width x height 2D mesh, the paper's multi-hop baseline
+// (§1-§2.1). Node y*width+x has five ports: terminal y*width+x attaches
+// at port 0, and ports 1-4 face north (-y), south (+y), east (+x) and
+// west (-x), linked to the neighbour's opposite port where the neighbour
+// is in the grid. Routing is dimension-order: X first, then Y, then
+// eject.
+//
+// A mesh differs from the Clos in two engine behaviours. Each flow has
+// its own injection group, so a local port admits one packet per flow
+// per cycle, not one per node; and GrantedAt is stamped only at the
+// source node, where on the Clos a packet granted at cycle 0 is stamped
+// again at the spine, zero being the engine's "not yet granted"
+// sentinel. Both are frozen by the routed_sat digests in
+// bench/expected.json, so neither side adopts the other's rule.
+func Mesh(width, height int) (Topology, error) {
+	if width < 1 || height < 1 || width*height < 2 {
+		return Topology{}, fmt.Errorf("compose: %dx%d is not a mesh", width, height)
+	}
+	nodes := width * height
+	topo := Topology{
+		Ports:         make([]int, nodes),
+		Links:         make(map[PortRef]PortRef),
+		Terminals:     make([]PortRef, nodes),
+		flowGroups:    true,
+		grantAtSource: true,
+	}
+	for id := 0; id < nodes; id++ {
+		topo.Ports[id] = meshPorts
+		topo.Terminals[id] = PortRef{Node: id, Port: meshLocal}
+		x, y := id%width, id/width
+		if y > 0 {
+			topo.Links[PortRef{Node: id, Port: meshNorth}] = PortRef{Node: id - width, Port: meshSouth}
+		}
+		if y < height-1 {
+			topo.Links[PortRef{Node: id, Port: meshSouth}] = PortRef{Node: id + width, Port: meshNorth}
+		}
+		if x < width-1 {
+			topo.Links[PortRef{Node: id, Port: meshEast}] = PortRef{Node: id + 1, Port: meshWest}
+		}
+		if x > 0 {
+			topo.Links[PortRef{Node: id, Port: meshWest}] = PortRef{Node: id - 1, Port: meshEast}
+		}
+	}
+	topo.Route = func(node, terminal int) int {
+		x, y := node%width, node/width
+		dx, dy := terminal%width, terminal/width
+		switch {
+		case dx > x:
+			return meshEast
+		case dx < x:
+			return meshWest
+		case dy > y:
+			return meshSouth
+		case dy < y:
+			return meshNorth
+		}
+		return meshLocal
 	}
 	return topo, nil
 }
@@ -263,9 +376,10 @@ type Network struct {
 	nodes []*node //ssvc:owned-index
 	part  shard.Partition
 	sh    []*netShard //ssvc:shards
-	// termShard/termGroup map a terminal to its owning shard and its
-	// group index within that shard's sources.
-	termShard []int
+	// termGroup maps a terminal to its group index within its shard's
+	// sources. It is nil when the topology gives every flow a group of its
+	// own (Topology.flowGroups): the shards' sources then start with no
+	// groups and AddFlow grows one per flow.
 	termGroup []int
 	now       noc.Cycle
 	err       error // terminal invariant violation; freezes the engine
@@ -296,6 +410,9 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.Topology.checkRoutes(); err != nil {
+		return nil, err
+	}
 	if cfg.BufferFlits < 1 {
 		return nil, fmt.Errorf("compose: buffer capacity %d must be positive", cfg.BufferFlits)
 	}
@@ -304,22 +421,18 @@ func New(cfg Config) (*Network, error) {
 		newArb = func(_, _, ports int) arb.Arbiter { return arb.NewLRG(ports) }
 	}
 	net := &Network{cfg: cfg}
-	maxPorts, totalPorts := 0, 0
-	for _, p := range cfg.Topology.Ports {
+	net.portBase = make([]int, len(cfg.Topology.Ports))
+	maxPorts := 0
+	for id, p := range cfg.Topology.Ports {
 		if p > maxPorts {
 			maxPorts = p
 		}
-		totalPorts += p
+		net.portBase[id] = net.totalPorts
+		net.totalPorts += p
 	}
 	net.arbReqs = make([]arb.Request, 0, maxPorts)
 	net.heads = make([]*noc.Packet, maxPorts)
 	net.routes = make([]int, maxPorts)
-	net.portBase = make([]int, len(cfg.Topology.Ports))
-	base := 0
-	for id, p := range cfg.Topology.Ports {
-		net.portBase[id] = base
-		base += p
-	}
 	net.part = shard.NewPartition(len(cfg.Topology.Ports), cfg.Shards)
 	for k := 0; k < net.part.Shards(); k++ {
 		lo, hi := net.part.Range(k)
@@ -341,14 +454,14 @@ func New(cfg Config) (*Network, error) {
 	for id, ports := range cfg.Topology.Ports {
 		net.sh[net.part.Of(id)].txPool.Preload(ports)
 	}
-	net.termShard = make([]int, len(cfg.Topology.Terminals))
-	net.termGroup = make([]int, len(cfg.Topology.Terminals))
 	counts := make([]int, net.part.Shards())
-	for t, at := range cfg.Topology.Terminals {
-		k := net.part.Of(at.Node)
-		net.termShard[t] = k
-		net.termGroup[t] = counts[k]
-		counts[k]++
+	if !cfg.Topology.flowGroups {
+		net.termGroup = make([]int, len(cfg.Topology.Terminals))
+		for t, at := range cfg.Topology.Terminals {
+			k := net.part.Of(at.Node)
+			net.termGroup[t] = counts[k]
+			counts[k]++
+		}
 	}
 	for k, sh := range net.sh {
 		sh.sources = fabric.NewSources(counts[k])
@@ -374,7 +487,6 @@ func New(cfg Config) (*Network, error) {
 		}
 		net.nodes = append(net.nodes, n)
 	}
-	net.totalPorts = totalPorts
 	return net, nil
 }
 
@@ -421,18 +533,14 @@ func (n *Network) fail(err error) {
 // injection dies and its queued packets at the attachment port are
 // flushed); stall and output fail-stop ports are flattened (node, output
 // port) ids — node n's port p is PortBase(n)+p. A packet whose static
-// route reaches a dead port is discarded at that node. As with the
-// mesh, there is no per-flow re-reservation in degraded mode: shared
-// crosspoints cannot tell surviving flows apart (§4.4).
+// route reaches a dead port is discarded at that node. There is no
+// per-flow re-reservation in degraded mode: shared crosspoints cannot
+// tell surviving flows apart (§4.4).
 func (n *Network) SetFaults(cfg faults.Config) error {
 	if n.now != 0 {
 		return fmt.Errorf("compose: SetFaults after cycle 0 (now=%d)", n.now)
 	}
-	total := 0
-	for _, p := range n.cfg.Topology.Ports {
-		total += p
-	}
-	if err := cfg.Validate(n.Terminals(), total); err != nil {
+	if err := cfg.Validate(n.Terminals(), n.totalPorts); err != nil {
 		return err
 	}
 	n.faults = faults.New(cfg)
@@ -456,8 +564,12 @@ func (n *Network) PortBase(node int) int { return n.portBase[node] }
 func (n *Network) Now() noc.Cycle { return n.now }
 
 // AddFlow attaches a flow between terminals (Spec.Src/Dst are terminal
-// IDs). Flows sharing a source terminal share one injection group, in
-// the shard owning the terminal's attachment node.
+// IDs), in the shard owning the source terminal's attachment node. Flows
+// sharing a source terminal share one injection group, or on a topology
+// with per-flow groups each get their own; either way flows at one
+// terminal keep their AddFlow order, and flows at different terminals
+// inject into disjoint buffers, so the shard-grouped admission walk is
+// equivalent to the flat one.
 func (n *Network) AddFlow(f traffic.Flow) error {
 	if f.Spec.Src < 0 || f.Spec.Src >= n.Terminals() || f.Spec.Dst < 0 || f.Spec.Dst >= n.Terminals() {
 		return fmt.Errorf("compose: flow %d->%d outside %d terminals", f.Spec.Src, f.Spec.Dst, n.Terminals())
@@ -468,7 +580,12 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	if f.Gen == nil {
 		return fmt.Errorf("compose: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
 	}
-	n.sh[n.termShard[f.Spec.Src]].sources.Add(f, n.termGroup[f.Spec.Src])
+	src := n.sh[n.part.Of(n.cfg.Topology.Terminals[f.Spec.Src].Node)].sources
+	if n.termGroup == nil {
+		src.AddOwnGroup(f)
+	} else {
+		src.Add(f, n.termGroup[f.Spec.Src])
+	}
 	return nil
 }
 
@@ -773,8 +890,8 @@ func (n *Network) abortTx(nd *node, out int) {
 }
 
 // inject lets every generator emit, then admits at most one packet per
-// terminal per cycle, rotating across the terminal's flows so that
-// co-located flows share the injection port fairly. Terminals on
+// injection group per cycle, rotating across the group's flows so that
+// flows sharing a group share the injection port fairly. Terminals on
 // different nodes inject into disjoint buffers and terminals on one
 // node share a shard in ascending order, so the shard-grouped walk is
 // equivalent to the flat one.
@@ -1021,7 +1138,9 @@ func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
 				now, nd.id, req.Packet.ID, head))
 			return
 		}
-		if p.GrantedAt == 0 {
+		// Zero doubles as "not yet granted", so without grantAtSource a
+		// packet granted at cycle 0 is stamped again at its next node.
+		if p.GrantedAt == 0 && (!n.cfg.Topology.grantAtSource || nd.id == n.cfg.Topology.Terminals[p.Src].Node) {
 			p.GrantedAt = now
 		}
 		if nd.hasNext[out] {

@@ -1,33 +1,31 @@
-// Package mesh is a cycle-accurate 2D-mesh network-on-chip used as the
-// multi-hop counterpoint to the paper's single-stage switch.
+// Package mesh is the 2D-mesh network-on-chip used as the multi-hop
+// counterpoint to the paper's single-stage switch.
 //
 // The paper's motivation (§1-§2.1): implementing differentiated bandwidth
 // and latency services in a multi-hop NoC is hard — per-flow state would
 // be needed at every router — whereas a single high-radix crossbar can
-// hold all QoS state at its crosspoints. This package provides the
-// honest baseline for that argument: a mesh of input-buffered routers
-// with dimension-order (XY) routing, whole-packet (virtual cut-through)
-// switching with downstream buffer reservation, a one-cycle arbitration
-// overhead per hop (matching the switch model), and a pluggable per-port
-// arbiter. Router arbiters see input *ports*, not flows, so even a
-// weighted scheme cannot enforce an individual flow's end-to-end
-// reservation once flows merge — which is exactly what the motivation
-// experiment demonstrates.
+// hold all QoS state at its crosspoints. The honest baseline for that
+// argument is a mesh of input-buffered routers with dimension-order (XY)
+// routing, whole-packet (virtual cut-through) switching with downstream
+// buffer reservation, a one-cycle arbitration overhead per hop (matching
+// the switch model), and a pluggable per-port arbiter. Router arbiters
+// see input *ports*, not flows, so even a weighted scheme cannot enforce
+// an individual flow's end-to-end reservation once flows merge — which is
+// exactly what the motivation experiment demonstrates.
+//
+// That machine is the routed-network engine of package compose on the
+// compose.Mesh wiring; this package only sizes it by width and height and
+// names its ports.
 package mesh
 
 import (
 	"fmt"
-	"math/bits"
 
 	"swizzleqos/internal/arb"
-	"swizzleqos/internal/fabric"
-	"swizzleqos/internal/faults"
-	"swizzleqos/internal/noc"
-	"swizzleqos/internal/shard"
-	"swizzleqos/internal/traffic"
+	"swizzleqos/internal/compose"
 )
 
-// Port indexes a router's five ports.
+// Port indexes a router's five ports, in compose.Mesh's numbering.
 type Port int
 
 // Router ports: the local terminal plus the four mesh directions.
@@ -69,16 +67,10 @@ type Config struct {
 	// independent instance: arbiters tick concurrently under sharding.
 	NewArbiter func() arb.Arbiter
 
-	// Shards partitions the routers into contiguous node regions
-	// simulated as conservative-PDES logical processes (see
-	// internal/shard and DESIGN.md "Sharded execution"). Values <= 1
-	// select the serial walk; results are bit-identical at every shard
-	// count. Fault-injected runs always take the serial walk.
-	Shards int
-	// ShardWorkers bounds the worker goroutines the sharded pipeline
-	// uses. 0 selects min(Shards, GOMAXPROCS); explicit values let
-	// tests force real barrier traffic on small hosts. The worker count
-	// is pure mechanism: it can never change simulation results.
+	// Shards and ShardWorkers are compose.Config's fields of the same
+	// names: contiguous router regions simulated as logical processes,
+	// bit-identical at every count.
+	Shards       int
 	ShardWorkers int
 }
 
@@ -93,221 +85,59 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// router is one mesh node. Input buffers carry the downstream reservation
-// accounting of virtual cut-through: a granted packet's space is reserved
-// at its next hop before it starts moving, making the transfer safe.
-type router struct {
-	id   int
-	x, y int
-	// sh is the shard owning this router; li is the router's local index
-	// within it (id - sh.lo).
-	sh   *meshShard //ssvc:owner
-	li   int
-	in   [numPorts]*fabric.Buffer
-	out  [numPorts]*fabric.Transmission
-	arbs [numPorts]arb.Arbiter
-	// inBusy marks input ports whose buffer read port is occupied by an
-	// in-flight transfer.
-	inBusy [numPorts]bool
-	// cooldown marks outputs that moved their final flit this cycle;
-	// they spend the next cycle arbitrating, giving the same one-cycle
-	// arbitration overhead per hop as the single-stage switch model.
-	cooldown [numPorts]bool
-}
-
-// haloCommit is a completed hop crossing a shard boundary: the packet
-// enters the destination router's buffer at the cycle's serial commit
-// stage instead of during the owning shard's parallel transfer walk.
-type haloCommit struct {
-	r    *router
-	port Port
-	pkt  *noc.Packet
-}
-
-// meshShard is one contiguous router range [lo, hi) with everything its
-// parallel stages touch: its own injection sources, transmission pool,
-// counter deltas, and event-driven work masks, so no stage shares
-// mutable state across shards (the zero-allocation steady state then
-// holds per shard with no cross-shard pool traffic).
-type meshShard struct {
-	idx     int
-	lo, hi  int
-	sources *fabric.Sources
-	txPool  fabric.TxPool
-	// ctr accumulates this cycle's counter deltas from the parallel
-	// stages; the serial commit stage merges and zeroes it.
-	ctr fabric.Counters
-
-	// Event-driven work tracking (see DESIGN.md "Event-driven idle
-	// skipping"), over local router indices: work[li] counts router
-	// lo+li's buffered packets, in-flight transmissions, and pending
-	// cooldowns; active masks the routers where it is nonzero.
-	work   []int
-	active []uint64
-
-	// outbox[k] holds this shard's boundary commits into shard k this
-	// cycle; delivered holds this shard's locally ejected packets, in
-	// ascending router order. Both drain at the serial commit stage.
-	outbox    [][]haloCommit //ssvc:mailbox
-	delivered []*noc.Packet
-}
-
-// routers returns the shard's router count.
-func (sh *meshShard) routers() int { return sh.hi - sh.lo }
-
-// addWork records one more work item (buffered packet, transmission, or
-// cooldown) at local router li.
+// Mesh is a compose.Network wired as a mesh: Step, Run, AddFlow (Src and
+// Dst are node IDs), SetFaults, the counters and the delivery hooks are
+// the network's own.
 //
-//ssvc:hotpath
-func (sh *meshShard) addWork(li int) {
-	if sh.work[li]++; sh.work[li] == 1 {
-		arb.MaskSet(sh.active, li)
-	}
-}
-
-// subWork records a completed work item at local router li.
-//
-//ssvc:hotpath
-func (sh *meshShard) subWork(li int) {
-	if sh.work[li]--; sh.work[li] == 0 {
-		arb.MaskClear(sh.active, li)
-	}
-}
-
-// Mesh is the simulator. Drive it with Step/Run; observe deliveries with
-// OnDeliver (and recycle with OnRelease). Not safe for concurrent use.
-//
-// The embedded fabric.Counters exposes the common utilization counters;
-// Mesh implements fabric.Engine.
+// Fault-schedule addressing (compose.Network.SetFaults): an Input
+// fail-stop port is a node ID; stall and output fail-stop ports are
+// flattened router link ids, router*5 + direction (see the Port
+// constants), which is PortBase(router) + direction since every router
+// has five ports. A packet whose XY route reaches a dead link is
+// discarded at that router — the mesh has no per-flow state to re-derive,
+// so there is no degraded-mode re-reservation here (that asymmetry
+// versus the crossbar is the paper's architectural point).
 type Mesh struct {
-	fabric.Counters
-	fabric.Hooks
-
-	cfg     Config
-	routers []*router //ssvc:owned-index
-	part    shard.Partition
-	sh      []*meshShard //ssvc:shards
-	now     noc.Cycle
-	err     error // terminal invariant violation; freezes the engine
-
-	faults *faults.Injector
-
-	arbReqs []arb.Request // scratch: requests handed to one arbitration
-
-	// Execution mode, fixed at the first Step/Run (see ensureMode):
-	// program non-nil selects the sharded parallel pipeline.
-	modeSet bool
-	exec    *shard.Executor
-	program []shard.Stage
-	stop    func() bool
+	*compose.Network
+	width, height int
 }
-
-// Mesh is driven through the shared engine interface by the experiments
-// layer.
-var _ fabric.Engine = (*Mesh)(nil)
 
 // New builds a mesh.
 func New(cfg Config) (*Mesh, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	newArb := cfg.NewArbiter
-	if newArb == nil {
-		newArb = func() arb.Arbiter { return arb.NewLRG(int(numPorts)) }
+	topo, err := compose.Mesh(cfg.Width, cfg.Height)
+	if err != nil {
+		return nil, err
 	}
-	m := &Mesh{
-		cfg:     cfg,
-		arbReqs: make([]arb.Request, 0, numPorts),
+	var newArb func(node, port, ports int) arb.Arbiter
+	if cfg.NewArbiter != nil {
+		newArb = func(_, _, _ int) arb.Arbiter { return cfg.NewArbiter() }
 	}
-	nodes := cfg.Width * cfg.Height
-	m.part = shard.NewPartition(nodes, cfg.Shards)
-	for k := 0; k < m.part.Shards(); k++ {
-		lo, hi := m.part.Range(k)
-		sh := &meshShard{
-			idx:       k,
-			lo:        lo,
-			hi:        hi,
-			sources:   fabric.NewSources(0),
-			work:      make([]int, hi-lo),
-			active:    make([]uint64, arb.MaskWords(hi-lo)),
-			outbox:    make([][]haloCommit, m.part.Shards()),
-			delivered: make([]*noc.Packet, 0, hi-lo),
-		}
-		sh.txPool.Preload((hi - lo) * int(numPorts))
-		m.sh = append(m.sh, sh)
+	net, err := compose.New(compose.Config{
+		Topology:     topo,
+		BufferFlits:  cfg.BufferFlits,
+		NewArbiter:   newArb,
+		Shards:       cfg.Shards,
+		ShardWorkers: cfg.ShardWorkers,
+	})
+	if err != nil {
+		return nil, err
 	}
-	for y := 0; y < cfg.Height; y++ {
-		for x := 0; x < cfg.Width; x++ {
-			id := y*cfg.Width + x
-			sh := m.sh[m.part.Of(id)]
-			r := &router{id: id, x: x, y: y, sh: sh, li: id - sh.lo}
-			for p := Port(0); p < numPorts; p++ {
-				r.in[p] = fabric.NewBuffer(cfg.BufferFlits)
-				r.arbs[p] = newArb()
-			}
-			m.routers = append(m.routers, r)
-		}
-	}
-	return m, nil
+	return &Mesh{Network: net, width: cfg.Width, height: cfg.Height}, nil
 }
 
 // Nodes returns the number of terminals (Width * Height).
-func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
-
-// Err returns the terminal error that froze the mesh, or nil.
-func (m *Mesh) Err() error { return m.err }
-
-// fail records the first invariant violation and freezes the engine.
-func (m *Mesh) fail(err error) {
-	if m.err == nil {
-		m.err = err
-	}
-}
-
-// SetFaults installs a fault-injection schedule; call before the first
-// Step. Port addressing in the schedule: an Input fail-stop port is a
-// node ID (the node's injection dies and its locally queued packets are
-// flushed); stall and output fail-stop ports are flattened router link
-// ids, router*5 + direction (see Port constants). A packet whose XY
-// route reaches a dead link is discarded at that router — the mesh has
-// no per-flow state to re-derive, so there is no degraded-mode
-// re-reservation here (that asymmetry versus the crossbar is the
-// paper's architectural point).
-func (m *Mesh) SetFaults(cfg faults.Config) error {
-	if m.now != 0 {
-		return fmt.Errorf("mesh: SetFaults after cycle 0 (now=%d)", m.now)
-	}
-	if err := cfg.Validate(m.Nodes(), len(m.routers)*int(numPorts)); err != nil {
-		return err
-	}
-	m.faults = faults.New(cfg)
-	return nil
-}
-
-// FaultTotals returns the injector's fault counters (zero if no schedule
-// is installed).
-func (m *Mesh) FaultTotals() faults.Counters {
-	if m.faults == nil {
-		return faults.Counters{}
-	}
-	return m.faults.Totals()
-}
-
-// flatPort flattens a router output port to the schedule's id space.
-func (m *Mesh) flatPort(r *router, p Port) int {
-	return (r.y*m.cfg.Width+r.x)*int(numPorts) + int(p)
-}
-
-// Now returns the current cycle.
-func (m *Mesh) Now() noc.Cycle { return m.now }
+func (m *Mesh) Nodes() int { return m.width * m.height }
 
 // Diameter returns the mesh diameter in hops.
-func (m *Mesh) Diameter() int { return m.cfg.Width + m.cfg.Height - 2 }
+func (m *Mesh) Diameter() int { return m.width + m.height - 2 }
 
 // HopCount returns the XY route length between two nodes.
 func (m *Mesh) HopCount(src, dst int) int {
-	sx, sy := src%m.cfg.Width, src/m.cfg.Width
-	dx, dy := dst%m.cfg.Width, dst/m.cfg.Width
+	sx, sy := src%m.width, src/m.width
+	dx, dy := dst%m.width, dst/m.width
 	return abs(sx-dx) + abs(sy-dy)
 }
 
@@ -316,657 +146,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// AddFlow attaches a flow; Src and Dst are node IDs. Every flow gets its
-// own injection group: the mesh's local ports admit one packet per flow
-// per cycle, not one per node. Flows live in the shard owning their
-// source node; flows sharing a source keep their AddFlow order, and
-// flows at different sources inject into disjoint buffers, so the
-// shard-grouped admission walk is equivalent to the flat one.
-func (m *Mesh) AddFlow(f traffic.Flow) error {
-	if f.Spec.Src < 0 || f.Spec.Src >= m.Nodes() || f.Spec.Dst < 0 || f.Spec.Dst >= m.Nodes() {
-		return fmt.Errorf("mesh: flow %d->%d outside a %d-node mesh", f.Spec.Src, f.Spec.Dst, m.Nodes())
-	}
-	if f.Spec.Src == f.Spec.Dst {
-		return fmt.Errorf("mesh: flow %d->%d routes to itself", f.Spec.Src, f.Spec.Dst)
-	}
-	if f.Gen == nil {
-		return fmt.Errorf("mesh: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
-	}
-	m.sh[m.part.Of(f.Spec.Src)].sources.AddOwnGroup(f)
-	return nil
-}
-
-// routeDir returns the output port a packet takes at router r under
-// dimension-order routing: X first, then Y, then eject.
-func (m *Mesh) routeDir(r *router, dst int) Port {
-	dx, dy := dst%m.cfg.Width, dst/m.cfg.Width
-	switch {
-	case dx > r.x:
-		return East
-	case dx < r.x:
-		return West
-	case dy > r.y:
-		return South
-	case dy < r.y:
-		return North
-	default:
-		return Local
-	}
-}
-
-// neighbor returns the router reached through out, or nil at the edge.
-func (m *Mesh) neighbor(r *router, out Port) *router {
-	x, y := r.x, r.y
-	switch out {
-	case North:
-		y--
-	case South:
-		y++
-	case East:
-		x++
-	case West:
-		x--
-	default:
-		return nil
-	}
-	if x < 0 || x >= m.cfg.Width || y < 0 || y >= m.cfg.Height {
-		return nil
-	}
-	return m.routers[y*m.cfg.Width+x]
-}
-
-// entryPort returns the port through which traffic from `out` of the
-// upstream router enters the neighbor.
-func entryPort(out Port) Port {
-	switch out {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
-	}
-	return Local
-}
-
-// ParallelActive reports whether the mesh runs the sharded parallel
-// pipeline (meaningful after the first Step or Run). Fault-injected
-// runs always take the serial walk, whatever the shard count.
-func (m *Mesh) ParallelActive() bool { return m.program != nil }
-
-// ensureMode picks the execution mode on the first cycle, once the
-// fault schedule (the one post-New input to the decision) is final.
-//
-// Injection, transfers, and arbiter ticks partition cleanly by router;
-// completed hops crossing a shard boundary travel as halo events
-// applied at the serial commit stage. Arbitration does NOT partition:
-// a grant reserves downstream buffer space that later routers' same-
-// cycle arbitrations must see (the ascending-node credit coupling of
-// virtual cut-through), so arbitration runs inside the serial commit
-// stage in the exact legacy order. Fault injection couples everything
-// (wholesale flushes, cross-router NACKs), so fault runs keep the
-// serial walk.
-func (m *Mesh) ensureMode() {
-	if m.modeSet {
-		return
-	}
-	m.modeSet = true
-	if len(m.sh) <= 1 || m.faults != nil {
-		return
-	}
-	m.exec = shard.NewExecutor(len(m.sh), m.cfg.ShardWorkers)
-	m.stop = m.stopped
-	m.program = []shard.Stage{
-		{Serial: m.generateSharded},
-		{Par: m.injectShard},
-		{Par: m.transferShard},
-		{Serial: m.commitSharded},
-		{Par: m.tickShard},
-		{Serial: m.advanceCycle},
-	}
-}
-
-// stopped is the executor's cycle-boundary early exit: a pure read of
-// the freeze flag, which only the serial commit stage writes.
-func (m *Mesh) stopped() bool { return m.err != nil }
-
-// Step advances one cycle: fault scheduling, injection, in-flight
-// transfers, then per-output arbitration at every router. After a
-// terminal error, Step is a no-op.
-//
-//ssvc:hotpath
-func (m *Mesh) Step() {
-	m.ensureMode()
-	if m.program != nil {
-		m.exec.Cycles(1, m.program, m.stop)
-		return
-	}
-	m.stepSerial()
-}
-
-// Run advances n cycles, stopping early if the engine fails sick.
-func (m *Mesh) Run(n noc.Cycle) {
-	m.ensureMode()
-	if m.program != nil {
-		m.exec.Cycles(n, m.program, m.stop)
-		return
-	}
-	for i := noc.Cycle(0); i < n; i++ {
-		if m.err != nil {
-			return
-		}
-		m.stepSerial()
-	}
-}
-
-// stepSerial is the legacy single-walk cycle, used at one shard and for
-// every fault-injected run.
-//
-//ssvc:hotpath
-func (m *Mesh) stepSerial() {
-	if m.err != nil {
-		return
-	}
-	now := m.now
-	if m.faults != nil {
-		if fs := m.faults.BeginCycle(now); len(fs) > 0 {
-			for _, f := range fs {
-				m.applyFailStop(f)
-			}
-			m.recomputeActive()
-		}
-	}
-	m.inject(now)
-	m.transfer(now)
-	m.arbitrate(now)
-	for _, r := range m.routers {
-		for p := Port(0); p < numPorts; p++ {
-			r.arbs[p].Tick(now)
-		}
-	}
-	m.now++
-}
-
-// generateSharded is the parallel pipeline's serial generation stage:
-// packet IDs come from a Sequence shared across shards, so emission
-// stays on one goroutine, walking shards in ascending order.
-func (m *Mesh) generateSharded() {
-	now := m.now
-	for _, sh := range m.sh {
-		m.Injected += sh.sources.Generate(now)
-	}
-}
-
-// injectShard admits shard k's source queues into its routers' local
-// ports; everything it touches — sources, buffers, work masks, counter
-// deltas — belongs to shard k.
-//
-//ssvc:hotpath
-func (m *Mesh) injectShard(k int) {
-	sh := m.sh[k]
-	now := m.now
-	try := func(p *noc.Packet) bool {
-		rt := m.routers[p.Src]
-		if !rt.in[Local].Admit(p) {
-			return false
-		}
-		p.EnqueuedAt = now
-		sh.ctr.Admitted++
-		rt.sh.addWork(rt.li)
-		return true
-	}
-	visited := 0
-	for w, mm := range sh.sources.NonEmptyMask() {
-		for mm != 0 {
-			g := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
-			sh.sources.AdmitGroup(g, try)
-			visited++
-		}
-	}
-	sh.ctr.SkippedAdmits += uint64(sh.sources.Groups() - visited)
-}
-
-// transferShard advances shard k's busy output channels one flit.
-// Completions landing in the same shard commit immediately (exactly the
-// serial walk's behaviour); completions crossing a shard boundary are
-// queued as halo events for the commit stage, and local ejections are
-// queued for delivery there — the observer hooks must fire on one
-// goroutine in ascending router order.
-//
-//ssvc:hotpath
-func (m *Mesh) transferShard(k int) {
-	sh := m.sh[k]
-	now := m.now
-	for w, mm := range sh.active {
-		for mm != 0 {
-			li := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
-			m.transferRouterPar(sh, m.routers[sh.lo+li], now)
-		}
-	}
-}
-
-// transferRouterPar is transferRouter for the parallel pipeline: no
-// fault paths (fault runs are serial), per-shard counters, deferred
-// cross-shard commits and deliveries.
-//
-//ssvc:hotpath
-func (m *Mesh) transferRouterPar(sh *meshShard, r *router, now noc.Cycle) {
-	for out := Port(0); out < numPorts; out++ {
-		tx := r.out[out]
-		if tx == nil {
-			continue
-		}
-		sh.ctr.DataCycles++
-		tx.Remaining--
-		if tx.Remaining > 0 {
-			continue
-		}
-		// Channel teardown swaps the transmission work item for the
-		// cooldown one, so r's work count is unchanged here.
-		pkt, from := tx.Pkt, Port(tx.Input)
-		r.inBusy[from] = false
-		r.out[out] = nil
-		r.cooldown[out] = true
-		sh.txPool.Put(tx)
-		if out == Local {
-			pkt.DeliveredAt = now
-			sh.ctr.Delivered++
-			sh.delivered = append(sh.delivered, pkt)
-			continue
-		}
-		next := m.neighbor(r, out)
-		if next.sh == sh {
-			next.in[entryPort(out)].Commit(pkt)
-			sh.addWork(next.li)
-		} else {
-			sh.outbox[next.sh.idx] = append(sh.outbox[next.sh.idx],
-				haloCommit{r: next, port: entryPort(out), pkt: pkt})
-		}
-	}
-}
-
-// commitSharded is the cycle's serial stage: boundary commits merge in
-// ascending shard order (each (router, entry port) buffer has a single
-// upstream link, so at most one commit per buffer per cycle — the merge
-// order is fixed for determinism, not contention), deliveries fire in
-// ascending router order, per-shard counter deltas fold into the
-// engine-level block, and then arbitration runs its legacy serial walk
-// (see ensureMode for why it cannot partition).
-//
-//ssvc:hotpath
-func (m *Mesh) commitSharded() {
-	for k := range m.sh {
-		for j := range m.sh {
-			box := m.sh[j].outbox[k]
-			for _, h := range box {
-				h.r.in[h.port].Commit(h.pkt)
-				h.r.sh.addWork(h.r.li)
-			}
-			m.sh[j].outbox[k] = box[:0]
-		}
-	}
-	for _, sh := range m.sh {
-		for _, p := range sh.delivered {
-			m.Deliver(p)
-		}
-		sh.delivered = sh.delivered[:0]
-		m.Counters.Add(sh.ctr)
-		sh.ctr = fabric.Counters{}
-	}
-	m.arbitrate(m.now)
-}
-
-// tickShard advances shard k's arbiters' clocks.
-//
-//ssvc:hotpath
-func (m *Mesh) tickShard(k int) {
-	sh := m.sh[k]
-	now := m.now
-	for i := sh.lo; i < sh.hi; i++ {
-		r := m.routers[i]
-		for p := Port(0); p < numPorts; p++ {
-			r.arbs[p].Tick(now)
-		}
-	}
-}
-
-// advanceCycle closes the cycle.
-func (m *Mesh) advanceCycle() { m.now++ }
-
-//ssvc:hotpath
-func (m *Mesh) inject(now noc.Cycle) {
-	for _, sh := range m.sh {
-		m.Injected += sh.sources.Generate(now)
-	}
-	try := func(p *noc.Packet) bool {
-		// A fail-stopped node generates into a dead local port: accept
-		// and discard so the source queue cannot grow without bound.
-		if m.faults != nil && m.faults.InputDead(p.Src) {
-			m.dropPkt(p)
-			return true
-		}
-		rt := m.routers[p.Src]
-		if !rt.in[Local].Admit(p) {
-			return false
-		}
-		p.EnqueuedAt = now
-		m.Admitted++
-		rt.sh.addWork(rt.li)
-		return true
-	}
-	if m.faults != nil {
-		for _, sh := range m.sh {
-			for g := 0; g < sh.sources.Groups(); g++ {
-				sh.sources.AdmitGroup(g, try)
-			}
-		}
-		return
-	}
-	// Fault-free fast path: an empty-queue group cannot admit, so only
-	// scan groups the sources layer marked nonempty. Pops clear bits in
-	// place; the per-word snapshot keeps this cycle's scan set fixed.
-	visited, groups := 0, 0
-	for _, sh := range m.sh {
-		groups += sh.sources.Groups()
-		for w, mm := range sh.sources.NonEmptyMask() {
-			for mm != 0 {
-				g := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				sh.sources.AdmitGroup(g, try)
-				visited++
-			}
-		}
-	}
-	m.SkippedAdmits += uint64(groups - visited)
-}
-
-// dropPkt counts and releases a packet discarded by a fault.
-func (m *Mesh) dropPkt(p *noc.Packet) {
-	m.Dropped++
-	m.Drop(p)
-}
-
-// recomputeActive rebuilds the work counts and activity masks from first
-// principles after fault handling has flushed state wholesale. Cold path.
-func (m *Mesh) recomputeActive() {
-	for _, sh := range m.sh {
-		arb.MaskZero(sh.active)
-		for li := 0; li < sh.routers(); li++ {
-			r := m.routers[sh.lo+li]
-			n := 0
-			for p := Port(0); p < numPorts; p++ {
-				n += r.in[p].Len()
-				if r.out[p] != nil {
-					n++
-				}
-				if r.cooldown[p] {
-					n++
-				}
-			}
-			sh.work[li] = n
-			if n > 0 {
-				arb.MaskSet(sh.active, li)
-			}
-		}
-	}
-}
-
-// applyFailStop flushes state referencing a port that just died. Input
-// fail-stops address node IDs: local injection queues are flushed and
-// future injections are doomed at admission. Output fail-stops address
-// flattened link ids: an in-flight transfer on the link is aborted (its
-// downstream reservation released) and packets routing onto the dead
-// link are discarded lazily when they reach the router's head.
-func (m *Mesh) applyFailStop(f faults.FailStop) {
-	if f.Input {
-		r := m.routers[f.Port]
-		r.in[Local].DropWhere(func(*noc.Packet) bool { return true }, m.dropPkt)
-		for out := Port(0); out < numPorts; out++ {
-			if tx := r.out[out]; tx != nil && Port(tx.Input) == Local {
-				m.abortTx(r, out)
-			}
-		}
-		r.inBusy[Local] = false
-		return
-	}
-	r := m.routers[f.Port/int(numPorts)]
-	out := Port(f.Port % int(numPorts))
-	if r.out[out] != nil {
-		m.abortTx(r, out)
-	}
-}
-
-// abortTx kills an in-flight transfer on one router output, releasing
-// its downstream reservation and dropping the packet.
-func (m *Mesh) abortTx(r *router, out Port) {
-	tx := r.out[out]
-	pkt := tx.Pkt
-	r.inBusy[tx.Input] = false
-	r.out[out] = nil
-	r.sh.txPool.Put(tx)
-	if out != Local {
-		m.neighbor(r, out).in[entryPort(out)].Unreserve(pkt.Length)
-	}
-	m.dropPkt(pkt)
-}
-
-// transfer advances every busy output channel one flit; completions move
-// the packet to the reserved downstream buffer or deliver it locally.
-// With fault injection enabled, a stalled link freezes its in-flight
-// transfer, and a completed hop runs the receiver's modeled CRC check:
-// a corrupted packet is NACKed back to the head of the upstream input
-// buffer (its downstream reservation released) or dropped once its
-// retry budget is spent.
-//
-//ssvc:hotpath
-func (m *Mesh) transfer(now noc.Cycle) {
-	if m.faults != nil {
-		for _, r := range m.routers {
-			m.transferRouter(r, now)
-		}
-		return
-	}
-	// Fault-free fast path: a transfer only advances a non-nil output
-	// channel, and every in-flight transmission is a counted work item, so
-	// inactive routers are provably no-ops. Completions committing into a
-	// downstream router may set its bit mid-walk; the full walk would find
-	// that router transfer-idle too (a committed packet is not a
-	// transmission), so visiting or skipping it is equivalent.
-	for _, sh := range m.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				m.transferRouter(m.routers[sh.lo+li], now)
-			}
-		}
-	}
-}
-
-// transferRouter advances router r's busy output channels one flit.
-//
-//ssvc:hotpath
-func (m *Mesh) transferRouter(r *router, now noc.Cycle) {
-	for out := Port(0); out < numPorts; out++ {
-		tx := r.out[out]
-		if tx == nil {
-			continue
-		}
-		if m.faults != nil && m.faults.StallOutput(now, m.flatPort(r, out)) {
-			continue
-		}
-		m.DataCycles++
-		tx.Remaining--
-		if tx.Remaining > 0 {
-			continue
-		}
-		// Channel teardown swaps the transmission work item for the
-		// cooldown one, so r's work count is unchanged here.
-		pkt, from := tx.Pkt, Port(tx.Input)
-		r.inBusy[from] = false
-		r.out[out] = nil
-		r.cooldown[out] = true
-		r.sh.txPool.Put(tx)
-		if m.faults != nil && m.faults.CorruptArrival(pkt) {
-			if out != Local {
-				m.neighbor(r, out).in[entryPort(out)].Unreserve(pkt.Length)
-			}
-			if m.faults.Retry(now, pkt) {
-				r.in[from].PushFront(pkt)
-				r.sh.addWork(r.li)
-			} else {
-				m.dropPkt(pkt)
-			}
-			continue
-		}
-		if out == Local {
-			pkt.DeliveredAt = now
-			m.Delivered++
-			m.Deliver(pkt)
-			continue
-		}
-		next := m.neighbor(r, out)
-		next.in[entryPort(out)].Commit(pkt)
-		next.sh.addWork(next.li)
-	}
-}
-
-// arbitrate grants idle outputs. An output whose transmission completed
-// this cycle is cooling down and spends the cycle on arbitration only, so
-// every hop pays the one-cycle arbitration overhead of the switch model
-// (L-flit packets occupy a link for L+1 cycles).
-//
-//ssvc:hotpath
-func (m *Mesh) arbitrate(now noc.Cycle) {
-	if m.faults != nil {
-		for _, r := range m.routers {
-			if m.err != nil {
-				return
-			}
-			m.arbitrateRouter(r, now)
-		}
-		return
-	}
-	// Fault-free fast path: an inactive router has no head to grant, no
-	// cooldown to clear, and no busy output — the full walk would count
-	// all its outputs idle and move on. Bulk-account those outputs as
-	// skipped idle cycles instead of touching them. Fault-free
-	// arbitration never pushes packets, so no bit sets mid-walk; clears
-	// only affect the router being visited.
-	visited := 0
-	for _, sh := range m.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				if m.err != nil {
-					return
-				}
-				m.arbitrateRouter(m.routers[sh.lo+li], now)
-				visited++
-			}
-		}
-	}
-	if m.err == nil {
-		skipped := uint64(len(m.routers)-visited) * uint64(numPorts)
-		m.IdleCycles += skipped
-		m.SkippedOutputs += skipped
-	}
-}
-
-// arbitrateRouter grants router r's idle outputs.
-//
-//ssvc:hotpath
-func (m *Mesh) arbitrateRouter(r *router, now noc.Cycle) {
-	// Snapshot head packets once per router so one input cannot be
-	// granted by two outputs in the same cycle, caching each head's
-	// route (routeDir is pure, so once per cycle suffices). A head
-	// backing off a retransmission (HoldUntil > now) sits this cycle
-	// out; a head routing onto a fail-stopped link is discarded here,
-	// which keeps upstream buffers draining toward the fault point.
-	var heads [numPorts]*noc.Packet
-	var routes [numPorts]Port
-	for in := Port(0); in < numPorts; in++ {
-		if r.inBusy[in] {
-			continue
-		}
-		p := r.in[in].Head()
-		if p == nil || p.HoldUntil > now {
-			continue
-		}
-		route := m.routeDir(r, p.Dst)
-		if m.faults != nil && m.faults.OutputDead(m.flatPort(r, route)) {
-			m.dropPkt(r.in[in].Pop())
-			r.sh.subWork(r.li)
-			continue
-		}
-		heads[in] = p
-		routes[in] = route
-	}
-	for out := Port(0); out < numPorts; out++ {
-		if r.out[out] != nil {
-			continue
-		}
-		if m.faults != nil && (m.faults.OutputDead(m.flatPort(r, out)) || m.faults.StallOutput(now, m.flatPort(r, out))) {
-			continue
-		}
-		if r.cooldown[out] {
-			r.cooldown[out] = false
-			r.sh.subWork(r.li)
-			continue
-		}
-		reqs := m.arbReqs[:0]
-		for in := Port(0); in < numPorts; in++ {
-			p := heads[in]
-			if p == nil || r.inBusy[in] || routes[in] != out {
-				continue
-			}
-			if out != Local {
-				next := m.neighbor(r, out)
-				if next == nil || !next.in[entryPort(out)].CanAccept(p.Length) {
-					continue
-				}
-			}
-			reqs = append(reqs, arb.Request{Input: int(in), Class: p.Class, Packet: p})
-		}
-		if len(reqs) == 0 {
-			m.IdleCycles++
-			continue
-		}
-		m.ArbCycles++
-		w := r.arbs[out].Arbitrate(now, reqs)
-		if w < 0 {
-			continue
-		}
-		req := reqs[w]
-		in := Port(req.Input)
-		p := r.in[in].Pop()
-		if p != req.Packet {
-			//ssvc:coldpath the engine freezes sick here, so this error path may allocate
-			head := "empty queue"
-			if p != nil {
-				head = fmt.Sprintf("packet %d", p.ID)
-			}
-			m.fail(fmt.Errorf("mesh: cycle %d: router (%d,%d) granted packet %d but head is %s",
-				now, r.x, r.y, req.Packet.ID, head))
-			return
-		}
-		if p.GrantedAt == 0 && p.Src == r.id {
-			p.GrantedAt = now
-		}
-		if out != Local {
-			m.neighbor(r, out).in[entryPort(out)].Reserve(p.Length)
-		}
-		// The granted head leaves the buffer but becomes an in-flight
-		// transmission, so r's work count is unchanged.
-		r.inBusy[in] = true
-		r.out[out] = r.sh.txPool.Get(p, int(in))
-		r.arbs[out].Granted(now, req)
-	}
 }
