@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-shard vet fmt lint benchguard bench-arb bench-shard perf perf-pairs serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
+.PHONY: all check build test race race-shard vet fmt lint benchguard bench-arb bench-shard perf perf-pairs perf-smoke serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
 
 all: build vet test
 
@@ -83,6 +83,16 @@ perf-pairs:
 	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<checkout of the parent commit>"; exit 2; }
 	$(GO) run ./bench -compare -pairs 10 $(PERF_WORKLOAD) $(BASE) .
 
+# The benchmark's two control-plane workloads at a tenth of a second,
+# for their exit code, not their numbers: every pass of ctl_recover must
+# reach the same state and recover to it from its journal, and every
+# command a serve_churn daemon acked must be in the journal it leaves
+# behind a SIGKILL. A change to source generation or flow reclamation
+# under DynamicFlows that moves one packet fails here.
+perf-smoke:
+	$(GO) run ./bench -seconds 0.1 -workload ctl_recover
+	$(GO) run ./bench -seconds 0.1 -workload serve_churn
+
 # End-to-end crash-recovery gate for the control plane: run the scripted
 # ssvc-serve scenario uninterrupted, SIGKILL a paced copy mid-run and
 # resume it from its journal, then replay the journal offline — all
@@ -153,5 +163,6 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzSSVCGrantSequence -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzThermRoundTrip -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzBufferInvariants -fuzztime 30s
+	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./cmd/ssvc-sim/ -fuzz FuzzScenarioParse -fuzztime 30s

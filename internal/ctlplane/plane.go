@@ -191,13 +191,15 @@ type flowKey struct {
 }
 
 // valve wraps a reservation's generator so revocation and lease expiry
-// can silence it in place: the fabric's source set has no removal
-// operation, so a dead flow stays attached with its generator shut off
-// (any packets already queued drain at whatever priority the zeroed
-// Vtick leaves them — best effort).
+// can silence it in place. Shutting the valve is what makes retiring the
+// flow sound (switchsim.Switch.RetireFlow wants a generator that will
+// never emit again); any packets already queued drain at whatever
+// priority the zeroed Vtick leaves them — best effort — and the flow is
+// reclaimed when the last one leaves.
 type valve struct {
-	gen traffic.Generator
-	off bool
+	gen  traffic.Generator
+	off  bool
+	flow int // the switch's flow index, for RetireFlow
 }
 
 func (v *valve) Tick(now noc.Cycle, queued int) *noc.Packet {
@@ -205,6 +207,40 @@ func (v *valve) Tick(now noc.Cycle, queued int) *noc.Packet {
 		return nil
 	}
 	return v.gen.Tick(now, queued)
+}
+
+// schedValve is the valve over a generator that schedules: it forwards
+// the traffic.Scheduler face, so the flow generates from the source
+// calendar instead of being polled. A shut valve announces no arrival
+// and emits nothing for one it announced earlier.
+type schedValve struct {
+	valve
+	sched traffic.Scheduler
+}
+
+func (v *schedValve) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
+	if v.off {
+		return 0, false
+	}
+	return v.sched.NextArrival(from, queued)
+}
+
+func (v *schedValve) Emit(now noc.Cycle) *noc.Packet {
+	if v.off {
+		return nil
+	}
+	return v.sched.Emit(now)
+}
+
+// newValve wraps gen, as a traffic.Scheduler exactly when gen is one,
+// and returns the generator to attach with the valve that shuts it.
+func newValve(gen traffic.Generator, flow int) (traffic.Generator, *valve) {
+	if s, ok := gen.(traffic.Scheduler); ok {
+		sv := &schedValve{valve{gen: gen, flow: flow}, s}
+		return sv, &sv.valve
+	}
+	v := &valve{gen: gen, flow: flow}
+	return v, v
 }
 
 // leaseEntry schedules a deterministic expiry.
@@ -284,6 +320,10 @@ type Plane struct {
 	traceHash uint64
 	delivered uint64
 	onDeliver func(*noc.Packet)
+
+	// wrapSource, set by tests only, wraps each source generator on its
+	// way into the switch (to count the calls the fabric makes).
+	wrapSource func(traffic.Generator) traffic.Generator
 
 	stats PlaneStats
 	err   error
@@ -591,12 +631,15 @@ func (p *Plane) materializeAdd(res *Reservation) {
 		}
 		gen = traffic.NewPeriodic(&p.seq, spec, noc.CycleOf(interval), 0)
 	}
-	v := &valve{gen: gen}
-	p.valves[res.ID] = v
-	if err := p.sw.AddFlow(traffic.Flow{Spec: spec, Gen: v}); err != nil {
+	src, v := newValve(gen, p.sw.Flows())
+	if p.wrapSource != nil {
+		src = p.wrapSource(src)
+	}
+	if err := p.sw.AddFlow(traffic.Flow{Spec: spec, Gen: src}); err != nil {
 		p.fail(fmt.Errorf("ctlplane: materialize reservation %d: %w", res.ID, err))
 		return
 	}
+	p.valves[res.ID] = v
 	if res.ExpiresAt != 0 {
 		p.leases.push(leaseEntry{at: res.ExpiresAt, id: res.ID})
 	}
@@ -605,9 +648,11 @@ func (p *Plane) materializeAdd(res *Reservation) {
 	}
 }
 
-// detach silences a revoked/expired reservation's source. Admission
-// forbids duplicate (src,dst,class) reservations, so a present feedback
-// entry under this key always belongs to this reservation.
+// detach silences a revoked/expired reservation's source and hands the
+// flow back to the switch, which drops it from generation now and from
+// admission once its queue has drained. Admission forbids duplicate
+// (src,dst,class) reservations, so a present feedback entry under this
+// key always belongs to this reservation.
 func (p *Plane) detach(res *Reservation) {
 	v, ok := p.valves[res.ID]
 	if !ok {
@@ -615,6 +660,7 @@ func (p *Plane) detach(res *Reservation) {
 	}
 	v.off = true
 	delete(p.valves, res.ID)
+	p.sw.RetireFlow(v.flow)
 	if _, isCL := v.gen.(*traffic.ClosedLoop); isCL {
 		delete(p.feedback, flowKey{res.Req.Src, res.Req.Dst, res.Req.Class})
 	}

@@ -447,7 +447,10 @@ func TestRejectedCommandsDontDisturb(t *testing.T) {
 }
 
 // TestShardsBitIdentical runs the fault-free scenario at shard counts
-// 1, 2, and 4: sharding is pure mechanism and must not move a flit.
+// 1, 2, 4, and 8: sharding is pure mechanism and must not move a flit.
+// The scenario adds, expires and removes flows mid-run, so every shard's
+// source set arms late flows on its calendar and retires dead ones
+// inside the parallel admission stage.
 func TestShardsBitIdentical(t *testing.T) {
 	run := func(shards int) *Plane {
 		cfg := testConfig(shards, false)
@@ -460,7 +463,7 @@ func TestShardsBitIdentical(t *testing.T) {
 		return p
 	}
 	ref := run(1)
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{2, 4, 8} {
 		p := run(shards)
 		if p.TraceHash() != ref.TraceHash() || p.Counters() != ref.Counters() {
 			t.Fatalf("shards=%d diverged: hash %016x vs %016x", shards, p.TraceHash(), ref.TraceHash())

@@ -86,25 +86,87 @@ func TestSourcesEventDrivenMatchesPolled(t *testing.T) {
 	}
 }
 
-// nonScheduler wraps a generator, hiding its Scheduler face.
-type nonScheduler struct{ g traffic.Generator }
+// nonScheduler wraps a generator, hiding its Scheduler face, and counts
+// the polls it receives.
+type nonScheduler struct {
+	g     traffic.Generator
+	ticks int
+}
 
-func (n nonScheduler) Tick(now noc.Cycle, queued int) *noc.Packet { return n.g.Tick(now, queued) }
+func (n *nonScheduler) Tick(now noc.Cycle, queued int) *noc.Packet {
+	n.ticks++
+	return n.g.Tick(now, queued)
+}
 
-// TestSourcesPolledFallback: one non-scheduling generator anywhere in
-// the set keeps the whole source set on the per-cycle path.
+// TestSourcesPolledFallback: generation mode is per flow. A generator
+// that cannot schedule is polled every cycle, its scheduling neighbours
+// stay on the calendar, and same-cycle emissions of the two kinds merge
+// in flow order — the packet IDs of the all-polled walk.
 func TestSourcesPolledFallback(t *testing.T) {
 	var seq traffic.Sequence
-	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 4}
-	s := NewSources(1)
-	s.Add(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 2)}, 0)
-	s.Add(traffic.Flow{Spec: spec, Gen: nonScheduler{traffic.NewBernoulli(&seq, spec, 0.5, 1)}}, 0)
-	s.Generate(0)
-	if s.EventDriven() {
-		t.Fatal("a non-scheduling generator must force the polled path")
+	spec := func(dst int) noc.FlowSpec {
+		return noc.FlowSpec{Src: 0, Dst: dst, Class: noc.BestEffort, PacketLength: 4}
 	}
-	if got := s.GroupQueued(0); got == 0 {
-		t.Fatal("polled fallback generated nothing")
+	stub := &nonScheduler{g: traffic.NewBacklogged(&seq, spec(1), 1<<20)}
+	idle := &nonScheduler{g: traffic.NewBernoulli(&seq, spec(3), 0, 1)}
+	s := NewSources(1)
+	s.Add(traffic.Flow{Spec: spec(0), Gen: traffic.NewBacklogged(&seq, spec(0), 1<<20)}, 0)
+	s.Add(traffic.Flow{Spec: spec(1), Gen: stub}, 0)
+	s.Add(traffic.Flow{Spec: spec(2), Gen: traffic.NewBacklogged(&seq, spec(2), 1<<20)}, 0)
+	s.Add(traffic.Flow{Spec: spec(3), Gen: idle}, 0)
+	const cycles = 50
+	for c := noc.Cycle(0); c < cycles; c++ {
+		if got := s.Generate(c); got != 3 {
+			t.Fatalf("cycle %d generated %d packets, want 3", c, got)
+		}
+	}
+	if !s.EventDriven() {
+		t.Fatal("one non-scheduling generator demoted the whole set")
+	}
+	if len(s.polled) != 2 || s.polled[0] != 1 || s.polled[1] != 3 {
+		t.Fatalf("polled flows %v, want [1 3]", s.polled)
+	}
+	if s.sched[0] == nil || s.sched[2] == nil || s.sched[1] != nil || s.sched[3] != nil {
+		t.Fatal("scheduling flows must be on the calendar and only they")
+	}
+	if stub.ticks != cycles || idle.ticks != cycles {
+		t.Fatalf("polled generators ticked %d and %d times over %d cycles", stub.ticks, idle.ticks, cycles)
+	}
+	// Flow f's k-th packet was the (3k+f+1)-th emission overall.
+	for f := 0; f < 3; f++ {
+		fq := s.Flow(f)
+		for k := 0; fq.Queued() > 0; k++ {
+			if p := fq.Pop(); p.ID != uint64(3*k+f+1) || p.Dst != f {
+				t.Fatalf("flow %d packet %d has ID %d dst %d, want ID %d: same-cycle merge is out of flow order",
+					f, k, p.ID, p.Dst, 3*k+f+1)
+			}
+		}
+	}
+}
+
+// TestSourcesNilEmit: a generator shut between announcing an arrival and
+// its cycle emits nothing; Generate must neither count nor queue it, and
+// the flow parks instead of being asked again every cycle.
+func TestSourcesNilEmit(t *testing.T) {
+	var seq traffic.Sequence
+	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 4}
+	gen, v := newTap(traffic.NewPeriodic(&seq, spec, 5, 0))
+	s := NewSources(1)
+	heads := 0
+	s.SetOnNewHead(func(int) { heads++ })
+	s.Add(traffic.Flow{Spec: spec, Gen: gen}, 0)
+	if got := s.Generate(0); got != 1 {
+		t.Fatalf("cycle 0 generated %d, want 1", got)
+	}
+	v.off = true // the calendar still holds the arrival announced for cycle 5
+	for c := noc.Cycle(1); c < 20; c++ {
+		if got := s.Generate(c); got != 0 {
+			t.Fatalf("cycle %d counted %d injections from a shut generator", c, got)
+		}
+	}
+	if s.GroupQueued(0) != 1 || heads != 1 || len(s.cal) != 0 || !s.blocked[0] {
+		t.Fatalf("after the nil Emit: depth %d, new heads %d, calendar %d, parked %v",
+			s.GroupQueued(0), heads, len(s.cal), s.blocked[0])
 	}
 }
 

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -251,6 +252,103 @@ func TestQuickSourcesRotation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+
+	// Retiring drained flows must leave the service order exactly what it
+	// is when they stay listed as tombstones with empty queues.
+	if err := quick.Check(func(ops []byte) bool { return rotationMatchesTombstones(ops) == "" },
+		&quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	// The places the rotation pointer can be when a flow is unlisted, each
+	// followed by an Add. push and retire take a position in the list of
+	// live flows, which starts as [0 1 2].
+	const add, admit = 0, 2
+	push := func(k int) byte { return byte(1 | k<<2) }
+	retire := func(k int) byte { return byte(3 | k<<2) }
+	for _, c := range []struct {
+		name string
+		ops  []byte
+	}{
+		// Flow 0 served, pointer at 1; empty flow 2 goes: 1, 3, 0.
+		{"pointer before the removed entry", []byte{add, add, add, push(0), push(1), push(1), admit,
+			retire(2), add, push(2), push(0), admit, admit, admit, admit}},
+		// Flows 0 and 1 served, pointer at 2; empty flow 0 goes: 2, 3, 1.
+		{"pointer past the removed entry", []byte{add, add, add, push(0), push(1), push(2), admit, admit,
+			retire(0), add, push(0), push(2), admit, admit, admit}},
+		// Flow 0 served, pointer at 1; empty flow 1 goes: 2, 3, 0.
+		{"pointer at the removed entry", []byte{add, add, add, push(0), push(2), admit,
+			retire(1), add, push(2), push(0), admit, admit, admit}},
+		// Empty flow 2, the last listed, goes; flow 1 is served next, which
+		// leaves the pointer in the dead tail, where the added flow 3 lands:
+		// 3 is served before the rotation wraps to 0, 1.
+		{"pointer in the dead tail", []byte{add, add, add, push(0), push(1), push(0), push(1), admit,
+			retire(2), admit, add, push(2), admit, admit, admit}},
+		// Loaded flow 1 is retired, served last in the list and unlisted by
+		// that pop; the pointer had wrapped to 0 with it: 0, then 2.
+		{"last entry drains on its admission", []byte{add, add, push(0), push(0), push(1),
+			retire(1), admit, admit, add, push(1), admit, admit}},
+		// The same behind a dead tail (flow 2 already gone): the pointer
+		// stays behind the list, so the added flow 3 is served before 0.
+		{"last entry drains behind a dead tail", []byte{add, add, add, push(0), push(0), push(1),
+			retire(2), retire(1), admit, admit, add, push(1), admit, admit}},
+	} {
+		if msg := rotationMatchesTombstones(c.ops); msg != "" {
+			t.Errorf("%s: %s", c.name, msg)
+		}
+	}
+}
+
+// rotationMatchesTombstones drives one group of hand-loaded flows through
+// a set that retires and a model that never does, and returns a
+// description of the first admission on which they disagree. Each op
+// byte is one step: low two bits 0 add a flow, 1 push a packet onto live
+// flow (b>>2)%live, 2 admit one packet, 3 retire live flow (b>>2)%live
+// (in the model: just stop loading it).
+func rotationMatchesTombstones(ops []byte) string {
+	got, model := NewSources(1), NewSources(1)
+	var live []int
+	all := func(*noc.Packet) bool { return true }
+	id := uint64(0)
+	for step, b := range ops {
+		switch b & 3 {
+		case 0:
+			live = append(live, got.Add(fakeFlow(got.Len()), 0))
+			model.Add(fakeFlow(model.Len()), 0)
+		case 1:
+			if len(live) == 0 {
+				continue
+			}
+			i := live[int(b>>2)%len(live)]
+			id++
+			for _, s := range []*Sources{got, model} {
+				s.record(i, s.Flow(i), &noc.Packet{ID: id, Src: i, Length: 1})
+			}
+		case 2:
+			pg, pm := got.AdmitGroup(0, all), model.AdmitGroup(0, all)
+			if (pg == nil) != (pm == nil) || (pg != nil && pg.ID != pm.ID) {
+				return fmt.Sprintf("step %d: retiring set admitted %v, tombstone model %v", step, pg, pm)
+			}
+		case 3:
+			if len(live) == 0 {
+				continue
+			}
+			k := int(b>>2) % len(live)
+			got.Retire(live[k])
+			live = append(live[:k], live[k+1:]...)
+		}
+	}
+	// Whatever is still queued drains in the same order, and every retired
+	// flow is gone from the list by then.
+	for model.GroupQueued(0) > 0 {
+		pg, pm := got.AdmitGroup(0, all), model.AdmitGroup(0, all)
+		if pg == nil || pg.ID != pm.ID {
+			return fmt.Sprintf("drain: retiring set admitted %v, tombstone model %v", pg, pm)
+		}
+	}
+	if len(got.groups[0]) != len(live) {
+		return fmt.Sprintf("%d flows still listed, %d live", len(got.groups[0]), len(live))
+	}
+	return ""
 }
 
 func fakeFlow(src int) (f traffic.Flow) {

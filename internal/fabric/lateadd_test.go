@@ -1,0 +1,293 @@
+package fabric
+
+import (
+	"fmt"
+	"testing"
+
+	"swizzleqos/internal/noc"
+	"swizzleqos/internal/traffic"
+)
+
+// tap is the tests' stand-in for the control plane's valve: a generator
+// that can be shut for good, forwarding the Scheduler face exactly when
+// the wrapped generator has one.
+type tap struct {
+	g   traffic.Generator
+	off bool
+}
+
+func (v *tap) Tick(now noc.Cycle, queued int) *noc.Packet {
+	if v.off {
+		return nil
+	}
+	return v.g.Tick(now, queued)
+}
+
+type schedTap struct {
+	tap
+	s traffic.Scheduler
+}
+
+func (v *schedTap) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
+	if v.off {
+		return 0, false
+	}
+	return v.s.NextArrival(from, queued)
+}
+
+func (v *schedTap) Emit(now noc.Cycle) *noc.Packet {
+	if v.off {
+		return nil
+	}
+	return v.s.Emit(now)
+}
+
+func newTap(g traffic.Generator) (traffic.Generator, *tap) {
+	if s, ok := g.(traffic.Scheduler); ok {
+		v := &schedTap{tap{g: g}, s}
+		return v, &v.tap
+	}
+	v := &tap{g: g}
+	return v, v
+}
+
+const lateAddGroups = 3
+
+// Generator kinds of the late-add schedules; kindStub is the only one
+// that cannot schedule.
+const (
+	kindBernoulli = iota
+	kindPeriodic
+	kindBacklogged
+	kindBursty
+	kindStub
+	kindSparse
+	lateAddKinds
+)
+
+// lateAddSet is one side of the differential: a source set, its packet
+// sequence, and the taps of the flows added so far.
+type lateAddSet struct {
+	s    *Sources
+	seq  traffic.Sequence
+	taps []*tap
+	kind []int
+}
+
+func newLateAddSet(polled bool) *lateAddSet {
+	r := &lateAddSet{s: NewSources(lateAddGroups)}
+	if polled {
+		r.s.DisableEventDriven()
+	}
+	return r
+}
+
+// add attaches the next flow. Its packets carry the flow index in Dst,
+// so a packet names its flow; the generator's parameters and seed depend
+// only on (kind, flow index), so both sides build identical generators.
+func (r *lateAddSet) add(kind, group int) {
+	i := len(r.taps)
+	spec := noc.FlowSpec{Src: group, Dst: i, Class: noc.BestEffort, PacketLength: 1 + i%4}
+	seed := uint64(7*i + 1)
+	var g traffic.Generator
+	switch kind {
+	case kindBernoulli:
+		g = traffic.NewBernoulli(&r.seq, spec, 0.3, seed)
+	case kindPeriodic:
+		g = traffic.NewPeriodic(&r.seq, spec, noc.CycleOf(uint64(3+i%5)), noc.CycleOf(uint64(i%3)))
+	case kindBacklogged:
+		g = traffic.NewBacklogged(&r.seq, spec, 1+i%3)
+	case kindBursty:
+		g = traffic.NewBursty(&r.seq, spec, 0.4, 3, seed)
+	case kindStub:
+		g = &nonScheduler{g: traffic.NewBernoulli(&r.seq, spec, 0.5, seed)}
+	case kindSparse:
+		g = traffic.NewBernoulli(&r.seq, spec, 0.02, seed)
+	}
+	gen, v := newTap(g)
+	r.taps = append(r.taps, v)
+	r.kind = append(r.kind, kind)
+	r.s.Add(traffic.Flow{Spec: spec, Gen: gen}, group)
+}
+
+// lateAddCoverage counts what the schedules run so far exercised.
+type lateAddCoverage struct {
+	lateAdds, retiredEmpty, retiredQueued, shutOnly, admitted int
+}
+
+// checkLateAddSchedule interprets ops as a schedule of mid-run adds,
+// retires, plain shut-offs and admission patterns, and drives it through
+// an event-driven set that retires and a polled reference that never
+// removes anything. Everything observable must agree every cycle:
+// injection counts, admitted packets (ID, flow, CreatedAt), group
+// depths; then the drained remainders, and finally the state of every
+// surviving generator's RNG stream. cov accumulates across calls.
+func checkLateAddSchedule(t *testing.T, ops []byte, cov *lateAddCoverage) {
+	t.Helper()
+	ev, ref := newLateAddSet(false), newLateAddSet(true)
+	var live []int // flows not shut
+	pos := 0
+	next := func() byte {
+		if pos < len(ops) {
+			pos++
+			return ops[pos-1]
+		}
+		return 0
+	}
+	same := func(when string, pe, pr *noc.Packet) {
+		t.Helper()
+		if (pe == nil) != (pr == nil) {
+			t.Fatalf("%s: event-driven admitted %v, polled %v", when, pe, pr)
+		}
+		if pe != nil && (pe.ID != pr.ID || pe.Dst != pr.Dst || pe.CreatedAt != pr.CreatedAt) {
+			t.Fatalf("%s: event-driven packet (id %d flow %d created %d), polled (id %d flow %d created %d)",
+				when, pe.ID, pe.Dst, pe.CreatedAt, pr.ID, pr.Dst, pr.CreatedAt)
+		}
+	}
+
+	var now noc.Cycle
+	for ; pos < len(ops) && now < 4000; now++ {
+		b := next()
+		v := int(b >> 3)
+		switch b % 8 {
+		case 0, 1:
+			ev.add(v%lateAddKinds, v/lateAddKinds%lateAddGroups)
+			ref.add(v%lateAddKinds, v/lateAddKinds%lateAddGroups)
+			live = append(live, len(ev.taps)-1)
+			if now > 0 {
+				cov.lateAdds++
+			}
+		case 2, 3:
+			if len(live) == 0 {
+				break
+			}
+			k := v % len(live)
+			i := live[k]
+			live = append(live[:k], live[k+1:]...)
+			ev.taps[i].off, ref.taps[i].off = true, true
+			if b%8 == 3 {
+				cov.shutOnly++ // the event side keeps a stale calendar entry
+				break
+			}
+			if ev.s.Flow(i).Queued() > 0 {
+				cov.retiredQueued++
+			} else {
+				cov.retiredEmpty++
+			}
+			ev.s.Retire(i)
+		}
+		accept := next()
+		if ie, ir := ev.s.Generate(now), ref.s.Generate(now); ie != ir {
+			t.Fatalf("cycle %d: event-driven generated %d packets, polled %d", now, ie, ir)
+		}
+		for g := 0; g < lateAddGroups; g++ {
+			mode := accept >> (2 * g) & 3
+			try := func(p *noc.Packet) bool { return mode >= 2 || (mode == 1 && p.ID%2 == 0) }
+			pe, pr := ev.s.AdmitGroup(g, try), ref.s.AdmitGroup(g, try)
+			same(fmt.Sprintf("cycle %d group %d", now, g), pe, pr)
+			if pe != nil {
+				cov.admitted++
+			}
+			if de, dr := ev.s.GroupQueued(g), ref.s.GroupQueued(g); de != dr {
+				t.Fatalf("cycle %d group %d: event-driven depth %d, polled %d", now, g, de, dr)
+			}
+		}
+	}
+
+	// Shut what is left (no retire: the calendar keeps the survivors'
+	// announced arrivals for the RNG check) and drain both sides.
+	for _, i := range live {
+		ev.taps[i].off, ref.taps[i].off = true, true
+	}
+	all := func(*noc.Packet) bool { return true }
+	for g := 0; g < lateAddGroups; g++ {
+		for k := 0; ev.s.GroupQueued(g) > 0 || ref.s.GroupQueued(g) > 0; k++ {
+			same(fmt.Sprintf("drain %d of group %d", k, g), ev.s.AdmitGroup(g, all), ref.s.AdmitGroup(g, all))
+		}
+	}
+
+	// RNG state. The polled generator has drawn through cycle now-1; the
+	// calendar-driven one has drawn ahead, through its announced arrival.
+	// Tick the polled one up to its next emission — it must be that
+	// arrival — emit on the other, and the two streams are level: they
+	// must then agree on every further cycle.
+	for _, i := range live {
+		ge, gr := ev.taps[i].g, ref.taps[i].g
+		from := now
+		switch ev.kind[i] {
+		case kindBernoulli, kindBursty, kindSparse:
+			at, found := noc.Cycle(0), false
+			for _, e := range ev.s.cal {
+				if int(e.fi) == i {
+					at, found = e.at, true
+				}
+			}
+			if !found {
+				t.Fatalf("flow %d: a live scheduling flow has no calendar entry", i)
+			}
+			c := now
+			for gr.Tick(c, 0) == nil {
+				if c++; c > at {
+					t.Fatalf("flow %d: calendar announced cycle %d, the polled stream passed it silently", i, at)
+				}
+			}
+			if c != at {
+				t.Fatalf("flow %d: calendar announced cycle %d, the polled stream emits at %d", i, at, c)
+			}
+			ge.(traffic.Scheduler).Emit(at)
+			from = at + 1
+		case kindStub:
+		default:
+			continue // no random stream
+		}
+		for c := from; c < from+64; c++ {
+			if pe, pr := ge.Tick(c, 0), gr.Tick(c, 0); (pe == nil) != (pr == nil) {
+				t.Fatalf("flow %d: generator streams diverge at cycle %d after the run", i, c)
+			}
+		}
+	}
+}
+
+// lateAddSeed expands a seed into a schedule.
+func lateAddSeed(seed uint64, n int) []byte {
+	rng := traffic.NewRNG(seed)
+	ops := make([]byte, n)
+	for i := range ops {
+		ops[i] = byte(rng.Uint64())
+		// Thin the structural ops out so flows live long enough to queue,
+		// block and be retired mid-queue: three in four become plain cycles.
+		if i%2 == 0 && ops[i]%8 < 4 && rng.Intn(4) != 0 {
+			ops[i] |= 4
+		}
+	}
+	return ops
+}
+
+// TestSourcesLateAddRetireMatchesPolled is the differential for the
+// running-engine operations: flows added after the first Generate arm
+// from the cycle the polled walk first ticks them, a non-scheduling
+// generator is polled next to calendar flows, and retiring shut flows —
+// with empty and with non-empty queues — changes neither the packet
+// stream nor the admission order.
+func TestSourcesLateAddRetireMatchesPolled(t *testing.T) {
+	var total lateAddCoverage
+	for seed := uint64(1); seed <= 24; seed++ {
+		checkLateAddSchedule(t, lateAddSeed(seed, 1600), &total)
+	}
+	if total.lateAdds < 100 || total.retiredEmpty < 20 || total.retiredQueued < 20 || total.shutOnly < 20 || total.admitted < 1000 {
+		t.Fatalf("schedules lost coverage: %+v", total)
+	}
+}
+
+// FuzzSourcesLateAdd lets the fuzzer search the schedule space of
+// TestSourcesLateAddRetireMatchesPolled.
+func FuzzSourcesLateAdd(f *testing.F) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(lateAddSeed(seed, 400))
+	}
+	// Retire the only flow of a group with the pointer behind it, then add.
+	f.Add([]byte{0x10, 0xff, 0x04, 0xff, 0x04, 0xff, 0x02, 0x00, 0x10, 0xff, 0x04, 0xff})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		checkLateAddSchedule(t, ops, new(lateAddCoverage))
+	})
+}

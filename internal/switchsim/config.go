@@ -73,11 +73,10 @@ type Config struct {
 
 	// DynamicFlows permits AddFlow while the simulation is running — the
 	// reservation control plane (internal/ctlplane) attaches and revokes
-	// flows live. It forces polled source generation: the event-driven
-	// source calendar is sized when the first cycle runs and cannot
-	// absorb flows added later, and feedback-driven generators
-	// (traffic.ClosedLoop) cannot precompute arrival times anyway.
-	// Without this flag, AddFlow after the first Step is an error.
+	// flows live. It changes nothing else: a flow added mid-run generates
+	// from the next cycle on, event-driven if its generator schedules and
+	// polled otherwise, exactly like one attached before cycle 0. Without
+	// this flag, AddFlow after the first Step is an error.
 	DynamicFlows bool
 
 	// AdmissionGate, when non-nil, is consulted before a packet moves

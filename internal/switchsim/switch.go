@@ -249,9 +249,6 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 		// turns nonempty: a fresh head is the only generation event that
 		// can make a barren input admissible again. Groups are local.
 		sh.sources.SetOnNewHead(func(group int) { arb.MaskClear(sh.admitSkip, group) })
-		if cfg.DynamicFlows {
-			sh.sources.DisableEventDriven()
-		}
 		// Pre-seed the transmission free list (one in-flight packet per
 		// output is the maximum) so the steady-state loop never allocates.
 		sh.txPool.Preload(n)
@@ -350,7 +347,7 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 		return fmt.Errorf("switchsim: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
 	}
 	if s.now != 0 && !s.cfg.DynamicFlows {
-		return fmt.Errorf("switchsim: AddFlow at cycle %d requires Config.DynamicFlows (the event-driven source calendar is already sealed)", s.now)
+		return fmt.Errorf("switchsim: AddFlow at cycle %d requires Config.DynamicFlows", s.now)
 	}
 	k := s.part.Of(f.Spec.Src)
 	sh := s.sh[k]
@@ -359,11 +356,30 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 	return nil
 }
 
+// Flows returns the number of flows ever attached; the next AddFlow
+// takes this index.
+func (s *Switch) Flows() int { return len(s.flowDir) }
+
+// RetireFlow reclaims flow index f (AddFlow order), whose generator the
+// caller has shut for good: it is never generated again, and once its
+// source queue has drained it leaves its input's admission rotation and
+// its queue is released (fabric.Sources.Retire). Call it between cycles.
+// Delivery order is unaffected; what a retired flow still holds is its
+// flowDir entry here and a slot in its shard's per-flow tables, a few
+// words per flow ever added.
+func (s *Switch) RetireFlow(f int) {
+	ref := s.flowDir[f]
+	s.sh[ref.shard].sources.Retire(ref.idx)
+}
+
 // SourceQueueLen returns flow index f's current source-queue depth in
 // packets, for tests. Flow indices follow AddFlow order.
 func (s *Switch) SourceQueueLen(f int) int {
 	ref := s.flowDir[f]
-	return s.sh[ref.shard].sources.Flow(ref.idx).Queued()
+	if fq := s.sh[ref.shard].sources.Flow(ref.idx); fq != nil {
+		return fq.Queued()
+	}
+	return 0 // retired and drained
 }
 
 // BufferOccupancy returns the flit occupancy of the class buffer at input

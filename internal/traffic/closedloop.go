@@ -78,8 +78,8 @@ type clRequest struct {
 //
 // ClosedLoop deliberately does not implement Scheduler: its arrival
 // times depend on delivery feedback, so the event-driven source calendar
-// cannot precompute them. Switches hosting it must generate by polling
-// (switchsim.Config.DynamicFlows forces this).
+// cannot precompute them. fabric.Sources polls it each cycle, next to
+// the calendar-driven flows of the same engine.
 type ClosedLoop struct {
 	seq  *Sequence
 	spec noc.FlowSpec
