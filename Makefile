@@ -26,9 +26,12 @@ race:
 # Dynamic counterpart of the shardsafety analyzer: the shard executor
 # and the three sharded engines under the race detector with enough
 # scheduler parallelism (GOMAXPROCS >= 4) that Par stages genuinely
-# overlap rather than serialize on a starved runtime.
+# overlap rather than serialize on a starved runtime. One package at a
+# time (-p 1): the worker teams spin at their barriers, and four
+# race-instrumented packages spinning against each other on a 2-CPU host
+# run compose past the 10-minute test timeout.
 race-shard:
-	GOMAXPROCS=4 $(GO) test -race -count=1 \
+	GOMAXPROCS=4 $(GO) test -race -count=1 -p 1 \
 		./internal/shard/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
 
 vet:
@@ -83,15 +86,22 @@ perf-pairs:
 	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<checkout of the parent commit>"; exit 2; }
 	$(GO) run ./bench -compare -pairs 10 $(PERF_WORKLOAD) $(BASE) .
 
-# The benchmark's two control-plane workloads at a tenth of a second,
-# for their exit code, not their numbers: every pass of ctl_recover must
+# The benchmark at a tenth of a second, for its exit code, not its
+# numbers. The two control-plane workloads: every pass of ctl_recover must
 # reach the same state and recover to it from its journal, and every
 # command a serve_churn daemon acked must be in the journal it leaves
-# behind a SIGKILL. A change to source generation or flow reclamation
-# under DynamicFlows that moves one packet fails here.
+# behind a SIGKILL; a change to source generation or flow reclamation
+# under DynamicFlows that moves one packet fails here. The three sim
+# workloads, traced: the tracing wrapper hides an arbiter's NextTick, so
+# the traced side ticks every arbiter every cycle and the bare side ticks
+# on deadlines, and the harness fails unless the two agree on every slice
+# digest — the tick-cadence differential on the benchmark's own inputs.
 perf-smoke:
 	$(GO) run ./bench -seconds 0.1 -workload ctl_recover
 	$(GO) run ./bench -seconds 0.1 -workload serve_churn
+	$(GO) run ./bench -seconds 0.1 -trace 1 -workload xbar64_sparse
+	$(GO) run ./bench -seconds 0.1 -trace 1 -workload xbar64_sat
+	$(GO) run ./bench -seconds 0.1 -trace 1 -workload routed_sat
 
 # End-to-end crash-recovery gate for the control plane: run the scripted
 # ssvc-serve scenario uninterrupted, SIGKILL a paced copy mid-run and
@@ -164,5 +174,6 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzThermRoundTrip -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzBufferInvariants -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
+	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./cmd/ssvc-sim/ -fuzz FuzzScenarioParse -fuzztime 30s

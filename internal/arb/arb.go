@@ -58,11 +58,38 @@ type Arbiter interface {
 	// state (LRG order, virtual clocks, deficit counters, ...).
 	Granted(now noc.Cycle, req Request)
 
-	// Tick advances per-cycle state such as the real-time clock used for
-	// virtual clock maintenance. The switch calls it exactly once per
-	// cycle, after arbitration.
+	// Tick advances clocked state such as the real-time clock used for
+	// virtual clock maintenance. The engine calls it after arbitration, at
+	// most once per cycle, and on every cycle at or after the deadline the
+	// arbiter last announced through TickScheduler — every cycle if it
+	// announces none. Calls ahead of the deadline may happen (an engine
+	// keeps one deadline for many arbiters) and must be no-ops.
 	Tick(now noc.Cycle)
 }
+
+// TickScheduler is the event-driven face of an arbiter's clock, as
+// traffic.Scheduler is of a generator: an arbiter whose Tick does work
+// only at known cycles announces the next one, and the engine skips the
+// calls in between. NextTick returns the earliest cycle at which Tick
+// does anything; the value may change only inside Tick, so an engine that
+// reads it after each Tick never holds a stale deadline. NeverTick
+// announces that Tick is a no-op for good.
+type TickScheduler interface {
+	NextTick() noc.Cycle
+}
+
+// NeverTick is the deadline of an arbiter with no clocked state.
+const NeverTick = ^noc.Cycle(0)
+
+// unclocked is embedded by the arbiters that keep no clocked state: it
+// supplies their empty Tick and announces that it never needs calling.
+type unclocked struct{}
+
+// Tick implements Arbiter.
+func (unclocked) Tick(now noc.Cycle) {}
+
+// NextTick implements TickScheduler.
+func (unclocked) NextTick() noc.Cycle { return NeverTick }
 
 // ArrivalObserver is implemented by arbiters that stamp packets on arrival
 // at the input buffer rather than on transmission. The original Virtual

@@ -110,6 +110,7 @@ func (a *CCSP) Tick(now noc.Cycle) {
 // LRG breaking ties. A common latency-fairness baseline for best-effort
 // traffic.
 type AgeBased struct {
+	unclocked
 	state *LRGState
 }
 
@@ -135,9 +136,6 @@ func (a *AgeBased) Arbitrate(now noc.Cycle, reqs []Request) int {
 
 // Granted implements Arbiter.
 func (a *AgeBased) Granted(now noc.Cycle, req Request) { a.state.Grant(req.Input) }
-
-// Tick implements Arbiter.
-func (a *AgeBased) Tick(now noc.Cycle) {}
 
 // compile-time interface checks for the whole baseline family.
 var (

@@ -290,6 +290,7 @@ func (s *LRGState) SetOrder(order []int) error {
 // class-unaware — the "No QoS" configuration of Figure 4(a), under which
 // all flows converge to an equal share of bandwidth during congestion.
 type LRG struct {
+	unclocked
 	state *LRGState
 	cand  []int
 	mask  []uint64 // scratch request mask for the word-parallel path
@@ -342,9 +343,6 @@ func (a *LRG) Arbitrate(now noc.Cycle, reqs []Request) int {
 
 // Granted implements Arbiter.
 func (a *LRG) Granted(now noc.Cycle, req Request) { a.state.Grant(req.Input) }
-
-// Tick implements Arbiter.
-func (a *LRG) Tick(now noc.Cycle) {}
 
 // State exposes the underlying LRG order for inspection in tests.
 func (a *LRG) State() *LRGState { return a.state }

@@ -21,6 +21,7 @@ import (
 // with low reserved rates carry large Vticks, stamp far into the future,
 // and suffer high average latency.
 type OrigVC struct {
+	unclocked
 	vticks []noc.VTime // per input, cycles per packet at the reserved rate
 	aux    []noc.VTime // per-flow virtual clocks
 	state  *LRGState
@@ -76,9 +77,6 @@ func (a *OrigVC) Arbitrate(now noc.Cycle, reqs []Request) int {
 
 // Granted implements Arbiter.
 func (a *OrigVC) Granted(now noc.Cycle, req Request) { a.state.Grant(req.Input) }
-
-// Tick implements Arbiter.
-func (a *OrigVC) Tick(now noc.Cycle) {}
 
 // Aux returns flow i's current virtual clock, for tests.
 func (a *OrigVC) Aux(i int) noc.VTime { return a.aux[i] }

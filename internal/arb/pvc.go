@@ -28,6 +28,7 @@ type Preemptor interface {
 // already transmitted and triggers a retransmission — bandwidth the
 // switch has to resupply.
 type PVC struct {
+	unclocked
 	vticks []noc.VTime
 	aux    []noc.VTime
 	state  *LRGState
@@ -88,9 +89,6 @@ func (a *PVC) Arbitrate(now noc.Cycle, reqs []Request) int {
 
 // Granted implements Arbiter.
 func (a *PVC) Granted(now noc.Cycle, req Request) { a.state.Grant(req.Input) }
-
-// Tick implements Arbiter.
-func (a *PVC) Tick(now noc.Cycle) {}
 
 // ShouldPreempt implements Preemptor: the best waiting stamp preempts the
 // in-flight packet when it leads by more than the threshold. A preempted

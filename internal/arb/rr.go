@@ -12,6 +12,7 @@ import (
 // congestion but can be unfair over short windows when request patterns
 // correlate with the pointer position.
 type RoundRobin struct {
+	unclocked
 	//ssvc:range n 1..4096
 	n int
 	// next is the highest-priority input this cycle.
@@ -50,9 +51,6 @@ func (a *RoundRobin) Granted(now noc.Cycle, req Request) {
 	a.next = (req.Input + 1) % a.n
 }
 
-// Tick implements Arbiter.
-func (a *RoundRobin) Tick(now noc.Cycle) {}
-
 // MultiLevel is the fixed-priority message-level QoS of the prior Swizzle
 // Switch design [14]: each request carries a priority level and the highest
 // level always wins, with LRG breaking ties inside a level.
@@ -62,6 +60,7 @@ func (a *RoundRobin) Tick(now noc.Cycle) {}
 // implementation needed two arbitration cycles. It is included as a
 // starvation baseline for the ablation benches.
 type MultiLevel struct {
+	unclocked
 	levels func(Request) int // maps a request to its priority level
 	state  *LRGState
 }
@@ -96,6 +95,3 @@ func (a *MultiLevel) Arbitrate(now noc.Cycle, reqs []Request) int {
 
 // Granted implements Arbiter.
 func (a *MultiLevel) Granted(now noc.Cycle, req Request) { a.state.Grant(req.Input) }
-
-// Tick implements Arbiter.
-func (a *MultiLevel) Tick(now noc.Cycle) {}

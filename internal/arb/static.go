@@ -14,6 +14,7 @@ import (
 // bandwidth ratios but still redistributes leftover bandwidth by weight
 // rather than on demand.
 type WRR struct {
+	unclocked
 	weights        []int
 	credits        []int
 	ptr            int
@@ -108,14 +109,12 @@ func (a *WRR) Granted(now noc.Cycle, req Request) {
 	a.advance()
 }
 
-// Tick implements Arbiter.
-func (a *WRR) Tick(now noc.Cycle) {}
-
 // DWRR is a deficit weighted round robin arbiter [Shreedhar & Varghese].
 // Each input accrues a quantum of flits per round; its head packet is
 // served once the accumulated deficit covers the packet length, making the
 // scheme fair with variable packet sizes where plain WRR is not.
 type DWRR struct {
+	unclocked
 	quanta      []int
 	deficit     []int
 	ptr         int
@@ -188,6 +187,3 @@ func (a *DWRR) Granted(now noc.Cycle, req Request) {
 		a.deficit[req.Input] = 0
 	}
 }
-
-// Tick implements Arbiter.
-func (a *DWRR) Tick(now noc.Cycle) {}

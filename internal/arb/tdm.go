@@ -16,6 +16,7 @@ import (
 // it holds the channel to completion (the slot table paces packet starts,
 // matching the per-packet granularity of the rest of the model).
 type TDM struct {
+	unclocked
 	table []int // slot s belongs to input table[s mod len]
 }
 
@@ -70,8 +71,5 @@ func (a *TDM) Arbitrate(now noc.Cycle, reqs []Request) int {
 
 // Granted implements Arbiter.
 func (a *TDM) Granted(now noc.Cycle, req Request) {}
-
-// Tick implements Arbiter.
-func (a *TDM) Tick(now noc.Cycle) {}
 
 var _ Arbiter = (*TDM)(nil)

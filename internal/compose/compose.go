@@ -281,6 +281,9 @@ type node struct {
 	arbs     []arb.Arbiter
 	next     []PortRef // downstream input for each output port...
 	hasNext  []bool    // ...valid where true; otherwise the port ejects
+	// clks[p] is arbs[p]'s deadline face, asserted once at construction;
+	// nil where the arbiter announces none.
+	clks []arb.TickScheduler
 }
 
 // haloCommit is a completed hop crossing a shard boundary: the packet
@@ -306,6 +309,10 @@ type netShard struct {
 	// ctr accumulates this cycle's counter deltas from the parallel
 	// stages; the serial commit stage merges and zeroes it.
 	ctr fabric.Counters
+
+	// tickDue is the earliest cycle at which one of the shard's arbiters
+	// needs its Tick (see tickShard); zero, so the first cycle asks.
+	tickDue noc.Cycle
 
 	// Event-driven work tracking (see DESIGN.md "Event-driven idle
 	// skipping"), over local node indices: work[li] counts node lo+li's
@@ -477,12 +484,14 @@ func New(cfg Config) (*Network, error) {
 			cooldown: make([]bool, ports),
 			inBusy:   make([]bool, ports),
 			arbs:     make([]arb.Arbiter, ports),
+			clks:     make([]arb.TickScheduler, ports),
 			next:     make([]PortRef, ports),
 			hasNext:  make([]bool, ports),
 		}
 		for p := 0; p < ports; p++ {
 			n.in[p] = fabric.NewBuffer(cfg.BufferFlits)
 			n.arbs[p] = newArb(id, p, ports)
+			n.clks[p], _ = n.arbs[p].(arb.TickScheduler)
 			n.next[p], n.hasNext[p] = cfg.Topology.Links[PortRef{Node: id, Port: p}]
 		}
 		net.nodes = append(net.nodes, n)
@@ -677,10 +686,8 @@ func (n *Network) stepSerial() {
 	n.inject(now)
 	n.transfer(now)
 	n.arbitrate(now)
-	for _, nd := range n.nodes {
-		for _, a := range nd.arbs {
-			a.Tick(now)
-		}
+	for k := range n.sh {
+		n.tickShard(k)
 	}
 	n.now++
 }
@@ -819,17 +826,35 @@ func (n *Network) commitSharded() {
 	n.arbitrate(n.now)
 }
 
-// tickShard advances shard k's arbiters' clocks.
+// tickShard is shard k's arbiter clock: it ticks the shard's arbiters on
+// the cycles one of them is due and returns at once on the others. Each
+// walk ticks every arbiter (an early Tick is a no-op by contract) and
+// gathers the earliest deadline they announce afterwards; an arbiter that
+// announces none is due again next cycle, which keeps the shard on the
+// every-cycle cadence.
 //
 //ssvc:hotpath
 func (n *Network) tickShard(k int) {
 	sh := n.sh[k]
 	now := n.now
+	if now < sh.tickDue {
+		return
+	}
+	due := arb.NeverTick
 	for i := sh.lo; i < sh.hi; i++ {
-		for _, a := range n.nodes[i].arbs {
+		nd := n.nodes[i]
+		for p, a := range nd.arbs {
 			a.Tick(now)
+			next := now + 1
+			if c := nd.clks[p]; c != nil {
+				next = c.NextTick()
+			}
+			if next < due {
+				due = next
+			}
 		}
 	}
+	sh.tickDue = due
 }
 
 // advanceCycle closes the cycle.

@@ -152,8 +152,12 @@ type SSVC struct {
 	// the current call's inputs, so stale entries are never observed.
 }
 
-// Statically ensure SSVC satisfies the switch arbitration contract.
-var _ arb.Arbiter = (*SSVC)(nil)
+// Statically ensure SSVC satisfies the switch arbitration contract and
+// announces its clock's deadlines.
+var (
+	_ arb.Arbiter       = (*SSVC)(nil)
+	_ arb.TickScheduler = (*SSVC)(nil)
+)
 
 // NewSSVC returns an SSVC arbiter. It panics on an invalid configuration;
 // use Config.Validate to check first when the configuration is external.
@@ -419,9 +423,9 @@ func (s *SSVC) onSaturation(now noc.Cycle) {
 //
 //ssvc:hotpath
 func (s *SSVC) Tick(now Cycle) {
-	// Fast path: between quantum boundaries the tick is a no-op, and the
-	// cycle loop calls Tick on every arbiter every cycle. base never
-	// exceeds now, so the loop condition below is exactly now >= next.
+	// Between quantum boundaries the tick is a no-op; an engine that
+	// honours NextTick does not call it there at all. base never exceeds
+	// now, so the loop condition below is exactly now >= next.
 	if now < s.next {
 		return
 	}
@@ -448,3 +452,8 @@ func (s *SSVC) Tick(now Cycle) {
 	}
 	s.next = s.base + noc.CycleOfVTime(s.quantum)
 }
+
+// NextTick implements arb.TickScheduler: the next quantum boundary. Only
+// Tick moves it, and Tick does nothing before it, so a Tick at exactly
+// this cycle is the whole of what per-cycle calls would have computed.
+func (s *SSVC) NextTick() Cycle { return s.next }

@@ -85,9 +85,9 @@ func (in *inputPort) bufferFor(class noc.Class, dst int) *fabric.Buffer {
 }
 
 // outputPort is one output channel: its arbiter and channel state. The
-// obs and pre fields cache the arbiter's optional-interface assertions at
-// construction time so the per-cycle loop never pays for a dynamic type
-// assertion (admit runs once per input per cycle; see New).
+// obs, pre and clk fields cache the arbiter's optional-interface
+// assertions at construction time so the per-cycle loop never pays for a
+// dynamic type assertion (admit runs once per input per cycle; see New).
 type outputPort struct {
 	id  int
 	sh  *swShard //ssvc:owner
@@ -95,6 +95,7 @@ type outputPort struct {
 	arb arb.Arbiter
 	obs arb.ArrivalObserver // non-nil iff arb observes arrivals
 	pre arb.Preemptor       // non-nil iff arb can preempt
+	clk arb.TickScheduler   // non-nil iff arb announces its tick deadlines
 	tx  *fabric.Transmission
 }
 
@@ -123,6 +124,10 @@ type swShard struct {
 	sources *fabric.Sources
 	txPool  fabric.TxPool
 	ctr     fabric.Counters // per-cycle deltas, merged into Switch.Counters at commit
+
+	// tickDue is the earliest cycle at which one of the shard's arbiters
+	// needs its Tick (see tickArbiters); zero, so the first cycle asks.
+	tickDue noc.Cycle
 
 	// Event-driven work masks (see DESIGN.md "Event-driven idle
 	// skipping"): the cycle loop visits only ports these masks prove have
@@ -279,6 +284,7 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 		op := &outputPort{id: o, sh: sh, li: o - sh.lo, arb: a}
 		op.obs, _ = a.(arb.ArrivalObserver)
 		op.pre, _ = a.(arb.Preemptor)
+		op.clk, _ = a.(arb.TickScheduler)
 		if op.obs != nil {
 			s.hasObs = true
 		}
@@ -460,10 +466,37 @@ func (s *Switch) stepSerial() {
 	}
 	s.admit(now)
 	s.serveOutputs(now)
-	for _, out := range s.outputs {
-		out.arb.Tick(now)
+	for _, sh := range s.sh {
+		s.tickArbiters(sh, now)
 	}
 	s.now++
+}
+
+// tickArbiters is the arbiter clock: it ticks the shard's arbiters on the
+// cycles one of them is due and returns at once on the others. Each walk
+// ticks every arbiter (an early Tick is a no-op by contract) and gathers
+// the earliest deadline they announce afterwards; an arbiter that
+// announces none is due again next cycle, which keeps the shard on the
+// every-cycle cadence.
+//
+//ssvc:hotpath
+func (s *Switch) tickArbiters(sh *swShard, now noc.Cycle) {
+	if now < sh.tickDue {
+		return
+	}
+	due := arb.NeverTick
+	for i := sh.lo; i < sh.hi; i++ {
+		out := s.outputs[i]
+		out.arb.Tick(now)
+		next := now + 1
+		if out.clk != nil {
+			next = out.clk.NextTick()
+		}
+		if next < due {
+			due = next
+		}
+	}
+	sh.tickDue = due
 }
 
 // stopped is the executor's cycle-boundary early exit: a pure read of
@@ -600,9 +633,7 @@ func (s *Switch) mergeAndServe(k int) {
 	skipped := uint64(sh.ports() - visited)
 	sh.ctr.IdleCycles += skipped
 	sh.ctr.SkippedOutputs += skipped
-	for i := sh.lo; i < sh.hi; i++ {
-		s.outputs[i].arb.Tick(now)
-	}
+	s.tickArbiters(sh, now)
 }
 
 // serveOutputSharded advances one output channel in the parallel

@@ -10,6 +10,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"swizzleqos/internal/noc"
 )
@@ -86,27 +87,35 @@ type Bernoulli struct {
 	spec noc.FlowSpec
 	seq  *Sequence
 	rng  *RNG
-	p    float64
+	p    odds
+}
+
+// CheckBernoulli reports why NewBernoulli would refuse rate flits/cycle
+// for spec: the implied per-cycle probability must lie in [0,1], which
+// also rules out a NaN or infinite rate.
+func CheckBernoulli(spec noc.FlowSpec, rate float64) error {
+	if spec.PacketLength < 1 {
+		return fmt.Errorf("traffic: packet length %d < 1", spec.PacketLength)
+	}
+	if p := rate / float64(spec.PacketLength); !(p >= 0 && p <= 1) { // accepting form: NaN lands here too
+		return fmt.Errorf("traffic: rate %g with %d-flit packets needs per-cycle probability %g outside [0,1]",
+			rate, spec.PacketLength, p)
+	}
+	return nil
 }
 
 // NewBernoulli returns a Bernoulli source offering rate flits/cycle. It
-// panics if the implied per-cycle probability exceeds 1 or the spec is
-// malformed in a way that matters here.
+// panics on what CheckBernoulli reports.
 func NewBernoulli(seq *Sequence, spec noc.FlowSpec, rate float64, seed uint64) *Bernoulli {
-	if spec.PacketLength < 1 {
-		panic(fmt.Sprintf("traffic: packet length %d < 1", spec.PacketLength))
+	if err := CheckBernoulli(spec, rate); err != nil {
+		panic(err.Error())
 	}
-	p := rate / float64(spec.PacketLength)
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("traffic: rate %g with %d-flit packets needs per-cycle probability %g outside [0,1]",
-			rate, spec.PacketLength, p))
-	}
-	return &Bernoulli{spec: spec, seq: seq, rng: NewRNG(seed), p: p}
+	return &Bernoulli{spec: spec, seq: seq, rng: NewRNG(seed), p: oddsOf(rate / float64(spec.PacketLength))}
 }
 
 // Tick implements Generator.
 func (g *Bernoulli) Tick(now noc.Cycle, queued int) *noc.Packet {
-	if !g.rng.Bernoulli(g.p) {
+	if !g.rng.draw(g.p) {
 		return nil
 	}
 	return newPacket(g.seq, g.spec, now)
@@ -149,18 +158,32 @@ type Bursty struct {
 
 	on        bool
 	nextEmit  noc.Cycle
-	exitProb  float64 // per-packet probability of ending a burst
-	enterProb float64 // per-cycle probability of starting a burst
+	exitProb  odds // per-packet probability of ending a burst
+	enterProb odds // per-cycle probability of starting a burst
+}
+
+// CheckBursty reports why NewBursty would refuse the long-run rate or the
+// mean burst length: the rate must lie in (0,1] and the burst be a finite
+// number of packets, at least one. NaN fails both.
+func CheckBursty(rate, meanBurstPackets float64) error {
+	if !(rate > 0 && rate <= 1) {
+		return fmt.Errorf("traffic: bursty rate %g outside (0,1]", rate)
+	}
+	if !(meanBurstPackets >= 1) {
+		return fmt.Errorf("traffic: mean burst %g < 1 packet", meanBurstPackets)
+	}
+	if math.IsInf(meanBurstPackets, 1) {
+		return fmt.Errorf("traffic: mean burst %g is not finite", meanBurstPackets)
+	}
+	return nil
 }
 
 // NewBursty returns a bursty source with the given long-run rate in
-// flits/cycle and mean burst length in packets.
+// flits/cycle and mean burst length in packets. It panics on what
+// CheckBursty reports.
 func NewBursty(seq *Sequence, spec noc.FlowSpec, rate float64, meanBurstPackets float64, seed uint64) *Bursty {
-	if rate <= 0 || rate > 1 {
-		panic(fmt.Sprintf("traffic: bursty rate %g outside (0,1]", rate))
-	}
-	if meanBurstPackets < 1 {
-		panic(fmt.Sprintf("traffic: mean burst %g < 1 packet", meanBurstPackets))
+	if err := CheckBursty(rate, meanBurstPackets); err != nil {
+		panic(err.Error())
 	}
 	l := float64(spec.PacketLength)
 	// Long-run load: on-time = B*L cycles per burst; mean off-time
@@ -177,15 +200,15 @@ func NewBursty(seq *Sequence, spec noc.FlowSpec, rate float64, meanBurstPackets 
 		spec:      spec,
 		seq:       seq,
 		rng:       NewRNG(seed),
-		exitProb:  1 / meanBurstPackets,
-		enterProb: enter,
+		exitProb:  oddsOf(1 / meanBurstPackets),
+		enterProb: oddsOf(enter),
 	}
 }
 
 // Tick implements Generator.
 func (g *Bursty) Tick(now noc.Cycle, queued int) *noc.Packet {
 	if !g.on {
-		if !g.rng.Bernoulli(g.enterProb) {
+		if !g.rng.draw(g.enterProb) {
 			return nil
 		}
 		g.on = true
@@ -196,7 +219,7 @@ func (g *Bursty) Tick(now noc.Cycle, queued int) *noc.Packet {
 	}
 	pkt := newPacket(g.seq, g.spec, now)
 	g.nextEmit = now + noc.CycleOf(uint64(g.spec.PacketLength))
-	if g.rng.Bernoulli(g.exitProb) {
+	if g.rng.draw(g.exitProb) {
 		g.on = false
 	}
 	return pkt

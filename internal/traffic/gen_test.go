@@ -105,12 +105,26 @@ func TestBernoulliRate(t *testing.T) {
 
 func TestBernoulliPanicsOnImpossibleRate(t *testing.T) {
 	var seq Sequence
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rate above 1 packet/cycle did not panic")
+	// 9 flits/cycle with 8-flit packets is more than a packet per cycle; a
+	// NaN rate passed every ordered comparison and then never fired.
+	for _, rate := range []float64{9, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if CheckBernoulli(specGB(1, 8), rate) == nil {
+			t.Errorf("CheckBernoulli accepted rate %g", rate)
 		}
-	}()
-	NewBernoulli(&seq, specGB(1, 8), 9, 1) // 9 flits/cycle with 8-flit packets
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rate %g did not panic", rate)
+				}
+			}()
+			NewBernoulli(&seq, specGB(1, 8), rate, 1)
+		}()
+	}
+	for _, rate := range []float64{0, 0.02, 8} {
+		if err := CheckBernoulli(specGB(1, 8), rate); err != nil {
+			t.Errorf("rate %g refused: %v", rate, err)
+		}
+	}
 }
 
 func TestPeriodicExact(t *testing.T) {
@@ -175,6 +189,11 @@ func TestBurstyPanicsOnBadArgs(t *testing.T) {
 		func() { NewBursty(&seq, specGB(0.2, 8), 0, 4, 1) },
 		func() { NewBursty(&seq, specGB(0.2, 8), 1.5, 4, 1) },
 		func() { NewBursty(&seq, specGB(0.2, 8), 0.2, 0.5, 1) },
+		func() { NewBursty(&seq, specGB(0.2, 8), math.NaN(), 4, 1) },
+		func() { NewBursty(&seq, specGB(0.2, 8), math.Inf(1), 4, 1) },
+		func() { NewBursty(&seq, specGB(0.2, 8), math.Inf(-1), 4, 1) },
+		func() { NewBursty(&seq, specGB(0.2, 8), 0.2, math.NaN(), 1) },
+		func() { NewBursty(&seq, specGB(0.2, 8), 0.2, math.Inf(1), 1) },
 	} {
 		func() {
 			defer func() {
@@ -184,6 +203,22 @@ func TestBurstyPanicsOnBadArgs(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// A mean burst so long that the mean OFF time overflows leaves a zero
+// burst-entry probability: the source must report "never", not scan for
+// a success that cannot come.
+func TestBurstyZeroEntryProbabilityNeverFires(t *testing.T) {
+	var seq Sequence
+	g := NewBursty(&seq, specGB(0.2, 8), 0.5, 1e308, 1)
+	if at, ok := g.NextArrival(0, 0); ok {
+		t.Fatalf("NextArrival = %d, want never", at)
+	}
+	for c := noc.Cycle(0); c < 1000; c++ {
+		if g.Tick(c, 0) != nil {
+			t.Fatalf("polled source fired at cycle %d", c)
+		}
 	}
 }
 

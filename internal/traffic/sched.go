@@ -47,14 +47,10 @@ var (
 // cycle until a success, exactly as the polled protocol would. A zero
 // probability never fires.
 func (g *Bernoulli) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
-	if g.p <= 0 {
+	if g.p == 0 {
 		return 0, false
 	}
-	for t := from; ; t++ {
-		if g.rng.Bernoulli(g.p) {
-			return t, true
-		}
-	}
+	return from + noc.CycleOf(g.rng.failuresBefore(g.p)), true
 }
 
 // Emit implements Scheduler.
@@ -80,16 +76,17 @@ func (g *Periodic) Emit(now noc.Cycle) *noc.Packet { return newPacket(g.seq, g.s
 // NextArrival implements Scheduler: one burst-entry draw per OFF cycle
 // (exactly the draws the polled protocol spends there), then the
 // back-to-back emission schedule of the ON state, which draws nothing
-// while waiting out the packet-length spacing.
+// while waiting out the packet-length spacing. A mean OFF time so long
+// that the entry probability underflows to zero never fires.
 func (g *Bursty) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
 	t := from
-	for !g.on {
-		if g.rng.Bernoulli(g.enterProb) {
-			g.on = true
-			g.nextEmit = t
-			break
+	if !g.on {
+		if g.enterProb == 0 {
+			return 0, false
 		}
-		t++
+		t += noc.CycleOf(g.rng.failuresBefore(g.enterProb))
+		g.on = true
+		g.nextEmit = t
 	}
 	if t < g.nextEmit {
 		t = g.nextEmit
@@ -102,7 +99,7 @@ func (g *Bursty) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
 func (g *Bursty) Emit(now noc.Cycle) *noc.Packet {
 	pkt := newPacket(g.seq, g.spec, now)
 	g.nextEmit = now + noc.CycleOf(uint64(g.spec.PacketLength))
-	if g.rng.Bernoulli(g.exitProb) {
+	if g.rng.draw(g.exitProb) {
 		g.on = false
 	}
 	return pkt

@@ -168,8 +168,14 @@ func New(cfg Config, workloads ...Workload) (*Network, error) {
 func (n *Network) generator(w Workload) (traffic.Generator, error) {
 	switch w.Inject.Kind {
 	case InjectBernoulli:
+		if err := traffic.CheckBernoulli(w.Spec, w.Inject.Rate); err != nil {
+			return nil, fmt.Errorf("swizzleqos: flow %d->%d: %w", w.Spec.Src, w.Spec.Dst, err)
+		}
 		return traffic.NewBernoulli(&n.seq, w.Spec, w.Inject.Rate, w.Inject.Seed+1), nil
 	case InjectBursty:
+		if err := traffic.CheckBursty(w.Inject.Rate, w.Inject.MeanBurst); err != nil {
+			return nil, fmt.Errorf("swizzleqos: flow %d->%d: %w", w.Spec.Src, w.Spec.Dst, err)
+		}
 		return traffic.NewBursty(&n.seq, w.Spec, w.Inject.Rate, w.Inject.MeanBurst, w.Inject.Seed+1), nil
 	case InjectPeriodic:
 		return traffic.NewPeriodic(&n.seq, w.Spec, w.Inject.Interval, w.Inject.Offset), nil

@@ -1,6 +1,7 @@
 package swizzleqos_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -175,6 +176,43 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	cfg3.BusWidthBits = 128
 	if _, err := swizzleqos.New(cfg3, gbWorkload(0, 1, 0.1, swizzleqos.Inject.Backlogged(1))); err == nil {
 		t.Error("radix-64/128-bit with three classes accepted")
+	}
+}
+
+// An injection rate the generators cannot realise is an error from New,
+// not a panic — and not, as a NaN Bernoulli rate used to be, a Run that
+// never returns from its first cycle. 8-flit packets: more than 8
+// flits/cycle is more than a packet per cycle.
+func TestNewRejectsBadInjectionRates(t *testing.T) {
+	cfg := swizzleqos.DefaultConfig(8)
+	for name, inj := range map[string]swizzleqos.Injection{
+		"bernoulli NaN":      swizzleqos.Inject.Bernoulli(math.NaN(), 1),
+		"bernoulli +Inf":     swizzleqos.Inject.Bernoulli(math.Inf(1), 1),
+		"bernoulli -Inf":     swizzleqos.Inject.Bernoulli(math.Inf(-1), 1),
+		"bernoulli negative": swizzleqos.Inject.Bernoulli(-0.1, 1),
+		"bernoulli > length": swizzleqos.Inject.Bernoulli(8.5, 1),
+		"bursty NaN rate":    swizzleqos.Inject.Bursty(math.NaN(), 4, 1),
+		"bursty +Inf rate":   swizzleqos.Inject.Bursty(math.Inf(1), 4, 1),
+		"bursty zero rate":   swizzleqos.Inject.Bursty(0, 4, 1),
+		"bursty rate > 1":    swizzleqos.Inject.Bursty(1.5, 4, 1),
+		"bursty NaN burst":   swizzleqos.Inject.Bursty(0.2, math.NaN(), 1),
+		"bursty +Inf burst":  swizzleqos.Inject.Bursty(0.2, math.Inf(1), 1),
+		"bursty short burst": swizzleqos.Inject.Bursty(0.2, 0.5, 1),
+	} {
+		net, err := swizzleqos.New(cfg, gbWorkload(0, 1, 0.2, inj))
+		if err == nil || net != nil {
+			t.Errorf("%s: New returned (%v, %v), want an error", name, net, err)
+		} else if !strings.Contains(err.Error(), "flow 0->1") {
+			t.Errorf("%s: error %q does not name the flow", name, err)
+		}
+	}
+	// The edges of the range are fine: a packet every cycle, and silence.
+	for _, rate := range []float64{0, 8} {
+		net, err := swizzleqos.New(cfg, gbWorkload(0, 1, 0.2, swizzleqos.Inject.Bernoulli(rate, 1)))
+		if err != nil {
+			t.Fatalf("rate %g refused: %v", rate, err)
+		}
+		net.Run(100)
 	}
 }
 
