@@ -59,7 +59,7 @@ benchguard:
 # (CI hardware is too noisy to gate on time).
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
-	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled' \
+	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
 	$(GO) run ./cmd/ssvc-benchguard
 

@@ -34,6 +34,7 @@ var guarded = map[string]string{
 	"BenchmarkMeshCycleRecycled":    "./internal/mesh/",
 	"BenchmarkMeshCycleSharded":     "./internal/mesh/",
 	"BenchmarkComposeCycleRecycled": "./internal/compose/",
+	"BenchmarkRoutedSaturated":      "./internal/compose/",
 	"BenchmarkBitplaneArbitrate":    "./internal/core/",
 	"BenchmarkCtlPlaneIdle":         "./internal/ctlplane/",
 }

@@ -67,8 +67,9 @@ type Topology struct {
 // Validate reports a descriptive error for malformed topologies. Every
 // topology passes through it (New calls it), so the engine may assume
 // what it checks: every reference is in range, every linked input port
-// has exactly one upstream link, and no link feeds a port a terminal
-// injects into.
+// has exactly one upstream link, and no link enters or leaves a port a
+// terminal attaches to — such a port is fed only by injection and only
+// ejects.
 func (t Topology) Validate() error {
 	if len(t.Ports) == 0 {
 		return fmt.Errorf("compose: no nodes")
@@ -88,12 +89,14 @@ func (t Topology) Validate() error {
 	inRange := func(r PortRef) bool {
 		return r.Node >= 0 && r.Node < len(t.Ports) && r.Port >= 0 && r.Port < t.Ports[r.Node]
 	}
-	fed := make([]bool, total) // input ports a terminal or a link already feeds
+	fed := make([]bool, total)    // input ports a terminal or a link already feeds
+	attach := make([]bool, total) // ports a terminal attaches to
 	for _, term := range t.Terminals {
 		if !inRange(term) {
 			return fmt.Errorf("compose: port reference %+v out of range", term)
 		}
 		fed[base[term.Node]+term.Port] = true
+		attach[base[term.Node]+term.Port] = true
 	}
 	// Walk the ports in order and look each one up, rather than ranging
 	// over the map, so the first error reported does not depend on map
@@ -108,6 +111,9 @@ func (t Topology) Validate() error {
 				continue
 			}
 			matched++
+			if attach[base[n]+p] {
+				return fmt.Errorf("compose: link %+v -> %+v leaves a terminal's port, which must eject", from, to)
+			}
 			if !inRange(to) {
 				return fmt.Errorf("compose: port reference %+v out of range", to)
 			}
@@ -127,20 +133,26 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// checkRoutes calls Route for every (node, terminal) pair and rejects a
-// result that is not one of the node's ports: no output would ever match
-// it, so the packet would sit at the head of its buffer for ever, and
-// with a fault schedule installed PortBase(node)+route would name another
-// node's port.
-func (t Topology) checkRoutes() error {
+// routeTable calls Route once for every (node, terminal) pair — Route is
+// pure, so the cycle loop reads the table and never the closure — and
+// returns the results as one dense row of len(Terminals) entries per
+// node. It rejects a result that is not one of the node's ports: no
+// output would ever match it, so the packet would sit at the head of its
+// buffer for ever, and with a fault schedule installed
+// PortBase(node)+route would name another node's port.
+func (t Topology) routeTable() ([]int32, error) {
+	terms := len(t.Terminals)
+	table := make([]int32, len(t.Ports)*terms)
 	for n, ports := range t.Ports {
-		for term := range t.Terminals {
-			if r := t.Route(n, term); r < 0 || r >= ports {
-				return fmt.Errorf("compose: Route(%d, %d) = %d, outside node %d's %d ports", n, term, r, n, ports)
+		for term := 0; term < terms; term++ {
+			r := t.Route(n, term)
+			if r < 0 || r >= ports {
+				return nil, fmt.Errorf("compose: Route(%d, %d) = %d, outside node %d's %d ports", n, term, r, n, ports)
 			}
+			table[n*terms+term] = int32(r)
 		}
 	}
-	return nil
+	return table, nil
 }
 
 // TwoLevelClos builds the canonical composition: `leaves` leaf switches,
@@ -284,6 +296,11 @@ type node struct {
 	// clks[p] is arbs[p]'s deadline face, asserted once at construction;
 	// nil where the arbiter announces none.
 	clks []arb.TickScheduler
+	// route[t] is Topology.Route(id, t), tabulated at construction.
+	route []int32
+	// groups[p] lists the injection groups (in sh.sources) that admit into
+	// input port p: empty except at a terminal's port.
+	groups [][]int
 }
 
 // haloCommit is a completed hop crossing a shard boundary: the packet
@@ -320,6 +337,10 @@ type netShard struct {
 	// active masks the nodes where it is nonzero.
 	work   []int
 	active []uint64
+	// admitSkip masks the injection groups whose last admission attempt
+	// moved nothing, and whose next one provably cannot either: every
+	// event that could change the outcome clears the bit (see admitShard).
+	admitSkip []uint64
 
 	// outbox[k] holds this shard's boundary commits into shard k this
 	// cycle; delivered holds this shard's ejected packets, in ascending
@@ -344,6 +365,16 @@ func (sh *netShard) addWork(li int) {
 func (sh *netShard) subWork(li int) {
 	if sh.work[li]--; sh.work[li] == 0 {
 		arb.MaskClear(sh.active, li)
+	}
+}
+
+// retryAdmits makes the next admission walk try the given injection
+// groups again: something happened that could let one of them admit.
+//
+//ssvc:hotpath
+func (sh *netShard) retryAdmits(groups []int) {
+	for _, g := range groups {
+		arb.MaskClear(sh.admitSkip, g)
 	}
 }
 
@@ -396,7 +427,9 @@ type Network struct {
 
 	arbReqs []arb.Request // scratch: requests handed to one arbitration
 	heads   []*noc.Packet // scratch: per-node head snapshot
-	routes  []int         // scratch: cached Route(node, head.Dst) per head
+	// wants is scratch: one request mask over the visited node's input
+	// ports per output port, arb.MaskWords(ports) words each.
+	wants []uint64
 
 	totalPorts int
 
@@ -417,7 +450,8 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Topology.checkRoutes(); err != nil {
+	routes, err := cfg.Topology.routeTable()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.BufferFlits < 1 {
@@ -439,7 +473,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	net.arbReqs = make([]arb.Request, 0, maxPorts)
 	net.heads = make([]*noc.Packet, maxPorts)
-	net.routes = make([]int, maxPorts)
+	net.wants = make([]uint64, maxPorts*arb.MaskWords(maxPorts))
 	net.part = shard.NewPartition(len(cfg.Topology.Ports), cfg.Shards)
 	for k := 0; k < net.part.Shards(); k++ {
 		lo, hi := net.part.Range(k)
@@ -472,7 +506,10 @@ func New(cfg Config) (*Network, error) {
 	}
 	for k, sh := range net.sh {
 		sh.sources = fabric.NewSources(counts[k])
+		sh.admitSkip = make([]uint64, arb.MaskWords(counts[k]))
+		sh.sources.SetOnNewHead(func(group int) { arb.MaskClear(sh.admitSkip, group) })
 	}
+	terms := len(cfg.Topology.Terminals)
 	for id, ports := range cfg.Topology.Ports {
 		sh := net.sh[net.part.Of(id)]
 		n := &node{
@@ -487,6 +524,8 @@ func New(cfg Config) (*Network, error) {
 			clks:     make([]arb.TickScheduler, ports),
 			next:     make([]PortRef, ports),
 			hasNext:  make([]bool, ports),
+			route:    routes[id*terms : (id+1)*terms],
+			groups:   make([][]int, ports),
 		}
 		for p := 0; p < ports; p++ {
 			n.in[p] = fabric.NewBuffer(cfg.BufferFlits)
@@ -496,14 +535,55 @@ func New(cfg Config) (*Network, error) {
 		}
 		net.nodes = append(net.nodes, n)
 	}
+	for t, g := range net.termGroup {
+		at := cfg.Topology.Terminals[t]
+		nd := net.nodes[at.Node]
+		nd.groups[at.Port] = append(nd.groups[at.Port], g)
+	}
+	if err := net.checkRoutes(); err != nil {
+		return nil, err
+	}
 	return net, nil
 }
 
+// checkRoutes follows the tabulated route of every (node, terminal) pair
+// over the links: it must leave the network at exactly
+// Terminals[terminal] within len(nodes) hops. transferNode ejects
+// wherever there is no link, so a route that ends at any other unlinked
+// port would be counted as delivered there, and a route that takes more
+// hops than there are nodes has revisited one and circulates for ever.
+func (n *Network) checkRoutes() error {
+	for _, from := range n.nodes {
+		for term, at := range n.cfg.Topology.Terminals {
+			nd, hops := from, 0
+			for {
+				out := int(nd.route[term])
+				if !nd.hasNext[out] {
+					if end := (PortRef{Node: nd.id, Port: out}); end != at {
+						return fmt.Errorf("compose: the route from node %d to terminal %d leaves the network at %+v, not at the terminal's port %+v",
+							from.id, term, end, at)
+					}
+					break
+				}
+				if hops++; hops > len(n.nodes) {
+					return fmt.Errorf("compose: the route from node %d to terminal %d has not ejected after %d hops: it cycles",
+						from.id, term, len(n.nodes))
+				}
+				nd = n.nodes[nd.next[out].Node]
+			}
+		}
+	}
+	return nil
+}
+
 // recomputeActive rebuilds the work counts and activity masks from first
-// principles after fault handling has flushed state wholesale. Cold path.
+// principles after fault handling has flushed state wholesale, and
+// forgets every barren admission: a fail-stop empties buffers and changes
+// which terminals are dead. Cold path.
 func (n *Network) recomputeActive() {
 	for _, sh := range n.sh {
 		arb.MaskZero(sh.active)
+		arb.MaskZero(sh.admitSkip)
 		for li := 0; li < sh.hi-sh.lo; li++ {
 			nd := n.nodes[sh.lo+li]
 			c := 0
@@ -589,12 +669,23 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	if f.Gen == nil {
 		return fmt.Errorf("compose: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
 	}
-	src := n.sh[n.part.Of(n.cfg.Topology.Terminals[f.Spec.Src].Node)].sources
-	if n.termGroup == nil {
-		src.AddOwnGroup(f)
-	} else {
-		src.Add(f, n.termGroup[f.Spec.Src])
+	at := n.cfg.Topology.Terminals[f.Spec.Src]
+	nd := n.nodes[at.Node]
+	sh := nd.sh
+	if n.termGroup != nil {
+		g := n.termGroup[f.Spec.Src]
+		sh.sources.Add(f, g)
+		arb.MaskClear(sh.admitSkip, g) // a grown group gets a fresh attempt
+		return nil
 	}
+	// A group of the flow's own: admitSkip and the attachment port's
+	// retry list grow with the group set.
+	sh.sources.AddOwnGroup(f)
+	g := sh.sources.Groups() - 1
+	if arb.MaskWords(g+1) > len(sh.admitSkip) {
+		sh.admitSkip = append(sh.admitSkip, 0)
+	}
+	nd.groups[at.Port] = append(nd.groups[at.Port], g)
 	return nil
 }
 
@@ -626,7 +717,7 @@ func (n *Network) ensureMode() {
 	n.stop = n.stopped
 	n.program = []shard.Stage{
 		{Serial: n.generateSharded},
-		{Par: n.injectShard},
+		{Par: n.admitSharded},
 		{Par: n.transferShard},
 		{Serial: n.commitSharded},
 		{Par: n.tickShard},
@@ -702,35 +793,73 @@ func (n *Network) generateSharded() {
 	}
 }
 
-// injectShard admits shard k's terminal queues into its nodes'
-// attachment ports; everything it touches — sources, buffers, work
-// masks, counter deltas — belongs to shard k.
+// admitSharded is the parallel pipeline's admission stage for shard k;
+// the deltas land in the shard's own counter block.
 //
 //ssvc:hotpath
-func (n *Network) injectShard(k int) {
+func (n *Network) admitSharded(k int) {
 	sh := n.sh[k]
-	now := n.now
+	n.admitShard(sh, &sh.ctr, n.now)
+}
+
+// admitShard admits at most one packet per injection group of shard sh
+// into its nodes' attachment ports, rotating across the group's flows so
+// that flows sharing a group share the injection port fairly, and adds
+// what it did to ctr. Everything else it touches — sources, buffers, work
+// masks — belongs to the shard, so the serial step and the parallel
+// stage run the same walk.
+//
+// The walk visits the groups with a queued packet that admitSkip does
+// not mask. An attempt that moves nothing sets the group's bit, and the
+// bit stays set until something could change the outcome: a flow queue
+// of the group gains a head (Sources.SetOnNewHead), a flow joins it
+// (AddFlow), the buffer it admits into pops a packet (arbitrateNode: an
+// attachment port is never link-fed, so it holds no reservation and a
+// pop is the only way its free space grows), or a fail-stop rewrites
+// buffers and dead terminals wholesale (recomputeActive). A dead
+// terminal's group always hands its head over, so it is never masked.
+// SkippedAdmits counts the groups with an empty queue, whatever the mask
+// says, and stays zero under a fault schedule, whose cycle is the
+// full-walk reference of the idle-skipping tests.
+//
+//ssvc:hotpath
+func (n *Network) admitShard(sh *netShard, ctr *fabric.Counters, now noc.Cycle) {
 	try := func(p *noc.Packet) bool {
+		// A fail-stopped terminal generates into a dead attachment port:
+		// accept and discard so the source queue cannot grow unbounded
+		// (dropPkt, counted through ctr).
+		if n.faults != nil && n.faults.InputDead(p.Src) {
+			ctr.Dropped++
+			n.Drop(p)
+			return true
+		}
 		at := n.cfg.Topology.Terminals[p.Src]
 		nd := n.nodes[at.Node]
 		if !nd.in[at.Port].Admit(p) {
 			return false
 		}
 		p.EnqueuedAt = now
-		sh.ctr.Admitted++
-		nd.sh.addWork(nd.li)
+		ctr.Admitted++
+		sh.addWork(nd.li)
 		return true
 	}
-	visited := 0
+	// Pops clear nonempty bits in place; the per-word snapshot keeps this
+	// cycle's scan set fixed.
+	queued := 0
 	for w, mm := range sh.sources.NonEmptyMask() {
+		queued += bits.OnesCount64(mm)
+		mm &^= sh.admitSkip[w]
 		for mm != 0 {
-			term := w<<6 + bits.TrailingZeros64(mm)
+			g := w<<6 + bits.TrailingZeros64(mm)
 			mm &= mm - 1
-			sh.sources.AdmitGroup(term, try)
-			visited++
+			if sh.sources.AdmitGroup(g, try) == nil {
+				arb.MaskSet(sh.admitSkip, g)
+			}
 		}
 	}
-	sh.ctr.SkippedAdmits += uint64(sh.sources.Groups() - visited)
+	if n.faults == nil {
+		ctr.SkippedAdmits += uint64(sh.sources.Groups() - queued)
+	}
 }
 
 // transferShard advances shard k's busy output channels one flit.
@@ -914,59 +1043,19 @@ func (n *Network) abortTx(nd *node, out int) {
 	n.dropPkt(pkt)
 }
 
-// inject lets every generator emit, then admits at most one packet per
-// injection group per cycle, rotating across the group's flows so that
-// flows sharing a group share the injection port fairly. Terminals on
-// different nodes inject into disjoint buffers and terminals on one
-// node share a shard in ascending order, so the shard-grouped walk is
-// equivalent to the flat one.
+// inject lets every generator emit, then runs each shard's admission
+// walk. Terminals on different nodes inject into disjoint buffers and
+// terminals on one node share a shard in ascending order, so the
+// shard-grouped walk is equivalent to the flat one.
 //
 //ssvc:hotpath
 func (n *Network) inject(now noc.Cycle) {
 	for _, sh := range n.sh {
 		n.Injected += sh.sources.Generate(now)
 	}
-	try := func(p *noc.Packet) bool {
-		// A fail-stopped terminal generates into a dead attachment port:
-		// accept and discard so the source queue cannot grow unbounded.
-		if n.faults != nil && n.faults.InputDead(p.Src) {
-			n.dropPkt(p)
-			return true
-		}
-		at := n.cfg.Topology.Terminals[p.Src]
-		nd := n.nodes[at.Node]
-		if !nd.in[at.Port].Admit(p) {
-			return false
-		}
-		p.EnqueuedAt = now
-		n.Admitted++
-		nd.sh.addWork(nd.li)
-		return true
-	}
-	if n.faults != nil {
-		for _, sh := range n.sh {
-			for term := 0; term < sh.sources.Groups(); term++ {
-				sh.sources.AdmitGroup(term, try)
-			}
-		}
-		return
-	}
-	// Fault-free fast path: an empty-queue terminal cannot admit, so only
-	// scan terminals the sources layer marked nonempty. Pops clear bits
-	// in place; the per-word snapshot keeps this cycle's scan set fixed.
-	visited, groups := 0, 0
 	for _, sh := range n.sh {
-		groups += sh.sources.Groups()
-		for w, mm := range sh.sources.NonEmptyMask() {
-			for mm != 0 {
-				term := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				sh.sources.AdmitGroup(term, try)
-				visited++
-			}
-		}
+		n.admitShard(sh, &n.Counters, now)
 	}
-	n.SkippedAdmits += uint64(groups - visited)
 }
 
 //ssvc:hotpath
@@ -1087,18 +1176,21 @@ func (n *Network) arbitrate(now noc.Cycle) {
 	}
 }
 
-// arbitrateNode grants node nd's idle outputs.
+// arbitrateNode grants node nd's idle outputs. Each output is handed only
+// the heads routed to it: the snapshot files every ready head under its
+// output in one pass, so a node costs its requests, not inputs x outputs.
 //
 //ssvc:hotpath
 func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
-	// Snapshot head packets once per node so one input cannot be
-	// granted by two outputs in the same cycle, and cache each
-	// head's route (Route is pure, so once per cycle suffices).
+	// Snapshot head packets once per node so one input cannot be granted
+	// by two outputs in the same cycle, setting each ready head's bit in
+	// the request mask of the output it routes to.
 	ports := len(nd.in)
+	words := arb.MaskWords(ports)
 	heads := n.heads[:ports]
-	routes := n.routes[:ports]
+	wants := n.wants[:ports*words]
+	arb.MaskZero(wants)
 	for port := range nd.in {
-		heads[port] = nil
 		if nd.inBusy[port] {
 			continue
 		}
@@ -1106,16 +1198,17 @@ func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
 		if p == nil || p.HoldUntil > now {
 			continue // empty, or backing off a retransmission
 		}
-		route := n.cfg.Topology.Route(nd.id, p.Dst)
+		route := int(nd.route[p.Dst])
 		if n.faults != nil && n.faults.OutputDead(n.portBase[nd.id]+route) {
 			// The static route dead-ends here: discard so upstream
 			// buffers keep draining toward the fault point.
 			n.dropPkt(nd.in[port].Pop())
 			nd.sh.subWork(nd.li)
+			nd.sh.retryAdmits(nd.groups[port])
 			continue
 		}
 		heads[port] = p
-		routes[port] = route
+		arb.MaskSet(wants[route*words:], port)
 	}
 	for out := range nd.out {
 		if nd.out[out] != nil {
@@ -1129,18 +1222,24 @@ func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
 			nd.sh.subWork(nd.li)
 			continue
 		}
+		// The requesters in ascending input order, less those the
+		// downstream buffer has no room for.
+		var down *fabric.Buffer
+		if nd.hasNext[out] {
+			next := nd.next[out]
+			down = n.nodes[next.Node].in[next.Port]
+		}
 		reqs := n.arbReqs[:0]
-		for in, p := range heads {
-			if p == nil || routes[in] != out {
-				continue
-			}
-			if nd.hasNext[out] {
-				next := nd.next[out]
-				if !n.nodes[next.Node].in[next.Port].CanAccept(p.Length) {
+		for w, mm := range wants[out*words : (out+1)*words] {
+			for mm != 0 {
+				in := w<<6 + bits.TrailingZeros64(mm)
+				mm &= mm - 1
+				p := heads[in]
+				if down != nil && !down.CanAccept(p.Length) {
 					continue
 				}
+				reqs = append(reqs, arb.Request{Input: in, Class: p.Class, Packet: p})
 			}
-			reqs = append(reqs, arb.Request{Input: in, Class: p.Class, Packet: p})
 		}
 		if len(reqs) == 0 {
 			n.IdleCycles++
@@ -1168,12 +1267,13 @@ func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
 		if p.GrantedAt == 0 && (!n.cfg.Topology.grantAtSource || nd.id == n.cfg.Topology.Terminals[p.Src].Node) {
 			p.GrantedAt = now
 		}
-		if nd.hasNext[out] {
-			next := nd.next[out]
-			n.nodes[next.Node].in[next.Port].Reserve(p.Length)
+		if down != nil {
+			down.Reserve(p.Length)
 		}
 		// The granted head leaves the buffer but becomes an in-flight
-		// transmission, so nd's work count is unchanged.
+		// transmission, so nd's work count is unchanged. The space it
+		// frees can unblock the groups injecting at that port.
+		nd.sh.retryAdmits(nd.groups[req.Input])
 		nd.inBusy[req.Input] = true
 		nd.out[out] = nd.sh.txPool.Get(p, req.Input)
 		nd.arbs[out].Granted(now, req)

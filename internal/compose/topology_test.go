@@ -39,6 +39,42 @@ func TestMalformedTopologiesRejected(t *testing.T) {
 				return route(node, terminal)
 			}
 		}, "Route(1, 0) = 3"},
+		// The port would forward instead of ejecting, and terminal 1's
+		// packets would circulate for ever.
+		{"linkFromAttachmentPort", func(tp *Topology) {
+			tp.Ports[2] = 3
+			tp.Links[PortRef{Node: 0, Port: 1}] = PortRef{Node: 2, Port: 2}
+		}, "leaves a terminal's port"},
+		// transferNode ejects wherever there is no link, so these two would
+		// count terminal 0's packets as delivered at the wrong port.
+		{"routeEndsAtAnotherTerminal", func(tp *Topology) {
+			route := tp.Route
+			tp.Route = func(node, terminal int) int {
+				if node == 0 && terminal == 0 {
+					return 1
+				}
+				return route(node, terminal)
+			}
+		}, "terminal 0 leaves the network at {Node:0 Port:1}"},
+		{"routeEndsAtUnlinkedPort", func(tp *Topology) {
+			tp.Ports[0] = 4
+			route := tp.Route
+			tp.Route = func(node, terminal int) int {
+				if node == 0 && terminal == 0 {
+					return 3
+				}
+				return route(node, terminal)
+			}
+		}, "terminal 0 leaves the network at {Node:0 Port:3}"},
+		{"routingCycle", func(tp *Topology) {
+			route := tp.Route
+			tp.Route = func(node, terminal int) int {
+				if node == 2 && terminal == 2 {
+					return 0 // the spine sends leaf 1's terminal back down to leaf 0
+				}
+				return route(node, terminal)
+			}
+		}, "terminal 2 has not ejected after 3 hops"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
