@@ -107,9 +107,13 @@ perf-smoke:
 # ssvc-serve scenario uninterrupted, SIGKILL a paced copy mid-run and
 # resume it from its journal, then replay the journal offline — all
 # three delivery traces and recovered summaries must be byte-identical
-# (DESIGN.md "Control plane").
+# (DESIGN.md "Control plane"). Then the daemon's own tests under the race
+# detector: concurrent clients over loopback TCP whose commands commit
+# in batches, every OK checked against the journal, a clean stop
+# mid-churn, and the TCP edge's limits.
 serve-check:
 	sh scripts/serve_check.sh
+	$(GO) test -race -count=1 ./cmd/ssvc-serve/
 
 # Optional linters: run when present, skip with a notice otherwise. The
 # container baseline has no network, so these must never try to install.

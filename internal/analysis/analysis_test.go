@@ -376,10 +376,10 @@ func TestShardSafetyMutation(t *testing.T) {
 }
 
 // TestDurabilityMutation is the durability meta-test: the fixture
-// copies the control plane's journalCmd barrier with the fsync deleted.
-// The analyzer must both refuse to admit the mutated barrier (flagging
-// the acknowledgement behind it) and flag the premature success return
-// directly.
+// copies the control plane's ApplyAll batch commit with the fsync
+// deleted. The analyzer must flag both the results turned OK with no
+// sync behind them and the return that leaves the batch's records
+// buffered.
 func TestDurabilityMutation(t *testing.T) {
 	l := newLoader(t)
 	pkgs := []string{"internal/analysis/testdata/src/durmut"}

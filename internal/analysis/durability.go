@@ -2,35 +2,41 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
 
 // Durability proves the control plane's crash-safety ordering contract
 // (DESIGN.md "Reservation control plane"): an accepted command must be
-// journaled and fsynced before it is acknowledged, snapshot writes must
-// not race an unsynced append, and the lease heap is single-owner
-// state.
+// journaled and fsynced before it is acknowledged, a batch of commands
+// may share one fsync but never skip it, snapshot writes must not race
+// an unsynced append, and the lease heap is single-owner state.
 //
 // Three checks, matched by name so fixture packages can model the
 // contract without importing ctlplane:
 //
-//  1. Ack ordering (interprocedural must-analysis). At every
-//     `return Result{OK: true, ...}` the durable fact must hold.
-//     Durable is established by Append-then-Sync with both error
-//     results proven nil on the path, by a nil journal handle (journal
-//     disabled), or by a verified barrier: a callee whose trailing
-//     bool result is false only on paths where durable already holds
-//     (ctlplane's journalCmd). Barriers are verified bottom-up to a
-//     fixpoint, so a chain of wrappers still proves out — and a
-//     wrapper that forgets the Sync fails closed: its false-returns
-//     lose the durable fact, it is not admitted as a barrier, and
-//     every ack gated on it is flagged.
-//  2. Unsynced-append windows (intraprocedural may-analysis). After a
-//     successful Journal.Append, a second Append (a snapshot write
-//     racing the unsynced command record) or a return is flagged until
-//     Journal.Sync runs; append-failure branches are exempt because
-//     the plane freezes there.
+//  1. Ack ordering (intraprocedural must-analysis). An acknowledgement
+//     is a `Result{OK: true, ...}` literal anywhere, or a store of
+//     anything but `false` to a Result's OK field. At every one the
+//     durable fact must hold: on every path here the last journal event
+//     is a Sync whose error was proven nil, reached with every Append
+//     before it proven nil too in a function that does append, or the
+//     journal handle was proven nil (journal disabled). An Append
+//     ends durability until the next such Sync, so an OK stored inside
+//     a batch's append loop, behind a Sync whose result was dropped, or
+//     in a function that never journals is flagged. The Appends and the
+//     Sync must sit in the acknowledging function itself: a wrapper
+//     proves nothing here, which fails closed.
+//  2. Unsynced-append windows (intraprocedural may-analysis). A
+//     successful Journal.Append opens a window that only a Sync whose
+//     error is tested (or returned), or a nil journal handle, closes.
+//     Inside it a return is flagged, and so is a second Append — unless
+//     both are command records (`&Record{Kind: KindCmd, ...}` literals),
+//     the run a batch makes: a snapshot record must not race an unsynced
+//     command record, nor a command an unsynced snapshot. Failure
+//     branches of the Append or the Sync are exempt because the plane
+//     freezes there, and check 1 bars every acknowledgement on them.
 //  3. Lease-heap ownership. Any goroutine spawn whose transitive call
 //     graph (per the callgraph.go effect summaries) reaches
 //     leaseHeap.push/pop or an //ssvc:serial-only function is flagged:
@@ -50,31 +56,10 @@ func Durability(l *Loader, packages []string) ([]Diagnostic, error) {
 // durabilityWithCG is the core shared with the parallel RunAll driver,
 // which builds one call graph for every interprocedural analyzer.
 func durabilityWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, error) {
-	dc := &durChecker{l: l, cg: cg, barriers: map[*types.Func]bool{}}
-
-	// Admit barriers bottom-up: re-run verification until the set is
-	// stable, then emit diagnostics in a final pass.
-	for {
-		grew := false
-		for _, pkg := range pkgs {
-			for _, fd := range funcDecls(pkg) {
-				fn := declFunc(pkg, fd)
-				if fn == nil || dc.barriers[fn] || !hasTrailingBool(fn) {
-					continue
-				}
-				if dc.checkAckOrdering(pkg, fd, true) {
-					dc.barriers[fn] = true
-					grew = true
-				}
-			}
-		}
-		if !grew {
-			break
-		}
-	}
+	dc := &durChecker{l: l, cg: cg}
 	for _, pkg := range pkgs {
 		for _, fd := range funcDecls(pkg) {
-			dc.checkAckOrdering(pkg, fd, false)
+			dc.checkAckOrdering(pkg, fd)
 			dc.checkUnsynced(pkg, fd)
 		}
 		dc.checkGoSpawns(pkg)
@@ -84,10 +69,9 @@ func durabilityWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, 
 }
 
 type durChecker struct {
-	l        *Loader
-	cg       *callGraph
-	barriers map[*types.Func]bool
-	diags    []Diagnostic
+	l     *Loader
+	cg    *callGraph
+	diags []Diagnostic
 }
 
 func (dc *durChecker) report(pos token.Pos, msg string) {
@@ -112,54 +96,45 @@ func declFunc(pkg *Package, fd *ast.FuncDecl) *types.Func {
 	return fn
 }
 
-func hasTrailingBool(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() == 0 {
-		return false
-	}
-	last := sig.Results().At(sig.Results().Len() - 1).Type()
-	basic, ok := last.Underlying().(*types.Basic)
-	return ok && basic.Kind() == types.Bool
-}
-
-// durFacts is the must-state of check 1 at one program point. Idents
-// are tracked by name; the sets record which locals hold an unproven
-// Append error, Sync error, or barrier verdict.
+// durFacts is the state of check 1 at one program point. Idents are
+// tracked by name; the sets record which locals hold an unproven Append
+// or Sync error. durable and proven are must-facts (met across paths
+// with AND); lost is a may-fact (OR) that only ever withdraws proven.
 type durFacts struct {
-	durable    bool
-	appended   bool
+	durable    bool // the last journal event is a proven Sync, or the journal is off
+	proven     bool // no Append on this path is still waiting for its nil proof
+	lost       bool // some Append's error can no longer be proven nil
 	appendErrs map[string]bool
 	syncErrs   map[string]bool
-	barrierOks map[string]bool
+
+	// appends is the same at every point of one function: it calls
+	// Journal.Append somewhere. A proven Sync makes nothing durable in a
+	// function that never appends: an acknowledgement there journals no
+	// record of its own.
+	appends bool
 }
 
-func newDurFacts() *durFacts {
-	return &durFacts{
-		appendErrs: map[string]bool{},
-		syncErrs:   map[string]bool{},
-		barrierOks: map[string]bool{},
-	}
+func newDurFacts(appends bool) *durFacts {
+	return &durFacts{proven: true, appends: appends, appendErrs: map[string]bool{}, syncErrs: map[string]bool{}}
 }
 
 func (f *durFacts) clone() *durFacts {
-	out := &durFacts{durable: f.durable, appended: f.appended,
-		appendErrs: map[string]bool{}, syncErrs: map[string]bool{}, barrierOks: map[string]bool{}}
+	out := *f
+	out.appendErrs, out.syncErrs = map[string]bool{}, map[string]bool{}
 	for k := range f.appendErrs {
 		out.appendErrs[k] = true
 	}
 	for k := range f.syncErrs {
 		out.syncErrs[k] = true
 	}
-	for k := range f.barrierOks {
-		out.barrierOks[k] = true
-	}
-	return out
+	return &out
 }
 
-func intersectDur(a, b *durFacts) *durFacts {
-	out := newDurFacts()
+func meetDur(a, b *durFacts) *durFacts {
+	out := newDurFacts(a.appends)
 	out.durable = a.durable && b.durable
-	out.appended = a.appended && b.appended
+	out.proven = a.proven && b.proven
+	out.lost = a.lost || b.lost
 	for k := range a.appendErrs {
 		if b.appendErrs[k] {
 			out.appendErrs[k] = true
@@ -170,19 +145,14 @@ func intersectDur(a, b *durFacts) *durFacts {
 			out.syncErrs[k] = true
 		}
 	}
-	for k := range a.barrierOks {
-		if b.barrierOks[k] {
-			out.barrierOks[k] = true
-		}
-	}
 	return out
 }
 
 func durEqual(a, b *durFacts) bool {
-	if a.durable != b.durable || a.appended != b.appended {
+	if a.durable != b.durable || a.proven != b.proven || a.lost != b.lost {
 		return false
 	}
-	if len(a.appendErrs) != len(b.appendErrs) || len(a.syncErrs) != len(b.syncErrs) || len(a.barrierOks) != len(b.barrierOks) {
+	if len(a.appendErrs) != len(b.appendErrs) || len(a.syncErrs) != len(b.syncErrs) {
 		return false
 	}
 	for k := range a.appendErrs {
@@ -195,38 +165,33 @@ func durEqual(a, b *durFacts) bool {
 			return false
 		}
 	}
-	for k := range a.barrierOks {
-		if !b.barrierOks[k] {
-			return false
-		}
-	}
 	return true
 }
 
-// checkAckOrdering runs check 1 on one function. In verify mode it
-// emits nothing and reports whether the function qualifies as a
-// barrier: every return whose trailing bool is the constant false must
-// carry the durable fact. Otherwise it emits a diagnostic at every
-// `Result{OK: true}` return lacking durable.
-func (dc *durChecker) checkAckOrdering(pkg *Package, fd *ast.FuncDecl, verify bool) bool {
+// checkAckOrdering runs check 1 on one function: a diagnostic at every
+// acknowledgement reached without the durable fact.
+func (dc *durChecker) checkAckOrdering(pkg *Package, fd *ast.FuncDecl) {
+	g := buildCFG(fd.Body)
 	relevant := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			if verify && isConstFalseReturn(pkg, ret) {
-				relevant = true
-			}
-			if !verify && ackResult(pkg, ret) != nil {
+	for _, blk := range g.blocks {
+		for _, n := range blk.nodes {
+			if len(ackSites(pkg, n)) > 0 {
 				relevant = true
 			}
 		}
+	}
+	if !relevant {
+		return
+	}
+	appends := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && journalMethod(pkg.Info, call) == "Append" {
+			appends = true
+		}
 		return true
 	})
-	if !relevant {
-		return false
-	}
-	g := buildCFG(fd.Body)
 	in := make([]*durFacts, len(g.blocks))
-	in[g.entry.index] = newDurFacts()
+	in[g.entry.index] = newDurFacts(appends)
 	work := []*cfgBlock{g.entry}
 	for len(work) > 0 {
 		blk := work[len(work)-1]
@@ -247,64 +212,95 @@ func (dc *durChecker) checkAckOrdering(pkg *Package, fd *ast.FuncDecl, verify bo
 				work = append(work, e.to)
 				continue
 			}
-			merged := intersectDur(cur, ef)
+			merged := meetDur(cur, ef)
 			if !durEqual(merged, cur) {
 				in[e.to.index] = merged
 				work = append(work, e.to)
 			}
 		}
 	}
-	ok := true
 	for _, blk := range g.blocks {
 		if in[blk.index] == nil {
 			continue
 		}
 		fs := in[blk.index].clone()
 		for _, n := range blk.nodes {
-			if ret, isRet := n.(*ast.ReturnStmt); isRet {
-				if verify {
-					if isConstFalseReturn(pkg, ret) && !fs.durable {
-						ok = false
-					}
-				} else if lit := ackResult(pkg, ret); lit != nil && !fs.durable {
-					dc.report(lit.Pos(), "command acknowledged (Result{OK: true}) on a path where the journal append+fsync is not proven complete")
+			if !fs.durable {
+				for _, pos := range ackSites(pkg, n) {
+					dc.report(pos, "command acknowledged (Result OK) on a path where the journal append+fsync is not proven complete")
 				}
 			}
 			dc.durTransfer(pkg, n, fs)
 		}
 	}
-	return ok
 }
 
-// ackResult returns the Result{OK: true} composite literal inside a
-// return statement, if any.
-func ackResult(pkg *Package, ret *ast.ReturnStmt) *ast.CompositeLit {
-	for _, r := range ret.Results {
-		lit, ok := unparen(r).(*ast.CompositeLit)
-		if !ok || !isNamedStruct(pkg.Info, lit, "Result") {
+// ackSites returns the position of every acknowledgement inside one CFG
+// node: `Result{OK: true}` literals and stores to a Result's OK field of
+// anything but the constant false. A range statement heads its loop and
+// nests the body, whose statements are CFG nodes of their own, so only
+// its header expressions are searched.
+func ackSites(pkg *Package, n ast.Node) []token.Pos {
+	var sites []token.Pos
+	visit := func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.CompositeLit:
+			if ackLiteral(pkg, m) {
+				sites = append(sites, m.Pos())
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range m.Lhs {
+				sel, ok := unparen(lhs).(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "OK" || !isNamedStruct(pkg.Info, sel.X, "Result") {
+					continue
+				}
+				if len(m.Rhs) == len(m.Lhs) {
+					if v, ok := unparen(m.Rhs[i]).(*ast.Ident); ok && v.Name == "false" {
+						continue
+					}
+				}
+				sites = append(sites, lhs.Pos())
+			}
+		}
+		return true
+	}
+	if rs, ok := n.(*ast.RangeStmt); ok {
+		ast.Inspect(rs.X, visit)
+		return sites
+	}
+	ast.Inspect(n, visit)
+	return sites
+}
+
+// ackLiteral reports whether lit is a Result composite literal with
+// OK: true.
+func ackLiteral(pkg *Package, lit *ast.CompositeLit) bool {
+	if !isNamedStruct(pkg.Info, lit, "Result") {
+		return false
+	}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
 			continue
 		}
-		for _, elt := range lit.Elts {
-			kv, ok := elt.(*ast.KeyValueExpr)
-			if !ok {
-				continue
+		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "OK" {
+			if v, ok := unparen(kv.Value).(*ast.Ident); ok && v.Name == "true" {
+				return true
 			}
-			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "OK" {
-				if v, ok := unparen(kv.Value).(*ast.Ident); ok && v.Name == "true" {
-					return lit
-				}
-			}
+		}
+	}
+	return false
+}
+
+// ackResult returns the Result{OK: true} composite literal among a
+// return statement's results, if any.
+func ackResult(pkg *Package, ret *ast.ReturnStmt) *ast.CompositeLit {
+	for _, r := range ret.Results {
+		if lit, ok := unparen(r).(*ast.CompositeLit); ok && ackLiteral(pkg, lit) {
+			return lit
 		}
 	}
 	return nil
-}
-
-func isConstFalseReturn(pkg *Package, ret *ast.ReturnStmt) bool {
-	if len(ret.Results) == 0 {
-		return false
-	}
-	last, ok := unparen(ret.Results[len(ret.Results)-1]).(*ast.Ident)
-	return ok && last.Name == "false"
 }
 
 func isNamedStruct(info *types.Info, e ast.Expr, name string) bool {
@@ -357,23 +353,7 @@ func journalHandle(info *types.Info, e ast.Expr) bool {
 	return ok && named.Obj().Name() == "Journal"
 }
 
-// barrierCallee resolves a call to a verified-barrier function.
-func (dc *durChecker) barrierCallee(pkg *Package, call *ast.CallExpr) bool {
-	var fn *types.Func
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ = pkg.Info.Uses[fun].(*types.Func)
-	case *ast.SelectorExpr:
-		if s, ok := pkg.Info.Selections[fun]; ok && s.Kind() == types.MethodVal {
-			fn, _ = s.Obj().(*types.Func)
-		} else {
-			fn, _ = pkg.Info.Uses[fun.Sel].(*types.Func)
-		}
-	}
-	return fn != nil && dc.barriers[fn]
-}
-
-// durTransfer applies one node's effect on the must-facts.
+// durTransfer applies one node's effect on the check 1 facts.
 func (dc *durChecker) durTransfer(pkg *Package, n ast.Node, fs *durFacts) {
 	switch s := n.(type) {
 	case *ast.AssignStmt:
@@ -402,39 +382,46 @@ func (dc *durChecker) durTransfer(pkg *Package, n ast.Node, fs *durFacts) {
 func killDurIdent(fs *durFacts, name string) {
 	delete(fs.appendErrs, name)
 	delete(fs.syncErrs, name)
-	delete(fs.barrierOks, name)
 }
 
-// durCall records the results of Append/Sync/barrier calls.
+// boundIdent names the local a call's single result (the error of an
+// Append or a Sync) is assigned to, or "" when it is dropped or lands
+// anywhere else.
+func boundIdent(lhs []ast.Expr) string {
+	if len(lhs) == 1 {
+		if id, ok := lhs[0].(*ast.Ident); ok && id.Name != "_" {
+			return id.Name
+		}
+	}
+	return ""
+}
+
+// durCall records the results of Append/Sync calls.
 func (dc *durChecker) durCall(pkg *Package, lhs []ast.Expr, call *ast.CallExpr, fs *durFacts) {
 	for _, l := range lhs {
 		if id, ok := l.(*ast.Ident); ok {
 			killDurIdent(fs, id.Name)
 		}
 	}
+	bound := boundIdent(lhs)
 	switch journalMethod(pkg.Info, call) {
 	case "Append":
 		// A fresh record is in flight: prior durability no longer
-		// covers this command.
-		fs.durable = false
-		fs.appended = false
-		if len(lhs) == 1 {
-			if id, ok := lhs[0].(*ast.Ident); ok && id.Name != "_" {
-				fs.appendErrs[id.Name] = true
-			}
+		// covers it. An earlier Append still unproven stays so for good:
+		// its error local is about to be reused or was never kept.
+		if !fs.proven {
+			fs.lost = true
 		}
-		return
+		fs.durable, fs.proven = false, false
+		fs.syncErrs = map[string]bool{} // a Sync issued earlier does not cover it
+		if bound != "" {
+			fs.appendErrs[bound] = true
+		} else {
+			fs.lost = true
+		}
 	case "Sync":
-		if len(lhs) == 1 {
-			if id, ok := lhs[0].(*ast.Ident); ok && id.Name != "_" {
-				fs.syncErrs[id.Name] = true
-			}
-		}
-		return
-	}
-	if dc.barrierCallee(pkg, call) && len(lhs) >= 1 {
-		if id, ok := lhs[len(lhs)-1].(*ast.Ident); ok && id.Name != "_" {
-			fs.barrierOks[id.Name] = true
+		if bound != "" {
+			fs.syncErrs[bound] = true
 		}
 	}
 }
@@ -447,12 +434,6 @@ func (dc *durChecker) durEdge(pkg *Package, cond ast.Expr, branch bool, fs *durF
 	case *ast.UnaryExpr:
 		if c.Op == token.NOT {
 			dc.durEdge(pkg, c.X, !branch, fs)
-		}
-	case *ast.Ident:
-		// `if bad { return r }`: on the fall-through edge the barrier
-		// has proven the record durable.
-		if !branch && fs.barrierOks[c.Name] {
-			fs.durable = true
 		}
 	case *ast.BinaryExpr:
 		switch c.Op {
@@ -478,23 +459,32 @@ func (dc *durChecker) durEdge(pkg *Package, cond ast.Expr, branch bool, fs *durF
 	}
 }
 
-// nilCompare handles `x == nil` holding: x an Append error proves the
-// append, x a Sync error proves durability of a proven append, x the
-// journal handle means journaling is disabled entirely.
-func (dc *durChecker) nilCompare(pkg *Package, a, b ast.Expr, fs *durFacts) {
-	x := unparen(a)
+// nilOperand returns the non-nil side of a comparison against nil, or
+// nil when neither side is the nil identifier.
+func nilOperand(a, b ast.Expr) ast.Expr {
 	if id, ok := unparen(b).(*ast.Ident); ok && id.Name == "nil" {
-		// keep x
-	} else if id, ok := unparen(a).(*ast.Ident); ok && id.Name == "nil" {
-		x = unparen(b)
-	} else {
+		return unparen(a)
+	}
+	if id, ok := unparen(a).(*ast.Ident); ok && id.Name == "nil" {
+		return unparen(b)
+	}
+	return nil
+}
+
+// nilCompare handles `x == nil` holding: x an Append error proves that
+// append, x a Sync error proves durability of a run of proven appends,
+// x the journal handle means journaling is disabled entirely.
+func (dc *durChecker) nilCompare(pkg *Package, a, b ast.Expr, fs *durFacts) {
+	x := nilOperand(a, b)
+	if x == nil {
 		return
 	}
 	if id, ok := x.(*ast.Ident); ok {
 		if fs.appendErrs[id.Name] {
-			fs.appended = true
+			delete(fs.appendErrs, id.Name)
+			fs.proven = !fs.lost
 		}
-		if fs.syncErrs[id.Name] && fs.appended {
+		if fs.syncErrs[id.Name] && fs.proven && fs.appends {
 			fs.durable = true
 		}
 		return
@@ -504,13 +494,19 @@ func (dc *durChecker) nilCompare(pkg *Package, a, b ast.Expr, fs *durFacts) {
 	}
 }
 
+// unsyncFacts is the may-state of check 2 at one program point.
+type unsyncFacts struct {
+	open    bool   // an accepted append may not be covered by a tested Sync yet
+	snap    bool   // ...and the open appends are not all command records
+	errName string // local holding the latest Append's or Sync's untested error
+	syncing bool   // errName holds a Sync's error, not an Append's
+}
+
+func (fs *unsyncFacts) close() { *fs = unsyncFacts{} }
+
 // checkUnsynced runs check 2: a may-analysis for the window between a
-// successful Append and the Sync that makes it durable.
+// successful Append and the tested Sync that makes it durable.
 func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
-	type unsyncFacts struct {
-		unsynced bool
-		errName  string // local holding the pending Append's error
-	}
 	g := buildCFG(fd.Body)
 	in := make([]*unsyncFacts, len(g.blocks))
 	in[g.entry.index] = &unsyncFacts{}
@@ -527,18 +523,17 @@ func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
 		case *ast.ExprStmt:
 			call, _ = unparen(s.X).(*ast.CallExpr)
 		case *ast.ReturnStmt:
-			// `return jr.Sync()` closes the window in the result
-			// expression itself.
+			// `return jr.Sync()` hands the Sync's error to the caller:
+			// the window closes in the result expression itself.
 			for _, r := range s.Results {
 				ast.Inspect(r, func(m ast.Node) bool {
 					if c, ok := m.(*ast.CallExpr); ok && journalMethod(pkg.Info, c) == "Sync" {
-						fs.unsynced = false
-						fs.errName = ""
+						fs.close()
 					}
 					return true
 				})
 			}
-			if emit && fs.unsynced && ackResult(pkg, s) == nil {
+			if emit && fs.open && ackResult(pkg, s) == nil {
 				// An acknowledging return is the ack-ordering
 				// analysis's finding; reporting both here would
 				// double-count the same defect.
@@ -549,55 +544,54 @@ func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
 		if call == nil {
 			return
 		}
+		bound := boundIdent(lhs)
 		switch journalMethod(pkg.Info, call) {
 		case "Append":
-			if emit && fs.unsynced {
+			cmd := cmdRecordAppend(pkg, call)
+			if emit && fs.open && (fs.snap || !cmd) {
 				dc.report(call.Pos(), "journal append while a previous append is not yet fsynced (a snapshot record must not race an unsynced command record)")
 			}
-			fs.unsynced = true
-			fs.errName = ""
-			if len(lhs) == 1 {
-				if id, ok := lhs[0].(*ast.Ident); ok && id.Name != "_" {
-					fs.errName = id.Name
-				}
-			}
+			fs.snap = fs.open && fs.snap || !cmd
+			fs.open, fs.errName, fs.syncing = true, bound, false
 		case "Sync":
-			fs.unsynced = false
-			fs.errName = ""
+			// The window stays open until the Sync's error is looked at.
+			if fs.open {
+				fs.errName, fs.syncing = bound, true
+			}
 		}
 	}
-	var killFailed func(cond ast.Expr, branch bool, fs *unsyncFacts)
-	killFailed = func(cond ast.Expr, branch bool, fs *unsyncFacts) {
-		// On the edge where the pending append's error is non-nil the
-		// plane freezes; the record was never accepted, so the window
-		// closes.
+	var edge func(cond ast.Expr, branch bool, fs *unsyncFacts)
+	edge = func(cond ast.Expr, branch bool, fs *unsyncFacts) {
 		switch c := cond.(type) {
 		case *ast.ParenExpr:
-			killFailed(c.X, branch, fs)
+			edge(c.X, branch, fs)
 		case *ast.UnaryExpr:
 			if c.Op == token.NOT {
-				killFailed(c.X, !branch, fs)
+				edge(c.X, !branch, fs)
 			}
 		case *ast.BinaryExpr:
-			nilSide := func(a, b ast.Expr) *ast.Ident {
-				if id, ok := unparen(b).(*ast.Ident); ok && id.Name == "nil" {
-					if x, ok := unparen(a).(*ast.Ident); ok {
-						return x
-					}
+			if c.Op != token.EQL && c.Op != token.NEQ {
+				return
+			}
+			x := nilOperand(c.X, c.Y)
+			if x == nil {
+				return
+			}
+			isNil := (c.Op == token.EQL) == branch
+			if id, ok := x.(*ast.Ident); ok {
+				if !fs.open || fs.errName == "" || id.Name != fs.errName {
+					return
 				}
-				return nil
+				// A tested Sync closes the window either way: durable, or
+				// failed and the plane freezes. A failed Append freezes it
+				// too; a successful one leaves its record waiting.
+				if fs.syncing || !isNil {
+					fs.close()
+				}
+				return
 			}
-			var id *ast.Ident
-			nonNilHolds := false
-			if c.Op == token.NEQ && branch || c.Op == token.EQL && !branch {
-				nonNilHolds = true
-			}
-			if id = nilSide(c.X, c.Y); id == nil {
-				id = nilSide(c.Y, c.X)
-			}
-			if nonNilHolds && id != nil && fs.unsynced && id.Name == fs.errName {
-				fs.unsynced = false
-				fs.errName = ""
+			if isNil && journalHandle(pkg.Info, x) {
+				fs.close() // no journal, nothing unsynced
 			}
 		}
 	}
@@ -611,7 +605,7 @@ func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
 		for _, e := range blk.succs {
 			ef := out
 			if e.cond != nil {
-				killFailed(e.cond, e.branch, &ef)
+				edge(e.cond, e.branch, &ef)
 			}
 			cur := in[e.to.index]
 			if cur == nil {
@@ -620,12 +614,12 @@ func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
 				work = append(work, e.to)
 				continue
 			}
-			// May-analysis: union.
+			// May-analysis: union; an open side's pending error wins.
 			merged := *cur
-			if ef.unsynced && !cur.unsynced {
-				merged.unsynced = true
-				merged.errName = ef.errName
+			if ef.open && !cur.open {
+				merged = ef
 			}
+			merged.snap = cur.snap || ef.snap
 			if merged != *cur {
 				in[e.to.index] = &merged
 				work = append(work, e.to)
@@ -641,6 +635,35 @@ func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
 			transfer(n, &fs, true)
 		}
 	}
+}
+
+// cmdRecordAppend reports whether an Append call's argument is a
+// command record spelled out in place: `&Record{Kind: K, ...}` with K a
+// constant equal to "cmd". Anything else — a record built elsewhere, a
+// snapshot, a header — is not, which fails closed inside a window.
+func cmdRecordAppend(pkg *Package, call *ast.CallExpr) bool {
+	if len(call.Args) != 1 {
+		return false
+	}
+	addr, ok := unparen(call.Args[0]).(*ast.UnaryExpr)
+	if !ok || addr.Op != token.AND {
+		return false
+	}
+	lit, ok := unparen(addr.X).(*ast.CompositeLit)
+	if !ok || !isNamedStruct(pkg.Info, lit, "Record") {
+		return false
+	}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Kind" {
+			tv := pkg.Info.Types[kv.Value]
+			return tv.Value != nil && tv.Value.Kind() == constant.String && constant.StringVal(tv.Value) == "cmd"
+		}
+	}
+	return false
 }
 
 // checkGoSpawns runs check 3: no spawned goroutine may transitively

@@ -1,13 +1,21 @@
 // Package durabilitybad is a lint fixture for the durability analyzer:
-// a miniature control plane (Journal / Result / leaseHeap matched by
-// the same names as internal/ctlplane) mixing ack-before-fsync,
-// racing-append, and goroutine-ownership violations with the sanctioned
-// journal-then-ack shapes.
+// a miniature control plane (Journal / Record / Result / leaseHeap
+// matched by the same names as internal/ctlplane) mixing ack-before-fsync,
+// racing-append, broken-batch and goroutine-ownership violations with the
+// sanctioned journal-then-ack shapes.
 package durabilitybad
+
+// Record kinds; the analyzer matches a command record by the constant's
+// value.
+const (
+	KindCmd  = "cmd"
+	KindSnap = "snap"
+)
 
 // Record stands in for a journal record.
 type Record struct {
 	Kind string
+	Seq  uint64
 }
 
 // Journal stands in for the append-only journal; the analyzer matches
@@ -82,8 +90,7 @@ func (p *Plane) ApplyNoSync(rec *Record) Result {
 	return Result{OK: true} // want:durability
 }
 
-// journalCmd is the verified-barrier shape: false only once the record
-// is durable.
+// journalCmd makes one record durable and says so with its bool.
 func (p *Plane) journalCmd(rec *Record) (Result, bool) {
 	if p.jr == nil {
 		return Result{}, false
@@ -96,33 +103,168 @@ func (p *Plane) journalCmd(rec *Record) (Result, bool) {
 	return Result{ID: p.seq}, true
 }
 
-// ApplyViaBarrier acknowledges behind the verified barrier.
-func (p *Plane) ApplyViaBarrier(rec *Record) Result {
+// ApplyViaWrapper acknowledges behind a wrapper that does append and
+// sync. The proof is per function, so the acknowledgement is flagged:
+// the append and the sync belong beside the OK.
+func (p *Plane) ApplyViaWrapper(rec *Record) Result {
 	if r, bad := p.journalCmd(rec); bad {
 		return r
 	}
-	return Result{OK: true}
+	return Result{OK: true} // want:durability
 }
 
-// brokenBarrier claims success without ever syncing, so it is not
-// admitted as a barrier.
-func (p *Plane) brokenBarrier(rec *Record) (Result, bool) {
-	if p.jr == nil {
-		return Result{}, false
-	}
-	if err := p.jr.Append(rec); err != nil {
-		return Result{ID: p.seq}, true
-	}
-	return Result{}, false // want:durability
-}
-
-// ApplyViaBroken trusts the broken barrier; the acknowledgement is
-// flagged because the barrier never verified.
-func (p *Plane) ApplyViaBroken(rec *Record) Result {
-	if r, bad := p.brokenBarrier(rec); bad {
-		return r
+// SyncOnly acknowledges behind a sync that covers no record of its own.
+func (p *Plane) SyncOnly() Result {
+	if err := p.jr.Sync(); err != nil {
+		return Result{}
 	}
 	return Result{OK: true} // want:durability
+}
+
+// ApplyAllGood is the sanctioned batch: every accepted command appends
+// its record, one sync covers the run, and only behind it does any
+// result turn OK. A failed append or sync leaves without an OK.
+func (p *Plane) ApplyAllGood(n int, out []Result) []Result {
+	var pending []int
+	for i := 0; i < n; i++ {
+		if i%3 == 2 {
+			out = append(out, Result{}) // rejected: nothing journaled
+			continue
+		}
+		p.seq++
+		if p.jr != nil {
+			if err := p.jr.Append(&Record{Kind: KindCmd, Seq: p.seq}); err != nil {
+				return out
+			}
+		}
+		pending = append(pending, len(out))
+		out = append(out, Result{ID: p.seq})
+	}
+	if p.jr != nil {
+		if err := p.jr.Sync(); err != nil {
+			return out
+		}
+	}
+	for _, i := range pending {
+		out[i].OK = true
+	}
+	return out
+}
+
+// BatchAckInLoop turns each result OK as soon as its record is
+// appended, before the sync that would cover it.
+func (p *Plane) BatchAckInLoop(n int, out []Result) []Result {
+	for i := 0; i < n; i++ {
+		if err := p.jr.Append(&Record{Kind: KindCmd}); err != nil {
+			return out
+		}
+		out = append(out, Result{})
+		out[i].OK = true // want:durability
+	}
+	if err := p.jr.Sync(); err != nil {
+		return out
+	}
+	return out
+}
+
+// BatchAckLiteral builds the acknowledgement inside the append loop.
+func (p *Plane) BatchAckLiteral(n int, out []Result) []Result {
+	for i := 0; i < n; i++ {
+		if err := p.jr.Append(&Record{Kind: KindCmd}); err != nil {
+			return out
+		}
+		out = append(out, Result{OK: true}) // want:durability
+	}
+	if err := p.jr.Sync(); err != nil {
+		return out[:0]
+	}
+	return out
+}
+
+// BatchSkipsSync leaves through a path that never reaches the sync.
+func (p *Plane) BatchSkipsSync(n int, out []Result, hurry bool) []Result {
+	for i := 0; i < n; i++ {
+		if err := p.jr.Append(&Record{Kind: KindCmd}); err != nil {
+			return out
+		}
+		out = append(out, Result{})
+	}
+	if hurry {
+		return out // want:durability
+	}
+	if err := p.jr.Sync(); err != nil {
+		return out
+	}
+	for i := range out {
+		out[i].OK = true
+	}
+	return out
+}
+
+// BatchSyncDropped never looks at the sync's error: the window stays
+// open and nothing behind it is durable.
+func (p *Plane) BatchSyncDropped(n int, out []Result) []Result {
+	for i := 0; i < n; i++ {
+		if err := p.jr.Append(&Record{Kind: KindCmd}); err != nil {
+			return out
+		}
+		out = append(out, Result{})
+	}
+	p.jr.Sync()
+	for i := range out {
+		out[i].OK = true // want:durability
+	}
+	return out // want:durability
+}
+
+// BatchAppendUnproven logs a failed append and carries on to the sync:
+// the batch is acknowledged on a path where one record was never taken.
+func (p *Plane) BatchAppendUnproven(n int, out []Result) []Result {
+	for i := 0; i < n; i++ {
+		if err := p.jr.Append(&Record{Kind: KindCmd}); err != nil {
+			p.seq = 0
+		}
+		out = append(out, Result{})
+	}
+	if err := p.jr.Sync(); err != nil {
+		return out
+	}
+	for i := range out {
+		out[i].OK = true // want:durability
+	}
+	return out
+}
+
+// BatchSnapshotInside checkpoints in the middle of a batch: the
+// snapshot record races the unsynced command records before it, and the
+// next iteration's command record races the unsynced snapshot.
+func (p *Plane) BatchSnapshotInside(n int, out []Result) []Result {
+	for i := 0; i < n; i++ {
+		if err := p.jr.Append(&Record{Kind: KindCmd}); err != nil { // want:durability
+			return out
+		}
+		if i == 1 {
+			if err := p.jr.Append(&Record{Kind: KindSnap}); err != nil { // want:durability
+				return out
+			}
+		}
+		out = append(out, Result{})
+	}
+	if err := p.jr.Sync(); err != nil {
+		return out
+	}
+	return out
+}
+
+// BatchOpaqueRecords appends records built elsewhere: not provably
+// command records, so the run is not a batch.
+func (p *Plane) BatchOpaqueRecords(recs []*Record) error {
+	for _, rec := range recs {
+		if err := p.jr.Append(rec); err != nil { // want:durability
+			return err
+		}
+	}
+	return p.jr.Sync()
 }
 
 // SnapshotRace appends a snapshot record while the command record is

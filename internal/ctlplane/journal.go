@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
 	"swizzleqos/internal/fabric"
@@ -85,13 +86,34 @@ type frame struct {
 	Rec json.RawMessage `json:"rec"`
 }
 
+// journalFile is what a Journal needs of its file: ordered writes and a
+// durability barrier. It is an *os.File outside tests, which substitute
+// one that fails or short-writes on demand (the journal's counterpart of
+// internal/faults).
+type journalFile interface {
+	io.Writer
+	Sync() error
+}
+
 // Journal is an append-only record writer. Append buffers; Sync flushes
-// and fsyncs — the Plane syncs after every accepted command and after
-// every snapshot, so an acknowledged command is never lost.
+// and fsyncs — the Plane syncs once after every batch of accepted
+// commands and after every snapshot, so an acknowledged command is never
+// lost. A journal that failed once stays failed: every later Append and
+// Sync returns the first error, so nothing written behind a lost record
+// can be reported durable.
 type Journal struct {
-	f    *os.File
-	w    *bufio.Writer
-	path string
+	f      journalFile
+	closer io.Closer
+	w      *bufio.Writer
+	path   string
+	dirty  bool // appended to since the last successful Sync
+	err    error
+
+	records, syncs uint64
+}
+
+func newJournal(f journalFile, closer io.Closer, path string) *Journal {
+	return &Journal{f: f, closer: closer, w: bufio.NewWriter(f), path: path}
 }
 
 // CreateJournal creates (truncating) a journal file.
@@ -100,7 +122,7 @@ func CreateJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: create journal: %w", err)
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f), path: path}, nil
+	return newJournal(f, f, path), nil
 }
 
 // AppendJournal opens an existing journal for appending (resume after
@@ -110,50 +132,74 @@ func AppendJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: open journal: %w", err)
 	}
-	return &Journal{f: f, w: bufio.NewWriter(f), path: path}, nil
+	return newJournal(f, f, path), nil
 }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
+// Counts returns how many records this handle appended and how many
+// fsyncs it issued, the header, snapshots and end record included.
+func (j *Journal) Counts() (records, syncs uint64) { return j.records, j.syncs }
+
+// fail records the journal's first error and returns it.
+func (j *Journal) fail(err error) error {
+	if j.err == nil {
+		j.err = err
+	}
+	return j.err
+}
+
 // Append writes one CRC-framed record line.
 func (j *Journal) Append(rec *Record) error {
+	if j.err != nil {
+		return j.err
+	}
 	raw, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("ctlplane: marshal journal record: %w", err)
+		return j.fail(fmt.Errorf("ctlplane: marshal journal record: %w", err))
 	}
 	fr := frame{CRC: crc32.ChecksumIEEE(raw), Rec: raw}
 	line, err := json.Marshal(fr)
 	if err != nil {
-		return fmt.Errorf("ctlplane: marshal journal frame: %w", err)
+		return j.fail(fmt.Errorf("ctlplane: marshal journal frame: %w", err))
 	}
+	j.dirty = true
 	if _, err := j.w.Write(line); err != nil {
-		return fmt.Errorf("ctlplane: write journal: %w", err)
+		return j.fail(fmt.Errorf("ctlplane: write journal: %w", err))
 	}
 	if err := j.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("ctlplane: write journal: %w", err)
+		return j.fail(fmt.Errorf("ctlplane: write journal: %w", err))
 	}
+	j.records++
 	return nil
 }
 
-// Sync flushes buffered records and fsyncs the file.
+// Sync flushes buffered records and fsyncs the file. With nothing
+// appended since the last successful Sync it returns at once: a batch of
+// rejections costs no fsync.
 func (j *Journal) Sync() error {
+	if j.err != nil || !j.dirty {
+		return j.err
+	}
 	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("ctlplane: flush journal: %w", err)
+		return j.fail(fmt.Errorf("ctlplane: flush journal: %w", err))
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("ctlplane: fsync journal: %w", err)
+		return j.fail(fmt.Errorf("ctlplane: fsync journal: %w", err))
 	}
+	j.dirty = false
+	j.syncs++
 	return nil
 }
 
 // Close flushes, fsyncs, and closes the file.
 func (j *Journal) Close() error {
 	if err := j.Sync(); err != nil {
-		j.f.Close()
+		j.closer.Close()
 		return err
 	}
-	return j.f.Close()
+	return j.closer.Close()
 }
 
 // decodeRecord parses and CRC-checks one journal line.

@@ -299,9 +299,10 @@ func (h *leaseHeap) pop() leaseEntry {
 }
 
 // Plane runs a crossbar simulation under reservation control. Build one
-// with New, optionally AttachJournal, mutate with Apply, and drive
-// simulated time with Advance. Not safe for concurrent use: the daemon
-// funnels network commands into the single goroutine driving the plane.
+// with New, optionally AttachJournal, mutate with Apply or ApplyAll, and
+// drive simulated time with Advance. Not safe for concurrent use: the
+// daemon funnels network commands into the single goroutine driving the
+// plane.
 type Plane struct {
 	cfg SimConfig
 	sw  *switchsim.Switch
@@ -311,6 +312,10 @@ type Plane struct {
 	jr     *Journal
 	seqNo  uint64    // journaled command sequence
 	snapAt noc.Cycle // next snapshot cycle (grid multiple of SnapEvery)
+
+	// pending is ApplyAll's scratch: the out indexes of the batch's
+	// accepted commands, whose results turn OK behind the sync.
+	pending []int
 
 	leases   leaseHeap
 	valves   map[uint64]*valve
@@ -481,87 +486,154 @@ func (p *Plane) fail(err error) {
 	}
 }
 
-// Apply executes one command at the current cycle: admission check,
-// durable journal append (fsync before the OK), then live
-// materialization onto the switch. Rejections return typed reasons and
-// a retry-after hint without touching the running simulation.
+// change is what admission decided for one accepted command: the
+// reservation it added, removed or resized, or the ones a budget or
+// policy command revoked. The journal record and the switch are both
+// written from it.
+type change struct {
+	res     *Reservation
+	revoked []*Reservation
+}
+
+// id is the reservation id the command's record and reply carry.
+func (c change) id() uint64 {
+	if c.res == nil {
+		return 0
+	}
+	return c.res.ID
+}
+
+// Apply executes one command at the current cycle: the batch of one.
 //
 //ssvc:serial-only
 func (p *Plane) Apply(cmd Command) Result {
+	one := [1]Command{cmd}
+	var out [1]Result
+	return p.ApplyAll(one[:], out[:0])[0]
+}
+
+// ApplyAll executes a batch of commands at the current cycle and appends
+// their results to out, in order. Each command runs the whole sequence —
+// admission check, journal append, live materialization onto the switch —
+// before the next is looked at, so the state changes and the journal
+// bytes are those of one Apply call per command. What the batch shares is
+// the fsync: one Journal.Sync after the last append, and only behind it
+// does any result turn OK. Rejections return typed reasons and a
+// retry-after hint without touching the running simulation or the
+// journal. A failed append or sync freezes the plane, and every command
+// of the batch that admission had not already refused is answered
+// ReasonJournal: its record may or may not survive a restart.
+//
+//ssvc:serial-only
+func (p *Plane) ApplyAll(cmds []Command, out []Result) []Result {
 	now := p.sw.Now()
+	p.pending = p.pending[:0]
+	for i := range cmds {
+		cmd := &cmds[i]
+		ch, rej := p.admit(cmd, now)
+		if rej != nil {
+			out = append(out, p.rejected(Result{Cycle: now, Reason: rej.Reason, RetryAfter: rej.RetryAfter, Msg: rej.Msg}))
+			continue
+		}
+		p.seqNo++
+		if p.jr != nil {
+			if err := p.jr.Append(&Record{Kind: KindCmd, Cmd: &CmdRecord{Seq: p.seqNo, Cycle: now, ID: ch.id(), Cmd: *cmd}}); err != nil {
+				return p.journalFailed(err, out, len(cmds)-i, now)
+			}
+		}
+		p.materialize(cmd, ch)
+		p.pending = append(p.pending, len(out))
+		out = append(out, Result{ID: ch.id(), Cycle: now})
+	}
+	if p.jr != nil {
+		if err := p.jr.Sync(); err != nil {
+			return p.journalFailed(err, out, 0, now)
+		}
+	}
+	for _, i := range p.pending {
+		out[i].OK = true
+	}
+	return out
+}
+
+// journalFailed freezes the plane on a failed journal write and answers
+// the batch: the commands already staged in out and the unseen ones not
+// yet looked at are all refused. The in-memory admissions already
+// happened, but no client gets an OK, and a restart recovers whatever
+// prefix of the batch reached the disk.
+func (p *Plane) journalFailed(err error, out []Result, unseen int, now noc.Cycle) []Result {
+	p.fail(err)
+	r := Result{Cycle: now, Reason: ReasonJournal, Msg: p.err.Error()}
+	for _, i := range p.pending {
+		out[i] = p.rejected(r)
+	}
+	for ; unseen > 0; unseen-- {
+		out = append(out, p.rejected(r))
+	}
+	return out
+}
+
+// admit validates cmd and runs it through the admission table at cycle
+// now. An accepted command has changed the table and nothing else. It is
+// the taint barrier of the command path: whatever the line protocol or a
+// journal handed in, a command that comes back without a Reject has
+// passed Command.Validate and the table's own range and budget checks,
+// and the change holds only reservations the table built.
+//
+//ssvc:barrier
+func (p *Plane) admit(cmd *Command, now noc.Cycle) (change, *Reject) {
 	if err := p.Err(); err != nil {
-		return p.rejected(Result{Cycle: now, Reason: ReasonFrozen, Msg: err.Error()})
+		return change{}, &Reject{Reason: ReasonFrozen, Msg: err.Error()}
 	}
 	if err := cmd.Validate(); err != nil {
-		return p.rejected(Result{Cycle: now, Reason: ReasonBadRequest, Msg: err.Error()})
+		return change{}, &Reject{Reason: ReasonBadRequest, Msg: err.Error()}
 	}
+	var ch change
+	var rej *Reject
 	switch cmd.Op {
 	case OpAdd:
-		res, rej := p.tab.Admit(*cmd.Flow, cmd.Lease, now)
-		if rej != nil {
-			return p.rejected(Result{Cycle: now, Reason: rej.Reason, RetryAfter: rej.RetryAfter, Msg: rej.Msg})
-		}
-		if r, bad := p.journalCmd(cmd, res.ID, now); bad {
-			return r
-		}
-		p.materializeAdd(res)
-		p.stats.Admitted++
-		return Result{OK: true, ID: res.ID, Cycle: now}
+		ch.res, rej = p.tab.Admit(*cmd.Flow, cmd.Lease, now)
 	case OpRemove:
-		res, rej := p.tab.Remove(cmd.ID, now)
-		if rej != nil {
-			return p.rejected(Result{Cycle: now, Reason: rej.Reason, Msg: rej.Msg})
-		}
-		if r, bad := p.journalCmd(cmd, res.ID, now); bad {
-			return r
-		}
-		p.detach(res)
-		p.refit(res.Req.Dst)
-		return Result{OK: true, ID: res.ID, Cycle: now}
+		ch.res, rej = p.tab.Remove(cmd.ID, now)
 	case OpResize:
-		res, rej := p.tab.Resize(cmd.ID, cmd.Rate, cmd.Lease, cmd.SetLease, now)
-		if rej != nil {
-			return p.rejected(Result{Cycle: now, Reason: rej.Reason, RetryAfter: rej.RetryAfter, Msg: rej.Msg})
-		}
-		if r, bad := p.journalCmd(cmd, res.ID, now); bad {
-			return r
-		}
-		if res.ExpiresAt != 0 {
-			p.leases.push(leaseEntry{at: res.ExpiresAt, id: res.ID})
-		}
-		p.refit(res.Req.Dst)
-		return Result{OK: true, ID: res.ID, Cycle: now}
+		ch.res, rej = p.tab.Resize(cmd.ID, cmd.Rate, cmd.Lease, cmd.SetLease, now)
 	case OpBudget:
-		revoked, rej := p.tab.SetBudget(cmd.Output, cmd.Share, now)
-		if rej != nil {
-			return p.rejected(Result{Cycle: now, Reason: rej.Reason, Msg: rej.Msg})
-		}
-		if r, bad := p.journalCmd(cmd, 0, now); bad {
-			return r
-		}
-		for _, res := range revoked {
-			p.detach(res)
-			p.stats.Revoked++
-		}
-		p.refit(cmd.Output)
-		return Result{OK: true, Cycle: now}
+		ch.revoked, rej = p.tab.SetBudget(cmd.Output, cmd.Share, now)
 	case OpPolicy:
 		pol := PolicyReject
 		if cmd.Degrade {
 			pol = PolicyDegrade
 		}
-		revoked := p.tab.SetPolicy(pol)
-		if r, bad := p.journalCmd(cmd, 0, now); bad {
-			return r
+		ch.revoked = p.tab.SetPolicy(pol)
+	}
+	return ch, rej
+}
+
+// materialize carries an admitted command onto the running switch.
+func (p *Plane) materialize(cmd *Command, ch change) {
+	switch cmd.Op {
+	case OpAdd:
+		p.materializeAdd(ch.res)
+		p.stats.Admitted++
+	case OpRemove:
+		p.detach(ch.res)
+		p.refit(ch.res.Req.Dst)
+	case OpResize:
+		if ch.res.ExpiresAt != 0 {
+			p.leases.push(leaseEntry{at: ch.res.ExpiresAt, id: ch.res.ID})
 		}
-		for _, res := range revoked {
+		p.refit(ch.res.Req.Dst)
+	case OpBudget, OpPolicy:
+		for _, res := range ch.revoked {
 			p.detach(res)
 			p.stats.Revoked++
 		}
-		p.refitAll()
-		return Result{OK: true, Cycle: now}
+		if cmd.Op == OpBudget {
+			p.refit(cmd.Output)
+		} else {
+			p.refitAll()
+		}
 	}
-	return p.rejected(Result{Cycle: now, Reason: ReasonBadRequest, Msg: fmt.Sprintf("unknown op %v", cmd.Op)})
 }
 
 // rejected counts a rejection by reason class.
@@ -575,29 +647,6 @@ func (p *Plane) rejected(r Result) Result {
 		p.stats.RejectedOther++
 	}
 	return r
-}
-
-// journalCmd makes an accepted command durable before it is
-// acknowledged or materialized. A journal failure freezes the plane:
-// the in-memory admission already happened, but the client never gets
-// an OK, and a restart recovers the exact pre-command state.
-func (p *Plane) journalCmd(cmd Command, id uint64, now noc.Cycle) (Result, bool) {
-	if p.jr == nil {
-		p.seqNo++
-		return Result{}, false
-	}
-	p.seqNo++
-	rec := &Record{Kind: KindCmd, Cmd: &CmdRecord{Seq: p.seqNo, Cycle: now, ID: id, Cmd: cmd}}
-	if err := p.jr.Append(rec); err == nil {
-		err = p.jr.Sync()
-		if err == nil {
-			return Result{}, false
-		}
-		p.fail(err)
-	} else {
-		p.fail(err)
-	}
-	return p.rejected(Result{Cycle: now, Reason: ReasonJournal, Msg: p.err.Error()}), true
 }
 
 // materializeAdd attaches the admitted reservation's traffic source to
@@ -767,6 +816,15 @@ func (p *Plane) snapRecord() *SnapRecord {
 func (p *Plane) Finish() error {
 	p.checkpoint(KindEnd)
 	return p.Err()
+}
+
+// JournalCounts returns the records appended and the fsyncs issued
+// through the attached journal since it was opened (zeros without one).
+func (p *Plane) JournalCounts() (records, syncs uint64) {
+	if p.jr == nil {
+		return 0, 0
+	}
+	return p.jr.Counts()
 }
 
 // CloseJournal detaches and closes the journal, if any.
