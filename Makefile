@@ -52,13 +52,17 @@ benchguard:
 	$(GO) run ./cmd/ssvc-benchguard
 
 # Perf gate for the word-parallel arbitration path (BENCH_bitplane.json):
-# the bitplane/scalar equivalence fuzz seed corpus, a short-benchtime
-# sweep of the arbitration and cycle-loop benchmarks, then the
-# allocation benchguard. Fixed iteration counts keep the sweep fast and
+# the bitplane/scalar equivalence fuzz seed corpus, the two oracles the
+# saturated crossbar cycle rests on (the LRG priority matrix against the
+# move-to-back list, the standing offers against a per-cycle scan), a
+# short-benchtime sweep of the arbitration and cycle-loop benchmarks,
+# then the allocation benchguard. Fixed iteration counts keep the sweep fast and
 # its allocation columns deterministic; ns/op here is informational
 # (CI hardware is too noisy to gate on time).
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
+	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
+	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
 	$(GO) run ./cmd/ssvc-benchguard
@@ -180,4 +184,5 @@ fuzz:
 	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
 	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
+	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s
 	$(GO) test ./cmd/ssvc-sim/ -fuzz FuzzScenarioParse -fuzztime 30s

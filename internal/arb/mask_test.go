@@ -88,47 +88,6 @@ func TestMaskNextFrom(t *testing.T) {
 	}
 }
 
-// TestLRGPlanesMatchRanks checks the rank bitplanes stay consistent with
-// the rank array across random grant sequences and explicit orders.
-// Sizes at or below planeThreshold run the scalar path and keep no
-// planes, so only larger sizes are checked here; the scalar fallback is
-// covered by TestMinRankInMatchesPick and the differential fuzz.
-func TestLRGPlanesMatchRanks(t *testing.T) {
-	rng := traffic.NewRNG(7)
-	for _, n := range []int{planeThreshold + 1, 16, 63, 64, 65, 130} {
-		s := NewLRGState(n)
-		check := func(step string) {
-			t.Helper()
-			for i := 0; i < n; i++ {
-				got := 0
-				for b := range s.planes {
-					if MaskHas(s.planes[b], i) {
-						got |= 1 << uint(b)
-					}
-				}
-				if got != s.rank[i] {
-					t.Fatalf("n=%d %s: input %d plane rank %d != rank %d", n, step, i, got, s.rank[i])
-				}
-			}
-		}
-		check("initial")
-		for g := 0; g < 4*n; g++ {
-			s.Grant(rng.Intn(n))
-			check("after grant")
-		}
-		// SetOrder rebuilds.
-		order := s.Order()
-		for i := range order {
-			j := rng.Intn(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
-		if err := s.SetOrder(order); err != nil {
-			t.Fatal(err)
-		}
-		check("after SetOrder")
-	}
-}
-
 // TestMinRankInMatchesPick compares the word-parallel selection against
 // the element-wise Pick across random masks and LRG states.
 func TestMinRankInMatchesPick(t *testing.T) {
@@ -157,11 +116,12 @@ func TestMinRankInMatchesPick(t *testing.T) {
 	}
 }
 
-// TestLRGArbitrateWordParallel drives the dense word-parallel path of
-// LRG.Arbitrate against the element-wise decision.
-func TestLRGArbitrateWordParallel(t *testing.T) {
+// TestLRGArbitrateMatchesRankScan holds LRG.Arbitrate's knockout to the
+// first-minimum rank scan over dense request sets, with every fourth
+// input requesting twice.
+func TestLRGArbitrateMatchesRankScan(t *testing.T) {
 	rng := traffic.NewRNG(5)
-	for _, n := range []int{8, 64, 130} {
+	for _, n := range []int{5, 8, 64, 130} {
 		a := NewLRG(n)
 		var reqs []Request
 		for trial := 0; trial < 200; trial++ {
@@ -169,6 +129,9 @@ func TestLRGArbitrateWordParallel(t *testing.T) {
 			for i := 0; i < n; i++ {
 				if rng.Bernoulli(0.5) {
 					reqs = append(reqs, Request{Input: i})
+					if i%4 == 0 {
+						reqs = append(reqs, Request{Input: i})
+					}
 				}
 			}
 			want, wantRank := -1, n

@@ -10,7 +10,7 @@ import (
 
 // BitplaneArbiter resolves a crosspoint image word-parallel: it packs
 // the request/class/thermometer state into uint64 level planes and picks
-// the winner with plane intersections and the LRG rank planes — the
+// the winner with plane intersections and the LRG priority matrix — the
 // software transcription of the wire model's parallel bitline
 // discharges, and the third leg of the §4.1 equivalence triangle
 // (circuit wires vs element-wise reference vs bitplanes). One uint64

@@ -37,7 +37,7 @@ func (s *SSVC) LevelMask(k int) []uint64 { return s.lvl[k] }
 // default: requests are bucketed into class masks, the guaranteed-
 // bandwidth winner is the least-recently-granted member of the lowest
 // nonempty (requesting AND level-k) plane intersection, and GL/BE
-// winners come straight from the LRG rank planes. A request list that
+// winners come straight from the LRG priority matrix. A request list that
 // repeats an input (legal under the interface, impossible from the
 // switch model) cannot be represented as a bitmask and falls back to
 // the element-wise scan, which decides identically.
@@ -91,13 +91,13 @@ func (s *SSVC) arbitrate1(now noc.Cycle, reqs []arb.Request) int {
 		}
 	}
 	// Guaranteed latency: absolute priority while within budget; the LRG
-	// rank planes pick among simultaneous GL requesters.
+	// priority matrix picks among simultaneous GL requesters.
 	if glm != 0 && s.cfg.EnableGL && s.glEligible(now) {
 		return int(reqIdx[s.lrg.MinRankIn1(glm)])
 	}
 	// Guaranteed bandwidth: the lowest level plane with a requesting
 	// reserved input wins — the plane intersection is the inhibit mask —
-	// and the LRG rank planes break ties inside the level.
+	// and the LRG priority matrix breaks ties inside the level.
 	if gbm != 0 {
 		for k := 0; ; k++ {
 			if c := gbm & s.lvl[k][0]; c != 0 {

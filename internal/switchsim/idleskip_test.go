@@ -26,6 +26,8 @@ type skipScenario struct {
 	chaining bool
 	load     float64 // per-flow Bernoulli rate; 0 means fully backlogged
 	cycles   noc.Cycle
+	gate     func(now noc.Cycle, p *noc.Packet) bool // Config.AdmissionGate
+	dynamic  bool                                    // Config.DynamicFlows
 }
 
 // buildSkipSwitch builds a switch carrying a deterministic mixed-class
@@ -44,7 +46,7 @@ func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
 	glVtick := noc.FlowSpec{Rate: 0.05, PacketLength: 2}.Vtick()
 	cfg := Config{
 		Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16,
-		PacketChaining: sc.chaining,
+		PacketChaining: sc.chaining, AdmissionGate: sc.gate, DynamicFlows: sc.dynamic,
 	}
 	sw := mustNew(t, cfg, ssvcGLFactory(radix, vticks, glVtick, 2))
 	if fullWalk {
@@ -163,39 +165,40 @@ func TestEventDrivenMatchesFullWalk(t *testing.T) {
 	}
 }
 
+// buildPreemptSwitch builds a radix-8 switch of preempting PVC arbiters
+// in which a fast flow's packet preempts a slow flow's mid-flight, twice.
+func buildPreemptSwitch(t *testing.T, fullWalk bool) *Switch {
+	t.Helper()
+	const radix = 8
+	cfg := testConfig()
+	cfg.Preemption = true
+	vticks := []noc.VTime{2000, 20, 50, 50, 0, 0, 0, 0}
+	sw := mustNew(t, cfg, func(int) arb.Arbiter { return arb.NewPVC(radix, vticks, 10) })
+	if fullWalk {
+		if err := sw.SetFaults(faults.Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seq traffic.Sequence
+	slow := noc.FlowSpec{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.004, PacketLength: 8}
+	fast := noc.FlowSpec{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.4, PacketLength: 8}
+	addFlow(t, sw, traffic.Flow{Spec: slow, Gen: traffic.NewTrace(&seq, slow, []noc.Cycle{0, 40})})
+	addFlow(t, sw, traffic.Flow{Spec: fast, Gen: traffic.NewTrace(&seq, fast, []noc.Cycle{3, 44})})
+	for i := 2; i < 4; i++ {
+		spec := noc.FlowSpec{Src: i, Dst: i, Class: noc.GuaranteedBandwidth, Rate: 0.1, PacketLength: 4}
+		addFlow(t, sw, traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, 0.1, uint64(i))})
+	}
+	return sw
+}
+
 // TestEventDrivenMatchesFullWalkPreemption repeats the differential with
 // a preempting PVC arbiter, exercising the preemption path's mask
 // maintenance (victim PushFront, channel teardown, immediate regrant).
 func TestEventDrivenMatchesFullWalkPreemption(t *testing.T) {
-	build := func(fullWalk bool) *Switch {
-		const radix = 8
-		cfg := testConfig()
-		cfg.Preemption = true
-		vticks := []noc.VTime{2000, 20, 50, 50, 0, 0, 0, 0}
-		sw, err := New(cfg, func(int) arb.Arbiter { return arb.NewPVC(radix, vticks, 10) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fullWalk {
-			if err := sw.SetFaults(faults.Config{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var seq traffic.Sequence
-		slow := noc.FlowSpec{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.004, PacketLength: 8}
-		fast := noc.FlowSpec{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.4, PacketLength: 8}
-		addFlow(t, sw, traffic.Flow{Spec: slow, Gen: traffic.NewTrace(&seq, slow, []noc.Cycle{0, 40})})
-		addFlow(t, sw, traffic.Flow{Spec: fast, Gen: traffic.NewTrace(&seq, fast, []noc.Cycle{3, 44})})
-		for i := 2; i < 4; i++ {
-			spec := noc.FlowSpec{Src: i, Dst: i, Class: noc.GuaranteedBandwidth, Rate: 0.1, PacketLength: 4}
-			addFlow(t, sw, traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, 0.1, uint64(i))})
-		}
-		return sw
-	}
 	var traces [2][]delivery
 	var sws [2]*Switch
 	for v := 0; v < 2; v++ {
-		sw := build(v == 1)
+		sw := buildPreemptSwitch(t, v == 1)
 		idx := v
 		sw.OnDeliver(func(p *noc.Packet) {
 			traces[idx] = append(traces[idx], delivery{p.ID, p.Src, p.Dst, p.DeliveredAt})

@@ -24,10 +24,16 @@ type inputPort struct {
 	busy  bool             // transmitting a granted packet
 	gbRR  int              // round-robin pointer over GB queues
 	gbOcc []uint64         // mask of nonempty GB virtual output queues
+
+	// The input's standing offer (see refreshOffers): while offered is
+	// set, offer is what currentRequest would return and the input's bit
+	// is in outputs[offer.dst].want. A busy input never has one.
+	offer   request
+	offered bool
 }
 
-// request is the single (output, class, packet) offer an input makes in a
-// cycle.
+// request is the single (output, class, packet) offer an input has
+// standing at a time.
 type request struct {
 	dst int
 	req arb.Request
@@ -87,16 +93,19 @@ func (in *inputPort) bufferFor(class noc.Class, dst int) *fabric.Buffer {
 // outputPort is one output channel: its arbiter and channel state. The
 // obs, pre and clk fields cache the arbiter's optional-interface
 // assertions at construction time so the per-cycle loop never pays for a
-// dynamic type assertion (admit runs once per input per cycle; see New).
+// dynamic type assertion (admit consults obs once per admitted packet;
+// see New). want is the serial walk's request register: the inputs whose
+// standing offer is for this output.
 type outputPort struct {
-	id  int
-	sh  *swShard //ssvc:owner
-	li  int      // index within sh: id - sh.lo
-	arb arb.Arbiter
-	obs arb.ArrivalObserver // non-nil iff arb observes arrivals
-	pre arb.Preemptor       // non-nil iff arb can preempt
-	clk arb.TickScheduler   // non-nil iff arb announces its tick deadlines
-	tx  *fabric.Transmission
+	id   int
+	sh   *swShard //ssvc:owner
+	li   int      // index within sh: id - sh.lo
+	want []uint64 // by input id; maintained by refreshOffers/withdraw
+	arb  arb.Arbiter
+	obs  arb.ArrivalObserver // non-nil iff arb observes arrivals
+	pre  arb.Preemptor       // non-nil iff arb can preempt
+	clk  arb.TickScheduler   // non-nil iff arb announces its tick deadlines
+	tx   *fabric.Transmission
 }
 
 // swEvent is one cross-shard boundary effect recorded during the
@@ -137,12 +146,14 @@ type swShard struct {
 	pkts      []int    // per-input buffered packet count (all classes)
 	inQ       []uint64 // inputs with at least one buffered packet
 	inBusy    []uint64 // inputs currently transmitting
+	dirty     []uint64 // inputs whose standing offer may be stale (serial walk)
 	outTx     []uint64 // outputs with an in-flight transmission
-	offerDst  []uint64 // scratch: outputs offered at least one request this cycle
+	offerDst  []uint64 // outputs with at least one offer
+	visit     []uint64 // scratch: this cycle's outputs to serve (serial walk)
 	admitSkip []uint64 // inputs whose admission scan is provably barren
 
-	offers  [][]arb.Request // scratch: this cycle's offers per local output
-	arbReqs []arb.Request   // scratch: requests handed to one arbitration
+	offers  [][]arb.Request // scratch: this cycle's offers per local output (parallel mode)
+	arbReqs []arb.Request   // scratch: requests handed to one arbitration (serial walk)
 
 	// Parallel-mode exchange state. outbox[j] carries this shard's
 	// offers toward shard j's outputs; evs and delivered accumulate the
@@ -207,6 +218,9 @@ type Switch struct {
 	Chained     uint64 // packets granted by chaining (no arbitration cycle)
 	Preempted   uint64 // in-flight packets aborted by a Preemptor
 	WastedFlits uint64 // flits discarded by preemptions
+	OfferEvals  uint64 // currentRequest evaluations by the serial walk (refresh and chaining)
+
+	afterRefresh func(now noc.Cycle) // test hook: the offers are current for this cycle
 }
 
 // Switch is driven through the shared engine interface by the
@@ -241,8 +255,10 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 			pkts:      make([]int, n),
 			inQ:       make([]uint64, lw),
 			inBusy:    make([]uint64, lw),
+			dirty:     make([]uint64, lw),
 			outTx:     make([]uint64, lw),
 			offerDst:  make([]uint64, lw),
+			visit:     make([]uint64, lw),
 			admitSkip: make([]uint64, lw),
 			offers:    make([][]arb.Request, n),
 			arbReqs:   make([]arb.Request, 0, cfg.Radix),
@@ -281,7 +297,7 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 			return nil, fmt.Errorf("switchsim: arbiter factory returned nil for output %d", o)
 		}
 		sh := s.sh[part.Of(o)]
-		op := &outputPort{id: o, sh: sh, li: o - sh.lo, arb: a}
+		op := &outputPort{id: o, sh: sh, li: o - sh.lo, want: make([]uint64, words), arb: a}
 		op.obs, _ = a.(arb.ArrivalObserver)
 		op.pre, _ = a.(arb.Preemptor)
 		op.clk, _ = a.(arb.TickScheduler)
@@ -408,8 +424,8 @@ func (s *Switch) ParallelActive() bool { return s.program != nil }
 // within a cycle given the start-of-cycle offer snapshot. That holds
 // exactly when: each input offers to at most one output (always true),
 // no grant at one output can alter another output's candidate set in
-// the same cycle (true without chaining/preemption, because the busy
-// re-filter is then a no-op — a freed input made no offer this cycle),
+// the same cycle (true without chaining/preemption: a grant removes only
+// the winner's own offer, and a freed input makes none until next cycle),
 // admission touches only input-side state (true without gates, faults,
 // and arrival-observing arbiters), and arbiter state is per-output
 // (true without observers). Every coupled configuration keeps the
@@ -662,17 +678,10 @@ func (s *Switch) serveOutputSharded(sh *swShard, out *outputPort, now noc.Cycle)
 		sh.evs = append(sh.evs, swEvent{input: input, dst: out.id})
 		return
 	}
-	// The scratch slice is reused across outputs and cycles; arbiters
-	// must not retain it past the Arbitrate call. The busy re-filter is
-	// a no-op here (a busy input made no offer, and grants this cycle
-	// defer the busy flag to commit), but it keeps the request-building
-	// path identical to the serial walk.
-	reqs := sh.arbReqs[:0]
-	for _, r := range sh.offers[out.li] {
-		if !s.inputs[r.Input].busy {
-			reqs = append(reqs, r)
-		}
-	}
+	// The bucket is reused across cycles; arbiters must not retain it
+	// past the Arbitrate call. Every offer in it stands: a busy input made
+	// none, and grants this cycle defer the busy flag to commit.
+	reqs := sh.offers[out.li]
 	if len(reqs) == 0 {
 		sh.ctr.IdleCycles++
 		return
@@ -827,11 +836,13 @@ func lastWordMask(n int) uint64 {
 }
 
 // notePush updates the work masks for a packet entering an input buffer.
+// A new head can change the input's offer, so it is marked for refresh.
 //
 //ssvc:hotpath
 func (s *Switch) notePush(in *inputPort, class noc.Class, dst int) {
 	in.sh.pkts[in.li]++
 	arb.MaskSet(in.sh.inQ, in.li)
+	arb.MaskSet(in.sh.dirty, in.li)
 	if class == noc.GuaranteedBandwidth {
 		arb.MaskSet(in.gbOcc, dst)
 	}
@@ -850,6 +861,95 @@ func (s *Switch) notePop(in *inputPort, class noc.Class, dst int, buf *fabric.Bu
 	}
 }
 
+// refreshOffers brings the standing offers up to date for cycle now. An
+// input's offer is state, not a per-cycle computation: it is re-derived
+// only for inputs marked dirty since the last refresh, by a push
+// (admission, a preemption or retry NACK), by the completion that freed
+// the input, or by a fail-stop. A busy input has no offer and an empty
+// one nothing to offer, so neither is evaluated; the completion, or the
+// next push, marks it again. Retransmission backoff makes a held head's
+// offer depend on now, so a fault schedule marks every buffered input
+// every cycle through the same mask.
+//
+// Marks made while the outputs are served wait for the next cycle's
+// refresh: an input freed by a completion at one output cannot be
+// granted at another in the same cycle (its channel is still draining
+// the last flit).
+//
+//ssvc:hotpath
+func (s *Switch) refreshOffers(now noc.Cycle) {
+	for _, sh := range s.sh {
+		for w := range sh.dirty {
+			m := sh.dirty[w]
+			if s.faults != nil {
+				m = ^uint64(0)
+			}
+			m &= sh.inQ[w] &^ sh.inBusy[w]
+			sh.dirty[w] = 0
+			for ; m != 0; m &= m - 1 {
+				in := s.inputs[sh.lo+w<<6+bits.TrailingZeros64(m)]
+				s.OfferEvals++
+				r, ok := in.currentRequest(now)
+				if in.offered && !(ok && r.dst == in.offer.dst) {
+					s.withdraw(in)
+				}
+				if ok {
+					// Same destination (a GL head arriving over a GB one):
+					// the want bit stands, only the request changes.
+					in.offer = r
+					if !in.offered {
+						in.offered = true
+						out := s.outputs[r.dst]
+						arb.MaskSet(out.want, in.id)
+						arb.MaskSet(out.sh.offerDst, out.li)
+					}
+				}
+			}
+		}
+	}
+	if s.afterRefresh != nil {
+		s.afterRefresh(now)
+	}
+}
+
+// withdraw removes the input's standing offer from its output's request
+// register.
+//
+//ssvc:hotpath
+func (s *Switch) withdraw(in *inputPort) {
+	in.offered = false
+	out := s.outputs[in.offer.dst]
+	arb.MaskClear(out.want, in.id)
+	if !arb.MaskAny(out.want) {
+		arb.MaskClear(out.sh.offerDst, out.li)
+	}
+}
+
+// requests lists the offers standing at an output, in ascending input
+// order. The scratch slice is reused across outputs and cycles; arbiters
+// must not retain it past the Arbitrate call.
+//
+//ssvc:hotpath
+func (s *Switch) requests(out *outputPort) []arb.Request {
+	reqs := out.sh.arbReqs[:0]
+	for w, m := range out.want {
+		for ; m != 0; m &= m - 1 {
+			reqs = append(reqs, s.inputs[w<<6+bits.TrailingZeros64(m)].offer.req)
+		}
+	}
+	return reqs
+}
+
+// freeInput ends an input's transmission; its next offer is derived at
+// the next refresh.
+//
+//ssvc:hotpath
+func (s *Switch) freeInput(in *inputPort) {
+	in.busy = false
+	arb.MaskClear(in.sh.inBusy, in.li)
+	arb.MaskSet(in.sh.dirty, in.li)
+}
+
 // serveOutputs advances every output channel: an output either moves one
 // flit of its in-flight packet or spends the cycle arbitrating, never
 // both — which is exactly the paper's one-cycle arbitration overhead
@@ -857,45 +957,7 @@ func (s *Switch) notePop(in *inputPort, class noc.Class, dst int, buf *fabric.Bu
 //
 //ssvc:hotpath
 func (s *Switch) serveOutputs(now noc.Cycle) {
-	// Snapshot each input's offer before any grants this cycle, so an
-	// input freed by a completion at one output cannot be granted at
-	// another in the same cycle (its channel is still draining the last
-	// flit). Offers are bucketed by destination up front: each output
-	// then sees only its own requesters, replacing the per-output scan
-	// over all offers (O(radix^2) per cycle) with one pass (O(radix)).
-	// Only inputs with buffered packets and an idle channel can offer;
-	// the masked walk visits exactly those, in the same ascending order
-	// as the full scan.
-	// offerDst still holds last cycle's offered-output set, and offers[o]
-	// is non-empty only where its bit is set — so resetting just those
-	// buckets touches ~#offers slice headers instead of all radix.
-	for _, sh := range s.sh {
-		for w := range sh.offerDst {
-			m := sh.offerDst[w]
-			sh.offerDst[w] = 0
-			for m != 0 {
-				li := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				sh.offers[li] = sh.offers[li][:0]
-			}
-		}
-	}
-	for _, sh := range s.sh {
-		for w := range sh.inQ {
-			m := sh.inQ[w] &^ sh.inBusy[w]
-			for m != 0 {
-				li := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				if r, ok := s.inputs[sh.lo+li].currentRequest(now); ok {
-					dsh := s.sh[s.part.Of(r.dst)]
-					dli := r.dst - dsh.lo
-					dsh.offers[dli] = append(dsh.offers[dli], r.req)
-					arb.MaskSet(dsh.offerDst, dli)
-				}
-			}
-		}
-	}
-
+	s.refreshOffers(now)
 	if s.faults != nil {
 		// Fault runs keep the full output walk: dead and stalled channels
 		// have their own counter semantics, and correctness there beats
@@ -905,19 +967,23 @@ func (s *Switch) serveOutputs(now noc.Cycle) {
 	}
 	// Event-driven path: visit only outputs with an in-flight packet or
 	// at least one offer (ascending, like the full walk). Everything
-	// skipped is provably idle and accounted in bulk.
+	// skipped is provably idle and accounted in bulk. The visit set is
+	// fixed before the first grant, so which outputs count as visited
+	// never depends on the offers this cycle's grants withdraw.
 	visited := 0
 	for _, sh := range s.sh {
-		for w := range sh.offerDst {
-			m := sh.offerDst[w] | sh.outTx[w]
-			visited += bits.OnesCount64(m)
-			for m != 0 {
-				li := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
+		for w := range sh.visit {
+			sh.visit[w] = sh.offerDst[w] | sh.outTx[w]
+			visited += bits.OnesCount64(sh.visit[w])
+		}
+	}
+	for _, sh := range s.sh {
+		for w, m := range sh.visit {
+			for ; m != 0; m &= m - 1 {
 				if s.err != nil {
 					return
 				}
-				s.serveOutput(s.outputs[sh.lo+li], now)
+				s.serveOutput(s.outputs[sh.lo+w<<6+bits.TrailingZeros64(m)], now)
 			}
 		}
 	}
@@ -959,16 +1025,7 @@ func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
 		s.transfer(out, now)
 		return
 	}
-	// The scratch slice is reused across outputs and cycles;
-	// arbiters must not retain it past the Arbitrate call. Inputs
-	// granted at an earlier output this cycle are busy again and
-	// filtered here.
-	reqs := out.sh.arbReqs[:0]
-	for _, r := range out.sh.offers[out.li] {
-		if !s.inputs[r.Input].busy {
-			reqs = append(reqs, r)
-		}
-	}
+	reqs := s.requests(out)
 	if len(reqs) == 0 {
 		s.IdleCycles++
 		return
@@ -989,12 +1046,7 @@ func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
 //ssvc:hotpath
 func (s *Switch) tryPreempt(out *outputPort, now noc.Cycle) bool {
 	pre := out.pre
-	reqs := out.sh.arbReqs[:0]
-	for _, r := range out.sh.offers[out.li] {
-		if !s.inputs[r.Input].busy {
-			reqs = append(reqs, r)
-		}
-	}
+	reqs := s.requests(out)
 	if len(reqs) == 0 {
 		return false
 	}
@@ -1007,8 +1059,7 @@ func (s *Switch) tryPreempt(out *outputPort, now noc.Cycle) bool {
 	s.Preempted++
 	s.WastedFlits += uint64(tx.Pkt.Length - tx.Remaining)
 	victim := s.inputs[tx.Input]
-	victim.busy = false
-	arb.MaskClear(victim.sh.inBusy, victim.li)
+	s.freeInput(victim)
 	victim.bufferFor(tx.Pkt.Class, out.id).PushFront(tx.Pkt)
 	s.notePush(victim, tx.Pkt.Class, out.id)
 	out.tx = nil
@@ -1035,8 +1086,7 @@ func (s *Switch) transfer(out *outputPort, now noc.Cycle) {
 	}
 	pkt := tx.Pkt
 	in := s.inputs[tx.Input]
-	in.busy = false
-	arb.MaskClear(in.sh.inBusy, in.li)
+	s.freeInput(in)
 	out.tx = nil
 	arb.MaskClear(out.sh.outTx, out.li)
 	out.sh.txPool.Put(tx)
@@ -1065,6 +1115,9 @@ func (s *Switch) transfer(out *outputPort, now noc.Cycle) {
 // arbitration cycle is elided. All requesters compete through the normal
 // arbiter, so class priority, reservations, and tie-breaking are exactly
 // as in a dedicated cycle — chaining buys throughput, never ordering.
+// The requesters include inputs freed earlier in this very cycle, which
+// have no standing offer until the next refresh, so chaining asks every
+// idle input directly.
 //
 //ssvc:hotpath
 func (s *Switch) tryChain(out *outputPort, now noc.Cycle) {
@@ -1075,6 +1128,7 @@ func (s *Switch) tryChain(out *outputPort, now noc.Cycle) {
 			for m != 0 {
 				li := w<<6 + bits.TrailingZeros64(m)
 				m &= m - 1
+				s.OfferEvals++
 				if r, ok := s.inputs[sh.lo+li].currentRequest(now); ok && r.dst == out.id {
 					reqs = append(reqs, r.req)
 				}
@@ -1118,6 +1172,11 @@ func (s *Switch) grant(out *outputPort, now noc.Cycle, req arb.Request, chained 
 	p.GrantedAt = now
 	in.busy = true
 	arb.MaskSet(in.sh.inBusy, in.li)
+	if in.offered {
+		// At once, so no later output this cycle sees the winner's offer
+		// (a chained winner freed this cycle has none yet).
+		s.withdraw(in)
+	}
 	s.notePop(in, req.Class, out.id, buf)
 	// Freed buffer space can unblock a previously barren admission scan.
 	arb.MaskClear(in.sh.admitSkip, in.li)
@@ -1179,15 +1238,19 @@ func (s *Switch) applyFailStop(now noc.Cycle, f faults.FailStop) {
 // recomputeMasks rebuilds every work mask from first principles. Fault
 // handling flushes buffers and aborts transfers wholesale; re-deriving
 // the masks afterwards is simpler and safer than patching them through
-// each drop. Cold path.
+// each drop. Standing offers go the same way: all are withdrawn, and the
+// next refresh re-derives them, as it does on every cycle of a fault run
+// (see refreshOffers). Cold path.
 func (s *Switch) recomputeMasks() {
 	for _, sh := range s.sh {
 		arb.MaskZero(sh.inQ)
 		arb.MaskZero(sh.inBusy)
 		arb.MaskZero(sh.outTx)
+		arb.MaskZero(sh.offerDst)
 		arb.MaskZero(sh.admitSkip)
 	}
 	for _, in := range s.inputs {
+		in.offered = false
 		n := in.gl.Len() + in.be.Len()
 		arb.MaskZero(in.gbOcc)
 		for o, q := range in.gb {
@@ -1205,6 +1268,7 @@ func (s *Switch) recomputeMasks() {
 		}
 	}
 	for _, out := range s.outputs {
+		arb.MaskZero(out.want)
 		if out.tx != nil {
 			arb.MaskSet(out.sh.outTx, out.li)
 		}
