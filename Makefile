@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-shard vet fmt lint benchguard bench-arb bench-shard perf perf-pairs perf-smoke serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
+.PHONY: all check build test race race-shard vet fmt lint bench-arb bench-shard perf perf-pairs perf-smoke serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
 
 all: build vet test
 
@@ -38,44 +38,33 @@ vet:
 	$(GO) vet ./...
 
 # In-repo invariant linter (stdlib-only, see DESIGN.md "Invariants"):
-# determinism, //ssvc:hotpath allocation-freedom, TxPool recycle
-# discipline, and panic-freeze on engine paths. Exceptions live in
-# lint.allow with a justification each.
+# every rule of the Rules table in internal/analysis/rules.go.
+# Exceptions live in lint.allow with a justification each.
 lint:
 	$(GO) run ./cmd/ssvc-lint -strict ./...
 
-# Rerun the steady-state engine benchmarks and fail if B/op or
-# allocs/op regress past the recorded "after" values. Baselines layer:
-# BENCH_bitplane.json overrides BENCH_baseline.json per benchmark and
-# adds the idle-regime and arbitrate-kernel benches.
-benchguard:
-	$(GO) run ./cmd/ssvc-benchguard
-
-# Perf gate for the word-parallel arbitration path (BENCH_bitplane.json):
-# the bitplane/scalar equivalence fuzz seed corpus, the two oracles the
-# saturated crossbar cycle rests on (the LRG priority matrix against the
-# move-to-back list, the standing offers against a per-cycle scan), a
-# short-benchtime sweep of the arbitration and cycle-loop benchmarks,
-# then the allocation benchguard. Fixed iteration counts keep the sweep fast and
-# its allocation columns deterministic; ns/op here is informational
-# (CI hardware is too noisy to gate on time).
+# Perf gate for the word-parallel arbitration path: the bitplane/scalar
+# equivalence fuzz seed corpus, the two oracles the saturated crossbar
+# cycle rests on (the LRG priority matrix against the move-to-back list,
+# the standing offers against a per-cycle scan), then a short-benchtime
+# sweep of the arbitration and cycle-loop benchmarks. The sweep is
+# informational: CI hardware is too noisy to gate on ns/op, and the
+# allocation gate over the same configurations is TestSteadyStateAllocs,
+# which `make test` runs.
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
-	$(GO) run ./cmd/ssvc-benchguard
 
-# Perf gate for the sharded pipeline (BENCH_shard.json): the shard
-# equivalence tests, then a short-benchtime sweep of the sharded cycle
-# benchmarks with the allocation benchguard over them. As with
-# bench-arb, only B/op and allocs/op gate; ns/op is informational.
+# Perf gate for the sharded pipeline: the shard equivalence tests, then
+# a short-benchtime sweep of the sharded cycle benchmarks, informational
+# as in bench-arb.
 bench-shard:
 	$(GO) test ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ -run 'Shard'
 	$(GO) test -run='^$$' -bench='SwitchCycleSharded|MeshCycleSharded' \
 		-benchmem -benchtime=20000x ./internal/switchsim/ ./internal/mesh/
-	$(GO) run ./cmd/ssvc-benchguard
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): six
 # workloads, nine end-to-end metrics. perf-pairs builds ./bench in a

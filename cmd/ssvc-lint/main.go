@@ -1,12 +1,7 @@
 // Command ssvc-lint enforces the repository's simulator invariants at
-// the source level: determinism of everything feeding golden tables,
-// allocation-freedom of //ssvc:hotpath functions (cross-checked against
-// go build -gcflags=-m), free-list recycle discipline,
-// freeze-sick-instead-of-panic error handling, counter-safety of
-// unsigned arithmetic (CFG/dataflow-backed guard tracking for
-// subtraction, plus narrowing, over-shift, and wrap-dead comparisons),
-// and the noc.Cycle/noc.VTime time-unit discipline. See
-// internal/analysis and the "Invariants" section of DESIGN.md.
+// the source level: every rule of analysis.Rules, over the packages the
+// rule names. See internal/analysis and the "Invariants" section of
+// DESIGN.md.
 //
 // Usage:
 //

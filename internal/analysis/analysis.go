@@ -1,23 +1,16 @@
 // Package analysis is the repository's in-tree invariant linter
-// (cmd/ssvc-lint). It enforces at the source level the three
-// load-bearing guarantees the simulator's results rest on, which are
-// otherwise only checked at runtime by goldens and benchmarks:
+// (cmd/ssvc-lint). It enforces at the source level the guarantees the
+// simulator's results rest on, which are otherwise only checked at
+// runtime by goldens and benchmarks. The rules are the entries of the
+// Rules table in rules.go, which also names the packages each covers;
+// every rule's own comment says what it proves, and DESIGN.md
+// ("Invariants") documents them as numbered invariants.
 //
-//   - determinism: packages that feed golden tables must not consult
-//     wall-clock time, the global math/rand source, or iterate maps in
-//     an order-dependent way — byte-identical output at any worker
-//     count is the repository's reproducibility contract.
-//   - hotpath: functions annotated //ssvc:hotpath (the engines'
-//     per-cycle loops and the arbiters) must be allocation-free,
-//     cross-checked against the compiler's own escape analysis
-//     (go build -gcflags=-m).
-//   - recycle: values taken from transmission/packet free lists
-//     (fabric.TxPool) must reach a recycle sink on every path, so a
-//     leaked struct cannot silently re-introduce steady-state
-//     allocation.
-//   - panicfreeze: engine, fabric, and experiment code must not
-//     panic — invariant violations freeze the engine sick through
-//     fabric.ErrorReporter and surface as Outcome.Err.
+// A rule is written as a Rules entry with one body: a per-package
+// check, an interprocedural check over the shared call graph
+// (callgraph.go), or — hotpath alone — a parse-only check. A rule that
+// needs flow-sensitive facts describes its lattice as a flow value and
+// runs it on the one solver in flow.go; it reports through pass.report.
 //
 // The package is stdlib-only (go/parser + go/types with the source
 // importer); the module has no dependencies and the build environment

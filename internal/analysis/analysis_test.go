@@ -102,81 +102,65 @@ func compareFindings(t *testing.T, want, got map[string]int, ds []analysis.Diagn
 	}
 }
 
-func TestDeterminismFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{
-		"internal/analysis/testdata/src/determbad",
-		"internal/analysis/testdata/src/determclean",
+// TestRuleFixtures runs every rule over its fixture packages and
+// compares the findings with the fixtures' `// want:` markers. The
+// mustFind rows are the meta-tests: each fixture is a faithful copy of
+// shipped code with one defect injected (shardmut: a shared counter
+// bumped from a Par stage; durmut: ApplyAll's batch commit with the
+// fsync deleted; rangemut: the admission cost product with its
+// dominating guard deleted; taintmut: parse → validate → price with the
+// validation call deleted), so a rule that stops reporting it has gone
+// blind. Per-package rules share one Loader, since what they find in a
+// package cannot depend on another; a tree rule gets a fresh one,
+// because its call graph indexes everything its Loader has loaded (two
+// taint fixtures on one Loader would meet through channel taint).
+func TestRuleFixtures(t *testing.T) {
+	const src = "internal/analysis/testdata/src/"
+	shared := newLoader(t)
+	for _, tc := range []struct {
+		rule     string
+		pkgs     []string
+		tree     bool
+		mustFind bool
+	}{
+		{rule: "determinism", pkgs: []string{"determbad", "determclean"}},
+		{rule: "panicfreeze", pkgs: []string{"panicbad"}},
+		{rule: "recycle", pkgs: []string{"recyclebad"}},
+		{rule: "countersafety", pkgs: []string{"countersafebad"}},
+		{rule: "units", pkgs: []string{"unitsbad"}},
+		// The real escape-analysis pipeline (go build -gcflags=-m).
+		{rule: "hotpath", pkgs: []string{"hotbad"}},
+		{rule: "shardsafety", pkgs: []string{"shardbad"}, tree: true},
+		{rule: "shardsafety", pkgs: []string{"shardmut"}, tree: true, mustFind: true},
+		{rule: "durability", pkgs: []string{"durabilitybad"}, tree: true},
+		{rule: "durability", pkgs: []string{"durmut"}, tree: true, mustFind: true},
+		{rule: "valuerange", pkgs: []string{"rangebad"}, tree: true},
+		{rule: "valuerange", pkgs: []string{"rangemut"}, tree: true, mustFind: true},
+		{rule: "taint", pkgs: []string{"taintbad"}, tree: true},
+		{rule: "taint", pkgs: []string{"taintmut"}, tree: true, mustFind: true},
+	} {
+		t.Run(tc.rule+"/"+tc.pkgs[0], func(t *testing.T) {
+			if tc.rule == "hotpath" && testing.Short() {
+				t.Skip("invokes the compiler")
+			}
+			l := shared
+			if tc.tree {
+				l = newLoader(t)
+			}
+			var rels []string
+			for _, p := range tc.pkgs {
+				rels = append(rels, src+p)
+			}
+			ds, err := analysis.Run(l, tc.rule, rels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.mustFind && len(ds) == 0 {
+				t.Fatalf("%s missed the defect injected into %s", tc.rule, tc.pkgs[0])
+			}
+			compareFindings(t, wantMarkers(t, repoRoot(t), rels...), diagSet(ds), ds)
+		})
 	}
-	ds, err := analysis.Determinism(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-func TestPanicFreezeFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/panicbad"}
-	ds, err := analysis.PanicFreeze(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-func TestRecycleFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/recyclebad"}
-	ds, err := analysis.Recycle(l, pkgs, analysis.RecycleSources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestCounterSafetyFixture drives the CFG + guard-fact dataflow
-// through every guarded and unguarded shape in the fixture, plus the
-// context-free narrowing / over-shift / dead-compare rules.
-func TestCounterSafetyFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/countersafebad"}
-	ds, err := analysis.CounterSafety(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-func TestUnitsFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/unitsbad"}
-	ds, err := analysis.Units(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestHotpathFixture runs the real escape-analysis pipeline (go build
-// -gcflags=-m) over the hotbad fixture.
-func TestHotpathFixture(t *testing.T) {
-	if testing.Short() {
-		t.Skip("invokes the compiler")
-	}
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/hotbad"}
-	ds, err := analysis.Hotpath(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
 }
 
 // TestHotpathFuncs checks annotation scanning alone: names, ranges, and
@@ -330,134 +314,6 @@ func TestSortDiagnostics(t *testing.T) {
 	}
 }
 
-// TestModuleIsLintClean is the self-test: the shipped tree, filtered by
-// the shipped lint.allow, must produce zero findings and leave no
-// allowlist entry unused — the same check `make lint` (which runs
-// ssvc-lint -strict) enforces.
-func TestShardSafetyFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/shardbad"}
-	ds, err := analysis.ShardSafety(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-func TestDurabilityFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/durabilitybad"}
-	ds, err := analysis.Durability(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestShardSafetyMutation is the meta-test: the fixture is a faithful
-// copy of an engine's admit-and-offer Par stage with one injected
-// isolation break (a shared counter bumped from the Par stage). If the
-// analyzer ever stops reporting it, the check has silently gone blind
-// and this test fails.
-func TestShardSafetyMutation(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/shardmut"}
-	ds, err := analysis.ShardSafety(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) == 0 {
-		t.Fatal("shardsafety missed the injected shared-counter write from a Par stage")
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestDurabilityMutation is the durability meta-test: the fixture
-// copies the control plane's ApplyAll batch commit with the fsync
-// deleted. The analyzer must flag both the results turned OK with no
-// sync behind them and the return that leaves the batch's records
-// buffered.
-func TestDurabilityMutation(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/durmut"}
-	ds, err := analysis.Durability(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) == 0 {
-		t.Fatal("durability missed the reply-before-fsync mutation")
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestValueRangeFixture drives the interval engine through every
-// flagged and proven shape: products, guarded and refined ranges,
-// masked and unmasked shifts, float crossings, disjoint stores, and
-// the widening loop.
-func TestValueRangeFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/rangebad"}
-	ds, err := analysis.ValueRange(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestTaintFixture drives the interprocedural taint flow through
-// direct, chained, converted, and channel-hopping paths, with and
-// without the laundering barrier.
-func TestTaintFixture(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/taintbad"}
-	ds, err := analysis.Taint(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestValueRangeMutation is the valuerange meta-test: the fixture
-// copies the admission cost product with its dominating guard deleted.
-// If the analyzer ever stops reporting the wrap, the check has
-// silently gone blind and this test fails.
-func TestValueRangeMutation(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/rangemut"}
-	ds, err := analysis.ValueRange(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) == 0 {
-		t.Fatal("valuerange missed the unguarded Frame-scaled product")
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
-// TestTaintMutation is the taint meta-test: the fixture copies the
-// parse → validate → price pipeline with the validation call deleted
-// (the barrier function still exists; only its call site is gone).
-func TestTaintMutation(t *testing.T) {
-	l := newLoader(t)
-	pkgs := []string{"internal/analysis/testdata/src/taintmut"}
-	ds, err := analysis.Taint(l, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) == 0 {
-		t.Fatal("taint missed the deleted validation call between parse and sink")
-	}
-	want := wantMarkers(t, repoRoot(t), pkgs...)
-	compareFindings(t, want, diagSet(ds), ds)
-}
-
 // allowlistEntries returns the non-comment lines of lint.allow.
 func allowlistEntries(t *testing.T, root string) []string {
 	t.Helper()
@@ -481,6 +337,10 @@ func allowlistEntries(t *testing.T, root string) []string {
 	return entries
 }
 
+// TestModuleIsLintClean is the self-test: the shipped tree, filtered by
+// the shipped lint.allow, must produce zero findings and leave no
+// allowlist entry unused — the same check `make lint` (which runs
+// ssvc-lint -strict) enforces.
 func TestModuleIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module and invokes the compiler")

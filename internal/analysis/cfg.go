@@ -5,8 +5,8 @@ import (
 	"go/token"
 )
 
-// This file builds a per-function control-flow graph for the forward
-// dataflow analysis in dataflow.go. Blocks hold straight-line runs of
+// This file builds the per-function control-flow graph the solver in
+// flow.go runs on. Blocks hold straight-line runs of
 // statements (and the condition expressions evaluated at their ends);
 // edges carry the branch condition and the value it takes along the
 // edge, which is where guard facts like `a >= b` are born.
@@ -20,7 +20,7 @@ import (
 //     its other predecessors, which can over- or under-approximate.
 //   - A range statement's body is nested inside the RangeStmt node that
 //     heads the loop, so node consumers must not blindly descend into
-//     it (see walkCFGNode in countersafety.go).
+//     it (see walkNode in dataflow.go).
 
 // cfgEdge is one control transfer. When cond is non-nil the edge is
 // taken exactly when cond evaluates to branch.

@@ -1,14 +1,13 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// CounterSafety flags the arithmetic bug class behind the PR 1 glbound
+// counterSafety flags the arithmetic bug class behind the PR 1 glbound
 // underflow: operations on unsigned counters (raw uint64 and the
 // noc.Cycle / noc.VTime domains) that can silently wrap or truncate.
 //
@@ -41,25 +40,13 @@ import (
 // The sanctioned escape hatches are the saturating helpers in
 // internal/noc (SatSub, SatAdd, SatShl) — their own bodies pass rule 1
 // because they carry the guards the analyzer looks for.
-func CounterSafety(l *Loader, packages []string) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, rel := range packages {
-		ip := l.Module
-		if rel != "" && rel != "." {
-			ip = l.Module + "/" + rel
-		}
-		pkg, err := l.Load(ip)
-		if err != nil {
-			return nil, err
-		}
-		for _, file := range pkg.Files {
-			diags = append(diags, counterExprChecks(l, pkg, file)...)
-			for _, body := range functionBodies(file) {
-				diags = append(diags, unguardedSubs(l, pkg, body)...)
-			}
+func counterSafety(p *pass, pkg *Package) {
+	for _, file := range pkg.Files {
+		counterExprChecks(p, pkg, file)
+		for _, body := range functionBodies(file) {
+			unguardedSubs(p, pkg, body)
 		}
 	}
-	return diags, nil
 }
 
 // functionBodies returns every function body in the file — declarations
@@ -82,61 +69,45 @@ func functionBodies(file *ast.File) []*ast.BlockStmt {
 	return bodies
 }
 
-// unguardedSubs applies rule 1 to one function body: build the CFG,
-// compute must-hold guard facts per block, then replay each block
-// checking every subtraction against the facts in force at that point.
-func unguardedSubs(l *Loader, pkg *Package, body *ast.BlockStmt) []Diagnostic {
-	g := buildCFG(body)
-	in := guardFactsIn(g, pkg.Info)
-	var diags []Diagnostic
-	for _, blk := range g.blocks {
-		fs := in[blk.index]
-		if fs == nil {
-			continue // unreachable
-		}
-		fs = cloneFacts(fs)
-		for _, n := range blk.nodes {
-			walkNode(n, func(m ast.Node) {
-				switch m := m.(type) {
-				case *ast.BinaryExpr:
-					if m.Op == token.SUB {
-						if d, ok := checkSub(l, pkg, fs, m, m.X, m.Y); ok {
-							diags = append(diags, d)
-						}
-					}
-				case *ast.AssignStmt:
-					if m.Tok == token.SUB_ASSIGN {
-						if d, ok := checkSub(l, pkg, fs, m, m.Lhs[0], m.Rhs[0]); ok {
-							diags = append(diags, d)
-						}
-					}
+// unguardedSubs applies rule 1 to one function body: solve the
+// must-hold guard facts over its CFG, then check every subtraction
+// against the facts in force at that point.
+func unguardedSubs(p *pass, pkg *Package, body *ast.BlockStmt) {
+	solve(buildCFG(body), factSet{}, guardFlow(pkg.Info)).replay(func(n ast.Node, fs factSet) {
+		walkNode(n, func(m ast.Node) {
+			switch m := m.(type) {
+			case *ast.BinaryExpr:
+				if m.Op == token.SUB {
+					checkSub(p, pkg, fs, m, m.X, m.Y)
 				}
-			})
-			applyNodeKills(fs, n)
-		}
-	}
-	return diags
+			case *ast.AssignStmt:
+				if m.Tok == token.SUB_ASSIGN {
+					checkSub(p, pkg, fs, m, m.Lhs[0], m.Rhs[0])
+				}
+			}
+		})
+	})
 }
 
-// checkSub decides whether the subtraction x - y (at node n) needs a
-// diagnostic given the facts in force.
-func checkSub(l *Loader, pkg *Package, fs factSet, n ast.Node, x, y ast.Expr) (Diagnostic, bool) {
+// checkSub reports the subtraction x - y (at node n) unless the facts
+// in force prove it cannot wrap.
+func checkSub(p *pass, pkg *Package, fs factSet, n ast.Node, x, y ast.Expr) {
 	t := exprType(pkg, x)
 	if t == nil || !isUnsignedInt(t) {
-		return Diagnostic{}, false
+		return
 	}
 	// A constant result is checked by the compiler.
 	if be, ok := n.(ast.Expr); ok && constVal(pkg, be) != nil {
-		return Diagnostic{}, false
+		return
 	}
 	yv := constVal(pkg, y)
 	if yv != nil && constant.Sign(yv) == 0 {
-		return Diagnostic{}, false // x - 0
+		return // x - 0
 	}
 	xs, ys := types.ExprString(x), types.ExprString(y)
 	// Exact dominating guard: x >= y (or stronger) on every path here.
 	if _, ok := fs[guardFact{a: xs, b: ys}.key()]; ok {
-		return Diagnostic{}, false
+		return
 	}
 	// Interval reasoning (interval.go): x's lower bound — from a
 	// constant value, a guard fact like `x > 0`, or the shift-of-a-
@@ -147,26 +118,14 @@ func checkSub(l *Loader, pkg *Package, fs factSet, n ast.Node, x, y ast.Expr) (D
 	xiv := factIval(pkg, fs, x)
 	yiv := factIval(pkg, fs, y)
 	if xiv.lo.Cmp(yiv.hi) >= 0 {
-		return Diagnostic{}, false
+		return
 	}
-	file, line := l.Rel(n.Pos())
-	return Diagnostic{
-		File: file, Line: line, Analyzer: "countersafety",
-		Message: fmt.Sprintf("unsigned subtraction %s - %s may wrap below zero: no dominating %s >= %s guard on some path; guard it or use noc.SatSub",
-			xs, ys, xs, ys),
-	}, true
+	p.report(n.Pos(), "unsigned subtraction %s - %s may wrap below zero: no dominating %s >= %s guard on some path; guard it or use noc.SatSub",
+		xs, ys, xs, ys)
 }
 
 // counterExprChecks applies the context-free rules 2-4 to a whole file.
-func counterExprChecks(l *Loader, pkg *Package, file *ast.File) []Diagnostic {
-	var diags []Diagnostic
-	report := func(pos token.Pos, format string, args ...any) {
-		f, line := l.Rel(pos)
-		diags = append(diags, Diagnostic{
-			File: f, Line: line, Analyzer: "countersafety",
-			Message: fmt.Sprintf(format, args...),
-		})
-	}
+func counterExprChecks(p *pass, pkg *Package, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -182,7 +141,7 @@ func counterExprChecks(l *Loader, pkg *Package, file *ast.File) []Diagnostic {
 			dst := tv.Type
 			if isUnsignedInt(src) && bitWidth(src) == 64 && isInteger(dst) {
 				if w := bitWidth(dst); w > 0 && w < 64 {
-					report(n.Pos(), "narrowing conversion %s truncates a 64-bit counter to %d bits",
+					p.report(n.Pos(), "narrowing conversion %s truncates a 64-bit counter to %d bits",
 						types.ExprString(n), w)
 				}
 			}
@@ -190,51 +149,45 @@ func counterExprChecks(l *Loader, pkg *Package, file *ast.File) []Diagnostic {
 			switch n.Op {
 			case token.SHL, token.SHR:
 				// Rule 3: constant shift >= bit width.
-				diags = append(diags, overShift(l, pkg, n.X, n.Y, n.Pos())...)
+				overShift(p, pkg, n.X, n.Y, n.Pos())
 			case token.LSS, token.GEQ:
 				// Rule 4: unsigned < 0 / unsigned >= 0.
 				if isDeadZeroCompare(pkg, n.X, n.Y) {
-					report(n.Pos(), "comparison %s is decided by unsigned wrap: an unsigned value is never negative",
+					p.report(n.Pos(), "comparison %s is decided by unsigned wrap: an unsigned value is never negative",
 						types.ExprString(n))
 				}
 			case token.GTR, token.LEQ:
-				// Mirrored spelling: 0 > x / 0 <= x.
+				// The same comparisons spelled zero-first: 0 > x / 0 <= x.
 				if isDeadZeroCompare(pkg, n.Y, n.X) {
-					report(n.Pos(), "comparison %s is decided by unsigned wrap: an unsigned value is never negative",
+					p.report(n.Pos(), "comparison %s is decided by unsigned wrap: an unsigned value is never negative",
 						types.ExprString(n))
 				}
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.SHL_ASSIGN || n.Tok == token.SHR_ASSIGN {
-				diags = append(diags, overShift(l, pkg, n.Lhs[0], n.Rhs[0], n.Pos())...)
+				overShift(p, pkg, n.Lhs[0], n.Rhs[0], n.Pos())
 			}
 		}
 		return true
 	})
-	return diags
 }
 
-func overShift(l *Loader, pkg *Package, x, k ast.Expr, pos token.Pos) []Diagnostic {
+func overShift(p *pass, pkg *Package, x, k ast.Expr, pos token.Pos) {
 	if constVal(pkg, x) != nil {
-		return nil // constant shifts are compiler-checked
+		return // constant shifts are compiler-checked
 	}
 	kv := constVal(pkg, k)
 	if kv == nil {
-		return nil // variable shifts are noc.SatShl's job
+		return // variable shifts are noc.SatShl's job
 	}
 	t := exprType(pkg, x)
 	if t == nil || !isInteger(t) {
-		return nil
+		return
 	}
 	w := bitWidth(t)
 	if amt, ok := constant.Uint64Val(kv); ok && w > 0 && amt >= uint64(w) {
-		f, line := l.Rel(pos)
-		return []Diagnostic{{
-			File: f, Line: line, Analyzer: "countersafety",
-			Message: fmt.Sprintf("shift of a %d-bit value by %d always discards every bit; use noc.SatShl or a smaller constant", w, amt),
-		}}
+		p.report(pos, "shift of a %d-bit value by %d always discards every bit; use noc.SatShl or a smaller constant", w, amt)
 	}
-	return nil
 }
 
 // isDeadZeroCompare reports whether e is a non-constant unsigned
@@ -348,9 +301,4 @@ func bitWidth(t types.Type) int {
 		return 64
 	}
 	return 0
-}
-
-func maxOfWidth(w int) constant.Value {
-	one := constant.MakeInt64(1)
-	return constant.BinaryOp(constant.Shift(one, token.SHL, uint(w)), token.SUB, one)
 }

@@ -5,14 +5,16 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
-// This file is the forward must-dataflow pass over the CFG of cfg.go.
-// The facts are order guards — "a >= b holds here" — harvested from
-// branch-condition edges and intersected at joins, so a fact survives
-// only when it holds on every path into a block. countersafety.go asks
-// the resulting fact sets whether an unsigned subtraction is dominated
-// by a guard proving it cannot wrap.
+// This file is the guard-fact domain of the solver in flow.go, plus the
+// kill model every identifier-keyed domain shares. The facts are order
+// guards — "a >= b holds here" — harvested from branch-condition edges
+// and intersected at joins, so a fact survives only when it holds on
+// every path into a block. countersafety.go asks the resulting fact
+// sets whether an unsigned subtraction is dominated by a guard proving
+// it cannot wrap.
 //
 // Known approximations, all in the noisy-but-safe direction except the
 // last two:
@@ -48,17 +50,7 @@ func (f guardFact) key() string {
 }
 
 // factSet is a must-hold set of guard facts keyed by guardFact.key.
-// nil means "unvisited" (top of the lattice), distinct from the empty
-// set.
 type factSet map[string]guardFact
-
-func cloneFacts(fs factSet) factSet {
-	out := make(factSet, len(fs))
-	for k, f := range fs {
-		out[k] = f
-	}
-	return out
-}
 
 func intersectFacts(a, b factSet) factSet {
 	out := factSet{}
@@ -138,98 +130,52 @@ func collectIdents(e ast.Expr, into map[string]bool) {
 	})
 }
 
-// addEdgeFacts decomposes a branch condition known to evaluate to
-// branch into guard facts: comparisons normalize to >= / >, true
-// conjunctions and false disjunctions recurse into both operands, and
-// negation flips the edge sense.
-func addEdgeFacts(info *types.Info, cond ast.Expr, branch bool, fs factSet) {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		addEdgeFacts(info, c.X, branch, fs)
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			addEdgeFacts(info, c.X, !branch, fs)
-		}
-	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.LAND:
-			if branch {
-				addEdgeFacts(info, c.X, true, fs)
-				addEdgeFacts(info, c.Y, true, fs)
-			}
-		case token.LOR:
-			if !branch {
-				addEdgeFacts(info, c.X, false, fs)
-				addEdgeFacts(info, c.Y, false, fs)
-			}
-		case token.GEQ: // x >= y | ¬ ⇒ y > x
-			if branch {
-				addFact(info, fs, c.X, c.Y, false)
-			} else {
-				addFact(info, fs, c.Y, c.X, true)
-			}
-		case token.GTR: // x > y | ¬ ⇒ y >= x
-			if branch {
-				addFact(info, fs, c.X, c.Y, true)
-			} else {
-				addFact(info, fs, c.Y, c.X, false)
-			}
-		case token.LEQ: // x <= y ⇒ y >= x | ¬ ⇒ x > y
-			if branch {
-				addFact(info, fs, c.Y, c.X, false)
-			} else {
-				addFact(info, fs, c.X, c.Y, true)
-			}
-		case token.LSS: // x < y ⇒ y > x | ¬ ⇒ x >= y
-			if branch {
-				addFact(info, fs, c.Y, c.X, true)
-			} else {
-				addFact(info, fs, c.X, c.Y, false)
-			}
-		case token.EQL:
-			if branch {
-				addFact(info, fs, c.X, c.Y, false)
-				addFact(info, fs, c.Y, c.X, false)
-			} else {
-				addNonzeroFacts(info, fs, c.X, c.Y)
-			}
-		case token.NEQ:
-			if !branch {
-				addFact(info, fs, c.X, c.Y, false)
-				addFact(info, fs, c.Y, c.X, false)
-			} else {
-				addNonzeroFacts(info, fs, c.X, c.Y)
-			}
-		}
+// guardLeaf records the guard facts one comparison establishes on the
+// edge where it evaluates to holds: a refuted comparison is its negation
+// taken, and every ordering normalizes to >= / >.
+func guardLeaf(info *types.Info, cond ast.Expr, holds bool, fs factSet) {
+	c, ok := cond.(*ast.BinaryExpr)
+	if !ok {
+		return
+	}
+	op := c.Op
+	if !holds {
+		op = negateCmp(op)
+	}
+	switch op {
+	case token.GEQ:
+		addFact(info, fs, c.X, c.Y, false)
+	case token.GTR:
+		addFact(info, fs, c.X, c.Y, true)
+	case token.LEQ: // x <= y ⇒ y >= x
+		addFact(info, fs, c.Y, c.X, false)
+	case token.LSS: // x < y ⇒ y > x
+		addFact(info, fs, c.Y, c.X, true)
+	case token.EQL:
+		addFact(info, fs, c.X, c.Y, false)
+		addFact(info, fs, c.Y, c.X, false)
+	case token.NEQ:
+		addNonzeroFacts(info, fs, c.X, c.Y)
 	}
 }
 
-// applyNodeKills drops the facts a statement may invalidate: facts
-// mentioning an assigned identifier (or the root of an assigned
+// killedNames is the kill model: the identifiers a CFG node may
+// invalidate — an assigned identifier (or the root of an assigned
 // selector/index chain), an inc/dec target, a range key/value, a
-// declared name, or any identifier whose address is taken within the
-// node.
-func applyNodeKills(fs factSet, n ast.Node) {
-	names := map[string]bool{}
-	killAll := false
+// declared name, any identifier whose address is taken within the node —
+// plus whatever the call hook, when non-nil, adds for each call the node
+// makes. all reports a target that resolves to no root (a pointer
+// indirection): everything known must then be dropped.
+func killedNames(n ast.Node, call func(*ast.CallExpr, map[string]bool)) (names map[string]bool, all bool) {
+	names = map[string]bool{}
+	var targets []ast.Expr
 	switch s := n.(type) {
 	case *ast.AssignStmt:
-		for _, l := range s.Lhs {
-			if lvalRoots(l, names) {
-				killAll = true
-			}
-		}
+		targets = s.Lhs
 	case *ast.IncDecStmt:
-		if lvalRoots(s.X, names) {
-			killAll = true
-		}
+		targets = []ast.Expr{s.X}
 	case *ast.RangeStmt:
-		if s.Key != nil && lvalRoots(s.Key, names) {
-			killAll = true
-		}
-		if s.Value != nil && lvalRoots(s.Value, names) {
-			killAll = true
-		}
+		targets = []ast.Expr{s.Key, s.Value}
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -241,26 +187,47 @@ func applyNodeKills(fs factSet, n ast.Node) {
 			}
 		}
 	}
-	// Address-of anywhere in the node hands the variable to code that
-	// may mutate it.
+	for _, t := range targets {
+		if t != nil && lvalRoots(t, names) {
+			all = true
+		}
+	}
 	walkNode(n, func(m ast.Node) {
-		if u, ok := m.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			collectIdents(u.X, names)
+		switch m := m.(type) {
+		case *ast.UnaryExpr:
+			// Address-of hands the variable to code that may mutate it.
+			if m.Op == token.AND {
+				collectIdents(m.X, names)
+			}
+		case *ast.CallExpr:
+			if call != nil {
+				call(m, names)
+			}
 		}
 	})
-	if killAll {
+	return names, all
+}
+
+// mentionsAny reports whether any of names is in idents.
+func mentionsAny(idents, names map[string]bool) bool {
+	for name := range names {
+		if idents[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// applyNodeKills drops the facts a statement may invalidate.
+func applyNodeKills(fs factSet, n ast.Node) {
+	names, all := killedNames(n, nil)
+	if all {
 		clear(fs)
 		return
 	}
-	if len(names) == 0 {
-		return
-	}
 	for k, f := range fs {
-		for name := range names {
-			if f.idents[name] {
-				delete(fs, k)
-				break
-			}
+		if mentionsAny(f.idents, names) {
+			delete(fs, k)
 		}
 	}
 }
@@ -310,40 +277,18 @@ func walkNode(n ast.Node, visit func(ast.Node)) {
 	})
 }
 
-// guardFactsIn runs the worklist fixpoint and returns, per block, the
-// facts that must hold on entry. Unreachable blocks stay nil. The
-// lattice is finite (facts only arise from conditions present in the
-// function) and transfer is monotone decreasing after the first visit,
-// so the iteration terminates.
-func guardFactsIn(g *cfgGraph, info *types.Info) []factSet {
-	in := make([]factSet, len(g.blocks))
-	in[g.entry.index] = factSet{}
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := cloneFacts(in[blk.index])
-		for _, n := range blk.nodes {
-			applyNodeKills(out, n)
-		}
-		for _, e := range blk.succs {
-			ef := out
-			if e.cond != nil {
-				ef = cloneFacts(out)
-				addEdgeFacts(info, e.cond, e.branch, ef)
-			}
-			cur := in[e.to.index]
-			if cur == nil {
-				in[e.to.index] = cloneFacts(ef)
-				work = append(work, e.to)
-				continue
-			}
-			merged := intersectFacts(cur, ef)
-			if len(merged) != len(cur) {
-				in[e.to.index] = merged
-				work = append(work, e.to)
-			}
-		}
+// guardFlow is the guard-fact domain: a must-analysis (intersection at
+// joins) whose lattice is finite — facts only arise from conditions
+// present in the function — and whose transfer only kills, so the
+// fixpoint terminates.
+func guardFlow(info *types.Info) flow[factSet] {
+	return flow[factSet]{
+		clone: maps.Clone[factSet],
+		join: func(cur, in factSet, _ int) (factSet, bool) {
+			merged := intersectFacts(cur, in)
+			return merged, len(merged) != len(cur)
+		},
+		transfer: func(n ast.Node, fs factSet) { applyNodeKills(fs, n) },
+		leaf:     func(c ast.Expr, holds bool, fs factSet) { guardLeaf(info, c, holds, fs) },
 	}
-	return in
 }

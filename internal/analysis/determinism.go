@@ -30,71 +30,45 @@ var timerFuncs = map[string]bool{
 	"NewTimer": true, "NewTicker": true, "AfterFunc": true,
 }
 
-// Determinism flags the three sources of run-to-run nondeterminism that
+// determinism flags the three sources of run-to-run nondeterminism that
 // would break byte-identical golden tables: wall-clock time, the global
-// math/rand source, and iteration over maps. The packages argument
-// lists the module-relative import paths whose output feeds goldens.
-func Determinism(l *Loader, packages []string) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, rel := range packages {
-		pkg, err := l.Load(l.Module + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if d, ok := l.checkForbiddenSelector(pkg, n); ok {
-						diags = append(diags, d)
-					}
-				case *ast.RangeStmt:
-					if tv, ok := pkg.Info.Types[n.X]; ok {
-						if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-							file, line := l.Rel(n.Pos())
-							diags = append(diags, Diagnostic{
-								File: file, Line: line, Analyzer: "determinism",
-								Message: "range over a map iterates in nondeterministic order; collect and sort the keys (or prove the loop body is order-independent and allowlist this site)",
-							})
-						}
+// math/rand source, and iteration over maps.
+func determinism(p *pass, pkg *Package) {
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				checkForbiddenSelector(p, pkg, n)
+			case *ast.RangeStmt:
+				if tv, ok := pkg.Info.Types[n.X]; ok {
+					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+						p.report(n.Pos(), "range over a map iterates in nondeterministic order; collect and sort the keys (or prove the loop body is order-independent and allowlist this site)")
 					}
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
-	return diags, nil
 }
 
 // checkForbiddenSelector reports pkgname.Func selections that resolve
 // to time.Now (and friends) or a global math/rand function.
-func (l *Loader) checkForbiddenSelector(pkg *Package, sel *ast.SelectorExpr) (Diagnostic, bool) {
+func checkForbiddenSelector(p *pass, pkg *Package, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
-		return Diagnostic{}, false
+		return
 	}
 	pn, ok := pkg.Info.Uses[id].(*types.PkgName)
 	if !ok {
-		return Diagnostic{}, false
+		return
 	}
 	path, name := pn.Imported().Path(), sel.Sel.Name
-	file, line := l.Rel(sel.Pos())
 	switch {
 	case path == "time" && (name == "Now" || name == "Since" || name == "Until"):
-		return Diagnostic{
-			File: file, Line: line, Analyzer: "determinism",
-			Message: "time." + name + " makes results depend on wall-clock time; derive everything from the simulated cycle count",
-		}, true
+		p.report(sel.Pos(), "time.%s makes results depend on wall-clock time; derive everything from the simulated cycle count", name)
 	case path == "time" && timerFuncs[name]:
-		return Diagnostic{
-			File: file, Line: line, Analyzer: "determinism",
-			Message: "time." + name + " schedules against the wall clock; expirations (leases, deadlines, cadences) must fire at deterministic simulated cycles so journal replay reproduces them",
-		}, true
+		p.report(sel.Pos(), "time.%s schedules against the wall clock; expirations (leases, deadlines, cadences) must fire at deterministic simulated cycles so journal replay reproduces them", name)
 	case (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name]:
-		return Diagnostic{
-			File: file, Line: line, Analyzer: "determinism",
-			Message: "global " + path + "." + name + " draws from a process-wide source; use a traffic.RNG (or rand.New) seeded from Options.Seed",
-		}, true
+		p.report(sel.Pos(), "global %s.%s draws from a process-wide source; use a traffic.RNG (or rand.New) seeded from Options.Seed", path, name)
 	}
-	return Diagnostic{}, false
 }

@@ -5,9 +5,10 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
-// Durability proves the control plane's crash-safety ordering contract
+// durability proves the control plane's crash-safety ordering contract
 // (DESIGN.md "Reservation control plane"): an accepted command must be
 // journaled and fsynced before it is acknowledged, a batch of commands
 // may share one fsync but never skip it, snapshot writes must not race
@@ -41,22 +42,8 @@ import (
 //     graph (per the callgraph.go effect summaries) reaches
 //     leaseHeap.push/pop or an //ssvc:serial-only function is flagged:
 //     those mutations belong to the plane's single owner goroutine.
-func Durability(l *Loader, packages []string) ([]Diagnostic, error) {
-	var pkgs []*Package
-	for _, rel := range packages {
-		pkg, err := l.Load(l.Module + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return durabilityWithCG(l, buildCallGraph(l), pkgs)
-}
-
-// durabilityWithCG is the core shared with the parallel RunAll driver,
-// which builds one call graph for every interprocedural analyzer.
-func durabilityWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, error) {
-	dc := &durChecker{l: l, cg: cg}
+func durability(p *pass, pkgs []*Package) {
+	dc := &durChecker{p}
 	for _, pkg := range pkgs {
 		for _, fd := range funcDecls(pkg) {
 			dc.checkAckOrdering(pkg, fd)
@@ -64,20 +51,9 @@ func durabilityWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, 
 		}
 		dc.checkGoSpawns(pkg)
 	}
-	SortDiagnostics(dc.diags)
-	return dc.diags, nil
 }
 
-type durChecker struct {
-	l     *Loader
-	cg    *callGraph
-	diags []Diagnostic
-}
-
-func (dc *durChecker) report(pos token.Pos, msg string) {
-	file, line := dc.l.Rel(pos)
-	dc.diags = append(dc.diags, Diagnostic{File: file, Line: line, Analyzer: "durability", Message: msg})
-}
+type durChecker struct{ *pass }
 
 func funcDecls(pkg *Package) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
@@ -120,13 +96,7 @@ func newDurFacts(appends bool) *durFacts {
 
 func (f *durFacts) clone() *durFacts {
 	out := *f
-	out.appendErrs, out.syncErrs = map[string]bool{}, map[string]bool{}
-	for k := range f.appendErrs {
-		out.appendErrs[k] = true
-	}
-	for k := range f.syncErrs {
-		out.syncErrs[k] = true
-	}
+	out.appendErrs, out.syncErrs = maps.Clone(f.appendErrs), maps.Clone(f.syncErrs)
 	return &out
 }
 
@@ -149,23 +119,8 @@ func meetDur(a, b *durFacts) *durFacts {
 }
 
 func durEqual(a, b *durFacts) bool {
-	if a.durable != b.durable || a.proven != b.proven || a.lost != b.lost {
-		return false
-	}
-	if len(a.appendErrs) != len(b.appendErrs) || len(a.syncErrs) != len(b.syncErrs) {
-		return false
-	}
-	for k := range a.appendErrs {
-		if !b.appendErrs[k] {
-			return false
-		}
-	}
-	for k := range a.syncErrs {
-		if !b.syncErrs[k] {
-			return false
-		}
-	}
-	return true
+	return a.durable == b.durable && a.proven == b.proven && a.lost == b.lost &&
+		maps.Equal(a.appendErrs, b.appendErrs) && maps.Equal(a.syncErrs, b.syncErrs)
 }
 
 // checkAckOrdering runs check 1 on one function: a diagnostic at every
@@ -190,49 +145,21 @@ func (dc *durChecker) checkAckOrdering(pkg *Package, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-	in := make([]*durFacts, len(g.blocks))
-	in[g.entry.index] = newDurFacts(appends)
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := in[blk.index].clone()
-		for _, n := range blk.nodes {
-			dc.durTransfer(pkg, n, out)
-		}
-		for _, e := range blk.succs {
-			ef := out
-			if e.cond != nil {
-				ef = out.clone()
-				dc.durEdge(pkg, e.cond, e.branch, ef)
-			}
-			cur := in[e.to.index]
-			if cur == nil {
-				in[e.to.index] = ef.clone()
-				work = append(work, e.to)
-				continue
-			}
-			merged := meetDur(cur, ef)
-			if !durEqual(merged, cur) {
-				in[e.to.index] = merged
-				work = append(work, e.to)
+	solve(g, newDurFacts(appends), flow[*durFacts]{
+		clone: (*durFacts).clone,
+		join: func(cur, in *durFacts, _ int) (*durFacts, bool) {
+			merged := meetDur(cur, in)
+			return merged, !durEqual(merged, cur)
+		},
+		transfer: func(n ast.Node, fs *durFacts) { dc.durTransfer(pkg, n, fs) },
+		leaf:     func(c ast.Expr, holds bool, fs *durFacts) { dc.durLeaf(pkg, c, holds, fs) },
+	}).replay(func(n ast.Node, fs *durFacts) {
+		if !fs.durable {
+			for _, pos := range ackSites(pkg, n) {
+				dc.report(pos, "command acknowledged (Result OK) on a path where the journal append+fsync is not proven complete")
 			}
 		}
-	}
-	for _, blk := range g.blocks {
-		if in[blk.index] == nil {
-			continue
-		}
-		fs := in[blk.index].clone()
-		for _, n := range blk.nodes {
-			if !fs.durable {
-				for _, pos := range ackSites(pkg, n) {
-					dc.report(pos, "command acknowledged (Result OK) on a path where the journal append+fsync is not proven complete")
-				}
-			}
-			dc.durTransfer(pkg, n, fs)
-		}
-	}
+	})
 }
 
 // ackSites returns the position of every acknowledgement inside one CFG
@@ -355,22 +282,16 @@ func journalHandle(info *types.Info, e ast.Expr) bool {
 
 // durTransfer applies one node's effect on the check 1 facts.
 func (dc *durChecker) durTransfer(pkg *Package, n ast.Node, fs *durFacts) {
+	if lhs, call := stmtCall(n); call != nil {
+		dc.durCall(pkg, lhs, call, fs)
+		return
+	}
 	switch s := n.(type) {
 	case *ast.AssignStmt:
-		if len(s.Rhs) == 1 {
-			if call, ok := unparen(s.Rhs[0]).(*ast.CallExpr); ok {
-				dc.durCall(pkg, s.Lhs, call, fs)
-				return
-			}
-		}
 		for _, lhs := range s.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok {
 				killDurIdent(fs, id.Name)
 			}
-		}
-	case *ast.ExprStmt:
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok {
-			dc.durCall(pkg, nil, call, fs)
 		}
 	case *ast.IncDecStmt:
 		if id, ok := s.X.(*ast.Ident); ok {
@@ -426,36 +347,21 @@ func (dc *durChecker) durCall(pkg *Package, lhs []ast.Expr, call *ast.CallExpr, 
 	}
 }
 
-// durEdge decomposes a branch condition into durability facts.
-func (dc *durChecker) durEdge(pkg *Package, cond ast.Expr, branch bool, fs *durFacts) {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		dc.durEdge(pkg, c.X, branch, fs)
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			dc.durEdge(pkg, c.X, !branch, fs)
-		}
-	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.LAND:
-			if branch {
-				dc.durEdge(pkg, c.X, true, fs)
-				dc.durEdge(pkg, c.Y, true, fs)
-			}
-		case token.LOR:
-			if !branch {
-				dc.durEdge(pkg, c.X, false, fs)
-				dc.durEdge(pkg, c.Y, false, fs)
-			}
-		case token.EQL:
-			if branch {
-				dc.nilCompare(pkg, c.X, c.Y, fs)
-			}
-		case token.NEQ:
-			if !branch {
-				dc.nilCompare(pkg, c.X, c.Y, fs)
-			}
-		}
+// nilTest reports what one leaf of a branch condition says about nil:
+// the expression compared against nil, and whether it is nil on the
+// edge where cond evaluates to holds. x is nil for any other leaf.
+func nilTest(cond ast.Expr, holds bool) (x ast.Expr, isNil bool) {
+	c, ok := cond.(*ast.BinaryExpr)
+	if !ok || c.Op != token.EQL && c.Op != token.NEQ {
+		return nil, false
+	}
+	return nilOperand(c.X, c.Y), (c.Op == token.EQL) == holds
+}
+
+// durLeaf turns `x == nil` holding into durability facts.
+func (dc *durChecker) durLeaf(pkg *Package, cond ast.Expr, holds bool, fs *durFacts) {
+	if x, isNil := nilTest(cond, holds); x != nil && isNil {
+		dc.nilCompare(pkg, x, fs)
 	}
 }
 
@@ -474,11 +380,7 @@ func nilOperand(a, b ast.Expr) ast.Expr {
 // nilCompare handles `x == nil` holding: x an Append error proves that
 // append, x a Sync error proves durability of a run of proven appends,
 // x the journal handle means journaling is disabled entirely.
-func (dc *durChecker) nilCompare(pkg *Package, a, b ast.Expr, fs *durFacts) {
-	x := nilOperand(a, b)
-	if x == nil {
-		return
-	}
+func (dc *durChecker) nilCompare(pkg *Package, x ast.Expr, fs *durFacts) {
 	if id, ok := x.(*ast.Ident); ok {
 		if fs.appendErrs[id.Name] {
 			delete(fs.appendErrs, id.Name)
@@ -507,133 +409,112 @@ func (fs *unsyncFacts) close() { *fs = unsyncFacts{} }
 // checkUnsynced runs check 2: a may-analysis for the window between a
 // successful Append and the tested Sync that makes it durable.
 func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
-	g := buildCFG(fd.Body)
-	in := make([]*unsyncFacts, len(g.blocks))
-	in[g.entry.index] = &unsyncFacts{}
-	work := []*cfgBlock{g.entry}
-	transfer := func(n ast.Node, fs *unsyncFacts, emit bool) {
-		var lhs []ast.Expr
-		var call *ast.CallExpr
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if len(s.Rhs) == 1 {
-				call, _ = unparen(s.Rhs[0]).(*ast.CallExpr)
-				lhs = s.Lhs
+	solve(buildCFG(fd.Body), &unsyncFacts{}, flow[*unsyncFacts]{
+		clone: func(fs *unsyncFacts) *unsyncFacts { c := *fs; return &c },
+		join: func(cur, in *unsyncFacts, _ int) (*unsyncFacts, bool) {
+			// May-analysis: union; an open side's pending error wins.
+			merged := *cur
+			if in.open && !cur.open {
+				merged = *in
 			}
-		case *ast.ExprStmt:
-			call, _ = unparen(s.X).(*ast.CallExpr)
-		case *ast.ReturnStmt:
-			// `return jr.Sync()` hands the Sync's error to the caller:
-			// the window closes in the result expression itself.
-			for _, r := range s.Results {
-				ast.Inspect(r, func(m ast.Node) bool {
-					if c, ok := m.(*ast.CallExpr); ok && journalMethod(pkg.Info, c) == "Sync" {
-						fs.close()
-					}
-					return true
-				})
-			}
-			if emit && fs.open && ackResult(pkg, s) == nil {
-				// An acknowledging return is the ack-ordering
-				// analysis's finding; reporting both here would
-				// double-count the same defect.
+			merged.snap = cur.snap || in.snap
+			return &merged, merged != *cur
+		},
+		transfer: func(n ast.Node, fs *unsyncFacts) { unsyncTransfer(pkg, n, fs) },
+		leaf:     func(c ast.Expr, holds bool, fs *unsyncFacts) { unsyncLeaf(pkg, c, holds, fs) },
+	}).replay(func(n ast.Node, fs *unsyncFacts) {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			// An acknowledging return is the ack-ordering analysis's
+			// finding; reporting both here would double-count the same
+			// defect.
+			if fs.open && !returnsSync(pkg, ret) && ackResult(pkg, ret) == nil {
 				dc.report(n.Pos(), "return with a journal append not yet fsynced: the record can be lost after the caller proceeds")
 			}
 			return
 		}
-		if call == nil {
+		if _, call := stmtCall(n); call != nil && journalMethod(pkg.Info, call) == "Append" &&
+			fs.open && (fs.snap || !cmdRecordAppend(pkg, call)) {
+			dc.report(call.Pos(), "journal append while a previous append is not yet fsynced (a snapshot record must not race an unsynced command record)")
+		}
+	})
+}
+
+// stmtCall returns the call a statement consists of (`x := f()` or
+// `f()`), and the targets its results are bound to.
+func stmtCall(n ast.Node) (lhs []ast.Expr, call *ast.CallExpr) {
+	switch s := n.(type) {
+	case *ast.AssignStmt:
+		if len(s.Rhs) == 1 {
+			call, _ = unparen(s.Rhs[0]).(*ast.CallExpr)
+			lhs = s.Lhs
+		}
+	case *ast.ExprStmt:
+		call, _ = unparen(s.X).(*ast.CallExpr)
+	}
+	return lhs, call
+}
+
+// returnsSync reports a Journal.Sync call among a return's results:
+// `return jr.Sync()` hands the Sync's error to the caller, so the window
+// closes in the result expression itself.
+func returnsSync(pkg *Package, ret *ast.ReturnStmt) bool {
+	found := false
+	for _, r := range ret.Results {
+		ast.Inspect(r, func(m ast.Node) bool {
+			if c, ok := m.(*ast.CallExpr); ok && journalMethod(pkg.Info, c) == "Sync" {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// unsyncTransfer applies one node's effect on the check 2 window.
+func unsyncTransfer(pkg *Package, n ast.Node, fs *unsyncFacts) {
+	if ret, ok := n.(*ast.ReturnStmt); ok {
+		if returnsSync(pkg, ret) {
+			fs.close()
+		}
+		return
+	}
+	lhs, call := stmtCall(n)
+	if call == nil {
+		return
+	}
+	switch journalMethod(pkg.Info, call) {
+	case "Append":
+		fs.snap = fs.open && fs.snap || !cmdRecordAppend(pkg, call)
+		fs.open, fs.errName, fs.syncing = true, boundIdent(lhs), false
+	case "Sync":
+		// The window stays open until the Sync's error is looked at.
+		if fs.open {
+			fs.errName, fs.syncing = boundIdent(lhs), true
+		}
+	}
+}
+
+// unsyncLeaf closes the window on the edges where it is over: the
+// pending error tested, or the journal handle nil.
+func unsyncLeaf(pkg *Package, cond ast.Expr, holds bool, fs *unsyncFacts) {
+	x, isNil := nilTest(cond, holds)
+	if x == nil {
+		return
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		if !fs.open || fs.errName == "" || id.Name != fs.errName {
 			return
 		}
-		bound := boundIdent(lhs)
-		switch journalMethod(pkg.Info, call) {
-		case "Append":
-			cmd := cmdRecordAppend(pkg, call)
-			if emit && fs.open && (fs.snap || !cmd) {
-				dc.report(call.Pos(), "journal append while a previous append is not yet fsynced (a snapshot record must not race an unsynced command record)")
-			}
-			fs.snap = fs.open && fs.snap || !cmd
-			fs.open, fs.errName, fs.syncing = true, bound, false
-		case "Sync":
-			// The window stays open until the Sync's error is looked at.
-			if fs.open {
-				fs.errName, fs.syncing = bound, true
-			}
+		// A tested Sync closes the window either way: durable, or
+		// failed and the plane freezes. A failed Append freezes it
+		// too; a successful one leaves its record waiting.
+		if fs.syncing || !isNil {
+			fs.close()
 		}
+		return
 	}
-	var edge func(cond ast.Expr, branch bool, fs *unsyncFacts)
-	edge = func(cond ast.Expr, branch bool, fs *unsyncFacts) {
-		switch c := cond.(type) {
-		case *ast.ParenExpr:
-			edge(c.X, branch, fs)
-		case *ast.UnaryExpr:
-			if c.Op == token.NOT {
-				edge(c.X, !branch, fs)
-			}
-		case *ast.BinaryExpr:
-			if c.Op != token.EQL && c.Op != token.NEQ {
-				return
-			}
-			x := nilOperand(c.X, c.Y)
-			if x == nil {
-				return
-			}
-			isNil := (c.Op == token.EQL) == branch
-			if id, ok := x.(*ast.Ident); ok {
-				if !fs.open || fs.errName == "" || id.Name != fs.errName {
-					return
-				}
-				// A tested Sync closes the window either way: durable, or
-				// failed and the plane freezes. A failed Append freezes it
-				// too; a successful one leaves its record waiting.
-				if fs.syncing || !isNil {
-					fs.close()
-				}
-				return
-			}
-			if isNil && journalHandle(pkg.Info, x) {
-				fs.close() // no journal, nothing unsynced
-			}
-		}
-	}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := *in[blk.index]
-		for _, n := range blk.nodes {
-			transfer(n, &out, false)
-		}
-		for _, e := range blk.succs {
-			ef := out
-			if e.cond != nil {
-				edge(e.cond, e.branch, &ef)
-			}
-			cur := in[e.to.index]
-			if cur == nil {
-				next := ef
-				in[e.to.index] = &next
-				work = append(work, e.to)
-				continue
-			}
-			// May-analysis: union; an open side's pending error wins.
-			merged := *cur
-			if ef.open && !cur.open {
-				merged = ef
-			}
-			merged.snap = cur.snap || ef.snap
-			if merged != *cur {
-				in[e.to.index] = &merged
-				work = append(work, e.to)
-			}
-		}
-	}
-	for _, blk := range g.blocks {
-		if in[blk.index] == nil {
-			continue
-		}
-		fs := *in[blk.index]
-		for _, n := range blk.nodes {
-			transfer(n, &fs, true)
-		}
+	if isNil && journalHandle(pkg.Info, x) {
+		fs.close() // no journal, nothing unsynced
 	}
 }
 
@@ -701,7 +582,7 @@ func (dc *durChecker) checkGoSpawns(pkg *Package) {
 				}
 				seen[fn] = true
 				if bad := dc.singleOwnerViolation(fn); bad != "" {
-					dc.report(gs.Pos(), "goroutine transitively calls "+bad+"; lease-heap and serial-only state belong to the plane's single owner goroutine")
+					dc.report(gs.Pos(), "goroutine transitively calls %s; lease-heap and serial-only state belong to the plane's single owner goroutine", bad)
 					return
 				}
 				if s := dc.cg.summaries[fn]; s != nil {

@@ -49,14 +49,14 @@ func (h *HotFunc) contains(line int) bool {
 	return true
 }
 
-// Hotpath verifies every annotated function against the compiler's
+// hotpath verifies every annotated function against the compiler's
 // escape analysis: it scans the given packages for //ssvc:hotpath
 // annotations, runs `go build -gcflags=<module>/...=-m` over the
 // packages that carry them, and flags any heap-allocation diagnostic
 // ("escapes to heap", "moved to heap") landing inside an annotated
 // range. The build cache replays compiler diagnostics, so repeated runs
 // stay fast.
-func Hotpath(l *Loader, packages []string) ([]Diagnostic, error) {
+func hotpath(l *Loader, packages []string) ([]Diagnostic, error) {
 	funcs, dirs, err := HotpathFuncs(l, packages)
 	if err != nil {
 		return nil, err
@@ -78,11 +78,7 @@ func HotpathFuncs(l *Loader, packages []string) ([]HotFunc, []string, error) {
 	var funcs []HotFunc
 	var dirs []string
 	for _, rel := range packages {
-		ip := l.Module
-		if rel != "" && rel != "." {
-			ip = l.Module + "/" + rel
-		}
-		pkg, err := l.Parse(ip)
+		pkg, err := l.Parse(l.importPath(rel))
 		if err != nil {
 			return nil, nil, err
 		}

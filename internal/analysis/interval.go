@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"maps"
 	"math/big"
 	"strings"
 )
@@ -19,18 +20,16 @@ import (
 // function is exact integer arithmetic and a result interval is
 // overflow-safe exactly when it is contained in its type's range.
 //
-// The engine layers on the existing per-function CFG (cfg.go): a
-// forward worklist pass propagates an environment of refined intervals
-// per block, comparison edges refine both operands (refineEdge mirrors
-// addEdgeFacts' decomposition of &&/||/! chains), loop heads widen to
-// the type range after a few visits so iteration terminates, and one
-// descending pass narrows the widened loop invariants back where the
-// exit conditions support it. Interprocedural seeding comes from two
-// sides of callgraph.go: //ssvc:range field annotations give declared
-// input intervals at config-struct reads, and per-function return
-// summaries (retIval) carry result intervals and their declared flag
-// across static calls, while effect summaries decide which
-// environment entries a call may invalidate.
+// The engine is a domain of the solver in flow.go: an environment of
+// refined intervals per block, comparison edges refining both operands,
+// loop heads widening to the type range after a few visits so iteration
+// terminates, and one descending pass narrowing the widened loop
+// invariants back where the exit conditions support it. Interprocedural
+// seeding comes from two sides of callgraph.go: //ssvc:range field
+// annotations give declared input intervals at config-struct reads, and
+// per-function return summaries (retIval) carry result intervals and
+// their declared flag across static calls, while effect summaries
+// decide which environment entries a call may invalidate.
 
 // MarkRange declares the trusted value range of a config-struct field
 // on the field's doc or line comment:
@@ -404,7 +403,7 @@ func negateCmp(op token.Token) token.Token {
 	return token.ILLEGAL
 }
 
-// flipCmp mirrors a comparison so the right operand becomes the left:
+// flipCmp swaps a comparison's operands, so the right becomes the left:
 // x < y  ==  y > x.
 func flipCmp(op token.Token) token.Token {
 	switch op {
@@ -426,7 +425,8 @@ func flipCmp(op token.Token) token.Token {
 
 // ivEntry is one refined binding. def is the key's context-free
 // default (annotation or type range), joined back in when a merge sees
-// the key on only one side; idents mirrors guardFact.idents for kills.
+// the key on only one side; idents are the identifiers the key mentions,
+// any of which being killed drops the entry.
 type ivEntry struct {
 	iv     ival
 	def    ival
@@ -434,17 +434,8 @@ type ivEntry struct {
 	idents map[string]bool
 }
 
-// ivEnv maps types.ExprString keys to refined intervals. nil means
-// block not yet visited (distinct from the empty environment).
+// ivEnv maps types.ExprString keys to refined intervals.
 type ivEnv map[string]ivEntry
-
-func cloneIvEnv(env ivEnv) ivEnv {
-	out := make(ivEnv, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
 
 // joinIvEnv merges two path environments. A key on one side only joins
 // with its own default — absence means "no refinement", which the
@@ -516,30 +507,13 @@ func narrowIvEnv(widened, recomputed ivEnv) ivEnv {
 	return out
 }
 
-// killIvIdents drops entries mentioning any of the names (the ivEnv
-// side of applyNodeKills' fact discipline).
-func killIvIdents(env ivEnv, names map[string]bool) {
-	if len(names) == 0 {
-		return
-	}
-	for k, e := range env {
-		for name := range names {
-			if e.idents[name] {
-				delete(env, k)
-				break
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Analysis context shared by one valuerange run: the loader, the call
 // graph (effect summaries + CHA), the //ssvc:range declarations, and
 // memoized per-function return intervals.
 
 type ivCtx struct {
-	l        *Loader
-	cg       *callGraph
+	*pass
 	ranges   map[*types.Var]ival
 	barriers map[*types.Func]bool
 	rets     map[*types.Func]ival
@@ -551,18 +525,16 @@ type ivCtx struct {
 // function markers from every package the call graph indexed.
 // Malformed annotations become diagnostics (fail closed and visible),
 // never silent trust.
-func newIvCtx(l *Loader, cg *callGraph) (*ivCtx, []Diagnostic) {
+func newIvCtx(p *pass) *ivCtx {
 	cx := &ivCtx{
-		l:        l,
-		cg:       cg,
+		pass:     p,
 		ranges:   map[*types.Var]ival{},
 		barriers: map[*types.Func]bool{},
 		rets:     map[*types.Func]ival{},
 		retOK:    map[*types.Func]bool{},
 		retBusy:  map[*types.Func]bool{},
 	}
-	var diags []Diagnostic
-	for _, pkg := range cg.pkgs {
+	for _, pkg := range p.cg.pkgs {
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				st, ok := n.(*ast.StructType)
@@ -570,13 +542,13 @@ func newIvCtx(l *Loader, cg *callGraph) (*ivCtx, []Diagnostic) {
 					return true
 				}
 				for _, f := range st.Fields.List {
-					diags = append(diags, cx.collectFieldRanges(pkg, f)...)
+					cx.collectFieldRanges(pkg, f)
 				}
 				return true
 			})
 		}
 	}
-	for fn, fi := range cg.funcs {
+	for fn, fi := range p.cg.funcs {
 		if fi.decl.Doc == nil {
 			continue
 		}
@@ -586,20 +558,12 @@ func newIvCtx(l *Loader, cg *callGraph) (*ivCtx, []Diagnostic) {
 			}
 		}
 	}
-	return cx, diags
+	return cx
 }
 
 // collectFieldRanges parses the //ssvc:range annotations on one struct
 // field declaration.
-func (cx *ivCtx) collectFieldRanges(pkg *Package, f *ast.Field) []Diagnostic {
-	var diags []Diagnostic
-	bad := func(pos token.Pos, format string, args ...any) {
-		file, line := cx.l.Rel(pos)
-		diags = append(diags, Diagnostic{
-			File: file, Line: line, Analyzer: "valuerange",
-			Message: fmt.Sprintf(format, args...),
-		})
-	}
+func (cx *ivCtx) collectFieldRanges(pkg *Package, f *ast.Field) {
 	for _, grp := range []*ast.CommentGroup{f.Doc, f.Comment} {
 		if grp == nil {
 			continue
@@ -610,19 +574,19 @@ func (cx *ivCtx) collectFieldRanges(pkg *Package, f *ast.Field) []Diagnostic {
 			}
 			fields := strings.Fields(strings.TrimPrefix(c.Text, MarkRange))
 			if len(fields) != 2 {
-				bad(c.Pos(), "malformed %s annotation: want %q", MarkRange, MarkRange+" <field> <lo>..<hi>")
+				cx.report(c.Pos(), "malformed %s annotation: want %q", MarkRange, MarkRange+" <field> <lo>..<hi>")
 				continue
 			}
 			name, rng := fields[0], fields[1]
 			loS, hiS, ok := strings.Cut(rng, "..")
 			if !ok {
-				bad(c.Pos(), "malformed %s range %q: want <lo>..<hi>", MarkRange, rng)
+				cx.report(c.Pos(), "malformed %s range %q: want <lo>..<hi>", MarkRange, rng)
 				continue
 			}
 			lo, okLo := new(big.Int).SetString(loS, 10)
 			hi, okHi := new(big.Int).SetString(hiS, 10)
 			if !okLo || !okHi || lo.Cmp(hi) > 0 {
-				bad(c.Pos(), "malformed %s bounds %q: want decimal integers with lo <= hi", MarkRange, rng)
+				cx.report(c.Pos(), "malformed %s bounds %q: want decimal integers with lo <= hi", MarkRange, rng)
 				continue
 			}
 			var fv *types.Var
@@ -632,23 +596,22 @@ func (cx *ivCtx) collectFieldRanges(pkg *Package, f *ast.Field) []Diagnostic {
 				}
 			}
 			if fv == nil {
-				bad(c.Pos(), "%s names %q, which is not declared on this field", MarkRange, name)
+				cx.report(c.Pos(), "%s names %q, which is not declared on this field", MarkRange, name)
 				continue
 			}
 			tb, ok := typeIval(fv.Type())
 			if !ok {
-				bad(c.Pos(), "%s on %s: field type %s is not an integer", MarkRange, name, fv.Type())
+				cx.report(c.Pos(), "%s on %s: field type %s is not an integer", MarkRange, name, fv.Type())
 				continue
 			}
 			decl := ival{lo: lo, hi: hi, declared: true}
 			if !tb.contains(decl) {
-				bad(c.Pos(), "%s on %s: declared %s exceeds the range of %s", MarkRange, name, decl, fv.Type())
+				cx.report(c.Pos(), "%s on %s: declared %s exceeds the range of %s", MarkRange, name, decl, fv.Type())
 				continue
 			}
 			cx.ranges[fv] = decl
 		}
 	}
-	return diags
 }
 
 // fieldRange resolves a selector expression to its //ssvc:range
@@ -928,37 +891,28 @@ func (cx *ivCtx) retIval(fn *types.Func) (ival, bool) {
 	cx.retBusy[fn] = true
 	defer delete(cx.retBusy, fn)
 
-	g, in := cx.flowBody(fi.pkg, fi.decl.Body)
 	out := ival{lo: tb.hi, hi: tb.lo} // bottom: no reachable return yet
 	resultName := ""
 	if res := fi.decl.Type.Results; res != nil && len(res.List) == 1 && len(res.List[0].Names) == 1 {
 		resultName = res.List[0].Names[0].Name
 	}
-	for _, blk := range g.blocks {
-		env := in[blk.index]
-		if env == nil {
-			continue
+	cx.flowBody(fi.pkg, fi.decl.Body).replay(func(n ast.Node, env ivEnv) {
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok {
+			return
 		}
-		env = cloneIvEnv(env)
-		for _, n := range blk.nodes {
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				var iv ival
-				evald := false
-				if len(ret.Results) == 1 {
-					iv, evald = cx.eval(fi.pkg, env, ret.Results[0])
-				} else if len(ret.Results) == 0 && resultName != "" {
-					if ent, ok := env[resultName]; ok {
-						iv, evald = ent.iv, true
-					}
-				}
-				if !evald {
-					iv = tb
-				}
-				out = ivJoin(out, ivMeet(iv, tb))
+		iv := tb
+		if len(ret.Results) == 1 {
+			if v, ok := cx.eval(fi.pkg, env, ret.Results[0]); ok {
+				iv = v
 			}
-			cx.applyNode(fi.pkg, env, n)
+		} else if len(ret.Results) == 0 && resultName != "" {
+			if ent, ok := env[resultName]; ok {
+				iv = ent.iv
+			}
 		}
-	}
+		out = ivJoin(out, ivMeet(iv, tb))
+	})
 	if out.isBottom() {
 		out = tb
 	}
@@ -975,77 +929,53 @@ func (cx *ivCtx) retIval(fn *types.Func) (ival, bool) {
 // loops converge exactly first.
 const widenDelay = 3
 
-// flowBody runs the ascending widened fixpoint plus one descending
-// narrowing sweep over one function body, returning the entry
-// environment per block (nil for unreachable blocks).
-func (cx *ivCtx) flowBody(pkg *Package, body *ast.BlockStmt) (*cfgGraph, []ivEnv) {
-	g := buildCFG(body)
-	in := make([]ivEnv, len(g.blocks))
-	visits := make([]int, len(g.blocks))
-	in[g.entry.index] = ivEnv{}
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := cloneIvEnv(in[blk.index])
-		for _, n := range blk.nodes {
-			cx.applyNode(pkg, out, n)
-		}
-		for _, e := range blk.succs {
-			ef := out
-			if e.cond != nil {
-				ef = cloneIvEnv(out)
-				cx.refineEdge(pkg, ef, e.cond, e.branch)
-			}
-			cur := in[e.to.index]
-			if cur == nil {
-				in[e.to.index] = cloneIvEnv(ef)
-				work = append(work, e.to)
-				continue
-			}
-			merged := joinIvEnv(cur, ef)
-			visits[e.to.index]++
-			if visits[e.to.index] > widenDelay {
+// flow is the interval domain over one package's syntax: join at
+// merges, widened once a block has absorbed widenDelay of them.
+func (cx *ivCtx) flow(pkg *Package) flow[ivEnv] {
+	return flow[ivEnv]{
+		clone: maps.Clone[ivEnv],
+		join: func(cur, in ivEnv, visits int) (ivEnv, bool) {
+			merged := joinIvEnv(cur, in)
+			if visits > widenDelay {
 				merged = widenIvEnv(cur, merged)
 			}
-			if !ivEnvEqual(merged, cur) {
-				in[e.to.index] = merged
-				work = append(work, e.to)
-			}
-		}
+			return merged, !ivEnvEqual(merged, cur)
+		},
+		transfer: func(n ast.Node, env ivEnv) { cx.applyNode(pkg, env, n) },
+		leaf:     func(c ast.Expr, holds bool, env ivEnv) { cx.refineLeaf(pkg, env, c, holds) },
 	}
+}
+
+// flowBody solves the ascending widened fixpoint over one function
+// body, then runs one descending narrowing sweep over the result.
+func (cx *ivCtx) flowBody(pkg *Package, body *ast.BlockStmt) *solved[ivEnv] {
+	sv := solve(buildCFG(body), ivEnv{}, cx.flow(pkg))
 
 	// Descending pass: recompute each block's entry from its
 	// predecessors once, without widening, and narrow toward it. Sound
 	// because the transfer functions are monotone and we start from a
 	// post-fixpoint.
 	type edgeIn struct {
-		from   *cfgBlock
-		cond   ast.Expr
-		branch bool
+		from *cfgBlock
+		edge cfgEdge
 	}
-	preds := make([][]edgeIn, len(g.blocks))
-	for _, blk := range g.blocks {
+	preds := make([][]edgeIn, len(sv.g.blocks))
+	for _, blk := range sv.g.blocks {
 		for _, e := range blk.succs {
-			preds[e.to.index] = append(preds[e.to.index], edgeIn{from: blk, cond: e.cond, branch: e.branch})
+			preds[e.to.index] = append(preds[e.to.index], edgeIn{blk, e})
 		}
 	}
-	for _, blk := range g.blocks {
-		if blk == g.entry || in[blk.index] == nil {
+	for _, blk := range sv.g.blocks {
+		if blk == sv.g.entry || !sv.reached[blk.index] {
 			continue
 		}
 		var merged ivEnv
 		for _, pe := range preds[blk.index] {
-			if in[pe.from.index] == nil {
+			if !sv.reached[pe.from.index] {
 				continue
 			}
-			out := cloneIvEnv(in[pe.from.index])
-			for _, n := range pe.from.nodes {
-				cx.applyNode(pkg, out, n)
-			}
-			if pe.cond != nil {
-				cx.refineEdge(pkg, out, pe.cond, pe.branch)
-			}
+			out := sv.out(pe.from)
+			sv.f.along(pe.edge, out)
 			if merged == nil {
 				merged = out
 			} else {
@@ -1053,16 +983,15 @@ func (cx *ivCtx) flowBody(pkg *Package, body *ast.BlockStmt) (*cfgGraph, []ivEnv
 			}
 		}
 		if merged != nil {
-			in[blk.index] = narrowIvEnv(in[blk.index], merged)
+			sv.in[blk.index] = narrowIvEnv(sv.in[blk.index], merged)
 		}
 	}
-	return g, in
+	return sv
 }
 
 // applyNode advances the environment across one CFG node: evaluate
-// effects, kill what the node may invalidate (mirroring
-// applyNodeKills, plus effect-summary-guided kills at call sites), and
-// store new bindings for keyable integer targets.
+// effects, kill what the node may invalidate, and store new bindings
+// for keyable integer targets.
 func (cx *ivCtx) applyNode(pkg *Package, env ivEnv, n ast.Node) {
 	switch s := n.(type) {
 	case *ast.AssignStmt:
@@ -1260,59 +1189,24 @@ func (cx *ivCtx) applyAssign(pkg *Package, env ivEnv, s *ast.AssignStmt) {
 	}
 }
 
-// killNode drops the entries a node may invalidate: assigned roots,
-// range variables, declared names, address-taken identifiers (all
-// mirroring applyNodeKills), plus — the effect-summary refinement —
-// anything rooted at a pointer-carrying argument of a call whose
-// callee may write through that parameter. A callee whose summary
-// proves it writes no parameter kills nothing.
+// killNode drops the entries a node may invalidate: the shared kill
+// model of killedNames plus — the effect-summary refinement — anything
+// rooted at a pointer-carrying argument of a call whose callee may write
+// through that parameter. A callee whose summary proves it writes no
+// parameter kills nothing.
 func (cx *ivCtx) killNode(pkg *Package, env ivEnv, n ast.Node) {
-	names := map[string]bool{}
-	killAll := false
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		for _, l := range s.Lhs {
-			if lvalRoots(l, names) {
-				killAll = true
-			}
-		}
-	case *ast.IncDecStmt:
-		if lvalRoots(s.X, names) {
-			killAll = true
-		}
-	case *ast.RangeStmt:
-		if s.Key != nil && lvalRoots(s.Key, names) {
-			killAll = true
-		}
-		if s.Value != nil && lvalRoots(s.Value, names) {
-			killAll = true
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, name := range vs.Names {
-						names[name.Name] = true
-					}
-				}
-			}
-		}
-	}
-	walkNode(n, func(m ast.Node) {
-		switch m := m.(type) {
-		case *ast.UnaryExpr:
-			if m.Op == token.AND {
-				collectIdents(m.X, names)
-			}
-		case *ast.CallExpr:
-			cx.callKillNames(pkg, m, names)
-		}
+	names, all := killedNames(n, func(call *ast.CallExpr, names map[string]bool) {
+		cx.callKillNames(pkg, call, names)
 	})
-	if killAll {
+	if all {
 		clear(env)
 		return
 	}
-	killIvIdents(env, names)
+	for k, e := range env {
+		if mentionsAny(e.idents, names) {
+			delete(env, k)
+		}
+	}
 }
 
 // callKillNames adds the identifiers a call site may mutate through
@@ -1346,36 +1240,19 @@ func (cx *ivCtx) callKillNames(pkg *Package, call *ast.CallExpr, names map[strin
 	}
 }
 
-// refineEdge refines the environment along one branch edge, mirroring
-// addEdgeFacts' condition decomposition: true conjunctions and false
-// disjunctions recurse into both operands, negation flips the edge,
-// comparisons refine both sides.
-func (cx *ivCtx) refineEdge(pkg *Package, env ivEnv, cond ast.Expr, branch bool) {
-	switch c := unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			cx.refineEdge(pkg, env, c.X, !branch)
-		}
-	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.LAND:
-			if branch {
-				cx.refineEdge(pkg, env, c.X, true)
-				cx.refineEdge(pkg, env, c.Y, true)
-			}
-		case token.LOR:
-			if !branch {
-				cx.refineEdge(pkg, env, c.X, false)
-				cx.refineEdge(pkg, env, c.Y, false)
-			}
-		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-			op := c.Op
-			if !branch {
-				op = negateCmp(op)
-			}
-			cx.refineCompare(pkg, env, c.X, c.Y, op)
-		}
+// refineLeaf refines the environment by one comparison (the only
+// binary expression that reaches a leaf) known to evaluate to holds:
+// both operands narrow, under the negated operator when it is refuted.
+func (cx *ivCtx) refineLeaf(pkg *Package, env ivEnv, cond ast.Expr, holds bool) {
+	c, ok := cond.(*ast.BinaryExpr)
+	if !ok {
+		return
 	}
+	op := c.Op
+	if !holds {
+		op = negateCmp(op)
+	}
+	cx.refineCompare(pkg, env, c.X, c.Y, op)
 }
 
 // refineCompare narrows both operands of `x op y` known to hold.

@@ -152,6 +152,29 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	return p, nil
 }
 
+// importPath maps a module-relative package path ("" or "." for the
+// root package) to its import path.
+func (l *Loader) importPath(rel string) string {
+	if rel == "" || rel == "." {
+		return l.Module
+	}
+	return l.Module + "/" + rel
+}
+
+// loadAll type-checks the module-relative packages in order. A name
+// that is not a package of the module is an error.
+func (l *Loader) loadAll(rels []string) ([]*Package, error) {
+	pkgs := make([]*Package, 0, len(rels))
+	for _, rel := range rels {
+		pkg, err := l.Load(l.importPath(rel))
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
 // importPkg resolves one import during type-checking: module packages
 // recurse through Load, everything else goes to the stdlib source
 // importer.

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// PanicFreeze flags panic calls in the engine, fabric, and experiment
+// panicFreeze flags panic calls in the engine, fabric, and experiment
 // packages. Since PR 3 the engines freeze sick through
 // fabric.ErrorReporter — an invariant violation records an error, Step
 // becomes a no-op, and the experiments layer surfaces it as
@@ -13,34 +13,22 @@ import (
 // sweep pool instead of one sweep point. The few justified panics
 // (internal/stats constructor preconditions, the runner's deliberate
 // worker-panic re-raise) are carried in lint.allow.
-func PanicFreeze(l *Loader, packages []string) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, rel := range packages {
-		pkg, err := l.Load(l.Module + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				id, ok := call.Fun.(*ast.Ident)
-				if !ok || id.Name != "panic" {
-					return true
-				}
-				if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-					return true // a local function shadowing the builtin
-				}
-				file, line := l.Rel(call.Pos())
-				diags = append(diags, Diagnostic{
-					File: file, Line: line, Analyzer: "panicfreeze",
-					Message: "panic on an engine/experiment path; freeze sick instead (engine fail(...) + fabric.ErrorReporter, surfaced through Outcome.Err)",
-				})
+func panicFreeze(p *pass, pkg *Package) {
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			id, ok := call.Fun.(*ast.Ident)
+			if !ok || id.Name != "panic" {
+				return true
+			}
+			if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
+				return true // a local function shadowing the builtin
+			}
+			p.report(call.Pos(), "panic on an engine/experiment path; freeze sick instead (engine fail(...) + fabric.ErrorReporter, surfaced through Outcome.Err)")
+			return true
+		})
 	}
-	return diags, nil
 }

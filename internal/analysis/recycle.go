@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// Recycle flags free-list discipline violations: a value obtained from
-// a pool source (fabric.TxPool.Get by default) must, on every path of
+// recycle flags free-list discipline violations: a value obtained from
+// a pool source (RecycleSources: fabric.TxPool.Get) must, on every path of
 // the obtaining function, reach a sink that keeps it alive for eventual
 // recycling — being passed to a call (Put, Deliver, Drop), stored into
 // a field/slice/map, sent on a channel, or returned. A path that exits
@@ -20,56 +20,28 @@ import (
 // and treats loop bodies as possibly skipped. That is deliberate — the
 // engines' grant paths consume transmissions in straight-line code, so
 // anything this conservative pass flags is worth restructuring.
-func Recycle(l *Loader, packages []string, sources []MethodRule) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, rel := range packages {
-		pkg, err := l.Load(l.Module + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				diags = append(diags, l.checkRecycleFunc(pkg, fd, sources)...)
+func recycle(p *pass, pkg *Package) {
+	for _, fd := range funcDecls(pkg) {
+		var stack []ast.Node
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return false
 			}
-		}
+			stack = append(stack, n)
+			if call, ok := n.(*ast.CallExpr); ok {
+				if rule, ok := sourceRule(pkg.Info, call); ok {
+					checkSourceCall(p, pkg, call, stack, rule)
+				}
+			}
+			return true
+		})
 	}
-	return diags, nil
 }
 
-// checkRecycleFunc finds source calls in one function and verifies each
-// result is consumed on every path.
-func (l *Loader) checkRecycleFunc(pkg *Package, fd *ast.FuncDecl, sources []MethodRule) []Diagnostic {
-	var diags []Diagnostic
-	var stack []ast.Node
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		stack = append(stack, n)
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		rule, ok := sourceRule(pkg.Info, call, sources)
-		if !ok {
-			return true
-		}
-		if d, leak := l.checkSourceCall(pkg, call, stack, rule); leak {
-			diags = append(diags, d)
-		}
-		return true
-	})
-	return diags
-}
-
-// sourceRule matches a call expression against the configured pool
-// sources by receiver type name and method name.
-func sourceRule(info *types.Info, call *ast.CallExpr, sources []MethodRule) (MethodRule, bool) {
+// sourceRule matches a call expression against RecycleSources by
+// receiver type name and method name.
+func sourceRule(info *types.Info, call *ast.CallExpr) (MethodRule, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return MethodRule{}, false
@@ -86,7 +58,7 @@ func sourceRule(info *types.Info, call *ast.CallExpr, sources []MethodRule) (Met
 	if !ok {
 		return MethodRule{}, false
 	}
-	for _, r := range sources {
+	for _, r := range RecycleSources {
 		if named.Obj().Name() == r.TypeName && sel.Sel.Name == r.Method {
 			return r, true
 		}
@@ -96,11 +68,7 @@ func sourceRule(info *types.Info, call *ast.CallExpr, sources []MethodRule) (Met
 
 // checkSourceCall classifies the syntactic context of one source call.
 // stack is the ancestor chain ending at the call itself.
-func (l *Loader) checkSourceCall(pkg *Package, call *ast.CallExpr, stack []ast.Node, rule MethodRule) (Diagnostic, bool) {
-	diag := func(msg string) Diagnostic {
-		file, line := l.Rel(call.Pos())
-		return Diagnostic{File: file, Line: line, Analyzer: "recycle", Message: msg}
-	}
+func checkSourceCall(p *pass, pkg *Package, call *ast.CallExpr, stack []ast.Node, rule MethodRule) {
 	// Walk outward past parens to the consuming context.
 	var parent ast.Node
 	for i := len(stack) - 2; i >= 0; i-- {
@@ -110,47 +78,44 @@ func (l *Loader) checkSourceCall(pkg *Package, call *ast.CallExpr, stack []ast.N
 		parent = stack[i]
 		break
 	}
-	switch p := parent.(type) {
+	switch par := parent.(type) {
 	case *ast.ExprStmt:
-		return diag("result of " + rule.String() + " is discarded; the struct never returns to the free list"), true
+		p.report(call.Pos(), "result of %s is discarded; the struct never returns to the free list", rule)
 	case *ast.AssignStmt:
-		if len(p.Lhs) != 1 {
-			return Diagnostic{}, false // multi-assign: out of scope, assume consumed
+		if len(par.Lhs) != 1 {
+			return // multi-assign: out of scope, assume consumed
 		}
-		switch lhs := p.Lhs[0].(type) {
-		case *ast.Ident:
-			if lhs.Name == "_" {
-				return diag("result of " + rule.String() + " is assigned to _; the struct never returns to the free list"), true
-			}
-			obj := pkg.Info.Defs[lhs]
-			if obj == nil {
-				obj = pkg.Info.Uses[lhs]
-			}
-			if obj == nil {
-				return Diagnostic{}, false
-			}
-			if v, ok := obj.(*types.Var); ok && v.Parent() == pkg.Types.Scope() {
-				// Stored in a package-level variable: stays reachable.
-				return Diagnostic{}, false
-			}
-			if !l.consumedAfter(pkg, p, obj, stack) {
-				return diag("value from " + rule.String() + " held in '" + lhs.Name + "' does not reach a recycle sink (call/store/return) on every path out of the function"), true
-			}
-			return Diagnostic{}, false
-		default:
-			// Stored straight into a field/index/deref: consumed.
-			return Diagnostic{}, false
+		// Anything but a plain identifier is a store straight into a
+		// field/index/deref: consumed.
+		lhs, ok := par.Lhs[0].(*ast.Ident)
+		if !ok {
+			return
 		}
-	default:
-		// Directly nested in a call, return, send, composite literal, …:
-		// the value is handed off at the source site.
-		return Diagnostic{}, false
+		if lhs.Name == "_" {
+			p.report(call.Pos(), "result of %s is assigned to _; the struct never returns to the free list", rule)
+			return
+		}
+		obj := pkg.Info.Defs[lhs]
+		if obj == nil {
+			obj = pkg.Info.Uses[lhs]
+		}
+		if obj == nil {
+			return
+		}
+		if v, ok := obj.(*types.Var); ok && v.Parent() == pkg.Types.Scope() {
+			return // stored in a package-level variable: stays reachable
+		}
+		if !consumedAfter(pkg, par, obj, stack) {
+			p.report(call.Pos(), "value from %s held in '%s' does not reach a recycle sink (call/store/return) on every path out of the function", rule, lhs.Name)
+		}
 	}
+	// Directly nested in a call, return, send, composite literal, …: the
+	// value is handed off at the source site.
 }
 
 // consumedAfter runs the all-paths consumption check over the
 // statements following the tracked assignment in its enclosing block.
-func (l *Loader) consumedAfter(pkg *Package, assign *ast.AssignStmt, obj types.Object, stack []ast.Node) bool {
+func consumedAfter(pkg *Package, assign *ast.AssignStmt, obj types.Object, stack []ast.Node) bool {
 	// Locate the statement list holding the assignment.
 	var list []ast.Stmt
 	for i := len(stack) - 1; i >= 0; i-- {

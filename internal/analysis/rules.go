@@ -1,9 +1,45 @@
 package analysis
 
-// This file is the single place naming which packages each invariant
-// covers. Paths are module-relative. DESIGN.md ("Invariants") documents
-// the rules themselves; lint.allow at the module root carries the
-// justified exceptions.
+// This file is the rule table and the single place naming which
+// packages each invariant covers. Paths are module-relative. DESIGN.md
+// ("Invariants") documents the rules themselves; lint.allow at the
+// module root carries the justified exceptions.
+
+// Rule is one invariant: the name its diagnostics carry, the packages it
+// covers, and exactly one of three bodies.
+type Rule struct {
+	Name     string
+	Packages func(l *Loader) ([]string, error)
+
+	// perPackage checks one type-checked package on its own: what it
+	// finds cannot depend on any other package, so RunAll fans these out
+	// a package at a time.
+	perPackage func(p *pass, pkg *Package)
+	// tree is interprocedural: p.cg indexes every package the loader has
+	// type-checked, and findings are reported for pkgs only.
+	tree func(p *pass, pkgs []*Package)
+	// raw runs without type information, on a loader of its own.
+	raw func(l *Loader, rels []string) ([]Diagnostic, error)
+}
+
+// Rules is every invariant ssvc-lint enforces. Hotpath is first so that
+// its external compile is already running while the rest are checked.
+var Rules = []Rule{
+	{Name: "hotpath", Packages: modulePackageRels, raw: hotpath},
+	{Name: "determinism", Packages: fixed(DeterminismPackages), perPackage: determinism},
+	{Name: "panicfreeze", Packages: fixed(PanicFreezePackages), perPackage: panicFreeze},
+	{Name: "recycle", Packages: fixed(RecyclePackages), perPackage: recycle},
+	{Name: "countersafety", Packages: modulePackageRels, perPackage: counterSafety},
+	{Name: "units", Packages: unitsPackages, perPackage: units},
+	{Name: "shardsafety", Packages: fixed(ShardSafetyPackages), tree: shardSafety},
+	{Name: "durability", Packages: fixed(DurabilityPackages), tree: durability},
+	{Name: "valuerange", Packages: fixed(ValueRangePackages), tree: valueRange},
+	{Name: "taint", Packages: fixed(TaintPackages), tree: taint},
+}
+
+func fixed(rels []string) func(*Loader) ([]string, error) {
+	return func(*Loader) ([]string, error) { return rels, nil }
+}
 
 // DeterminismPackages feed golden tables (directly, or as the kernels
 // and generators under them). Byte-identical output at any worker count
@@ -108,25 +144,10 @@ var TaintPackages = []string{
 	"cmd/ssvc-serve",
 }
 
-// HotpathPackages are scanned for //ssvc:hotpath annotations. The
-// whole module is eligible; this list just avoids scanning fixture
-// trees (the loader skips testdata on its own).
-func HotpathPackages(l *Loader) ([]string, error) {
-	return modulePackageRels(l)
-}
-
-// CounterSafetyPackages is the whole module: unsigned-counter wrap,
-// narrowing, and over-shift are hazards wherever counters flow, and
-// the saturating helpers in internal/noc pass the analyzer on their
-// own merits (their bodies carry the guards it looks for).
-func CounterSafetyPackages(l *Loader) ([]string, error) {
-	return modulePackageRels(l)
-}
-
-// UnitsPackages is the whole module except internal/noc, the one place
+// unitsPackages is the whole module except internal/noc, the one place
 // allowed to convert between the Cycle/VTime unit types and raw
 // integers (it defines the conversion helpers).
-func UnitsPackages(l *Loader) ([]string, error) {
+func unitsPackages(l *Loader) ([]string, error) {
 	rels, err := modulePackageRels(l)
 	if err != nil {
 		return nil, err
@@ -141,7 +162,11 @@ func UnitsPackages(l *Loader) ([]string, error) {
 }
 
 // modulePackageRels lists every package directory of the module as a
-// module-relative path ("" for the root package).
+// module-relative path ("" for the root package). The whole module is
+// where //ssvc:hotpath annotations are looked for, and where unsigned
+// counters can wrap, narrow or over-shift: the saturating helpers in
+// internal/noc pass countersafety on their own merits (their bodies
+// carry the guards it looks for).
 func modulePackageRels(l *Loader) ([]string, error) {
 	ips, err := l.ModulePackages()
 	if err != nil {

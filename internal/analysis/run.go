@@ -1,156 +1,148 @@
 package analysis
 
 import (
+	"fmt"
+	"go/token"
 	"runtime"
-	"sync"
+
+	"swizzleqos/internal/runner"
 )
 
-// RunAll executes the ten analyzers over the module rooted at root
-// with the repository's default rules, filters the result through the
-// allowlist (nil for none), and returns the surviving diagnostics
-// sorted. This is the single entry point shared by cmd/ssvc-lint and
-// the package's self-test, so "the tool passes" and "the test passes"
-// can never drift apart.
-//
-// Execution is parallel: hotpath (parse-only plus an external
-// `go build`) runs on its own goroutine with its own Loader from the
-// start; the main Loader serially type-checks every module package
-// once (the Loader is not safe for concurrent use) and builds the one
-// call graph all four interprocedural analyzers share; then the
-// per-package analyzers fan out package-by-package on a worker pool
-// alongside the whole-tree ones. Results are reassembled in a fixed
-// task order and sorted, so the output is byte-identical to the
-// serial runner's.
+// pass is one rule at work: where its diagnostics go, and what it may
+// consult. The interprocedural checkers embed it.
+type pass struct {
+	l     *Loader
+	cg    *callGraph // set for tree rules only
+	rule  string
+	diags []Diagnostic
+}
+
+// report records one finding of the pass's rule at pos.
+func (p *pass) report(pos token.Pos, format string, args ...any) {
+	file, line := p.l.Rel(pos)
+	p.diags = append(p.diags, Diagnostic{
+		File: file, Line: line, Analyzer: p.rule,
+		Message: fmt.Sprintf(format, args...),
+	})
+}
+
+// check runs the rule's typed body over already-loaded packages.
+func (r Rule) check(l *Loader, cg *callGraph, pkgs []*Package) []Diagnostic {
+	p := &pass{l: l, cg: cg, rule: r.Name}
+	if r.tree != nil {
+		r.tree(p, pkgs)
+	} else {
+		for _, pkg := range pkgs {
+			r.perPackage(p, pkg)
+		}
+	}
+	return p.diags
+}
+
+// Run executes one rule of the table, by name, over the given
+// module-relative packages (the fixture tests' entry point). A tree rule
+// builds its call graph from everything l has loaded by then, so its
+// findings can depend on what else went through the same Loader.
+func Run(l *Loader, name string, rels []string) ([]Diagnostic, error) {
+	for _, r := range Rules {
+		if r.Name != name {
+			continue
+		}
+		if r.raw != nil {
+			return r.raw(l, rels)
+		}
+		pkgs, err := l.loadAll(rels)
+		if err != nil {
+			return nil, err
+		}
+		var cg *callGraph
+		if r.tree != nil {
+			cg = buildCallGraph(l)
+		}
+		diags := r.check(l, cg, pkgs)
+		SortDiagnostics(diags)
+		return diags, nil
+	}
+	return nil, fmt.Errorf("analysis: no rule named %q", name)
+}
+
+// RunAll executes every rule of the table over the module rooted at
+// root, filters the result through the allowlist (nil for none), and
+// returns the surviving diagnostics sorted. This is the single entry
+// point shared by cmd/ssvc-lint and the package's self-test, so "the
+// tool passes" and "the test passes" can never drift apart.
 func RunAll(root string, allow *Allowlist) ([]Diagnostic, error) {
+	diags, err := runRules(root, Rules)
+	if err != nil {
+		return nil, err
+	}
+	diags = allow.Filter(diags)
+	SortDiagnostics(diags)
+	return diags, nil
+}
+
+// runRules type-checks every module package once, serially (the Loader
+// is not safe for concurrent use), builds the one call graph the tree
+// rules share, and resolves each rule's package set, where a package
+// that is not in the module is an error, not a rule silently run over
+// what is left. After that the Loader's caches are read-only and the
+// rules fan out on a bounded pool: one task per package for a
+// per-package rule, one per tree or raw rule. runner.Map returns results
+// in task order, so the output does not depend on scheduling.
+func runRules(root string, rules []Rule) ([]Diagnostic, error) {
 	l, err := NewLoader(root)
 	if err != nil {
 		return nil, err
 	}
-
-	// Hotpath overlaps with the type-checking below: it only parses,
-	// and most of its time is the external escape-analysis build.
-	type hotResult struct {
-		diags []Diagnostic
-		err   error
-	}
-	hotCh := make(chan hotResult, 1)
-	go func() {
-		hl, err := NewLoader(root)
-		if err != nil {
-			hotCh <- hotResult{err: err}
-			return
-		}
-		hot, err := HotpathPackages(hl)
-		if err != nil {
-			hotCh <- hotResult{err: err}
-			return
-		}
-		d, err := Hotpath(hl, hot)
-		hotCh <- hotResult{diags: d, err: err}
-	}()
-
-	// Serial phase: type-check everything once, build the shared call
-	// graph. After this the Loader's caches are read-only.
-	allRels, err := modulePackageRels(l)
+	all, err := modulePackageRels(l)
 	if err != nil {
 		return nil, err
 	}
-	byRel := map[string]*Package{}
-	for _, rel := range allRels {
-		ip := l.Module
-		if rel != "" && rel != "." {
-			ip = l.Module + "/" + rel
-		}
-		pkg, err := l.Load(ip)
-		if err != nil {
-			return nil, err
-		}
-		byRel[rel] = pkg
+	if _, err := l.loadAll(all); err != nil {
+		return nil, err
 	}
 	cg := buildCallGraph(l)
 
-	pkgsOf := func(rels []string) []*Package {
-		out := make([]*Package, 0, len(rels))
-		for _, rel := range rels {
-			if pkg := byRel[rel]; pkg != nil {
-				out = append(out, pkg)
-			}
+	type result struct {
+		diags []Diagnostic
+		err   error
+	}
+	var tasks []func() result
+	for _, r := range rules {
+		rels, err := r.Packages(l)
+		if err != nil {
+			return nil, err
 		}
-		return out
-	}
-
-	// Parallel phase: one task per (analyzer, package) for the local
-	// analyzers, one per whole-tree analyzer. Task index fixes the
-	// pre-sort concatenation order, keeping the run deterministic
-	// regardless of scheduling.
-	type task func() ([]Diagnostic, error)
-	var tasks []task
-	perPackage := func(rels []string, run func(rel string) ([]Diagnostic, error)) {
-		for _, rel := range rels {
-			rel := rel
-			tasks = append(tasks, func() ([]Diagnostic, error) { return run(rel) })
+		if r.raw != nil {
+			tasks = append(tasks, func() result {
+				rl, err := NewLoader(root)
+				if err != nil {
+					return result{err: err}
+				}
+				diags, err := r.raw(rl, rels)
+				return result{diags, err}
+			})
+			continue
+		}
+		pkgs, err := l.loadAll(rels)
+		if err != nil {
+			return nil, fmt.Errorf("rule %s: %w", r.Name, err)
+		}
+		if r.tree != nil {
+			tasks = append(tasks, func() result { return result{diags: r.check(l, cg, pkgs)} })
+			continue
+		}
+		for i := range pkgs {
+			tasks = append(tasks, func() result { return result{diags: r.check(l, nil, pkgs[i:i+1])} })
 		}
 	}
-	perPackage(DeterminismPackages, func(rel string) ([]Diagnostic, error) {
-		return Determinism(l, []string{rel})
-	})
-	perPackage(PanicFreezePackages, func(rel string) ([]Diagnostic, error) {
-		return PanicFreeze(l, []string{rel})
-	})
-	perPackage(RecyclePackages, func(rel string) ([]Diagnostic, error) {
-		return Recycle(l, []string{rel}, RecycleSources)
-	})
-	perPackage(allRels, func(rel string) ([]Diagnostic, error) {
-		return CounterSafety(l, []string{rel})
-	})
-	units, err := UnitsPackages(l)
-	if err != nil {
-		return nil, err
-	}
-	perPackage(units, func(rel string) ([]Diagnostic, error) {
-		return Units(l, []string{rel})
-	})
-	tasks = append(tasks,
-		func() ([]Diagnostic, error) { return shardSafetyWithCG(l, cg, pkgsOf(ShardSafetyPackages)) },
-		func() ([]Diagnostic, error) { return durabilityWithCG(l, cg, pkgsOf(DurabilityPackages)) },
-		func() ([]Diagnostic, error) { return valueRangeWithCG(l, cg, pkgsOf(ValueRangePackages)) },
-		func() ([]Diagnostic, error) { return taintWithCG(l, cg, pkgsOf(TaintPackages)) },
-	)
-
-	results := make([][]Diagnostic, len(tasks))
-	errs := make([]error, len(tasks))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	workers := min(runtime.NumCPU(), 8)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				results[i], errs[i] = tasks[i]()
-			}
-		}()
-	}
-	for i := range tasks {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-
+	pool := runner.New(min(runtime.NumCPU(), 8))
 	var diags []Diagnostic
-	for i, d := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, res := range runner.Map(pool, len(tasks), func(i int) result { return tasks[i]() }) {
+		if res.err != nil {
+			return nil, res.err
 		}
-		diags = append(diags, d...)
+		diags = append(diags, res.diags...)
 	}
-	hot := <-hotCh
-	if hot.err != nil {
-		return nil, hot.err
-	}
-	diags = append(diags, hot.diags...)
-
-	diags = allow.Filter(diags)
-	SortDiagnostics(diags)
 	return diags, nil
 }

@@ -5,10 +5,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
 )
 
-// ShardSafety statically proves the conservative-PDES share-nothing
+// shardSafety statically proves the conservative-PDES share-nothing
 // contract (DESIGN.md "Sharded execution"): state reachable from a
 // shard.Executor Par stage is classified shard-owned or shared, writes
 // from a Par stage must hit owned memory only, and reads of another
@@ -50,24 +50,10 @@ import (
 // Par stages of one program is not modeled (the mailbox annotation
 // carries that contract), and token integer fields are trusted without
 // a range proof.
-func ShardSafety(l *Loader, packages []string) ([]Diagnostic, error) {
-	var pkgs []*Package
-	for _, rel := range packages {
-		pkg, err := l.Load(l.Module + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return shardSafetyWithCG(l, buildCallGraph(l), pkgs)
-}
-
-// shardSafetyWithCG is the core shared with the parallel RunAll driver,
-// which builds one call graph for every interprocedural analyzer.
-func shardSafetyWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, error) {
+func shardSafety(p *pass, pkgs []*Package) {
+	cg := p.cg
 	sc := &shardChecker{
-		l:          l,
-		cg:         cg,
+		pass:       p,
 		parWritten: map[*types.Var]bool{},
 		visited:    map[string]bool{},
 		seen:       map[string]bool{},
@@ -111,8 +97,6 @@ func shardSafetyWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic,
 			sc.analyzeLit(r.lit, r.pkg, litEntry(r.lit, kindSIdx), 0)
 		}
 	}
-	SortDiagnostics(sc.diags)
-	return sc.diags, nil
 }
 
 // parRoot is one stage entry: a method/function bound as Par or Serial
@@ -207,16 +191,8 @@ func (f identFact) empty() bool {
 	return f.kind == kindNone && f.loBase == "" && f.ltBase == "" && f.lit == nil
 }
 
-// shardFacts maps identifier name -> fact. nil means unvisited.
+// shardFacts maps identifier name -> fact.
 type shardFacts map[string]identFact
-
-func cloneShardFacts(fs shardFacts) shardFacts {
-	out := make(shardFacts, len(fs))
-	for k, v := range fs {
-		out[k] = v
-	}
-	return out
-}
 
 func intersectShardFacts(a, b shardFacts) shardFacts {
 	out := shardFacts{}
@@ -245,38 +221,26 @@ func intersectShardFacts(a, b shardFacts) shardFacts {
 	return out
 }
 
-func shardFactsEqual(a, b shardFacts) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // shardChecker carries the per-run state of the analyzer.
 type shardChecker struct {
-	l          *Loader
-	cg         *callGraph
+	*pass
 	parWritten map[*types.Var]bool
-	diags      []Diagnostic
 	visited    map[string]bool // func+context memo: diagnostics emitted once
 	seen       map[string]bool // diagnostic dedup across contexts
 }
 
 const maxShardDepth = 24
 
-func (sc *shardChecker) report(pos token.Pos, msg string) {
+// report is pass.report once per position and message: one function is
+// checked under every calling context that reaches it.
+func (sc *shardChecker) report(pos token.Pos, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
 	file, line := sc.l.Rel(pos)
 	key := fmt.Sprintf("%s\x00%d\x00%s", file, line, msg)
-	if sc.seen[key] {
-		return
+	if !sc.seen[key] {
+		sc.seen[key] = true
+		sc.pass.report(pos, "%s", msg)
 	}
-	sc.seen[key] = true
-	sc.diags = append(sc.diags, Diagnostic{File: file, Line: line, Analyzer: "shardsafety", Message: msg})
 }
 
 // parRootParamKinds marks a Par entry's single int parameter as the
@@ -377,49 +341,19 @@ func (sc *shardChecker) analyzeLit(lit *ast.FuncLit, pkg *Package, entry shardFa
 	sc.runBody(pkg, lit.Body, entry, depth)
 }
 
-// runBody runs the ownership dataflow to a fixpoint over the body's
-// CFG, then replays each reachable block once emitting diagnostics.
+// runBody solves the ownership facts of one body (a must-analysis:
+// intersection at joins), then checks every node under the facts in
+// force before it.
 func (sc *shardChecker) runBody(pkg *Package, body *ast.BlockStmt, entry shardFacts, depth int) {
-	g := buildCFG(body)
-	in := make([]shardFacts, len(g.blocks))
-	in[g.entry.index] = entry
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := cloneShardFacts(in[blk.index])
-		for _, n := range blk.nodes {
-			sc.transfer(pkg, n, out)
-		}
-		for _, e := range blk.succs {
-			ef := out
-			if e.cond != nil {
-				ef = cloneShardFacts(out)
-				sc.edgeFacts(pkg, e.cond, e.branch, ef)
-			}
-			cur := in[e.to.index]
-			if cur == nil {
-				in[e.to.index] = cloneShardFacts(ef)
-				work = append(work, e.to)
-				continue
-			}
-			merged := intersectShardFacts(cur, ef)
-			if !shardFactsEqual(merged, cur) {
-				in[e.to.index] = merged
-				work = append(work, e.to)
-			}
-		}
-	}
-	for _, blk := range g.blocks {
-		if in[blk.index] == nil {
-			continue
-		}
-		fs := cloneShardFacts(in[blk.index])
-		for _, n := range blk.nodes {
-			sc.checkNode(pkg, n, fs, depth)
-			sc.transfer(pkg, n, fs)
-		}
-	}
+	solve(buildCFG(body), entry, flow[shardFacts]{
+		clone: maps.Clone[shardFacts],
+		join: func(cur, in shardFacts, _ int) (shardFacts, bool) {
+			merged := intersectShardFacts(cur, in)
+			return merged, !maps.Equal(merged, cur)
+		},
+		transfer: func(n ast.Node, fs shardFacts) { sc.transfer(pkg, n, fs) },
+		leaf:     func(c ast.Expr, holds bool, fs shardFacts) { sc.edgeFact(pkg, c, holds, fs) },
+	}).replay(func(n ast.Node, fs shardFacts) { sc.checkNode(pkg, n, fs, depth) })
 }
 
 // transfer applies one CFG node's kills and gens (no diagnostics).
@@ -517,44 +451,21 @@ func (sc *shardChecker) isShardStruct(pkg *Package, e ast.Expr) bool {
 	return ok && sc.cg.shardStructs[named]
 }
 
-// edgeFacts decomposes a branch condition into ownership facts.
-func (sc *shardChecker) edgeFacts(pkg *Package, cond ast.Expr, branch bool, fs shardFacts) {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		sc.edgeFacts(pkg, c.X, branch, fs)
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			sc.edgeFacts(pkg, c.X, !branch, fs)
-		}
-	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.LAND:
-			if branch {
-				sc.edgeFacts(pkg, c.X, true, fs)
-				sc.edgeFacts(pkg, c.Y, true, fs)
-			}
-		case token.LOR:
-			if !branch {
-				sc.edgeFacts(pkg, c.X, false, fs)
-				sc.edgeFacts(pkg, c.Y, false, fs)
-			}
-		case token.LSS: // i < sh.hi
-			if branch {
-				sc.upperBound(pkg, c.X, c.Y, fs)
-			}
-		case token.GTR: // sh.hi > i
-			if branch {
-				sc.upperBound(pkg, c.Y, c.X, fs)
-			}
-		case token.EQL:
-			if branch {
-				sc.ownerGuard(pkg, c.X, c.Y, fs)
-			}
-		case token.NEQ:
-			if !branch {
-				sc.ownerGuard(pkg, c.X, c.Y, fs)
-			}
-		}
+// edgeFact records the ownership fact one comparison that holds
+// establishes: an upper bound from `i < sh.hi` (either spelling), or
+// ownership from an owner-pointer equality.
+func (sc *shardChecker) edgeFact(pkg *Package, cond ast.Expr, holds bool, fs shardFacts) {
+	c, ok := cond.(*ast.BinaryExpr)
+	if !ok {
+		return
+	}
+	switch {
+	case c.Op == token.LSS && holds: // i < sh.hi
+		sc.upperBound(pkg, c.X, c.Y, fs)
+	case c.Op == token.GTR && holds: // sh.hi > i
+		sc.upperBound(pkg, c.Y, c.X, fs)
+	case c.Op == token.EQL && holds, c.Op == token.NEQ && !holds:
+		sc.ownerGuard(pkg, c.X, c.Y, fs)
 	}
 }
 
@@ -818,7 +729,7 @@ func (sc *shardChecker) checkLval(pkg *Package, lv ast.Expr, fs shardFacts, dept
 			obj = pkg.Info.Defs[e]
 		}
 		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			sc.report(e.Pos(), "write to package-level variable "+e.Name+" from a Par stage")
+			sc.report(e.Pos(), "write to package-level variable %s from a Par stage", e.Name)
 		}
 	case *ast.SelectorExpr:
 		fv := fieldVarOf(pkg.Info, e)
@@ -831,7 +742,7 @@ func (sc *shardChecker) checkLval(pkg *Package, lv ast.Expr, fs shardFacts, dept
 			if fv != nil {
 				name = fv.Name()
 			}
-			sc.report(e.Pos(), "write to "+name+" through a base this shard does not own (Par stages may write only shard-owned state; Serial stages and //ssvc:shared are the escape hatches)")
+			sc.report(e.Pos(), "write to %s through a base this shard does not own (Par stages may write only shard-owned state; Serial stages and //ssvc:shared are the escape hatches)", name)
 		}
 	case *ast.IndexExpr:
 		if k := sc.checkExpr(pkg, e.X, fs, depth, map[ast.Expr]bool{}); k != kindNone {
@@ -867,7 +778,7 @@ func (sc *shardChecker) checkExpr(pkg *Package, e ast.Expr, fs shardFacts, depth
 		fv := fieldVarOf(pkg.Info, e)
 		if fv != nil && sc.parWritten[fv] && sc.cg.fieldMark[fv] != MarkShared &&
 			sc.cg.fieldMark[fv] != MarkMailbox && (sanctioned == nil || !sanctioned[e]) {
-			sc.report(e.Pos(), "read of Par-written field "+fv.Name()+" through a base this shard does not own (another shard may be writing it this stage)")
+			sc.report(e.Pos(), "read of Par-written field %s through a base this shard does not own (another shard may be writing it this stage)", fv.Name())
 		}
 		return kindNone
 	case *ast.StarExpr:
@@ -994,7 +905,7 @@ func (sc *shardChecker) checkCall(pkg *Package, call *ast.CallExpr, fs shardFact
 	}
 
 	if litCallee != nil {
-		entry := cloneShardFacts(fs)
+		entry := maps.Clone(fs)
 		bindLitParams(litCallee, argKinds, entry)
 		sc.analyzeLit(litCallee, pkg, entry, depth+1)
 		return kindNone
@@ -1010,7 +921,7 @@ func (sc *shardChecker) checkCall(pkg *Package, call *ast.CallExpr, fs shardFact
 // package context-sensitive recursion, or cross-package summary checks.
 func (sc *shardChecker) checkCallee(pkg *Package, call *ast.CallExpr, fn *types.Func, recvExpr ast.Expr, recvKind shardKind, argKinds []shardKind, fs shardFacts, depth int) {
 	if sc.cg.serialOnly[fn] {
-		sc.report(call.Pos(), fn.Name()+" is //ssvc:serial-only but is called from a Par stage")
+		sc.report(call.Pos(), "%s is //ssvc:serial-only but is called from a Par stage", fn.Name())
 		return
 	}
 	fi := sc.cg.funcs[fn]
@@ -1038,7 +949,7 @@ func (sc *shardChecker) checkCallee(pkg *Package, call *ast.CallExpr, fn *types.
 			}
 			if sum.callsParam[j] {
 				if lit := literalArg(exprs[j], fs); lit != nil {
-					entry := cloneShardFacts(fs)
+					entry := maps.Clone(fs)
 					bindLitParamsKind(lit, cbKind, entry)
 					sc.analyzeLit(lit, pkg, entry, depth+1)
 				}
@@ -1062,17 +973,17 @@ func (sc *shardChecker) checkCallee(pkg *Package, call *ast.CallExpr, fn *types.
 		return
 	}
 	if sum.writesGlobal {
-		sc.report(call.Pos(), "call to "+fn.FullName()+" from a Par stage: the callee may write package-level state")
+		sc.report(call.Pos(), "call to %s from a Par stage: the callee may write package-level state", fn.FullName())
 	}
 	if sum.spawnsGo {
-		sc.report(call.Pos(), "call to "+fn.FullName()+" from a Par stage: the callee may spawn a goroutine")
+		sc.report(call.Pos(), "call to %s from a Par stage: the callee may spawn a goroutine", fn.FullName())
 	}
 	for j, k := range slots {
 		if j >= len(sum.writesParam) {
 			break
 		}
 		if sum.writesParam[j] && k == kindNone && pointerLikeExpr(pkg.Info, exprs[j]) {
-			sc.report(call.Pos(), "call to "+fn.FullName()+" may write through argument "+types.ExprString(exprs[j])+" which this shard does not own")
+			sc.report(call.Pos(), "call to %s may write through argument %s which this shard does not own", fn.FullName(), types.ExprString(exprs[j]))
 		}
 	}
 }
@@ -1126,7 +1037,3 @@ func pointerLikeExpr(info *types.Info, e ast.Expr) bool {
 	}
 	return indirectType(tv.Type)
 }
-
-// sortShardDiags is kept for symmetry with other analyzers; ShardSafety
-// sorts through SortDiagnostics before returning.
-var _ = sort.Strings

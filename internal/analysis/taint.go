@@ -1,14 +1,14 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
-// Taint tracks untrusted protocol input to the exact fixed-point
+// taint tracks untrusted protocol input to the exact fixed-point
 // arithmetic, turning the PR 8 NaN/Inf fix into an enforced invariant
 // (DESIGN.md invariant 10): every value parsed from the TCP line
 // protocol (strconv.ParseFloat/ParseUint/... in cmd/ssvc-serve) or
@@ -52,39 +52,26 @@ import (
 // empty entry state (their captures' taint is not tracked), taint
 // through stdlib containers other than channels is not modeled, and
 // writes through unknown pointers are ignored.
-func Taint(l *Loader, packages []string) ([]Diagnostic, error) {
-	var pkgs []*Package
-	for _, rel := range packages {
-		pkg, err := l.Load(l.Module + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	cg := buildCallGraph(l)
-	return taintWithCG(l, cg, pkgs)
-}
-
-// taintWithCG is the core shared with the parallel RunAll driver.
-// Analysis runs over every package the call graph indexed; findings
-// are reported only for functions declared in pkgs.
-func taintWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, error) {
-	tc := newTaintCtx(l, cg)
+//
+// Analysis runs over every package the call graph indexed; findings are
+// reported only for functions declared in pkgs.
+func taint(p *pass, pkgs []*Package) {
+	tc := newTaintCtx(p)
 
 	// Global fixpoint: function-local flows record absolute taint into
 	// callee parameter slots, per-result dependency summaries, and
 	// channel element types; iterate until nothing new is learned.
 	// Everything is monotone (masks only gain bits), so this
 	// terminates.
-	fns := make([]*types.Func, 0, len(cg.funcs))
-	for fn := range cg.funcs {
+	fns := make([]*types.Func, 0, len(p.cg.funcs))
+	for fn := range p.cg.funcs {
 		fns = append(fns, fn)
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].FullName() < fns[j].FullName() })
 	for {
 		tc.changed = false
 		for _, fn := range fns {
-			tc.analyzeFunc(fn)
+			tc.analyzeFunc(fn, false)
 		}
 		if !tc.changed {
 			break
@@ -93,22 +80,13 @@ func taintWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, error
 
 	// Reporting pass over the target packages only, replaying each
 	// function once at the fixpoint.
-	tc.reporting = true
 	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn := declFunc(pkg, fd); fn != nil {
-					tc.analyzeFunc(fn)
-				}
+		for _, fd := range funcDecls(pkg) {
+			if fn := declFunc(pkg, fd); fn != nil {
+				tc.analyzeFunc(fn, true)
 			}
 		}
 	}
-	SortDiagnostics(tc.diags)
-	return tc.diags, nil
 }
 
 // taintMask is the per-value taint lattice element. Bit 63 (absMask)
@@ -133,14 +111,6 @@ func slotBit(i int) taintMask {
 // their taint mask at a program point. Only nonzero masks are present.
 type taintState map[types.Object]taintMask
 
-func cloneTaint(st taintState) taintState {
-	out := make(taintState, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
-
 // unionTaint ORs b into a, reporting whether a grew.
 func unionTaint(a, b taintState) bool {
 	grew := false
@@ -154,8 +124,7 @@ func unionTaint(a, b taintState) bool {
 }
 
 type taintCtx struct {
-	l        *Loader
-	cg       *callGraph
+	*pass
 	sinks    map[*types.Func]bool
 	barriers map[*types.Func]bool
 
@@ -164,24 +133,21 @@ type taintCtx struct {
 	chanTaint  map[string]bool             // keyed by element type string
 
 	changed    bool
-	reporting  bool
 	curPkg     *Package
 	curFn      *types.Func // nil inside a function literal
 	curBarrier bool
-	diags      []Diagnostic
 }
 
-func newTaintCtx(l *Loader, cg *callGraph) *taintCtx {
+func newTaintCtx(p *pass) *taintCtx {
 	tc := &taintCtx{
-		l:          l,
-		cg:         cg,
+		pass:       p,
 		sinks:      map[*types.Func]bool{},
 		barriers:   map[*types.Func]bool{},
 		paramTaint: map[*types.Func][]bool{},
 		retTaint:   map[*types.Func][]taintMask{},
 		chanTaint:  map[string]bool{},
 	}
-	for fn, fi := range cg.funcs {
+	for fn, fi := range p.cg.funcs {
 		if fi.decl.Doc == nil {
 			continue
 		}
@@ -195,14 +161,6 @@ func newTaintCtx(l *Loader, cg *callGraph) *taintCtx {
 		}
 	}
 	return tc
-}
-
-func (tc *taintCtx) report(pos ast.Node, format string, args ...any) {
-	file, line := tc.l.Rel(pos.Pos())
-	tc.diags = append(tc.diags, Diagnostic{
-		File: file, Line: line, Analyzer: "taint",
-		Message: fmt.Sprintf(format, args...),
-	})
 }
 
 // resolve collapses a mask to a bool at a report or summary-exit
@@ -242,8 +200,9 @@ func slotObjects(fn *types.Func) []*types.Var {
 
 // analyzeFunc runs the local flow for one declared function, seeding
 // each parameter with its own dependency bit, then analyzes each
-// nested literal with an empty state.
-func (tc *taintCtx) analyzeFunc(fn *types.Func) {
+// nested literal with an empty state. With report set it also emits the
+// function's findings.
+func (tc *taintCtx) analyzeFunc(fn *types.Func, report bool) {
 	fi := tc.cg.funcs[fn]
 	if fi == nil || fi.decl.Body == nil {
 		return
@@ -255,46 +214,41 @@ func (tc *taintCtx) analyzeFunc(fn *types.Func) {
 	for i, obj := range slotObjects(fn) {
 		entry[obj] = slotBit(i)
 	}
-	tc.flowBody(fi.decl.Body, entry)
+	tc.flowBody(fi.decl.Body, entry, report)
 	for _, lit := range nestedFuncLits(fi.decl.Body) {
 		tc.curFn = nil // returns inside the literal are not fn's returns
-		tc.flowBody(lit.Body, taintState{})
+		tc.flowBody(lit.Body, taintState{}, report)
 	}
 	tc.curFn = fn
 }
 
-// flowBody runs the union-join worklist over one body.
-func (tc *taintCtx) flowBody(body *ast.BlockStmt, entry taintState) {
-	g := buildCFG(body)
-	in := make([]taintState, len(g.blocks))
-	in[g.entry.index] = entry
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := cloneTaint(in[blk.index])
-		for _, n := range blk.nodes {
-			tc.transferNode(out, n)
-		}
-		for _, e := range blk.succs {
-			cur := in[e.to.index]
-			if cur == nil {
-				in[e.to.index] = cloneTaint(out)
-				work = append(work, e.to)
-				continue
-			}
-			if unionTaint(cur, out) {
-				work = append(work, e.to)
-			}
-		}
+// flowBody solves the taint of one body: a may-analysis, so the join is
+// a union, made in place. What the solve is for is mostly its side
+// effects on the module-wide summaries; its block states matter only to
+// the reporting pass, which checks every call against them.
+func (tc *taintCtx) flowBody(body *ast.BlockStmt, entry taintState, report bool) {
+	sv := solve(buildCFG(body), entry, flow[taintState]{
+		clone: maps.Clone[taintState],
+		join: func(cur, in taintState, _ int) (taintState, bool) {
+			return cur, unionTaint(cur, in)
+		},
+		transfer: tc.transferNode,
+	})
+	if report {
+		sv.replay(func(n ast.Node, st taintState) {
+			walkNode(n, func(m ast.Node) {
+				if call, ok := m.(*ast.CallExpr); ok {
+					tc.checkCall(st, call)
+				}
+			})
+		})
 	}
 }
 
 // transferNode advances the taint state across one CFG node. Call side
 // effects (parameter recording, barrier laundering, out-parameter
-// sources, sink checks) apply first, then the statement's own binding
-// effects.
-func (tc *taintCtx) transferNode(st taintState, n ast.Node) {
+// sources) apply first, then the statement's own binding effects.
+func (tc *taintCtx) transferNode(n ast.Node, st taintState) {
 	walkNode(n, func(m ast.Node) {
 		if call, ok := m.(*ast.CallExpr); ok {
 			tc.applyCall(st, call)
@@ -736,24 +690,44 @@ func (tc *taintCtx) inputMask(st taintState, call *ast.CallExpr) taintMask {
 	return m
 }
 
-// applyCall applies a call's side effects on the taint state and, in
-// the reporting pass, the two findings.
-func (tc *taintCtx) applyCall(st taintState, call *ast.CallExpr) {
+// checkCall emits the two findings at one call, under the state in
+// force before the statement that makes it.
+func (tc *taintCtx) checkCall(st taintState, call *ast.CallExpr) {
 	pkg := tc.curPkg
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 		// Conversion. Finding 2: a tainted float entering integer
 		// arithmetic outside a barrier.
-		if tc.reporting && !tc.curBarrier && len(call.Args) == 1 {
-			dst := exprType(pkg, call)
-			src := exprType(pkg, call.Args[0])
-			if dst != nil && src != nil && isIntegerKind(dst) {
-				if b, ok := src.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 &&
-					tc.resolve(tc.taintOf(st, call.Args[0])) {
-					tc.report(call, "untrusted float converted to %s without a //ssvc:barrier clamp: out-of-range values convert platform-dependently", dst)
-				}
+		if tc.curBarrier || len(call.Args) != 1 {
+			return
+		}
+		dst := exprType(pkg, call)
+		src := exprType(pkg, call.Args[0])
+		if dst != nil && src != nil && isIntegerKind(dst) {
+			if b, ok := src.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 &&
+				tc.resolve(tc.taintOf(st, call.Args[0])) {
+				tc.report(call.Pos(), "untrusted float converted to %s without a //ssvc:barrier clamp: out-of-range values convert platform-dependently", dst)
 			}
 		}
 		return
+	}
+	for _, fn := range tc.callees(call) {
+		// Finding 1. A barrier that is also marked a sink launders.
+		if tc.barriers[fn] || !tc.sinks[fn] {
+			continue
+		}
+		for _, a := range call.Args {
+			if tc.resolve(tc.taintOf(st, a)) {
+				tc.report(call.Pos(), "untrusted value %s reaches //ssvc:sink %s without crossing a //ssvc:barrier validation",
+					types.ExprString(a), fn.Name())
+			}
+		}
+	}
+}
+
+// applyCall applies a call's side effects on the taint state.
+func (tc *taintCtx) applyCall(st taintState, call *ast.CallExpr) {
+	if tv, ok := tc.curPkg.Info.Types[call.Fun]; ok && tv.IsType() {
+		return // conversion
 	}
 	recvExpr := tc.callRecvExpr(call)
 	for _, fn := range tc.callees(call) {
@@ -769,14 +743,6 @@ func (tc *taintCtx) applyCall(st taintState, call *ast.CallExpr) {
 			// barrier saw.
 			tc.launder(st, recvExpr, call.Args)
 			continue
-		}
-		if tc.sinks[fn] && tc.reporting {
-			for _, a := range call.Args {
-				if tc.resolve(tc.taintOf(st, a)) {
-					tc.report(call, "untrusted value %s reaches //ssvc:sink %s without crossing a //ssvc:barrier validation",
-						types.ExprString(a), fn.Name())
-				}
-			}
 		}
 		if fi := tc.cg.funcs[fn]; fi != nil {
 			tc.recordParamTaint(st, fn, recvExpr, call.Args)

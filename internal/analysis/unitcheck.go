@@ -1,12 +1,11 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
 
-// Units enforces the time-unit discipline of internal/noc: noc.Cycle
+// units enforces the time-unit discipline of internal/noc: noc.Cycle
 // (real-time switch clock) and noc.VTime (virtual-clock/auxVC domain)
 // may only cross into each other or into raw integers through the named
 // helpers — CycleOf, VTimeOf, VTimeOfCycle, CycleOfVTime, and the Uint
@@ -24,68 +23,53 @@ import (
 //   - identity conversions (same unit type on both sides).
 //
 // internal/noc itself — where the helpers live — is excluded by
-// UnitsPackages.
-func Units(l *Loader, packages []string) ([]Diagnostic, error) {
-	nocPath := l.Module + "/internal/noc"
-	var diags []Diagnostic
-	for _, rel := range packages {
-		ip := l.Module
-		if rel != "" && rel != "." {
-			ip = l.Module + "/" + rel
-		}
-		pkg, err := l.Load(ip)
-		if err != nil {
-			return nil, err
-		}
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) != 1 {
-					return true
-				}
-				tv, ok := pkg.Info.Types[call.Fun]
-				if !ok || !tv.IsType() {
-					return true
-				}
-				dst := tv.Type
-				src := exprType(pkg, call.Args[0])
-				if src == nil {
-					return true
-				}
-				dstUnit, dstOK := unitTypeName(dst, nocPath)
-				srcUnit, srcOK := unitTypeName(src, nocPath)
-				if !dstOK && !srcOK {
-					return true
-				}
-				if dstOK && srcOK && dstUnit == srcUnit {
-					return true // identity conversion, no domain change
-				}
-				if constVal(pkg, call.Args[0]) != nil {
-					return true // constants may enter a domain directly
-				}
-				f, line := l.Rel(call.Pos())
-				var msg string
-				switch {
-				case dstOK && srcOK:
-					helper := "noc.VTimeOfCycle"
-					if dstUnit == "Cycle" {
-						helper = "noc.CycleOfVTime"
-					}
-					msg = fmt.Sprintf("conversion %s crosses time domains %s -> %s; cross through %s so the seam stays grep-able",
-						types.ExprString(call), srcUnit, dstUnit, helper)
-				case dstOK:
-					msg = fmt.Sprintf("conversion %s smuggles a raw value into the %s domain; enter through noc.%sOf",
-						types.ExprString(call), dstUnit, dstUnit)
-				default:
-					msg = fmt.Sprintf("conversion %s strips the %s unit; leave the domain through its Uint method",
-						types.ExprString(call), srcUnit)
-				}
-				diags = append(diags, Diagnostic{File: f, Line: line, Analyzer: "units", Message: msg})
+// unitsPackages.
+func units(p *pass, pkg *Package) {
+	nocPath := p.l.Module + "/internal/noc"
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
 				return true
-			})
-		}
+			}
+			tv, ok := pkg.Info.Types[call.Fun]
+			if !ok || !tv.IsType() {
+				return true
+			}
+			dst := tv.Type
+			src := exprType(pkg, call.Args[0])
+			if src == nil {
+				return true
+			}
+			dstUnit, dstOK := unitTypeName(dst, nocPath)
+			srcUnit, srcOK := unitTypeName(src, nocPath)
+			if !dstOK && !srcOK {
+				return true
+			}
+			if dstOK && srcOK && dstUnit == srcUnit {
+				return true // identity conversion, no domain change
+			}
+			if constVal(pkg, call.Args[0]) != nil {
+				return true // constants may enter a domain directly
+			}
+			switch {
+			case dstOK && srcOK:
+				helper := "noc.VTimeOfCycle"
+				if dstUnit == "Cycle" {
+					helper = "noc.CycleOfVTime"
+				}
+				p.report(call.Pos(), "conversion %s crosses time domains %s -> %s; cross through %s so the seam stays grep-able",
+					types.ExprString(call), srcUnit, dstUnit, helper)
+			case dstOK:
+				p.report(call.Pos(), "conversion %s smuggles a raw value into the %s domain; enter through noc.%sOf",
+					types.ExprString(call), dstUnit, dstUnit)
+			default:
+				p.report(call.Pos(), "conversion %s strips the %s unit; leave the domain through its Uint method",
+					types.ExprString(call), srcUnit)
+			}
+			return true
+		})
 	}
-	return diags, nil
 }
 
 // unitTypeName reports whether t is one of the unit types defined in

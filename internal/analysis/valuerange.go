@@ -1,13 +1,12 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// ValueRange proves overflow- and bounds-safety of the declared-critical
+// valueRange proves overflow- and bounds-safety of the declared-critical
 // integer arithmetic: the Frame-scaled cost products of the admission
 // budget rule, the Eq 1-3 schedulability terms, and the shift/mask
 // widths of the datapath kernels. Input contracts are declared at
@@ -39,24 +38,8 @@ import (
 //     trusted values into annotated fields, and the barriers validate
 //     at runtime; a provably-disjoint store is a contract violation no
 //     runtime check will save).
-func ValueRange(l *Loader, packages []string) ([]Diagnostic, error) {
-	var pkgs []*Package
-	for _, rel := range packages {
-		pkg, err := l.Load(l.Module + "/" + rel)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	cg := buildCallGraph(l)
-	return valueRangeWithCG(l, cg, pkgs)
-}
-
-// valueRangeWithCG is the core shared with the parallel RunAll driver,
-// which builds one call graph for every interprocedural analyzer.
-func valueRangeWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, error) {
-	cx, diags := newIvCtx(l, cg)
-	vc := &vrChecker{cx: cx, l: l}
+func valueRange(p *pass, pkgs []*Package) {
+	vc := &vrChecker{ivCtx: newIvCtx(p)}
 	for _, pkg := range pkgs {
 		vc.pkg = pkg
 		for _, file := range pkg.Files {
@@ -66,7 +49,7 @@ func valueRangeWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, 
 					if d.Body == nil {
 						continue
 					}
-					barrier := cx.barriers[declFunc(pkg, d)]
+					barrier := vc.barriers[declFunc(pkg, d)]
 					vc.checkBody(d.Body, barrier)
 					for _, lit := range nestedFuncLits(d.Body) {
 						vc.checkBody(lit.Body, barrier)
@@ -83,9 +66,6 @@ func valueRangeWithCG(l *Loader, cg *callGraph, pkgs []*Package) ([]Diagnostic, 
 			}
 		}
 	}
-	diags = append(diags, vc.diags...)
-	SortDiagnostics(diags)
-	return diags, nil
 }
 
 // nestedFuncLits returns the function literals directly or transitively
@@ -105,41 +85,19 @@ func nestedFuncLits(body *ast.BlockStmt) []*ast.FuncLit {
 }
 
 type vrChecker struct {
-	cx      *ivCtx
-	l       *Loader
+	*ivCtx
 	pkg     *Package
 	barrier bool
-	diags   []Diagnostic
 }
 
-func (vc *vrChecker) report(pos token.Pos, format string, args ...any) {
-	file, line := vc.l.Rel(pos)
-	vc.diags = append(vc.diags, Diagnostic{
-		File: file, Line: line, Analyzer: "valuerange",
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// checkBody runs the interval fixpoint over one function body, then
-// replays each reachable block deterministically, checking every
-// expression against the intervals in force just before it executes
-// (the same check-then-kill replay unguardedSubs uses).
+// checkBody solves the intervals of one function body, then checks
+// every expression against the intervals in force just before it
+// executes.
 func (vc *vrChecker) checkBody(body *ast.BlockStmt, barrier bool) {
 	vc.barrier = barrier
-	g, in := vc.cx.flowBody(vc.pkg, body)
-	for _, blk := range g.blocks {
-		env := in[blk.index]
-		if env == nil {
-			continue // unreachable
-		}
-		env = cloneIvEnv(env)
-		for _, n := range blk.nodes {
-			walkNode(n, func(m ast.Node) {
-				vc.checkNode(env, m)
-			})
-			vc.cx.applyNode(vc.pkg, env, n)
-		}
-	}
+	vc.flowBody(vc.pkg, body).replay(func(n ast.Node, env ivEnv) {
+		walkNode(n, func(m ast.Node) { vc.checkNode(env, m) })
+	})
 }
 
 // compoundOp maps an assignment token to the binary operation it
@@ -180,7 +138,7 @@ func (vc *vrChecker) checkNode(env ivEnv, m ast.Node) {
 		}
 	case *ast.IncDecStmt:
 		t := exprType(vc.pkg, m.X)
-		x, ok := vc.cx.eval(vc.pkg, env, m.X)
+		x, ok := vc.eval(vc.pkg, env, m.X)
 		if !ok || !x.declared {
 			return
 		}
@@ -213,8 +171,8 @@ func (vc *vrChecker) checkArith(pos token.Pos, env ivEnv, op token.Token, t type
 	if !okT {
 		return
 	}
-	x, okX := vc.cx.eval(vc.pkg, env, xe)
-	y, okY := vc.cx.eval(vc.pkg, env, ye)
+	x, okX := vc.eval(vc.pkg, env, xe)
+	y, okY := vc.eval(vc.pkg, env, ye)
 	if !okX || !okY || !(x.declared || y.declared) {
 		return
 	}
@@ -270,7 +228,7 @@ func (vc *vrChecker) checkConversion(env ivEnv, call *ast.CallExpr) {
 	if !isIntegerKind(srcT) {
 		return
 	}
-	x, ok := vc.cx.eval(vc.pkg, env, arg)
+	x, ok := vc.eval(vc.pkg, env, arg)
 	if !ok || !x.declared {
 		return
 	}
@@ -291,11 +249,11 @@ func (vc *vrChecker) checkFieldStore(env ivEnv, lhs, rhs ast.Expr) {
 	if fv == nil {
 		return
 	}
-	decl, ok := vc.cx.ranges[fv]
+	decl, ok := vc.ranges[fv]
 	if !ok {
 		return
 	}
-	v, ok := vc.cx.eval(vc.pkg, env, rhs)
+	v, ok := vc.eval(vc.pkg, env, rhs)
 	if !ok {
 		return
 	}
@@ -317,11 +275,11 @@ func (vc *vrChecker) checkCompositeLit(env ivEnv, cl *ast.CompositeLit) {
 		return
 	}
 	check := func(fv *types.Var, val ast.Expr) {
-		decl, ok := vc.cx.ranges[fv]
+		decl, ok := vc.ranges[fv]
 		if !ok {
 			return
 		}
-		v, ok := vc.cx.eval(vc.pkg, env, val)
+		v, ok := vc.eval(vc.pkg, env, val)
 		if !ok {
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/heaptest"
 )
 
 // BenchmarkSSVCArbitrate measures one fully contended arbitration: all
@@ -36,43 +37,74 @@ func BenchmarkSSVCArbitrate(b *testing.B) {
 	}
 }
 
+// The arbitration kernels BenchmarkBitplaneArbitrate compares and
+// TestSteadyStateAllocs gates, at one-word and multi-word radices.
+var (
+	arbitrateRadices = []struct {
+		name  string
+		radix int
+	}{{"radix64", 64}, {"radix256", 256}}
+	arbitrateKernels = []struct {
+		name string
+		fn   func(*SSVC, Cycle, []arb.Request) int
+	}{{"bitplane", (*SSVC).Arbitrate}, {"scalar", (*SSVC).arbitrateScalar}}
+)
+
+// contended builds an arbiter with every input requesting and the
+// counters spread so the level planes are non-trivial.
+func contended(radix int) (*SSVC, []arb.Request) {
+	vticks := make([]VTime, radix)
+	for i := range vticks {
+		vticks[i] = VTime(20 + 7*i)
+	}
+	s := NewSSVC(Config{Radix: radix, CounterBits: 12, SigBits: 4,
+		Policy: SubtractRealTime, Vticks: vticks})
+	reqs := make([]arb.Request, radix)
+	for i := range reqs {
+		reqs[i] = gbReq(i)
+	}
+	for i := 0; i < radix; i++ {
+		s.Granted(Cycle(i), reqs[i])
+	}
+	return s, reqs
+}
+
 // BenchmarkBitplaneArbitrate isolates the arbitration decision on a
 // fully contended input set: the word-parallel bitplane path against the
-// element-wise scalar scan it replaced, at one-word and multi-word
-// radices. No Granted/Tick in the loop — this is the pure decision cost.
+// element-wise scalar scan it replaced. No Granted/Tick in the loop —
+// this is the pure decision cost.
 func BenchmarkBitplaneArbitrate(b *testing.B) {
-	for _, radix := range []int{64, 256} {
-		vticks := make([]VTime, radix)
-		for i := range vticks {
-			vticks[i] = VTime(20 + 7*i)
-		}
-		s := NewSSVC(Config{Radix: radix, CounterBits: 12, SigBits: 4,
-			Policy: SubtractRealTime, Vticks: vticks})
-		reqs := make([]arb.Request, radix)
-		for i := range reqs {
-			reqs[i] = gbReq(i)
-		}
-		// Spread the counters so the level planes are non-trivial.
-		for i := 0; i < radix; i++ {
-			s.Granted(Cycle(i), reqs[i])
-		}
-		name := map[int]string{64: "radix64", 256: "radix256"}[radix]
-		b.Run(name+"/bitplane", func(b *testing.B) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				if w := s.Arbitrate(Cycle(n), reqs); w < 0 {
-					b.Fatal("no winner")
+	for _, r := range arbitrateRadices {
+		s, reqs := contended(r.radix)
+		for _, k := range arbitrateKernels {
+			b.Run(r.name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					if w := k.fn(s, Cycle(n), reqs); w < 0 {
+						b.Fatal("no winner")
+					}
 				}
-			}
-		})
-		b.Run(name+"/scalar", func(b *testing.B) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				if w := s.arbitrateScalar(Cycle(n), reqs); w < 0 {
-					b.Fatal("no winner")
-				}
-			}
-		})
+			})
+		}
+	}
+}
+
+// TestSteadyStateAllocs is the allocation gate on the arbitration
+// decision: neither kernel may allocate. There is nothing to warm.
+func TestSteadyStateAllocs(t *testing.T) {
+	for _, r := range arbitrateRadices {
+		s, reqs := contended(r.radix)
+		for _, k := range arbitrateKernels {
+			t.Run("BitplaneArbitrate/"+r.name+"/"+k.name, func(t *testing.T) {
+				heaptest.Zero(t, func(calls int) {
+					for n := 0; n < calls; n++ {
+						if w := k.fn(s, Cycle(n), reqs); w < 0 {
+							t.Fatal("no winner")
+						}
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -3,17 +3,15 @@ package ctlplane
 import (
 	"testing"
 
+	"swizzleqos/internal/heaptest"
 	"swizzleqos/internal/noc"
 )
 
-// BenchmarkCtlPlaneIdle measures the steady-state cycle cost with the
-// control plane attached but quiescent: live reservations generated
-// through the plane's own admission path, one lease parked far past the
-// run, no journal and no snapshot grid. The acceptance bar is zero
-// allocations per cycle — attaching the control plane must not
-// reintroduce heap traffic into the engine's hot loop (the same
-// invariant benchguard gates for the bare switch benchmarks).
-func BenchmarkCtlPlaneIdle(b *testing.B) {
+// idlePlane is a control plane attached but quiescent: live
+// reservations generated through the plane's own admission path, one
+// lease parked far past the run, no journal and no snapshot grid, warm
+// (the packet pool's high-water mark settled).
+func idlePlane(b testing.TB) *Plane {
 	p, err := New(SimConfig{Radix: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -33,14 +31,33 @@ func BenchmarkCtlPlaneIdle(b *testing.B) {
 			b.Fatalf("apply %q: %v", line, res)
 		}
 	}
-	// Warm until the packet pool's high-water mark settles, so a short
-	// guarded run sees no late pool-growth allocations.
-	if err := p.Advance(20000); err != nil {
+	if err := p.Advance(heaptest.Cycles); err != nil {
 		b.Fatal(err)
 	}
+	return p
+}
+
+// BenchmarkCtlPlaneIdle measures the steady-state cycle cost with the
+// control plane attached but quiescent.
+func BenchmarkCtlPlaneIdle(b *testing.B) {
+	p := idlePlane(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := p.Advance(noc.Cycle(b.N)); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// TestSteadyStateAllocs is the allocation gate: attaching the control
+// plane must not reintroduce heap traffic into the engine's hot loop
+// (the invariant the same test gates for the bare switch in switchsim).
+func TestSteadyStateAllocs(t *testing.T) {
+	p := idlePlane(t)
+	t.Run("CtlPlaneIdle", func(t *testing.T) {
+		heaptest.Zero(t, func(n int) {
+			if err := p.Advance(noc.Cycle(n)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 }

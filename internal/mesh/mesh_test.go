@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/heaptest"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
 )
@@ -227,25 +228,67 @@ func BenchmarkMeshCycle(b *testing.B) {
 	b.ReportMetric(float64(m.Delivered)/float64(m.Now()), "pkts/cycle")
 }
 
-// BenchmarkMeshCycleRecycled is the steady-state configuration the
-// experiments layer runs in: delivered packets are handed back to the
-// generator pool via OnRelease, so the cycle loop should report zero
-// allocations per cycle once the pipelines and free lists are warm.
-func BenchmarkMeshCycleRecycled(b *testing.B) {
-	m, err := New(Config{Width: 4, Height: 4, BufferFlits: 16})
+// The steady-state configurations: saturated, delivered packets handed
+// back to the generator pool via OnRelease as the experiments layer
+// does, and warm (pipelines full, free lists and the packet pool at
+// their high-water marks: an 8x8 mesh's in-flight population is still
+// growing thousands of cycles in), so that the benchmark times, and
+// TestSteadyStateAllocs counts, nothing but the cycle loop.
+// ShardWorkers stays 0, so at shards > 1 the executor clamps its team
+// to GOMAXPROCS and on a single-core host the sharded program runs
+// inline.
+func recycledMesh(tb testing.TB, w, h, shards int, dst func(src, nodes int) int) *Mesh {
+	m, err := New(Config{Width: w, Height: h, BufferFlits: 16, Shards: shards})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var seq traffic.Sequence
-	for src := 0; src < 16; src++ {
-		dst := (src + 5) % 16
-		spec := noc.FlowSpec{Src: src, Dst: dst, Class: noc.BestEffort, PacketLength: 4}
-		if err := m.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 4)}); err != nil {
-			b.Fatal(err)
+	seq := new(traffic.Sequence)
+	nodes := w * h
+	for src := 0; src < nodes; src++ {
+		spec := noc.FlowSpec{Src: src, Dst: dst(src, nodes), Class: noc.BestEffort, PacketLength: 4}
+		if err := m.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(seq, spec, 4)}); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	m.OnRelease(seq.Recycle)
-	m.Run(1000) // fill pipelines and prime the free lists
+	m.Run(heaptest.Cycles)
+	return m
+}
+
+func recycledMesh4x4(tb testing.TB) *Mesh {
+	return recycledMesh(tb, 4, 4, 0, func(src, nodes int) int { return (src + 5) % nodes })
+}
+
+var shardCounts = []int{1, 2, 4, 8}
+
+func shardedMesh8x8(tb testing.TB, shards int) *Mesh {
+	return recycledMesh(tb, 8, 8, shards, func(src, nodes int) int { return (src + nodes/2 + 3) % nodes })
+}
+
+// TestSteadyStateAllocs is the allocation gate on the cycle loop: every
+// steady-state benchmark configuration must run warm without a malloc
+// per cycle.
+func TestSteadyStateAllocs(t *testing.T) {
+	check := func(name string, shards int, build func(testing.TB) *Mesh) {
+		t.Run(name, func(t *testing.T) {
+			heaptest.SkipTeamUnderRace(t, shards)
+			m := build(t)
+			heaptest.Zero(t, func(n int) { m.Run(noc.Cycle(n)) })
+			if err := m.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	check("MeshCycleRecycled", 0, recycledMesh4x4)
+	for _, shards := range shardCounts {
+		check(fmt.Sprintf("MeshCycleSharded/shards%d", shards), shards, func(tb testing.TB) *Mesh { return shardedMesh8x8(tb, shards) })
+	}
+}
+
+// BenchmarkMeshCycleRecycled measures the steady-state configuration on
+// a 4x4 mesh: the cycle loop should report zero allocations per cycle.
+func BenchmarkMeshCycleRecycled(b *testing.B) {
+	m := recycledMesh4x4(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run(noc.Cycle(b.N))
@@ -254,34 +297,14 @@ func BenchmarkMeshCycleRecycled(b *testing.B) {
 
 // BenchmarkMeshCycleSharded measures the sharded pipeline (parallel
 // injection/transfer/tick around the serial arbitration commit) on a
-// saturated 8x8 mesh at increasing shard counts. ShardWorkers stays 0
-// so the executor clamps its team to GOMAXPROCS — on a single-core
-// host the sharded program runs inline and the number is the honest
-// cycles/sec for this machine (see BENCH_shard.json). Results are
-// bit-identical at every shard count; only wall-clock changes.
+// saturated 8x8 mesh at increasing shard counts: the number reported is
+// the honest cycles/sec for this machine, whatever its core count.
+// Results are bit-identical at every shard count; only wall-clock
+// changes.
 func BenchmarkMeshCycleSharded(b *testing.B) {
-	const w, h = 8, 8
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			m, err := New(Config{Width: w, Height: h, BufferFlits: 16, Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var seq traffic.Sequence
-			nodes := w * h
-			for src := 0; src < nodes; src++ {
-				dst := (src + nodes/2 + 3) % nodes
-				spec := noc.FlowSpec{Src: src, Dst: dst, Class: noc.BestEffort, PacketLength: 4}
-				if err := m.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 4)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m.OnRelease(seq.Recycle)
-			// The 8x8 mesh's in-flight population (and so the packet
-			// pool's high-water mark) keeps growing past the 4x4 bench's
-			// 1000-cycle warmup; warm long enough that a short guarded
-			// run sees no late pool growth.
-			m.Run(5000)
+			m := shardedMesh8x8(b, shards)
 			b.ReportAllocs()
 			b.ResetTimer()
 			m.Run(noc.Cycle(b.N))

@@ -6,15 +6,19 @@ import (
 
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
+	"swizzleqos/internal/heaptest"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
 )
 
 // benchSwitch builds a saturated radix-N switch with one GB flow per
-// input, uniformly spread across outputs.
-func benchSwitch(b *testing.B, radix int, newArb func(int) arb.Arbiter) (*Switch, *traffic.Sequence) {
+// input, uniformly spread across outputs. ShardWorkers is left at 0, so
+// at shards > 1 the executor clamps its team to GOMAXPROCS: on a
+// multi-core host shards run on real goroutines, on a single-core host
+// the same sharded program runs inline.
+func benchSwitch(b testing.TB, radix, shards int, newArb func(int) arb.Arbiter) (*Switch, *traffic.Sequence) {
 	b.Helper()
-	sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16}, newArb)
+	sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16, Shards: shards}, newArb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,22 +41,13 @@ func benchSwitch(b *testing.B, radix int, newArb func(int) arb.Arbiter) (*Switch
 // saturated switches at the paper's radices under LRG and SSVC.
 func BenchmarkSwitchCycle(b *testing.B) {
 	for _, radix := range []int{8, 16, 32, 64} {
-		vticks := make([]core.VTime, radix)
-		for i := range vticks {
-			vticks[i] = 16
-		}
 		arbs := map[string]func(int) arb.Arbiter{
-			"LRG": func(int) arb.Arbiter { return arb.NewLRG(radix) },
-			"SSVC": func(int) arb.Arbiter {
-				return core.NewSSVC(core.Config{
-					Radix: radix, CounterBits: 12, SigBits: 4,
-					Policy: core.SubtractRealTime, Vticks: vticks,
-				})
-			},
+			"LRG":  func(int) arb.Arbiter { return arb.NewLRG(radix) },
+			"SSVC": benchSSVC(radix),
 		}
 		for _, name := range []string{"LRG", "SSVC"} {
 			b.Run(fmt.Sprintf("radix%d/%s", radix, name), func(b *testing.B) {
-				sw, _ := benchSwitch(b, radix, arbs[name])
+				sw, _ := benchSwitch(b, radix, 0, arbs[name])
 				sw.Run(1000) // fill pipelines
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -63,46 +58,98 @@ func BenchmarkSwitchCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchCycleIdle measures the low-load regime the event-driven
-// masks target: each input carries a 2%-rate Bernoulli GB flow, so in
-// most cycles almost every port is provably idle and the cycle loop
-// should touch only the handful with work (admission skips plus
-// SkippedOutputs bulk accounting) instead of spinning all radix ports.
-func BenchmarkSwitchCycleIdle(b *testing.B) {
-	for _, radix := range []int{8, 64} {
-		vticks := make([]core.VTime, radix)
-		for i := range vticks {
-			vticks[i] = 16
+// benchSSVC builds the SSVC arbiters of the benchmarks: every input at
+// a vtick of 16.
+func benchSSVC(radix int) func(int) arb.Arbiter {
+	vticks := make([]core.VTime, radix)
+	for i := range vticks {
+		vticks[i] = 16
+	}
+	return ssvcFactory(radix, vticks)
+}
+
+// The steady-state configurations: each builder returns its switch
+// recycling delivered packets and warm (pipelines full, free lists and
+// packet pool at their high-water marks), so that the benchmark times,
+// and TestSteadyStateAllocs counts, nothing but the cycle loop.
+var (
+	recycledRadices = []int{8, 16, 32, 64}
+	idleRadices     = []int{8, 64}
+	shardCounts     = []int{1, 2, 4, 8}
+)
+
+// recycledSwitch is the configuration the experiments layer runs in:
+// saturated, delivered packets handed back to the generator pool via
+// OnRelease; shards > 1 puts it on the sharded pipeline.
+func recycledSwitch(tb testing.TB, radix, shards int) *Switch {
+	sw, seq := benchSwitch(tb, radix, shards, benchSSVC(radix))
+	sw.OnRelease(seq.Recycle)
+	sw.Run(heaptest.Cycles)
+	return sw
+}
+
+// idleSwitch is the low-load regime the event-driven masks target: each
+// input carries a 2%-rate Bernoulli GB flow, so in most cycles almost
+// every port is provably idle.
+func idleSwitch(tb testing.TB, radix int) *Switch {
+	sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16}, benchSSVC(radix))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seq := new(traffic.Sequence)
+	for i := 0; i < radix; i++ {
+		spec := noc.FlowSpec{
+			Src: i, Dst: (i * 7) % radix,
+			Class:        noc.GuaranteedBandwidth,
+			Rate:         0.02,
+			PacketLength: 8,
 		}
+		if err := sw.AddFlow(traffic.Flow{Spec: spec,
+			Gen: traffic.NewBernoulli(seq, spec, 0.02, uint64(i)+1)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sw.OnRelease(seq.Recycle)
+	// At 2% load the packet pool's high-water mark keeps rising for
+	// thousands of cycles: this is the configuration that sets the
+	// length of the warm-up.
+	sw.Run(heaptest.Cycles)
+	return sw
+}
+
+// TestSteadyStateAllocs is the allocation gate on the cycle loop: every
+// steady-state benchmark configuration must run warm without a malloc
+// per cycle.
+func TestSteadyStateAllocs(t *testing.T) {
+	check := func(name string, shards int, build func(testing.TB) *Switch) {
+		t.Run(name, func(t *testing.T) {
+			heaptest.SkipTeamUnderRace(t, shards)
+			sw := build(t)
+			heaptest.Zero(t, func(n int) { sw.Run(noc.Cycle(n)) })
+			if err := sw.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, radix := range recycledRadices {
+		check(fmt.Sprintf("SwitchCycleRecycled/radix%d/SSVC", radix), 0, func(tb testing.TB) *Switch { return recycledSwitch(tb, radix, 0) })
+	}
+	for _, radix := range idleRadices {
+		check(fmt.Sprintf("SwitchCycleIdle/radix%d/SSVC", radix), 0, func(tb testing.TB) *Switch { return idleSwitch(tb, radix) })
+	}
+	for _, shards := range shardCounts {
+		check(fmt.Sprintf("SwitchCycleSharded/shards%d", shards), shards, func(tb testing.TB) *Switch { return recycledSwitch(tb, 64, shards) })
+	}
+}
+
+// BenchmarkSwitchCycleIdle measures the low-load regime: the cycle loop
+// should touch only the handful of ports with work (admission skips
+// plus SkippedOutputs bulk accounting) instead of spinning all radix
+// ports.
+func BenchmarkSwitchCycleIdle(b *testing.B) {
+	for _, radix := range idleRadices {
 		b.Run(fmt.Sprintf("radix%d/SSVC", radix), func(b *testing.B) {
-			sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
-				func(int) arb.Arbiter {
-					return core.NewSSVC(core.Config{
-						Radix: radix, CounterBits: 12, SigBits: 4,
-						Policy: core.SubtractRealTime, Vticks: vticks,
-					})
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
-			seq := new(traffic.Sequence)
-			for i := 0; i < radix; i++ {
-				spec := noc.FlowSpec{
-					Src: i, Dst: (i * 7) % radix,
-					Class:        noc.GuaranteedBandwidth,
-					Rate:         0.02,
-					PacketLength: 8,
-				}
-				if err := sw.AddFlow(traffic.Flow{Spec: spec,
-					Gen: traffic.NewBernoulli(seq, spec, 0.02, uint64(i)+1)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			sw.OnRelease(seq.Recycle)
-			// At 2% load the packet pool's high-water mark keeps rising
-			// for thousands of cycles, so warm long enough that a short
-			// guarded run sees at most a few late pool-growth packets.
-			sw.Run(20000)
+			sw := idleSwitch(b, radix)
 			b.ReportAllocs()
 			b.ResetTimer()
 			sw.Run(noc.Cycle(b.N))
@@ -112,47 +159,14 @@ func BenchmarkSwitchCycleIdle(b *testing.B) {
 }
 
 // BenchmarkSwitchCycleSharded measures the sharded pipeline on the
-// saturated radix-64 SSVC configuration at increasing shard counts.
-// ShardWorkers is left at 0, so the executor clamps its team to
-// GOMAXPROCS: on a multi-core host shards run on real goroutines, on a
-// single-core host the same sharded program runs inline — either way
-// the number reported is the honest cycles/sec for this machine (see
-// BENCH_shard.json for the recorded split and hardware caveat).
-// Results are bit-identical at every shard count; only wall-clock
-// changes.
+// saturated radix-64 SSVC configuration at increasing shard counts: the
+// number reported is the honest cycles/sec for this machine, whatever
+// its core count. Results are bit-identical at every shard count; only
+// wall-clock changes.
 func BenchmarkSwitchCycleSharded(b *testing.B) {
-	const radix = 64
-	vticks := make([]core.VTime, radix)
-	for i := range vticks {
-		vticks[i] = 16
-	}
-	factory := func(int) arb.Arbiter {
-		return core.NewSSVC(core.Config{
-			Radix: radix, CounterBits: 12, SigBits: 4,
-			Policy: core.SubtractRealTime, Vticks: vticks,
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16,
-				GBBufferFlits: 16, Shards: shards}, factory)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seq := new(traffic.Sequence)
-			for i := 0; i < radix; i++ {
-				spec := noc.FlowSpec{
-					Src: i, Dst: (i * 7) % radix,
-					Class:        noc.GuaranteedBandwidth,
-					Rate:         0.5,
-					PacketLength: 8,
-				}
-				if err := sw.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(seq, spec, 4)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			sw.OnRelease(seq.Recycle)
-			sw.Run(1000) // fill pipelines and prime the free lists
+			sw := recycledSwitch(b, 64, shards)
 			b.ReportAllocs()
 			b.ResetTimer()
 			sw.Run(noc.Cycle(b.N))
@@ -161,25 +175,12 @@ func BenchmarkSwitchCycleSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchCycleRecycled is the steady-state configuration the
-// experiments layer runs in: delivered packets are handed back to the
-// generator pool via OnRelease, so the cycle loop should report zero
-// allocations per cycle once the pipelines and free lists are warm.
+// BenchmarkSwitchCycleRecycled measures the steady-state configuration:
+// the cycle loop should report zero allocations per cycle.
 func BenchmarkSwitchCycleRecycled(b *testing.B) {
-	for _, radix := range []int{8, 16, 32, 64} {
-		vticks := make([]core.VTime, radix)
-		for i := range vticks {
-			vticks[i] = 16
-		}
+	for _, radix := range recycledRadices {
 		b.Run(fmt.Sprintf("radix%d/SSVC", radix), func(b *testing.B) {
-			sw, seq := benchSwitch(b, radix, func(int) arb.Arbiter {
-				return core.NewSSVC(core.Config{
-					Radix: radix, CounterBits: 12, SigBits: 4,
-					Policy: core.SubtractRealTime, Vticks: vticks,
-				})
-			})
-			sw.OnRelease(seq.Recycle)
-			sw.Run(1000) // fill pipelines and prime the free lists
+			sw := recycledSwitch(b, radix, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			sw.Run(noc.Cycle(b.N))
