@@ -174,4 +174,5 @@ fuzz:
 	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s
+	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzRestoreState -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./cmd/ssvc-sim/ -fuzz FuzzScenarioParse -fuzztime 30s

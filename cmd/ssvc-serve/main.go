@@ -27,11 +27,16 @@
 // answered `frozen`.
 //
 // If the journal file already holds records, the daemon recovers: it
-// re-executes the journal from genesis (verifying every snapshot),
-// truncates any torn tail with a warning, skips script entries already
-// journaled, and continues — the configuration flags are ignored in
-// favour of the journal header, so a killed daemon restarted with the
-// same arguments finishes the identical run.
+// restores the newest snapshot in the journal and re-executes only what
+// lies behind it (at most -snap-every cycles, verifying every later
+// snapshot), truncates any torn tail with a warning, skips script entries
+// already journaled, and continues — the configuration flags are ignored
+// in favour of the journal header, so a killed daemon restarted with the
+// same arguments finishes the identical run. With -trace the trace file
+// is written anew and needs every delivery since cycle 0, so that one path
+// re-executes the whole journal from its header instead, as -replay does.
+// Either way the daemon says what it did: the snapshot's cycle and the
+// cycles re-executed.
 //
 // -pace throttles wall-clock speed to N simulated cycles per millisecond
 // (0 = as fast as possible) so a kill can land mid-run; pacing is pure
@@ -95,7 +100,7 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		script  = fs.String("script", "", "command script: @<cycle> <command> per line")
 		total   = fs.Uint64("total", 100000, "cycles to run before a clean shutdown")
 		listen  = fs.String("listen", "", "optional TCP address for live line-protocol commands")
-		trace   = fs.String("trace", "", "write the delivery trace (JSONL) to this file")
+		trace   = fs.String("trace", "", "write the delivery trace (JSONL) to this file; recovery then re-executes the journal from its header to regenerate it, not from the last snapshot")
 		pace    = fs.Uint64("pace", 0, "throttle to N simulated cycles per wall millisecond (0 = unthrottled)")
 		replay  = fs.String("replay", "", "replay mode: re-execute this journal and exit")
 
@@ -156,11 +161,16 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		ShardWorkers: *shardW,
 	}
 
-	// Recover or start fresh. Recovery re-executes the journal from
-	// genesis; with a trace file attached the re-executed prefix is
-	// regenerated too, so the full trace of an interrupted-and-resumed
-	// run is byte-identical to an uninterrupted one.
-	p, warn, err := ctlplane.RecoverFile(*journal, ro)
+	// Recover or start fresh. Recovery restores the newest snapshot and
+	// re-executes the journal behind it. A trace file is the exception: it
+	// is regenerated whole, so the re-executed prefix must be every
+	// delivery since the header, and the full trace of an
+	// interrupted-and-resumed run is byte-identical to an uninterrupted one.
+	recoverFile := ctlplane.RecoverFile
+	if tw != nil {
+		recoverFile = recoverFromHeader
+	}
+	p, warn, err := recoverFile(*journal, ro)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -173,8 +183,9 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		for _, tag := range journaledTags(*journal) {
 			done[tag] = true
 		}
-		fmt.Fprintf(stdout, "recovered journal %s at cycle %d (%d reservations)\n",
-			*journal, p.Now().Uint(), p.Table().Len())
+		rec := p.Recovered()
+		fmt.Fprintf(stdout, "recovered journal %s at cycle %d (%d reservations; snapshot at cycle %d, %d cycles re-executed)\n",
+			*journal, p.Now().Uint(), p.Table().Len(), rec.Snapshot.Uint(), rec.Reexecuted.Uint())
 	} else {
 		jr, err := ctlplane.CreateJournal(*journal)
 		if err != nil {
@@ -462,6 +473,21 @@ func (s *server) refuseUntilClosed(now noc.Cycle) (closeAll func()) {
 		close(s.cmds) // every sender has returned
 		<-refused
 	}
+}
+
+// recoverFromHeader is ctlplane.RecoverFile without the snapshots: the
+// whole journal re-executed from its header, so ro.OnDeliver sees every
+// delivery of the run so far, and the journal attached again.
+func recoverFromHeader(path string, ro ctlplane.ReplayOptions) (*ctlplane.Plane, string, error) {
+	recs, validEnd, warn, err := ctlplane.ReadJournal(path)
+	if err != nil || len(recs) == 0 {
+		return nil, warn, err
+	}
+	p, err := ctlplane.Rebuild(recs, ro)
+	if err != nil {
+		return nil, warn, err
+	}
+	return p, warn, p.ResumeJournal(path, validEnd)
 }
 
 // replayMain re-executes a journal and prints the recovered state.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -391,5 +392,86 @@ func TestStopMidChurn(t *testing.T) {
 	}
 	if _, err := ctlplane.Rebuild(recs, ctlplane.ReplayOptions{}); err != nil {
 		t.Fatalf("journal of a clean stop does not replay: %v", err)
+	}
+}
+
+// TestRecoveryReport cuts a finished scripted run's journal back to what
+// a SIGKILL between two snapshots leaves (its last record a command, 2500
+// cycles behind a snapshot) and restarts the daemon on it. Without -trace
+// recovery starts at that snapshot and re-executes at most -snap-every
+// cycles; with -trace it re-executes every cycle from the header, and
+// regenerates the whole trace. Both say so, and both finish the run as
+// the uninterrupted daemon did.
+func TestRecoveryReport(t *testing.T) {
+	dir := t.TempDir()
+	script := filepath.Join(dir, "script")
+	const text = "@1000 add gb 0 1 rate=0.3 len=8 load=0.5\n@9000 add gb 2 3 rate=0.2 len=4 lease=9000\n" +
+		"@17000 add gl 4 1 rate=0.04 len=4 latency=400 burst=2\n@22500 resize 1 rate=0.2\n"
+	if err := os.WriteFile(script, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(journal string, extra ...string) string {
+		t.Helper()
+		var out, errOut strings.Builder
+		args := append([]string{"-journal", journal, "-script", script, "-total", "25000", "-snap-every", "4000"}, extra...)
+		if code := serveMain(args, &out, &errOut, nil); code != 0 || errOut.Len() != 0 {
+			t.Fatalf("ssvc-serve %v exited %d: %s", args, code, errOut.String())
+		}
+		return out.String()
+	}
+	ref := filepath.Join(dir, "ref.jsonl")
+	refTrace := filepath.Join(dir, "ref.trace")
+	want := run(ref, "-trace", refTrace)
+
+	data, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndex(data, []byte(`"kind":"cmd"`))
+	cut := last + bytes.IndexByte(data[last:], '\n') + 1
+	if bytes.Count(data[cut:], []byte("\n")) != 2 {
+		t.Fatalf("want a snapshot and the end record behind the last command, got:\n%s", data[cut:])
+	}
+
+	report := regexp.MustCompile(`(?m)^recovered journal \S+ at cycle 22500 \(2 reservations; snapshot at cycle (\d+), (\d+) cycles re-executed\)\n`)
+	for _, tc := range []struct {
+		name               string
+		trace              bool
+		snapshot, executed string
+	}{
+		{"from the last snapshot", false, "20000", "2500"},
+		{"with -trace, from the header", true, "0", "22500"},
+	} {
+		killed := filepath.Join(dir, "killed.jsonl")
+		if err := os.WriteFile(killed, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var extra []string
+		trace := filepath.Join(dir, "resumed.trace")
+		if tc.trace {
+			extra = []string{"-trace", trace}
+		}
+		out := run(killed, extra...)
+		m := report.FindStringSubmatch(out)
+		if m == nil || m[1] != tc.snapshot || m[2] != tc.executed {
+			t.Fatalf("%s: want snapshot at cycle %s and %s cycles re-executed, got:\n%s", tc.name, tc.snapshot, tc.executed, out)
+		}
+		if got := summary(out); got != summary(want) {
+			t.Fatalf("%s: resumed run diverged:\n%s\nuninterrupted:\n%s", tc.name, got, summary(want))
+		}
+		resumed, err := os.ReadFile(killed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resumed, data) {
+			t.Fatalf("%s: the resumed journal differs from the uninterrupted run's", tc.name)
+		}
+		if tc.trace {
+			a, _ := os.ReadFile(refTrace)
+			b, _ := os.ReadFile(trace)
+			if len(a) == 0 || !bytes.Equal(a, b) {
+				t.Fatalf("%s: the regenerated trace (%d bytes) differs from the uninterrupted run's (%d bytes)", tc.name, len(b), len(a))
+			}
+		}
 	}
 }

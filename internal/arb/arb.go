@@ -25,7 +25,10 @@
 // same Arbiter interface.
 package arb
 
-import "swizzleqos/internal/noc"
+import (
+	"swizzleqos/internal/noc"
+	"swizzleqos/internal/wire"
+)
 
 // Request describes one input port contending for an output channel in the
 // current cycle. Packet is the head packet the input would transmit if
@@ -90,6 +93,18 @@ func (unclocked) Tick(now noc.Cycle) {}
 
 // NextTick implements TickScheduler.
 func (unclocked) NextTick() noc.Cycle { return NeverTick }
+
+// Stateful is implemented by arbiters whose whole state can be carried in
+// a snapshot (internal/ctlplane): AppendState appends it, and
+// RestoreState, on an arbiter freshly built from the same configuration,
+// reads it back at cycle now — the cycle the snapshot was taken, against
+// which clocked state is validated. Configuration is never part of the
+// state. RestoreState is a taint barrier: whatever the bytes say, an
+// arbiter it accepts is one some run of grants and ticks could have left.
+type Stateful interface {
+	AppendState(b []byte) []byte
+	RestoreState(r *wire.Reader, now noc.Cycle) error
+}
 
 // ArrivalObserver is implemented by arbiters that stamp packets on arrival
 // at the input buffer rather than on transmission. The original Virtual

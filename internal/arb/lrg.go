@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"swizzleqos/internal/noc"
+	"swizzleqos/internal/wire"
 )
 
 // LRGState tracks a least-recently-granted priority order over n inputs
@@ -176,6 +177,37 @@ func (s *LRGState) SetOrder(order []int) error {
 		MaskSet(seen, order[p])
 	}
 	return nil
+}
+
+// AppendState appends the priority order as each input's rank. The rows
+// are a strict total order, so the n ranks say everything the n*n
+// crosspoint bits do.
+func (s *LRGState) AppendState(b []byte) []byte {
+	for i := 0; i < s.n; i++ {
+		b = wire.Int(b, s.Rank(i))
+	}
+	return b
+}
+
+// RestoreState reads what AppendState wrote and installs the order; ranks
+// that are not a permutation of 0..n-1 are refused and leave the state as
+// it was.
+func (s *LRGState) RestoreState(r *wire.Reader) error {
+	order := make([]int, s.n)
+	for i := range order {
+		order[i] = -1
+	}
+	for i := 0; i < s.n; i++ {
+		if rank := r.Index(s.n); r.Err() == nil && order[rank] < 0 {
+			order[rank] = i
+		} else {
+			r.Failf("arb: LRG rank %d given twice", rank)
+		}
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return s.SetOrder(order)
 }
 
 // LRG is the Swizzle Switch's default least-recently-granted arbiter: the

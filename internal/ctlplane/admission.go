@@ -685,3 +685,75 @@ func (t *Table) State() TableState {
 	sort.Slice(st.Reservations, func(i, j int) bool { return st.Reservations[i].ID < st.Reservations[j].ID })
 	return st
 }
+
+// restore installs a journaled state into a table NewTable has just
+// built. It is the taint barrier between a snapshot record and the
+// admission arithmetic: every index is checked against the radix, every
+// request re-validated and re-costed, and the over-commit invariant (the
+// granted rates fit each budget) recomputed, so a table it accepts is one
+// the commands could have built. Reservations arrive sorted by id, which
+// is admission order: ids only grow.
+//
+//ssvc:barrier
+func (t *Table) restore(st TableState) error {
+	if st.Policy > PolicyReject {
+		return fmt.Errorf("ctlplane: unknown policy %d", st.Policy)
+	}
+	if len(st.GBBudget) != t.cfg.Radix {
+		return fmt.Errorf("ctlplane: %d GB budgets for radix %d", len(st.GBBudget), t.cfg.Radix)
+	}
+	for o, b := range st.GBBudget {
+		if b > Frame {
+			return fmt.Errorf("ctlplane: output %d GB budget %d exceeds the frame", o, b)
+		}
+	}
+	for _, side := range [2]struct {
+		ports []int
+		down  []bool
+	}{{st.InDown, t.inDown}, {st.OutDown, t.outDown}} {
+		for k, p := range side.ports {
+			if p < 0 || p >= t.cfg.Radix || (k > 0 && p <= side.ports[k-1]) {
+				return fmt.Errorf("ctlplane: failed ports %v are not ascending ports of radix %d", side.ports, t.cfg.Radix)
+			}
+			side.down[p] = true
+		}
+	}
+	t.cfg.Policy = st.Policy
+	copy(t.gbBudget, st.GBBudget)
+	t.nextID = st.NextID
+	var last uint64
+	for i := range st.Reservations {
+		res := st.Reservations[i]
+		if res.ID <= last || res.ID >= st.NextID {
+			return fmt.Errorf("ctlplane: reservation id %d out of order (after %d, next %d)", res.ID, last, st.NextID)
+		}
+		last = res.ID
+		if rej := t.validate(res.Req); rej != nil {
+			return fmt.Errorf("ctlplane: reservation %d: %s", res.ID, rej.Msg)
+		}
+		if t.inDown[res.Req.Src] || t.outDown[res.Req.Dst] {
+			return fmt.Errorf("ctlplane: reservation %d holds failed port %d->%d", res.ID, res.Req.Src, res.Req.Dst)
+		}
+		set := &t.gb[res.Req.Dst]
+		if res.Req.Class == noc.GuaranteedLatency {
+			set = &t.gl[res.Req.Dst]
+		}
+		for _, r := range *set {
+			if r.Req.Src == res.Req.Src {
+				return fmt.Errorf("ctlplane: reservations %d and %d both hold %d->%d/%v", r.ID, res.ID, res.Req.Src, res.Req.Dst, res.Req.Class)
+			}
+		}
+		if want := costOf(res.Req); res.Cost != want || res.GrantedCost > Frame ||
+			(res.Req.Class == noc.GuaranteedLatency && res.GrantedCost != want) {
+			return fmt.Errorf("ctlplane: reservation %d costs %d (granted %d), its request %d", res.ID, res.Cost, res.GrantedCost, want)
+		}
+		*set = append(*set, &res)
+		t.byID[res.ID] = &res
+	}
+	for o := range t.gbBudget {
+		if g, gl := t.gbGranted(o), t.glUsed(o); g > t.gbBudget[o] || gl > t.glBudget {
+			return fmt.Errorf("ctlplane: output %d over-committed: GB %d of %d granted, GL %d of %d", o, g, t.gbBudget[o], gl, t.glBudget)
+		}
+	}
+	return nil
+}

@@ -62,9 +62,12 @@ type SimConfig struct {
 	Seed uint64 `json:"seed"`
 
 	// SnapEvery is the snapshot cadence in cycles (0 disables).
-	// Snapshots are fsync'd verification checkpoints: they bound the
-	// simulation progress lost to a crash and let replay cross-check
-	// its re-execution, but recovery correctness never depends on them.
+	// Snapshots are fsync'd checkpoints: they bound the simulation
+	// progress lost to a crash, let replay cross-check its re-execution,
+	// and carry the plane's whole state, so RecoverFile restores the
+	// newest one and re-executes at most SnapEvery cycles behind it. With
+	// 0 a killed plane's journal has no snapshot and recovery re-executes
+	// it from the header, as Rebuild always does.
 	SnapEvery noc.Cycle `json:"snapEvery,omitempty"`
 
 	// Faults optionally installs a fault-injection schedule; fail-stop
@@ -197,7 +200,7 @@ type flowKey struct {
 // priority the zeroed Vtick leaves them — best effort — and the flow is
 // reclaimed when the last one leaves.
 type valve struct {
-	gen  traffic.Generator
+	gen  traffic.Stateful
 	off  bool
 	flow int // the switch's flow index, for RetireFlow
 }
@@ -234,7 +237,7 @@ func (v *schedValve) Emit(now noc.Cycle) *noc.Packet {
 
 // newValve wraps gen, as a traffic.Scheduler exactly when gen is one,
 // and returns the generator to attach with the valve that shuts it.
-func newValve(gen traffic.Generator, flow int) (traffic.Generator, *valve) {
+func newValve(gen traffic.Stateful, flow int) (traffic.Generator, *valve) {
 	if s, ok := gen.(traffic.Scheduler); ok {
 		sv := &schedValve{valve{gen: gen, flow: flow}, s}
 		return sv, &sv.valve
@@ -316,6 +319,11 @@ type Plane struct {
 	// pending is ApplyAll's scratch: the out indexes of the batch's
 	// accepted commands, whose results turn OK behind the sync.
 	pending []int
+	// stateBuf is checkpoint's: every snapshot's state blob is encoded
+	// into it, so a checkpoint allocates nothing that grows with the state.
+	stateBuf []byte
+	// recovered is what RecoverFile or Rebuild did to build this plane.
+	recovered Recovery
 
 	leases   leaseHeap
 	valves   map[uint64]*valve
@@ -649,13 +657,14 @@ func (p *Plane) rejected(r Result) Result {
 	return r
 }
 
-// materializeAdd attaches the admitted reservation's traffic source to
-// the switch and re-derives the output's Vticks.
-func (p *Plane) materializeAdd(res *Reservation) {
+// newSource builds the traffic generator a reservation's request
+// describes, seeded from the reservation's id, and wires a closed-loop
+// one to the delivery feedback. Recovery from a snapshot builds the same
+// generator and then restores its state into it.
+func (p *Plane) newSource(res *Reservation) traffic.Stateful {
 	req := res.Req
 	spec := req.Spec()
 	seed := runner.DeriveSeed(p.cfg.Seed, int(res.ID&0x7fffffff))
-	var gen traffic.Generator
 	if req.Users > 0 {
 		clCfg := traffic.ClosedLoopConfig{Users: req.Users}
 		if req.Class == noc.GuaranteedLatency {
@@ -664,27 +673,33 @@ func (p *Plane) materializeAdd(res *Reservation) {
 		}
 		cl := traffic.NewClosedLoop(&p.seq, spec, clCfg, seed)
 		p.feedback[flowKey{req.Src, req.Dst, req.Class}] = cl
-		gen = cl
-	} else if req.Class == noc.GuaranteedBandwidth {
+		return cl
+	}
+	if req.Class == noc.GuaranteedBandwidth {
 		load := req.Load
 		if load == 0 {
 			load = req.Rate
 		}
-		gen = traffic.NewBernoulli(&p.seq, spec, load, seed)
-	} else {
-		// Rate passed admission, so the quotient is finite, but the
-		// clamped crossing keeps the conversion well-defined regardless.
-		interval := noc.ClampUint64(float64(req.PacketLen)/req.Rate+0.5, math.MaxUint64)
-		if interval == 0 {
-			interval = 1
-		}
-		gen = traffic.NewPeriodic(&p.seq, spec, noc.CycleOf(interval), 0)
+		return traffic.NewBernoulli(&p.seq, spec, load, seed)
 	}
-	src, v := newValve(gen, p.sw.Flows())
+	// Rate passed admission, so the quotient is finite, but the
+	// clamped crossing keeps the conversion well-defined regardless.
+	interval := noc.ClampUint64(float64(req.PacketLen)/req.Rate+0.5, math.MaxUint64)
+	if interval == 0 {
+		interval = 1
+	}
+	return traffic.NewPeriodic(&p.seq, spec, noc.CycleOf(interval), 0)
+}
+
+// materializeAdd attaches the admitted reservation's traffic source to
+// the switch and re-derives the output's Vticks.
+func (p *Plane) materializeAdd(res *Reservation) {
+	req := res.Req
+	src, v := newValve(p.newSource(res), p.sw.Flows())
 	if p.wrapSource != nil {
 		src = p.wrapSource(src)
 	}
-	if err := p.sw.AddFlow(traffic.Flow{Spec: spec, Gen: src}); err != nil {
+	if err := p.sw.AddFlow(traffic.Flow{Spec: req.Spec(), Gen: src}); err != nil {
 		p.fail(fmt.Errorf("ctlplane: materialize reservation %d: %w", res.ID, err))
 		return
 	}
@@ -777,8 +792,9 @@ func (p *Plane) settle() {
 	}
 	if p.cfg.SnapEvery > 0 {
 		for p.snapAt <= now {
-			p.checkpoint(KindSnap)
+			// Advanced first: the snapshot's state carries the next one's cycle.
 			p.snapAt += p.cfg.SnapEvery
+			p.checkpoint(KindSnap)
 		}
 	}
 }
@@ -798,9 +814,13 @@ func (p *Plane) checkpoint(kind string) {
 	}
 }
 
-// snapRecord captures the current verification state.
+// snapRecord captures the current state: the fields replay verifies and,
+// unless the plane has frozen, the blob recovery restores from. A frozen
+// plane writes none, so its recovery re-executes into the same freeze
+// instead of restoring a sick engine. The blob aliases stateBuf and is
+// valid until the next snapshot.
 func (p *Plane) snapRecord() *SnapRecord {
-	return &SnapRecord{
+	s := &SnapRecord{
 		Cycle:     p.sw.Now(),
 		Seq:       p.seqNo,
 		Table:     p.tab.State(),
@@ -808,6 +828,12 @@ func (p *Plane) snapRecord() *SnapRecord {
 		Delivered: p.delivered,
 		TraceHash: p.traceHash,
 	}
+	if p.Err() == nil {
+		if b, err := p.appendState(p.stateBuf[:0], s.Table.Reservations); err == nil {
+			p.stateBuf, s.State = b, b
+		}
+	}
+	return s
 }
 
 // Finish writes the clean-shutdown end record.

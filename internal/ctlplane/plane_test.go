@@ -191,6 +191,13 @@ func TestKillRecoverContinue(t *testing.T) {
 		if p.Now() > kill {
 			t.Fatalf("kill@%d: recovered beyond the kill point, at %d", kill.Uint(), p.Now().Uint())
 		}
+		// Recovery starts at the last snapshot the killed run reached, not
+		// at the header: the grid point at or below the kill.
+		every := p.Config().SnapEvery
+		if rec := p.Recovered(); rec.Snapshot != kill/every*every || rec.Snapshot+rec.Reexecuted != p.Now() {
+			t.Fatalf("kill@%d: recovered %+v at cycle %d, want from the snapshot at cycle %d",
+				kill.Uint(), rec, p.Now().Uint(), (kill / every * every).Uint())
+		}
 		runScripted(t, p, testSchedule(t), doneTags(t, path), testTotal)
 		if err := p.Finish(); err != nil {
 			t.Fatalf("kill@%d: %v", kill.Uint(), err)
@@ -212,16 +219,20 @@ func TestKillRecoverContinue(t *testing.T) {
 // recovery must never panic and never silently diverge — it recovers
 // exactly the longest valid record prefix (warning about the torn
 // tail), and continuing the run from there still reproduces the
-// uninterrupted final state.
+// uninterrupted final state. It starts from the newest snapshot that is
+// whole: a tear inside the second snapshot's state blob falls back to the
+// first, one before that to the header.
 func TestTornJournalRecovery(t *testing.T) {
 	const total = noc.Cycle(3200) // small run keeps len(journal) offsets tractable
+	cfg := testConfig(0, true)
+	cfg.SnapEvery = 1500 // two snapshots in the run
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.jsonl")
 	jr, err := CreateJournal(refPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(testConfig(0, true))
+	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +247,47 @@ func TestTornJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// snapEnd[k] is the offset behind the k-th snapshot line's newline, and
+	// inBlob marks the base64 of its state: one cut there is like the next,
+	// so only every eighth is tried.
+	var snapEnd []int
+	inBlob := make([]bool, len(data)+1)
+	for off := 0; off < len(data); {
+		end := off + bytes.IndexByte(data[off:], '\n') + 1
+		if bytes.Contains(data[off:end], []byte(`"kind":"snap"`)) {
+			snapEnd = append(snapEnd, end)
+			from := off + bytes.Index(data[off:end], []byte(`"state":"`)) + len(`"state":"`)
+			for i := from; data[i] != '"'; i++ {
+				inBlob[i] = true
+			}
+		}
+		off = end
+	}
+	if len(snapEnd) != 2 {
+		t.Fatalf("%d snapshots in the journal, want 2", len(snapEnd))
+	}
 	tornPath := filepath.Join(dir, "torn.jsonl")
 	for off := 0; off <= len(data); off++ {
+		if inBlob[off] && off%8 != 0 {
+			continue
+		}
 		if err := os.WriteFile(tornPath, data[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		p, warn, err := RecoverFile(tornPath, ReplayOptions{})
 		if err != nil {
 			t.Fatalf("offset %d: recovery error: %v", off, err)
+		}
+		// Whole snapshots in the cut: the line is valid without its newline.
+		whole := noc.Cycle(0)
+		for _, end := range snapEnd {
+			if off >= end-1 {
+				whole++
+			}
+		}
+		if p != nil && p.Recovered().Snapshot != whole*ref.Config().SnapEvery {
+			t.Fatalf("offset %d: recovered from cycle %d with %d whole snapshot(s) in the journal",
+				off, p.Recovered().Snapshot.Uint(), whole.Uint())
 		}
 		tornTail := off < len(data) && (off == 0 || data[off-1] != '\n')
 		if tornTail && warn == "" && p != nil {

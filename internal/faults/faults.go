@@ -34,6 +34,7 @@ import (
 
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
+	"swizzleqos/internal/wire"
 )
 
 // Default retry/backoff parameters (overridable via Config).
@@ -158,6 +159,42 @@ func (in *Injector) BeginCycle(now noc.Cycle) []FailStop {
 	fired := in.rest[:n]
 	in.rest = in.rest[n:]
 	return fired
+}
+
+// AppendState appends the injector's state for a full-state snapshot
+// (internal/ctlplane): the corruption RNG word, how many of the scheduled
+// fail-stops have fired, and the counters. The dead set is the ports of
+// the fired ones; the schedule itself is configuration.
+func (in *Injector) AppendState(b []byte) []byte {
+	b = in.rng.AppendState(b)
+	b = wire.Int(b, len(in.cfg.FailStops)-len(in.rest))
+	b = wire.Uint(b, in.Corruptions)
+	b = wire.Uint(b, in.Retransmissions)
+	b = wire.Uint(b, in.Drops)
+	return wire.Uint(b, in.StallCycles)
+}
+
+// RestoreState reads what AppendState wrote into an injector New built
+// from the same schedule, for an engine standing at the start of cycle
+// now. The fired count is refused unless it is exactly the fail-stops due
+// before now: BeginCycle has run for every earlier cycle and for none
+// from now on.
+func (in *Injector) RestoreState(r *wire.Reader, now noc.Cycle) error {
+	in.rng.RestoreState(r)
+	fired := r.Int(len(in.rest))
+	c := Counters{Corruptions: r.Uint(), Retransmissions: r.Uint(), Drops: r.Uint(), StallCycles: r.Uint()}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if (fired > 0 && in.rest[fired-1].At >= now) || (fired < len(in.rest) && in.rest[fired].At < now) {
+		return fmt.Errorf("faults: %d fail-stop(s) fired is not the schedule's count before cycle %d", fired, now.Uint())
+	}
+	for _, f := range in.rest[:fired] {
+		in.dead[key(f.Input, f.Port)] = struct{}{}
+	}
+	in.rest = in.rest[fired:]
+	in.Counters = c
+	return nil
 }
 
 func key(input bool, port int) int {

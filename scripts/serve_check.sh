@@ -7,9 +7,13 @@
 #
 #   A  uninterrupted reference run
 #   B  paced run SIGKILLed mid-simulation, then resumed from its journal
-#      with the same arguments (recovery re-executes the journal from
-#      genesis, so the resumed trace covers the whole run)
+#      with the same arguments (with -trace, recovery re-executes the
+#      journal from genesis, so the resumed trace covers the whole run)
 #   C  offline replay of run B's journal alone
+#
+# and a fourth, B', repeats B without -trace: that daemon recovers as
+# daemons do, from the newest snapshot in its journal, re-executing only
+# the cycles behind it, and must still print run A's summary.
 #
 # Any divergence — a lease that re-expired differently, a fault applied
 # twice, a torn journal record silently accepted — shows up as a cmp/diff
@@ -60,6 +64,28 @@ diff "$work/a.sum" "$work/b.sum" || {
     exit 1
 }
 
+echo "serve-check: run B' (paced, SIGKILL mid-run, resume from the last snapshot: no trace)"
+"$bin" -journal "$work/bp.jsonl" -pace 10 $common > "$work/bp1.out" &
+pid=$!
+sleep 2
+kill -KILL "$pid" 2>/dev/null || {
+    echo "serve-check: FAIL: paced run finished before the kill landed (pace too fast for this host?)" >&2
+    exit 1
+}
+wait "$pid" 2>/dev/null || true
+
+"$bin" -journal "$work/bp.jsonl" $common > "$work/bp2.out"
+grep -q "^recovered journal .* snapshot at cycle [1-9][0-9]*, [0-9]* cycles re-executed" "$work/bp2.out" || {
+    echo "serve-check: FAIL: run B' did not recover from a snapshot" >&2
+    cat "$work/bp2.out" >&2
+    exit 1
+}
+summary "$work/bp2.out" > "$work/bp.sum"
+diff "$work/a.sum" "$work/bp.sum" || {
+    echo "serve-check: FAIL: summary of the run resumed from a snapshot differs from the uninterrupted reference" >&2
+    exit 1
+}
+
 echo "serve-check: run C (offline replay of run B's journal)"
 "$bin" -replay "$work/b.jsonl" -trace "$work/c.trace" > "$work/c.out"
 cmp "$work/a.trace" "$work/c.trace" || {
@@ -72,4 +98,4 @@ diff "$work/a.sum" "$work/c.sum" || {
     exit 1
 }
 
-echo "serve-check: PASS ($(wc -l < "$work/a.trace") deliveries; killed at $(head -c 200 "$work/b2.out" | sed -n 's/^recovered journal .* at cycle \([0-9]*\).*/cycle \1/p'))"
+echo "serve-check: PASS ($(wc -l < "$work/a.trace") deliveries; killed at $(sed -n 's/^recovered journal [^ ]* at cycle \([0-9]*\).*/cycle \1/p' "$work/b2.out"); B' $(sed -n 's/^recovered journal .*; \(snapshot at cycle [0-9]*, [0-9]* cycles re-executed\)).*/\1/p' "$work/bp2.out"))"
