@@ -44,17 +44,19 @@ lint:
 	$(GO) run ./cmd/ssvc-lint -strict ./...
 
 # Perf gate for the word-parallel arbitration path: the bitplane/scalar
-# equivalence fuzz seed corpus, the two oracles the saturated crossbar
-# cycle rests on (the LRG priority matrix against the move-to-back list,
-# the standing offers against a per-cycle scan), then a short-benchtime
-# sweep of the arbitration and cycle-loop benchmarks. The sweep is
-# informational: CI hardware is too noisy to gate on ns/op, and the
-# allocation gate over the same configurations is TestSteadyStateAllocs,
-# which `make test` runs.
+# equivalence fuzz seed corpus, the oracles the saturated crossbar and
+# routed cycles rest on (the LRG priority matrix against the move-to-back
+# list, each engine's standing offers against a per-cycle scan, the routed
+# engine in lock step with its scan oracle, its offer evaluations per
+# saturated cycle), then a short-benchtime sweep of the arbitration and
+# cycle-loop benchmarks. The sweep is informational: CI hardware is too
+# noisy to gate on ns/op, and the allocation gate over the same
+# configurations is TestSteadyStateAllocs, which `make test` runs.
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan'
+	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
 
@@ -174,5 +176,6 @@ fuzz:
 	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s
+	$(GO) test ./internal/compose/ -run '^$$' -fuzz FuzzRoutedOffers -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzRestoreState -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./cmd/ssvc-sim/ -fuzz FuzzScenarioParse -fuzztime 30s

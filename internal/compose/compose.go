@@ -283,16 +283,24 @@ func Mesh(width, height int) (Topology, error) {
 type node struct {
 	id int
 	// sh is the shard owning this node; li is the node's local index
-	// within it (id - sh.lo).
-	sh       *netShard //ssvc:owner
-	li       int
-	in       []*fabric.Buffer
-	out      []*fabric.Transmission
-	cooldown []bool
-	inBusy   []bool
-	arbs     []arb.Arbiter
-	next     []PortRef // downstream input for each output port...
-	hasNext  []bool    // ...valid where true; otherwise the port ejects
+	// within it (id - sh.lo), and fbase the shard-local flat id of its
+	// port 0 (see netShard).
+	sh      *netShard //ssvc:owner
+	li      int
+	fbase   int
+	in      []*fabric.Buffer
+	out     []*fabric.Transmission
+	inBusy  []bool
+	arbs    []arb.Arbiter
+	next    []PortRef // downstream input for each output port...
+	hasNext []bool    // ...valid where true; otherwise the port ejects
+	// The standing offers (see refresh): offer[p] is the head input p
+	// offers to output offerOut[p], nil while it offers none, and want is
+	// one request mask over the inputs per output, words words each.
+	offer    []*noc.Packet
+	offerOut []int32
+	want     []uint64
+	words    int
 	// clks[p] is arbs[p]'s deadline face, asserted once at construction;
 	// nil where the arbiter announces none.
 	clks []arb.TickScheduler
@@ -315,7 +323,7 @@ type haloCommit struct {
 // netShard is one contiguous node range [lo, hi) with everything its
 // parallel stages touch: the injection sources of the terminals attached
 // to its nodes, a transmission pool, counter deltas, and the
-// event-driven work masks — no stage shares mutable state across shards
+// event masks a cycle walks — no stage shares mutable state across shards
 // (the zero-allocation steady state then holds per shard with no
 // cross-shard pool traffic).
 type netShard struct {
@@ -334,9 +342,17 @@ type netShard struct {
 	// Event-driven work tracking (see DESIGN.md "Event-driven idle
 	// skipping"), over local node indices: work[li] counts node lo+li's
 	// buffered packets, in-flight transmissions, and pending cooldowns;
-	// active masks the nodes where it is nonzero.
-	work   []int
-	active []uint64
+	// activePorts counts the ports of the nodes where it is nonzero.
+	work        []int
+	activePorts int
+	// Event masks over the shard's ports, which are what a cycle walks:
+	// flat id f is port f-fbase of node lo+portNode[f] and fault port
+	// base+f. tx: transmitting outputs; cool: outputs that owe the idle
+	// cycle after a transfer; offered: outputs with a nonempty want;
+	// dirty: inputs whose offer may be stale; all: every port.
+	base                          int
+	portNode                      []int32
+	tx, cool, offered, dirty, all []uint64
 	// admitSkip masks the injection groups whose last admission attempt
 	// moved nothing, and whose next one provably cannot either: every
 	// event that could change the outcome clears the bit (see admitShard).
@@ -349,22 +365,28 @@ type netShard struct {
 	delivered []*noc.Packet
 }
 
-// addWork records one more work item (buffered packet, transmission, or
-// cooldown) at local node li.
+// push records a packet that entered input port of the shard's node nd:
+// one more work item (a grant turns it into a transmission and the last
+// flit into a cooldown, so the count stands until subWork), and if it is
+// the new head of an idle input, an offer to re-derive.
 //
 //ssvc:hotpath
-func (sh *netShard) addWork(li int) {
-	if sh.work[li]++; sh.work[li] == 1 {
-		arb.MaskSet(sh.active, li)
+func (sh *netShard) push(nd *node, port int) {
+	if sh.work[nd.li]++; sh.work[nd.li] == 1 {
+		sh.activePorts += len(nd.out)
+	}
+	if nd.in[port].Len() == 1 && !nd.inBusy[port] {
+		arb.MaskSet(sh.dirty, nd.fbase+port)
 	}
 }
 
-// subWork records a completed work item at local node li.
+// subWork records a completed work item (a cooldown served, a head
+// discarded) at the shard's node nd.
 //
 //ssvc:hotpath
-func (sh *netShard) subWork(li int) {
-	if sh.work[li]--; sh.work[li] == 0 {
-		arb.MaskClear(sh.active, li)
+func (sh *netShard) subWork(nd *node) {
+	if sh.work[nd.li]--; sh.work[nd.li] == 0 {
+		sh.activePorts -= len(nd.out)
 	}
 }
 
@@ -426,12 +448,11 @@ type Network struct {
 	portBase []int // flat fault-port id of each node's port 0
 
 	arbReqs []arb.Request // scratch: requests handed to one arbitration
-	heads   []*noc.Packet // scratch: per-node head snapshot
-	// wants is scratch: one request mask over the visited node's input
-	// ports per output port, arb.MaskWords(ports) words each.
-	wants []uint64
 
 	totalPorts int
+
+	OfferEvals   uint64              // offers re-derived (refresh); not part of the embedded counter block
+	afterRefresh func(now noc.Cycle) // test hook: the offers are current for this cycle
 
 	// Execution mode, fixed at the first Step/Run (see ensureMode):
 	// program non-nil selects the sharded parallel pipeline.
@@ -472,8 +493,6 @@ func New(cfg Config) (*Network, error) {
 		net.totalPorts += p
 	}
 	net.arbReqs = make([]arb.Request, 0, maxPorts)
-	net.heads = make([]*noc.Packet, maxPorts)
-	net.wants = make([]uint64, maxPorts*arb.MaskWords(maxPorts))
 	net.part = shard.NewPartition(len(cfg.Topology.Ports), cfg.Shards)
 	for k := 0; k < net.part.Shards(); k++ {
 		lo, hi := net.part.Range(k)
@@ -482,7 +501,7 @@ func New(cfg Config) (*Network, error) {
 			lo:        lo,
 			hi:        hi,
 			work:      make([]int, hi-lo),
-			active:    make([]uint64, arb.MaskWords(hi-lo)),
+			base:      net.portBase[lo],
 			outbox:    make([][]haloCommit, net.part.Shards()),
 			delivered: make([]*noc.Packet, 0, hi-lo),
 		})
@@ -493,7 +512,11 @@ func New(cfg Config) (*Network, error) {
 	// share a shard, so the shard-grouped admission walk keeps their
 	// relative order).
 	for id, ports := range cfg.Topology.Ports {
-		net.sh[net.part.Of(id)].txPool.Preload(ports)
+		sh := net.sh[net.part.Of(id)]
+		sh.txPool.Preload(ports)
+		for p := 0; p < ports; p++ {
+			sh.portNode = append(sh.portNode, int32(id-sh.lo))
+		}
 	}
 	counts := make([]int, net.part.Shards())
 	if !cfg.Topology.flowGroups {
@@ -507,6 +530,12 @@ func New(cfg Config) (*Network, error) {
 	for k, sh := range net.sh {
 		sh.sources = fabric.NewSources(counts[k])
 		sh.admitSkip = make([]uint64, arb.MaskWords(counts[k]))
+		words := arb.MaskWords(len(sh.portNode))
+		sh.tx, sh.cool, sh.offered = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+		sh.dirty, sh.all = make([]uint64, words), make([]uint64, words)
+		for f := range sh.portNode {
+			arb.MaskSet(sh.all, f)
+		}
 		sh.sources.SetOnNewHead(func(group int) { arb.MaskClear(sh.admitSkip, group) })
 	}
 	terms := len(cfg.Topology.Terminals)
@@ -516,14 +545,18 @@ func New(cfg Config) (*Network, error) {
 			id:       id,
 			sh:       sh,
 			li:       id - sh.lo,
+			fbase:    net.portBase[id] - sh.base,
 			in:       make([]*fabric.Buffer, ports),
 			out:      make([]*fabric.Transmission, ports),
-			cooldown: make([]bool, ports),
 			inBusy:   make([]bool, ports),
 			arbs:     make([]arb.Arbiter, ports),
 			clks:     make([]arb.TickScheduler, ports),
 			next:     make([]PortRef, ports),
 			hasNext:  make([]bool, ports),
+			offer:    make([]*noc.Packet, ports),
+			offerOut: make([]int32, ports),
+			want:     make([]uint64, ports*arb.MaskWords(ports)),
+			words:    arb.MaskWords(ports),
 			route:    routes[id*terms : (id+1)*terms],
 			groups:   make([][]int, ports),
 		}
@@ -548,7 +581,7 @@ func New(cfg Config) (*Network, error) {
 
 // checkRoutes follows the tabulated route of every (node, terminal) pair
 // over the links: it must leave the network at exactly
-// Terminals[terminal] within len(nodes) hops. transferNode ejects
+// Terminals[terminal] within len(nodes) hops. A transfer ejects
 // wherever there is no link, so a route that ends at any other unlinked
 // port would be counted as delivered there, and a route that takes more
 // hops than there are nodes has revisited one and circulates for ever.
@@ -576,29 +609,29 @@ func (n *Network) checkRoutes() error {
 	return nil
 }
 
-// recomputeActive rebuilds the work counts and activity masks from first
+// recomputeActive rebuilds the work counts and activePorts from first
 // principles after fault handling has flushed state wholesale, and
 // forgets every barren admission: a fail-stop empties buffers and changes
-// which terminals are dead. Cold path.
+// which terminals are dead. A stale offer needs nothing: a schedule has
+// arbitrate re-derive every input before it reads one. Cold path.
 func (n *Network) recomputeActive() {
 	for _, sh := range n.sh {
-		arb.MaskZero(sh.active)
 		arb.MaskZero(sh.admitSkip)
-		for li := 0; li < sh.hi-sh.lo; li++ {
+		sh.activePorts = 0
+		for li := range sh.work {
 			nd := n.nodes[sh.lo+li]
-			c := 0
+			sh.work[li] = 0
 			for port := range nd.in {
-				c += nd.in[port].Len()
+				sh.work[li] += nd.in[port].Len()
 				if nd.out[port] != nil {
-					c++
+					sh.work[li]++
 				}
-				if nd.cooldown[port] {
-					c++
+				if arb.MaskHas(sh.cool, nd.fbase+port) {
+					sh.work[li]++
 				}
 			}
-			sh.work[li] = c
-			if c > 0 {
-				arb.MaskSet(sh.active, li)
+			if sh.work[li] > 0 {
+				sh.activePorts += len(nd.out)
 			}
 		}
 	}
@@ -668,6 +701,10 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	}
 	if f.Gen == nil {
 		return fmt.Errorf("compose: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
+	}
+	if f.Spec.PacketLength > n.cfg.BufferFlits {
+		return fmt.Errorf("compose: flow %d->%d: %d-flit packets can never enter a %d-flit buffer",
+			f.Spec.Src, f.Spec.Dst, f.Spec.PacketLength, n.cfg.BufferFlits)
 	}
 	at := n.cfg.Topology.Terminals[f.Spec.Src]
 	nd := n.nodes[at.Node]
@@ -813,7 +850,7 @@ func (n *Network) admitSharded(k int) {
 // not mask. An attempt that moves nothing sets the group's bit, and the
 // bit stays set until something could change the outcome: a flow queue
 // of the group gains a head (Sources.SetOnNewHead), a flow joins it
-// (AddFlow), the buffer it admits into pops a packet (arbitrateNode: an
+// (AddFlow), the buffer it admits into pops a packet (serve: an
 // attachment port is never link-fed, so it holds no reservation and a
 // pop is the only way its free space grows), or a fail-stop rewrites
 // buffers and dead terminals wholesale (recomputeActive). A dead
@@ -840,7 +877,7 @@ func (n *Network) admitShard(sh *netShard, ctr *fabric.Counters, now noc.Cycle) 
 		}
 		p.EnqueuedAt = now
 		ctr.Admitted++
-		sh.addWork(nd.li)
+		sh.push(nd, at.Port)
 		return true
 	}
 	// Pops clear nonempty bits in place; the per-word snapshot keeps this
@@ -873,55 +910,61 @@ func (n *Network) admitShard(sh *netShard, ctr *fabric.Counters, now noc.Cycle) 
 func (n *Network) transferShard(k int) {
 	sh := n.sh[k]
 	now := n.now
-	for w, mm := range sh.active {
-		for mm != 0 {
-			li := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
-			n.transferNodePar(sh, n.nodes[sh.lo+li], now)
+	for w, mm := range sh.tx {
+		for ; mm != 0; mm &= mm - 1 {
+			n.transferPortPar(sh, w<<6+bits.TrailingZeros64(mm), now)
 		}
 	}
 }
 
-// transferNodePar is transferNode for the parallel pipeline: no fault
+// transferPortPar is transferPort for the parallel pipeline: no fault
 // paths (fault runs are serial), per-shard counters, deferred
 // cross-shard commits and deliveries.
 //
 //ssvc:hotpath
-func (n *Network) transferNodePar(sh *netShard, nd *node, now noc.Cycle) {
-	for port := range nd.out {
-		tx := nd.out[port]
-		if tx == nil {
-			continue
-		}
-		sh.ctr.DataCycles++
-		tx.Remaining--
-		if tx.Remaining > 0 {
-			continue
-		}
-		// Channel teardown swaps the transmission work item for the
-		// cooldown one, so nd's work count is unchanged here.
-		pkt, from := tx.Pkt, tx.Input
-		nd.inBusy[from] = false
-		nd.out[port] = nil
-		nd.cooldown[port] = true
-		sh.txPool.Put(tx)
-		if nd.hasNext[port] {
-			next := nd.next[port]
-			dst := n.nodes[next.Node]
-			if dst.sh == sh {
-				dst.in[next.Port].Commit(pkt)
-				sh.addWork(dst.li)
-			} else {
-				sh.outbox[dst.sh.idx] = append(sh.outbox[dst.sh.idx],
-					haloCommit{nd: dst, port: next.Port, pkt: pkt})
-			}
-			continue
-		}
-		// No link: this port is a terminal ejection.
-		pkt.DeliveredAt = now
-		sh.ctr.Delivered++
-		sh.delivered = append(sh.delivered, pkt)
+func (n *Network) transferPortPar(sh *netShard, f int, now noc.Cycle) {
+	nd := n.nodes[sh.lo+int(sh.portNode[f])]
+	port := f - nd.fbase
+	tx := nd.out[port]
+	sh.ctr.DataCycles++
+	tx.Remaining--
+	if tx.Remaining > 0 {
+		return
 	}
+	pkt := tx.Pkt
+	sh.complete(nd, f)
+	if nd.hasNext[port] {
+		next := nd.next[port]
+		dst := n.nodes[next.Node]
+		if dst.sh == sh {
+			dst.in[next.Port].Commit(pkt)
+			sh.push(dst, next.Port)
+		} else {
+			sh.outbox[dst.sh.idx] = append(sh.outbox[dst.sh.idx],
+				haloCommit{nd: dst, port: next.Port, pkt: pkt})
+		}
+		return
+	}
+	// No link: this port is a terminal ejection.
+	pkt.DeliveredAt = now
+	sh.ctr.Delivered++
+	sh.delivered = append(sh.delivered, pkt)
+}
+
+// complete tears down the channel at flat id f of the shard's node nd:
+// the input may offer again and the output owes its cooldown cycle, the
+// work item the transmission becomes, so nd's work count stands.
+//
+//ssvc:hotpath
+func (sh *netShard) complete(nd *node, f int) {
+	port := f - nd.fbase
+	tx := nd.out[port]
+	nd.inBusy[tx.Input] = false
+	arb.MaskSet(sh.dirty, nd.fbase+tx.Input)
+	nd.out[port] = nil
+	arb.MaskClear(sh.tx, f)
+	arb.MaskSet(sh.cool, f)
+	sh.txPool.Put(tx)
 }
 
 // commitSharded is the cycle's serial stage: boundary commits merge in
@@ -939,7 +982,7 @@ func (n *Network) commitSharded() {
 			box := n.sh[j].outbox[k]
 			for _, h := range box {
 				h.nd.in[h.port].Commit(h.pkt)
-				h.nd.sh.addWork(h.nd.li)
+				h.nd.sh.push(h.nd, h.port)
 			}
 			n.sh[j].outbox[k] = box[:0]
 		}
@@ -1035,6 +1078,7 @@ func (n *Network) abortTx(nd *node, out int) {
 	pkt, from := tx.Pkt, tx.Input
 	nd.inBusy[from] = false
 	nd.out[out] = nil
+	arb.MaskClear(nd.sh.tx, nd.fbase+out)
 	nd.sh.txPool.Put(tx)
 	if nd.hasNext[out] {
 		next := nd.next[out]
@@ -1058,224 +1102,239 @@ func (n *Network) inject(now noc.Cycle) {
 	}
 }
 
-//ssvc:hotpath
-func (n *Network) transfer(now noc.Cycle) {
-	if n.faults != nil {
-		for _, nd := range n.nodes {
-			n.transferNode(nd, now)
-		}
-		return
-	}
-	// Fault-free fast path: a transfer only advances a non-nil output
-	// channel, and every in-flight transmission is a counted work item,
-	// so inactive nodes are provably no-ops. Completions committing into
-	// a downstream node may set its bit mid-walk; the full walk would
-	// find that node transfer-idle too (a committed packet is not a
-	// transmission), so visiting or skipping it is equivalent.
-	for _, sh := range n.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				n.transferNode(n.nodes[sh.lo+li], now)
-			}
-		}
-	}
-}
-
-// transferNode advances node nd's busy output channels one flit.
+// transfer advances every transmitting output one flit, in ascending
+// node and port order. A completion clears only its own tx bit and no
+// transfer starts here, so the per-word snapshot is this cycle's set.
 //
 //ssvc:hotpath
-func (n *Network) transferNode(nd *node, now noc.Cycle) {
-	for port := range nd.out {
-		tx := nd.out[port]
-		if tx == nil {
-			continue
-		}
-		if n.faults != nil && n.faults.StallOutput(now, n.portBase[nd.id]+port) {
-			continue // stalled link: the in-flight transfer freezes
-		}
-		n.DataCycles++
-		tx.Remaining--
-		if tx.Remaining > 0 {
-			continue
-		}
-		// Channel teardown swaps the transmission work item for the
-		// cooldown one, so nd's work count is unchanged here.
-		pkt, from := tx.Pkt, tx.Input
-		nd.inBusy[from] = false
-		nd.out[port] = nil
-		nd.cooldown[port] = true
-		nd.sh.txPool.Put(tx)
-		// Receiver-side modeled CRC check (see internal/faults): a
-		// corrupted hop is NACKed back to the upstream queue head
-		// (reservation released) or dropped once out of retries.
-		if n.faults != nil && n.faults.CorruptArrival(pkt) {
-			if nd.hasNext[port] {
-				next := nd.next[port]
-				n.nodes[next.Node].in[next.Port].Unreserve(pkt.Length)
+func (n *Network) transfer(now noc.Cycle) {
+	for _, sh := range n.sh {
+		for w, mm := range sh.tx {
+			for ; mm != 0; mm &= mm - 1 {
+				n.transferPort(sh, w<<6+bits.TrailingZeros64(mm), now)
 			}
-			if n.faults.Retry(now, pkt) {
-				nd.in[from].PushFront(pkt)
-				nd.sh.addWork(nd.li)
-			} else {
-				n.dropPkt(pkt)
-			}
-			continue
 		}
-		if nd.hasNext[port] {
-			next := nd.next[port]
-			dst := n.nodes[next.Node]
-			dst.in[next.Port].Commit(pkt)
-			dst.sh.addWork(dst.li)
-			continue
-		}
-		// No link: this port is a terminal ejection.
-		pkt.DeliveredAt = now
-		n.Delivered++
-		n.Deliver(pkt)
 	}
 }
 
+// transferPort advances the busy output channel at flat id f one flit.
+//
 //ssvc:hotpath
-func (n *Network) arbitrate(now noc.Cycle) {
-	if n.faults != nil {
-		for _, nd := range n.nodes {
-			if n.err != nil {
-				return
-			}
-			n.arbitrateNode(nd, now)
+func (n *Network) transferPort(sh *netShard, f int, now noc.Cycle) {
+	nd := n.nodes[sh.lo+int(sh.portNode[f])]
+	port := f - nd.fbase
+	if n.faults != nil && n.faults.StallOutput(now, sh.base+f) {
+		return // stalled link: the in-flight transfer freezes
+	}
+	tx := nd.out[port]
+	n.DataCycles++
+	tx.Remaining--
+	if tx.Remaining > 0 {
+		return
+	}
+	pkt, from := tx.Pkt, tx.Input
+	sh.complete(nd, f)
+	// Receiver-side modeled CRC check (see internal/faults): a
+	// corrupted hop is NACKed back to the upstream queue head
+	// (reservation released) or dropped once out of retries.
+	if n.faults != nil && n.faults.CorruptArrival(pkt) {
+		if nd.hasNext[port] {
+			next := nd.next[port]
+			n.nodes[next.Node].in[next.Port].Unreserve(pkt.Length)
+		}
+		if n.faults.Retry(now, pkt) {
+			nd.in[from].PushFront(pkt)
+			sh.push(nd, from)
+		} else {
+			n.dropPkt(pkt)
 		}
 		return
 	}
-	// Fault-free fast path: an inactive node has no head to grant, no
-	// cooldown to clear, and no busy output — the full walk would count
-	// all its outputs idle and move on. Bulk-account those outputs as
-	// skipped idle cycles instead of touching them. Fault-free
-	// arbitration never pushes packets, so no bit sets mid-walk; clears
-	// only affect the node being visited.
-	visitedPorts := 0
+	if nd.hasNext[port] {
+		next := nd.next[port]
+		dst := n.nodes[next.Node]
+		dst.in[next.Port].Commit(pkt)
+		dst.sh.push(dst, next.Port)
+		return
+	}
+	// No link: this port is a terminal ejection.
+	pkt.DeliveredAt = now
+	n.Delivered++
+	n.Deliver(pkt)
+}
+
+// arbitrate re-derives the dirty offers, then serves the outputs leaving
+// a cooldown or holding an offer, less the ones transmitting, in
+// ascending node and port order. The rest are idle and are counted
+// unvisited, as the walk over all ports counted them. A fault schedule
+// widens both masks to every port (HoldUntil makes an offer depend on
+// now; dead and stalled outputs have rules of their own) and skips
+// nothing. No input turns dirty here and serve touches only its own
+// output's bits, so the per-word snapshots are this cycle's sets.
+//
+//ssvc:hotpath
+func (n *Network) arbitrate(now noc.Cycle) {
 	for _, sh := range n.sh {
-		for w, mm := range sh.active {
-			for mm != 0 {
-				li := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
+		for w, mm := range sh.dirty {
+			if n.faults != nil {
+				mm = sh.all[w]
+			}
+			sh.dirty[w] = 0
+			for ; mm != 0; mm &= mm - 1 {
+				n.refresh(sh, w<<6+bits.TrailingZeros64(mm), now)
+			}
+		}
+	}
+	if n.afterRefresh != nil {
+		n.afterRefresh(now)
+	}
+	for _, sh := range n.sh {
+		idle, skipped := len(sh.portNode), len(sh.portNode)-sh.activePorts
+		for w := range sh.tx {
+			visit := sh.cool[w] | sh.offered[w]
+			idle -= bits.OnesCount64(visit | sh.tx[w])
+			if n.faults != nil {
+				visit = sh.all[w]
+			}
+			for visit &^= sh.tx[w]; visit != 0; visit &= visit - 1 {
 				if n.err != nil {
 					return
 				}
-				nd := n.nodes[sh.lo+li]
-				n.arbitrateNode(nd, now)
-				visitedPorts += len(nd.out)
+				n.serve(sh, w<<6+bits.TrailingZeros64(visit), now)
 			}
 		}
-	}
-	if n.err == nil {
-		skipped := uint64(n.totalPorts - visitedPorts)
-		n.IdleCycles += skipped
-		n.SkippedOutputs += skipped
+		if n.faults == nil {
+			n.IdleCycles += uint64(idle)
+			n.SkippedOutputs += uint64(skipped)
+		}
 	}
 }
 
-// arbitrateNode grants node nd's idle outputs. Each output is handed only
-// the heads routed to it: the snapshot files every ready head under its
-// output in one pass, so a node costs its requests, not inputs x outputs.
+// refresh re-derives the offer of the input at sh's flat id f: an idle
+// input offers its head, unless the head sits out a retransmission
+// backoff, to the output the head routes to. The offer is state: it
+// stands until an event that can change it marks the input dirty.
 //
 //ssvc:hotpath
-func (n *Network) arbitrateNode(nd *node, now noc.Cycle) {
-	// Snapshot head packets once per node so one input cannot be granted
-	// by two outputs in the same cycle, setting each ready head's bit in
-	// the request mask of the output it routes to.
-	ports := len(nd.in)
-	words := arb.MaskWords(ports)
-	heads := n.heads[:ports]
-	wants := n.wants[:ports*words]
-	arb.MaskZero(wants)
-	for port := range nd.in {
-		if nd.inBusy[port] {
-			continue
-		}
-		p := nd.in[port].Head()
-		if p == nil || p.HoldUntil > now {
-			continue // empty, or backing off a retransmission
-		}
-		route := int(nd.route[p.Dst])
-		if n.faults != nil && n.faults.OutputDead(n.portBase[nd.id]+route) {
-			// The static route dead-ends here: discard so upstream
-			// buffers keep draining toward the fault point.
-			n.dropPkt(nd.in[port].Pop())
-			nd.sh.subWork(nd.li)
-			nd.sh.retryAdmits(nd.groups[port])
-			continue
-		}
-		heads[port] = p
-		arb.MaskSet(wants[route*words:], port)
+func (n *Network) refresh(sh *netShard, f int, now noc.Cycle) {
+	nd := n.nodes[sh.lo+int(sh.portNode[f])]
+	port := f - nd.fbase
+	n.OfferEvals++
+	if nd.offer[port] != nil {
+		withdraw(nd, port)
 	}
-	for out := range nd.out {
-		if nd.out[out] != nil {
-			continue
-		}
-		if n.faults != nil && (n.faults.OutputDead(n.portBase[nd.id]+out) || n.faults.StallOutput(now, n.portBase[nd.id]+out)) {
-			continue
-		}
-		if nd.cooldown[out] {
-			nd.cooldown[out] = false
-			nd.sh.subWork(nd.li)
-			continue
-		}
-		// The requesters in ascending input order, less those the
-		// downstream buffer has no room for.
-		var down *fabric.Buffer
-		if nd.hasNext[out] {
-			next := nd.next[out]
-			down = n.nodes[next.Node].in[next.Port]
-		}
-		reqs := n.arbReqs[:0]
-		for w, mm := range wants[out*words : (out+1)*words] {
-			for mm != 0 {
-				in := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				p := heads[in]
-				if down != nil && !down.CanAccept(p.Length) {
-					continue
+	if nd.inBusy[port] {
+		return
+	}
+	p := nd.in[port].Head()
+	if p == nil || p.HoldUntil > now {
+		return
+	}
+	out := int(nd.route[p.Dst])
+	nd.offer[port], nd.offerOut[port] = p, int32(out)
+	arb.MaskSet(nd.want[out*nd.words:], port)
+	arb.MaskSet(sh.offered, nd.fbase+out)
+}
+
+// withdraw takes input port's offer out of its output's request mask.
+//
+//ssvc:hotpath
+func withdraw(nd *node, port int) {
+	out := int(nd.offerOut[port])
+	nd.offer[port] = nil
+	want := nd.want[out*nd.words : (out+1)*nd.words]
+	arb.MaskClear(want, port)
+	if !arb.MaskAny(want) {
+		arb.MaskClear(nd.sh.offered, nd.fbase+out)
+	}
+}
+
+// serve spends the cycle of the idle output at sh's flat id f: it leaves
+// its cooldown, or arbitrates among its standing offers, less those the
+// downstream buffer has no room for.
+//
+//ssvc:hotpath
+func (n *Network) serve(sh *netShard, f int, now noc.Cycle) {
+	nd := n.nodes[sh.lo+int(sh.portNode[f])]
+	out := f - nd.fbase
+	want := nd.want[out*nd.words : (out+1)*nd.words]
+	if n.faults != nil {
+		if n.faults.OutputDead(sh.base + f) {
+			// The static route dead-ends here: discard what is offered,
+			// so upstream buffers keep draining toward the fault point,
+			// but only now, after the lower nodes' arbitrations.
+			for w, mm := range want {
+				for ; mm != 0; mm &= mm - 1 {
+					in := w<<6 + bits.TrailingZeros64(mm)
+					withdraw(nd, in)
+					n.dropPkt(nd.in[in].Pop())
+					sh.subWork(nd)
+					sh.retryAdmits(nd.groups[in])
 				}
-				reqs = append(reqs, arb.Request{Input: in, Class: p.Class, Packet: p})
 			}
-		}
-		if len(reqs) == 0 {
-			n.IdleCycles++
-			continue
-		}
-		n.ArbCycles++
-		w := nd.arbs[out].Arbitrate(now, reqs)
-		if w < 0 {
-			continue
-		}
-		req := reqs[w]
-		p := nd.in[req.Input].Pop()
-		if p != req.Packet {
-			//ssvc:coldpath the engine freezes sick here, so this error path may allocate
-			head := "empty queue"
-			if p != nil {
-				head = fmt.Sprintf("packet %d", p.ID)
-			}
-			n.fail(fmt.Errorf("compose: cycle %d: node %d granted packet %d but head is %s",
-				now, nd.id, req.Packet.ID, head))
 			return
 		}
-		// Zero doubles as "not yet granted", so without grantAtSource a
-		// packet granted at cycle 0 is stamped again at its next node.
-		if p.GrantedAt == 0 && (!n.cfg.Topology.grantAtSource || nd.id == n.cfg.Topology.Terminals[p.Src].Node) {
-			p.GrantedAt = now
+		if n.faults.StallOutput(now, sh.base+f) {
+			return
 		}
-		if down != nil {
-			down.Reserve(p.Length)
-		}
-		// The granted head leaves the buffer but becomes an in-flight
-		// transmission, so nd's work count is unchanged. The space it
-		// frees can unblock the groups injecting at that port.
-		nd.sh.retryAdmits(nd.groups[req.Input])
-		nd.inBusy[req.Input] = true
-		nd.out[out] = nd.sh.txPool.Get(p, req.Input)
-		nd.arbs[out].Granted(now, req)
 	}
+	if arb.MaskHas(sh.cool, f) {
+		arb.MaskClear(sh.cool, f)
+		sh.subWork(nd)
+		return
+	}
+	var down *fabric.Buffer
+	if nd.hasNext[out] {
+		next := nd.next[out]
+		down = n.nodes[next.Node].in[next.Port]
+	}
+	reqs := n.arbReqs[:0]
+	for w, mm := range want {
+		for ; mm != 0; mm &= mm - 1 {
+			in := w<<6 + bits.TrailingZeros64(mm)
+			p := nd.offer[in]
+			if down != nil && !down.CanAccept(p.Length) {
+				continue
+			}
+			reqs = append(reqs, arb.Request{Input: in, Class: p.Class, Packet: p})
+		}
+	}
+	if len(reqs) == 0 {
+		n.IdleCycles++
+		return
+	}
+	n.ArbCycles++
+	w := nd.arbs[out].Arbitrate(now, reqs)
+	if w < 0 {
+		return
+	}
+	req := reqs[w]
+	p := nd.in[req.Input].Pop()
+	if p != req.Packet {
+		//ssvc:coldpath the engine freezes sick here, so this error path may allocate
+		head := "empty queue"
+		if p != nil {
+			head = fmt.Sprintf("packet %d", p.ID)
+		}
+		n.fail(fmt.Errorf("compose: cycle %d: node %d granted packet %d but head is %s",
+			now, nd.id, req.Packet.ID, head))
+		return
+	}
+	// Zero doubles as "not yet granted", so without grantAtSource a
+	// packet granted at cycle 0 is stamped again at its next node.
+	if p.GrantedAt == 0 && (!n.cfg.Topology.grantAtSource || nd.id == n.cfg.Topology.Terminals[p.Src].Node) {
+		p.GrantedAt = now
+	}
+	if down != nil {
+		down.Reserve(p.Length)
+	}
+	// The granted head leaves the buffer but becomes an in-flight
+	// transmission, so nd's work count is unchanged. The space it
+	// frees can unblock the groups injecting at that port.
+	sh.retryAdmits(nd.groups[req.Input])
+	withdraw(nd, req.Input)
+	nd.inBusy[req.Input] = true
+	nd.out[out] = sh.txPool.Get(p, req.Input)
+	arb.MaskSet(sh.tx, f)
+	nd.arbs[out].Granted(now, req)
 }

@@ -19,8 +19,9 @@ type closDelivery struct {
 // buildSkipClos builds a 4-leaf Clos with one cross-leaf GB flow per
 // terminal plus BE traffic on every third terminal. fullWalk installs an
 // inert fault schedule — the zero faults.Config injects nothing — which
-// forces the reference full node walks, turning the event-driven masks
-// off without changing any observable behavior.
+// puts every port in the masks the cycle walks and turns the bulk
+// accounting off: the reference full walk, without changing any
+// observable behavior.
 func buildSkipClos(t *testing.T, load float64, fullWalk bool) *Network {
 	t.Helper()
 	n := mustClos(t, 4, 4, 2)

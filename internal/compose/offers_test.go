@@ -1,0 +1,224 @@
+package compose
+
+import (
+	"testing"
+
+	"swizzleqos/internal/arb"
+	"swizzleqos/internal/noc"
+	"swizzleqos/internal/traffic"
+)
+
+// Standing offers are a way of not re-deriving what has not changed. What
+// they skip survives here as the oracle: after every cycle's refresh,
+// scanOffers looks at the head of every input of every node, as
+// arbitration did every cycle before offers persisted, asks Topology.Route
+// where it goes, and holds the engine's state to the scan: every input's
+// cached head (packet pointer and output), every output's want mask, the
+// shard's offered bit. The event masks and counts transfer and arbitrate
+// walk are recounted from the channels and buffers themselves.
+func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
+	t.Helper()
+	for _, sh := range n.sh {
+		activePorts := 0
+		for li := range sh.work {
+			nd := n.nodes[sh.lo+li]
+			want := make([]uint64, len(nd.want))
+			work := 0
+			for port := range nd.in {
+				f := nd.fbase + port
+				if int(sh.portNode[f]) != li || sh.base+f != n.portBase[nd.id]+port {
+					t.Fatalf("cycle %d: flat id %d maps to local node %d, fault port %d; it is node %d port %d",
+						now, f, sh.portNode[f], sh.base+f, nd.id, port)
+				}
+				head := nd.in[port].Head()
+				if nd.inBusy[port] || (head != nil && head.HoldUntil > now) {
+					head = nil
+				}
+				if nd.offer[port] != head {
+					t.Fatalf("cycle %d: node %d input %d offers %v, scan finds %v", now, nd.id, port, nd.offer[port], head)
+				}
+				if head != nil {
+					out := n.cfg.Topology.Route(nd.id, head.Dst)
+					arb.MaskSet(want[out*nd.words:], port)
+					if int(nd.offerOut[port]) != out {
+						t.Fatalf("cycle %d: node %d input %d offers to output %d, its head routes to %d",
+							now, nd.id, port, nd.offerOut[port], out)
+					}
+				}
+				work += nd.in[port].Len()
+				if arb.MaskHas(sh.tx, f) != (nd.out[port] != nil) {
+					t.Fatalf("cycle %d: node %d output %d: tx bit %v, channel %v", now, nd.id, port, arb.MaskHas(sh.tx, f), nd.out[port])
+				}
+				if nd.out[port] != nil {
+					work++
+				}
+				if arb.MaskHas(sh.cool, f) {
+					work++
+				}
+				if arb.MaskHas(sh.dirty, f) {
+					t.Fatalf("cycle %d: node %d input %d is still dirty after the refresh", now, nd.id, port)
+				}
+			}
+			for out := range nd.out {
+				got, scan := nd.want[out*nd.words:(out+1)*nd.words], want[out*nd.words:(out+1)*nd.words]
+				for w := range scan {
+					if got[w] != scan[w] {
+						t.Fatalf("cycle %d: node %d output %d want word %d is %#x, scan finds %#x", now, nd.id, out, w, got[w], scan[w])
+					}
+				}
+				if arb.MaskHas(sh.offered, nd.fbase+out) != arb.MaskAny(scan) {
+					t.Fatalf("cycle %d: node %d output %d offered bit %v with %d requesters",
+						now, nd.id, out, arb.MaskHas(sh.offered, nd.fbase+out), arb.MaskCount(scan))
+				}
+			}
+			// The cooldowns have no other record, so they are held to the
+			// work count: buffered packets, channels and cooldowns.
+			if sh.work[li] != work {
+				t.Fatalf("cycle %d: node %d work count %d, recount %d", now, nd.id, sh.work[li], work)
+			}
+			if work > 0 {
+				activePorts += len(nd.out)
+			}
+		}
+		if sh.activePorts != activePorts {
+			t.Fatalf("cycle %d: shard %d activePorts %d, recount %d", now, sh.idx, sh.activePorts, activePorts)
+		}
+		for _, m := range [][]uint64{sh.tx, sh.cool, sh.offered} {
+			for w := range m {
+				if m[w]&^sh.all[w] != 0 {
+					t.Fatalf("cycle %d: shard %d has a bit set past its last port", now, sh.idx)
+				}
+			}
+		}
+	}
+}
+
+// standingOffers counts the offers standing in n's request masks.
+func standingOffers(n *Network) int {
+	standing := 0
+	for _, nd := range n.nodes {
+		standing += arb.MaskCount(nd.want)
+	}
+	return standing
+}
+
+// TestOffersMatchScan runs the oracle over the matrix of
+// TestBucketsMatchScan, which between its cases holds every event that
+// can change an offer: admission into an empty and a nonempty buffer, a
+// commit from a neighbour in the same and in another shard, grant and
+// completion at one and two mask words, CRC retries sitting out their
+// backoff, a stall, an input and an output fail-stop with heads
+// discarded at the dead route, and a flow attached mid-run.
+func TestOffersMatchScan(t *testing.T) {
+	const cycles, lateAt = 1200, 700
+	for _, wiring := range []string{"mesh4x4", "mesh3x5", "clos", "star70"} {
+		for _, saturated := range []bool{true, false} {
+			for _, fault := range []string{"none", "inert", "real"} {
+				for _, shards := range []int{1, 2, 4} {
+					bc := bucketCase{wiring, saturated, fault, shards}
+					t.Run(bc.String(), func(t *testing.T) {
+						b := buildBucketNet(t, bc, shards)
+						n := b.net
+						held, standing := 0, 0
+						n.afterRefresh = func(now noc.Cycle) {
+							scanOffers(t, n, now)
+							standing += standingOffers(n)
+							for _, nd := range n.nodes {
+								for _, q := range nd.in {
+									if p := q.Head(); p != nil && p.HoldUntil > now {
+										held++
+									}
+								}
+							}
+						}
+						n.Run(lateAt)
+						late := noc.FlowSpec{Src: 1, Dst: 0, Class: noc.BestEffort, PacketLength: 1}
+						addFlow(t, n, late, traffic.NewBacklogged(b.seq, late, 2))
+						n.Run(cycles - lateAt)
+						if err := n.Err(); err != nil {
+							t.Fatalf("engine froze: %v", err)
+						}
+						if b.delivered < 200 || standing == 0 {
+							t.Fatalf("%d deliveries, %d standing offer-cycles: the scenario is too quiet", b.delivered, standing)
+						}
+						if tot := n.FaultTotals(); fault == "real" && (tot.Retransmissions == 0 || held == 0 || tot.StallCycles == 0 || n.Dropped == 0) {
+							t.Fatalf("the fault schedule did not bite: %+v, %d held head-cycles, %d dropped", tot, held, n.Dropped)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestOfferEvalsFollowGrants pins what the standing offers buy on the
+// benchmark's two saturated shapes. Arbitration used to test the head of
+// every input every cycle, 320 on the mesh and 128 on the Clos; now a
+// cycle re-derives an offer per completion (the freed input's next head)
+// and per packet that entered an empty buffer, and a head that waits
+// costs nothing while it waits.
+func TestOfferEvalsFollowGrants(t *testing.T) {
+	for i, limit := range []float64{48, 24} {
+		tc := routedSaturatedCases[i]
+		t.Run(tc.name, func(t *testing.T) {
+			n := routedSaturated(t, tc.build) // warm: heaptest.Cycles cycles in
+			const cycles = 20000
+			standing := 0
+			n.afterRefresh = func(noc.Cycle) { standing += standingOffers(n) }
+			evals, arbs := n.OfferEvals, n.ArbCycles
+			n.Run(cycles)
+			perCycle := float64(n.OfferEvals-evals) / cycles
+			waiting := float64(standing) / cycles
+			t.Logf("%.2f offer evaluations, %.2f arbitrations, %.1f standing offers per cycle over %d input ports",
+				perCycle, float64(n.ArbCycles-arbs)/cycles, waiting, n.totalPorts)
+			if waiting <= limit {
+				t.Fatalf("fixture is not saturated: %.1f offers stand per cycle, want more than %.0f", waiting, limit)
+			}
+			if perCycle >= limit {
+				t.Fatalf("%.2f offer evaluations per cycle with %.1f offers standing, want under %.0f", perCycle, waiting, limit)
+			}
+		})
+	}
+}
+
+// TestAddFlowRejectsOversizedPackets: a packet enters a buffer whole, so
+// a flow whose packets are longer than the buffers could never be
+// admitted. It used to be accepted and its source queue grew for ever.
+func TestAddFlowRejectsOversizedPackets(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		buffer, length int
+		wantErr        bool
+	}{
+		{name: "fitsExactly", buffer: 4, length: 4},
+		{name: "oneOver", buffer: 4, length: 5, wantErr: true},
+		{name: "twiceOver", buffer: 4, length: 8, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := Mesh(2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := New(Config{Topology: topo, BufferFlits: tc.buffer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seq traffic.Sequence
+			spec := noc.FlowSpec{Src: 0, Dst: 3, Class: noc.BestEffort, PacketLength: tc.length}
+			err = n.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, 0.5, 1)})
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("AddFlow accepted %d-flit packets into %d-flit buffers", tc.length, tc.buffer)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Run(2000)
+			if n.Admitted == 0 || n.Delivered == 0 {
+				t.Fatalf("a flow that fits admitted %d and delivered %d of %d injected", n.Admitted, n.Delivered, n.Injected)
+			}
+		})
+	}
+}

@@ -29,6 +29,18 @@ type scanOracle struct {
 	reqs   []arb.Request
 }
 
+// newScanOracle sizes the oracle's scratch for n's widest node.
+func newScanOracle(n *Network) *scanOracle {
+	o := &scanOracle{n: n}
+	for _, p := range n.cfg.Topology.Ports {
+		if p > len(o.heads) {
+			o.heads = make([]*noc.Packet, p)
+			o.routes = make([]int, p)
+		}
+	}
+	return o
+}
+
 func (o *scanOracle) step() {
 	n := o.n
 	if n.err != nil {
@@ -69,7 +81,7 @@ func (o *scanOracle) inject(now noc.Cycle) {
 		}
 		p.EnqueuedAt = now
 		n.Admitted++
-		nd.sh.addWork(nd.li)
+		nd.sh.push(nd, at.Port)
 		return true
 	}
 	if n.faults != nil {
@@ -108,7 +120,7 @@ func (o *scanOracle) arbitrate(now noc.Cycle) {
 	visitedPorts := 0
 	for _, sh := range n.sh {
 		for li := 0; li < sh.hi-sh.lo; li++ {
-			if !arb.MaskHas(sh.active, li) {
+			if sh.work[li] == 0 {
 				continue
 			}
 			if n.err != nil {
@@ -141,7 +153,7 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 		route := n.cfg.Topology.Route(nd.id, p.Dst)
 		if n.faults != nil && n.faults.OutputDead(n.portBase[nd.id]+route) {
 			n.dropPkt(nd.in[port].Pop())
-			nd.sh.subWork(nd.li)
+			nd.sh.subWork(nd)
 			continue
 		}
 		heads[port] = p
@@ -154,9 +166,9 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 		if n.faults != nil && (n.faults.OutputDead(n.portBase[nd.id]+out) || n.faults.StallOutput(now, n.portBase[nd.id]+out)) {
 			continue
 		}
-		if nd.cooldown[out] {
-			nd.cooldown[out] = false
-			nd.sh.subWork(nd.li)
+		if arb.MaskHas(nd.sh.cool, nd.fbase+out) {
+			arb.MaskClear(nd.sh.cool, nd.fbase+out)
+			nd.sh.subWork(nd)
 			continue
 		}
 		reqs := o.reqs[:0]
@@ -196,6 +208,7 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 		}
 		nd.inBusy[req.Input] = true
 		nd.out[out] = nd.sh.txPool.Get(p, req.Input)
+		arb.MaskSet(nd.sh.tx, nd.fbase+out)
 		nd.arbs[out].Granted(now, req)
 	}
 }
@@ -408,13 +421,7 @@ func TestBucketsMatchScan(t *testing.T) {
 					t.Run(bc.String(), func(t *testing.T) {
 						got := buildBucketNet(t, bc, shards)
 						want := buildBucketNet(t, bc, 1)
-						oracle := &scanOracle{n: want.net}
-						for _, p := range want.net.cfg.Topology.Ports {
-							if p > len(oracle.heads) {
-								oracle.heads = make([]*noc.Packet, p)
-								oracle.routes = make([]int, p)
-							}
-						}
+						oracle := newScanOracle(want.net)
 						n := got.net
 						sharedGroups := n.termGroup != nil
 						masked, lateAt := 0, noc.Cycle(0)

@@ -45,7 +45,7 @@ func TestMalformedTopologiesRejected(t *testing.T) {
 			tp.Ports[2] = 3
 			tp.Links[PortRef{Node: 0, Port: 1}] = PortRef{Node: 2, Port: 2}
 		}, "leaves a terminal's port"},
-		// transferNode ejects wherever there is no link, so these two would
+		// A transfer ejects wherever there is no link, so these two would
 		// count terminal 0's packets as delivered at the wrong port.
 		{"routeEndsAtAnotherTerminal", func(tp *Topology) {
 			route := tp.Route

@@ -152,6 +152,12 @@ func (c SimConfig) Validate() error {
 			return fmt.Errorf("ctlplane: %s %d must be in [1,%d]", f.name, f.v, 1<<20)
 		}
 	}
+	// Admission takes packets up to LMax in both reservable classes, and
+	// the switch refuses a flow whose packets could never enter its buffer.
+	if c.LMax > c.GLBufferFlits || c.LMax > c.GBBufferFlits {
+		return fmt.Errorf("ctlplane: lmax %d exceeds a reservable class's buffer (GL %d, GB %d flits)",
+			c.LMax, c.GLBufferFlits, c.GBBufferFlits)
+	}
 	if c.CounterBits < 2 || c.CounterBits > 32 {
 		return fmt.Errorf("ctlplane: counter bits %d must be in [2,32]", c.CounterBits)
 	}

@@ -416,6 +416,25 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	}
 }
 
+// TestLMaxMustFitTheBuffers: admission takes packets up to LMax, and
+// switchsim.AddFlow refuses a flow whose packets could never enter their
+// class's buffer, which would fail the plane sick on a client's command.
+// The configuration is refused instead.
+func TestLMaxMustFitTheBuffers(t *testing.T) {
+	if _, err := New(SimConfig{Radix: 4, LMax: 16}); err != nil {
+		t.Fatalf("lmax equal to the 16-flit default buffers refused: %v", err)
+	}
+	for _, cfg := range []SimConfig{
+		{Radix: 4, LMax: 17},
+		{Radix: 4, LMax: 8, GBBufferFlits: 4},
+		{Radix: 4, LMax: 8, GLBufferFlits: 7},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%+v accepted: its lmax-flit packets could never be admitted", cfg)
+		}
+	}
+}
+
 // TestCorruptMiddleRefused flips a byte well before the journal tail:
 // that is corruption, not a torn write, and replay must refuse rather
 // than silently drop history.

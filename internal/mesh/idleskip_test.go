@@ -27,9 +27,9 @@ type meshSkipScenario struct {
 
 // buildSkipMesh builds a mesh with one GB flow per node plus BE cross
 // traffic on every third node. fullWalk installs an inert fault schedule
-// — the zero faults.Config injects nothing — which forces the reference
-// full router walks, turning the event-driven masks off without changing
-// any observable behavior.
+// — the zero faults.Config injects nothing — which puts every port in
+// the masks the cycle walks and turns the bulk accounting off: the
+// reference full walk, without changing any observable behavior.
 func buildSkipMesh(t *testing.T, sc meshSkipScenario, fullWalk bool) *Mesh {
 	t.Helper()
 	m := mustMesh(t, sc.width, sc.height)
@@ -71,8 +71,8 @@ func buildSkipMesh(t *testing.T, sc meshSkipScenario, fullWalk bool) *Mesh {
 // every counter and the complete delivery trace must match. The only
 // permitted difference is the skip accounting itself, which must be zero
 // on the full walk and (at low load) positive on the event-driven path.
-// The 12x6 scenario spans 72 routers so the activity mask crosses a word
-// boundary.
+// The 12x6 scenario spans 72 routers, 360 ports, so the event masks cross
+// word boundaries.
 func TestMeshEventDrivenMatchesFullWalk(t *testing.T) {
 	scenarios := []meshSkipScenario{
 		{name: "lowLoad4x4", width: 4, height: 4, load: 0.03, cycles: 4000},

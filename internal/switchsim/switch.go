@@ -371,6 +371,10 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 	if s.now != 0 && !s.cfg.DynamicFlows {
 		return fmt.Errorf("switchsim: AddFlow at cycle %d requires Config.DynamicFlows", s.now)
 	}
+	if buf := s.inputs[f.Spec.Src].bufferFor(f.Spec.Class, f.Spec.Dst); f.Spec.PacketLength > buf.Cap() {
+		return fmt.Errorf("switchsim: flow %d->%d: %d-flit %v packets can never enter a %d-flit buffer",
+			f.Spec.Src, f.Spec.Dst, f.Spec.PacketLength, f.Spec.Class, buf.Cap())
+	}
 	k := s.part.Of(f.Spec.Src)
 	sh := s.sh[k]
 	idx := sh.sources.Add(f, f.Spec.Src-sh.lo)

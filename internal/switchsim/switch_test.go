@@ -340,3 +340,45 @@ func TestAddFlowValidation(t *testing.T) {
 		t.Error("nil generator accepted")
 	}
 }
+
+// TestAddFlowRejectsOversizedPackets: a packet enters its class's buffer
+// whole, so a flow whose packets are longer than that buffer could never
+// be admitted. It used to be accepted and its source queue grew for ever.
+func TestAddFlowRejectsOversizedPackets(t *testing.T) {
+	cfg := Config{Radix: 4, BEBufferFlits: 4, GLBufferFlits: 0, GBBufferFlits: 8}
+	for _, tc := range []struct {
+		name    string
+		class   noc.Class
+		length  int
+		wantErr bool
+	}{
+		{name: "beFitsExactly", class: noc.BestEffort, length: 4},
+		{name: "beOneOver", class: noc.BestEffort, length: 5, wantErr: true},
+		{name: "gbFitsExactly", class: noc.GuaranteedBandwidth, length: 8},
+		{name: "gbOneOver", class: noc.GuaranteedBandwidth, length: 9, wantErr: true},
+		{name: "glZeroCapacityClass", class: noc.GuaranteedLatency, length: 1, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := mustNew(t, cfg, lrgFactory(4))
+			var seq traffic.Sequence
+			spec := noc.FlowSpec{Src: 0, Dst: 1, Class: tc.class, PacketLength: tc.length}
+			if tc.class != noc.BestEffort {
+				spec.Rate = 0.5
+			}
+			err := sw.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, 0.5, 1)})
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("AddFlow accepted %d-flit %v packets: buffers %+v", tc.length, tc.class, cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw.Run(2000)
+			if sw.Admitted == 0 || sw.Delivered == 0 {
+				t.Fatalf("a flow that fits admitted %d and delivered %d of %d injected", sw.Admitted, sw.Delivered, sw.Injected)
+			}
+		})
+	}
+}
