@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-shard vet fmt lint bench-arb bench-shard perf perf-pairs perf-smoke serve-check staticcheck govulncheck bench experiments verify examples cover fuzz
+.PHONY: all check build test race race-shard vet fmt lint bench-arb bench-shard perf perf-pairs perf-smoke serve-check suite-check staticcheck govulncheck bench experiments verify examples cover fuzz
 
 all: build vet test
 
@@ -19,7 +19,11 @@ test:
 	$(GO) test ./...
 
 # The sweep runner fans simulations across goroutines; keep the race
-# detector on the whole module, not just the runner package.
+# detector on the whole module, not just the runner package. That
+# covers the shared processor budget too: its own tests in
+# internal/runner (bound, rank order, fork/join hand-off, panics),
+# several experiments on one budget in internal/experiments, and the
+# whole overlapped suite at three budget sizes in cmd/ssvc-bench.
 race:
 	$(GO) test -race ./...
 
@@ -109,6 +113,13 @@ perf-smoke:
 serve-check:
 	sh scripts/serve_check.sh
 	$(GO) test -race -count=1 ./cmd/ssvc-serve/
+
+# The ssvc-bench binary end to end: the whole -quick suite prints the
+# same bytes with its tables one after another (-workers 1) and
+# overlapped on one budget of four processors, and an unknown -exp name
+# refuses the selection with exit 2.
+suite-check:
+	sh scripts/suite_check.sh
 
 # Optional linters: run when present, skip with a notice otherwise. The
 # container baseline has no network, so these must never try to install.

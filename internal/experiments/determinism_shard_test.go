@@ -23,10 +23,7 @@ func sharded(shards int) Options {
 // fault-injection experiment, whose runs fall back to the serial walk
 // over sharded state.
 func TestShardsByteIdenticalTables(t *testing.T) {
-	cases := []struct {
-		name   string
-		render func(o Options) string
-	}{
+	cases := []renderCase{
 		{"fig4", func(o Options) string { return Fig4(true, o).Table().String() }},
 		{"scale64", func(o Options) string { return Scale64(o).Table().String() }},
 		{"motivation", func(o Options) string { return MotivationTable(Motivation(o)).String() }},
@@ -35,12 +32,14 @@ func TestShardsByteIdenticalTables(t *testing.T) {
 		{"faults", func(o Options) string { return FaultsTable(Faults(o)).String() }},
 		{"ctlplane", func(o Options) string { return CtlPlaneTable(CtlPlane(o)).String() }},
 	}
-	for _, tc := range cases {
+	serial := make([]string, len(cases))
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.render(sharded(1))
 			if want == "" {
 				t.Fatal("serial render is empty")
 			}
+			serial[i] = want
 			for _, shards := range []int{2, 4, 8} {
 				if got := tc.render(sharded(shards)); got != want {
 					t.Errorf("shards=%d output differs from serial:\n--- serial ---\n%s--- shards=%d ---\n%s",
@@ -48,6 +47,16 @@ func TestShardsByteIdenticalTables(t *testing.T) {
 				}
 			}
 		})
+	}
+	// Sharded engines of different experiments side by side on one
+	// shared budget of two sweep workers, as under ssvc-bench -shards.
+	o := sharded(4)
+	o.Workers = 2
+	for i, got := range renderShared(o, cases) {
+		if serial[i] != "" && got != serial[i] { // "": its subtest was filtered out by -run
+			t.Errorf("%s at shards=4 on a shared budget differs from serial:\n--- serial ---\n%s--- shared ---\n%s",
+				cases[i].name, serial[i], got)
+		}
 	}
 }
 

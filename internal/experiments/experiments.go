@@ -45,6 +45,20 @@ type Options struct {
 	// runner.Compose); explicit values override that split. Worker
 	// counts are pure mechanism and never change results.
 	ShardWorkers int
+	// Pool, when set, is where the sweep points run instead of a
+	// private pool of Workers goroutines: a caller that runs several
+	// experiments at once gives each a pool of one shared runner.Budget
+	// (see Budget) and calls the experiment from that pool's Go, so
+	// Workers bounds all of them together. Like every worker count it
+	// never changes results.
+	Pool *runner.Pool
+}
+
+// Budget returns a processor budget of the options' sweep-worker count
+// (see split), for a caller that shares one between experiments.
+func (o Options) Budget() *runner.Budget {
+	sweepWorkers, _ := o.split()
+	return runner.NewBudget(sweepWorkers)
 }
 
 // split resolves the sweep-level and intra-run worker bounds against
@@ -190,10 +204,14 @@ func (b *build) add(e fabric.Engine, f traffic.Flow) {
 	b.fail(e.AddFlow(f))
 }
 
-// pool returns the worker pool the options select for fanning
-// independent sweep points, shrunk when intra-run sharding claims part
-// of the processor budget (see split).
+// pool returns the worker pool for fanning independent sweep points:
+// the caller's, or a private one of the options' sweep-worker count,
+// shrunk when intra-run sharding claims part of the processors (see
+// split).
 func (o Options) pool() *runner.Pool {
+	if o.Pool != nil {
+		return o.Pool
+	}
 	sweepWorkers, _ := o.split()
 	return runner.New(sweepWorkers)
 }

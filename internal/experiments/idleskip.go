@@ -9,6 +9,7 @@ import (
 	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/mesh"
 	"swizzleqos/internal/noc"
+	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
 	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
@@ -34,106 +35,110 @@ func (r IdleSkipRow) SkipFraction() float64 {
 	return float64(r.SkippedOut) / (float64(r.OutputPorts) * float64(r.Cycles.Uint()))
 }
 
+// idleSkipLoad is the per-flow offered load of the idle-skip study.
+const idleSkipLoad = 0.02
+
 // IdleSkip measures the event-driven idle skipping (see DESIGN.md) on all
 // three engines at 2% per-flow offered load: most ports are idle in most
 // cycles, and the skip counters make the avoided work observable. The
 // counters are deterministic — identical runs report identical skips —
-// which golden tests pin alongside the delivery behavior.
+// which golden tests pin alongside the delivery behavior. The three
+// engines are independent sweep points.
 func IdleSkip(o Options) []IdleSkipRow {
 	o = o.withDefaults()
-	const load = 0.02
-	var rows []IdleSkipRow
+	engines := []func(Options) IdleSkipRow{idleSkipSwitch, idleSkipMesh, idleSkipClos}
+	return runner.Map(o.pool(), len(engines), func(i int) IdleSkipRow { return engines[i](o) })
+}
 
-	// Radix-64 crossbar, one low-rate GB flow per input.
-	{
-		const radix = 64
-		vticks := make([]core.VTime, radix)
-		for i := range vticks {
-			vticks[i] = noc.FlowSpec{Rate: 0.2, PacketLength: 4}.Vtick()
-		}
-		var b build
-		sw := b.sw(o, switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
-			func(int) arb.Arbiter {
-				return core.NewSSVC(core.Config{
-					Radix: radix, CounterBits: 12, SigBits: 4,
-					Policy: core.SubtractRealTime, Vticks: vticks,
-				})
+// idleSkipSwitch is the radix-64 crossbar, one low-rate GB flow per input.
+func idleSkipSwitch(o Options) IdleSkipRow {
+	const radix = 64
+	vticks := make([]core.VTime, radix)
+	for i := range vticks {
+		vticks[i] = noc.FlowSpec{Rate: 0.2, PacketLength: 4}.Vtick()
+	}
+	var b build
+	sw := b.sw(o, switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
+		func(int) arb.Arbiter {
+			return core.NewSSVC(core.Config{
+				Radix: radix, CounterBits: 12, SigBits: 4,
+				Policy: core.SubtractRealTime, Vticks: vticks,
 			})
+		})
+	var seq traffic.Sequence
+	for i := 0; i < radix; i++ {
+		spec := noc.FlowSpec{Src: i, Dst: (i * 7) % radix,
+			Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}
+		b.add(sw, traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, idleSkipLoad, o.Seed+uint64(i))})
+	}
+	sw.OnRelease(seq.Recycle)
+	if b.err == nil {
+		sw.Run(o.total())
+	}
+	return skipRow("switch radix-64", radix, &sw.Counters, o.total(), firstErr(b.err, sw.Err()))
+}
+
+// idleSkipMesh is the 8x8 mesh, one low-rate GB flow per node.
+func idleSkipMesh(o Options) IdleSkipRow {
+	const w, h = 8, 8
+	m, err := mesh.New(mesh.Config{Width: w, Height: h, BufferFlits: 16,
+		Shards: o.Shards, ShardWorkers: o.shardWorkers()})
+	if err == nil {
 		var seq traffic.Sequence
-		for i := 0; i < radix; i++ {
-			spec := noc.FlowSpec{Src: i, Dst: (i * 7) % radix,
-				Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}
-			b.add(sw, traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, load, o.Seed+uint64(i))})
+		nodes := w * h
+		for i := 0; i < nodes && err == nil; i++ {
+			dst := (i*7 + 3) % nodes
+			if dst == i {
+				dst = (dst + 1) % nodes
+			}
+			spec := noc.FlowSpec{Src: i, Dst: dst, Class: noc.GuaranteedBandwidth, PacketLength: 4}
+			err = m.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, idleSkipLoad, o.Seed+uint64(i))})
 		}
-		sw.OnRelease(seq.Recycle)
-		if b.err == nil {
-			sw.Run(o.total())
+		if err == nil {
+			m.OnRelease(seq.Recycle)
+			m.Run(o.total())
 		}
-		rows = append(rows, skipRow("switch radix-64", radix, &sw.Counters, o.total(), firstErr(b.err, sw.Err())))
 	}
+	var c fabric.Counters
+	if m != nil {
+		c = m.Counters
+		err = firstErr(err, m.Err())
+	}
+	return skipRow("mesh 8x8", w*h*5, &c, o.total(), err)
+}
 
-	// 8x8 mesh, one low-rate GB flow per node.
-	{
-		const w, h = 8, 8
-		m, err := mesh.New(mesh.Config{Width: w, Height: h, BufferFlits: 16,
+// idleSkipClos is the two-level Clos, one low-rate cross-leaf GB flow
+// per terminal.
+func idleSkipClos(o Options) IdleSkipRow {
+	topo, err := compose.TwoLevelClos(4, 4, 2)
+	var net *compose.Network
+	if err == nil {
+		net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16,
 			Shards: o.Shards, ShardWorkers: o.shardWorkers()})
-		if err == nil {
-			var seq traffic.Sequence
-			nodes := w * h
-			for i := 0; i < nodes && err == nil; i++ {
-				dst := (i*7 + 3) % nodes
-				if dst == i {
-					dst = (dst + 1) % nodes
-				}
-				spec := noc.FlowSpec{Src: i, Dst: dst, Class: noc.GuaranteedBandwidth, PacketLength: 4}
-				err = m.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, load, o.Seed+uint64(i))})
-			}
-			if err == nil {
-				m.OnRelease(seq.Recycle)
-				m.Run(o.total())
-			}
-		}
-		var c fabric.Counters
-		if m != nil {
-			c = m.Counters
-			err = firstErr(err, m.Err())
-		}
-		rows = append(rows, skipRow("mesh 8x8", w*h*5, &c, o.total(), err))
 	}
-
-	// Two-level Clos, one low-rate cross-leaf GB flow per terminal.
-	{
-		topo, err := compose.TwoLevelClos(4, 4, 2)
-		var net *compose.Network
-		if err == nil {
-			net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16,
-				Shards: o.Shards, ShardWorkers: o.shardWorkers()})
-		}
-		ports := 0
-		for _, p := range topo.Ports {
-			ports += p
-		}
-		if err == nil {
-			var seq traffic.Sequence
-			terms := net.Terminals()
-			for i := 0; i < terms && err == nil; i++ {
-				spec := noc.FlowSpec{Src: i, Dst: (i + 5) % terms,
-					Class: noc.GuaranteedBandwidth, PacketLength: 4}
-				err = net.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, load, o.Seed+uint64(i))})
-			}
-			if err == nil {
-				net.OnRelease(seq.Recycle)
-				net.Run(o.total())
-			}
-		}
-		var c fabric.Counters
-		if net != nil {
-			c = net.Counters
-			err = firstErr(err, net.Err())
-		}
-		rows = append(rows, skipRow("clos 4x4x2", ports, &c, o.total(), err))
+	ports := 0
+	for _, p := range topo.Ports {
+		ports += p
 	}
-	return rows
+	if err == nil {
+		var seq traffic.Sequence
+		terms := net.Terminals()
+		for i := 0; i < terms && err == nil; i++ {
+			spec := noc.FlowSpec{Src: i, Dst: (i + 5) % terms,
+				Class: noc.GuaranteedBandwidth, PacketLength: 4}
+			err = net.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, idleSkipLoad, o.Seed+uint64(i))})
+		}
+		if err == nil {
+			net.OnRelease(seq.Recycle)
+			net.Run(o.total())
+		}
+	}
+	var c fabric.Counters
+	if net != nil {
+		c = net.Counters
+		err = firstErr(err, net.Err())
+	}
+	return skipRow("clos 4x4x2", ports, &c, o.total(), err)
 }
 
 // skipRow extracts the skip accounting from one engine's counters.

@@ -6,6 +6,7 @@ import (
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
+	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
 	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
@@ -33,8 +34,17 @@ type ScaleResult struct {
 // lanes: 6 GB levels + BE + GL), 31 differentiated reservations into one
 // hotspot output, saturated offered load, uniform background traffic on
 // every other input, and a GL flow with its Eq. 1 bound.
+//
+// One radix-64 switch is a single sequential simulation (cycles are
+// causally ordered), so it is a sweep of one point: it runs as a job,
+// like every other engine run, and a caller sharing a budget between
+// experiments (Options.Pool) schedules it as one.
 func Scale64(o Options) ScaleResult {
 	o = o.withDefaults()
+	return runner.Map(o.pool(), 1, func(int) ScaleResult { return scale64Run(o) })[0]
+}
+
+func scale64Run(o Options) ScaleResult {
 	const (
 		radix   = 64
 		hotspot = 0
@@ -123,9 +133,7 @@ func Scale64(o Options) ScaleResult {
 			}
 		}
 	})
-	// One radix-64 switch is a single sequential simulation (cycles are
-	// causally ordered), so the parallel runner does not apply; packet
-	// recycling keeps its 64-output cycle loop allocation-free instead.
+	// Packet recycling keeps the 64-output cycle loop allocation-free.
 	sw.OnRelease(seq.Recycle)
 	sw.Run(o.total())
 	res.Err = sw.Err()

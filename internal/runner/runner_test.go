@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,4 +231,167 @@ func TestMapConcurrentStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// runBodies runs body k under the budget at rank k, all at once, and
+// waits for them; it then checks that every processor came back.
+func runBodies(t *testing.T, b *Budget, bodies ...func(p *Pool)) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for rank, body := range bodies {
+		p := b.Pool(rank)
+		wg.Add(1)
+		p.Go(func() {
+			defer wg.Done()
+			body(p)
+		})
+	}
+	wg.Wait()
+	checkIdle(t, b)
+}
+
+// checkIdle fails unless the budget has all its processors and nobody
+// waiting. A body's processor is released after the body returns, so
+// the check waits for that.
+func checkIdle(t *testing.T, b *Budget) {
+	t.Helper()
+	for {
+		b.mu.Lock()
+		free, waiting := b.free, len(b.waiters)
+		b.mu.Unlock()
+		if free == b.size && waiting == 0 {
+			return
+		}
+		if free > b.size {
+			t.Fatalf("budget of %d has %d free processors", b.size, free)
+		}
+		runtime.Gosched()
+	}
+}
+
+// gauge counts what is running now and the most that ever ran at once.
+type gauge struct{ now, max atomic.Int64 }
+
+// run brackets a stretch of work that occupies a processor.
+func (g *gauge) run() {
+	n := g.now.Add(1)
+	for {
+		m := g.max.Load()
+		if n <= m || g.max.CompareAndSwap(m, n) {
+			break
+		}
+	}
+	for i := 0; i < 3; i++ {
+		runtime.Gosched()
+	}
+	g.now.Add(-1)
+}
+
+// TestBudgetBoundsAllPools: several pools on one budget, bodies that
+// work before, between and after their Maps and jobs that Map again,
+// never run more than N stretches of work at once, and every Map still
+// returns its results by index.
+func TestBudgetBoundsAllPools(t *testing.T) {
+	for _, n := range []int{1, 2, 8} {
+		b := NewBudget(n)
+		var g gauge
+		body := func(p *Pool) {
+			g.run()
+			for rep := 0; rep < 3; rep++ {
+				got := Map(p, 20, func(i int) int {
+					g.run()
+					inner := Map(p, 3, func(j int) int { g.run(); return j })
+					g.run()
+					return i*i + inner[2]
+				})
+				for i, v := range got {
+					if v != i*i+2 {
+						t.Errorf("N=%d: result[%d] = %d, want %d", n, i, v, i*i+2)
+					}
+				}
+				g.run()
+			}
+		}
+		runBodies(t, b, body, body, body, body, body)
+		if m := g.max.Load(); m > int64(n) {
+			t.Errorf("N=%d: %d stretches of work ran at once", n, m)
+		} else if n > 1 && m < 2 {
+			t.Errorf("N=%d: nothing ever ran in parallel", n)
+		}
+	}
+}
+
+// TestBudgetServesRanksInOrder: with one processor and two pools
+// queued behind it, the later-queued but lower rank runs all its jobs
+// first; and a pool already running gives way to a lower rank between
+// two jobs, not before its running job ends and not after the next.
+func TestBudgetServesRanksInOrder(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		log []string
+	)
+	note := func(s string) {
+		mu.Lock()
+		log = append(log, s)
+		mu.Unlock()
+	}
+	jobs := func(p *Pool, name string, extra func(i int)) {
+		Map(p, 3, func(i int) int {
+			note(name)
+			if extra != nil {
+				extra(i)
+			}
+			return i
+		})
+	}
+
+	b := NewBudget(1)
+	var wg sync.WaitGroup
+	wg.Add(4)
+	gate := make(chan struct{})
+	b.Pool(0).Go(func() { defer wg.Done(); <-gate }) // holds the one processor
+	b.Pool(2).Go(func() { defer wg.Done(); jobs(b.Pool(2), "c", nil) })
+	b.Pool(1).Go(func() {
+		defer wg.Done()
+		jobs(b.Pool(1), "b", func(i int) {
+			if i == 0 { // rank 0 arrives while rank 1's first job runs
+				b.Pool(0).Go(func() { defer wg.Done(); jobs(b.Pool(0), "a", nil) })
+			}
+		})
+	})
+	close(gate)
+	wg.Wait()
+	checkIdle(t, b)
+	if got, want := strings.Join(log, ""), "baaabbccc"; got != want {
+		t.Fatalf("jobs ran in order %q, want %q", got, want)
+	}
+}
+
+// TestBudgetPanicLeaksNoProcessor: a panicking job on a shared budget
+// still surfaces on the body as a *JobPanic with its index and stack,
+// and the budget is whole afterwards: a following Map completes.
+func TestBudgetPanicLeaksNoProcessor(t *testing.T) {
+	b := NewBudget(4)
+	body := func(p *Pool) {
+		func() {
+			defer func() {
+				jp, ok := recover().(*JobPanic)
+				if !ok || jp.Index != 7 || jp.Value != "boom" ||
+					!strings.Contains(string(jp.Stack), "TestBudgetPanicLeaksNoProcessor") {
+					t.Errorf("recovered %v, want a *JobPanic of job 7 with its stack", jp)
+				}
+			}()
+			Map(p, 16, func(i int) int {
+				if i == 7 {
+					panic("boom")
+				}
+				runtime.Gosched()
+				return i
+			})
+		}()
+		if got := Map(p, 16, func(i int) int { return i }); len(got) != 16 || got[15] != 15 {
+			t.Errorf("Map after a panic returned %v", got)
+		}
+	}
+	runBodies(t, b, body, body)
 }
