@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-shard vet fmt lint bench-arb bench-shard perf perf-pairs perf-smoke serve-check suite-check staticcheck govulncheck bench experiments verify examples cover fuzz
+.PHONY: all check build test race vet fmt lint bench-arb perf perf-pairs perf-smoke serve-check suite-check staticcheck govulncheck bench experiments verify examples cover fuzz
 
 all: build vet test
 
@@ -26,17 +26,6 @@ test:
 # whole overlapped suite at three budget sizes in cmd/ssvc-bench.
 race:
 	$(GO) test -race ./...
-
-# Dynamic counterpart of the shardsafety analyzer: the shard executor
-# and the three sharded engines under the race detector with enough
-# scheduler parallelism (GOMAXPROCS >= 4) that Par stages genuinely
-# overlap rather than serialize on a starved runtime. One package at a
-# time (-p 1): the worker teams spin at their barriers, and four
-# race-instrumented packages spinning against each other on a 2-CPU host
-# run compose past the 10-minute test timeout.
-race-shard:
-	GOMAXPROCS=4 $(GO) test -race -count=1 -p 1 \
-		./internal/shard/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
 
 vet:
 	$(GO) vet ./...
@@ -63,14 +52,6 @@ bench-arb:
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
-
-# Perf gate for the sharded pipeline: the shard equivalence tests, then
-# a short-benchtime sweep of the sharded cycle benchmarks, informational
-# as in bench-arb.
-bench-shard:
-	$(GO) test ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ -run 'Shard'
-	$(GO) test -run='^$$' -bench='SwitchCycleSharded|MeshCycleSharded' \
-		-benchmem -benchtime=20000x ./internal/switchsim/ ./internal/mesh/
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): six
 # workloads, nine end-to-end metrics. perf-pairs builds ./bench in a

@@ -6,7 +6,7 @@
 //
 //	ssvc-bench [-exp all|fig4a|fig4b|fig5|adherence|table1|table2|area|energy|lanes|glbursts|glbound|chaining|fixedpriority|static|sigbits|gsf|decoupling|convergence|scale64|pvc|compose|motivation|idleskip|ctlplane|faults]
 //	           [-faults] [-quick] [-csv] [-cycles N] [-warmup N] [-seed N] [-workers N]
-//	           [-shards N] [-shard-workers N] [-cpuprofile FILE] [-memprofile FILE]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // -exp takes names in any order and prints their tables in the order
 // above; an unknown name is an error. -faults is shorthand for the
@@ -18,12 +18,10 @@
 // processor budget (runner.Budget) at the rank of their position, so a
 // processor one table cannot use simulates the next table's sweep
 // points, while the tables still print in order, each as soon as it and
-// everything before it is done. -shards additionally partitions each
-// engine into conservative-PDES shards driven by -shard-workers
-// goroutines (default: composed against GOMAXPROCS so the two layers
-// never oversubscribe the host — see runner.Compose). The tables are
-// byte-identical at any worker or shard count. -cpuprofile and
-// -memprofile write pprof profiles of the whole run for `go tool pprof`.
+// everything before it is done. Each sweep point runs its engine's
+// cycles on one goroutine. The tables are byte-identical at any worker
+// count. -cpuprofile and -memprofile write pprof profiles of the whole
+// run for `go tool pprof`.
 package main
 
 import (
@@ -142,8 +140,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Uint64("seed", 1, "workload RNG seed")
 
 		workers    = fs.Int("workers", 0, "sweep points running at once, over all tables (0 = GOMAXPROCS, 1 = serial)")
-		shards     = fs.Int("shards", 0, "engine shards per run (<= 1 = serial walk)")
-		shardW     = fs.Int("shard-workers", 0, "goroutines per sharded engine (0 = compose against GOMAXPROCS)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -228,8 +224,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	}
 	o.Seed = *seed
 	o.Workers = *workers
-	o.Shards = *shards
-	o.ShardWorkers = *shardW
 
 	// Every chosen experiment runs at once on one budget of -workers
 	// processors, at the rank of its position, into a buffer of its own;

@@ -125,6 +125,20 @@ func TestBenchMainUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestBenchMainRemovedShardFlags: the engines run one serial cycle, so
+// -shards and -shard-workers are unknown flags and exit 2.
+func TestBenchMainRemovedShardFlags(t *testing.T) {
+	for _, flag := range []string{"-shards", "-shard-workers"} {
+		var out, errOut strings.Builder
+		if code := benchMain([]string{"-exp", "table1", flag, "2"}, &out, &errOut); code != 2 {
+			t.Fatalf("%s 2: exit %d, want 2", flag, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Fatalf("%s 2: stdout %q, stderr %q", flag, out.String(), errOut.String())
+		}
+	}
+}
+
 // TestBenchMainSelectionOrder: names may come in any order and with
 // spaces; the tables print in suite order.
 func TestBenchMainSelectionOrder(t *testing.T) {

@@ -9,8 +9,8 @@
 //	ssvc-serve -journal FILE [-script FILE] [-total N] [-listen ADDR]
 //	           [-trace FILE] [-pace N] [-radix N] [-seed N] [-snap-every N]
 //	           [-gb-share F] [-gl-share F] [-degrade] [-lmax N]
-//	           [-fail SPEC] [-shards N] [-shard-workers N]
-//	ssvc-serve -replay FILE [-trace FILE] [-shards N] [-shard-workers N]
+//	           [-fail SPEC]
+//	ssvc-serve -replay FILE [-trace FILE]
 //
 // Serve mode advances the simulation -total cycles, applying commands
 // from the -script file (`@<cycle> <command>` lines) at their stamped
@@ -48,7 +48,7 @@
 // Replay mode re-executes a journal and prints the recovered state;
 // with -trace it also writes the re-derived delivery trace. Replaying
 // the journal of a completed run must reproduce the identical trace and
-// counters, byte for byte, at any -shards value.
+// counters, byte for byte.
 package main
 
 import (
@@ -112,9 +112,6 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		degrade   = fs.Bool("degrade", false, "start with the degrade budget-shrink policy (default reject)")
 		lmax      = fs.Int("lmax", 8, "maximum admissible packet length, flits")
 		failSpec  = fs.String("fail", "", "fail-stop schedule: in<port>@<cycle> or out<port>@<cycle>, comma separated")
-
-		shards = fs.Int("shards", 0, "engine shards (<= 1 = serial walk; results identical at any value)")
-		shardW = fs.Int("shard-workers", 0, "goroutines for the sharded engine (0 = auto)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -130,7 +127,7 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		}
 		defer tw.Close()
 	}
-	ro := ctlplane.ReplayOptions{Shards: *shards, ShardWorkers: *shardW}
+	var ro ctlplane.ReplayOptions
 	if tw != nil {
 		ro.OnDeliver = tw.OnDeliver
 	}
@@ -149,16 +146,14 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 		return 2
 	}
 	cfg := ctlplane.SimConfig{
-		Radix:        *radix,
-		LMax:         *lmax,
-		GBShare:      *gbShare,
-		GLShare:      *glShare,
-		Degrade:      *degrade,
-		Seed:         *seed,
-		SnapEvery:    noc.CycleOf(*snapEvery),
-		Faults:       fcfg,
-		Shards:       *shards,
-		ShardWorkers: *shardW,
+		Radix:     *radix,
+		LMax:      *lmax,
+		GBShare:   *gbShare,
+		GLShare:   *glShare,
+		Degrade:   *degrade,
+		Seed:      *seed,
+		SnapEvery: noc.CycleOf(*snapEvery),
+		Faults:    fcfg,
 	}
 
 	// Recover or start fresh. Recovery restores the newest snapshot and

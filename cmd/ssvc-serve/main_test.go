@@ -475,3 +475,25 @@ func TestRecoveryReport(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovedShardFlags: the switch runs one serial cycle, so -shards and
+// -shard-workers are unknown flags, in serve mode and in replay mode, and
+// exit 2 before any journal is touched.
+func TestRemovedShardFlags(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	for _, args := range [][]string{
+		{"-journal", journal, "-shards", "2"},
+		{"-replay", journal, "-shard-workers", "2"},
+	} {
+		var out, errOut strings.Builder
+		if code := serveMain(args, &out, &errOut, nil); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Fatalf("%v: stderr %q", args, errOut.String())
+		}
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("a refused command line created the journal: %v", err)
+	}
+}

@@ -105,9 +105,8 @@ func compareFindings(t *testing.T, want, got map[string]int, ds []analysis.Diagn
 // TestRuleFixtures runs every rule over its fixture packages and
 // compares the findings with the fixtures' `// want:` markers. The
 // mustFind rows are the meta-tests: each fixture is a faithful copy of
-// shipped code with one defect injected (shardmut: a shared counter
-// bumped from a Par stage; durmut: ApplyAll's batch commit with the
-// fsync deleted; rangemut: the admission cost product with its
+// shipped code with one defect injected (durmut: ApplyAll's batch commit
+// with the fsync deleted; rangemut: the admission cost product with its
 // dominating guard deleted; taintmut: parse → validate → price with the
 // validation call deleted), so a rule that stops reporting it has gone
 // blind. Per-package rules share one Loader, since what they find in a
@@ -130,8 +129,6 @@ func TestRuleFixtures(t *testing.T) {
 		{rule: "units", pkgs: []string{"unitsbad"}},
 		// The real escape-analysis pipeline (go build -gcflags=-m).
 		{rule: "hotpath", pkgs: []string{"hotbad"}},
-		{rule: "shardsafety", pkgs: []string{"shardbad"}, tree: true},
-		{rule: "shardsafety", pkgs: []string{"shardmut"}, tree: true, mustFind: true},
 		{rule: "durability", pkgs: []string{"durabilitybad"}, tree: true},
 		{rule: "durability", pkgs: []string{"durmut"}, tree: true, mustFind: true},
 		{rule: "valuerange", pkgs: []string{"rangebad"}, tree: true},
@@ -371,7 +368,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	for _, line := range entries {
 		an := strings.Fields(line)[0]
 		switch an {
-		case "shardsafety", "durability", "valuerange", "taint":
+		case "durability", "valuerange", "taint":
 			t.Errorf("lint.allow entry for %s: the interprocedural analyzers admit no suppressions (%s)", an, line)
 		}
 	}

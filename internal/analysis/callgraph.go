@@ -8,14 +8,12 @@ import (
 	"sync"
 )
 
-// This file is the interprocedural layer under the shardsafety and
-// durability analyzers: a whole-module function index with per-function
+// This file is the interprocedural layer under the durability, valuerange
+// and taint analyzers: a whole-module function index with per-function
 // effect summaries (which parameters' reachable memory a function may
-// write, which struct fields it writes transitively, whether it touches
-// package-level state or spawns goroutines, and which of its func-typed
-// parameters it may invoke), plus class-hierarchy resolution for calls
-// through interfaces (every concrete method in the loaded packages whose
-// receiver type implements the interface).
+// write, and the calls it makes), plus class-hierarchy resolution for
+// calls through interfaces (every concrete method in the loaded packages
+// whose receiver type implements the interface).
 //
 // Summaries are computed in two phases. The local phase walks one
 // function body resolving each written lvalue to a root — receiver,
@@ -30,31 +28,12 @@ import (
 // closures before any cycle runs — and calls into packages outside the
 // module (the standard library) are trusted as well.
 
-// Annotation markers recognized on struct fields and functions. They are
-// the sanctioned escape hatches and ownership declarations the
-// shardsafety and durability analyzers consume; DESIGN.md "Invariants"
-// rules 7-8 document the semantics.
+// Annotation markers recognized on functions. DESIGN.md "Invariants"
+// rules 8-10 document the semantics.
 const (
-	// MarkShards annotates the engine's shard-directory field: element k
-	// of the slice is the root of shard k's owned state.
-	MarkShards = "//ssvc:shards"
-	// MarkOwnedIndex annotates a port-domain container: element i belongs
-	// to the shard whose [lo, hi) range covers i.
-	MarkOwnedIndex = "//ssvc:owned-index"
-	// MarkMailbox annotates a per-shard exchange field on the shard
-	// struct: slot j is written only by the owning shard and read only by
-	// shard j, with a stage barrier between the two.
-	MarkMailbox = "//ssvc:mailbox"
-	// MarkOwner annotates the back-pointer from a port-domain element to
-	// its owning shard struct; `x.owner == sh` guards prove x is local.
-	MarkOwner = "//ssvc:owner"
-	// MarkShared annotates a field that is deliberately shared across
-	// shards (the justification lives in the field's comment); reads and
-	// writes of it are exempt from the shardsafety checks.
-	MarkShared = "//ssvc:shared"
-	// MarkSerialOnly annotates a function that must only run on a
-	// single-owner goroutine (the plane's driver or a Serial stage);
-	// calling it from a Par stage or from a spawned goroutine is flagged.
+	// MarkSerialOnly annotates a function that must only run on the
+	// plane's single owner goroutine; a spawned goroutine that reaches it
+	// is flagged (durability).
 	MarkSerialOnly = "//ssvc:serial-only"
 	// MarkSink annotates a function whose arguments feed the exact
 	// fixed-point arithmetic (cost products, schedulability bounds,
@@ -81,36 +60,29 @@ type funcInfo struct {
 // callRecord is one resolved call site inside a function: the candidate
 // callees (one for a static call, every implementing method for an
 // interface call) and, per callee parameter slot (receiver first), the
-// caller root the argument aliases (-1 unknown/fresh, -2 package-level)
-// plus the struct fields an argument exposes for writing.
+// caller root the argument aliases (-1 unknown/fresh, -2 package-level).
 type callRecord struct {
-	callees   []*types.Func
-	args      []int
-	argFields [][]*types.Var
+	callees []*types.Func
+	args    []int
 }
 
-// effectSummary is a function's interprocedurally-closed effect set.
-// Parameter slots are receiver-first.
+// effectSummary is a function's interprocedurally-closed effect set:
+// which parameter slots (receiver first) it may write through, and its
+// calls.
 type effectSummary struct {
-	writesParam  []bool
-	callsParam   []bool
-	writesGlobal bool
-	spawnsGo     bool
-	written      map[*types.Var]bool
-	calls        []callRecord
+	writesParam []bool
+	calls       []callRecord
 }
 
-// callGraph is the shared index both interprocedural analyzers run on.
+// callGraph is the shared index the interprocedural analyzers run on.
 type callGraph struct {
-	l            *Loader
-	pkgs         []*Package // sorted by import path, for determinism
-	funcs        map[*types.Func]*funcInfo
-	summaries    map[*types.Func]*effectSummary
-	fieldMark    map[*types.Var]string
-	serialOnly   map[*types.Func]bool
-	shardStructs map[*types.Named]bool
-	chaMu        sync.Mutex
-	chaCache     map[string][]*types.Func
+	l          *Loader
+	pkgs       []*Package // sorted by import path, for determinism
+	funcs      map[*types.Func]*funcInfo
+	summaries  map[*types.Func]*effectSummary
+	serialOnly map[*types.Func]bool
+	chaMu      sync.Mutex
+	chaCache   map[string][]*types.Func
 }
 
 // buildCallGraph indexes every package the loader has type-checked so
@@ -118,13 +90,11 @@ type callGraph struct {
 // they import within the module) and computes the effect fixpoint.
 func buildCallGraph(l *Loader) *callGraph {
 	cg := &callGraph{
-		l:            l,
-		funcs:        map[*types.Func]*funcInfo{},
-		summaries:    map[*types.Func]*effectSummary{},
-		fieldMark:    map[*types.Var]string{},
-		serialOnly:   map[*types.Func]bool{},
-		shardStructs: map[*types.Named]bool{},
-		chaCache:     map[string][]*types.Func{},
+		l:          l,
+		funcs:      map[*types.Func]*funcInfo{},
+		summaries:  map[*types.Func]*effectSummary{},
+		serialOnly: map[*types.Func]bool{},
+		chaCache:   map[string][]*types.Func{},
 	}
 	paths := make([]string, 0, len(l.typed))
 	for ip := range l.typed {
@@ -156,8 +126,8 @@ func buildCallGraph(l *Loader) *callGraph {
 	return cg
 }
 
-// indexPackage collects function declarations, field annotations, and
-// serial-only function markers from one package.
+// indexPackage collects function declarations and serial-only function
+// markers from one package.
 func (cg *callGraph) indexPackage(pkg *Package) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -178,66 +148,7 @@ func (cg *callGraph) indexPackage(pkg *Package) {
 				}
 			}
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, f := range st.Fields.List {
-				mark := fieldMarker(f)
-				if mark == "" {
-					continue
-				}
-				for _, name := range f.Names {
-					fv, ok := pkg.Info.Defs[name].(*types.Var)
-					if !ok {
-						continue
-					}
-					cg.fieldMark[fv] = mark
-					if mark == MarkShards {
-						if named := shardElemType(fv.Type()); named != nil {
-							cg.shardStructs[named] = true
-						}
-					}
-				}
-			}
-			return true
-		})
 	}
-}
-
-// fieldMarker returns the ssvc marker on a struct field's doc or line
-// comment, or "".
-func fieldMarker(f *ast.Field) string {
-	markers := []string{MarkShards, MarkOwnedIndex, MarkMailbox, MarkOwner, MarkShared}
-	for _, grp := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if grp == nil {
-			continue
-		}
-		for _, c := range grp.List {
-			for _, m := range markers {
-				if isMarker(c.Text, m) {
-					return m
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// shardElemType resolves the shard struct type behind a //ssvc:shards
-// container field ([]*T, []T) to its named type.
-func shardElemType(t types.Type) *types.Named {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	elem := s.Elem()
-	if p, ok := elem.Underlying().(*types.Pointer); ok {
-		elem = p.Elem()
-	}
-	named, _ := elem.(*types.Named)
-	return named
 }
 
 // Root slot markers used in the alias environment beside parameter
@@ -250,7 +161,6 @@ const (
 // summaryBuilder walks one function body accumulating its local summary.
 type summaryBuilder struct {
 	cg   *callGraph
-	pkg  *Package
 	sum  *effectSummary
 	env  map[types.Object]int
 	info *types.Info
@@ -259,8 +169,8 @@ type summaryBuilder struct {
 // localSummary computes a function's direct effects plus its call
 // records for the propagation phase.
 func (cg *callGraph) localSummary(fi *funcInfo) *effectSummary {
-	sum := &effectSummary{written: map[*types.Var]bool{}}
-	b := &summaryBuilder{cg: cg, pkg: fi.pkg, sum: sum, env: map[types.Object]int{}, info: fi.pkg.Info}
+	sum := &effectSummary{}
+	b := &summaryBuilder{cg: cg, sum: sum, env: map[types.Object]int{}, info: fi.pkg.Info}
 	slot := 0
 	register := func(fl *ast.FieldList) {
 		if fl == nil {
@@ -282,17 +192,16 @@ func (cg *callGraph) localSummary(fi *funcInfo) *effectSummary {
 	register(fi.decl.Recv)
 	register(fi.decl.Type.Params)
 	sum.writesParam = make([]bool, slot)
-	sum.callsParam = make([]bool, slot)
 	b.walkBody(fi.decl.Body)
 	return sum
 }
 
 // litSummary computes the summary of a free-standing function literal
-// (e.g. a Par stage given inline). Callee summaries are already closed
+// (e.g. the body of a go statement). Callee summaries are already closed
 // when this is called, so a single merge pass is exact.
 func (cg *callGraph) litSummary(lit *ast.FuncLit, pkg *Package) *effectSummary {
-	sum := &effectSummary{written: map[*types.Var]bool{}}
-	b := &summaryBuilder{cg: cg, pkg: pkg, sum: sum, env: map[types.Object]int{}, info: pkg.Info}
+	sum := &effectSummary{}
+	b := &summaryBuilder{cg: cg, sum: sum, env: map[types.Object]int{}, info: pkg.Info}
 	b.registerFresh(lit.Type.Params)
 	b.walkBody(lit.Body)
 	cg.mergeCalls(sum)
@@ -313,8 +222,8 @@ func (b *summaryBuilder) registerFresh(fl *ast.FieldList) {
 }
 
 // walkBody visits statements in source order (closures included: a
-// nested literal's effects belong to the enclosing function, since the
-// engines run their closures on the same shard context that built them).
+// nested literal's effects belong to the enclosing function, which is
+// where the closures it builds run).
 func (b *summaryBuilder) walkBody(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -358,7 +267,6 @@ func (b *summaryBuilder) walkBody(body *ast.BlockStmt) {
 				}
 			}
 		case *ast.GoStmt:
-			b.sum.spawnsGo = true
 			b.call(n.Call)
 		case *ast.DeferStmt:
 			b.call(n.Call)
@@ -366,7 +274,7 @@ func (b *summaryBuilder) walkBody(body *ast.BlockStmt) {
 			b.call(n)
 		case *ast.SendStmt:
 			// Sending on a channel publishes the value; treat the channel
-			// as written state so a Par stage cannot smuggle effects out.
+			// as written state.
 			b.recordWrite(n.Chan)
 		}
 		return true
@@ -414,92 +322,11 @@ func (b *summaryBuilder) assign(s *ast.AssignStmt) {
 }
 
 // recordWrite resolves one written lvalue to its root and marks the
-// written struct fields.
+// parameter slot it writes through, if any.
 func (b *summaryBuilder) recordWrite(lv ast.Expr) {
-	root := b.rootSlot(lv)
-	switch {
-	case root == rootGlobal:
-		b.sum.writesGlobal = true
-	case root >= 0:
-		if root < len(b.sum.writesParam) {
-			b.sum.writesParam[root] = true
-		}
-	case b.rootObj(lv) == nil:
-		// Unresolvable target (write through a call result, etc.):
-		// assume the worst.
-		b.sum.writesGlobal = true
+	if root := b.rootSlot(lv); root >= 0 && root < len(b.sum.writesParam) {
+		b.sum.writesParam[root] = true
 	}
-	b.markWritten(lv)
-}
-
-// markWritten records the struct fields an lvalue write mutates: the
-// leaf field, then outward through value-typed (non-pointer) embeddings
-// — writing a.b.c also dirties b when b is a struct value inside a, but
-// stops at pointer and slice indirections (writing in.sh.pkts[i] does
-// not dirty the back-pointer sh).
-func (b *summaryBuilder) markWritten(lv ast.Expr) {
-	switch e := lv.(type) {
-	case *ast.ParenExpr:
-		b.markWritten(e.X)
-	case *ast.SelectorExpr:
-		if fv := b.fieldVar(e); fv != nil {
-			b.sum.written[fv] = true
-		}
-		if !indirectType(b.exprType(e.X)) {
-			b.markWritten(e.X)
-		}
-	case *ast.IndexExpr:
-		if _, ok := b.exprType(e.X).Underlying().(*types.Array); ok {
-			b.markWritten(e.X)
-			return
-		}
-		// Slice/map element write: the container field's backing store is
-		// mutated, but nothing beyond the slice-header indirection.
-		if sel, ok := unparen(e.X).(*ast.SelectorExpr); ok {
-			if fv := b.fieldVar(sel); fv != nil {
-				b.sum.written[fv] = true
-			}
-		}
-	case *ast.StarExpr:
-		// Write through a pointer: the pointee is behind an indirection;
-		// nothing outward to mark.
-	}
-}
-
-// argFieldSet lists the struct fields a callee could dirty by writing
-// through one argument (the call-site side of markWritten).
-func (b *summaryBuilder) argFieldSet(arg ast.Expr) []*types.Var {
-	var out []*types.Var
-	switch e := unparen(arg).(type) {
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			if sel, ok := unparen(e.X).(*ast.SelectorExpr); ok {
-				if fv := b.fieldVar(sel); fv != nil {
-					out = append(out, fv)
-				}
-			}
-		}
-	case *ast.SelectorExpr:
-		// Passing a slice/map/array-typed field hands out its backing
-		// store; passing a pointer-typed field hands out the pointee,
-		// whose fields the callee's own written set covers.
-		switch b.exprType(e).Underlying().(type) {
-		case *types.Slice, *types.Map, *types.Array:
-			if fv := b.fieldVar(e); fv != nil {
-				out = append(out, fv)
-			}
-		}
-	case *ast.IndexExpr:
-		if sel, ok := unparen(e.X).(*ast.SelectorExpr); ok {
-			switch b.exprType(e).Underlying().(type) {
-			case *types.Slice, *types.Map, *types.Array:
-				if fv := b.fieldVar(sel); fv != nil {
-					out = append(out, fv)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // call records one call site's callees and argument roots.
@@ -527,16 +354,9 @@ func (b *summaryBuilder) call(call *ast.CallExpr) {
 		switch obj := b.info.Uses[fun].(type) {
 		case *types.Func:
 			callees = []*types.Func{obj}
-		case *types.Var:
-			// Calling a func value: if it is one of our own func-typed
-			// parameters, record that; a local literal's effects were
-			// already merged where it was defined. Anything else is an
-			// untracked func value, trusted by design.
-			if slot, ok := b.env[obj]; ok && slot >= 0 && slot < len(b.sum.callsParam) {
-				b.sum.callsParam[slot] = true
-			}
-			return
 		default:
+			// A func value: a local literal's effects were already merged
+			// where it was defined; anything else is trusted by design.
 			return
 		}
 	case *ast.SelectorExpr:
@@ -549,10 +369,8 @@ func (b *summaryBuilder) call(call *ast.CallExpr) {
 			}
 		} else if fn, ok := b.info.Uses[fun.Sel].(*types.Func); ok {
 			callees = []*types.Func{fn} // qualified pkg.Func
-		} else if fv := b.fieldVar(fun); fv != nil {
-			return // stored hook: trusted (bound at construction)
 		} else {
-			return
+			return // a stored hook: trusted (bound at construction)
 		}
 	case *ast.FuncLit:
 		return // effects already merged at the definition site
@@ -565,11 +383,9 @@ func (b *summaryBuilder) call(call *ast.CallExpr) {
 	cr := callRecord{callees: callees}
 	if recvExpr != nil {
 		cr.args = append(cr.args, b.rootSlot(recvExpr))
-		cr.argFields = append(cr.argFields, b.argFieldSet(recvExpr))
 	}
 	for _, a := range call.Args {
 		cr.args = append(cr.args, b.rootSlot(a))
-		cr.argFields = append(cr.argFields, b.argFieldSet(a))
 	}
 	b.sum.calls = append(b.sum.calls, cr)
 }
@@ -631,22 +447,15 @@ func (b *summaryBuilder) rootObj(e ast.Expr) types.Object {
 	}
 }
 
-// fieldVar resolves a selector to the struct field it denotes, or nil
+// fieldVarOf resolves a selector to the struct field it denotes, or nil
 // for methods and package-qualified names.
-func (b *summaryBuilder) fieldVar(sel *ast.SelectorExpr) *types.Var {
-	if s, ok := b.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		if fv, ok := s.Obj().(*types.Var); ok {
 			return fv
 		}
 	}
 	return nil
-}
-
-func (b *summaryBuilder) exprType(e ast.Expr) types.Type {
-	if tv, ok := b.info.Types[e]; ok && tv.Type != nil {
-		return tv.Type
-	}
-	return types.Typ[types.Invalid]
 }
 
 // indirectType reports whether the type is an indirection boundary:
@@ -727,44 +536,13 @@ func (cg *callGraph) mergeCalls(sum *effectSummary) {
 // call record; reports whether anything changed.
 func mergeSummary(sum *effectSummary, cs *effectSummary, cr callRecord) bool {
 	changed := false
-	set := func(dst *bool) {
-		if !*dst {
-			*dst = true
-			changed = true
-		}
-	}
-	if cs.writesGlobal {
-		set(&sum.writesGlobal)
-	}
-	if cs.spawnsGo {
-		set(&sum.spawnsGo)
-	}
-	for fv := range cs.written {
-		if !sum.written[fv] {
-			sum.written[fv] = true
-			changed = true
-		}
-	}
 	for j, root := range cr.args {
 		if j >= len(cs.writesParam) {
 			break
 		}
-		if cs.writesParam[j] {
-			switch {
-			case root == rootGlobal:
-				set(&sum.writesGlobal)
-			case root >= 0 && root < len(sum.writesParam):
-				set(&sum.writesParam[root])
-			}
-			for _, fv := range cr.argFields[j] {
-				if !sum.written[fv] {
-					sum.written[fv] = true
-					changed = true
-				}
-			}
-		}
-		if cs.callsParam[j] && root >= 0 && root < len(sum.callsParam) {
-			set(&sum.callsParam[root])
+		if cs.writesParam[j] && root >= 0 && root < len(sum.writesParam) && !sum.writesParam[root] {
+			sum.writesParam[root] = true
+			changed = true
 		}
 	}
 	return changed

@@ -11,8 +11,7 @@ import (
 // along an edge, and the check-then-transfer replay that emits
 // diagnostics at the fixpoint. A rule brings only its lattice, as a
 // flow value: guard facts (dataflow.go), intervals (interval.go), taint
-// masks (taint.go), shard ownership (shardsafety.go) and durability's
-// must- and may-facts (durability.go).
+// masks (taint.go) and durability's must- and may-facts (durability.go).
 
 // flow is one rule's abstract domain over states of type S. States are
 // mutable (maps, or pointers to structs): transfer and leaf update

@@ -31,7 +31,6 @@ var Rules = []Rule{
 	{Name: "recycle", Packages: fixed(RecyclePackages), perPackage: recycle},
 	{Name: "countersafety", Packages: modulePackageRels, perPackage: counterSafety},
 	{Name: "units", Packages: unitsPackages, perPackage: units},
-	{Name: "shardsafety", Packages: fixed(ShardSafetyPackages), tree: shardSafety},
 	{Name: "durability", Packages: fixed(DurabilityPackages), tree: durability},
 	{Name: "valuerange", Packages: fixed(ValueRangePackages), tree: valueRange},
 	{Name: "taint", Packages: fixed(TaintPackages), tree: taint},
@@ -61,15 +60,6 @@ var DeterminismPackages = []string{
 	// lease-expiry or snapshot paths (time.Now, but also timers like
 	// time.Sleep/After) would make recovery diverge from the live run.
 	"internal/ctlplane",
-	// The shard executor sits under every engine's sharded pipeline;
-	// it is pure mechanism, so any nondeterminism here (time, global
-	// rand, map iteration) would silently break the byte-identical
-	// contract at shards > 1. It is deliberately NOT in
-	// PanicFreezePackages: executor misuse (stage panics, team size
-	// mismatches) is a programming error surfaced as a panic, and the
-	// engines above it translate their own invariant violations into
-	// frozen-sick errors before they ever reach the executor.
-	"internal/shard",
 }
 
 // PanicFreezePackages must freeze sick through fabric.ErrorReporter /
@@ -101,17 +91,6 @@ var RecyclePackages = []string{
 // recycle analyzer.
 var RecycleSources = []MethodRule{
 	{TypeName: "TxPool", Method: "Get"},
-}
-
-// ShardSafetyPackages hold shard.Executor stage programs (the two
-// engines; internal/mesh is a topology over compose's) plus the executor
-// itself; their Par stages must touch only shard-owned state (see
-// shardsafety.go for the ownership rules and the //ssvc:shards family
-// of annotations).
-var ShardSafetyPackages = []string{
-	"internal/shard",
-	"internal/switchsim",
-	"internal/compose",
 }
 
 // DurabilityPackages carry the crash-safety ordering contract: the

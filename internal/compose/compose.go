@@ -32,7 +32,6 @@ import (
 	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
-	"swizzleqos/internal/shard"
 	"swizzleqos/internal/traffic"
 )
 
@@ -51,7 +50,7 @@ type PortRef struct {
 type Topology struct {
 	Ports     []int
 	Links     map[PortRef]PortRef // from (node, output port) to (node, input port)
-	Terminals []PortRef           //ssvc:owned-index
+	Terminals []PortRef
 	Route     func(node, terminal int) int
 
 	// flowGroups gives every flow its own injection group, so a terminal
@@ -282,11 +281,7 @@ func Mesh(width, height int) (Topology, error) {
 // never hash a PortRef.
 type node struct {
 	id int
-	// sh is the shard owning this node; li is the node's local index
-	// within it (id - sh.lo), and fbase the shard-local flat id of its
-	// port 0 (see netShard).
-	sh      *netShard //ssvc:owner
-	li      int
+	// fbase is the flat id of the node's port 0 (see Network.portNode).
 	fbase   int
 	in      []*fabric.Buffer
 	out     []*fabric.Transmission
@@ -306,87 +301,33 @@ type node struct {
 	clks []arb.TickScheduler
 	// route[t] is Topology.Route(id, t), tabulated at construction.
 	route []int32
-	// groups[p] lists the injection groups (in sh.sources) that admit into
-	// input port p: empty except at a terminal's port.
+	// groups[p] lists the injection groups (in Network.sources) that admit
+	// into input port p: empty except at a terminal's port.
 	groups [][]int
 }
 
-// haloCommit is a completed hop crossing a shard boundary: the packet
-// enters the destination node's buffer at the cycle's serial commit
-// stage instead of during the owning shard's parallel transfer walk.
-type haloCommit struct {
-	nd   *node
-	port int
-	pkt  *noc.Packet
-}
-
-// netShard is one contiguous node range [lo, hi) with everything its
-// parallel stages touch: the injection sources of the terminals attached
-// to its nodes, a transmission pool, counter deltas, and the
-// event masks a cycle walks — no stage shares mutable state across shards
-// (the zero-allocation steady state then holds per shard with no
-// cross-shard pool traffic).
-type netShard struct {
-	idx     int
-	lo, hi  int
-	sources *fabric.Sources
-	txPool  fabric.TxPool
-	// ctr accumulates this cycle's counter deltas from the parallel
-	// stages; the serial commit stage merges and zeroes it.
-	ctr fabric.Counters
-
-	// tickDue is the earliest cycle at which one of the shard's arbiters
-	// needs its Tick (see tickShard); zero, so the first cycle asks.
-	tickDue noc.Cycle
-
-	// Event-driven work tracking (see DESIGN.md "Event-driven idle
-	// skipping"), over local node indices: work[li] counts node lo+li's
-	// buffered packets, in-flight transmissions, and pending cooldowns;
-	// activePorts counts the ports of the nodes where it is nonzero.
-	work        []int
-	activePorts int
-	// Event masks over the shard's ports, which are what a cycle walks:
-	// flat id f is port f-fbase of node lo+portNode[f] and fault port
-	// base+f. tx: transmitting outputs; cool: outputs that owe the idle
-	// cycle after a transfer; offered: outputs with a nonempty want;
-	// dirty: inputs whose offer may be stale; all: every port.
-	base                          int
-	portNode                      []int32
-	tx, cool, offered, dirty, all []uint64
-	// admitSkip masks the injection groups whose last admission attempt
-	// moved nothing, and whose next one provably cannot either: every
-	// event that could change the outcome clears the bit (see admitShard).
-	admitSkip []uint64
-
-	// outbox[k] holds this shard's boundary commits into shard k this
-	// cycle; delivered holds this shard's ejected packets, in ascending
-	// node order. Both drain at the serial commit stage.
-	outbox    [][]haloCommit //ssvc:mailbox
-	delivered []*noc.Packet
-}
-
-// push records a packet that entered input port of the shard's node nd:
-// one more work item (a grant turns it into a transmission and the last
-// flit into a cooldown, so the count stands until subWork), and if it is
-// the new head of an idle input, an offer to re-derive.
+// push records a packet that entered input port of node nd: one more work
+// item (a grant turns it into a transmission and the last flit into a
+// cooldown, so the count stands until subWork), and if it is the new head
+// of an idle input, an offer to re-derive.
 //
 //ssvc:hotpath
-func (sh *netShard) push(nd *node, port int) {
-	if sh.work[nd.li]++; sh.work[nd.li] == 1 {
-		sh.activePorts += len(nd.out)
+func (n *Network) push(nd *node, port int) {
+	if n.work[nd.id]++; n.work[nd.id] == 1 {
+		n.activePorts += len(nd.out)
 	}
 	if nd.in[port].Len() == 1 && !nd.inBusy[port] {
-		arb.MaskSet(sh.dirty, nd.fbase+port)
+		arb.MaskSet(n.dirty, nd.fbase+port)
 	}
 }
 
 // subWork records a completed work item (a cooldown served, a head
-// discarded) at the shard's node nd.
+// discarded) at node nd.
 //
 //ssvc:hotpath
-func (sh *netShard) subWork(nd *node) {
-	if sh.work[nd.li]--; sh.work[nd.li] == 0 {
-		sh.activePorts -= len(nd.out)
+func (n *Network) subWork(nd *node) {
+	if n.work[nd.id]--; n.work[nd.id] == 0 {
+		n.activePorts -= len(nd.out)
 	}
 }
 
@@ -394,9 +335,9 @@ func (sh *netShard) subWork(nd *node) {
 // groups again: something happened that could let one of them admit.
 //
 //ssvc:hotpath
-func (sh *netShard) retryAdmits(groups []int) {
+func (n *Network) retryAdmits(groups []int) {
 	for _, g := range groups {
-		arb.MaskClear(sh.admitSkip, g)
+		arb.MaskClear(n.admitSkip, g)
 	}
 }
 
@@ -406,25 +347,14 @@ type Config struct {
 	BufferFlits int
 	// NewArbiter builds the arbiter for (node, output port) over the
 	// node's input ports; nil defaults to LRG everywhere. Every call
-	// must return an independent instance: arbiters tick concurrently
-	// under sharding.
+	// must return an independent instance: each output's arbiter holds
+	// that output's state.
 	NewArbiter func(nodeID, port, ports int) arb.Arbiter
-
-	// Shards partitions the nodes into contiguous regions simulated as
-	// conservative-PDES logical processes (see internal/shard and
-	// DESIGN.md "Sharded execution"); a terminal's injection lives in
-	// the shard owning its attachment node. Values <= 1 select the
-	// serial walk; results are bit-identical at every shard count.
-	// Fault-injected runs always take the serial walk.
-	Shards int
-	// ShardWorkers bounds the worker goroutines the sharded pipeline
-	// uses. 0 selects min(Shards, GOMAXPROCS); explicit values let
-	// tests force real barrier traffic on small hosts. The worker count
-	// is pure mechanism: it can never change simulation results.
-	ShardWorkers int
 }
 
-// Network is the composed-switch simulator. Not safe for concurrent use.
+// Network is the composed-switch simulator. Not safe for concurrent use;
+// every cycle runs on the caller's goroutine (see DESIGN.md "No intra-run
+// parallelism").
 //
 // The embedded fabric.Counters exposes the common utilization counters;
 // Network implements fabric.Engine.
@@ -433,19 +363,40 @@ type Network struct {
 	fabric.Hooks
 
 	cfg   Config
-	nodes []*node //ssvc:owned-index
-	part  shard.Partition
-	sh    []*netShard //ssvc:shards
-	// termGroup maps a terminal to its group index within its shard's
-	// sources. It is nil when the topology gives every flow a group of its
-	// own (Topology.flowGroups): the shards' sources then start with no
-	// groups and AddFlow grows one per flow.
-	termGroup []int
-	now       noc.Cycle
-	err       error // terminal invariant violation; freezes the engine
+	nodes []*node
+	// sources holds every flow. Unless the topology gives every flow a
+	// group of its own (Topology.flowGroups), group t is terminal t's;
+	// otherwise sources starts with no groups and AddFlow grows one per
+	// flow.
+	sources *fabric.Sources
+	txPool  fabric.TxPool
+	now     noc.Cycle
+	err     error // terminal invariant violation; freezes the engine
 
 	faults   *faults.Injector
 	portBase []int // flat fault-port id of each node's port 0
+
+	// tickDue is the earliest cycle at which one of the arbiters needs its
+	// Tick (see tickArbiters); zero, so the first cycle asks.
+	tickDue noc.Cycle
+
+	// Event-driven work tracking (see DESIGN.md "Event-driven idle
+	// skipping"): work[id] counts node id's buffered packets, in-flight
+	// transmissions, and pending cooldowns; activePorts counts the ports
+	// of the nodes where it is nonzero.
+	work        []int
+	activePorts int
+	// Event masks over the flat port ids, which are what a cycle walks:
+	// flat id f is port f-fbase of node portNode[f], and its fault port.
+	// tx: transmitting outputs; cool: outputs that owe the idle cycle
+	// after a transfer; offered: outputs with a nonempty want; dirty:
+	// inputs whose offer may be stale; all: every port.
+	portNode                      []int32
+	tx, cool, offered, dirty, all []uint64
+	// admitSkip masks the injection groups whose last admission attempt
+	// moved nothing, and whose next one provably cannot either: every
+	// event that could change the outcome clears the bit (see admit).
+	admitSkip []uint64
 
 	arbReqs []arb.Request // scratch: requests handed to one arbitration
 
@@ -453,13 +404,6 @@ type Network struct {
 
 	OfferEvals   uint64              // offers re-derived (refresh); not part of the embedded counter block
 	afterRefresh func(now noc.Cycle) // test hook: the offers are current for this cycle
-
-	// Execution mode, fixed at the first Step/Run (see ensureMode):
-	// program non-nil selects the sharded parallel pipeline.
-	modeSet bool
-	exec    *shard.Executor
-	program []shard.Stage
-	stop    func() bool
 }
 
 // Network is driven through the shared engine interface by the
@@ -491,61 +435,33 @@ func New(cfg Config) (*Network, error) {
 		}
 		net.portBase[id] = net.totalPorts
 		net.totalPorts += p
+		for port := 0; port < p; port++ {
+			net.portNode = append(net.portNode, int32(id))
+		}
 	}
 	net.arbReqs = make([]arb.Request, 0, maxPorts)
-	net.part = shard.NewPartition(len(cfg.Topology.Ports), cfg.Shards)
-	for k := 0; k < net.part.Shards(); k++ {
-		lo, hi := net.part.Range(k)
-		net.sh = append(net.sh, &netShard{
-			idx:       k,
-			lo:        lo,
-			hi:        hi,
-			work:      make([]int, hi-lo),
-			base:      net.portBase[lo],
-			outbox:    make([][]haloCommit, net.part.Shards()),
-			delivered: make([]*noc.Packet, 0, hi-lo),
-		})
-	}
-	// Size each shard's transmission pool to its nodes' total ports and
-	// shard the terminals by attachment node, preserving ascending
-	// terminal order within each shard (terminals on one node always
-	// share a shard, so the shard-grouped admission walk keeps their
-	// relative order).
-	for id, ports := range cfg.Topology.Ports {
-		sh := net.sh[net.part.Of(id)]
-		sh.txPool.Preload(ports)
-		for p := 0; p < ports; p++ {
-			sh.portNode = append(sh.portNode, int32(id-sh.lo))
-		}
-	}
-	counts := make([]int, net.part.Shards())
+	net.work = make([]int, len(cfg.Topology.Ports))
+	// The transmission pool is sized to the network's total ports, the
+	// most that can transmit at once.
+	net.txPool.Preload(net.totalPorts)
+	groups := 0
 	if !cfg.Topology.flowGroups {
-		net.termGroup = make([]int, len(cfg.Topology.Terminals))
-		for t, at := range cfg.Topology.Terminals {
-			k := net.part.Of(at.Node)
-			net.termGroup[t] = counts[k]
-			counts[k]++
-		}
+		groups = len(cfg.Topology.Terminals)
 	}
-	for k, sh := range net.sh {
-		sh.sources = fabric.NewSources(counts[k])
-		sh.admitSkip = make([]uint64, arb.MaskWords(counts[k]))
-		words := arb.MaskWords(len(sh.portNode))
-		sh.tx, sh.cool, sh.offered = make([]uint64, words), make([]uint64, words), make([]uint64, words)
-		sh.dirty, sh.all = make([]uint64, words), make([]uint64, words)
-		for f := range sh.portNode {
-			arb.MaskSet(sh.all, f)
-		}
-		sh.sources.SetOnNewHead(func(group int) { arb.MaskClear(sh.admitSkip, group) })
+	net.sources = fabric.NewSources(groups)
+	net.admitSkip = make([]uint64, arb.MaskWords(groups))
+	net.sources.SetOnNewHead(func(group int) { arb.MaskClear(net.admitSkip, group) })
+	words := arb.MaskWords(net.totalPorts)
+	net.tx, net.cool, net.offered = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+	net.dirty, net.all = make([]uint64, words), make([]uint64, words)
+	for f := 0; f < net.totalPorts; f++ {
+		arb.MaskSet(net.all, f)
 	}
 	terms := len(cfg.Topology.Terminals)
 	for id, ports := range cfg.Topology.Ports {
-		sh := net.sh[net.part.Of(id)]
 		n := &node{
 			id:       id,
-			sh:       sh,
-			li:       id - sh.lo,
-			fbase:    net.portBase[id] - sh.base,
+			fbase:    net.portBase[id],
 			in:       make([]*fabric.Buffer, ports),
 			out:      make([]*fabric.Transmission, ports),
 			inBusy:   make([]bool, ports),
@@ -568,10 +484,11 @@ func New(cfg Config) (*Network, error) {
 		}
 		net.nodes = append(net.nodes, n)
 	}
-	for t, g := range net.termGroup {
-		at := cfg.Topology.Terminals[t]
-		nd := net.nodes[at.Node]
-		nd.groups[at.Port] = append(nd.groups[at.Port], g)
+	if !cfg.Topology.flowGroups {
+		for t, at := range cfg.Topology.Terminals {
+			nd := net.nodes[at.Node]
+			nd.groups[at.Port] = append(nd.groups[at.Port], t)
+		}
 	}
 	if err := net.checkRoutes(); err != nil {
 		return nil, err
@@ -615,24 +532,21 @@ func (n *Network) checkRoutes() error {
 // which terminals are dead. A stale offer needs nothing: a schedule has
 // arbitrate re-derive every input before it reads one. Cold path.
 func (n *Network) recomputeActive() {
-	for _, sh := range n.sh {
-		arb.MaskZero(sh.admitSkip)
-		sh.activePorts = 0
-		for li := range sh.work {
-			nd := n.nodes[sh.lo+li]
-			sh.work[li] = 0
-			for port := range nd.in {
-				sh.work[li] += nd.in[port].Len()
-				if nd.out[port] != nil {
-					sh.work[li]++
-				}
-				if arb.MaskHas(sh.cool, nd.fbase+port) {
-					sh.work[li]++
-				}
+	arb.MaskZero(n.admitSkip)
+	n.activePorts = 0
+	for _, nd := range n.nodes {
+		n.work[nd.id] = 0
+		for port := range nd.in {
+			n.work[nd.id] += nd.in[port].Len()
+			if nd.out[port] != nil {
+				n.work[nd.id]++
 			}
-			if sh.work[li] > 0 {
-				sh.activePorts += len(nd.out)
+			if arb.MaskHas(n.cool, nd.fbase+port) {
+				n.work[nd.id]++
 			}
+		}
+		if n.work[nd.id] > 0 {
+			n.activePorts += len(nd.out)
 		}
 	}
 }
@@ -686,12 +600,9 @@ func (n *Network) PortBase(node int) int { return n.portBase[node] }
 func (n *Network) Now() noc.Cycle { return n.now }
 
 // AddFlow attaches a flow between terminals (Spec.Src/Dst are terminal
-// IDs), in the shard owning the source terminal's attachment node. Flows
-// sharing a source terminal share one injection group, or on a topology
-// with per-flow groups each get their own; either way flows at one
-// terminal keep their AddFlow order, and flows at different terminals
-// inject into disjoint buffers, so the shard-grouped admission walk is
-// equivalent to the flat one.
+// IDs). Flows sharing a source terminal share one injection group, or on a
+// topology with per-flow groups each get their own; either way flows at
+// one terminal keep their AddFlow order.
 func (n *Network) AddFlow(f traffic.Flow) error {
 	if f.Spec.Src < 0 || f.Spec.Src >= n.Terminals() || f.Spec.Dst < 0 || f.Spec.Dst >= n.Terminals() {
 		return fmt.Errorf("compose: flow %d->%d outside %d terminals", f.Spec.Src, f.Spec.Dst, n.Terminals())
@@ -708,97 +619,26 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	}
 	at := n.cfg.Topology.Terminals[f.Spec.Src]
 	nd := n.nodes[at.Node]
-	sh := nd.sh
-	if n.termGroup != nil {
-		g := n.termGroup[f.Spec.Src]
-		sh.sources.Add(f, g)
-		arb.MaskClear(sh.admitSkip, g) // a grown group gets a fresh attempt
+	if !n.cfg.Topology.flowGroups {
+		n.sources.Add(f, f.Spec.Src)
+		arb.MaskClear(n.admitSkip, f.Spec.Src) // a grown group gets a fresh attempt
 		return nil
 	}
 	// A group of the flow's own: admitSkip and the attachment port's
 	// retry list grow with the group set.
-	sh.sources.AddOwnGroup(f)
-	g := sh.sources.Groups() - 1
-	if arb.MaskWords(g+1) > len(sh.admitSkip) {
-		sh.admitSkip = append(sh.admitSkip, 0)
+	n.sources.AddOwnGroup(f)
+	g := n.sources.Groups() - 1
+	if arb.MaskWords(g+1) > len(n.admitSkip) {
+		n.admitSkip = append(n.admitSkip, 0)
 	}
 	nd.groups[at.Port] = append(nd.groups[at.Port], g)
 	return nil
 }
 
-// ParallelActive reports whether the network runs the sharded parallel
-// pipeline (meaningful after the first Step or Run). Fault-injected
-// runs always take the serial walk, whatever the shard count.
-func (n *Network) ParallelActive() bool { return n.program != nil }
-
-// ensureMode picks the execution mode on the first cycle, once the
-// fault schedule (the one post-New input to the decision) is final.
-//
-// Injection, transfers, and arbiter ticks partition cleanly by node;
-// completed hops crossing a shard boundary travel as halo events
-// applied at the serial commit stage. Arbitration does NOT partition:
-// a grant reserves downstream buffer space that later nodes' same-cycle
-// arbitrations must see (the ascending-node credit coupling of virtual
-// cut-through), so arbitration runs inside the serial commit stage in
-// the exact legacy order. Fault injection couples everything (wholesale
-// flushes, cross-node NACKs), so fault runs keep the serial walk.
-func (n *Network) ensureMode() {
-	if n.modeSet {
-		return
-	}
-	n.modeSet = true
-	if len(n.sh) <= 1 || n.faults != nil {
-		return
-	}
-	n.exec = shard.NewExecutor(len(n.sh), n.cfg.ShardWorkers)
-	n.stop = n.stopped
-	n.program = []shard.Stage{
-		{Serial: n.generateSharded},
-		{Par: n.admitSharded},
-		{Par: n.transferShard},
-		{Serial: n.commitSharded},
-		{Par: n.tickShard},
-		{Serial: n.advanceCycle},
-	}
-}
-
-// stopped is the executor's cycle-boundary early exit: a pure read of
-// the freeze flag, which only the serial commit stage writes.
-func (n *Network) stopped() bool { return n.err != nil }
-
 // Step advances one cycle. After a terminal error, Step is a no-op.
 //
 //ssvc:hotpath
 func (n *Network) Step() {
-	n.ensureMode()
-	if n.program != nil {
-		n.exec.Cycles(1, n.program, n.stop)
-		return
-	}
-	n.stepSerial()
-}
-
-// Run advances the given number of cycles, stopping early if the engine
-// fails sick.
-func (n *Network) Run(cycles noc.Cycle) {
-	n.ensureMode()
-	if n.program != nil {
-		n.exec.Cycles(cycles, n.program, n.stop)
-		return
-	}
-	for i := noc.Cycle(0); i < cycles; i++ {
-		if n.err != nil {
-			return
-		}
-		n.stepSerial()
-	}
-}
-
-// stepSerial is the legacy single-walk cycle, used at one shard and for
-// every fault-injected run.
-//
-//ssvc:hotpath
-func (n *Network) stepSerial() {
 	if n.err != nil {
 		return
 	}
@@ -811,40 +651,28 @@ func (n *Network) stepSerial() {
 			n.recomputeActive()
 		}
 	}
-	n.inject(now)
+	n.Injected += n.sources.Generate(now)
+	n.admit(now)
 	n.transfer(now)
 	n.arbitrate(now)
-	for k := range n.sh {
-		n.tickShard(k)
-	}
+	n.tickArbiters(now)
 	n.now++
 }
 
-// generateSharded is the parallel pipeline's serial generation stage:
-// packet IDs come from a Sequence shared across shards, so emission
-// stays on one goroutine, walking shards in ascending order.
-func (n *Network) generateSharded() {
-	now := n.now
-	for _, sh := range n.sh {
-		n.Injected += sh.sources.Generate(now)
+// Run advances the given number of cycles, stopping early if the engine
+// fails sick.
+func (n *Network) Run(cycles noc.Cycle) {
+	for i := noc.Cycle(0); i < cycles; i++ {
+		if n.err != nil {
+			return
+		}
+		n.Step()
 	}
 }
 
-// admitSharded is the parallel pipeline's admission stage for shard k;
-// the deltas land in the shard's own counter block.
-//
-//ssvc:hotpath
-func (n *Network) admitSharded(k int) {
-	sh := n.sh[k]
-	n.admitShard(sh, &sh.ctr, n.now)
-}
-
-// admitShard admits at most one packet per injection group of shard sh
-// into its nodes' attachment ports, rotating across the group's flows so
-// that flows sharing a group share the injection port fairly, and adds
-// what it did to ctr. Everything else it touches — sources, buffers, work
-// masks — belongs to the shard, so the serial step and the parallel
-// stage run the same walk.
+// admit admits at most one packet per injection group into its
+// terminal's attachment port, rotating across the group's flows so that
+// flows sharing a group share the injection port fairly.
 //
 // The walk visits the groups with a queued packet that admitSkip does
 // not mask. An attempt that moves nothing sets the group's bit, and the
@@ -860,14 +688,12 @@ func (n *Network) admitSharded(k int) {
 // full-walk reference of the idle-skipping tests.
 //
 //ssvc:hotpath
-func (n *Network) admitShard(sh *netShard, ctr *fabric.Counters, now noc.Cycle) {
+func (n *Network) admit(now noc.Cycle) {
 	try := func(p *noc.Packet) bool {
 		// A fail-stopped terminal generates into a dead attachment port:
-		// accept and discard so the source queue cannot grow unbounded
-		// (dropPkt, counted through ctr).
+		// accept and discard so the source queue cannot grow unbounded.
 		if n.faults != nil && n.faults.InputDead(p.Src) {
-			ctr.Dropped++
-			n.Drop(p)
+			n.dropPkt(p)
 			return true
 		}
 		at := n.cfg.Topology.Terminals[p.Src]
@@ -876,145 +702,59 @@ func (n *Network) admitShard(sh *netShard, ctr *fabric.Counters, now noc.Cycle) 
 			return false
 		}
 		p.EnqueuedAt = now
-		ctr.Admitted++
-		sh.push(nd, at.Port)
+		n.Admitted++
+		n.push(nd, at.Port)
 		return true
 	}
 	// Pops clear nonempty bits in place; the per-word snapshot keeps this
 	// cycle's scan set fixed.
 	queued := 0
-	for w, mm := range sh.sources.NonEmptyMask() {
+	for w, mm := range n.sources.NonEmptyMask() {
 		queued += bits.OnesCount64(mm)
-		mm &^= sh.admitSkip[w]
+		mm &^= n.admitSkip[w]
 		for mm != 0 {
 			g := w<<6 + bits.TrailingZeros64(mm)
 			mm &= mm - 1
-			if sh.sources.AdmitGroup(g, try) == nil {
-				arb.MaskSet(sh.admitSkip, g)
+			if n.sources.AdmitGroup(g, try) == nil {
+				arb.MaskSet(n.admitSkip, g)
 			}
 		}
 	}
 	if n.faults == nil {
-		ctr.SkippedAdmits += uint64(sh.sources.Groups() - queued)
+		n.SkippedAdmits += uint64(n.sources.Groups() - queued)
 	}
 }
 
-// transferShard advances shard k's busy output channels one flit.
-// Completions landing in the same shard commit immediately (exactly the
-// serial walk's behaviour); completions crossing a shard boundary are
-// queued as halo events for the commit stage, and terminal ejections
-// are queued for delivery there — the observer hooks must fire on one
-// goroutine in ascending node order.
+// complete tears down the channel at flat id f of node nd: the input may
+// offer again and the output owes its cooldown cycle, the work item the
+// transmission becomes, so nd's work count stands.
 //
 //ssvc:hotpath
-func (n *Network) transferShard(k int) {
-	sh := n.sh[k]
-	now := n.now
-	for w, mm := range sh.tx {
-		for ; mm != 0; mm &= mm - 1 {
-			n.transferPortPar(sh, w<<6+bits.TrailingZeros64(mm), now)
-		}
-	}
-}
-
-// transferPortPar is transferPort for the parallel pipeline: no fault
-// paths (fault runs are serial), per-shard counters, deferred
-// cross-shard commits and deliveries.
-//
-//ssvc:hotpath
-func (n *Network) transferPortPar(sh *netShard, f int, now noc.Cycle) {
-	nd := n.nodes[sh.lo+int(sh.portNode[f])]
-	port := f - nd.fbase
-	tx := nd.out[port]
-	sh.ctr.DataCycles++
-	tx.Remaining--
-	if tx.Remaining > 0 {
-		return
-	}
-	pkt := tx.Pkt
-	sh.complete(nd, f)
-	if nd.hasNext[port] {
-		next := nd.next[port]
-		dst := n.nodes[next.Node]
-		if dst.sh == sh {
-			dst.in[next.Port].Commit(pkt)
-			sh.push(dst, next.Port)
-		} else {
-			sh.outbox[dst.sh.idx] = append(sh.outbox[dst.sh.idx],
-				haloCommit{nd: dst, port: next.Port, pkt: pkt})
-		}
-		return
-	}
-	// No link: this port is a terminal ejection.
-	pkt.DeliveredAt = now
-	sh.ctr.Delivered++
-	sh.delivered = append(sh.delivered, pkt)
-}
-
-// complete tears down the channel at flat id f of the shard's node nd:
-// the input may offer again and the output owes its cooldown cycle, the
-// work item the transmission becomes, so nd's work count stands.
-//
-//ssvc:hotpath
-func (sh *netShard) complete(nd *node, f int) {
+func (n *Network) complete(nd *node, f int) {
 	port := f - nd.fbase
 	tx := nd.out[port]
 	nd.inBusy[tx.Input] = false
-	arb.MaskSet(sh.dirty, nd.fbase+tx.Input)
+	arb.MaskSet(n.dirty, nd.fbase+tx.Input)
 	nd.out[port] = nil
-	arb.MaskClear(sh.tx, f)
-	arb.MaskSet(sh.cool, f)
-	sh.txPool.Put(tx)
+	arb.MaskClear(n.tx, f)
+	arb.MaskSet(n.cool, f)
+	n.txPool.Put(tx)
 }
 
-// commitSharded is the cycle's serial stage: boundary commits merge in
-// ascending shard order (each linked input port has a single upstream
-// link, so at most one commit per buffer per cycle — the merge order is
-// fixed for determinism, not contention), deliveries fire in ascending
-// node order, per-shard counter deltas fold into the engine-level
-// block, and then arbitration runs its legacy serial walk (see
-// ensureMode for why it cannot partition).
-//
-//ssvc:hotpath
-func (n *Network) commitSharded() {
-	for k := range n.sh {
-		for j := range n.sh {
-			box := n.sh[j].outbox[k]
-			for _, h := range box {
-				h.nd.in[h.port].Commit(h.pkt)
-				h.nd.sh.push(h.nd, h.port)
-			}
-			n.sh[j].outbox[k] = box[:0]
-		}
-	}
-	for _, sh := range n.sh {
-		for _, p := range sh.delivered {
-			n.Deliver(p)
-		}
-		sh.delivered = sh.delivered[:0]
-		n.Counters.Add(sh.ctr)
-		sh.ctr = fabric.Counters{}
-	}
-	n.arbitrate(n.now)
-}
-
-// tickShard is shard k's arbiter clock: it ticks the shard's arbiters on
-// the cycles one of them is due and returns at once on the others. Each
-// walk ticks every arbiter (an early Tick is a no-op by contract) and
-// gathers the earliest deadline they announce afterwards; an arbiter that
-// announces none is due again next cycle, which keeps the shard on the
+// tickArbiters is the arbiter clock: it ticks the arbiters on the cycles
+// one of them is due and returns at once on the others. Each walk ticks
+// every arbiter (an early Tick is a no-op by contract) and gathers the
+// earliest deadline they announce afterwards; an arbiter that announces
+// none is due again next cycle, which keeps the network on the
 // every-cycle cadence.
 //
 //ssvc:hotpath
-func (n *Network) tickShard(k int) {
-	sh := n.sh[k]
-	now := n.now
-	if now < sh.tickDue {
+func (n *Network) tickArbiters(now noc.Cycle) {
+	if now < n.tickDue {
 		return
 	}
 	due := arb.NeverTick
-	for i := sh.lo; i < sh.hi; i++ {
-		nd := n.nodes[i]
+	for _, nd := range n.nodes {
 		for p, a := range nd.arbs {
 			a.Tick(now)
 			next := now + 1
@@ -1026,11 +766,8 @@ func (n *Network) tickShard(k int) {
 			}
 		}
 	}
-	sh.tickDue = due
+	n.tickDue = due
 }
-
-// advanceCycle closes the cycle.
-func (n *Network) advanceCycle() { n.now++ }
 
 // dropPkt counts and releases a packet discarded by a fault.
 func (n *Network) dropPkt(p *noc.Packet) {
@@ -1078,28 +815,13 @@ func (n *Network) abortTx(nd *node, out int) {
 	pkt, from := tx.Pkt, tx.Input
 	nd.inBusy[from] = false
 	nd.out[out] = nil
-	arb.MaskClear(nd.sh.tx, nd.fbase+out)
-	nd.sh.txPool.Put(tx)
+	arb.MaskClear(n.tx, nd.fbase+out)
+	n.txPool.Put(tx)
 	if nd.hasNext[out] {
 		next := nd.next[out]
 		n.nodes[next.Node].in[next.Port].Unreserve(pkt.Length)
 	}
 	n.dropPkt(pkt)
-}
-
-// inject lets every generator emit, then runs each shard's admission
-// walk. Terminals on different nodes inject into disjoint buffers and
-// terminals on one node share a shard in ascending order, so the
-// shard-grouped walk is equivalent to the flat one.
-//
-//ssvc:hotpath
-func (n *Network) inject(now noc.Cycle) {
-	for _, sh := range n.sh {
-		n.Injected += sh.sources.Generate(now)
-	}
-	for _, sh := range n.sh {
-		n.admitShard(sh, &n.Counters, now)
-	}
 }
 
 // transfer advances every transmitting output one flit, in ascending
@@ -1108,11 +830,9 @@ func (n *Network) inject(now noc.Cycle) {
 //
 //ssvc:hotpath
 func (n *Network) transfer(now noc.Cycle) {
-	for _, sh := range n.sh {
-		for w, mm := range sh.tx {
-			for ; mm != 0; mm &= mm - 1 {
-				n.transferPort(sh, w<<6+bits.TrailingZeros64(mm), now)
-			}
+	for w, mm := range n.tx {
+		for ; mm != 0; mm &= mm - 1 {
+			n.transferPort(w<<6+bits.TrailingZeros64(mm), now)
 		}
 	}
 }
@@ -1120,10 +840,10 @@ func (n *Network) transfer(now noc.Cycle) {
 // transferPort advances the busy output channel at flat id f one flit.
 //
 //ssvc:hotpath
-func (n *Network) transferPort(sh *netShard, f int, now noc.Cycle) {
-	nd := n.nodes[sh.lo+int(sh.portNode[f])]
+func (n *Network) transferPort(f int, now noc.Cycle) {
+	nd := n.nodes[n.portNode[f]]
 	port := f - nd.fbase
-	if n.faults != nil && n.faults.StallOutput(now, sh.base+f) {
+	if n.faults != nil && n.faults.StallOutput(now, f) {
 		return // stalled link: the in-flight transfer freezes
 	}
 	tx := nd.out[port]
@@ -1133,7 +853,7 @@ func (n *Network) transferPort(sh *netShard, f int, now noc.Cycle) {
 		return
 	}
 	pkt, from := tx.Pkt, tx.Input
-	sh.complete(nd, f)
+	n.complete(nd, f)
 	// Receiver-side modeled CRC check (see internal/faults): a
 	// corrupted hop is NACKed back to the upstream queue head
 	// (reservation released) or dropped once out of retries.
@@ -1144,7 +864,7 @@ func (n *Network) transferPort(sh *netShard, f int, now noc.Cycle) {
 		}
 		if n.faults.Retry(now, pkt) {
 			nd.in[from].PushFront(pkt)
-			sh.push(nd, from)
+			n.push(nd, from)
 		} else {
 			n.dropPkt(pkt)
 		}
@@ -1154,7 +874,7 @@ func (n *Network) transferPort(sh *netShard, f int, now noc.Cycle) {
 		next := nd.next[port]
 		dst := n.nodes[next.Node]
 		dst.in[next.Port].Commit(pkt)
-		dst.sh.push(dst, next.Port)
+		n.push(dst, next.Port)
 		return
 	}
 	// No link: this port is a terminal ejection.
@@ -1174,54 +894,50 @@ func (n *Network) transferPort(sh *netShard, f int, now noc.Cycle) {
 //
 //ssvc:hotpath
 func (n *Network) arbitrate(now noc.Cycle) {
-	for _, sh := range n.sh {
-		for w, mm := range sh.dirty {
-			if n.faults != nil {
-				mm = sh.all[w]
-			}
-			sh.dirty[w] = 0
-			for ; mm != 0; mm &= mm - 1 {
-				n.refresh(sh, w<<6+bits.TrailingZeros64(mm), now)
-			}
+	for w, mm := range n.dirty {
+		if n.faults != nil {
+			mm = n.all[w]
+		}
+		n.dirty[w] = 0
+		for ; mm != 0; mm &= mm - 1 {
+			n.refresh(w<<6+bits.TrailingZeros64(mm), now)
 		}
 	}
 	if n.afterRefresh != nil {
 		n.afterRefresh(now)
 	}
-	for _, sh := range n.sh {
-		idle, skipped := len(sh.portNode), len(sh.portNode)-sh.activePorts
-		for w := range sh.tx {
-			visit := sh.cool[w] | sh.offered[w]
-			idle -= bits.OnesCount64(visit | sh.tx[w])
-			if n.faults != nil {
-				visit = sh.all[w]
-			}
-			for visit &^= sh.tx[w]; visit != 0; visit &= visit - 1 {
-				if n.err != nil {
-					return
-				}
-				n.serve(sh, w<<6+bits.TrailingZeros64(visit), now)
-			}
+	idle, skipped := n.totalPorts, n.totalPorts-n.activePorts
+	for w := range n.tx {
+		visit := n.cool[w] | n.offered[w]
+		idle -= bits.OnesCount64(visit | n.tx[w])
+		if n.faults != nil {
+			visit = n.all[w]
 		}
-		if n.faults == nil {
-			n.IdleCycles += uint64(idle)
-			n.SkippedOutputs += uint64(skipped)
+		for visit &^= n.tx[w]; visit != 0; visit &= visit - 1 {
+			if n.err != nil {
+				return
+			}
+			n.serve(w<<6+bits.TrailingZeros64(visit), now)
 		}
+	}
+	if n.faults == nil {
+		n.IdleCycles += uint64(idle)
+		n.SkippedOutputs += uint64(skipped)
 	}
 }
 
-// refresh re-derives the offer of the input at sh's flat id f: an idle
+// refresh re-derives the offer of the input at flat id f: an idle
 // input offers its head, unless the head sits out a retransmission
 // backoff, to the output the head routes to. The offer is state: it
 // stands until an event that can change it marks the input dirty.
 //
 //ssvc:hotpath
-func (n *Network) refresh(sh *netShard, f int, now noc.Cycle) {
-	nd := n.nodes[sh.lo+int(sh.portNode[f])]
+func (n *Network) refresh(f int, now noc.Cycle) {
+	nd := n.nodes[n.portNode[f]]
 	port := f - nd.fbase
 	n.OfferEvals++
 	if nd.offer[port] != nil {
-		withdraw(nd, port)
+		n.withdraw(nd, port)
 	}
 	if nd.inBusy[port] {
 		return
@@ -1233,54 +949,54 @@ func (n *Network) refresh(sh *netShard, f int, now noc.Cycle) {
 	out := int(nd.route[p.Dst])
 	nd.offer[port], nd.offerOut[port] = p, int32(out)
 	arb.MaskSet(nd.want[out*nd.words:], port)
-	arb.MaskSet(sh.offered, nd.fbase+out)
+	arb.MaskSet(n.offered, nd.fbase+out)
 }
 
 // withdraw takes input port's offer out of its output's request mask.
 //
 //ssvc:hotpath
-func withdraw(nd *node, port int) {
+func (n *Network) withdraw(nd *node, port int) {
 	out := int(nd.offerOut[port])
 	nd.offer[port] = nil
 	want := nd.want[out*nd.words : (out+1)*nd.words]
 	arb.MaskClear(want, port)
 	if !arb.MaskAny(want) {
-		arb.MaskClear(nd.sh.offered, nd.fbase+out)
+		arb.MaskClear(n.offered, nd.fbase+out)
 	}
 }
 
-// serve spends the cycle of the idle output at sh's flat id f: it leaves
+// serve spends the cycle of the idle output at flat id f: it leaves
 // its cooldown, or arbitrates among its standing offers, less those the
 // downstream buffer has no room for.
 //
 //ssvc:hotpath
-func (n *Network) serve(sh *netShard, f int, now noc.Cycle) {
-	nd := n.nodes[sh.lo+int(sh.portNode[f])]
+func (n *Network) serve(f int, now noc.Cycle) {
+	nd := n.nodes[n.portNode[f]]
 	out := f - nd.fbase
 	want := nd.want[out*nd.words : (out+1)*nd.words]
 	if n.faults != nil {
-		if n.faults.OutputDead(sh.base + f) {
+		if n.faults.OutputDead(f) {
 			// The static route dead-ends here: discard what is offered,
 			// so upstream buffers keep draining toward the fault point,
 			// but only now, after the lower nodes' arbitrations.
 			for w, mm := range want {
 				for ; mm != 0; mm &= mm - 1 {
 					in := w<<6 + bits.TrailingZeros64(mm)
-					withdraw(nd, in)
+					n.withdraw(nd, in)
 					n.dropPkt(nd.in[in].Pop())
-					sh.subWork(nd)
-					sh.retryAdmits(nd.groups[in])
+					n.subWork(nd)
+					n.retryAdmits(nd.groups[in])
 				}
 			}
 			return
 		}
-		if n.faults.StallOutput(now, sh.base+f) {
+		if n.faults.StallOutput(now, f) {
 			return
 		}
 	}
-	if arb.MaskHas(sh.cool, f) {
-		arb.MaskClear(sh.cool, f)
-		sh.subWork(nd)
+	if arb.MaskHas(n.cool, f) {
+		arb.MaskClear(n.cool, f)
+		n.subWork(nd)
 		return
 	}
 	var down *fabric.Buffer
@@ -1331,10 +1047,10 @@ func (n *Network) serve(sh *netShard, f int, now noc.Cycle) {
 	// The granted head leaves the buffer but becomes an in-flight
 	// transmission, so nd's work count is unchanged. The space it
 	// frees can unblock the groups injecting at that port.
-	sh.retryAdmits(nd.groups[req.Input])
-	withdraw(nd, req.Input)
+	n.retryAdmits(nd.groups[req.Input])
+	n.withdraw(nd, req.Input)
 	nd.inBusy[req.Input] = true
-	nd.out[out] = sh.txPool.Get(p, req.Input)
-	arb.MaskSet(sh.tx, f)
+	nd.out[out] = n.txPool.Get(p, req.Input)
+	arb.MaskSet(n.tx, f)
 	nd.arbs[out].Granted(now, req)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // routedFuzzCase is what FuzzRoutedOffers reads out of its bytes: one of
-// the four oracle wirings, the load, the shard count, a fault schedule
+// the four oracle wirings, the load, a fault schedule
 // over any port of the network (CRC retries with a short backoff, a
 // stall window, an input and an output fail-stop) and a flow attached
 // mid-run.
@@ -30,7 +30,6 @@ func decodeRoutedFuzz(b []byte) routedFuzzCase {
 			wiring:    []string{"mesh4x4", "mesh3x5", "clos", "star70"}[in[0]&3],
 			saturated: in[0]&4 != 0,
 			faults:    "none", // the schedule comes from the bytes, not from buildBucketNet
-			shards:    []int{1, 2, 4, 1}[in[0]>>3&3],
 		},
 		faulty: in[0]&32 != 0,
 		late:   noc.FlowSpec{Src: int(in[12]), Dst: int(in[13]), Class: noc.BestEffort, PacketLength: []int{1, 4, 16, 17}[in[14]&3]},
@@ -69,12 +68,12 @@ func (fc routedFuzzCase) schedule(n *Network) faults.Config {
 // an upstream node's arbitration sees: the discard has to keep its place
 // in the walk.
 func FuzzRoutedOffers(f *testing.F) {
-	// wiring|load|shards|faulty, seed, backoff, crc, stall(len,from,port),
+	// wiring|load|faulty (bits 3-4 unused), seed, backoff, crc, stall(len,from,port),
 	// input fail-stop(at,port), output fail-stop(at,port hi,port lo),
 	// late flow(src,dst,length,at).
 	f.Add([]byte{0 | 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 60})
-	f.Add([]byte{1 | 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 1, 10})
-	f.Add([]byte{2 | 4 | 16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 1, 3, 90})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 1, 10})
+	f.Add([]byte{2 | 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 1, 3, 90})
 	f.Add([]byte{0 | 4 | 32, 7, 3, 41, 81, 20, 28, 101, 2, 121, 0, 28, 1, 0, 0, 60})  // mesh4x4: node 5's east link dies
 	f.Add([]byte{1 | 4 | 32, 9, 0, 21, 0, 0, 0, 0, 0, 61, 0, 37, 4, 9, 1, 200})       // mesh3x5: node 7's south link dies
 	f.Add([]byte{2 | 4 | 32, 1, 1, 201, 61, 100, 24, 51, 6, 91, 0, 25, 2, 13, 2, 30}) // clos: a spine downlink dies
@@ -82,8 +81,8 @@ func FuzzRoutedOffers(f *testing.F) {
 	f.Add([]byte{3 | 32, 5, 2, 101, 31, 40, 75, 201, 33, 0, 0, 0, 69, 0, 1, 120})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fc := decodeRoutedFuzz(b)
-		got := buildBucketNet(t, fc.bc, fc.bc.shards)
-		want := buildBucketNet(t, fc.bc, 1)
+		got := buildBucketNet(t, fc.bc)
+		want := buildBucketNet(t, fc.bc)
 		if fc.faulty {
 			cfg := fc.schedule(got.net)
 			if err := got.net.SetFaults(cfg); err != nil {

@@ -13,81 +13,78 @@ import (
 // scanOffers looks at the head of every input of every node, as
 // arbitration did every cycle before offers persisted, asks Topology.Route
 // where it goes, and holds the engine's state to the scan: every input's
-// cached head (packet pointer and output), every output's want mask, the
-// shard's offered bit. The event masks and counts transfer and arbitrate
+// cached head (packet pointer and output), every output's want mask, its
+// offered bit. The event masks and counts transfer and arbitrate
 // walk are recounted from the channels and buffers themselves.
 func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 	t.Helper()
-	for _, sh := range n.sh {
-		activePorts := 0
-		for li := range sh.work {
-			nd := n.nodes[sh.lo+li]
-			want := make([]uint64, len(nd.want))
-			work := 0
-			for port := range nd.in {
-				f := nd.fbase + port
-				if int(sh.portNode[f]) != li || sh.base+f != n.portBase[nd.id]+port {
-					t.Fatalf("cycle %d: flat id %d maps to local node %d, fault port %d; it is node %d port %d",
-						now, f, sh.portNode[f], sh.base+f, nd.id, port)
-				}
-				head := nd.in[port].Head()
-				if nd.inBusy[port] || (head != nil && head.HoldUntil > now) {
-					head = nil
-				}
-				if nd.offer[port] != head {
-					t.Fatalf("cycle %d: node %d input %d offers %v, scan finds %v", now, nd.id, port, nd.offer[port], head)
-				}
-				if head != nil {
-					out := n.cfg.Topology.Route(nd.id, head.Dst)
-					arb.MaskSet(want[out*nd.words:], port)
-					if int(nd.offerOut[port]) != out {
-						t.Fatalf("cycle %d: node %d input %d offers to output %d, its head routes to %d",
-							now, nd.id, port, nd.offerOut[port], out)
-					}
-				}
-				work += nd.in[port].Len()
-				if arb.MaskHas(sh.tx, f) != (nd.out[port] != nil) {
-					t.Fatalf("cycle %d: node %d output %d: tx bit %v, channel %v", now, nd.id, port, arb.MaskHas(sh.tx, f), nd.out[port])
-				}
-				if nd.out[port] != nil {
-					work++
-				}
-				if arb.MaskHas(sh.cool, f) {
-					work++
-				}
-				if arb.MaskHas(sh.dirty, f) {
-					t.Fatalf("cycle %d: node %d input %d is still dirty after the refresh", now, nd.id, port)
+	activePorts := 0
+	for _, nd := range n.nodes {
+		want := make([]uint64, len(nd.want))
+		work := 0
+		for port := range nd.in {
+			f := nd.fbase + port
+			if int(n.portNode[f]) != nd.id || f != n.portBase[nd.id]+port {
+				t.Fatalf("cycle %d: flat id %d maps to node %d; it is node %d port %d",
+					now, f, n.portNode[f], nd.id, port)
+			}
+			head := nd.in[port].Head()
+			if nd.inBusy[port] || (head != nil && head.HoldUntil > now) {
+				head = nil
+			}
+			if nd.offer[port] != head {
+				t.Fatalf("cycle %d: node %d input %d offers %v, scan finds %v", now, nd.id, port, nd.offer[port], head)
+			}
+			if head != nil {
+				out := n.cfg.Topology.Route(nd.id, head.Dst)
+				arb.MaskSet(want[out*nd.words:], port)
+				if int(nd.offerOut[port]) != out {
+					t.Fatalf("cycle %d: node %d input %d offers to output %d, its head routes to %d",
+						now, nd.id, port, nd.offerOut[port], out)
 				}
 			}
-			for out := range nd.out {
-				got, scan := nd.want[out*nd.words:(out+1)*nd.words], want[out*nd.words:(out+1)*nd.words]
-				for w := range scan {
-					if got[w] != scan[w] {
-						t.Fatalf("cycle %d: node %d output %d want word %d is %#x, scan finds %#x", now, nd.id, out, w, got[w], scan[w])
-					}
-				}
-				if arb.MaskHas(sh.offered, nd.fbase+out) != arb.MaskAny(scan) {
-					t.Fatalf("cycle %d: node %d output %d offered bit %v with %d requesters",
-						now, nd.id, out, arb.MaskHas(sh.offered, nd.fbase+out), arb.MaskCount(scan))
-				}
+			work += nd.in[port].Len()
+			if arb.MaskHas(n.tx, f) != (nd.out[port] != nil) {
+				t.Fatalf("cycle %d: node %d output %d: tx bit %v, channel %v", now, nd.id, port, arb.MaskHas(n.tx, f), nd.out[port])
 			}
-			// The cooldowns have no other record, so they are held to the
-			// work count: buffered packets, channels and cooldowns.
-			if sh.work[li] != work {
-				t.Fatalf("cycle %d: node %d work count %d, recount %d", now, nd.id, sh.work[li], work)
+			if nd.out[port] != nil {
+				work++
 			}
-			if work > 0 {
-				activePorts += len(nd.out)
+			if arb.MaskHas(n.cool, f) {
+				work++
+			}
+			if arb.MaskHas(n.dirty, f) {
+				t.Fatalf("cycle %d: node %d input %d is still dirty after the refresh", now, nd.id, port)
 			}
 		}
-		if sh.activePorts != activePorts {
-			t.Fatalf("cycle %d: shard %d activePorts %d, recount %d", now, sh.idx, sh.activePorts, activePorts)
-		}
-		for _, m := range [][]uint64{sh.tx, sh.cool, sh.offered} {
-			for w := range m {
-				if m[w]&^sh.all[w] != 0 {
-					t.Fatalf("cycle %d: shard %d has a bit set past its last port", now, sh.idx)
+		for out := range nd.out {
+			got, scan := nd.want[out*nd.words:(out+1)*nd.words], want[out*nd.words:(out+1)*nd.words]
+			for w := range scan {
+				if got[w] != scan[w] {
+					t.Fatalf("cycle %d: node %d output %d want word %d is %#x, scan finds %#x", now, nd.id, out, w, got[w], scan[w])
 				}
+			}
+			if arb.MaskHas(n.offered, nd.fbase+out) != arb.MaskAny(scan) {
+				t.Fatalf("cycle %d: node %d output %d offered bit %v with %d requesters",
+					now, nd.id, out, arb.MaskHas(n.offered, nd.fbase+out), arb.MaskCount(scan))
+			}
+		}
+		// The cooldowns have no other record, so they are held to the
+		// work count: buffered packets, channels and cooldowns.
+		if n.work[nd.id] != work {
+			t.Fatalf("cycle %d: node %d work count %d, recount %d", now, nd.id, n.work[nd.id], work)
+		}
+		if work > 0 {
+			activePorts += len(nd.out)
+		}
+	}
+	if n.activePorts != activePorts {
+		t.Fatalf("cycle %d: activePorts %d, recount %d", now, n.activePorts, activePorts)
+	}
+	for _, m := range [][]uint64{n.tx, n.cool, n.offered} {
+		for w := range m {
+			if m[w]&^n.all[w] != 0 {
+				t.Fatalf("cycle %d: a bit is set past the last port", now)
 			}
 		}
 	}
@@ -105,19 +102,19 @@ func standingOffers(n *Network) int {
 // TestOffersMatchScan runs the oracle over the matrix of
 // TestBucketsMatchScan, which between its cases holds every event that
 // can change an offer: admission into an empty and a nonempty buffer, a
-// commit from a neighbour in the same and in another shard, grant and
-// completion at one and two mask words, CRC retries sitting out their
-// backoff, a stall, an input and an output fail-stop with heads
-// discarded at the dead route, and a flow attached mid-run.
+// commit from a neighbour, grant and completion at one and two mask
+// words, CRC retries sitting out their backoff, a stall, an input and an
+// output fail-stop with heads discarded at the dead route, and a flow
+// attached mid-run.
 func TestOffersMatchScan(t *testing.T) {
 	const cycles, lateAt = 1200, 700
 	for _, wiring := range []string{"mesh4x4", "mesh3x5", "clos", "star70"} {
 		for _, saturated := range []bool{true, false} {
 			for _, fault := range []string{"none", "inert", "real"} {
-				for _, shards := range []int{1, 2, 4} {
-					bc := bucketCase{wiring, saturated, fault, shards}
+				for _, seed := range oracleSeeds {
+					bc := bucketCase{wiring, saturated, fault, seed}
 					t.Run(bc.String(), func(t *testing.T) {
-						b := buildBucketNet(t, bc, shards)
+						b := buildBucketNet(t, bc)
 						n := b.net
 						held, standing := 0, 0
 						n.afterRefresh = func(now noc.Cycle) {

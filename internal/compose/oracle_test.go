@@ -58,17 +58,13 @@ func (o *scanOracle) step() {
 	o.inject(now)
 	n.transfer(now)
 	o.arbitrate(now)
-	for k := range n.sh {
-		n.tickShard(k)
-	}
+	n.tickArbiters(now)
 	n.now++
 }
 
 func (o *scanOracle) inject(now noc.Cycle) {
 	n := o.n
-	for _, sh := range n.sh {
-		n.Injected += sh.sources.Generate(now)
-	}
+	n.Injected += n.sources.Generate(now)
 	try := func(p *noc.Packet) bool {
 		if n.faults != nil && n.faults.InputDead(p.Src) {
 			n.dropPkt(p)
@@ -81,29 +77,25 @@ func (o *scanOracle) inject(now noc.Cycle) {
 		}
 		p.EnqueuedAt = now
 		n.Admitted++
-		nd.sh.push(nd, at.Port)
+		n.push(nd, at.Port)
 		return true
 	}
 	if n.faults != nil {
-		for _, sh := range n.sh {
-			for g := 0; g < sh.sources.Groups(); g++ {
-				sh.sources.AdmitGroup(g, try)
-			}
+		for g := 0; g < n.sources.Groups(); g++ {
+			n.sources.AdmitGroup(g, try)
 		}
 		return
 	}
-	for _, sh := range n.sh {
-		visited := 0
-		for w, mm := range sh.sources.NonEmptyMask() {
-			for mm != 0 {
-				g := w<<6 + bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				sh.sources.AdmitGroup(g, try)
-				visited++
-			}
+	visited := 0
+	for w, mm := range n.sources.NonEmptyMask() {
+		for mm != 0 {
+			g := w<<6 + bits.TrailingZeros64(mm)
+			mm &= mm - 1
+			n.sources.AdmitGroup(g, try)
+			visited++
 		}
-		n.SkippedAdmits += uint64(sh.sources.Groups() - visited)
 	}
+	n.SkippedAdmits += uint64(n.sources.Groups() - visited)
 }
 
 func (o *scanOracle) arbitrate(now noc.Cycle) {
@@ -118,18 +110,15 @@ func (o *scanOracle) arbitrate(now noc.Cycle) {
 		return
 	}
 	visitedPorts := 0
-	for _, sh := range n.sh {
-		for li := 0; li < sh.hi-sh.lo; li++ {
-			if sh.work[li] == 0 {
-				continue
-			}
-			if n.err != nil {
-				return
-			}
-			nd := n.nodes[sh.lo+li]
-			o.arbitrateNode(nd, now)
-			visitedPorts += len(nd.out)
+	for _, nd := range n.nodes {
+		if n.work[nd.id] == 0 {
+			continue
 		}
+		if n.err != nil {
+			return
+		}
+		o.arbitrateNode(nd, now)
+		visitedPorts += len(nd.out)
 	}
 	skipped := uint64(n.totalPorts - visitedPorts)
 	n.IdleCycles += skipped
@@ -153,7 +142,7 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 		route := n.cfg.Topology.Route(nd.id, p.Dst)
 		if n.faults != nil && n.faults.OutputDead(n.portBase[nd.id]+route) {
 			n.dropPkt(nd.in[port].Pop())
-			nd.sh.subWork(nd)
+			n.subWork(nd)
 			continue
 		}
 		heads[port] = p
@@ -166,9 +155,9 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 		if n.faults != nil && (n.faults.OutputDead(n.portBase[nd.id]+out) || n.faults.StallOutput(now, n.portBase[nd.id]+out)) {
 			continue
 		}
-		if arb.MaskHas(nd.sh.cool, nd.fbase+out) {
-			arb.MaskClear(nd.sh.cool, nd.fbase+out)
-			nd.sh.subWork(nd)
+		if arb.MaskHas(n.cool, nd.fbase+out) {
+			arb.MaskClear(n.cool, nd.fbase+out)
+			n.subWork(nd)
 			continue
 		}
 		reqs := o.reqs[:0]
@@ -207,8 +196,8 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 			n.nodes[next.Node].in[next.Port].Reserve(p.Length)
 		}
 		nd.inBusy[req.Input] = true
-		nd.out[out] = nd.sh.txPool.Get(p, req.Input)
-		arb.MaskSet(nd.sh.tx, nd.fbase+out)
+		nd.out[out] = n.txPool.Get(p, req.Input)
+		arb.MaskSet(n.tx, nd.fbase+out)
 		nd.arbs[out].Granted(now, req)
 	}
 }
@@ -241,7 +230,7 @@ type bucketCase struct {
 	wiring    string // mesh4x4, mesh3x5, clos, star70
 	saturated bool
 	faults    string // none, inert, real
-	shards    int
+	seed      uint64 // offsets every traffic and fault seed; 0 is the original draw
 }
 
 func (bc bucketCase) String() string {
@@ -249,8 +238,13 @@ func (bc bucketCase) String() string {
 	if bc.saturated {
 		load = "saturated"
 	}
-	return fmt.Sprintf("%s/%s/faults=%s/shards%d", bc.wiring, load, bc.faults, bc.shards)
+	return fmt.Sprintf("%s/%s/faults=%s/seed%d", bc.wiring, load, bc.faults, bc.seed)
 }
+
+// oracleSeeds is the seed axis of the lock-step oracles in this package:
+// each seed is another arrival pattern, another interleaving of the
+// events the oracles hold the engine to.
+var oracleSeeds = []uint64{0, 1, 2, 3}
 
 // bucketNet is one side of the differential: the network, the LRG state of
 // every arbiter in construction order, and the running delivery hash.
@@ -278,7 +272,7 @@ func (b *bucketNet) lrgRanks() [][]int {
 // lengths 1, 4, 16 and 4 flits, so that within a shared injection group
 // a short head is admissible where a long one is not, and a 4x4 mesh
 // starts with exactly 64 groups — the late flow grows the mask by a word.
-func buildBucketNet(t *testing.T, bc bucketCase, shards int) *bucketNet {
+func buildBucketNet(t *testing.T, bc bucketCase) *bucketNet {
 	t.Helper()
 	var topo Topology
 	var err error
@@ -297,7 +291,7 @@ func buildBucketNet(t *testing.T, bc bucketCase, shards int) *bucketNet {
 	}
 	b := &bucketNet{seq: new(traffic.Sequence)}
 	b.net, err = New(Config{
-		Topology: topo, BufferFlits: 16, Shards: shards, ShardWorkers: tickWorkers(shards),
+		Topology: topo, BufferFlits: 16,
 		NewArbiter: func(_, _, ports int) arb.Arbiter {
 			if bc.wiring != "clos" {
 				a := arb.NewLRG(ports)
@@ -327,7 +321,7 @@ func buildBucketNet(t *testing.T, bc bucketCase, shards int) *bucketNet {
 		at := topo.Terminals[3]
 		firstHop := n.PortBase(at.Node) + topo.Route(at.Node, 4%terms)
 		err = n.SetFaults(faults.Config{
-			Seed:        7,
+			Seed:        7 + bc.seed,
 			CorruptProb: 0.02,
 			BackoffBase: 4,
 			Stalls: []faults.StallWindow{
@@ -354,12 +348,12 @@ func buildBucketNet(t *testing.T, bc bucketCase, shards int) *bucketNet {
 			}
 			switch {
 			case !bc.saturated:
-				addFlow(t, n, spec, traffic.NewBernoulli(b.seq, spec, f.rate, uint64(100*i+k)))
+				addFlow(t, n, spec, traffic.NewBernoulli(b.seq, spec, f.rate, uint64(100*i+k)+bc.seed<<32))
 			case k == 0:
 				// The one-flit queue runs dry now and then, so a group is
 				// masked with a few flits free and the next one-flit
 				// arrival has to unmask it.
-				addFlow(t, n, spec, traffic.NewBernoulli(b.seq, spec, 0.3, uint64(100*i)))
+				addFlow(t, n, spec, traffic.NewBernoulli(b.seq, spec, 0.3, uint64(100*i)+bc.seed<<32))
 			default:
 				addFlow(t, n, spec, traffic.NewBacklogged(b.seq, spec, 3))
 			}
@@ -367,8 +361,7 @@ func buildBucketNet(t *testing.T, bc bucketCase, shards int) *bucketNet {
 	}
 	h := fnv.New64a()
 	n.OnDeliver(func(p *noc.Packet) {
-		// No packet ID: allocation order follows the shard-grouped
-		// generation walk, and nothing observable consumes IDs.
+		// No packet ID: nothing observable consumes IDs.
 		fmt.Fprintln(h, p.Src, p.Dst, p.Class, p.Length, p.CreatedAt, p.EnqueuedAt, p.GrantedAt, p.DeliveredAt)
 		b.delivered++
 		b.order = h.Sum64()
@@ -384,23 +377,21 @@ func buildBucketNet(t *testing.T, bc bucketCase, shards int) *bucketNet {
 func skippedGroups(t *testing.T, n *Network) int {
 	t.Helper()
 	masked := 0
-	for _, sh := range n.sh {
-		for g := 0; g < sh.sources.Groups(); g++ {
-			if !arb.MaskHas(sh.admitSkip, g) {
-				continue
+	for g := 0; g < n.sources.Groups(); g++ {
+		if !arb.MaskHas(n.admitSkip, g) {
+			continue
+		}
+		masked++
+		admissible := false
+		got := n.sources.AdmitGroup(g, func(p *noc.Packet) bool {
+			at := n.cfg.Topology.Terminals[p.Src]
+			if (n.faults != nil && n.faults.InputDead(p.Src)) || n.nodes[at.Node].in[at.Port].CanAccept(p.Length) {
+				admissible = true
 			}
-			masked++
-			admissible := false
-			got := sh.sources.AdmitGroup(g, func(p *noc.Packet) bool {
-				at := n.cfg.Topology.Terminals[p.Src]
-				if (n.faults != nil && n.faults.InputDead(p.Src)) || n.nodes[at.Node].in[at.Port].CanAccept(p.Length) {
-					admissible = true
-				}
-				return false
-			})
-			if got != nil || admissible {
-				t.Fatalf("cycle %d: shard %d group %d is masked but has an admissible head", n.now, sh.idx, g)
-			}
+			return false
+		})
+		if got != nil || admissible {
+			t.Fatalf("cycle %d: group %d is masked but has an admissible head", n.now, g)
 		}
 	}
 	return masked
@@ -411,30 +402,30 @@ func skippedGroups(t *testing.T, n *Network) int {
 // same delivery-order hash, fault counters and LRG order in every
 // arbiter. Midway a flow joins terminal 1: on the wirings with one group
 // per terminal the test waits for a cycle in which that group is masked.
+// Every case runs at each of oracleSeeds.
 func TestBucketsMatchScan(t *testing.T) {
 	const cycles, lateFrom = 1600, 900
 	for _, wiring := range []string{"mesh4x4", "mesh3x5", "clos", "star70"} {
 		for _, saturated := range []bool{true, false} {
 			for _, fault := range []string{"none", "inert", "real"} {
-				for _, shards := range []int{1, 2, 4} {
-					bc := bucketCase{wiring, saturated, fault, shards}
+				for _, seed := range oracleSeeds {
+					bc := bucketCase{wiring, saturated, fault, seed}
 					t.Run(bc.String(), func(t *testing.T) {
-						got := buildBucketNet(t, bc, shards)
-						want := buildBucketNet(t, bc, 1)
+						got := buildBucketNet(t, bc)
+						want := buildBucketNet(t, bc)
 						oracle := newScanOracle(want.net)
 						n := got.net
-						sharedGroups := n.termGroup != nil
+						sharedGroups := !n.cfg.Topology.flowGroups
 						masked, lateAt := 0, noc.Cycle(0)
 						for n.now < cycles {
 							if lateAt == 0 && n.now >= lateFrom {
 								g1 := 0
 								if sharedGroups {
-									g1 = n.termGroup[1]
+									g1 = 1 // terminal 1's own group
 								}
-								sh := n.nodes[n.cfg.Topology.Terminals[1].Node].sh
 								// Only a saturated attachment port is sure to
 								// refuse its group sooner or later.
-								if !sharedGroups || !saturated || arb.MaskHas(sh.admitSkip, g1) {
+								if !sharedGroups || !saturated || arb.MaskHas(n.admitSkip, g1) {
 									lateAt = n.now
 									late := noc.FlowSpec{Src: 1, Dst: 0, Class: noc.BestEffort, PacketLength: 1}
 									addFlow(t, n, late, traffic.NewBacklogged(got.seq, late, 2))
@@ -453,9 +444,6 @@ func TestBucketsMatchScan(t *testing.T) {
 						}
 						if err := want.net.Err(); err != nil {
 							t.Fatalf("oracle froze: %v", err)
-						}
-						if want := shards > 1 && fault == "none"; n.ParallelActive() != want {
-							t.Fatalf("ParallelActive = %v, want %v", n.ParallelActive(), want)
 						}
 						if lateAt == 0 {
 							t.Fatal("terminal 1's group was never masked after the late-flow cycle: the late AddFlow went untested")

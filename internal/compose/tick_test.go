@@ -17,7 +17,7 @@ import (
 // The tick-cadence differential for routed networks (see the switchsim
 // test of the same name): ticking arbiters on their announced deadlines
 // must be indistinguishable from ticking them every cycle. perCycle hides
-// an arbiter's NextTick, which puts its shard back on the every-cycle
+// an arbiter's NextTick, which puts the network back on the every-cycle
 // cadence — the oracle.
 type perCycle struct{ arb.Arbiter }
 
@@ -26,11 +26,11 @@ type tickCase struct {
 	policy core.CounterPolicy
 	gl     bool
 	faults bool
-	shards int
+	seed   uint64 // one of oracleSeeds: offsets every traffic and fault seed
 }
 
 func (tc tickCase) String() string {
-	return fmt.Sprintf("%s/%v/gl=%v/faults=%v/shards%d", tc.wiring, tc.policy, tc.gl, tc.faults, tc.shards)
+	return fmt.Sprintf("%s/%v/gl=%v/faults=%v/seed%d", tc.wiring, tc.policy, tc.gl, tc.faults, tc.seed)
 }
 
 type tickOutcome struct {
@@ -42,8 +42,7 @@ type tickOutcome struct {
 }
 
 // countTicks counts the Tick calls an SSVC receives and keeps its
-// deadline face visible. Each arbiter has a counter of its own: shards
-// tick concurrently.
+// deadline face visible. Each arbiter has a counter of its own.
 type countTicks struct {
 	*core.SSVC
 	n *int
@@ -60,7 +59,7 @@ func tickVticks(ports int, scale uint64) []core.VTime {
 }
 
 // runTickCase builds a 3x3 mesh or a 4-leaf Clos with an SSVC at every
-// output port — quanta of 32 and 64 cycles interleaved, so a shard's
+// output port — quanta of 32 and 64 cycles interleaved, so the network's
 // deadline is a minimum over unequal announcements — and drives it across
 // a mid-run SetVticks and a late AddFlow.
 func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
@@ -79,7 +78,7 @@ func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
 	var ssvcs []*core.SSVC
 	var ticks []*int
 	net, err := New(Config{
-		Topology: topo, BufferFlits: 16, Shards: tc.shards, ShardWorkers: tickWorkers(tc.shards),
+		Topology: topo, BufferFlits: 16,
 		NewArbiter: func(node, port, ports int) arb.Arbiter {
 			c := core.Config{
 				Radix: ports, CounterBits: 8 + (node+port)%2, SigBits: 3,
@@ -103,7 +102,7 @@ func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
 	}
 	if tc.faults {
 		if err := net.SetFaults(faults.Config{
-			Seed:        5,
+			Seed:        5 + tc.seed,
 			CorruptProb: 0.01,
 			Stalls:      []faults.StallWindow{{Port: 4, From: 300, Until: 420}},
 			FailStops:   []faults.FailStop{{Port: 2, At: 800, Input: true}},
@@ -118,13 +117,13 @@ func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
 		// arbiters on the way so their counters saturate; the rest is
 		// Bernoulli GB and bursty BE across the network.
 		gb := noc.FlowSpec{Src: i, Dst: (i + terms/2) % terms, Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}
-		addFlow(t, net, gb, traffic.NewBernoulli(&seq, gb, 0.25, 1000+uint64(i)))
+		addFlow(t, net, gb, traffic.NewBernoulli(&seq, gb, 0.25, 1000+uint64(i)+tc.seed<<32))
 		if i > 0 && i%2 == 0 {
 			hot := noc.FlowSpec{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}
 			addFlow(t, net, hot, traffic.NewBacklogged(&seq, hot, 2))
 		}
 		be := noc.FlowSpec{Src: i, Dst: (i + 1) % terms, Class: noc.BestEffort, PacketLength: 2}
-		addFlow(t, net, be, traffic.NewBursty(&seq, be, 0.1, 3, 2000+uint64(i)))
+		addFlow(t, net, be, traffic.NewBursty(&seq, be, 0.1, 3, 2000+uint64(i)+tc.seed<<32))
 		if tc.gl && i%4 == 1 {
 			gl := noc.FlowSpec{Src: i, Dst: (i + 3) % terms, Class: noc.GuaranteedLatency, Rate: 0.05, PacketLength: 2}
 			addFlow(t, net, gl, traffic.NewPeriodic(&seq, gl, 53, noc.Cycle(i)))
@@ -147,13 +146,10 @@ func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
 	}
 	net.Run(350)
 	late := noc.FlowSpec{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}
-	addFlow(t, net, late, traffic.NewBernoulli(&seq, late, 0.4, 77))
+	addFlow(t, net, late, traffic.NewBernoulli(&seq, late, 0.4, 77+tc.seed<<32))
 	net.Run(600)
 	if err := net.Err(); err != nil {
 		t.Fatalf("%v: engine froze: %v", tc, err)
-	}
-	if want := tc.shards > 1 && !tc.faults; net.ParallelActive() != want {
-		t.Fatalf("%v: ParallelActive = %v, want %v", tc, net.ParallelActive(), want)
 	}
 
 	out.deliveries = h.Sum64()
@@ -171,25 +167,14 @@ func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
 	return out
 }
 
-// tickWorkers gives two shards a real worker team, so the race detector
-// sees the per-shard deadlines from two goroutines, and runs four shards
-// inline: the same stage program, without a spinning barrier that the
-// race-instrumented 2-CPU CI host makes the slowest part of the suite.
-func tickWorkers(shards int) int {
-	if shards == 2 {
-		return 2
-	}
-	return 1
-}
-
 func TestTickDeadlinesMatchEveryCycle(t *testing.T) {
 	saturated := map[core.CounterPolicy]bool{}
 	for _, wiring := range []string{"mesh", "clos"} {
 		for _, policy := range []core.CounterPolicy{core.SubtractRealTime, core.Halve, core.Reset} {
 			for _, gl := range []bool{false, true} {
 				for _, withFaults := range []bool{false, true} {
-					for _, shards := range []int{1, 2, 4} {
-						tc := tickCase{wiring, policy, gl, withFaults, shards}
+					for _, seed := range oracleSeeds {
+						tc := tickCase{wiring, policy, gl, withFaults, seed}
 						t.Run(tc.String(), func(t *testing.T) {
 							want := runTickCase(t, tc, true)
 							got := runTickCase(t, tc, false)
@@ -208,7 +193,7 @@ func TestTickDeadlinesMatchEveryCycle(t *testing.T) {
 							}
 							// The deadline run must actually skip: an SSVC
 							// ticks once per 32-cycle quantum of the
-							// shortest clock in its shard, not per cycle.
+							// shortest clock in the network, not per cycle.
 							if max := len(got.arbiters) * (1400/32 + 2); got.ticks > max {
 								t.Errorf("%d SSVC ticks, want at most %d (one per quantum boundary)", got.ticks, max)
 							}

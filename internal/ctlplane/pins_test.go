@@ -62,7 +62,7 @@ func churnSteps() []pinStep {
 // closedLoopSteps adds and removes users= reservations between open-loop
 // ones, so polled and calendar flows interleave in one injection group's
 // index order and a polled flow sits between two calendar flows of the
-// same shard.
+// same source set.
 func closedLoopSteps() []pinStep {
 	return []pinStep{
 		{100, "add gb 0 1 rate=0.2 len=8 load=0.3"},

@@ -24,9 +24,7 @@ import (
 
 // SimConfig fully determines a control-plane simulation: it is the
 // journal header, so two planes built from equal configs (and fed equal
-// command sequences) produce identical delivery traces. Shards and
-// ShardWorkers are pure execution mechanism — results are bit-identical
-// at any value — and are deliberately excluded from the journal.
+// command sequences) produce identical delivery traces.
 type SimConfig struct {
 	//ssvc:range Radix 2..4096
 	Radix int `json:"radix"`
@@ -74,9 +72,6 @@ type SimConfig struct {
 	// faults interact with admission through the degrade-vs-reject
 	// policy. Part of the journal header: replay re-injects them.
 	Faults *faults.Config `json:"faults,omitempty"`
-
-	Shards       int `json:"-"`
-	ShardWorkers int `json:"-"`
 }
 
 // WithDefaults fills unset fields with the repository's standard
@@ -378,8 +373,6 @@ func New(cfg SimConfig) (*Plane, error) {
 		GLBufferFlits: cfg.GLBufferFlits,
 		GBBufferFlits: cfg.GBBufferFlits,
 		DynamicFlows:  true,
-		Shards:        cfg.Shards,
-		ShardWorkers:  cfg.ShardWorkers,
 	}, func(output int) arb.Arbiter {
 		c := arbCfg
 		c.Vticks = make([]core.VTime, cfg.Radix)

@@ -32,13 +32,12 @@ const testScript = `
 
 const testTotal = noc.Cycle(12000)
 
-func testConfig(shards int, withFaults bool) SimConfig {
+func testConfig(withFaults bool) SimConfig {
 	cfg := SimConfig{
 		Radix:     8,
 		Seed:      42,
 		SnapEvery: 2000,
 		Degrade:   true,
-		Shards:    shards,
 	}
 	if withFaults {
 		cfg.Faults = &faults.Config{Seed: 9, FailStops: []faults.FailStop{
@@ -94,7 +93,7 @@ func journaledRun(t *testing.T, dir string, total noc.Cycle, finish bool) (*Plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(testConfig(0, true))
+	p, err := New(testConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestKillRecoverContinue(t *testing.T) {
 // first, one before that to the header.
 func TestTornJournalRecovery(t *testing.T) {
 	const total = noc.Cycle(3200) // small run keeps len(journal) offsets tractable
-	cfg := testConfig(0, true)
+	cfg := testConfig(true)
 	cfg.SnapEvery = 1500 // two snapshots in the run
 	dir := t.TempDir()
 	refPath := filepath.Join(dir, "ref.jsonl")
@@ -458,7 +457,7 @@ func TestCorruptMiddleRefused(t *testing.T) {
 // delivery trace and counters must be identical to the clean run.
 func TestRejectedCommandsDontDisturb(t *testing.T) {
 	run := func(noise bool) *Plane {
-		p, err := New(testConfig(0, true))
+		p, err := New(testConfig(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,36 +508,11 @@ func TestRejectedCommandsDontDisturb(t *testing.T) {
 	}
 }
 
-// TestShardsBitIdentical runs the fault-free scenario at shard counts
-// 1, 2, 4, and 8: sharding is pure mechanism and must not move a flit.
-// The scenario adds, expires and removes flows mid-run, so every shard's
-// source set arms late flows on its calendar and retires dead ones
-// inside the parallel admission stage.
-func TestShardsBitIdentical(t *testing.T) {
-	run := func(shards int) *Plane {
-		cfg := testConfig(shards, false)
-		cfg.ShardWorkers = shards
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runScripted(t, p, testSchedule(t), nil, testTotal)
-		return p
-	}
-	ref := run(1)
-	for _, shards := range []int{2, 4, 8} {
-		p := run(shards)
-		if p.TraceHash() != ref.TraceHash() || p.Counters() != ref.Counters() {
-			t.Fatalf("shards=%d diverged: hash %016x vs %016x", shards, p.TraceHash(), ref.TraceHash())
-		}
-	}
-}
-
 // TestLeaseExpiryFreesBudget admits a leased reservation that fills the
 // budget, watches the over-budget retry hint, and re-admits after the
 // deterministic expiry.
 func TestLeaseExpiryFreesBudget(t *testing.T) {
-	cfg := testConfig(0, false)
+	cfg := testConfig(false)
 	cfg.GBShare = 0.5
 	p, err := New(cfg)
 	if err != nil {

@@ -9,18 +9,14 @@ import (
 	"swizzleqos/internal/noc"
 )
 
-// ReplayOptions parameterize journal replay. Shards/ShardWorkers
-// override the execution mechanism (results are bit-identical at any
-// value); OnDeliver observes every re-executed delivery, e.g. to write
-// a trace file. Under Rebuild that is every delivery since the header.
+// ReplayOptions parameterize journal replay. OnDeliver observes every
+// re-executed delivery, e.g. to write a trace file. Under Rebuild that is every delivery since the header.
 // Under RecoverFile it is the deliveries recovery re-executes, those
 // behind the snapshot it restored: none at all after a clean stop, and
 // some of them twice when a snapshot was tried and then refused. A caller
 // that needs every delivery recovers through Rebuild and ResumeJournal.
 type ReplayOptions struct {
-	Shards       int
-	ShardWorkers int
-	OnDeliver    func(*noc.Packet)
+	OnDeliver func(*noc.Packet)
 }
 
 // Recovery says how a plane came back from its journal.
@@ -39,18 +35,15 @@ type Recovery struct {
 func (p *Plane) Recovered() Recovery { return p.recovered }
 
 // headerConfig checks a journal's first record and returns the
-// simulation it configures, on the caller's execution mechanism.
-func headerConfig(hdr Record, ro ReplayOptions) (SimConfig, error) {
+// simulation it configures.
+func headerConfig(hdr Record) (SimConfig, error) {
 	if hdr.Kind != KindHeader || hdr.Header == nil {
 		return SimConfig{}, fmt.Errorf("ctlplane: journal does not start with a header record (got %q)", hdr.Kind)
 	}
 	if hdr.Header.Version != JournalVersion {
 		return SimConfig{}, fmt.Errorf("ctlplane: journal format version %d, this build reads %d", hdr.Header.Version, JournalVersion)
 	}
-	cfg := hdr.Header.Sim
-	cfg.Shards = ro.Shards
-	cfg.ShardWorkers = ro.ShardWorkers
-	return cfg, nil
+	return hdr.Header.Sim, nil
 }
 
 // Rebuild re-executes a journal from genesis: the header record
@@ -73,7 +66,7 @@ func Rebuild(recs []Record, ro ReplayOptions) (*Plane, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("ctlplane: empty journal")
 	}
-	cfg, err := headerConfig(recs[0], ro)
+	cfg, err := headerConfig(recs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +258,7 @@ func recoverFromSnapshot(raw [][]byte, ro ReplayOptions) (p *Plane, notes []stri
 	if err != nil {
 		return nil, nil, nil // Rebuild's to report
 	}
-	cfg, err := headerConfig(hdr, ro)
+	cfg, err := headerConfig(hdr)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -24,11 +24,7 @@ import (
 // and — with oracleConfig's faults — an input fail-stop. Every command is
 // accepted: a rejection is counted by the live plane and journaled
 // nowhere, so only a script without one leaves live run, replay and
-// restore equal in every counter. And no flow is added at a port of the
-// lower half after one at the upper half: packet ids are drawn shard by
-// shard, so such a flow would number its packets ahead of the older one's
-// at two shards and behind them at one (ROADMAP item 2), and the journal
-// written at one shard count would not replay at the other.
+// restore equal in every counter.
 const oracleScript = `
 @50   add gl 1 0 rate=0.04 len=8 latency=400 burst=2 users=4
 @50   add gl 1 4 rate=0.04 len=8 latency=400 burst=2 users=4
@@ -54,8 +50,8 @@ const oracleScript = `
 
 const oracleTotal = noc.Cycle(12000)
 
-func oracleConfig(shards int, withFaults bool) SimConfig {
-	cfg := SimConfig{Radix: 8, Seed: 5, SnapEvery: 1000, Degrade: true, Shards: shards, ShardWorkers: shards}
+func oracleConfig(withFaults bool) SimConfig {
+	cfg := SimConfig{Radix: 8, Seed: 5, SnapEvery: 1000, Degrade: true}
 	if withFaults {
 		cfg.Faults = &faults.Config{Seed: 9, FailStops: []faults.FailStop{{Input: true, Port: 4, At: 7000}}}
 	}
@@ -143,57 +139,49 @@ func samePlaneFully(t *testing.T, what string, a, b *Plane) {
 }
 
 // TestRestoreEqualsReplay is the oracle of recovery from a snapshot. For
-// the oracle script, with and without the fail-stop, written at one shard
-// count and restored at the other: at every snapshot of the journal, the
-// plane restored from it and run to the end over the records behind it
-// equals the plane Rebuild re-executes from the header — trace hash,
-// deliveries, switch counters, admission table, PlaneStats — and encodes
-// to the journaled state blob at every later snapshot. Drop one field
-// from any layer's encoder and it fails.
+// the oracle script, with and without the fail-stop: at every snapshot of
+// the journal, the plane restored from it and run to the end over the
+// records behind it equals the plane Rebuild re-executes from the header
+// — trace hash, deliveries, switch counters, admission table, PlaneStats
+// — and encodes to the journaled state blob at every later snapshot. Drop
+// one field from any layer's encoder and it fails.
 func TestRestoreEqualsReplay(t *testing.T) {
 	for _, withFaults := range []bool{true, false} {
-		for _, shards := range []int{1, 2} {
-			other := 3 - shards
-			t.Run(fmt.Sprintf("faults=%v/written@%d/restored@%d", withFaults, shards, other), func(t *testing.T) {
-				live, recs := oracleJournal(t, oracleConfig(shards, withFaults))
-				if st := live.Stats(); st.Expired == 0 || st.Revoked == 0 || st.RejectedBudget+st.RejectedBound+st.RejectedOther != 0 {
-					t.Fatalf("oracle script lost coverage: %+v", st)
+		t.Run(fmt.Sprintf("faults=%v", withFaults), func(t *testing.T) {
+			live, recs := oracleJournal(t, oracleConfig(withFaults))
+			if st := live.Stats(); st.Expired == 0 || st.Revoked == 0 || st.RejectedBudget+st.RejectedBound+st.RejectedOther != 0 {
+				t.Fatalf("oracle script lost coverage: %+v", st)
+			}
+			genesis, err := Rebuild(recs, ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePlaneFully(t, "genesis replay vs live", genesis, live)
+			cfg, err := headerConfig(recs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps := 0
+			for k, rec := range recs {
+				if rec.Snap == nil {
+					continue
 				}
-				ro := ReplayOptions{Shards: other, ShardWorkers: other}
-				genesis, err := Rebuild(recs, ro)
+				if len(rec.Snap.State) == 0 {
+					t.Fatalf("record %d (%s at cycle %d) carries no state", k, rec.Kind, rec.Snap.Cycle.Uint())
+				}
+				snaps++
+				what := fmt.Sprintf("restored from record %d (cycle %d)", k, rec.Snap.Cycle.Uint())
+				p, err := restore(cfg, rec.Snap)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", what, err)
 				}
-				samePlaneFully(t, "genesis replay vs live", genesis, live)
-				cfg, err := headerConfig(recs[0], ro)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !withFaults && other > 1 && !genesis.sw.ParallelActive() {
-					t.Fatal("the fault-free plane at 2 shards does not run the parallel pipeline")
-				}
-				snaps := 0
-				for k, rec := range recs {
-					if rec.Snap == nil {
-						continue
-					}
-					if len(rec.Snap.State) == 0 {
-						t.Fatalf("record %d (%s at cycle %d) carries no state", k, rec.Kind, rec.Snap.Cycle.Uint())
-					}
-					snaps++
-					what := fmt.Sprintf("restored from record %d (cycle %d)", k, rec.Snap.Cycle.Uint())
-					p, err := restore(cfg, rec.Snap)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					replayChecking(t, what, p, recs[k+1:], k+1)
-					samePlaneFully(t, what, p, live)
-				}
-				if want := int(oracleTotal/1000) + 1; snaps != want {
-					t.Fatalf("%d snapshots in the journal, want %d", snaps, want)
-				}
-			})
-		}
+				replayChecking(t, what, p, recs[k+1:], k+1)
+				samePlaneFully(t, what, p, live)
+			}
+			if want := int(oracleTotal/1000) + 1; snaps != want {
+				t.Fatalf("%d snapshots in the journal, want %d", snaps, want)
+			}
+		})
 	}
 }
 
@@ -221,7 +209,7 @@ func killedChurn(t *testing.T, path string, total noc.Cycle) *Plane {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(testConfig(0, false))
+	p, err := New(testConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +228,7 @@ func killedChurn(t *testing.T, path string, total noc.Cycle) *Plane {
 // snapshot, at most one cadence of them, whatever the journal's length,
 // and lands where the killed plane's last record left it.
 func TestRecoveryBoundedByCadence(t *testing.T) {
-	every := testConfig(0, false).SnapEvery
+	every := testConfig(false).SnapEvery
 	for _, scale := range []uint64{1, 4, 16} {
 		total := noc.CycleOf(scale*6000 + 1500) // 700 cycles behind the last command, 1500 behind the last snapshot
 		path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -466,7 +454,7 @@ func TestAppendBytesPinned(t *testing.T) {
 // fuzzSnapshot is the record FuzzRestoreState restores into: a snapshot
 // of the oracle run with every kind of state in it.
 func fuzzSnapshot(t testing.TB) (SimConfig, *SnapRecord) {
-	p, err := New(oracleConfig(1, true))
+	p, err := New(oracleConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}

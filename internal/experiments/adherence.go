@@ -109,7 +109,7 @@ func adherenceCombo(sc *sweepScratch, mix adherenceMix, o Options) AdherenceComb
 		}
 	}
 	var b build
-	sw := b.sw(o, fig4Config(), ssvcFactory(fig4Radix, fig4SigBits, 0, specs))
+	sw := b.sw(fig4Config(), ssvcFactory(fig4Radix, fig4SigBits, 0, specs))
 	var seq traffic.Sequence
 	for _, s := range specs {
 		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})

@@ -93,7 +93,7 @@ func ComposeQoS(o Options) []ComposeOutcome {
 	// Single-stage radix-8 SSVC switch: one crosspoint per flow.
 	singleStage := func() ComposeOutcome {
 		var b build
-		sw := b.sw(o, fig4Config(), ssvcFactory(fig4Radix, fig4SigBits, 0, specs))
+		sw := b.sw(fig4Config(), ssvcFactory(fig4Radix, fig4SigBits, 0, specs))
 		var seq traffic.Sequence
 		for _, s := range specs {
 			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
@@ -116,10 +116,8 @@ func ComposeQoS(o Options) []ComposeOutcome {
 		var net *compose.Network
 		if b.err == nil {
 			net, err = compose.New(compose.Config{
-				Topology:     topo,
-				BufferFlits:  fig4BufFlits,
-				Shards:       o.Shards,
-				ShardWorkers: o.shardWorkers(),
+				Topology:    topo,
+				BufferFlits: fig4BufFlits,
 				NewArbiter: func(nodeID, port, ports int) arb.Arbiter {
 					// Leaf 0's uplink (port 4) regulates the contended
 					// stage; aggregate reservations per input port.

@@ -57,7 +57,7 @@ func Convergence(o Options) []ConvergenceOutcome {
 
 	run := func(name string, factory func(int) arb.Arbiter) ConvergenceOutcome {
 		var b build
-		sw := b.sw(o, fig4Config(), factory)
+		sw := b.sw(fig4Config(), factory)
 		var seq traffic.Sequence
 		// The big flow injects nothing until wake-up, then saturates.
 		b.add(sw, traffic.Flow{Spec: specs[0], Gen: &gatedBacklog{

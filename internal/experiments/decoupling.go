@@ -45,7 +45,7 @@ func AblationDecoupling(o Options) []DecouplingOutcome {
 	}
 	run := func(name string, factory func(int) arb.Arbiter) DecouplingOutcome {
 		var b build
-		sw := b.sw(o, fig4Config(), factory)
+		sw := b.sw(fig4Config(), factory)
 		var seq traffic.Sequence
 		// The 1% flow complies with its contract: one 8-flit packet
 		// every 800 cycles.

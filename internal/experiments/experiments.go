@@ -31,20 +31,10 @@ type Options struct {
 	// concurrently. 0 selects GOMAXPROCS, 1 forces serial execution.
 	// Every sweep point builds its own switch, generators, and
 	// collector from (Seed, point index) alone, so rendered tables are
-	// byte-identical at any worker count (see internal/runner).
+	// byte-identical at any worker count (see internal/runner). Each
+	// engine runs one serial cycle; sweep points are the only
+	// parallelism (DESIGN.md "No intra-run parallelism").
 	Workers int
-	// Shards partitions every engine an experiment builds into
-	// conservative-PDES shards (see internal/shard and DESIGN.md
-	// "Sharded execution"). Values <= 1 select the serial walk. Results
-	// are bit-identical at every shard count, so rendered tables never
-	// depend on it.
-	Shards int
-	// ShardWorkers bounds each engine's intra-run worker goroutines.
-	// 0 composes Workers and Shards against GOMAXPROCS so sweep-level
-	// and intra-run parallelism never oversubscribe the host (see
-	// runner.Compose); explicit values override that split. Worker
-	// counts are pure mechanism and never change results.
-	ShardWorkers int
 	// Pool, when set, is where the sweep points run instead of a
 	// private pool of Workers goroutines: a caller that runs several
 	// experiments at once gives each a pool of one shared runner.Budget
@@ -54,23 +44,9 @@ type Options struct {
 	Pool *runner.Pool
 }
 
-// Budget returns a processor budget of the options' sweep-worker count
-// (see split), for a caller that shares one between experiments.
-func (o Options) Budget() *runner.Budget {
-	sweepWorkers, _ := o.split()
-	return runner.NewBudget(sweepWorkers)
-}
-
-// split resolves the sweep-level and intra-run worker bounds against
-// the host processor count (runner.Compose), honouring explicit
-// overrides.
-func (o Options) split() (sweepWorkers, shardWorkers int) {
-	sweepWorkers, shardWorkers = runner.Compose(0, o.Workers, o.Shards)
-	if o.ShardWorkers > 0 {
-		shardWorkers = o.ShardWorkers
-	}
-	return sweepWorkers, shardWorkers
-}
+// Budget returns a processor budget of the options' Workers count, for
+// a caller that shares one between experiments.
+func (o Options) Budget() *runner.Budget { return runner.NewBudget(o.Workers) }
 
 // Quick returns options for a fast, reduced-accuracy run.
 func Quick() Options { return Options{Cycles: 20000, Warmup: 2000, Seed: 1} }
@@ -176,22 +152,13 @@ func (b *build) fail(err error) {
 }
 
 // sw constructs a crossbar, recording any error; on a prior or current
-// failure the returned switch may be nil and must not be driven. The
-// options' shard split is applied here, the single funnel every
-// switch-building experiment passes through.
-func (b *build) sw(o Options, cfg switchsim.Config, f func(int) arb.Arbiter) *switchsim.Switch {
+// failure the returned switch may be nil and must not be driven.
+func (b *build) sw(cfg switchsim.Config, f func(int) arb.Arbiter) *switchsim.Switch {
 	if b.err != nil {
 		return nil
 	}
-	cfg.Shards, cfg.ShardWorkers = o.Shards, o.shardWorkers()
 	sw, err := switchsim.New(cfg, f)
 	b.fail(err)
-	return sw
-}
-
-// shardWorkers resolves the per-engine worker bound (see split).
-func (o Options) shardWorkers() int {
-	_, sw := o.split()
 	return sw
 }
 
@@ -205,15 +172,12 @@ func (b *build) add(e fabric.Engine, f traffic.Flow) {
 }
 
 // pool returns the worker pool for fanning independent sweep points:
-// the caller's, or a private one of the options' sweep-worker count,
-// shrunk when intra-run sharding claims part of the processors (see
-// split).
+// the caller's, or a private one of the options' Workers count.
 func (o Options) pool() *runner.Pool {
 	if o.Pool != nil {
 		return o.Pool
 	}
-	sweepWorkers, _ := o.split()
-	return runner.New(sweepWorkers)
+	return runner.New(o.Workers)
 }
 
 // engineErr surfaces a sick engine's terminal error: engines freeze

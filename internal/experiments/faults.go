@@ -137,7 +137,7 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 	}
 
 	var b build
-	sw := b.sw(o, fig4Config(), func(out int) arb.Arbiter {
+	sw := b.sw(fig4Config(), func(out int) arb.Arbiter {
 		return core.NewSSVC(core.Config{
 			Radix: fig4Radix, CounterBits: fig5CounterBits, SigBits: fig5SigBits,
 			Policy: policy, Vticks: vticksFor(fig4Radix, specs, out),

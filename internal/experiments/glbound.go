@@ -112,7 +112,7 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 	cfg := fig4Config()
 	cfg.GLBufferFlits = sc.GLBufferFlits
 	var b build
-	sw := b.sw(o, cfg, factory)
+	sw := b.sw(cfg, factory)
 
 	var seq traffic.Sequence
 	for _, s := range gbSpecs {

@@ -58,7 +58,7 @@ func idleSkipSwitch(o Options) IdleSkipRow {
 		vticks[i] = noc.FlowSpec{Rate: 0.2, PacketLength: 4}.Vtick()
 	}
 	var b build
-	sw := b.sw(o, switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
+	sw := b.sw(switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
 		func(int) arb.Arbiter {
 			return core.NewSSVC(core.Config{
 				Radix: radix, CounterBits: 12, SigBits: 4,
@@ -81,8 +81,7 @@ func idleSkipSwitch(o Options) IdleSkipRow {
 // idleSkipMesh is the 8x8 mesh, one low-rate GB flow per node.
 func idleSkipMesh(o Options) IdleSkipRow {
 	const w, h = 8, 8
-	m, err := mesh.New(mesh.Config{Width: w, Height: h, BufferFlits: 16,
-		Shards: o.Shards, ShardWorkers: o.shardWorkers()})
+	m, err := mesh.New(mesh.Config{Width: w, Height: h, BufferFlits: 16})
 	if err == nil {
 		var seq traffic.Sequence
 		nodes := w * h
@@ -113,8 +112,7 @@ func idleSkipClos(o Options) IdleSkipRow {
 	topo, err := compose.TwoLevelClos(4, 4, 2)
 	var net *compose.Network
 	if err == nil {
-		net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16,
-			Shards: o.Shards, ShardWorkers: o.shardWorkers()})
+		net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16})
 	}
 	ports := 0
 	for _, p := range topo.Ports {

@@ -62,7 +62,7 @@ func AblationPVC(o Options) []PVCOutcome {
 
 	run := func(name string, cfg switchsim.Config, factory func(int) arb.Arbiter, urgentSpec noc.FlowSpec) PVCOutcome {
 		var b build
-		sw := b.sw(o, cfg, factory)
+		sw := b.sw(cfg, factory)
 		var seq traffic.Sequence
 		for _, s := range bulk {
 			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})

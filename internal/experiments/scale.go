@@ -103,7 +103,7 @@ func scale64Run(o Options) ScaleResult {
 		})
 	}
 	var b build
-	sw := b.sw(o, switchsim.Config{
+	sw := b.sw(switchsim.Config{
 		Radix:         radix,
 		BEBufferFlits: fig4BufFlits,
 		GLBufferFlits: glBuf,

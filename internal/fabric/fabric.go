@@ -52,22 +52,6 @@ type Counters struct {
 // Totals returns a copy of the counter block.
 func (c *Counters) Totals() Counters { return *c }
 
-// Add accumulates another counter block into this one. Sharded engines
-// count into per-shard blocks during the parallel stages and merge them
-// here at the cycle's commit barrier; every field is a sum, so the
-// merge is order-independent.
-func (c *Counters) Add(d Counters) {
-	c.Injected += d.Injected
-	c.Admitted += d.Admitted
-	c.Delivered += d.Delivered
-	c.Dropped += d.Dropped
-	c.ArbCycles += d.ArbCycles
-	c.IdleCycles += d.IdleCycles
-	c.DataCycles += d.DataCycles
-	c.SkippedOutputs += d.SkippedOutputs
-	c.SkippedAdmits += d.SkippedAdmits
-}
-
 // Hooks is the delivery/release observer pair shared by all engines.
 // Engines embed Hooks to gain the OnDeliver/OnRelease registration API
 // and call Deliver on packet completion.

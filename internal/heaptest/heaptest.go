@@ -25,10 +25,10 @@ const Cycles = 20000
 // delivered packet through, since the idle configurations deliver a
 // packet every six to ten cycles; what is left of pool growth after the
 // warm-up is 63 mallocs in the worst configuration and under ten in the
-// rest. The count is a runtime.MemStats delta, not
-// testing.AllocsPerRun, which pins GOMAXPROCS to 1 while it measures: a
-// sharded engine's worker team spins at its barriers and must be
-// measured running as it ships.
+// rest. The count is a runtime.MemStats delta over one run of the loop,
+// not testing.AllocsPerRun, which first runs the loop once more as a
+// warm-up of its own: the configurations arrive warm already, and that
+// second run would double the cost of every case.
 func Zero(t *testing.T, run func(cycles int)) {
 	t.Helper()
 	var before, after runtime.MemStats
@@ -37,21 +37,5 @@ func Zero(t *testing.T, run func(cycles int)) {
 	runtime.ReadMemStats(&after)
 	if mallocs := noc.SatSub(after.Mallocs, before.Mallocs); mallocs*100 >= Cycles {
 		t.Errorf("%d mallocs in %d steady-state cycles, want under one per hundred cycles", mallocs, Cycles)
-	}
-}
-
-// raceDetector is set by race.go when the test binary is built with
-// -race.
-var raceDetector bool
-
-// SkipTeamUnderRace skips a case whose engine runs a shard worker team
-// when the race detector is on. The team spins at its barriers; with
-// every spin instrumented, and `go test -race ./...` running other
-// packages on the same CPUs, Cycles cycles of an 8x8 mesh take minutes.
-// A malloc count learns nothing from the race detector, and the teams'
-// own race run is `make race-shard`.
-func SkipTeamUnderRace(t *testing.T, shards int) {
-	if raceDetector && shards > 1 {
-		t.Skip("shard worker team under the race detector: measured by plain go test, raced by make race-shard")
 	}
 }

@@ -64,14 +64,15 @@ type Config struct {
 	BufferFlits int
 	// NewArbiter builds one arbiter per router output port over the
 	// five input ports; nil defaults to LRG. Every call must return an
-	// independent instance: arbiters tick concurrently under sharding.
+	// independent instance: each output's arbiter holds that output's
+	// state.
 	NewArbiter func() arb.Arbiter
 
-	// Shards and ShardWorkers are compose.Config's fields of the same
-	// names: contiguous router regions simulated as logical processes,
-	// bit-identical at every count.
-	Shards       int
-	ShardWorkers int
+	// Shards is a stub kept for the benchmark harness under bench/, which
+	// sets it: the mesh runs one serial cycle (DESIGN.md "No intra-run
+	// parallelism"), so Validate accepts 0 and 1 and refuses anything
+	// else. It goes when the harness stops setting it.
+	Shards int
 }
 
 // Validate reports a descriptive error for malformed configurations.
@@ -81,6 +82,9 @@ func (c Config) Validate() error {
 	}
 	if c.BufferFlits < 1 {
 		return fmt.Errorf("mesh: buffer capacity %d must be positive", c.BufferFlits)
+	}
+	if c.Shards < 0 || c.Shards > 1 {
+		return fmt.Errorf("mesh: Shards %d: the mesh runs one serial cycle, so Shards must be 0 or 1", c.Shards)
 	}
 	return nil
 }
@@ -116,11 +120,9 @@ func New(cfg Config) (*Mesh, error) {
 		newArb = func(_, _, _ int) arb.Arbiter { return cfg.NewArbiter() }
 	}
 	net, err := compose.New(compose.Config{
-		Topology:     topo,
-		BufferFlits:  cfg.BufferFlits,
-		NewArbiter:   newArb,
-		Shards:       cfg.Shards,
-		ShardWorkers: cfg.ShardWorkers,
+		Topology:    topo,
+		BufferFlits: cfg.BufferFlits,
+		NewArbiter:  newArb,
 	})
 	if err != nil {
 		return nil, err

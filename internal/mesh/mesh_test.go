@@ -1,7 +1,7 @@
 package mesh
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"swizzleqos/internal/arb"
@@ -36,6 +36,15 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	// Shards is a stub: the mesh runs one serial cycle.
+	for _, shards := range []int{0, 1} {
+		if _, err := New(Config{Width: 2, Height: 2, BufferFlits: 8, Shards: shards}); err != nil {
+			t.Errorf("Shards %d refused: %v", shards, err)
+		}
+	}
+	if _, err := New(Config{Width: 2, Height: 2, BufferFlits: 8, Shards: 2}); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Errorf("Shards 2: got %v, want an error naming Shards", err)
 	}
 }
 
@@ -234,11 +243,8 @@ func BenchmarkMeshCycle(b *testing.B) {
 // their high-water marks: an 8x8 mesh's in-flight population is still
 // growing thousands of cycles in), so that the benchmark times, and
 // TestSteadyStateAllocs counts, nothing but the cycle loop.
-// ShardWorkers stays 0, so at shards > 1 the executor clamps its team
-// to GOMAXPROCS and on a single-core host the sharded program runs
-// inline.
-func recycledMesh(tb testing.TB, w, h, shards int, dst func(src, nodes int) int) *Mesh {
-	m, err := New(Config{Width: w, Height: h, BufferFlits: 16, Shards: shards})
+func recycledMesh(tb testing.TB, w, h int, dst func(src, nodes int) int) *Mesh {
+	m, err := New(Config{Width: w, Height: h, BufferFlits: 16})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -256,22 +262,15 @@ func recycledMesh(tb testing.TB, w, h, shards int, dst func(src, nodes int) int)
 }
 
 func recycledMesh4x4(tb testing.TB) *Mesh {
-	return recycledMesh(tb, 4, 4, 0, func(src, nodes int) int { return (src + 5) % nodes })
-}
-
-var shardCounts = []int{1, 2, 4, 8}
-
-func shardedMesh8x8(tb testing.TB, shards int) *Mesh {
-	return recycledMesh(tb, 8, 8, shards, func(src, nodes int) int { return (src + nodes/2 + 3) % nodes })
+	return recycledMesh(tb, 4, 4, func(src, nodes int) int { return (src + 5) % nodes })
 }
 
 // TestSteadyStateAllocs is the allocation gate on the cycle loop: every
 // steady-state benchmark configuration must run warm without a malloc
 // per cycle.
 func TestSteadyStateAllocs(t *testing.T) {
-	check := func(name string, shards int, build func(testing.TB) *Mesh) {
+	check := func(name string, build func(testing.TB) *Mesh) {
 		t.Run(name, func(t *testing.T) {
-			heaptest.SkipTeamUnderRace(t, shards)
 			m := build(t)
 			heaptest.Zero(t, func(n int) { m.Run(noc.Cycle(n)) })
 			if err := m.Err(); err != nil {
@@ -279,10 +278,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	check("MeshCycleRecycled", 0, recycledMesh4x4)
-	for _, shards := range shardCounts {
-		check(fmt.Sprintf("MeshCycleSharded/shards%d", shards), shards, func(tb testing.TB) *Mesh { return shardedMesh8x8(tb, shards) })
-	}
+	check("MeshCycleRecycled", recycledMesh4x4)
 }
 
 // BenchmarkMeshCycleRecycled measures the steady-state configuration on
@@ -293,22 +289,4 @@ func BenchmarkMeshCycleRecycled(b *testing.B) {
 	b.ResetTimer()
 	m.Run(noc.Cycle(b.N))
 	b.ReportMetric(float64(m.Delivered)/float64(m.Now()), "pkts/cycle")
-}
-
-// BenchmarkMeshCycleSharded measures the sharded pipeline (parallel
-// injection/transfer/tick around the serial arbitration commit) on a
-// saturated 8x8 mesh at increasing shard counts: the number reported is
-// the honest cycles/sec for this machine, whatever its core count.
-// Results are bit-identical at every shard count; only wall-clock
-// changes.
-func BenchmarkMeshCycleSharded(b *testing.B) {
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			m := shardedMesh8x8(b, shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			m.Run(noc.Cycle(b.N))
-			b.ReportMetric(float64(m.Delivered)/float64(m.Now()), "pkts/cycle")
-		})
-	}
 }

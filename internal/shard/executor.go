@@ -1,3 +1,9 @@
+// Package shard is a goroutine team that runs a per-cycle program of
+// stages over a fixed shard count, with a barrier between stages. No
+// engine imports it: each engine runs one serial cycle (DESIGN.md "No
+// intra-run parallelism"). It stays only because the benchmark harness
+// under bench/ still times one stage barrier of a two-worker team with
+// it, and it goes together with those kernels.
 package shard
 
 import (
@@ -54,12 +60,10 @@ func (tp *TeamPanic) Unwrap() error {
 	return nil
 }
 
-// Executor runs cycle programs over a fixed shard count. The shard
-// count is part of an engine's configuration and never changes results
-// (engines prove shard-count invariance separately); the worker count
-// is pure mechanism and cannot change results by construction — the
-// same stages run in the same order with the same barriers, whether on
-// one goroutine or many.
+// Executor runs cycle programs over a fixed shard count. The worker
+// count is pure mechanism and cannot change results by construction —
+// the same stages run in the same order with the same barriers, whether
+// on one goroutine or many.
 type Executor struct {
 	shards  int
 	workers int
@@ -68,8 +72,7 @@ type Executor struct {
 // NewExecutor returns an executor over the given shard count. workers
 // bounds the goroutines a Cycles call uses; a value <= 0 selects
 // min(shards, GOMAXPROCS), so a host with fewer processors than shards
-// degrades toward the sequential fallback instead of oversubscribing
-// (sweep-level parallelism composes on top; see runner.Compose).
+// degrades toward the sequential fallback instead of oversubscribing.
 func NewExecutor(shards, workers int) *Executor {
 	if shards < 1 {
 		shards = 1

@@ -8,76 +8,26 @@ import (
 	"swizzleqos/internal/noc"
 )
 
-func TestPartitionCoversContiguously(t *testing.T) {
-	for _, tc := range []struct{ n, shards, want int }{
-		{64, 8, 8}, {64, 1, 1}, {5, 8, 5}, {7, 3, 3}, {2, 0, 1}, {1, 4, 1},
-	} {
-		p := NewPartition(tc.n, tc.shards)
-		if p.Shards() != tc.want {
-			t.Fatalf("NewPartition(%d,%d).Shards() = %d, want %d", tc.n, tc.shards, p.Shards(), tc.want)
-		}
-		if p.Elems() != tc.n {
-			t.Fatalf("Elems() = %d, want %d", p.Elems(), tc.n)
-		}
-		next := 0
-		for k := 0; k < p.Shards(); k++ {
-			lo, hi := p.Range(k)
-			if lo != next || hi <= lo {
-				t.Fatalf("n=%d shards=%d: shard %d range [%d,%d) not contiguous from %d", tc.n, tc.shards, k, lo, hi, next)
-			}
-			for i := lo; i < hi; i++ {
-				if p.Of(i) != k {
-					t.Fatalf("Of(%d) = %d, want %d", i, p.Of(i), k)
-				}
-			}
-			next = hi
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d shards=%d: ranges cover [0,%d), want [0,%d)", tc.n, tc.shards, next, tc.n)
-		}
-	}
-}
-
-func TestPartitionBalance(t *testing.T) {
-	p := NewPartition(64, 8)
-	for k := 0; k < 8; k++ {
-		if lo, hi := p.Range(k); hi-lo != 8 {
-			t.Fatalf("shard %d holds %d elements, want 8", k, hi-lo)
-		}
-	}
-	// Uneven split: sizes differ by at most one.
-	p = NewPartition(10, 4)
-	for k := 0; k < 4; k++ {
-		if lo, hi := p.Range(k); hi-lo < 2 || hi-lo > 3 {
-			t.Fatalf("shard %d holds %d of 10 elements across 4 shards", k, hi-lo)
-		}
-	}
-}
-
-// program builds a toy engine: each cycle, every shard squares and
+// runProgram builds a toy engine: each cycle, every shard scales and
 // increments its own slots (parallel), then a serial stage folds a
-// checksum in ascending shard order. The checksum is order-sensitive,
+// checksum in ascending slot order. The checksum is order-sensitive,
 // so it detects any deviation from the deterministic stage order.
 func runProgram(workers int, cycles noc.Cycle, shards, slots int) (state []uint64, sum uint64) {
-	p := NewPartition(slots, shards)
 	state = make([]uint64, slots)
 	for i := range state {
 		state[i] = uint64(i)
 	}
-	ex := NewExecutor(p.Shards(), workers)
+	// Shard k owns the slots i with i%shards == k.
+	ex := NewExecutor(shards, workers)
 	program := []Stage{
 		{Par: func(k int) {
-			lo, hi := p.Range(k)
-			for i := lo; i < hi; i++ {
+			for i := k; i < slots; i += shards {
 				state[i] = state[i]*31 + 1
 			}
 		}},
 		{Serial: func() {
-			for k := 0; k < p.Shards(); k++ {
-				lo, hi := p.Range(k)
-				for i := lo; i < hi; i++ {
-					sum = sum*6364136223846793005 + state[i]
-				}
+			for i := range state {
+				sum = sum*6364136223846793005 + state[i]
 			}
 		}},
 	}
@@ -214,12 +164,11 @@ func TestExecutorCrossShardVisibility(t *testing.T) {
 }
 
 func ExampleExecutor() {
-	p := NewPartition(4, 2)
-	sums := make([]int, p.Shards())
-	ex := NewExecutor(p.Shards(), 1)
+	sums := make([]int, 2)
+	ex := NewExecutor(2, 1)
 	ex.Cycles(3, []Stage{
-		{Par: func(k int) { lo, hi := p.Range(k); sums[k] += hi - lo }},
+		{Par: func(k int) { sums[k] += k + 1 }},
 	}, nil)
 	fmt.Println(sums)
-	// Output: [6 6]
+	// Output: [3 6]
 }

@@ -12,13 +12,10 @@ import (
 )
 
 // benchSwitch builds a saturated radix-N switch with one GB flow per
-// input, uniformly spread across outputs. ShardWorkers is left at 0, so
-// at shards > 1 the executor clamps its team to GOMAXPROCS: on a
-// multi-core host shards run on real goroutines, on a single-core host
-// the same sharded program runs inline.
-func benchSwitch(b testing.TB, radix, shards int, newArb func(int) arb.Arbiter) (*Switch, *traffic.Sequence) {
+// input, uniformly spread across outputs.
+func benchSwitch(b testing.TB, radix int, newArb func(int) arb.Arbiter) (*Switch, *traffic.Sequence) {
 	b.Helper()
-	sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16, Shards: shards}, newArb)
+	sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16}, newArb)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +44,7 @@ func BenchmarkSwitchCycle(b *testing.B) {
 		}
 		for _, name := range []string{"LRG", "SSVC"} {
 			b.Run(fmt.Sprintf("radix%d/%s", radix, name), func(b *testing.B) {
-				sw, _ := benchSwitch(b, radix, 0, arbs[name])
+				sw, _ := benchSwitch(b, radix, arbs[name])
 				sw.Run(1000) // fill pipelines
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -75,14 +72,13 @@ func benchSSVC(radix int) func(int) arb.Arbiter {
 var (
 	recycledRadices = []int{8, 16, 32, 64}
 	idleRadices     = []int{8, 64}
-	shardCounts     = []int{1, 2, 4, 8}
 )
 
 // recycledSwitch is the configuration the experiments layer runs in:
 // saturated, delivered packets handed back to the generator pool via
-// OnRelease; shards > 1 puts it on the sharded pipeline.
-func recycledSwitch(tb testing.TB, radix, shards int) *Switch {
-	sw, seq := benchSwitch(tb, radix, shards, benchSSVC(radix))
+// OnRelease.
+func recycledSwitch(tb testing.TB, radix int) *Switch {
+	sw, seq := benchSwitch(tb, radix, benchSSVC(radix))
 	sw.OnRelease(seq.Recycle)
 	sw.Run(heaptest.Cycles)
 	return sw
@@ -121,9 +117,8 @@ func idleSwitch(tb testing.TB, radix int) *Switch {
 // steady-state benchmark configuration must run warm without a malloc
 // per cycle.
 func TestSteadyStateAllocs(t *testing.T) {
-	check := func(name string, shards int, build func(testing.TB) *Switch) {
+	check := func(name string, build func(testing.TB) *Switch) {
 		t.Run(name, func(t *testing.T) {
-			heaptest.SkipTeamUnderRace(t, shards)
 			sw := build(t)
 			heaptest.Zero(t, func(n int) { sw.Run(noc.Cycle(n)) })
 			if err := sw.Err(); err != nil {
@@ -132,13 +127,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	for _, radix := range recycledRadices {
-		check(fmt.Sprintf("SwitchCycleRecycled/radix%d/SSVC", radix), 0, func(tb testing.TB) *Switch { return recycledSwitch(tb, radix, 0) })
+		check(fmt.Sprintf("SwitchCycleRecycled/radix%d/SSVC", radix), func(tb testing.TB) *Switch { return recycledSwitch(tb, radix) })
 	}
 	for _, radix := range idleRadices {
-		check(fmt.Sprintf("SwitchCycleIdle/radix%d/SSVC", radix), 0, func(tb testing.TB) *Switch { return idleSwitch(tb, radix) })
-	}
-	for _, shards := range shardCounts {
-		check(fmt.Sprintf("SwitchCycleSharded/shards%d", shards), shards, func(tb testing.TB) *Switch { return recycledSwitch(tb, 64, shards) })
+		check(fmt.Sprintf("SwitchCycleIdle/radix%d/SSVC", radix), func(tb testing.TB) *Switch { return idleSwitch(tb, radix) })
 	}
 }
 
@@ -158,29 +150,12 @@ func BenchmarkSwitchCycleIdle(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchCycleSharded measures the sharded pipeline on the
-// saturated radix-64 SSVC configuration at increasing shard counts: the
-// number reported is the honest cycles/sec for this machine, whatever
-// its core count. Results are bit-identical at every shard count; only
-// wall-clock changes.
-func BenchmarkSwitchCycleSharded(b *testing.B) {
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			sw := recycledSwitch(b, 64, shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			sw.Run(noc.Cycle(b.N))
-			b.ReportMetric(float64(sw.Delivered)/float64(sw.Now()), "pkts/cycle")
-		})
-	}
-}
-
 // BenchmarkSwitchCycleRecycled measures the steady-state configuration:
 // the cycle loop should report zero allocations per cycle.
 func BenchmarkSwitchCycleRecycled(b *testing.B) {
 	for _, radix := range recycledRadices {
 		b.Run(fmt.Sprintf("radix%d/SSVC", radix), func(b *testing.B) {
-			sw := recycledSwitch(b, radix, 0)
+			sw := recycledSwitch(b, radix)
 			b.ReportAllocs()
 			b.ResetTimer()
 			sw.Run(noc.Cycle(b.N))

@@ -57,19 +57,11 @@ type Config struct {
 	// flits already sent are counted in the switch's WastedFlits.
 	Preemption bool
 
-	// Shards partitions the switch's ports into contiguous ranges
-	// simulated as conservative-PDES logical processes (see
-	// internal/shard and DESIGN.md "Sharded execution"). Values <= 1
-	// select the serial walk; results are bit-identical at every shard
-	// count. Output-coupling configurations (chaining, preemption,
-	// admission gates, arrival-observing arbiters, fault injection)
-	// always run serially, whatever the shard count.
+	// Shards is a stub kept for the benchmark harness under bench/, which
+	// sets it: the switch runs one serial cycle (DESIGN.md "No intra-run
+	// parallelism"), so Validate accepts 0 and 1 and refuses anything
+	// else. It goes when the harness stops setting it.
 	Shards int
-	// ShardWorkers bounds the worker goroutines the sharded pipeline
-	// uses. 0 selects min(Shards, GOMAXPROCS); explicit values let
-	// tests force real barrier traffic on small hosts. The worker count
-	// is pure mechanism: it can never change simulation results.
-	ShardWorkers int
 
 	// DynamicFlows permits AddFlow while the simulation is running — the
 	// reservation control plane (internal/ctlplane) attaches and revokes
@@ -99,6 +91,9 @@ func (c Config) Validate() error {
 	}
 	if c.BEBufferFlits == 0 && c.GLBufferFlits == 0 && c.GBBufferFlits == 0 {
 		return fmt.Errorf("switchsim: all buffers have zero capacity; no traffic can enter the switch")
+	}
+	if c.Shards < 0 || c.Shards > 1 {
+		return fmt.Errorf("switchsim: Shards %d: the switch runs one serial cycle, so Shards must be 0 or 1", c.Shards)
 	}
 	return nil
 }

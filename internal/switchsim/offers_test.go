@@ -38,9 +38,9 @@ func scanOffers(t *testing.T, sw *Switch, now noc.Cycle) {
 				t.Fatalf("cycle %d: output %d offer %d is %+v, scan finds %+v", now, out.id, i, got[i], want[i])
 			}
 		}
-		if arb.MaskHas(out.sh.offerDst, out.li) != (len(want) > 0) {
+		if arb.MaskHas(sw.offerDst, out.id) != (len(want) > 0) {
 			t.Fatalf("cycle %d: output %d offered bit %v with %d requesters",
-				now, out.id, arb.MaskHas(out.sh.offerDst, out.li), len(want))
+				now, out.id, arb.MaskHas(sw.offerDst, out.id), len(want))
 		}
 	}
 }

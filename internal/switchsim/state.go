@@ -16,11 +16,10 @@ import (
 // counters, the fault injector, every flow slot with its source queue
 // and arming, per input the transmit flag, the GB rotation, the
 // admission-skip bit, the admission rotation and every buffer, per output
-// the in-flight transmission and the arbiter. Ports and flows are written
-// in global index order, so the bytes do not depend on Config.Shards and
-// restore at any shard count. The work masks and the standing offers are
-// images of that state and are re-derived; OfferEvals is a diagnostic of
-// the host's work, not of the simulation, and starts again at zero.
+// the in-flight transmission and the arbiter. The work masks and the
+// standing offers are images of that state and are re-derived; OfferEvals
+// is a diagnostic of the host's work, not of the simulation, and starts
+// again at zero.
 
 // counterWords lists the counters a snapshot carries, in the order it
 // carries them.
@@ -44,24 +43,21 @@ func (s *Switch) AppendState(b []byte) ([]byte, error) {
 		b = s.faults.AppendState(b)
 	}
 
-	calReady, lastNow := s.sh[0].sources.Clock()
+	calReady, lastNow := s.sources.Clock()
 	b = wire.Bool(b, calReady)
 	b = wire.Uint(b, lastNow.Uint())
-	for _, sh := range s.sh {
-		sh.sources.IndexCalendar()
-	}
-	b = wire.Int(b, len(s.flowDir))
-	for _, ref := range s.flowDir {
-		sh := s.sh[ref.shard]
-		b = wire.Int(b, sh.lo+sh.sources.GroupOf(ref.idx))
-		b = sh.sources.AppendFlowState(b, ref.idx)
+	s.sources.IndexCalendar()
+	b = wire.Int(b, s.sources.Len())
+	for i := 0; i < s.sources.Len(); i++ {
+		b = wire.Int(b, s.sources.GroupOf(i))
+		b = s.sources.AppendFlowState(b, i)
 	}
 
 	for _, in := range s.inputs {
 		b = wire.Bool(b, in.busy)
 		b = wire.Int(b, in.gbRR)
-		b = wire.Bool(b, arb.MaskHas(in.sh.admitSkip, in.li))
-		b = in.sh.sources.AppendGroupState(b, in.li)
+		b = wire.Bool(b, arb.MaskHas(s.admitSkip, in.id))
+		b = s.sources.AppendGroupState(b, in.id)
 		b = in.gl.AppendState(b)
 		b = in.be.AppendState(b)
 		for _, q := range in.gb {
@@ -86,15 +82,14 @@ func (s *Switch) AppendState(b []byte) ([]byte, error) {
 }
 
 // RestoreState reads what AppendState wrote into a switch New has just
-// built from the same configuration (Shards and ShardWorkers aside), with
-// its fault schedule installed and no flow attached. maxLen bounds every
+// built from the same configuration, with its fault schedule installed and no flow attached. maxLen bounds every
 // packet's length; flowAt returns the flow of live slot i, its generator
 // already restored, and is asked in ascending i. Everything read is
 // checked against the geometry and against the rest of the state before
 // the cycle loop can index with it; after an error the switch is not to
 // be used.
 func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (traffic.Flow, error)) error {
-	if s.now != 0 || len(s.flowDir) != 0 || s.modeSet {
+	if s.now != 0 || s.sources.Len() != 0 {
 		return fmt.Errorf("switchsim: RestoreState needs a switch fresh from New")
 	}
 	radix := s.cfg.Radix
@@ -115,24 +110,19 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 		return s.faults != nil && (s.faults.InputDead(p.Src) || s.faults.OutputDead(p.Dst))
 	}
 
-	// Every source set generates on every cycle, so the clock follows now.
+	// The source set generates on every cycle, so its clock follows now.
 	calReady, lastNow := r.Bool(), noc.CycleOf(r.Uint())
 	if r.Err() == nil && (calReady != (now > 0) || lastNow != noc.SatSub(now, 1)) {
 		r.Failf("switchsim: source clock (generated %v, last at %d) is not cycle %d's", calReady, lastNow.Uint(), now.Uint())
 	}
-	for _, sh := range s.sh {
-		sh.sources.RestoreClock(calReady, lastNow)
-	}
+	s.sources.RestoreClock(calReady, lastNow)
 	flows := r.Count()
 	for i := 0; i < flows; i++ {
 		src := r.Index(radix)
 		if err := r.Err(); err != nil {
 			return err
 		}
-		k := s.part.Of(src)
-		sh := s.sh[k]
-		s.flowDir = append(s.flowDir, flowRef{shard: k, idx: sh.sources.Len()})
-		err := sh.sources.RestoreFlow(r, src-sh.lo, src, lim, func() (traffic.Flow, error) {
+		err := s.sources.RestoreFlow(r, src, src, lim, func() (traffic.Flow, error) {
 			f, err := flowAt(i)
 			if err == nil {
 				err = f.Spec.Validate(radix)
@@ -149,7 +139,7 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 		in.busy = r.Bool()
 		in.gbRR = r.Index(radix)
 		skip[in.id] = r.Bool()
-		if err := in.sh.sources.RestoreGroup(r, in.li); err != nil {
+		if err := s.sources.RestoreGroup(r, in.id); err != nil {
 			return err
 		}
 		// dst < 0: the queue is shared by every destination.
@@ -184,7 +174,7 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 					out.id, p.ID, p.Src, p.Dst, remaining, p.Length, input)
 			}
 			sending[input] = true
-			out.tx = out.sh.txPool.Get(p, input)
+			out.tx = s.txPool.Get(p, input)
 			out.tx.Remaining = remaining
 		}
 		st, ok := out.arb.(arb.Stateful)
@@ -210,7 +200,7 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 			continue
 		}
 		barren := masked
-		in.sh.sources.AdmitGroup(in.li, func(p *noc.Packet) bool {
+		s.sources.AdmitGroup(in.id, func(p *noc.Packet) bool {
 			if in.bufferFor(p.Class, p.Dst).CanAccept(p.Length) {
 				barren = false
 			}
@@ -227,11 +217,9 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 	s.recomputeMasks()
 	for _, in := range s.inputs {
 		if skip[in.id] {
-			arb.MaskSet(in.sh.admitSkip, in.li)
+			arb.MaskSet(s.admitSkip, in.id)
 		}
 	}
-	for _, sh := range s.sh {
-		copy(sh.dirty, sh.inQ)
-	}
+	copy(s.dirty, s.inQ)
 	return nil
 }

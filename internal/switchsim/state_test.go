@@ -92,24 +92,21 @@ func (s *stateSwitch) restoreAll(r *wire.Reader) error {
 }
 
 // TestRestoreContinuesTheRun snapshots a loaded switch mid-run, restores
-// the bytes into a fresh one at another shard count, and runs both on:
-// the same packets leave at the same cycles, the counters agree, and at
-// the end the two encode to the same bytes. With packet chaining the
-// serial walk is under test, without it the restored side runs the
-// parallel pipeline.
+// the bytes into a fresh one, and runs both on: the same packets leave at
+// the same cycles, the counters agree, and at the end the two encode to
+// the same bytes, with packet chaining and without.
 func TestRestoreContinuesTheRun(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		chaining bool
-		shards   int
-	}{{"chaining", true, 1}, {"parallel", false, 4}} {
+	}{{"chaining", true}, {"plain", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := newStateSwitch(t, Config{PacketChaining: tc.chaining})
 			a.attach(t)
 			a.sw.Run(3000)
 			blob := a.appendAll(t)
 
-			b := newStateSwitch(t, Config{PacketChaining: tc.chaining, Shards: tc.shards, ShardWorkers: 2})
+			b := newStateSwitch(t, Config{PacketChaining: tc.chaining})
 			r := wire.NewReader(blob)
 			if err := b.restoreAll(r); err != nil || r.Len() != 0 {
 				t.Fatalf("restore: %v, %d bytes left", err, r.Len())
@@ -122,9 +119,6 @@ func TestRestoreContinuesTheRun(t *testing.T) {
 			b.sw.OnDeliver(func(p *noc.Packet) { tb = append(tb, *p) })
 			a.sw.Run(3000)
 			b.sw.Run(3000)
-			if b.sw.ParallelActive() != (tc.shards > 1) {
-				t.Fatalf("parallel pipeline active: %v", b.sw.ParallelActive())
-			}
 			if len(ta) == 0 || len(ta) != len(tb) {
 				t.Fatalf("%d deliveries live, %d restored", len(ta), len(tb))
 			}

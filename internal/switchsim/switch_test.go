@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"swizzleqos/internal/arb"
@@ -328,6 +329,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Radix: 4, BEBufferFlits: 8}, nil); err == nil {
 		t.Error("nil arbiter factory accepted")
+	}
+	// Shards is a stub: the switch runs one serial cycle.
+	for _, shards := range []int{0, 1} {
+		if _, err := New(Config{Radix: 4, BEBufferFlits: 8, Shards: shards}, lrgFactory(4)); err != nil {
+			t.Errorf("Shards %d refused: %v", shards, err)
+		}
+	}
+	if _, err := New(Config{Radix: 4, BEBufferFlits: 8, Shards: 2}, lrgFactory(4)); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Errorf("Shards 2: got %v, want an error naming Shards", err)
 	}
 }
 
