@@ -41,14 +41,15 @@ lint:
 # routed cycles rest on (the LRG priority matrix against the move-to-back
 # list, each engine's standing offers against a per-cycle scan, the routed
 # engine in lock step with its scan oracle, its offer evaluations per
-# saturated cycle), then a short-benchtime sweep of the arbitration and
-# cycle-loop benchmarks. The sweep is informational: CI hardware is too
+# saturated cycle, the crossbar's refusal memory against the heads it
+# hides and its admission tries per saturated cycle), then a
+# short-benchtime sweep of the arbitration and cycle-loop benchmarks. The sweep is informational: CI hardware is too
 # noisy to gate on ns/op, and the allocation gate over the same
 # configurations is TestSteadyStateAllocs, which `make test` runs.
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
-	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan'
+	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains'
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
@@ -165,6 +166,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzThermRoundTrip -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzBufferInvariants -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
+	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzRefusalMemo -fuzztime 30s
 	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s

@@ -53,6 +53,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -175,8 +176,10 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 	}
 	done := map[string]bool{}
 	if p != nil {
-		for _, tag := range journaledTags(*journal) {
-			done[tag] = true
+		if *script != "" {
+			for _, tag := range journaledTags(*journal, p.Now()) {
+				done[tag] = true
+			}
 		}
 		rec := p.Recovered()
 		fmt.Fprintf(stdout, "recovered journal %s at cycle %d (%d reservations; snapshot at cycle %d, %d cycles re-executed)\n",
@@ -515,17 +518,37 @@ func printSummary(p *ctlplane.Plane, w io.Writer) {
 		st.Expired, st.Revoked, p.Table().Len())
 }
 
-// journaledTags collects the script tags already recorded in a journal,
-// so a resumed daemon never re-applies a scripted command.
-func journaledTags(path string) []string {
-	recs, _, _, err := ctlplane.ReadJournal(path)
+// journaledTags collects the script tags of the command records a
+// recovered journal holds at cycle at, the cycle recovery reached, so a
+// resumed daemon never re-applies a scripted command. serveLoop skips
+// every script entry stamped earlier by its cycle alone, so those records
+// are all it needs: journal cycles never decrease, and the walk decodes
+// from the last record back to the first one stamped earlier, never the
+// history before it.
+func journaledTags(path string, at noc.Cycle) []string {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil
 	}
 	var tags []string
-	for _, rec := range recs {
-		if rec.Kind == ctlplane.KindCmd && rec.Cmd != nil && rec.Cmd.Cmd.Tag != "" {
-			tags = append(tags, rec.Cmd.Cmd.Tag)
+	for end := len(data); end > 0; {
+		start := bytes.LastIndexByte(data[:end-1], '\n') + 1
+		recs, _, _, err := ctlplane.DecodeJournal(data[start:end])
+		end = start
+		if err != nil || len(recs) != 1 {
+			break
+		}
+		var cycle noc.Cycle
+		switch rec := recs[0]; {
+		case rec.Kind == ctlplane.KindCmd && rec.Cmd != nil:
+			if cycle = rec.Cmd.Cycle; cycle == at && rec.Cmd.Cmd.Tag != "" {
+				tags = append(tags, rec.Cmd.Cmd.Tag)
+			}
+		case rec.Snap != nil:
+			cycle = rec.Snap.Cycle
+		}
+		if cycle < at {
+			break // the header reads as cycle 0
 		}
 	}
 	return tags

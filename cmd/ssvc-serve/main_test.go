@@ -474,6 +474,38 @@ func TestRecoveryReport(t *testing.T) {
 			}
 		}
 	}
+
+	// The @22500 command is skipped by its tag, which is read from the
+	// records stamped at the recovered cycle alone: behind a history that
+	// would not even decode, the tail still names it.
+	garbled := filepath.Join(dir, "garbled.jsonl")
+	if err := os.WriteFile(garbled, append([]byte("not a record\n"), data[:cut]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tags := journaledTags(garbled, 22500); len(tags) != 1 || tags[0] != "L4" {
+		t.Fatalf("tags at the recovered cycle: %q, want [L4]", tags)
+	}
+
+	// A restart without -script has nothing to skip and reads no tag; the
+	// killed run's script was done, so it still finishes the same run.
+	killed := filepath.Join(dir, "killed.jsonl")
+	if err := os.WriteFile(killed, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut strings.Builder
+	args := []string{"-journal", killed, "-total", "25000", "-snap-every", "4000"}
+	if code := serveMain(args, &out, &errOut, nil); code != 0 || errOut.Len() != 0 {
+		t.Fatalf("ssvc-serve %v exited %d: %s", args, code, errOut.String())
+	}
+	if m := report.FindStringSubmatch(out.String()); m == nil || m[1] != "20000" || m[2] != "2500" {
+		t.Fatalf("without -script: want snapshot at cycle 20000 and 2500 cycles re-executed, got:\n%s", out.String())
+	}
+	if got := summary(out.String()); got != summary(want) {
+		t.Fatalf("without -script: resumed run diverged:\n%s\nuninterrupted:\n%s", got, summary(want))
+	}
+	if resumed, err := os.ReadFile(killed); err != nil || !bytes.Equal(resumed, data) {
+		t.Fatalf("without -script: the resumed journal differs from the uninterrupted run's (%v)", err)
+	}
 }
 
 // TestRemovedShardFlags: the switch runs one serial cycle, so -shards and

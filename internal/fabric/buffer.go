@@ -18,8 +18,15 @@ type Buffer struct {
 	capFlits int
 	flits    int
 	reserved int
-	pkts     []*noc.Packet
-	head     int
+	// drains counts the events that grew the free space: every Pop that
+	// removed a packet, every Unreserve and every DropWhere that dropped
+	// something. Nothing else grows it — Commit turns a reservation into
+	// occupancy at no change, and the capacity is fixed — so a packet
+	// CanAccept refused stays refused until drains moves. Sources' refusal
+	// memory waits on it (Sources.Refused).
+	drains uint64
+	pkts   []*noc.Packet
+	head   int
 }
 
 // NewBuffer returns an empty buffer holding capFlits flits.
@@ -41,7 +48,10 @@ func (b *Buffer) Reserve(length int) { b.reserved += length }
 // last flit arrived — the NACK path of a multi-hop engine: the packet
 // stays (or is re-queued) upstream and the downstream space it had
 // claimed is returned.
-func (b *Buffer) Unreserve(length int) { b.reserved -= length }
+func (b *Buffer) Unreserve(length int) {
+	b.reserved -= length
+	b.drains++
+}
 
 // Commit converts a packet's reservation into occupancy when its last
 // flit arrives.
@@ -88,6 +98,7 @@ func (b *Buffer) Pop() *noc.Packet {
 	b.pkts[b.head] = nil
 	b.head++
 	b.flits -= p.Length
+	b.drains++
 	// Compact once the dead prefix dominates, keeping Pop amortised O(1)
 	// without unbounded growth.
 	if b.head > 32 && b.head*2 >= len(b.pkts) {
@@ -143,6 +154,9 @@ func (b *Buffer) DropWhere(pred func(*noc.Packet) bool, onDrop func(*noc.Packet)
 	}
 	b.pkts = b.pkts[:kept]
 	b.head = 0
+	if dropped > 0 {
+		b.drains++
+	}
 	return dropped
 }
 

@@ -14,7 +14,9 @@ import (
 // (internal/ctlplane, DESIGN.md "Recovery"): packets, input buffers and
 // source sets append their state to the engine's buffer and restore it
 // into freshly built values. Free lists, dead queue prefixes and scratch
-// are storage, not state, and are never written. Every restore function
+// are storage, not state, and are never written; nor are a buffer's drain
+// count and the source set's refusal memory, which a restored set starts
+// without (a forgotten refusal costs one try). Every restore function
 // is a taint barrier: it returns an error, and leaves no panic behind for
 // the cycle loop to find, whatever bytes it is given. A value a restore
 // function refused is not to be used.
@@ -211,6 +213,7 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 	i := len(s.flows)
 	s.flows = append(s.flows, nil)
 	s.groupOf = append(s.groupOf, group)
+	s.waits = append(s.waits, refusal{})
 	s.sched = append(s.sched, nil)
 	s.blocked = append(s.blocked, false)
 	s.retiring = append(s.retiring, slot != slotLive)

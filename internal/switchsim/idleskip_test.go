@@ -28,14 +28,19 @@ type skipScenario struct {
 	cycles   noc.Cycle
 	gate     func(now noc.Cycle, p *noc.Packet) bool // Config.AdmissionGate
 	dynamic  bool                                    // Config.DynamicFlows
+	hot      int                                     // converging VOQs: GB flows per input onto outputs [0, hot)
 }
 
 // buildSkipSwitch builds a switch carrying a deterministic mixed-class
 // load (GB everywhere, BE on every third input, one policed GL source).
-// fullWalk installs an inert fault schedule — the zero faults.Config
-// injects nothing — which forces the reference full-scan admission loop
-// and full output walk, turning the event-driven masks off without
-// changing any observable behavior.
+// With hot > 0 the GB load converges instead: every input but each
+// fourth carries one GB flow to each of the outputs [0, hot), so an
+// input holds several GB queues waiting on different full VOQs, and each
+// fourth input carries one BE flow onto output hot or hot+1. fullWalk
+// installs an inert fault schedule — the zero faults.Config injects
+// nothing — which forces the reference full-scan admission loop and full
+// output walk, turning the event-driven masks and the refusal memory off
+// without changing any observable behavior.
 func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
 	t.Helper()
 	radix := sc.radix
@@ -55,16 +60,28 @@ func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
 		}
 	}
 	var seq traffic.Sequence
+	gen := func(spec noc.FlowSpec, seed uint64) traffic.Flow {
+		if sc.load > 0 {
+			return traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, sc.load, seed)}
+		}
+		return traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 4)}
+	}
 	for i := 0; i < radix-1; i++ {
+		if sc.hot > 0 {
+			if i%4 == 3 {
+				be := noc.FlowSpec{Src: i, Dst: sc.hot + i/4%2, Class: noc.BestEffort, PacketLength: 2}
+				addFlow(t, sw, gen(be, 2000+uint64(i)))
+				continue
+			}
+			for o := 0; o < sc.hot; o++ {
+				spec := noc.FlowSpec{Src: i, Dst: o, Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}
+				addFlow(t, sw, gen(spec, 1000+uint64(radix*i+o)))
+			}
+			continue
+		}
 		spec := noc.FlowSpec{Src: i, Dst: (i*5 + 1) % radix, Class: noc.GuaranteedBandwidth,
 			Rate: 0.2, PacketLength: 4}
-		var gen traffic.Generator
-		if sc.load > 0 {
-			gen = traffic.NewBernoulli(&seq, spec, sc.load, 1000+uint64(i))
-		} else {
-			gen = traffic.NewBacklogged(&seq, spec, 4)
-		}
-		addFlow(t, sw, traffic.Flow{Spec: spec, Gen: gen})
+		addFlow(t, sw, gen(spec, 1000+uint64(i)))
 		if i%3 == 0 {
 			be := noc.FlowSpec{Src: i, Dst: (i*3 + 2) % radix, Class: noc.BestEffort, PacketLength: 2}
 			rate := sc.load
@@ -85,18 +102,23 @@ func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
 // behavior: every counter and the complete delivery trace must match.
 // The only permitted difference is the skip accounting itself, which
 // must be zero on the full walk and (at low load) positive on the
-// event-driven path.
+// event-driven path, and the refusal memory, which the full walk never
+// fills and the converging-VOQ shapes must use.
 func TestEventDrivenMatchesFullWalk(t *testing.T) {
 	scenarios := []skipScenario{
 		{name: "lowLoadRadix8", radix: 8, load: 0.05, cycles: 4000},
 		{name: "saturatedChainingRadix8", radix: 8, chaining: true, cycles: 3000},
 		{name: "midLoadChainingRadix64", radix: 64, chaining: true, load: 0.1, cycles: 2000},
 		{name: "lowLoadRadix64", radix: 64, load: 0.02, cycles: 3000},
+		{name: "convergingRadix8", radix: 8, hot: 2, cycles: 3000},
+		{name: "convergingChainingRadix64", radix: 64, chaining: true, hot: 4, cycles: 2000},
+		{name: "convergingMidLoadRadix64", radix: 64, hot: 3, load: 0.3, cycles: 2000},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			var traces [2][]delivery
 			var sws [2]*Switch
+			var remembered [2]int
 			for v := 0; v < 2; v++ {
 				fullWalk := v == 1
 				sw := buildSkipSwitch(t, sc, fullWalk)
@@ -104,13 +126,23 @@ func TestEventDrivenMatchesFullWalk(t *testing.T) {
 				sw.OnDeliver(func(p *noc.Packet) {
 					traces[idx] = append(traces[idx], delivery{p.ID, p.Src, p.Dst, p.DeliveredAt})
 				})
-				sw.Run(sc.cycles)
+				for c := noc.Cycle(0); c < sc.cycles && sw.Err() == nil; c++ {
+					sw.Step()
+					remembered[v] += checkRefusals(t, sw)
+				}
 				if err := sw.Err(); err != nil {
 					t.Fatalf("fullWalk=%v: engine froze: %v", fullWalk, err)
 				}
 				sws[v] = sw
 			}
 			ev, ref := sws[0], sws[1]
+			if remembered[1] != 0 {
+				t.Errorf("the full walk remembered %d refusals", remembered[1])
+			}
+			if sc.hot > 0 && (remembered[0] == 0 || ev.sources.Tries() >= ref.sources.Tries()) {
+				t.Errorf("converging VOQs: event-driven remembered %d refusals and made %d tries, full walk %d",
+					remembered[0], ev.sources.Tries(), ref.sources.Tries())
+			}
 			counters := []struct {
 				name    string
 				ev, ref uint64

@@ -55,14 +55,10 @@ func runScanned(t *testing.T, sw *Switch, cycles noc.Cycle) {
 	}
 }
 
-// TestOffersMatchScan runs the oracle over every event that can change an
-// offer: admission, grant and completion at one and two mask words,
-// chained grants of inputs freed in the same cycle, a preemption NACK, a
-// gate that holds admissions back, CRC retries sitting out their backoff,
-// an input and an output fail-stop, and flows attached and retired
-// mid-run.
-func TestOffersMatchScan(t *testing.T) {
-	for _, sc := range []skipScenario{
+// offerScenarios is the buildSkipSwitch part of TestOffersMatchScan's
+// matrix, which TestRefusalMemoNeverHidesAHead runs too.
+func offerScenarios() []skipScenario {
+	return []skipScenario{
 		{name: "saturatedRadix8", radix: 8, cycles: 3000},
 		{name: "midLoadRadix64", radix: 64, load: 0.1, cycles: 2000},
 		{name: "saturatedRadix70", radix: 70, cycles: 1500},
@@ -71,7 +67,17 @@ func TestOffersMatchScan(t *testing.T) {
 		{name: "chainingRadix64", radix: 64, chaining: true, load: 0.1, cycles: 2000},
 		{name: "gateRadix8", radix: 8, cycles: 3000,
 			gate: func(now noc.Cycle, p *noc.Packet) bool { return (uint64(now)+uint64(p.Src))%3 != 0 }},
-	} {
+	}
+}
+
+// TestOffersMatchScan runs the oracle over every event that can change an
+// offer: admission, grant and completion at one and two mask words,
+// chained grants of inputs freed in the same cycle, a preemption NACK, a
+// gate that holds admissions back, CRC retries sitting out their backoff,
+// an input and an output fail-stop, and flows attached and retired
+// mid-run.
+func TestOffersMatchScan(t *testing.T) {
+	for _, sc := range offerScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			sw := buildSkipSwitch(t, sc, false)
 			runScanned(t, sw, sc.cycles)

@@ -387,6 +387,7 @@ func (s *Switch) Run(n noc.Cycle) {
 //
 //ssvc:hotpath
 func (s *Switch) admit(now noc.Cycle) {
+	masked := s.faults == nil && s.cfg.AdmissionGate == nil
 	try := func(p *noc.Packet) bool {
 		// Packets from a fail-stopped input or toward a fail-stopped
 		// output are doomed: accept them out of the source queue and
@@ -399,6 +400,11 @@ func (s *Switch) admit(now noc.Cycle) {
 		}
 		buf := s.inputs[p.Src].bufferFor(p.Class, p.Dst)
 		if !buf.CanAccept(p.Length) {
+			if masked {
+				// Nothing but a drain of buf can change this verdict, so
+				// Sources skips the flow until one (fabric.Sources.Refused).
+				s.sources.Refused(buf)
+			}
 			return false
 		}
 		if s.cfg.AdmissionGate != nil && !s.cfg.AdmissionGate(now, p) {
@@ -413,13 +419,16 @@ func (s *Switch) admit(now noc.Cycle) {
 		}
 		return true
 	}
-	if s.faults == nil && s.cfg.AdmissionGate == nil {
+	if masked {
 		// Event-driven path: an input whose last scan admitted nothing is
 		// skipped until something that could change the outcome happens —
 		// a buffer pop frees space (grant clears the bit) or a source
 		// queue turns nonempty (the Sources new-head callback clears it).
+		// Inside a scan, a flow whose head a full buffer refused is
+		// skipped until that buffer drains (the refusal memory above).
 		// Fault dooming and admission gates are time-varying, so those
-		// configurations always take the full scan below.
+		// configurations always take the full scan below and name no
+		// buffer.
 		s.SkippedAdmits += uint64(arb.MaskCount(s.admitSkip))
 		for w := range s.admitSkip {
 			m := ^s.admitSkip[w]
