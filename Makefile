@@ -43,16 +43,18 @@ lint:
 # engine in lock step with its scan oracle, its offer evaluations per
 # saturated cycle, the crossbar's refusal memory against the heads it
 # hides and its admission tries per saturated cycle), then a
-# short-benchtime sweep of the arbitration and cycle-loop benchmarks. The sweep is informational: CI hardware is too
-# noisy to gate on ns/op, and the allocation gate over the same
-# configurations is TestSteadyStateAllocs, which `make test` runs.
+# short-benchtime sweep of the arbitration and cycle-loop benchmarks and
+# of the Bernoulli scan's cost per draw at six probabilities. The sweep
+# is informational: CI hardware is too noisy to gate on ns/op, and the
+# allocation gate over the same configurations is TestSteadyStateAllocs,
+# which `make test` runs.
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains'
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants'
-	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated' \
-		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/
+	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
+		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ ./internal/traffic/
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): six
 # workloads, nine end-to-end metrics. perf-pairs builds ./bench in a

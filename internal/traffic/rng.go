@@ -18,9 +18,15 @@ const splitMixGamma = 0x9e3779b97f4a7c15
 
 // splitMix is SplitMix64's output function over an already-advanced state.
 func splitMix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z = mixed(z)
 	return z ^ (z >> 31)
+}
+
+// mixed is splitMix before its final xorshift: both multiplies, whose
+// result has the same top 31 bits as the output (z>>31 is zero there).
+func mixed(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	return (z ^ (z >> 27)) * 0x94d049bb133111eb
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
@@ -67,23 +73,55 @@ func (r *RNG) draw(o odds) bool { return r.Uint64()>>11 < uint64(o) }
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.draw(oddsOf(p)) }
 
+// laneOdds is where failuresBefore stops scanning in lanes: from p = 1/4
+// up, the first draw usually succeeds and the second lane is wasted work.
+// Below it, cut (see failuresBefore) stays under 2^63 and cannot wrap.
+const laneOdds = 1 << 51
+
 // failuresBefore draws until the first success and returns how many draws
 // failed before it: the draws, their order and the final state are those
 // of calling draw in a loop, but the state lives in a register across the
 // scan instead of going through r once per draw. o must be nonzero, or no
 // draw ever succeeds.
 //
+// Below laneOdds it advances two draws a step, s+γ and s+2γ, whose
+// multiplies are independent and overlap; two lanes fit in registers
+// (more spill, and cost the one-draw path a stack frame). A draw succeeds
+// when its output is below lim = o<<11. The output's top 31 bits are
+// those of mixed, so mixed below cut, lim rounded up to a multiple of
+// 2^33, is necessary, and only a lane past that one compare pays for the
+// exact test. Lanes are resolved in order, so the first success wins.
+//
 //ssvc:hotpath
 func (r *RNG) failuresBefore(o odds) uint64 {
 	s := r.state
 	n := uint64(0)
-	for {
-		s += splitMixGamma
-		if splitMix(s)>>11 < uint64(o) {
-			break
+	if o >= laneOdds {
+		for {
+			s += splitMixGamma
+			if splitMix(s)>>11 < uint64(o) {
+				break
+			}
+			n++
 		}
-		n++
+		r.state = s
+		return n
 	}
-	r.state = s
-	return n
+	lim := uint64(o) << 11
+	cut := (lim + (1<<33 - 1)) >> 33 << 33
+	for {
+		s1 := s + splitMixGamma
+		s2 := s1 + splitMixGamma
+		z1, z2 := mixed(s1), mixed(s2)
+		if z1 < cut && z1^(z1>>31) < lim {
+			r.state = s1
+			return n
+		}
+		if z2 < cut && z2^(z2>>31) < lim {
+			r.state = s2
+			return n + 1
+		}
+		s = s2
+		n += 2
+	}
 }

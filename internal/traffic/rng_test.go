@@ -1,17 +1,52 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"swizzleqos/internal/noc"
 )
 
+// oneByOne is failuresBefore's definition, one draw per iteration: the
+// oracle the lane scan must match on count and final state. It gives up
+// after limit failed draws, reporting false.
+func oneByOne(r *RNG, o odds, limit uint64) (uint64, bool) {
+	for n := uint64(0); n < limit; n++ {
+		if r.draw(o) {
+			return n, true
+		}
+	}
+	return limit, false
+}
+
+// scanCap bounds the oracle's wait for a success, so a check at any p
+// finishes: a rarer success is not compared.
+const scanCap = 1 << 16
+
+// checkScan runs scans failuresBefore calls from state seed against the
+// oracle and stops at the first one whose success lies beyond scanCap.
+func checkScan(t *testing.T, o odds, seed uint64, scans int) {
+	t.Helper()
+	got, ref := &RNG{state: seed}, &RNG{state: seed}
+	for scan := 0; scan < scans; scan++ {
+		want, ok := oneByOne(ref, o, scanCap)
+		if !ok {
+			return
+		}
+		if n := got.failuresBefore(o); n != want {
+			t.Fatalf("odds %d state %#x scan %d: %d failed draws, oracle %d", o, seed, scan, n, want)
+		}
+		if *got != *ref {
+			t.Fatalf("odds %d state %#x scan %d: state %#x, oracle %#x", o, seed, scan, got.state, ref.state)
+		}
+	}
+}
+
 // checkBernoulliScan compares the integer Bernoulli draw with the
 // definition it replaces, Float64() < p, from one seed: the same outcome
-// on each of draws single draws, and — where a success comes soon enough
-// to wait for — the same failure count from the register scan, with the
-// generator left in the same state both ways.
+// on each of draws single draws, with the generator left in the same
+// state both ways. From there it holds the scan to the one-draw oracle.
 func checkBernoulliScan(t *testing.T, p float64, seed uint64, draws int) {
 	t.Helper()
 	o := oddsOf(p)
@@ -24,19 +59,80 @@ func checkBernoulliScan(t *testing.T, p float64, seed uint64, draws int) {
 	if *got != *ref {
 		t.Fatalf("p=%g seed=%d: state %#x after %d draws, reference %#x", p, seed, got.state, draws, ref.state)
 	}
-	if !(p >= 1.0/4096) { // rarer successes would take too long to reach
-		return
+	if o != 0 {
+		checkScan(t, o, got.state, 8)
 	}
-	for scan := 0; scan < 8; scan++ {
-		want := uint64(0)
-		for !(ref.Float64() < p) {
-			want++
+}
+
+// inverse returns a's inverse modulo 2^64 (a odd), by Newton's iteration.
+func inverse(a uint64) uint64 {
+	x := a
+	for i := 0; i < 6; i++ {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+// unshift inverts z ^= z >> k.
+func unshift(z uint64, k uint) uint64 {
+	x := z
+	for i := uint(0); i < 64/k; i++ {
+		x = z ^ x>>k
+	}
+	return x
+}
+
+// unmix inverts mixed: the state whose two multiplies give z.
+func unmix(z uint64) uint64 {
+	z = unshift(z*inverse(0x94d049bb133111eb), 27)
+	return unshift(z*inverse(0xbf58476d1ce4e5b9), 30)
+}
+
+// placed returns the state whose draw k (counting from 0) has output out.
+func placed(out, k uint64) uint64 { return unmix(unshift(out, 31)) - (k+1)*splitMixGamma }
+
+func TestScanLanesMatchOneByOne(t *testing.T) {
+	for _, out := range []uint64{0, 1, 1 << 33, 1<<64 - 1, 0x0123456789abcdef} {
+		if got := splitMix(placed(out, 0) + splitMixGamma); got != out {
+			t.Fatalf("output %#x placed, %#x drawn", out, got)
 		}
-		if n := got.failuresBefore(o); n != want {
-			t.Fatalf("p=%g seed=%d scan %d: %d failed draws, reference %d", p, seed, scan, n, want)
+	}
+	sparse := oddsOf(0.0025)
+	all := []odds{1, sparse, laneOdds - 1, laneOdds, 1 << 53}
+	// Output 0, a success at any odds, placed at each of the first ten
+	// draws: both lanes of five blocks. At p = 2^-53 nothing earlier
+	// succeeds.
+	lanes := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for _, o := range all {
+		for _, k := range lanes {
+			checkScan(t, o, placed(0, k), 1)
 		}
-		if *got != *ref {
-			t.Fatalf("p=%g seed=%d scan %d: state %#x, reference %#x", p, seed, scan, got.state, ref.state)
+	}
+	for _, k := range lanes {
+		if n := (&RNG{state: placed(0, k)}).failuresBefore(1); n != k {
+			t.Fatalf("p=2^-53, success placed at draw %d: scan returned %d", k, n)
+		}
+	}
+	// Unplaced successes on both sides of the switch-over and at p = 1.
+	for _, o := range all[1:] {
+		for seed := uint64(0); seed < 64; seed++ {
+			checkScan(t, o, seed, 8)
+		}
+	}
+	// The threshold at each lane: lim-1, the largest output that
+	// succeeds, and lim, whose top 31 bits pass the prefilter while the
+	// output fails the exact test.
+	lim := uint64(sparse) << 11
+	if lim%(1<<33) == 0 {
+		t.Fatal("lim is a multiple of 2^33: no output at lim passes the prefilter")
+	}
+	for _, out := range []uint64{lim - 1, lim} {
+		for k := uint64(0); k < 4; k++ {
+			seed := placed(out, k)
+			if n, _ := oneByOne(&RNG{state: seed}, sparse, scanCap); (out < lim) != (n == k) || n < k {
+				t.Fatalf("output %#x placed at draw %d: the oracle's first success is draw %d", out, k, n)
+			}
+			checkScan(t, sparse, seed, 1)
 		}
 	}
 }
@@ -69,22 +165,31 @@ func FuzzBernoulliScan(f *testing.F) {
 		f.Add(p, uint64(i))
 	}
 	f.Add(0.02/4, uint64(0x9e3779b97f4a7c15))
+	// The rare edges reach the scan only from a state near a success.
+	for _, p := range []float64{0x1p-53, math.SmallestNonzeroFloat64} {
+		f.Add(p, placed(0, 700))
+	}
 	f.Fuzz(func(t *testing.T, p float64, seed uint64) {
 		checkBernoulliScan(t, p, seed, 512)
 	})
 }
 
 // BenchmarkBernoulliNextArrival measures the scan at the sparse
-// workload's rate (2 % load in 8-flit packets: p = 0.0025, 400 draws per
-// arrival) and reports the cost of one draw.
+// workloads' rate (2 % load in 8-flit packets: p = 0.0025), Figure 4's
+// range, the control plane's GB load and the lanes' switch-over region,
+// and reports the cost of one draw.
 func BenchmarkBernoulliNextArrival(b *testing.B) {
-	var seq Sequence
-	g := NewBernoulli(&seq, specGB(0.02, 8), 0.02, 1)
-	from := noc.Cycle(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at, _ := g.NextArrival(from, 0)
-		from = at + 1
+	for _, p := range []float64{0.0025, 0.00625, 0.0375, 0.125, 0.5, 0.9} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			var seq Sequence
+			g := NewBernoulli(&seq, specGB(p, 1), p, 1)
+			from := noc.Cycle(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at, _ := g.NextArrival(from, 0)
+				from = at + 1
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(from.Uint()), "ns/draw")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(from.Uint()), "ns/draw")
 }
