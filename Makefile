@@ -39,7 +39,9 @@ lint:
 # Perf gate for the word-parallel arbitration path: the bitplane/scalar
 # equivalence fuzz seed corpus, the oracles the saturated crossbar and
 # routed cycles rest on (the LRG priority matrix against the move-to-back
-# list, each engine's standing offers against a per-cycle scan, the routed
+# list, the shared standing offers, arbiter clock and admission-skip mask
+# against their fabric oracles, each engine's standing offers against a
+# per-cycle scan, the routed
 # engine in lock step with its scan oracle, its offer evaluations per
 # saturated cycle, the crossbar's refusal memory against the heads it
 # hides and its admission tries per saturated cycle), then a
@@ -51,6 +53,7 @@ lint:
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
+	$(GO) test ./internal/fabric/ -run 'FuzzOffers|TestClocksMatchEveryCycle|TestSkipMask'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains'
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
@@ -169,6 +172,7 @@ fuzz:
 	$(GO) test ./internal/fabric/ -fuzz FuzzBufferInvariants -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzRefusalMemo -fuzztime 30s
+	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzOffers -fuzztime 30s
 	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s

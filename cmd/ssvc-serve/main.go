@@ -17,7 +17,10 @@
 // cycles and, when -listen is given, accepting the same line protocol
 // over TCP: one command per line of at most 4 KiB, one result line back,
 // at most 256 connections at a time (a longer line or a further
-// connection is answered with a typed `err` line and closed). The loop
+// connection is answered with a typed `err` line and closed). A
+// connection that sends no line for two minutes is answered `err
+// reason=idle` and closed, and one that takes no reply for as long is
+// closed, so a silent client cannot hold a slot for good. The loop
 // looks at the network every 128 simulated cycles; everything waiting
 // then is one batch — applied in arrival order at that cycle, journaled
 // record by record, made durable by one fsync, and only then
@@ -54,6 +57,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -318,10 +322,17 @@ const (
 	// goroutines and the size of a batch (a connection has one command
 	// in flight).
 	maxConns = 256
-	// reasonBusy refuses a connection past maxConns. The plane never
-	// gives it: it is the daemon's own.
+	// reasonBusy refuses a connection past maxConns, and reasonIdle closes
+	// one that sent no line for ioTimeout. The plane never gives either:
+	// they are the daemon's own.
 	reasonBusy = "busy"
+	reasonIdle = "idle"
 )
+
+// ioTimeout bounds how long a connection may hold its slot waiting for
+// its next line, or for the peer to take a reply. It is a variable only
+// so that tests can shorten it.
+var ioTimeout = 2 * time.Minute
 
 // server is the TCP side of the daemon: it funnels the commands of every
 // connection into the one goroutine that drives the plane.
@@ -352,8 +363,16 @@ func newServer(ln net.Listener) *server {
 }
 
 // refuse answers a connection's line with a typed protocol error.
-func refuse(conn net.Conn, reason ctlplane.Reason, msg string) {
-	fmt.Fprintf(conn, "err reason=%s msg=%q\n", reason, msg)
+func refuse(conn net.Conn, reason ctlplane.Reason, msg string) error {
+	return reply(conn, fmt.Sprintf("err reason=%s msg=%q", reason, msg))
+}
+
+// reply writes one line back, giving up if the peer takes none of it for
+// ioTimeout.
+func reply(conn net.Conn, line string) error {
+	conn.SetWriteDeadline(time.Now().Add(ioTimeout))
+	_, err := fmt.Fprintf(conn, "%s\n", line)
+	return err
 }
 
 // acceptLoop hands every accepted connection to its own handler until
@@ -382,7 +401,8 @@ func (s *server) acceptLoop() {
 }
 
 // handle serves the line protocol on one connection: one command per
-// line, one result line back.
+// line, one result line back. It closes the connection once the peer has
+// sent no line, or taken no reply, for ioTimeout.
 func (s *server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -393,19 +413,27 @@ func (s *server) handle(conn net.Conn) {
 	}()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 512), maxLine)
-	for sc.Scan() {
+	for conn.SetReadDeadline(time.Now().Add(ioTimeout)) == nil && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
 		cmd, err := ctlplane.ParseCommand(line)
 		if err != nil {
-			refuse(conn, ctlplane.ReasonBadRequest, err.Error())
-			continue
+			err = refuse(conn, ctlplane.ReasonBadRequest, err.Error())
+		} else {
+			nc := netCmd{cmd: cmd, reply: make(chan ctlplane.Result, 1)}
+			s.cmds <- nc
+			err = reply(conn, fmt.Sprint(<-nc.reply))
 		}
-		nc := netCmd{cmd: cmd, reply: make(chan ctlplane.Result, 1)}
-		s.cmds <- nc
-		fmt.Fprintf(conn, "%s\n", <-nc.reply)
+		if err != nil {
+			return // the peer takes no replies
+		}
+	}
+	var ne net.Error
+	if errors.As(sc.Err(), &ne) && ne.Timeout() {
+		refuse(conn, reasonIdle, fmt.Sprintf("no command for %v", ioTimeout))
+		return
 	}
 	if sc.Err() == bufio.ErrTooLong {
 		refuse(conn, ctlplane.ReasonBadRequest, "line too long")

@@ -293,8 +293,9 @@ func TestBatchedChurn(t *testing.T) {
 	}
 }
 
-// TestProtocolLimits checks the two typed refusals of the TCP edge: a
-// line past maxLine and a connection past maxConns.
+// TestProtocolLimits checks the three typed refusals of the TCP edge: a
+// line past maxLine, a connection past maxConns, and a connection silent
+// for ioTimeout.
 func TestProtocolLimits(t *testing.T) {
 	d := startDaemon(t)
 
@@ -337,6 +338,33 @@ func TestProtocolLimits(t *testing.T) {
 	}
 	if reply, err := held[0].do("add gb 0 1 rate=0.1 len=4"); err != nil || !strings.HasPrefix(reply, "ok ") {
 		t.Fatalf("a held connection stopped working: %q, %v", reply, err)
+	}
+	d.shutdown(t)
+
+	// A connection that falls silent keeps its slot for ioTimeout and no
+	// longer: it is answered idle and closed, so with every slot once
+	// held, the next connection is served instead of refused busy.
+	defer func(was time.Duration) { ioTimeout = was }(ioTimeout)
+	ioTimeout = time.Second
+	d = startDaemon(t)
+	for i := range held {
+		held[i] = dial(t, d.addr)
+		if reply, err := held[i].do("remove 999"); err != nil || !strings.HasPrefix(reply, "err reason=not-found ") {
+			t.Fatalf("connection %d: %q, %v", i, reply, err)
+		}
+	}
+	for i, c := range held {
+		c.conn.SetReadDeadline(time.Now().Add(replyWait))
+		reply, err := io.ReadAll(c.r)
+		if err != nil {
+			t.Fatalf("reading the idle close of connection %d: %v", i, err)
+		}
+		if want := "err reason=idle msg=\"no command for 1s\"\n"; string(reply) != want {
+			t.Fatalf("idle connection %d answered %q, want %q", i, reply, want)
+		}
+	}
+	if reply, err := dial(t, d.addr).do("remove 999"); err != nil || !strings.HasPrefix(reply, "err reason=not-found ") {
+		t.Fatalf("a connection after the idle ones left: %q, %v", reply, err)
 	}
 	d.shutdown(t)
 }

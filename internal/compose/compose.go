@@ -289,16 +289,6 @@ type node struct {
 	arbs    []arb.Arbiter
 	next    []PortRef // downstream input for each output port...
 	hasNext []bool    // ...valid where true; otherwise the port ejects
-	// The standing offers (see refresh): offer[p] is the head input p
-	// offers to output offerOut[p], nil while it offers none, and want is
-	// one request mask over the inputs per output, words words each.
-	offer    []*noc.Packet
-	offerOut []int32
-	want     []uint64
-	words    int
-	// clks[p] is arbs[p]'s deadline face, asserted once at construction;
-	// nil where the arbiter announces none.
-	clks []arb.TickScheduler
 	// route[t] is Topology.Route(id, t), tabulated at construction.
 	route []int32
 	// groups[p] lists the injection groups (in Network.sources) that admit
@@ -317,7 +307,7 @@ func (n *Network) push(nd *node, port int) {
 		n.activePorts += len(nd.out)
 	}
 	if nd.in[port].Len() == 1 && !nd.inBusy[port] {
-		arb.MaskSet(n.dirty, nd.fbase+port)
+		n.offers.Mark(nd.fbase + port)
 	}
 }
 
@@ -328,16 +318,6 @@ func (n *Network) push(nd *node, port int) {
 func (n *Network) subWork(nd *node) {
 	if n.work[nd.id]--; n.work[nd.id] == 0 {
 		n.activePorts -= len(nd.out)
-	}
-}
-
-// retryAdmits makes the next admission walk try the given injection
-// groups again: something happened that could let one of them admit.
-//
-//ssvc:hotpath
-func (n *Network) retryAdmits(groups []int) {
-	for _, g := range groups {
-		arb.MaskClear(n.admitSkip, g)
 	}
 }
 
@@ -364,10 +344,10 @@ type Network struct {
 
 	cfg   Config
 	nodes []*node
-	// sources holds every flow. Unless the topology gives every flow a
-	// group of its own (Topology.flowGroups), group t is terminal t's;
-	// otherwise sources starts with no groups and AddFlow grows one per
-	// flow.
+	// sources holds every flow and the groups whose admission is provably
+	// barren (see admit). Unless the topology gives every flow a group of
+	// its own (Topology.flowGroups), group t is terminal t's; otherwise
+	// sources starts with no groups and AddFlow grows one per flow.
 	sources *fabric.Sources
 	txPool  fabric.TxPool
 	now     noc.Cycle
@@ -376,9 +356,10 @@ type Network struct {
 	faults   *faults.Injector
 	portBase []int // flat fault-port id of each node's port 0
 
-	// tickDue is the earliest cycle at which one of the arbiters needs its
-	// Tick (see tickArbiters); zero, so the first cycle asks.
-	tickDue noc.Cycle
+	// offers holds every input's standing offer (see arbitrate) and clocks
+	// ticks every arbiter, in node and port order, on their deadlines.
+	offers *fabric.Offers
+	clocks fabric.Clocks
 
 	// Event-driven work tracking (see DESIGN.md "Event-driven idle
 	// skipping"): work[id] counts node id's buffered packets, in-flight
@@ -389,20 +370,14 @@ type Network struct {
 	// Event masks over the flat port ids, which are what a cycle walks:
 	// flat id f is port f-fbase of node portNode[f], and its fault port.
 	// tx: transmitting outputs; cool: outputs that owe the idle cycle
-	// after a transfer; offered: outputs with a nonempty want; dirty:
-	// inputs whose offer may be stale; all: every port.
-	portNode                      []int32
-	tx, cool, offered, dirty, all []uint64
-	// admitSkip masks the injection groups whose last admission attempt
-	// moved nothing, and whose next one provably cannot either: every
-	// event that could change the outcome clears the bit (see admit).
-	admitSkip []uint64
+	// after a transfer; all: every port.
+	portNode      []int32
+	tx, cool, all []uint64
 
 	arbReqs []arb.Request // scratch: requests handed to one arbitration
 
 	totalPorts int
 
-	OfferEvals   uint64              // offers re-derived (refresh); not part of the embedded counter block
 	afterRefresh func(now noc.Cycle) // test hook: the offers are current for this cycle
 }
 
@@ -449,37 +424,30 @@ func New(cfg Config) (*Network, error) {
 		groups = len(cfg.Topology.Terminals)
 	}
 	net.sources = fabric.NewSources(groups)
-	net.admitSkip = make([]uint64, arb.MaskWords(groups))
-	net.sources.SetOnNewHead(func(group int) { arb.MaskClear(net.admitSkip, group) })
+	net.offers = fabric.NewOffers(cfg.Topology.Ports, net.offerOf)
 	words := arb.MaskWords(net.totalPorts)
-	net.tx, net.cool, net.offered = make([]uint64, words), make([]uint64, words), make([]uint64, words)
-	net.dirty, net.all = make([]uint64, words), make([]uint64, words)
+	net.tx, net.cool, net.all = make([]uint64, words), make([]uint64, words), make([]uint64, words)
 	for f := 0; f < net.totalPorts; f++ {
 		arb.MaskSet(net.all, f)
 	}
 	terms := len(cfg.Topology.Terminals)
 	for id, ports := range cfg.Topology.Ports {
 		n := &node{
-			id:       id,
-			fbase:    net.portBase[id],
-			in:       make([]*fabric.Buffer, ports),
-			out:      make([]*fabric.Transmission, ports),
-			inBusy:   make([]bool, ports),
-			arbs:     make([]arb.Arbiter, ports),
-			clks:     make([]arb.TickScheduler, ports),
-			next:     make([]PortRef, ports),
-			hasNext:  make([]bool, ports),
-			offer:    make([]*noc.Packet, ports),
-			offerOut: make([]int32, ports),
-			want:     make([]uint64, ports*arb.MaskWords(ports)),
-			words:    arb.MaskWords(ports),
-			route:    routes[id*terms : (id+1)*terms],
-			groups:   make([][]int, ports),
+			id:      id,
+			fbase:   net.portBase[id],
+			in:      make([]*fabric.Buffer, ports),
+			out:     make([]*fabric.Transmission, ports),
+			inBusy:  make([]bool, ports),
+			arbs:    make([]arb.Arbiter, ports),
+			next:    make([]PortRef, ports),
+			hasNext: make([]bool, ports),
+			route:   routes[id*terms : (id+1)*terms],
+			groups:  make([][]int, ports),
 		}
 		for p := 0; p < ports; p++ {
 			n.in[p] = fabric.NewBuffer(cfg.BufferFlits)
 			n.arbs[p] = newArb(id, p, ports)
-			n.clks[p], _ = n.arbs[p].(arb.TickScheduler)
+			net.clocks.Add(n.arbs[p])
 			n.next[p], n.hasNext[p] = cfg.Topology.Links[PortRef{Node: id, Port: p}]
 		}
 		net.nodes = append(net.nodes, n)
@@ -532,7 +500,7 @@ func (n *Network) checkRoutes() error {
 // which terminals are dead. A stale offer needs nothing: a schedule has
 // arbitrate re-derive every input before it reads one. Cold path.
 func (n *Network) recomputeActive() {
-	arb.MaskZero(n.admitSkip)
+	n.sources.ForgetSkips()
 	n.activePorts = 0
 	for _, nd := range n.nodes {
 		n.work[nd.id] = 0
@@ -621,17 +589,13 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	nd := n.nodes[at.Node]
 	if !n.cfg.Topology.flowGroups {
 		n.sources.Add(f, f.Spec.Src)
-		arb.MaskClear(n.admitSkip, f.Spec.Src) // a grown group gets a fresh attempt
+		n.sources.Unskip(f.Spec.Src) // a grown group gets a fresh attempt
 		return nil
 	}
-	// A group of the flow's own: admitSkip and the attachment port's
-	// retry list grow with the group set.
+	// A group of the flow's own (the skip mask grows with it), and the
+	// attachment port's list of groups to unskip.
 	n.sources.AddOwnGroup(f)
-	g := n.sources.Groups() - 1
-	if arb.MaskWords(g+1) > len(n.admitSkip) {
-		n.admitSkip = append(n.admitSkip, 0)
-	}
-	nd.groups[at.Port] = append(nd.groups[at.Port], g)
+	nd.groups[at.Port] = append(nd.groups[at.Port], n.sources.Groups()-1)
 	return nil
 }
 
@@ -655,7 +619,7 @@ func (n *Network) Step() {
 	n.admit(now)
 	n.transfer(now)
 	n.arbitrate(now)
-	n.tickArbiters(now)
+	n.clocks.Tick(now)
 	n.now++
 }
 
@@ -674,11 +638,11 @@ func (n *Network) Run(cycles noc.Cycle) {
 // terminal's attachment port, rotating across the group's flows so that
 // flows sharing a group share the injection port fairly.
 //
-// The walk visits the groups with a queued packet that admitSkip does
-// not mask. An attempt that moves nothing sets the group's bit, and the
-// bit stays set until something could change the outcome: a flow queue
-// of the group gains a head (Sources.SetOnNewHead), a flow joins it
-// (AddFlow), the buffer it admits into pops a packet (serve: an
+// The walk visits the groups with a queued packet that the skip mask
+// (fabric.Sources) does not hold. An attempt that moves nothing skips the
+// group, and the bit stays set until something could change the outcome:
+// a flow queue of the group gains a head (Sources clears it), a flow
+// joins it (AddFlow), the buffer it admits into pops a packet (serve: an
 // attachment port is never link-fed, so it holds no reservation and a
 // pop is the only way its free space grows), or a fail-stop rewrites
 // buffers and dead terminals wholesale (recomputeActive). A dead
@@ -708,15 +672,13 @@ func (n *Network) admit(now noc.Cycle) {
 	}
 	// Pops clear nonempty bits in place; the per-word snapshot keeps this
 	// cycle's scan set fixed.
-	queued := 0
+	queued, skip := 0, n.sources.SkipMask()
 	for w, mm := range n.sources.NonEmptyMask() {
 		queued += bits.OnesCount64(mm)
-		mm &^= n.admitSkip[w]
-		for mm != 0 {
+		for mm &^= skip[w]; mm != 0; mm &= mm - 1 {
 			g := w<<6 + bits.TrailingZeros64(mm)
-			mm &= mm - 1
 			if n.sources.AdmitGroup(g, try) == nil {
-				arb.MaskSet(n.admitSkip, g)
+				n.sources.Skip(g)
 			}
 		}
 	}
@@ -734,39 +696,11 @@ func (n *Network) complete(nd *node, f int) {
 	port := f - nd.fbase
 	tx := nd.out[port]
 	nd.inBusy[tx.Input] = false
-	arb.MaskSet(n.dirty, nd.fbase+tx.Input)
+	n.offers.Mark(nd.fbase + tx.Input)
 	nd.out[port] = nil
 	arb.MaskClear(n.tx, f)
 	arb.MaskSet(n.cool, f)
 	n.txPool.Put(tx)
-}
-
-// tickArbiters is the arbiter clock: it ticks the arbiters on the cycles
-// one of them is due and returns at once on the others. Each walk ticks
-// every arbiter (an early Tick is a no-op by contract) and gathers the
-// earliest deadline they announce afterwards; an arbiter that announces
-// none is due again next cycle, which keeps the network on the
-// every-cycle cadence.
-//
-//ssvc:hotpath
-func (n *Network) tickArbiters(now noc.Cycle) {
-	if now < n.tickDue {
-		return
-	}
-	due := arb.NeverTick
-	for _, nd := range n.nodes {
-		for p, a := range nd.arbs {
-			a.Tick(now)
-			next := now + 1
-			if c := nd.clks[p]; c != nil {
-				next = c.NextTick()
-			}
-			if next < due {
-				due = next
-			}
-		}
-	}
-	n.tickDue = due
 }
 
 // dropPkt counts and releases a packet discarded by a fault.
@@ -792,20 +726,10 @@ func (n *Network) applyFailStop(f faults.FailStop) {
 		nd.inBusy[at.Port] = false
 		return
 	}
-	nd := n.nodes[nodeOf(n.portBase, f.Port)]
-	port := f.Port - n.portBase[nd.id]
-	if nd.out[port] != nil {
+	nd := n.nodes[n.portNode[f.Port]]
+	if port := f.Port - nd.fbase; nd.out[port] != nil {
 		n.abortTx(nd, port)
 	}
-}
-
-// nodeOf finds the node owning a flat port id given the per-node bases.
-func nodeOf(bases []int, flat int) int {
-	id := len(bases) - 1
-	for id > 0 && bases[id] > flat {
-		id--
-	}
-	return id
 }
 
 // abortTx kills an in-flight transfer on one node output, releasing its
@@ -883,32 +807,31 @@ func (n *Network) transferPort(f int, now noc.Cycle) {
 	n.Deliver(pkt)
 }
 
-// arbitrate re-derives the dirty offers, then serves the outputs leaving
-// a cooldown or holding an offer, less the ones transmitting, in
-// ascending node and port order. The rest are idle and are counted
-// unvisited, as the walk over all ports counted them. A fault schedule
-// widens both masks to every port (HoldUntil makes an offer depend on
-// now; dead and stalled outputs have rules of their own) and skips
-// nothing. No input turns dirty here and serve touches only its own
-// output's bits, so the per-word snapshots are this cycle's sets.
+// arbitrate re-derives the marked offers (fabric.Offers), then serves
+// the outputs leaving a cooldown or holding an offer, less the ones
+// transmitting, in ascending node and port order. The rest are idle and
+// are counted unvisited, as the walk over all ports counted them. A fault
+// schedule widens both masks to every port (HoldUntil makes an offer
+// depend on now; dead and stalled outputs have rules of their own) and
+// skips nothing. The refresh runs after transfer, so an input freed this
+// cycle can be granted this cycle. No input is marked here and serve
+// touches only its own output's bits, so the per-word snapshots are this
+// cycle's sets.
 //
 //ssvc:hotpath
 func (n *Network) arbitrate(now noc.Cycle) {
-	for w, mm := range n.dirty {
-		if n.faults != nil {
-			mm = n.all[w]
-		}
-		n.dirty[w] = 0
-		for ; mm != 0; mm &= mm - 1 {
-			n.refresh(w<<6+bits.TrailingZeros64(mm), now)
-		}
+	set := n.offers.Dirty()
+	if n.faults != nil {
+		set = n.all
 	}
+	n.offers.Refresh(set, now)
 	if n.afterRefresh != nil {
 		n.afterRefresh(now)
 	}
+	offered := n.offers.Offered()
 	idle, skipped := n.totalPorts, n.totalPorts-n.activePorts
 	for w := range n.tx {
-		visit := n.cool[w] | n.offered[w]
+		visit := n.cool[w] | offered[w]
 		idle -= bits.OnesCount64(visit | n.tx[w])
 		if n.faults != nil {
 			visit = n.all[w]
@@ -926,43 +849,23 @@ func (n *Network) arbitrate(now noc.Cycle) {
 	}
 }
 
-// refresh re-derives the offer of the input at flat id f: an idle
-// input offers its head, unless the head sits out a retransmission
-// backoff, to the output the head routes to. The offer is state: it
-// stands until an event that can change it marks the input dirty.
+// offerOf is the network's one question to its standing offers: what
+// the input at flat id f offers at cycle now. An idle input offers its
+// head, unless the head sits out a retransmission backoff, to the output
+// the head routes to.
 //
 //ssvc:hotpath
-func (n *Network) refresh(f int, now noc.Cycle) {
+func (n *Network) offerOf(f int, now noc.Cycle) (int, arb.Request, bool) {
 	nd := n.nodes[n.portNode[f]]
 	port := f - nd.fbase
-	n.OfferEvals++
-	if nd.offer[port] != nil {
-		n.withdraw(nd, port)
-	}
 	if nd.inBusy[port] {
-		return
+		return 0, arb.Request{}, false
 	}
 	p := nd.in[port].Head()
 	if p == nil || p.HoldUntil > now {
-		return
+		return 0, arb.Request{}, false
 	}
-	out := int(nd.route[p.Dst])
-	nd.offer[port], nd.offerOut[port] = p, int32(out)
-	arb.MaskSet(nd.want[out*nd.words:], port)
-	arb.MaskSet(n.offered, nd.fbase+out)
-}
-
-// withdraw takes input port's offer out of its output's request mask.
-//
-//ssvc:hotpath
-func (n *Network) withdraw(nd *node, port int) {
-	out := int(nd.offerOut[port])
-	nd.offer[port] = nil
-	want := nd.want[out*nd.words : (out+1)*nd.words]
-	arb.MaskClear(want, port)
-	if !arb.MaskAny(want) {
-		arb.MaskClear(n.offered, nd.fbase+out)
-	}
+	return nd.fbase + int(nd.route[p.Dst]), arb.Request{Input: port, Class: p.Class, Packet: p}, true
 }
 
 // serve spends the cycle of the idle output at flat id f: it leaves
@@ -973,20 +876,16 @@ func (n *Network) withdraw(nd *node, port int) {
 func (n *Network) serve(f int, now noc.Cycle) {
 	nd := n.nodes[n.portNode[f]]
 	out := f - nd.fbase
-	want := nd.want[out*nd.words : (out+1)*nd.words]
 	if n.faults != nil {
 		if n.faults.OutputDead(f) {
 			// The static route dead-ends here: discard what is offered,
 			// so upstream buffers keep draining toward the fault point,
 			// but only now, after the lower nodes' arbitrations.
-			for w, mm := range want {
-				for ; mm != 0; mm &= mm - 1 {
-					in := w<<6 + bits.TrailingZeros64(mm)
-					n.withdraw(nd, in)
-					n.dropPkt(nd.in[in].Pop())
-					n.subWork(nd)
-					n.retryAdmits(nd.groups[in])
-				}
+			for _, r := range n.offers.Requests(f, n.arbReqs[:0]) {
+				n.offers.Withdraw(nd.fbase + r.Input)
+				n.dropPkt(nd.in[r.Input].Pop())
+				n.subWork(nd)
+				n.sources.Unskip(nd.groups[r.Input]...)
 			}
 			return
 		}
@@ -1004,16 +903,15 @@ func (n *Network) serve(f int, now noc.Cycle) {
 		next := nd.next[out]
 		down = n.nodes[next.Node].in[next.Port]
 	}
-	reqs := n.arbReqs[:0]
-	for w, mm := range want {
-		for ; mm != 0; mm &= mm - 1 {
-			in := w<<6 + bits.TrailingZeros64(mm)
-			p := nd.offer[in]
-			if down != nil && !down.CanAccept(p.Length) {
-				continue
+	reqs := n.offers.Requests(f, n.arbReqs[:0])
+	if down != nil {
+		kept := reqs[:0]
+		for _, r := range reqs {
+			if down.CanAccept(r.Packet.Length) {
+				kept = append(kept, r)
 			}
-			reqs = append(reqs, arb.Request{Input: in, Class: p.Class, Packet: p})
 		}
+		reqs = kept
 	}
 	if len(reqs) == 0 {
 		n.IdleCycles++
@@ -1047,8 +945,8 @@ func (n *Network) serve(f int, now noc.Cycle) {
 	// The granted head leaves the buffer but becomes an in-flight
 	// transmission, so nd's work count is unchanged. The space it
 	// frees can unblock the groups injecting at that port.
-	n.retryAdmits(nd.groups[req.Input])
-	n.withdraw(nd, req.Input)
+	n.sources.Unskip(nd.groups[req.Input]...)
+	n.offers.Withdraw(nd.fbase + req.Input)
 	nd.inBusy[req.Input] = true
 	nd.out[out] = n.txPool.Get(p, req.Input)
 	arb.MaskSet(n.tx, f)

@@ -20,7 +20,8 @@ func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 	t.Helper()
 	activePorts := 0
 	for _, nd := range n.nodes {
-		want := make([]uint64, len(nd.want))
+		words := arb.MaskWords(len(nd.in))
+		want := make([]uint64, len(nd.out)*words)
 		work := 0
 		for port := range nd.in {
 			f := nd.fbase + port
@@ -32,15 +33,17 @@ func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 			if nd.inBusy[port] || (head != nil && head.HoldUntil > now) {
 				head = nil
 			}
-			if nd.offer[port] != head {
-				t.Fatalf("cycle %d: node %d input %d offers %v, scan finds %v", now, nd.id, port, nd.offer[port], head)
+			offerOut, req, _ := n.offers.Standing(f)
+			offerOut -= nd.fbase
+			if req.Packet != head {
+				t.Fatalf("cycle %d: node %d input %d offers %v, scan finds %v", now, nd.id, port, req.Packet, head)
 			}
 			if head != nil {
 				out := n.cfg.Topology.Route(nd.id, head.Dst)
-				arb.MaskSet(want[out*nd.words:], port)
-				if int(nd.offerOut[port]) != out {
+				arb.MaskSet(want[out*words:], port)
+				if offerOut != out {
 					t.Fatalf("cycle %d: node %d input %d offers to output %d, its head routes to %d",
-						now, nd.id, port, nd.offerOut[port], out)
+						now, nd.id, port, offerOut, out)
 				}
 			}
 			work += nd.in[port].Len()
@@ -53,20 +56,20 @@ func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 			if arb.MaskHas(n.cool, f) {
 				work++
 			}
-			if arb.MaskHas(n.dirty, f) {
+			if arb.MaskHas(n.offers.Dirty(), f) {
 				t.Fatalf("cycle %d: node %d input %d is still dirty after the refresh", now, nd.id, port)
 			}
 		}
 		for out := range nd.out {
-			got, scan := nd.want[out*nd.words:(out+1)*nd.words], want[out*nd.words:(out+1)*nd.words]
+			got, scan := n.offers.Want(nd.fbase+out), want[out*words:(out+1)*words]
 			for w := range scan {
 				if got[w] != scan[w] {
 					t.Fatalf("cycle %d: node %d output %d want word %d is %#x, scan finds %#x", now, nd.id, out, w, got[w], scan[w])
 				}
 			}
-			if arb.MaskHas(n.offered, nd.fbase+out) != arb.MaskAny(scan) {
+			if arb.MaskHas(n.offers.Offered(), nd.fbase+out) != arb.MaskAny(scan) {
 				t.Fatalf("cycle %d: node %d output %d offered bit %v with %d requesters",
-					now, nd.id, out, arb.MaskHas(n.offered, nd.fbase+out), arb.MaskCount(scan))
+					now, nd.id, out, arb.MaskHas(n.offers.Offered(), nd.fbase+out), arb.MaskCount(scan))
 			}
 		}
 		// The cooldowns have no other record, so they are held to the
@@ -81,7 +84,7 @@ func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 	if n.activePorts != activePorts {
 		t.Fatalf("cycle %d: activePorts %d, recount %d", now, n.activePorts, activePorts)
 	}
-	for _, m := range [][]uint64{n.tx, n.cool, n.offered} {
+	for _, m := range [][]uint64{n.tx, n.cool, n.offers.Offered()} {
 		for w := range m {
 			if m[w]&^n.all[w] != 0 {
 				t.Fatalf("cycle %d: a bit is set past the last port", now)
@@ -93,8 +96,8 @@ func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 // standingOffers counts the offers standing in n's request masks.
 func standingOffers(n *Network) int {
 	standing := 0
-	for _, nd := range n.nodes {
-		standing += arb.MaskCount(nd.want)
+	for f := 0; f < n.totalPorts; f++ {
+		standing += arb.MaskCount(n.offers.Want(f))
 	}
 	return standing
 }
@@ -162,9 +165,9 @@ func TestOfferEvalsFollowGrants(t *testing.T) {
 			const cycles = 20000
 			standing := 0
 			n.afterRefresh = func(noc.Cycle) { standing += standingOffers(n) }
-			evals, arbs := n.OfferEvals, n.ArbCycles
+			evals, arbs := n.offers.Evals, n.ArbCycles
 			n.Run(cycles)
-			perCycle := float64(n.OfferEvals-evals) / cycles
+			perCycle := float64(n.offers.Evals-evals) / cycles
 			waiting := float64(standing) / cycles
 			t.Logf("%.2f offer evaluations, %.2f arbitrations, %.1f standing offers per cycle over %d input ports",
 				perCycle, float64(n.ArbCycles-arbs)/cycles, waiting, n.totalPorts)

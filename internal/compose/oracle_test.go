@@ -58,7 +58,7 @@ func (o *scanOracle) step() {
 	o.inject(now)
 	n.transfer(now)
 	o.arbitrate(now)
-	n.tickArbiters(now)
+	n.clocks.Tick(now)
 	n.now++
 }
 
@@ -378,7 +378,7 @@ func skippedGroups(t *testing.T, n *Network) int {
 	t.Helper()
 	masked := 0
 	for g := 0; g < n.sources.Groups(); g++ {
-		if !arb.MaskHas(n.admitSkip, g) {
+		if !arb.MaskHas(n.sources.SkipMask(), g) {
 			continue
 		}
 		masked++
@@ -425,7 +425,7 @@ func TestBucketsMatchScan(t *testing.T) {
 								}
 								// Only a saturated attachment port is sure to
 								// refuse its group sooner or later.
-								if !sharedGroups || !saturated || arb.MaskHas(n.admitSkip, g1) {
+								if !sharedGroups || !saturated || arb.MaskHas(n.sources.SkipMask(), g1) {
 									lateAt = n.now
 									late := noc.FlowSpec{Src: 1, Dst: 0, Class: noc.BestEffort, PacketLength: 1}
 									addFlow(t, n, late, traffic.NewBacklogged(got.seq, late, 2))

@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
+	"swizzleqos/internal/arb"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
 )
@@ -152,16 +154,24 @@ func TestSourcesNilEmit(t *testing.T) {
 	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 4}
 	gen, v := newTap(traffic.NewPeriodic(&seq, spec, 5, 0))
 	s := NewSources(1)
-	heads := 0
-	s.SetOnNewHead(func(int) { heads++ })
+	s.Skip(0)
 	s.Add(traffic.Flow{Spec: spec, Gen: gen}, 0)
 	if got := s.Generate(0); got != 1 {
 		t.Fatalf("cycle 0 generated %d, want 1", got)
 	}
+	heads := 0
+	if !arb.MaskHas(s.SkipMask(), 0) {
+		heads++ // the new head unskipped the group
+	}
+	s.Skip(0)
 	v.off = true // the calendar still holds the arrival announced for cycle 5
 	for c := noc.Cycle(1); c < 20; c++ {
 		if got := s.Generate(c); got != 0 {
 			t.Fatalf("cycle %d counted %d injections from a shut generator", c, got)
+		}
+		if !arb.MaskHas(s.SkipMask(), 0) {
+			heads++
+			s.Skip(0)
 		}
 	}
 	if s.GroupQueued(0) != 1 || heads != 1 || len(s.cal) != 0 || !s.blocked[0] {
@@ -201,5 +211,65 @@ func TestSourcesEventDrivenBlockedRearm(t *testing.T) {
 	}
 	if got := s.Generate(12); got != 0 {
 		t.Fatalf("cycle 12 generated %d, want 0 (full again)", got)
+	}
+}
+
+// TestSkipMask holds the admission-skip mask to its rules: the engine's
+// Skip sets a bit and its Unskip clears the groups it names; a flow queue
+// going empty -> nonempty clears its group's bit, and a push behind a head
+// does not; AddOwnGroup grows the mask across a 64-group word boundary;
+// ForgetSkips, the fail-stop reset, clears every bit.
+func TestSkipMask(t *testing.T) {
+	var seq traffic.Sequence
+	flow := func(src int) traffic.Flow {
+		spec := noc.FlowSpec{Src: src, Dst: 0, Class: noc.BestEffort, PacketLength: 1}
+		return traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 2)}
+	}
+	skipped := func(s *Sources) []int {
+		var gs []int
+		for g := 0; g < s.Groups(); g++ {
+			if arb.MaskHas(s.SkipMask(), g) {
+				gs = append(gs, g)
+			}
+		}
+		return gs
+	}
+	s := NewSources(63)
+	s.Add(flow(5), 5)
+	for _, g := range []int{5, 7, 9, 62} {
+		s.Skip(g)
+	}
+	s.Unskip(7, 9)
+	if got := fmt.Sprint(skipped(s)); got != "[5 62]" {
+		t.Fatalf("after Skip and Unskip: skipped %s, want [5 62]", got)
+	}
+	s.Generate(0) // group 5's queue gains its head
+	if got := fmt.Sprint(skipped(s)); got != "[62]" {
+		t.Fatalf("after a new head in group 5: skipped %s, want [62]", got)
+	}
+	s.Skip(5)
+	s.Generate(1) // a second packet behind the head
+	if got := fmt.Sprint(skipped(s)); got != "[5 62]" {
+		t.Fatalf("after a push behind a head: skipped %s, want [5 62]", got)
+	}
+
+	for g := 63; g < 66; g++ {
+		s.AddOwnGroup(flow(g))
+		s.Skip(g)
+	}
+	if len(s.SkipMask()) != 2 {
+		t.Fatalf("66 groups in %d mask words, want 2", len(s.SkipMask()))
+	}
+	if got := fmt.Sprint(skipped(s)); got != "[5 62 63 64 65]" {
+		t.Fatalf("after growing past a word: skipped %s, want [5 62 63 64 65]", got)
+	}
+	s.Generate(2) // the three new groups gain their heads
+	if got := fmt.Sprint(skipped(s)); got != "[5 62]" {
+		t.Fatalf("after new heads in the grown groups: skipped %s, want [5 62]", got)
+	}
+	s.Skip(64)
+	s.ForgetSkips()
+	if got := skipped(s); len(got) != 0 {
+		t.Fatalf("after ForgetSkips: skipped %v", got)
 	}
 }

@@ -19,16 +19,16 @@ func scanOffers(t *testing.T, sw *Switch, now noc.Cycle) {
 	t.Helper()
 	scan := make([][]arb.Request, len(sw.outputs))
 	for _, in := range sw.inputs {
-		r, ok := in.currentRequest(now)
+		dst, req, ok := sw.currentRequest(in.id, now)
 		if ok {
-			scan[r.dst] = append(scan[r.dst], r.req)
+			scan[dst] = append(scan[dst], req)
 		}
-		if in.offered != ok {
-			t.Fatalf("cycle %d: input %d offered=%v, scan says %v", now, in.id, in.offered, ok)
+		if _, _, offered := sw.offers.Standing(in.id); offered != ok {
+			t.Fatalf("cycle %d: input %d offered=%v, scan says %v", now, in.id, offered, ok)
 		}
 	}
 	for _, out := range sw.outputs {
-		got, want := sw.requests(out), scan[out.id]
+		got, want := sw.offers.Requests(out.id, nil), scan[out.id]
 		if len(got) != len(want) {
 			t.Fatalf("cycle %d: output %d has %d standing offers %v, scan finds %d %v",
 				now, out.id, len(got), got, len(want), want)
@@ -38,9 +38,9 @@ func scanOffers(t *testing.T, sw *Switch, now noc.Cycle) {
 				t.Fatalf("cycle %d: output %d offer %d is %+v, scan finds %+v", now, out.id, i, got[i], want[i])
 			}
 		}
-		if arb.MaskHas(sw.offerDst, out.id) != (len(want) > 0) {
+		if arb.MaskHas(sw.offers.Offered(), out.id) != (len(want) > 0) {
 			t.Fatalf("cycle %d: output %d offered bit %v with %d requesters",
-				now, out.id, arb.MaskHas(sw.offerDst, out.id), len(want))
+				now, out.id, arb.MaskHas(sw.offers.Offered(), out.id), len(want))
 		}
 	}
 }
@@ -106,7 +106,7 @@ func TestOffersMatchScan(t *testing.T) {
 		sw.afterRefresh = func(now noc.Cycle) {
 			scanOffers(t, sw, now)
 			for _, in := range sw.inputs[:2] {
-				if in.offered && in.offer.req.Class == noc.GuaranteedLatency && in.gb[2].Len() > 0 {
+				if _, req, ok := sw.offers.Standing(in.id); ok && req.Class == noc.GuaranteedLatency && in.gb[2].Len() > 0 {
 					swapped++
 				}
 			}
@@ -200,12 +200,12 @@ func TestOfferEvalsFollowGrants(t *testing.T) {
 	waiting := 0
 	sw.afterRefresh = func(noc.Cycle) {
 		for _, out := range sw.outputs {
-			waiting += arb.MaskCount(out.want)
+			waiting += arb.MaskCount(sw.offers.Want(out.id))
 		}
 	}
-	evals, granted := sw.OfferEvals, sw.ArbCycles
+	evals, granted := sw.offers.Evals, sw.ArbCycles
 	sw.Run(cycles)
-	perCycle := float64(sw.OfferEvals-evals) / cycles
+	perCycle := float64(sw.offers.Evals-evals) / cycles
 	t.Logf("%.2f offer evaluations, %.2f arbitrations, %.1f standing offers per cycle",
 		perCycle, float64(sw.ArbCycles-granted)/cycles, float64(waiting)/cycles)
 	if float64(waiting)/cycles <= 40 {

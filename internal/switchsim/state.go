@@ -17,8 +17,8 @@ import (
 // and arming, per input the transmit flag, the GB rotation, the
 // admission-skip bit, the admission rotation and every buffer, per output
 // the in-flight transmission and the arbiter. The work masks and the
-// standing offers are images of that state and are re-derived; OfferEvals
-// is a diagnostic of the host's work, not of the simulation, and starts
+// standing offers are images of that state and are re-derived; the offers'
+// Evals count is a diagnostic of the host's work, not of the simulation, and starts
 // again at zero.
 
 // counterWords lists the counters a snapshot carries, in the order it
@@ -56,7 +56,7 @@ func (s *Switch) AppendState(b []byte) ([]byte, error) {
 	for _, in := range s.inputs {
 		b = wire.Bool(b, in.busy)
 		b = wire.Int(b, in.gbRR)
-		b = wire.Bool(b, arb.MaskHas(s.admitSkip, in.id))
+		b = wire.Bool(b, arb.MaskHas(s.sources.SkipMask(), in.id))
 		b = s.sources.AppendGroupState(b, in.id)
 		b = in.gl.AppendState(b)
 		b = in.be.AppendState(b)
@@ -217,9 +217,8 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 	s.recomputeMasks()
 	for _, in := range s.inputs {
 		if skip[in.id] {
-			arb.MaskSet(s.admitSkip, in.id)
+			s.sources.Skip(in.id)
 		}
 	}
-	copy(s.dirty, s.inQ)
 	return nil
 }

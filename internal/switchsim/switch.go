@@ -21,33 +21,25 @@ type inputPort struct {
 	busy  bool             // transmitting a granted packet
 	gbRR  int              // round-robin pointer over GB queues
 	gbOcc []uint64         // mask of nonempty GB virtual output queues
-
-	// The input's standing offer (see refreshOffers): while offered is
-	// set, offer is what currentRequest would return and the input's bit
-	// is in outputs[offer.dst].want. A busy input never has one.
-	offer   request
-	offered bool
 }
 
-// request is the single (output, class, packet) offer an input has
-// standing at a time.
-type request struct {
-	dst int
-	req arb.Request
-}
-
-// currentRequest picks the input's offer for cycle now: the
-// guaranteed-latency head first, then the next non-empty guaranteed-
-// bandwidth queue in round-robin order, then the best-effort head. A busy
-// input offers nothing. A head sitting out a retransmission backoff
-// (HoldUntil > now, see internal/faults) blocks its own queue but not
-// the input's other queues; HoldUntil is always zero in fault-free runs.
-func (in *inputPort) currentRequest(now noc.Cycle) (request, bool) {
+// currentRequest is the crossbar's one question to its standing offers
+// (fabric.Offers): input i's offer for cycle now, its output and request.
+// It picks the guaranteed-latency head first, then the next non-empty
+// guaranteed-bandwidth queue in round-robin order, then the best-effort
+// head. A busy input offers nothing. A head sitting out a retransmission
+// backoff (HoldUntil > now, see internal/faults) blocks its own queue but
+// not the input's other queues; HoldUntil is always zero in fault-free
+// runs.
+//
+//ssvc:hotpath
+func (s *Switch) currentRequest(i int, now noc.Cycle) (dst int, req arb.Request, ok bool) {
+	in := s.inputs[i]
 	if in.busy {
-		return request{}, false
+		return 0, arb.Request{}, false
 	}
 	if p := in.gl.Head(); p != nil && p.HoldUntil <= now {
-		return request{dst: p.Dst, req: arb.Request{Input: in.id, Class: noc.GuaranteedLatency, Packet: p}}, true
+		return p.Dst, arb.Request{Input: i, Class: noc.GuaranteedLatency, Packet: p}, true
 	}
 	// The occupancy mask turns the round-robin scan over all radix
 	// virtual output queues into a rotated walk of the nonempty ones
@@ -57,7 +49,7 @@ func (in *inputPort) currentRequest(now noc.Cycle) (request, bool) {
 		n := len(in.gb)
 		for o := first; ; {
 			if p := in.gb[o].Head(); p != nil && p.HoldUntil <= now {
-				return request{dst: o, req: arb.Request{Input: in.id, Class: noc.GuaranteedBandwidth, Packet: p}}, true
+				return o, arb.Request{Input: i, Class: noc.GuaranteedBandwidth, Packet: p}, true
 			}
 			next := o + 1
 			if next == n {
@@ -69,9 +61,9 @@ func (in *inputPort) currentRequest(now noc.Cycle) (request, bool) {
 		}
 	}
 	if p := in.be.Head(); p != nil && p.HoldUntil <= now {
-		return request{dst: p.Dst, req: arb.Request{Input: in.id, Class: noc.BestEffort, Packet: p}}, true
+		return p.Dst, arb.Request{Input: i, Class: noc.BestEffort, Packet: p}, true
 	}
-	return request{}, false
+	return 0, arb.Request{}, false
 }
 
 // bufferFor returns the buffer a packet of the given class/destination
@@ -88,19 +80,15 @@ func (in *inputPort) bufferFor(class noc.Class, dst int) *fabric.Buffer {
 }
 
 // outputPort is one output channel: its arbiter and channel state. The
-// obs, pre and clk fields cache the arbiter's optional-interface
-// assertions at construction time so the per-cycle loop never pays for a
-// dynamic type assertion (admit consults obs once per admitted packet;
-// see New). want is the output's request register: the inputs whose
-// standing offer is for this output.
+// obs and pre fields cache the arbiter's optional-interface assertions at
+// construction time so the per-cycle loop never pays for a dynamic type
+// assertion (admit consults obs once per admitted packet; see New).
 type outputPort struct {
-	id   int
-	want []uint64 // by input id; maintained by refreshOffers/withdraw
-	arb  arb.Arbiter
-	obs  arb.ArrivalObserver // non-nil iff arb observes arrivals
-	pre  arb.Preemptor       // non-nil iff arb can preempt
-	clk  arb.TickScheduler   // non-nil iff arb announces its tick deadlines
-	tx   *fabric.Transmission
+	id  int
+	arb arb.Arbiter
+	obs arb.ArrivalObserver // non-nil iff arb observes arrivals
+	pre arb.Preemptor       // non-nil iff arb can preempt
+	tx  *fabric.Transmission
 }
 
 // Switch is the cycle-accurate crossbar simulator. Create one with New,
@@ -122,28 +110,27 @@ type Switch struct {
 	outputs []*outputPort
 
 	// sources holds every flow in AddFlow order, one injection group per
-	// input; txPool recycles the transmissions, one in flight per output
-	// at most.
+	// input, and the inputs whose admission scan is provably barren;
+	// txPool recycles the transmissions, one in flight per output at most.
 	sources *fabric.Sources
 	txPool  fabric.TxPool
 
-	// tickDue is the earliest cycle at which one of the arbiters needs its
-	// Tick (see tickArbiters); zero, so the first cycle asks.
-	tickDue noc.Cycle
+	// offers holds every input's standing offer (see serveOutputs) and
+	// clocks ticks the output arbiters on their deadlines.
+	offers *fabric.Offers
+	clocks fabric.Clocks
 
 	// Event-driven work masks (see DESIGN.md "Event-driven idle
 	// skipping"): the cycle loop visits only ports these masks prove have
 	// work. They are maintained at every state transition (push, pop,
 	// grant, completion) and rebuilt wholesale after the cold fail-stop
 	// path.
-	pkts      []int    // per-input buffered packet count (all classes)
-	inQ       []uint64 // inputs with at least one buffered packet
-	inBusy    []uint64 // inputs currently transmitting
-	dirty     []uint64 // inputs whose standing offer may be stale
-	outTx     []uint64 // outputs with an in-flight transmission
-	offerDst  []uint64 // outputs with at least one offer
-	visit     []uint64 // scratch: this cycle's outputs to serve
-	admitSkip []uint64 // inputs whose admission scan is provably barren
+	pkts   []int    // per-input buffered packet count (all classes)
+	inQ    []uint64 // inputs with at least one buffered packet
+	inBusy []uint64 // inputs currently transmitting
+	outTx  []uint64 // outputs with an in-flight transmission
+	all    []uint64 // every port
+	visit  []uint64 // scratch: this cycle's inputs to refresh, then its outputs to serve
 
 	arbReqs []arb.Request // scratch: requests handed to one arbitration
 
@@ -157,7 +144,6 @@ type Switch struct {
 	Chained     uint64 // packets granted by chaining (no arbitration cycle)
 	Preempted   uint64 // in-flight packets aborted by a Preemptor
 	WastedFlits uint64 // flits discarded by preemptions
-	OfferEvals  uint64 // currentRequest evaluations (refresh and chaining)
 
 	afterRefresh func(now noc.Cycle) // test hook: the offers are current for this cycle
 }
@@ -176,24 +162,19 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 	}
 	words := arb.MaskWords(cfg.Radix)
 	s := &Switch{
-		cfg:       cfg,
-		inputs:    make([]*inputPort, cfg.Radix),
-		outputs:   make([]*outputPort, cfg.Radix),
-		sources:   fabric.NewSources(cfg.Radix),
-		pkts:      make([]int, cfg.Radix),
-		inQ:       make([]uint64, words),
-		inBusy:    make([]uint64, words),
-		dirty:     make([]uint64, words),
-		outTx:     make([]uint64, words),
-		offerDst:  make([]uint64, words),
-		visit:     make([]uint64, words),
-		admitSkip: make([]uint64, words),
-		arbReqs:   make([]arb.Request, 0, cfg.Radix),
+		cfg:     cfg,
+		inputs:  make([]*inputPort, cfg.Radix),
+		outputs: make([]*outputPort, cfg.Radix),
+		sources: fabric.NewSources(cfg.Radix),
+		pkts:    make([]int, cfg.Radix),
+		inQ:     make([]uint64, words),
+		inBusy:  make([]uint64, words),
+		outTx:   make([]uint64, words),
+		all:     make([]uint64, words),
+		visit:   make([]uint64, words),
+		arbReqs: make([]arb.Request, 0, cfg.Radix),
 	}
-	// An admission skip is invalidated the moment a source queue turns
-	// nonempty: a fresh head is the only generation event that can make a
-	// barren input admissible again.
-	s.sources.SetOnNewHead(func(group int) { arb.MaskClear(s.admitSkip, group) })
+	s.offers = fabric.NewOffers([]int{cfg.Radix}, s.currentRequest)
 	// Pre-seed the transmission free list (one in-flight packet per output
 	// is the maximum) so the steady-state loop never allocates.
 	s.txPool.Preload(cfg.Radix)
@@ -209,17 +190,18 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 			in.gb[o] = fabric.NewBuffer(cfg.GBBufferFlits)
 		}
 		s.inputs[i] = in
+		arb.MaskSet(s.all, i)
 	}
 	for o := range s.outputs {
 		a := newArb(o)
 		if a == nil {
 			return nil, fmt.Errorf("switchsim: arbiter factory returned nil for output %d", o)
 		}
-		op := &outputPort{id: o, want: make([]uint64, words), arb: a}
+		op := &outputPort{id: o, arb: a}
 		op.obs, _ = a.(arb.ArrivalObserver)
 		op.pre, _ = a.(arb.Preemptor)
-		op.clk, _ = a.(arb.TickScheduler)
 		s.outputs[o] = op
+		s.clocks.Add(a)
 	}
 	return s, nil
 }
@@ -339,34 +321,8 @@ func (s *Switch) Step() {
 	s.Injected += s.sources.Generate(now)
 	s.admit(now)
 	s.serveOutputs(now)
-	s.tickArbiters(now)
+	s.clocks.Tick(now)
 	s.now++
-}
-
-// tickArbiters is the arbiter clock: it ticks the arbiters on the cycles
-// one of them is due and returns at once on the others. Each walk ticks
-// every arbiter (an early Tick is a no-op by contract) and gathers the
-// earliest deadline they announce afterwards; an arbiter that announces
-// none is due again next cycle, which keeps the switch on the every-cycle
-// cadence.
-//
-//ssvc:hotpath
-func (s *Switch) tickArbiters(now noc.Cycle) {
-	if now < s.tickDue {
-		return
-	}
-	due := arb.NeverTick
-	for _, out := range s.outputs {
-		out.arb.Tick(now)
-		next := now + 1
-		if out.clk != nil {
-			next = out.clk.NextTick()
-		}
-		if next < due {
-			due = next
-		}
-	}
-	s.tickDue = due
 }
 
 // Run advances the simulation by n cycles, stopping early if the engine
@@ -387,6 +343,8 @@ func (s *Switch) Run(n noc.Cycle) {
 //
 //ssvc:hotpath
 func (s *Switch) admit(now noc.Cycle) {
+	// Fault dooming and admission gates are time-varying, so those
+	// configurations neither skip a scan nor name a buffer.
 	masked := s.faults == nil && s.cfg.AdmissionGate == nil
 	try := func(p *noc.Packet) bool {
 		// Packets from a fail-stopped input or toward a fail-stopped
@@ -394,8 +352,7 @@ func (s *Switch) admit(now noc.Cycle) {
 		// discard immediately, so no packet bound for a dead port ever
 		// occupies buffer space or pins an input's round-robin offer.
 		if s.faults != nil && (s.faults.InputDead(p.Src) || s.faults.OutputDead(p.Dst)) {
-			s.Dropped++
-			s.Drop(p)
+			s.dropPkt(p)
 			return true
 		}
 		buf := s.inputs[p.Src].bufferFor(p.Class, p.Dst)
@@ -419,44 +376,22 @@ func (s *Switch) admit(now noc.Cycle) {
 		}
 		return true
 	}
-	if masked {
-		// Event-driven path: an input whose last scan admitted nothing is
-		// skipped until something that could change the outcome happens —
-		// a buffer pop frees space (grant clears the bit) or a source
-		// queue turns nonempty (the Sources new-head callback clears it).
-		// Inside a scan, a flow whose head a full buffer refused is
-		// skipped until that buffer drains (the refusal memory above).
-		// Fault dooming and admission gates are time-varying, so those
-		// configurations always take the full scan below and name no
-		// buffer.
-		s.SkippedAdmits += uint64(arb.MaskCount(s.admitSkip))
-		for w := range s.admitSkip {
-			m := ^s.admitSkip[w]
-			if w == len(s.admitSkip)-1 {
-				m &= lastWordMask(s.cfg.Radix)
-			}
-			for m != 0 {
-				i := w<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				if s.sources.AdmitGroup(i, try) == nil {
-					s.admitSkip[w] |= 1 << (uint(i) & 63)
-				}
+	// An input whose last scan admitted nothing is skipped until something
+	// that could change the outcome happens: a buffer pop frees space
+	// (grant clears the bit) or a source queue turns nonempty (Sources
+	// clears it). Inside a scan, a flow whose head a full buffer refused is
+	// skipped until that buffer drains (the refusal memory above). With no
+	// bit ever set, the walk is the full scan of every input.
+	skip := s.sources.SkipMask()
+	s.SkippedAdmits += uint64(arb.MaskCount(skip))
+	for w, m := range skip {
+		for m = s.all[w] &^ m; m != 0; m &= m - 1 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			if s.sources.AdmitGroup(i, try) == nil && masked {
+				s.sources.Skip(i)
 			}
 		}
-		return
 	}
-	for i := range s.inputs {
-		s.sources.AdmitGroup(i, try)
-	}
-}
-
-// lastWordMask returns the valid-bit mask for the final word of an
-// n-bit mask slice.
-func lastWordMask(n int) uint64 {
-	if r := uint(n) & 63; r != 0 {
-		return (1 << r) - 1
-	}
-	return ^uint64(0)
 }
 
 // notePush updates the work masks for a packet entering an input buffer.
@@ -466,7 +401,7 @@ func lastWordMask(n int) uint64 {
 func (s *Switch) notePush(in *inputPort, class noc.Class, dst int) {
 	s.pkts[in.id]++
 	arb.MaskSet(s.inQ, in.id)
-	arb.MaskSet(s.dirty, in.id)
+	s.offers.Mark(in.id)
 	if class == noc.GuaranteedBandwidth {
 		arb.MaskSet(in.gbOcc, dst)
 	}
@@ -485,82 +420,6 @@ func (s *Switch) notePop(in *inputPort, class noc.Class, dst int, buf *fabric.Bu
 	}
 }
 
-// refreshOffers brings the standing offers up to date for cycle now. An
-// input's offer is state, not a per-cycle computation: it is re-derived
-// only for inputs marked dirty since the last refresh, by a push
-// (admission, a preemption or retry NACK), by the completion that freed
-// the input, or by a fail-stop. A busy input has no offer and an empty
-// one nothing to offer, so neither is evaluated; the completion, or the
-// next push, marks it again. Retransmission backoff makes a held head's
-// offer depend on now, so a fault schedule marks every buffered input
-// every cycle through the same mask.
-//
-// Marks made while the outputs are served wait for the next cycle's
-// refresh: an input freed by a completion at one output cannot be
-// granted at another in the same cycle (its channel is still draining
-// the last flit).
-//
-//ssvc:hotpath
-func (s *Switch) refreshOffers(now noc.Cycle) {
-	for w := range s.dirty {
-		m := s.dirty[w]
-		if s.faults != nil {
-			m = ^uint64(0)
-		}
-		m &= s.inQ[w] &^ s.inBusy[w]
-		s.dirty[w] = 0
-		for ; m != 0; m &= m - 1 {
-			in := s.inputs[w<<6+bits.TrailingZeros64(m)]
-			s.OfferEvals++
-			r, ok := in.currentRequest(now)
-			if in.offered && !(ok && r.dst == in.offer.dst) {
-				s.withdraw(in)
-			}
-			if ok {
-				// Same destination (a GL head arriving over a GB one): the
-				// want bit stands, only the request changes.
-				in.offer = r
-				if !in.offered {
-					in.offered = true
-					arb.MaskSet(s.outputs[r.dst].want, in.id)
-					arb.MaskSet(s.offerDst, r.dst)
-				}
-			}
-		}
-	}
-	if s.afterRefresh != nil {
-		s.afterRefresh(now)
-	}
-}
-
-// withdraw removes the input's standing offer from its output's request
-// register.
-//
-//ssvc:hotpath
-func (s *Switch) withdraw(in *inputPort) {
-	in.offered = false
-	out := s.outputs[in.offer.dst]
-	arb.MaskClear(out.want, in.id)
-	if !arb.MaskAny(out.want) {
-		arb.MaskClear(s.offerDst, out.id)
-	}
-}
-
-// requests lists the offers standing at an output, in ascending input
-// order. The scratch slice is reused across outputs and cycles; arbiters
-// must not retain it past the Arbitrate call.
-//
-//ssvc:hotpath
-func (s *Switch) requests(out *outputPort) []arb.Request {
-	reqs := s.arbReqs[:0]
-	for w, m := range out.want {
-		for ; m != 0; m &= m - 1 {
-			reqs = append(reqs, s.inputs[w<<6+bits.TrailingZeros64(m)].offer.req)
-		}
-	}
-	return reqs
-}
-
 // freeInput ends an input's transmission; its next offer is derived at
 // the next refresh.
 //
@@ -568,7 +427,7 @@ func (s *Switch) requests(out *outputPort) []arb.Request {
 func (s *Switch) freeInput(in *inputPort) {
 	in.busy = false
 	arb.MaskClear(s.inBusy, in.id)
-	arb.MaskSet(s.dirty, in.id)
+	s.offers.Mark(in.id)
 }
 
 // serveOutputs advances every output channel: an output either moves one
@@ -576,24 +435,45 @@ func (s *Switch) freeInput(in *inputPort) {
 // both — which is exactly the paper's one-cycle arbitration overhead
 // (L-flit packets achieve at most L/(L+1) flits/cycle without chaining).
 //
+// It begins by refreshing the standing offers (fabric.Offers) of the
+// marked inputs that can offer, the buffered idle ones: a busy input has
+// no offer and an empty one nothing to offer, and the completion, or the
+// next push, marks it again. Retransmission backoff makes a held head's
+// offer depend on now, so under a fault schedule every buffered idle input
+// is refreshed every cycle. Marks made while the outputs are served wait
+// for the next cycle's refresh: an input freed by a completion at one
+// output cannot be granted at another in the same cycle (its channel is
+// still draining the last flit).
+//
+// Then it visits only the outputs with an in-flight packet or at least
+// one offer (ascending); everything skipped is provably idle and
+// accounted in bulk. The visit set is fixed before the first grant, so
+// which outputs count as visited never depends on the offers this cycle's
+// grants withdraw. A fault schedule widens the visit set to every output:
+// dead and stalled channels have rules of their own (serveOutput) and
+// nothing is skipped.
+//
 //ssvc:hotpath
 func (s *Switch) serveOutputs(now noc.Cycle) {
-	s.refreshOffers(now)
-	if s.faults != nil {
-		// Fault runs keep the full output walk: dead and stalled channels
-		// have their own counter semantics, and correctness there beats
-		// the skip win.
-		s.serveOutputsAll(now)
-		return
+	dirty := s.offers.Dirty()
+	for w := range s.visit {
+		m := dirty[w]
+		if s.faults != nil {
+			m = s.all[w]
+		}
+		s.visit[w] = m & s.inQ[w] &^ s.inBusy[w]
 	}
-	// Event-driven path: visit only outputs with an in-flight packet or
-	// at least one offer (ascending, like the full walk). Everything
-	// skipped is provably idle and accounted in bulk. The visit set is
-	// fixed before the first grant, so which outputs count as visited
-	// never depends on the offers this cycle's grants withdraw.
+	s.offers.Refresh(s.visit, now)
+	if s.afterRefresh != nil {
+		s.afterRefresh(now)
+	}
+	offered := s.offers.Offered()
 	visited := 0
 	for w := range s.visit {
-		s.visit[w] = s.offerDst[w] | s.outTx[w]
+		s.visit[w] = offered[w] | s.outTx[w]
+		if s.faults != nil {
+			s.visit[w] = s.all[w]
+		}
 		visited += bits.OnesCount64(s.visit[w])
 	}
 	for w, m := range s.visit {
@@ -611,28 +491,15 @@ func (s *Switch) serveOutputs(now noc.Cycle) {
 	}
 }
 
-// serveOutputsAll is the full per-output walk used under fault
-// injection.
-func (s *Switch) serveOutputsAll(now noc.Cycle) {
-	for _, out := range s.outputs {
-		if s.err != nil {
-			return
-		}
-		if s.faults.OutputDead(out.id) {
-			continue // a dead channel neither moves data nor arbitrates
-		}
-		if s.faults.StallOutput(now, out.id) {
-			continue // stalled: in-flight transfer freezes, no grants
-		}
-		s.serveOutput(out, now)
-	}
-}
-
-// serveOutput advances one live output channel: move a flit or spend the
-// cycle arbitrating, never both.
+// serveOutput advances one output channel: move a flit or spend the cycle
+// arbitrating, never both. A dead channel does neither, and a stalled one
+// freezes its in-flight transfer and grants nothing.
 //
 //ssvc:hotpath
 func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
+	if s.faults != nil && (s.faults.OutputDead(out.id) || s.faults.StallOutput(now, out.id)) {
+		return
+	}
 	if out.tx != nil {
 		if s.cfg.Preemption && out.pre != nil {
 			if s.tryPreempt(out, now) {
@@ -642,7 +509,7 @@ func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
 		s.transfer(out, now)
 		return
 	}
-	reqs := s.requests(out)
+	reqs := s.offers.Requests(out.id, s.arbReqs[:0])
 	if len(reqs) == 0 {
 		s.IdleCycles++
 		return
@@ -663,7 +530,7 @@ func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
 //ssvc:hotpath
 func (s *Switch) tryPreempt(out *outputPort, now noc.Cycle) bool {
 	pre := out.pre
-	reqs := s.requests(out)
+	reqs := s.offers.Requests(out.id, s.arbReqs[:0])
 	if len(reqs) == 0 {
 		return false
 	}
@@ -744,9 +611,9 @@ func (s *Switch) tryChain(out *outputPort, now noc.Cycle) {
 		for m != 0 {
 			i := w<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
-			s.OfferEvals++
-			if r, ok := s.inputs[i].currentRequest(now); ok && r.dst == out.id {
-				reqs = append(reqs, r.req)
+			s.offers.Evals++
+			if dst, req, ok := s.currentRequest(i, now); ok && dst == out.id {
+				reqs = append(reqs, req)
 			}
 		}
 	}
@@ -787,14 +654,12 @@ func (s *Switch) grant(out *outputPort, now noc.Cycle, req arb.Request, chained 
 	p.GrantedAt = now
 	in.busy = true
 	arb.MaskSet(s.inBusy, in.id)
-	if in.offered {
-		// At once, so no later output this cycle sees the winner's offer
-		// (a chained winner freed this cycle has none yet).
-		s.withdraw(in)
-	}
+	// At once, so no later output this cycle sees the winner's offer (a
+	// chained winner freed this cycle has none yet).
+	s.offers.Withdraw(in.id)
 	s.notePop(in, req.Class, out.id, buf)
 	// Freed buffer space can unblock a previously barren admission scan.
-	arb.MaskClear(s.admitSkip, in.id)
+	s.sources.Unskip(in.id)
 	if req.Class == noc.GuaranteedBandwidth {
 		in.gbRR = (out.id + 1) % s.cfg.Radix
 	}
@@ -853,17 +718,16 @@ func (s *Switch) applyFailStop(now noc.Cycle, f faults.FailStop) {
 // recomputeMasks rebuilds every work mask from first principles. Fault
 // handling flushes buffers and aborts transfers wholesale; re-deriving
 // the masks afterwards is simpler and safer than patching them through
-// each drop. Standing offers go the same way: all are withdrawn, and the
-// next refresh re-derives them, as it does on every cycle of a fault run
-// (see refreshOffers). Cold path.
+// each drop. Standing offers go the same way: all are withdrawn and
+// every input marked, so the next refresh re-derives them. Every
+// admission skip is forgotten. Cold path.
 func (s *Switch) recomputeMasks() {
 	arb.MaskZero(s.inQ)
 	arb.MaskZero(s.inBusy)
 	arb.MaskZero(s.outTx)
-	arb.MaskZero(s.offerDst)
-	arb.MaskZero(s.admitSkip)
+	s.offers.Reset()
+	s.sources.ForgetSkips()
 	for _, in := range s.inputs {
-		in.offered = false
 		n := in.gl.Len() + in.be.Len()
 		arb.MaskZero(in.gbOcc)
 		for o, q := range in.gb {
@@ -881,7 +745,6 @@ func (s *Switch) recomputeMasks() {
 		}
 	}
 	for _, out := range s.outputs {
-		arb.MaskZero(out.want)
 		if out.tx != nil {
 			arb.MaskSet(s.outTx, out.id)
 		}
