@@ -106,8 +106,8 @@ func compareFindings(t *testing.T, want, got map[string]int, ds []analysis.Diagn
 // compares the findings with the fixtures' `// want:` markers. The
 // mustFind rows are the meta-tests: each fixture is a faithful copy of
 // shipped code with one defect injected (durmut: ApplyAll's batch commit
-// with the fsync deleted; rangemut: the admission cost product with its
-// dominating guard deleted; taintmut: parse → validate → price with the
+// with the fsync deleted; rangemut: costOf with the PacketLen contract
+// widened to 2^62; taintmut: parse → validate → price with the
 // validation call deleted), so a rule that stops reporting it has gone
 // blind. Per-package rules share one Loader, since what they find in a
 // package cannot depend on another; a tree rule gets a fresh one,

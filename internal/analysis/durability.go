@@ -39,7 +39,7 @@ import (
 //     branches of the Append or the Sync are exempt because the plane
 //     freezes there, and check 1 bars every acknowledgement on them.
 //  3. Lease-heap ownership. Any goroutine spawn whose transitive call
-//     graph (per the callgraph.go effect summaries) reaches
+//     graph (per the callgraph.go callee lists) reaches
 //     leaseHeap.push/pop or an //ssvc:serial-only function is flagged:
 //     those mutations belong to the plane's single owner goroutine.
 func durability(p *pass, pkgs []*Package) {
@@ -557,27 +557,15 @@ func (dc *durChecker) checkGoSpawns(pkg *Package) {
 				return true
 			}
 			var start []*types.Func
-			var sum *effectSummary
-			switch fun := unparen(gs.Call.Fun).(type) {
-			case *ast.FuncLit:
-				sum = dc.cg.litSummary(fun, pkg)
-			case *ast.Ident:
-				if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-					start = append(start, fn)
-				}
-			case *ast.SelectorExpr:
-				if s, ok := pkg.Info.Selections[fun]; ok && s.Kind() == types.MethodVal {
-					if fn, ok := s.Obj().(*types.Func); ok {
-						start = append(start, fn)
-					}
-				} else if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-					start = append(start, fn)
-				}
+			if lit, ok := unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+				start = dc.cg.callsIn(pkg, lit.Body)
+			} else {
+				start = dc.cg.callees(pkg, gs.Call)
 			}
 			seen := map[*types.Func]bool{}
 			var visit func(fn *types.Func)
 			visit = func(fn *types.Func) {
-				if fn == nil || seen[fn] {
+				if seen[fn] {
 					return
 				}
 				seen[fn] = true
@@ -585,19 +573,8 @@ func (dc *durChecker) checkGoSpawns(pkg *Package) {
 					dc.report(gs.Pos(), "goroutine transitively calls %s; lease-heap and serial-only state belong to the plane's single owner goroutine", bad)
 					return
 				}
-				if s := dc.cg.summaries[fn]; s != nil {
-					for _, cr := range s.calls {
-						for _, callee := range cr.callees {
-							visit(callee)
-						}
-					}
-				}
-			}
-			if sum != nil {
-				for _, cr := range sum.calls {
-					for _, callee := range cr.callees {
-						visit(callee)
-					}
+				for _, callee := range dc.cg.calls[fn] {
+					visit(callee)
 				}
 			}
 			for _, fn := range start {

@@ -2,15 +2,10 @@ package analysis
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
-	"io/fs"
-	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -180,21 +175,10 @@ func coldRange(l *Loader, fd *ast.FuncDecl, cline int) [2]int {
 }
 
 // escapeOutput runs the compiler's escape analysis over dirs and
-// returns its combined diagnostics. The output is memoized in the
-// system temp directory keyed by a content hash of the module's
-// sources and the toolchain version: the Go build cache makes the
-// second compile cheap, but not free (it still spawns the toolchain
-// per package), and the hash lookup keeps hotpath's wall time flat as
-// the tree grows.
+// returns its combined diagnostics. The Go build cache replays -m
+// output for unchanged packages, so a warm run does not recompile.
 func escapeOutput(root, module string, dirs []string) ([]byte, error) {
 	sort.Strings(dirs)
-	cachePath := ""
-	if key, err := escapeCacheKey(root, dirs); err == nil {
-		cachePath = filepath.Join(os.TempDir(), "ssvc-lint-escape-"+key)
-		if out, err := os.ReadFile(cachePath); err == nil {
-			return out, nil
-		}
-	}
 	args := append([]string{"build", "-gcflags=" + module + "/...=-m"}, dirs...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = root
@@ -202,53 +186,7 @@ func escapeOutput(root, module string, dirs []string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: go build -gcflags=-m failed: %v\n%s", err, out)
 	}
-	if cachePath != "" {
-		// Best-effort: a failed write just means the next run recompiles.
-		_ = os.WriteFile(cachePath, out, 0o600)
-	}
 	return out, nil
-}
-
-// escapeCacheKey hashes everything the escape output depends on: the
-// toolchain version, the requested directories, and every non-test Go
-// source plus go.mod in the module (escape analysis of a package sees
-// its dependencies' sources too, so the whole module is in scope).
-func escapeCacheKey(root string, dirs []string) (string, error) {
-	h := sha256.New()
-	fmt.Fprintln(h, runtime.Version())
-	fmt.Fprintln(h, strings.Join(dirs, "\x00"))
-	var files []string
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || (strings.HasPrefix(name, ".") && p != root) {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if d.Name() == "go.mod" ||
-			(strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go")) {
-			files = append(files, p)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	sort.Strings(files)
-	for _, p := range files {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return "", err
-		}
-		rel, _ := filepath.Rel(root, p)
-		fmt.Fprintln(h, filepath.ToSlash(rel), len(data))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16], nil
 }
 
 // HotpathDiagnose cross-checks escape-analysis output (the stderr of

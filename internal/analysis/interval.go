@@ -22,14 +22,14 @@ import (
 //
 // The engine is a domain of the solver in flow.go: an environment of
 // refined intervals per block, comparison edges refining both operands,
-// loop heads widening to the type range after a few visits so iteration
-// terminates, and one descending pass narrowing the widened loop
-// invariants back where the exit conditions support it. Interprocedural
-// seeding comes from two sides of callgraph.go: //ssvc:range field
-// annotations give declared input intervals at config-struct reads, and
-// per-function return summaries (retIval) carry result intervals and
-// their declared flag across static calls, while effect summaries
-// decide which environment entries a call may invalidate.
+// and loop heads widening to the type range after a few visits so
+// iteration terminates. //ssvc:range field annotations give declared
+// input intervals at config-struct reads; the analysis is otherwise
+// intraprocedural. A call's result is its type's range, and a call
+// invalidates every entry rooted at a pointer-carrying argument or
+// receiver. The §3.3 cost product is therefore proven where it is
+// formed (ctlplane's costOf and GrantedVtick), from the declared
+// PacketLen and Frame, not at the sites that consume it.
 
 // MarkRange declares the trusted value range of a config-struct field
 // on the field's doc or line comment:
@@ -125,14 +125,6 @@ func ivWiden(prev, next, bound ival) ival {
 		out.hi = bound.hi
 	}
 	return out
-}
-
-// ivNarrow is the descending step after widening: recomputing the
-// fixpoint without widening only shrinks intervals, so the meet of the
-// widened invariant and the recomputed value is sound and at least as
-// tight as either.
-func ivNarrow(widened, recomputed ival) ival {
-	return ivMeet(widened, recomputed)
 }
 
 // bigFromConst converts a go/constant value to an exact integer, or
@@ -490,35 +482,14 @@ func widenIvEnv(prev, merged ivEnv) ivEnv {
 	return out
 }
 
-// narrowIvEnv meets the widened fixpoint with a recomputed pass.
-func narrowIvEnv(widened, recomputed ivEnv) ivEnv {
-	out := make(ivEnv, len(widened))
-	for k, ew := range widened {
-		if er, ok := recomputed[k]; ok {
-			ew.iv = ivNarrow(ew.iv, er.iv)
-		}
-		out[k] = ew
-	}
-	for k, er := range recomputed {
-		if _, ok := widened[k]; !ok {
-			out[k] = er
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------
 // Analysis context shared by one valuerange run: the loader, the call
-// graph (effect summaries + CHA), the //ssvc:range declarations, and
-// memoized per-function return intervals.
+// graph's function index, and the //ssvc:range declarations.
 
 type ivCtx struct {
 	*pass
 	ranges   map[*types.Var]ival
 	barriers map[*types.Func]bool
-	rets     map[*types.Func]ival
-	retOK    map[*types.Func]bool
-	retBusy  map[*types.Func]bool
 }
 
 // newIvCtx collects //ssvc:range annotations and //ssvc:barrier
@@ -530,9 +501,6 @@ func newIvCtx(p *pass) *ivCtx {
 		pass:     p,
 		ranges:   map[*types.Var]ival{},
 		barriers: map[*types.Func]bool{},
-		rets:     map[*types.Func]ival{},
-		retOK:    map[*types.Func]bool{},
-		retBusy:  map[*types.Func]bool{},
 	}
 	for _, pkg := range p.cg.pkgs {
 		for _, file := range pkg.Files {
@@ -809,8 +777,8 @@ func clampToType(r, tb ival) ival {
 	return ival{lo: tb.lo, hi: tb.hi, declared: r.declared}
 }
 
-// evalCall handles conversions, the len/cap builtins, and static calls
-// seeded with interprocedural return summaries.
+// evalCall handles conversions and the len/cap builtins; any other
+// call's result is its type's range.
 func (cx *ivCtx) evalCall(pkg *Package, env ivEnv, call *ast.CallExpr, t types.Type, tb ival) (ival, bool) {
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		inner, ok := cx.eval(pkg, env, call.Args[0])
@@ -831,94 +799,7 @@ func (cx *ivCtx) evalCall(pkg *Package, env ivEnv, call *ast.CallExpr, t types.T
 			return tb, true
 		}
 	}
-	if fn := staticCallee(pkg, cx.cg, call); fn != nil {
-		if iv, ok := cx.retIval(fn); ok {
-			return ivMeet(iv, tb), true
-		}
-	}
 	return tb, true
-}
-
-// staticCallee resolves a call to its single static target: a named
-// function, a package-qualified function, or a concrete method.
-// Interface calls and func values resolve to nil.
-func staticCallee(pkg *Package, cg *callGraph, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pkg.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-			if types.IsInterface(sel.Recv()) {
-				return nil
-			}
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// retIval computes (and memoizes) a function's return interval: the
-// join of its reachable single-result returns, evaluated under the
-// function's own interval fixpoint. This is how declared ranges and
-// their flag cross call boundaries — costOf's [0, 2^40] cost, built
-// from a declared PacketLen, reaches every admission site that calls
-// it. Recursion and multi-result or bodiless functions yield no
-// summary (callers fall back to the result's type range).
-func (cx *ivCtx) retIval(fn *types.Func) (ival, bool) {
-	if iv, ok := cx.rets[fn]; ok {
-		return iv, cx.retOK[fn]
-	}
-	if cx.retBusy[fn] {
-		return ival{}, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 1 {
-		return ival{}, false
-	}
-	resT := sig.Results().At(0).Type()
-	tb, ok := typeIval(resT)
-	if !ok {
-		return ival{}, false
-	}
-	fi := cx.cg.funcs[fn]
-	if fi == nil || fi.decl.Body == nil {
-		return ival{}, false
-	}
-	cx.retBusy[fn] = true
-	defer delete(cx.retBusy, fn)
-
-	out := ival{lo: tb.hi, hi: tb.lo} // bottom: no reachable return yet
-	resultName := ""
-	if res := fi.decl.Type.Results; res != nil && len(res.List) == 1 && len(res.List[0].Names) == 1 {
-		resultName = res.List[0].Names[0].Name
-	}
-	cx.flowBody(fi.pkg, fi.decl.Body).replay(func(n ast.Node, env ivEnv) {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return
-		}
-		iv := tb
-		if len(ret.Results) == 1 {
-			if v, ok := cx.eval(fi.pkg, env, ret.Results[0]); ok {
-				iv = v
-			}
-		} else if len(ret.Results) == 0 && resultName != "" {
-			if ent, ok := env[resultName]; ok {
-				iv = ent.iv
-			}
-		}
-		out = ivJoin(out, ivMeet(iv, tb))
-	})
-	if out.isBottom() {
-		out = tb
-	}
-	cx.rets[fn] = out
-	cx.retOK[fn] = true
-	return out, true
 }
 
 // ---------------------------------------------------------------------
@@ -944,49 +825,6 @@ func (cx *ivCtx) flow(pkg *Package) flow[ivEnv] {
 		transfer: func(n ast.Node, env ivEnv) { cx.applyNode(pkg, env, n) },
 		leaf:     func(c ast.Expr, holds bool, env ivEnv) { cx.refineLeaf(pkg, env, c, holds) },
 	}
-}
-
-// flowBody solves the ascending widened fixpoint over one function
-// body, then runs one descending narrowing sweep over the result.
-func (cx *ivCtx) flowBody(pkg *Package, body *ast.BlockStmt) *solved[ivEnv] {
-	sv := solve(buildCFG(body), ivEnv{}, cx.flow(pkg))
-
-	// Descending pass: recompute each block's entry from its
-	// predecessors once, without widening, and narrow toward it. Sound
-	// because the transfer functions are monotone and we start from a
-	// post-fixpoint.
-	type edgeIn struct {
-		from *cfgBlock
-		edge cfgEdge
-	}
-	preds := make([][]edgeIn, len(sv.g.blocks))
-	for _, blk := range sv.g.blocks {
-		for _, e := range blk.succs {
-			preds[e.to.index] = append(preds[e.to.index], edgeIn{blk, e})
-		}
-	}
-	for _, blk := range sv.g.blocks {
-		if blk == sv.g.entry || !sv.reached[blk.index] {
-			continue
-		}
-		var merged ivEnv
-		for _, pe := range preds[blk.index] {
-			if !sv.reached[pe.from.index] {
-				continue
-			}
-			out := sv.out(pe.from)
-			sv.f.along(pe.edge, out)
-			if merged == nil {
-				merged = out
-			} else {
-				merged = joinIvEnv(merged, out)
-			}
-		}
-		if merged != nil {
-			sv.in[blk.index] = narrowIvEnv(sv.in[blk.index], merged)
-		}
-	}
-	return sv
 }
 
 // applyNode advances the environment across one CFG node: evaluate
@@ -1190,10 +1028,8 @@ func (cx *ivCtx) applyAssign(pkg *Package, env ivEnv, s *ast.AssignStmt) {
 }
 
 // killNode drops the entries a node may invalidate: the shared kill
-// model of killedNames plus — the effect-summary refinement — anything
-// rooted at a pointer-carrying argument of a call whose callee may write
-// through that parameter. A callee whose summary proves it writes no
-// parameter kills nothing.
+// model of killedNames plus anything rooted at a pointer-carrying
+// argument or receiver of a call, which the callee may write through.
 func (cx *ivCtx) killNode(pkg *Package, env ivEnv, n ast.Node) {
 	names, all := killedNames(n, func(call *ast.CallExpr, names map[string]bool) {
 		cx.callKillNames(pkg, call, names)
@@ -1210,33 +1046,22 @@ func (cx *ivCtx) killNode(pkg *Package, env ivEnv, n ast.Node) {
 }
 
 // callKillNames adds the identifiers a call site may mutate through
-// pointer-carrying arguments or receivers, consulting the callee's
-// effect summary when one exists.
+// pointer-carrying arguments or receivers; a value argument's writes
+// stay in the callee's copy.
 func (cx *ivCtx) callKillNames(pkg *Package, call *ast.CallExpr, names map[string]bool) {
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion
 	}
-	var exprs []ast.Expr
+	exprs := call.Args
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			exprs = append(exprs, sel.X)
+			exprs = append([]ast.Expr{sel.X}, exprs...)
 		}
 	}
-	exprs = append(exprs, call.Args...)
-	fn := staticCallee(pkg, cx.cg, call)
-	var sum *effectSummary
-	if fn != nil {
-		sum = cx.cg.summaries[fn]
-	}
-	for j, a := range exprs {
-		t := exprType(pkg, a)
-		if t == nil || !indirectType(t.Underlying()) {
-			continue // value argument: callee writes stay in its copy
+	for _, a := range exprs {
+		if t := exprType(pkg, a); t != nil && indirectType(t.Underlying()) {
+			collectIdents(a, names)
 		}
-		if sum != nil && j < len(sum.writesParam) && !sum.writesParam[j] {
-			continue // summary proves this slot is read-only
-		}
-		collectIdents(a, names)
 	}
 }
 

@@ -538,32 +538,6 @@ func jsonDecodeTarget(fn *types.Func) int {
 	return -1
 }
 
-// callees resolves a call the same way the effect-summary builder
-// does: static targets directly, interface calls through CHA.
-func (tc *taintCtx) callees(call *ast.CallExpr) []*types.Func {
-	pkg := tc.curPkg
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return []*types.Func{fn}
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-			if types.IsInterface(sel.Recv()) {
-				return tc.cg.implementers(sel.Recv(), fun.Sel.Name)
-			}
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return []*types.Func{fn}
-			}
-			return nil
-		}
-		if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return []*types.Func{fn}
-		}
-	}
-	return nil
-}
-
 // callRecvExpr returns the receiver expression of a method-value call,
 // or nil.
 func (tc *taintCtx) callRecvExpr(call *ast.CallExpr) ast.Expr {
@@ -601,7 +575,7 @@ func (tc *taintCtx) callResultMasks(st taintState, call *ast.CallExpr, n int) []
 			return masks
 		}
 	}
-	fns := tc.callees(call)
+	fns := tc.cg.callees(tc.curPkg, call)
 	if len(fns) == 0 {
 		// Unresolved (func value): pass-through of input taint.
 		m := tc.inputMask(st, call)
@@ -710,7 +684,7 @@ func (tc *taintCtx) checkCall(st taintState, call *ast.CallExpr) {
 		}
 		return
 	}
-	for _, fn := range tc.callees(call) {
+	for _, fn := range tc.cg.callees(tc.curPkg, call) {
 		// Finding 1. A barrier that is also marked a sink launders.
 		if tc.barriers[fn] || !tc.sinks[fn] {
 			continue
@@ -730,7 +704,7 @@ func (tc *taintCtx) applyCall(st taintState, call *ast.CallExpr) {
 		return // conversion
 	}
 	recvExpr := tc.callRecvExpr(call)
-	for _, fn := range tc.callees(call) {
+	for _, fn := range tc.cg.callees(tc.curPkg, call) {
 		if idx := jsonDecodeTarget(fn); idx >= 0 {
 			if idx < len(call.Args) {
 				tc.setLval(st, derefArg(call.Args[idx]), absMask)

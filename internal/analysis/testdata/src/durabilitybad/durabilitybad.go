@@ -320,3 +320,17 @@ func (p *Plane) SpawnGood() {
 	}()
 	<-done
 }
+
+// server is implemented by *Plane; a call through it resolves by
+// class-hierarchy analysis.
+type server interface{ Serve(rec *Record) Result }
+
+// SpawnIndirect reaches the serial-only Serve only through an interface
+// method, called inside a closure nested in the spawned literal.
+func (p *Plane) SpawnIndirect(rec *Record) {
+	var s server = p
+	go func() { // want:durability
+		run := func() { s.Serve(rec) }
+		run()
+	}()
+}

@@ -129,3 +129,29 @@ func Bump(c Cfg) uint8 {
 	s++ // want:valuerange
 	return s
 }
+
+// frame is ctlplane.Frame.
+const frame = 1 << 20
+
+// FlowReq carries ctlplane.FlowReq's PacketLen contract.
+type FlowReq struct {
+	Rate float64
+	//ssvc:range PacketLen 1..1048576
+	PacketLen int
+}
+
+// CostOf is ctlplane's costOf under the real contract, with the vtick
+// clamped here instead of in noc: the 41-bit product fits, and the
+// quotient keeps the product's range, so the round-up cannot wrap.
+func CostOf(req FlowReq) uint64 {
+	vt := Clamp(float64(req.PacketLen)/req.Rate, 1<<40)
+	if vt == 0 {
+		return 0
+	}
+	num := frame * uint64(req.PacketLen)
+	cost := num / vt
+	if num%vt != 0 {
+		cost++
+	}
+	return cost
+}

@@ -1,23 +1,41 @@
 // Package rangemut is the valuerange mutation meta-fixture: a copy of
-// the admission table's Frame-scaled cost product with its dominating
-// guard deleted. The real NewTable/Admit path proves the product fits
-// because validate bounds the request first; with the guard gone the
-// declared range alone admits a 82-bit product. The meta-test asserts
-// the analyzer reports it, proving the check fails closed rather than
-// merely passing on clean code.
+// ctlplane's costOf, the §3.3 Frame-scaled admission cost, under one
+// mutation: the declared PacketLen bound is widened from 2^20 to 2^62.
+// Under the real contract the product fits in 41 bits and the rounded-up
+// quotient cannot reach the top of uint64; under the mutated one the
+// product needs 83 bits and, once it may wrap, so may the round-up. The
+// meta-test asserts the analyzer reports both, proving the check fails
+// closed rather than merely passing on clean code.
 package rangemut
 
-type req struct {
-	//ssvc:range Len 1..4611686018427387904
-	Len uint64
+import "swizzleqos/internal/noc"
+
+// Frame is ctlplane.Frame.
+const Frame = 1 << 20
+
+// FlowReq mirrors ctlplane.FlowReq.
+type FlowReq struct {
+	Src       int
+	Dst       int
+	Class     noc.Class
+	Rate      float64
+	PacketLen int //ssvc:range PacketLen 1..4611686018427387904
 }
 
-const frame = 1 << 20
+// Spec returns the noc flow contract for the request.
+func (r FlowReq) Spec() noc.FlowSpec {
+	return noc.FlowSpec{Src: r.Src, Dst: r.Dst, Class: r.Class, Rate: r.Rate, PacketLength: r.PacketLen}
+}
 
-// Cost computes the Frame-scaled admission cost. The original guards
-// Len against the frame before multiplying; the mutation deleted the
-// guard, so the product may wrap uint64.
-func Cost(r req) uint64 {
-	// mutation: `if r.Len > frame { return 0 }` deleted
-	return frame * r.Len // want:valuerange
+func costOf(req FlowReq) uint64 {
+	vt := req.Spec().Vtick().Uint()
+	if vt == 0 {
+		return 0
+	}
+	num := Frame * uint64(req.PacketLen) // want:valuerange
+	cost := num / vt
+	if num%vt != 0 {
+		cost++ // want:valuerange
+	}
+	return cost
 }

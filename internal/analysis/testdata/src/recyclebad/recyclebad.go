@@ -64,9 +64,9 @@ func LoopLeak(p *TxPool, n int) {
 	}
 }
 
-// Clean recycles on every path.
+// Clean recycles on every path, but only after binding a local.
 func Clean(p *TxPool, cond bool) {
-	t := p.Get()
+	t := p.Get() // want:recycle
 	if cond {
 		p.Put(t)
 		return
@@ -89,10 +89,10 @@ func Global(p *TxPool) {
 	sink = p.Get()
 }
 
-// Alias hands the value off through another name; alias hand-off counts
-// as consumption (the analysis is deliberately first-order).
+// Alias hands the value off through another name, but only after
+// binding a local: the rule does not follow locals.
 func Alias(p *TxPool) {
-	t := p.Get()
+	t := p.Get() // want:recycle
 	u := t
 	p.Put(u)
 }

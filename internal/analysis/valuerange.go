@@ -7,16 +7,17 @@ import (
 )
 
 // valueRange proves overflow- and bounds-safety of the declared-critical
-// integer arithmetic: the Frame-scaled cost products of the admission
-// budget rule, the Eq 1-3 schedulability terms, and the shift/mask
+// integer arithmetic: the §3.3 Frame-scaled cost product
+// Frame * PacketLen and its round-up (ctlplane's costOf and
+// GrantedVtick), the Eq 1-3 schedulability terms, and the shift/mask
 // widths of the datapath kernels. Input contracts are declared at
 // config structs with //ssvc:range annotations (grammar at MarkRange in
 // interval.go); the interval engine then propagates those ranges
-// through assignments, arithmetic, comparison-edge refinements, loops
-// (with widening/narrowing), and static calls (return summaries), and
-// the analyzer reports every operation on a flagged path whose exact
-// result cannot be shown to fit its machine type. DESIGN.md invariant 9
-// documents the rule.
+// through assignments, arithmetic, comparison-edge refinements and
+// loops (with widening), within one function body, and the analyzer
+// reports every operation on a flagged path whose exact result cannot
+// be shown to fit its machine type. DESIGN.md invariant 9 documents
+// the rule.
 //
 // Four checks:
 //
@@ -95,7 +96,7 @@ type vrChecker struct {
 // executes.
 func (vc *vrChecker) checkBody(body *ast.BlockStmt, barrier bool) {
 	vc.barrier = barrier
-	vc.flowBody(vc.pkg, body).replay(func(n ast.Node, env ivEnv) {
+	solve(buildCFG(body), ivEnv{}, vc.flow(vc.pkg)).replay(func(n ast.Node, env ivEnv) {
 		walkNode(n, func(m ast.Node) { vc.checkNode(env, m) })
 	})
 }

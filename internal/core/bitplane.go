@@ -27,12 +27,6 @@ func (s *SSVC) moveLevel(i, from, to int) {
 	arb.MaskSet(s.lvl[to], i)
 }
 
-// LevelMask returns the mask of inputs currently at coarse level k. The
-// returned slice aliases internal state; callers must not modify it. It
-// exists for the circuit-model equivalence tests, which check the
-// incrementally maintained planes against freshly derived codes.
-func (s *SSVC) LevelMask(k int) []uint64 { return s.lvl[k] }
-
 // Arbitrate implements arb.Arbiter. The decision is word-parallel by
 // default: requests are bucketed into class masks, the guaranteed-
 // bandwidth winner is the least-recently-granted member of the lowest

@@ -55,9 +55,6 @@ type Reservation struct {
 	ExpiresAt   noc.Cycle `json:"expiresAt,omitempty"` // 0 = no lease
 }
 
-// GrantedRate returns the granted rate in flits/cycle.
-func (r *Reservation) GrantedRate() float64 { return float64(r.GrantedCost) / Frame }
-
 // GrantedVtick returns the SSVC virtual-clock increment implied by the
 // granted rate: the inter-packet time of PacketLen-flit packets at that
 // rate, rounded up so the arbiter never over-serves the grant. Zero

@@ -47,7 +47,7 @@ type FlowReq struct {
 	Dst       int       `json:"dst"`
 	Class     noc.Class `json:"class"`
 	Rate      float64   `json:"rate"`
-	PacketLen int       `json:"len"`
+	PacketLen int       `json:"len"` //ssvc:range PacketLen 1..1048576
 
 	// Latency is the GL latency constraint L_n in cycles (Eq. 1-3);
 	// Burst is the requested GL burst sigma in packets. GL only.
