@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race vet fmt lint bench-arb perf perf-pairs perf-smoke serve-check suite-check staticcheck govulncheck bench experiments verify examples cover fuzz
+.PHONY: all check build test portable race vet fmt lint bench-arb perf perf-pairs perf-smoke serve-check suite-check staticcheck govulncheck bench experiments verify examples cover fuzz
 
 all: build vet test
 
@@ -17,6 +17,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The goldens on a second architecture: a 32-bit, pure-Go build must
+# print the same bytes, which the determinism lint's ban on
+# architecture-dependent math functions keeps possible.
+portable:
+	CGO_ENABLED=0 GOARCH=386 $(GO) test ./...
 
 # The sweep runner fans simulations across goroutines; keep the race
 # detector on the whole module, not just the runner package. That

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // globalRandFuncs are the math/rand (and math/rand/v2) package-level
@@ -30,6 +31,24 @@ var timerFuncs = map[string]bool{
 	"NewTimer": true, "NewTicker": true, "AfterFunc": true,
 }
 
+// trigFuncs are the math package's trigonometric and hyperbolic
+// functions; see transcendental.
+var trigFuncs = map[string]bool{
+	"Sin": true, "Cos": true, "Tan": true, "Sincos": true,
+	"Asin": true, "Acos": true, "Atan": true, "Atan2": true,
+	"Sinh": true, "Cosh": true, "Tanh": true,
+	"Asinh": true, "Acosh": true, "Atanh": true,
+}
+
+// transcendental reports the math functions IEEE 754 does not pin to
+// the last bit (math.Log*, Exp*, Pow and the trigonometric family):
+// amd64 runs some of them in assembly and other architectures in pure
+// Go, so a golden table built on one could differ on another. Sqrt,
+// Floor and the other exactly rounded functions stay allowed.
+func transcendental(name string) bool {
+	return strings.HasPrefix(name, "Log") || strings.HasPrefix(name, "Exp") || name == "Pow" || trigFuncs[name]
+}
+
 // determinism flags the three sources of run-to-run nondeterminism that
 // would break byte-identical golden tables: wall-clock time, the global
 // math/rand source, and iteration over maps.
@@ -52,7 +71,8 @@ func determinism(p *pass, pkg *Package) {
 }
 
 // checkForbiddenSelector reports pkgname.Func selections that resolve
-// to time.Now (and friends) or a global math/rand function.
+// to time.Now (and friends), a transcendental math function, or a
+// global math/rand function.
 func checkForbiddenSelector(p *pass, pkg *Package, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
@@ -68,6 +88,8 @@ func checkForbiddenSelector(p *pass, pkg *Package, sel *ast.SelectorExpr) {
 		p.report(sel.Pos(), "time.%s makes results depend on wall-clock time; derive everything from the simulated cycle count", name)
 	case path == "time" && timerFuncs[name]:
 		p.report(sel.Pos(), "time.%s schedules against the wall clock; expirations (leases, deadlines, cadences) must fire at deterministic simulated cycles so journal replay reproduces them", name)
+	case path == "math" && transcendental(name):
+		p.report(sel.Pos(), "math.%s may round differently on another GOARCH; golden tables must be byte-identical on every architecture, so use exact arithmetic", name)
 	case (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name]:
 		p.report(sel.Pos(), "global %s.%s draws from a process-wide source; use a traffic.RNG (or rand.New) seeded from Options.Seed", path, name)
 	}

@@ -44,7 +44,8 @@ func fixed(rels []string) func(*Loader) ([]string, error) {
 // and generators under them). Byte-identical output at any worker count
 // is the reproducibility contract, so these may not read wall-clock
 // time, the global math/rand source, or iterate maps without imposing
-// an order.
+// an order, and must not call math functions whose last bit depends on
+// the architecture.
 var DeterminismPackages = []string{
 	"internal/switchsim",
 	"internal/mesh",

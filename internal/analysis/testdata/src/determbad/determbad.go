@@ -4,6 +4,7 @@
 package determbad
 
 import (
+	"math"
 	"math/rand"
 	"time"
 )
@@ -47,6 +48,12 @@ func Deadline() <-chan time.Time {
 // Cadence polls on a wall-clock ticker.
 func Cadence() *time.Ticker {
 	return time.NewTicker(time.Second) // want:determinism
+}
+
+// Decay's last bit differs between amd64's assembly math.Exp and the
+// pure-Go one other architectures run.
+func Decay(x float64) float64 {
+	return math.Exp(-x) // want:determinism
 }
 
 // Sum iterates a map; even a commutative body must be allowlisted

@@ -4,6 +4,7 @@
 package determclean
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -25,6 +26,9 @@ func Pick(m map[string]int, keys []string) []int {
 	}
 	return out
 }
+
+// Root uses only exactly rounded math, the same on every architecture.
+func Root(x float64) float64 { return math.Floor(math.Sqrt(x)) }
 
 // Hold references the time package without consulting the wall clock.
 func Hold() time.Duration { return 5 * time.Millisecond }

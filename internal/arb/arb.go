@@ -54,7 +54,8 @@ type Arbiter interface {
 	// slot is wasted). Arbitrate may advance internal schedule
 	// bookkeeping (frame pointers, deficit refills) but must leave
 	// grant-dependent priority updates to Granted. It is called at most
-	// once per cycle.
+	// once per cycle. reqs holds at most one request per input, which is
+	// what fabric.Offers builds: an input offers one packet at a time.
 	Arbitrate(now noc.Cycle, reqs []Request) int
 
 	// Granted commits the grant decided by Arbitrate, updating priority

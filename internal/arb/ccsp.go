@@ -105,38 +105,6 @@ func (a *CCSP) Tick(now noc.Cycle) {
 	}
 }
 
-// AgeBased is oldest-first arbitration: the requesting input whose head
-// packet has waited longest (earliest input-buffer arrival) wins, with
-// LRG breaking ties. A common latency-fairness baseline for best-effort
-// traffic.
-type AgeBased struct {
-	unclocked
-	state *LRGState
-}
-
-// NewAgeBased returns an oldest-first arbiter over n inputs.
-func NewAgeBased(n int) *AgeBased { return &AgeBased{state: NewLRGState(n)} }
-
-// Arbitrate implements Arbiter.
-//
-//ssvc:hotpath
-func (a *AgeBased) Arbitrate(now noc.Cycle, reqs []Request) int {
-	best := -1
-	var bestAge noc.Cycle
-	bestRank := a.state.Size()
-	for i, r := range reqs {
-		age := r.Packet.EnqueuedAt
-		rk := a.state.Rank(r.Input)
-		if best == -1 || age < bestAge || (age == bestAge && rk < bestRank) {
-			best, bestAge, bestRank = i, age, rk
-		}
-	}
-	return best
-}
-
-// Granted implements Arbiter.
-func (a *AgeBased) Granted(now noc.Cycle, req Request) { a.state.Grant(req.Input) }
-
 // compile-time interface checks for the whole baseline family.
 var (
 	_ Arbiter = (*LRG)(nil)
@@ -147,7 +115,6 @@ var (
 	_ Arbiter = (*WFQ)(nil)
 	_ Arbiter = (*OrigVC)(nil)
 	_ Arbiter = (*CCSP)(nil)
-	_ Arbiter = (*AgeBased)(nil)
 
 	_ ArrivalObserver = (*WFQ)(nil)
 	_ ArrivalObserver = (*OrigVC)(nil)

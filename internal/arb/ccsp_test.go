@@ -120,37 +120,6 @@ func TestCCSPPanicsOnBadProvisioning(t *testing.T) {
 	}
 }
 
-func TestAgeBasedOldestFirst(t *testing.T) {
-	a := NewAgeBased(4)
-	old := &noc.Packet{Src: 2, EnqueuedAt: 5, Length: 4}
-	young := &noc.Packet{Src: 0, EnqueuedAt: 50, Length: 4}
-	reqs := []Request{
-		{Input: 0, Class: noc.BestEffort, Packet: young},
-		{Input: 2, Class: noc.BestEffort, Packet: old},
-	}
-	if w := a.Arbitrate(60, reqs); reqs[w].Input != 2 {
-		t.Fatalf("winner %d, want the older packet's input 2", reqs[w].Input)
-	}
-}
-
-func TestAgeBasedTieUsesLRG(t *testing.T) {
-	a := NewAgeBased(2)
-	p0 := &noc.Packet{Src: 0, EnqueuedAt: 7, Length: 4}
-	p1 := &noc.Packet{Src: 1, EnqueuedAt: 7, Length: 4}
-	reqs := []Request{
-		{Input: 0, Class: noc.BestEffort, Packet: p0},
-		{Input: 1, Class: noc.BestEffort, Packet: p1},
-	}
-	w := a.Arbitrate(10, reqs)
-	if reqs[w].Input != 0 {
-		t.Fatalf("tie winner %d, want 0", reqs[w].Input)
-	}
-	a.Granted(10, reqs[w])
-	if w := a.Arbitrate(11, reqs); reqs[w].Input != 1 {
-		t.Fatalf("second tie winner %d, want 1", reqs[w].Input)
-	}
-}
-
 func TestTDMServesOnlySlotOwner(t *testing.T) {
 	a := NewTDM(UniformTDMTable(2, 3)) // slots: 0,0,0,1,1,1 repeating
 	reqs := []Request{ccspReq(1, 2)}

@@ -18,7 +18,6 @@ func TestTicksAreNoOps(t *testing.T) {
 		NewDWRR([]int{4, 4, 4, 4}),
 		NewOrigVC(4, []noc.VTime{10, 10, 10, 10}),
 		NewPVC(4, []noc.VTime{10, 10, 10, 10}, 5),
-		NewAgeBased(4),
 	}
 	for _, a := range arbs {
 		before := a.Arbitrate(0, reqs)

@@ -89,6 +89,22 @@ func BenchmarkBitplaneArbitrate(b *testing.B) {
 	}
 }
 
+// BenchmarkArbitrateOne is the one-request list, the common case at
+// light load: nothing to resolve in parallel, only the class gate.
+func BenchmarkArbitrateOne(b *testing.B) {
+	for _, r := range arbitrateRadices {
+		s, reqs := contended(r.radix)
+		one := reqs[5:6]
+		b.Run(r.name, func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				if s.Arbitrate(Cycle(n), one) != 0 {
+					b.Fatal("the one request lost")
+				}
+			}
+		})
+	}
+}
+
 // TestSteadyStateAllocs is the allocation gate on the arbitration
 // decision: neither kernel may allocate. There is nothing to warm.
 func TestSteadyStateAllocs(t *testing.T) {

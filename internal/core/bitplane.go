@@ -31,22 +31,23 @@ func (s *SSVC) moveLevel(i, from, to int) {
 // default: requests are bucketed into class masks, the guaranteed-
 // bandwidth winner is the least-recently-granted member of the lowest
 // nonempty (requesting AND level-k) plane intersection, and GL/BE
-// winners come straight from the LRG priority matrix. A request list that
-// repeats an input (legal under the interface, impossible from the
-// switch model) cannot be represented as a bitmask and falls back to
-// the element-wise scan, which decides identically.
+// winners come straight from the LRG priority matrix. It is the only
+// decision path: reqs holds at most one request per input (the
+// arb.Arbiter contract), so the class masks lose nothing.
 //
 //ssvc:hotpath
 func (s *SSVC) Arbitrate(now noc.Cycle, reqs []arb.Request) int {
-	if len(reqs) == 0 {
+	switch {
+	case len(reqs) == 0:
 		return -1
-	}
-	if len(reqs) == 1 {
-		// Nothing to resolve in parallel; one request either passes its
-		// class gate or nothing is granted.
-		return s.arbitrateScalar(now, reqs)
-	}
-	if len(s.allMask) == 1 {
+	case len(reqs) == 1:
+		// Nothing to resolve in parallel: a GL request over its budget
+		// is refused, anything else wins.
+		if reqs[0].Class == noc.GuaranteedLatency && !s.glEligible(now) {
+			return -1
+		}
+		return 0
+	case len(s.allMask) == 1:
 		return s.arbitrate1(now, reqs)
 	}
 	return s.arbitrateWide(now, reqs)
@@ -66,9 +67,6 @@ func (s *SSVC) arbitrate1(now noc.Cycle, reqs []arb.Request) int {
 		// it never changes a valid decision, and it keeps the shift width
 		// provably in range for any Request.Input.
 		bit := uint64(1) << (uint(in) & 63)
-		if (glm|gbm|bem)&bit != 0 {
-			return s.arbitrateScalar(now, reqs)
-		}
 		reqIdx[in] = int32(i)
 		switch reqs[i].Class {
 		case noc.GuaranteedLatency:
@@ -121,9 +119,6 @@ func (s *SSVC) arbitrateWide(now noc.Cycle, reqs []arb.Request) int {
 	for i := range reqs {
 		in := reqs[i].Input
 		w, bit := in>>6, uint64(1)<<(uint(in)&63)
-		if (glM[w]|gbM[w]|beM[w])&bit != 0 {
-			return s.arbitrateScalar(now, reqs)
-		}
 		reqIdx[in] = int32(i)
 		switch reqs[i].Class {
 		case noc.GuaranteedLatency:

@@ -8,6 +8,58 @@ import (
 	"swizzleqos/internal/traffic"
 )
 
+// arbitrateScalar is the element-wise reference decision: one comparison
+// per request, mirroring a sequential walk of the crosspoints. It is the
+// differential oracle for the bitplane path, which replaced it.
+func (s *SSVC) arbitrateScalar(now noc.Cycle, reqs []arb.Request) int {
+	// Guaranteed latency: absolute priority while within budget; LRG
+	// picks among simultaneous GL requesters (Fig 3).
+	if s.cfg.EnableGL && s.glEligible(now) {
+		if w := s.pickLRG(reqs, func(r arb.Request) bool {
+			return r.Class == noc.GuaranteedLatency
+		}); w >= 0 {
+			return w
+		}
+	}
+	// Guaranteed bandwidth: smallest thermometer code wins; LRG breaks
+	// ties. GB requests from inputs without a reservation fall through
+	// to best-effort priority.
+	best := -1
+	bestCoarse := s.levels
+	bestRank := s.cfg.Radix
+	for i, r := range reqs {
+		if r.Class != noc.GuaranteedBandwidth || s.cfg.Vticks[r.Input] == 0 {
+			continue
+		}
+		c := s.Coarse(r.Input)
+		rk := s.lrg.Rank(r.Input)
+		if c < bestCoarse || (c == bestCoarse && rk < bestRank) {
+			best, bestCoarse, bestRank = i, c, rk
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	// Best effort (including unreserved GB): plain LRG.
+	return s.pickLRG(reqs, func(r arb.Request) bool {
+		return r.Class == noc.BestEffort ||
+			(r.Class == noc.GuaranteedBandwidth && s.cfg.Vticks[r.Input] == 0)
+	})
+}
+
+func (s *SSVC) pickLRG(reqs []arb.Request, keep func(arb.Request) bool) int {
+	best, bestRank := -1, s.cfg.Radix
+	for i, r := range reqs {
+		if !keep(r) {
+			continue
+		}
+		if rk := s.lrg.Rank(r.Input); rk < bestRank {
+			best, bestRank = i, rk
+		}
+	}
+	return best
+}
+
 // checkLevelPlanes asserts the incrementally maintained level planes
 // agree with freshly derived coarse values for every input.
 func checkLevelPlanes(t *testing.T, s *SSVC, step string) {

@@ -195,6 +195,28 @@ func NewSSVC(cfg Config) *SSVC {
 	return s
 }
 
+// Vticks is the Vtick vector a flow set programs toward output out:
+// each GB flow's FlowSpec.Vtick at its source, 0 (unreserved) elsewhere.
+func Vticks(radix int, specs []noc.FlowSpec, out int) []VTime {
+	vt := make([]VTime, radix)
+	for _, s := range specs {
+		if s.Dst == out && s.Class == noc.GuaranteedBandwidth {
+			vt[s.Src] = s.Vtick()
+		}
+	}
+	return vt
+}
+
+// FromFlows returns the per-output SSVC constructor for a flow set:
+// output out's arbiter is cfg with its Vticks programmed from specs.
+func FromFlows(cfg Config, specs []noc.FlowSpec) func(out int) arb.Arbiter {
+	return func(out int) arb.Arbiter {
+		c := cfg
+		c.Vticks = Vticks(cfg.Radix, specs, out)
+		return NewSSVC(c)
+	}
+}
+
 // rebuildReserved re-derives the reserved-input mask from the Vticks.
 func (s *SSVC) rebuildReserved() {
 	arb.MaskZero(s.reserved)
@@ -277,61 +299,6 @@ func (s *SSVC) glEligible(now Cycle) bool {
 	}
 	allowance := noc.VTimeOf(uint64(burst-1)) * s.cfg.GLVtick
 	return s.glVC <= noc.SatAdd(noc.VTimeOfCycle(now), allowance)
-}
-
-// arbitrateScalar is the element-wise reference decision: one comparison
-// per request, mirroring a sequential walk of the crosspoints. It remains
-// the fallback for request lists that repeat an input (which a bitmask
-// cannot represent) and the differential oracle for the bitplane path.
-//
-//ssvc:hotpath
-func (s *SSVC) arbitrateScalar(now noc.Cycle, reqs []arb.Request) int {
-	// Guaranteed latency: absolute priority while within budget; LRG
-	// picks among simultaneous GL requesters (Fig 3).
-	if s.cfg.EnableGL && s.glEligible(now) {
-		if w := s.pickLRG(reqs, func(r arb.Request) bool {
-			return r.Class == noc.GuaranteedLatency
-		}); w >= 0 {
-			return w
-		}
-	}
-	// Guaranteed bandwidth: smallest thermometer code wins; LRG breaks
-	// ties. GB requests from inputs without a reservation fall through
-	// to best-effort priority.
-	best := -1
-	bestCoarse := s.levels
-	bestRank := s.cfg.Radix
-	for i, r := range reqs {
-		if r.Class != noc.GuaranteedBandwidth || s.cfg.Vticks[r.Input] == 0 {
-			continue
-		}
-		c := s.Coarse(r.Input)
-		rk := s.lrg.Rank(r.Input)
-		if c < bestCoarse || (c == bestCoarse && rk < bestRank) {
-			best, bestCoarse, bestRank = i, c, rk
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	// Best effort (including unreserved GB): plain LRG.
-	return s.pickLRG(reqs, func(r arb.Request) bool {
-		return r.Class == noc.BestEffort ||
-			(r.Class == noc.GuaranteedBandwidth && s.cfg.Vticks[r.Input] == 0)
-	})
-}
-
-func (s *SSVC) pickLRG(reqs []arb.Request, keep func(arb.Request) bool) int {
-	best, bestRank := -1, s.cfg.Radix
-	for i, r := range reqs {
-		if !keep(r) {
-			continue
-		}
-		if rk := s.lrg.Rank(r.Input); rk < bestRank {
-			best, bestRank = i, rk
-		}
-	}
-	return best
 }
 
 // Granted implements arb.Arbiter: the winner's virtual clock advances by

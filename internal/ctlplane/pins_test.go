@@ -13,7 +13,7 @@ import (
 )
 
 // The pins below were computed on the commit before source generation
-// under DynamicFlows became event-driven (every flow, detached ones
+// for flows added mid-run became event-driven (every flow, detached ones
 // included, polled through its valve each cycle, nothing ever removed
 // from an injection group). The calendar path, the per-flow polled
 // merge and the reclaiming of drained dead flows must reproduce them

@@ -372,7 +372,6 @@ func New(cfg SimConfig) (*Plane, error) {
 		BEBufferFlits: cfg.BEBufferFlits,
 		GLBufferFlits: cfg.GLBufferFlits,
 		GBBufferFlits: cfg.GBBufferFlits,
-		DynamicFlows:  true,
 	}, func(output int) arb.Arbiter {
 		c := arbCfg
 		c.Vticks = make([]core.VTime, cfg.Radix)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
-	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
 )
 
@@ -61,15 +61,14 @@ func chainingRun(sc *sweepScratch, packetLen int, chaining bool, o Options) chai
 	if cfg.GBBufferFlits < 2*packetLen {
 		cfg.GBBufferFlits = 2 * packetLen
 	}
-	var b build
-	sw := b.sw(cfg, func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) })
-	var seq traffic.Sequence
-	for i := 0; i < fig4Radix; i++ {
-		spec := noc.FlowSpec{Src: i, Dst: 0, Class: noc.BestEffort, PacketLength: packetLen}
-		b.add(sw, traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 4)})
+	specs := make([]noc.FlowSpec, fig4Radix)
+	for i := range specs {
+		specs[i] = noc.FlowSpec{Src: i, Dst: 0, Class: noc.BestEffort, PacketLength: packetLen}
 	}
-	if b.err != nil {
-		return chainingPoint{err: b.err}
+	var seq traffic.Sequence
+	sw, err := crossbar(cfg, func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) }, &seq, backlogged(specs...))
+	if err != nil {
+		return chainingPoint{err: err}
 	}
 	col, err := sc.runCollected(sw, &seq, o)
 	return chainingPoint{throughput: col.OutputThroughput(0), err: err}
@@ -110,14 +109,10 @@ func AblationFixedPriority(o Options) []FixedPriorityOutcome {
 		{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.3, PacketLength: 8},
 	}
 	run := func(name string, factory func(int) arb.Arbiter) FixedPriorityOutcome {
-		var b build
-		sw := b.sw(fig4Config(), factory)
 		var seq traffic.Sequence
-		for _, s := range specs {
-			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		if b.err != nil {
-			return FixedPriorityOutcome{Scheme: name, Err: b.err}
+		sw, err := crossbar(fig4Config(), factory, &seq, backlogged(specs...))
+		if err != nil {
+			return FixedPriorityOutcome{Scheme: name, Err: err}
 		}
 		col, err := runCollected(sw, &seq, o)
 		return FixedPriorityOutcome{
@@ -135,7 +130,7 @@ func AblationFixedPriority(o Options) []FixedPriorityOutcome {
 			})
 		},
 		func() FixedPriorityOutcome {
-			return run("SSVC", ssvcFactory(fig4Radix, fig4SigBits, 0, specs))
+			return run("SSVC", core.FromFlows(fig4SSVC, specs))
 		},
 	}
 	return runner.Map(o.pool(), len(jobs), func(i int) FixedPriorityOutcome { return jobs[i]() })
@@ -178,16 +173,16 @@ func AblationStaticSchedulers(o Options) []StaticOutcome {
 		wf[i] = 0.1
 	}
 	capacity := float64(packetLen) / float64(packetLen+1)
+	// Only the even inputs offer traffic.
+	var offered []traffic.Workload
+	for i := 0; i < fig4Radix; i += 2 {
+		offered = append(offered, backlogged(specs[i])...)
+	}
 	run := func(sc *sweepScratch, name string, factory func(int) arb.Arbiter) StaticOutcome {
-		var b build
-		sw := b.sw(fig4Config(), factory)
 		var seq traffic.Sequence
-		// Only the even inputs offer traffic.
-		for i := 0; i < fig4Radix; i += 2 {
-			b.add(sw, traffic.Flow{Spec: specs[i], Gen: traffic.NewBacklogged(&seq, specs[i], 4)})
-		}
-		if b.err != nil {
-			return StaticOutcome{Scheme: name, Err: b.err}
+		sw, err := crossbar(fig4Config(), factory, &seq, offered)
+		if err != nil {
+			return StaticOutcome{Scheme: name, Err: err}
 		}
 		col, err := sc.runCollected(sw, &seq, o)
 		return StaticOutcome{Scheme: name, Utilisation: col.OutputThroughput(0) / capacity, Err: err}
@@ -201,7 +196,7 @@ func AblationStaticSchedulers(o Options) []StaticOutcome {
 		{"WRR(work-conserving)", func(int) arb.Arbiter { return arb.NewWRR(weights, true) }},
 		{"DWRR", func(int) arb.Arbiter { return arb.NewDWRR(quanta) }},
 		{"WFQ", func(int) arb.Arbiter { return arb.NewWFQ(wf) }},
-		{"SSVC", ssvcFactory(fig4Radix, fig4SigBits, 0, specs)},
+		{"SSVC", core.FromFlows(fig4SSVC, specs)},
 	}
 	return runner.MapScratch(o.pool(), len(schemes), newSweepScratch,
 		func(sc *sweepScratch, i int) StaticOutcome {
@@ -242,14 +237,12 @@ func AblationSigBits(o Options) []SigBitsOutcome {
 	return runner.MapScratch(o.pool(), 6, newSweepScratch,
 		func(sc *sweepScratch, idx int) SigBitsOutcome {
 			sig := idx + 1
-			var b build
-			sw := b.sw(fig4Config(), ssvcFactory(fig4Radix, sig, 0, specs))
+			cfg := fig4SSVC
+			cfg.SigBits = sig
 			var seq traffic.Sequence
-			for _, s := range specs {
-				b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-			}
-			if b.err != nil {
-				return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, Err: b.err}
+			sw, err := crossbar(fig4Config(), core.FromFlows(cfg, specs), &seq, backlogged(specs...))
+			if err != nil {
+				return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, Err: err}
 			}
 			col, err := sc.runCollected(sw, &seq, o)
 			worst := 1e9
@@ -272,6 +265,3 @@ func SigBitsTable(outcomes []SigBitsOutcome) *stats.Table {
 	}
 	return t
 }
-
-// compile-time guard: the ablations only use exported switchsim API.
-var _ = switchsim.Config{}

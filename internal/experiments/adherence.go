@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
@@ -108,14 +109,10 @@ func adherenceCombo(sc *sweepScratch, mix adherenceMix, o Options) AdherenceComb
 			PacketLength: combo.PacketLens[i],
 		}
 	}
-	var b build
-	sw := b.sw(fig4Config(), ssvcFactory(fig4Radix, fig4SigBits, 0, specs))
 	var seq traffic.Sequence
-	for _, s := range specs {
-		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-	}
-	if b.err != nil {
-		combo.Err = b.err
+	sw, err := crossbar(fig4Config(), core.FromFlows(fig4SSVC, specs), &seq, backlogged(specs...))
+	if err != nil {
+		combo.Err = err
 		return combo
 	}
 	col, err := sc.runCollected(sw, &seq, o)

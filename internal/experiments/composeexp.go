@@ -92,14 +92,10 @@ func ComposeQoS(o Options) []ComposeOutcome {
 
 	// Single-stage radix-8 SSVC switch: one crosspoint per flow.
 	singleStage := func() ComposeOutcome {
-		var b build
-		sw := b.sw(fig4Config(), ssvcFactory(fig4Radix, fig4SigBits, 0, specs))
 		var seq traffic.Sequence
-		for _, s := range specs {
-			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		if b.err != nil {
-			return ComposeOutcome{System: "SingleStage radix-8 SSVC", Err: b.err}
+		sw, err := crossbar(fig4Config(), core.FromFlows(fig4SSVC, specs), &seq, backlogged(specs...))
+		if err != nil {
+			return ComposeOutcome{System: "SingleStage radix-8 SSVC", Err: err}
 		}
 		col, err := runCollected(sw, &seq, o)
 		return evaluate("SingleStage radix-8 SSVC", col, err)
@@ -110,11 +106,9 @@ func ComposeQoS(o Options) []ComposeOutcome {
 	// only be programmed with the aggregate Vtick.
 	composed := func() ComposeOutcome {
 		const system = "Composed 2-level Clos (shared crosspoints)"
-		var b build
 		topo, err := compose.TwoLevelClos(2, 4, 1)
-		b.fail(err)
 		var net *compose.Network
-		if b.err == nil {
+		if err == nil {
 			net, err = compose.New(compose.Config{
 				Topology:    topo,
 				BufferFlits: fig4BufFlits,
@@ -136,14 +130,10 @@ func ComposeQoS(o Options) []ComposeOutcome {
 					return arb.NewLRG(ports)
 				},
 			})
-			b.fail(err)
 		}
 		var seq traffic.Sequence
-		for _, s := range specs {
-			b.add(net, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		if b.err != nil {
-			return ComposeOutcome{System: system, Err: b.err}
+		if err := attach(net, err, &seq, backlogged(specs...)); err != nil {
+			return ComposeOutcome{System: system, Err: err}
 		}
 		col, err := runCollected(net, &seq, o)
 		return evaluate(system, col, err)

@@ -4,9 +4,11 @@ import (
 	"fmt"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
+	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
 )
 
@@ -56,19 +58,19 @@ func Convergence(o Options) []ConvergenceOutcome {
 	}
 
 	run := func(name string, factory func(int) arb.Arbiter) ConvergenceOutcome {
-		var b build
-		sw := b.sw(fig4Config(), factory)
+		sw, err := switchsim.New(fig4Config(), factory)
 		var seq traffic.Sequence
-		// The big flow injects nothing until wake-up, then saturates.
-		b.add(sw, traffic.Flow{Spec: specs[0], Gen: &gatedBacklog{
-			inner: traffic.NewBacklogged(&seq, specs[0], 4),
-			from:  wake,
-		}})
-		for _, s := range specs[1:] {
-			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
+		if err == nil {
+			// The big flow injects nothing until wake-up, then saturates;
+			// no injection kind describes that, so it is added by hand,
+			// ahead of the others.
+			err = sw.AddFlow(traffic.Flow{Spec: specs[0], Gen: &gatedBacklog{
+				inner: traffic.NewBacklogged(&seq, specs[0], 4),
+				from:  wake,
+			}})
 		}
-		if b.err != nil {
-			return ConvergenceOutcome{Scheme: name, ConvergenceWindows: -1, Err: b.err}
+		if err := attach(sw, err, &seq, backlogged(specs[1:]...)); err != nil {
+			return ConvergenceOutcome{Scheme: name, ConvergenceWindows: -1, Err: err}
 		}
 		series := stats.NewSeries(windowLen)
 		sw.OnDeliver(series.OnDeliver)
@@ -99,7 +101,7 @@ func Convergence(o Options) []ConvergenceOutcome {
 
 	// The two schemes are independent simulations; fan them out.
 	jobs := []func() ConvergenceOutcome{
-		func() ConvergenceOutcome { return run("SSVC", ssvcFactory(fig4Radix, fig4SigBits, 0, specs)) },
+		func() ConvergenceOutcome { return run("SSVC", core.FromFlows(fig4SSVC, specs)) },
 		func() ConvergenceOutcome {
 			return run("LRG", func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) })
 		},

@@ -34,28 +34,17 @@ type DecouplingOutcome struct {
 // per-requester provisioning at the arbiter.
 func AblationDecoupling(o Options) []DecouplingOutcome {
 	o = o.withDefaults()
-	specs := make([]noc.FlowSpec, fig4Radix)
-	for i, a := range Fig5Allocations {
-		specs[i] = noc.FlowSpec{
-			Src: i, Dst: 0,
-			Class:        noc.GuaranteedBandwidth,
-			Rate:         a / 100,
-			PacketLength: fig4PacketLen,
-		}
-	}
+	specs := fig5Specs()
+	// The 1% flow complies with its contract: one 8-flit packet every
+	// 800 cycles.
+	interval := noc.CycleOf(uint64(float64(specs[0].PacketLength) / specs[0].Rate))
+	ws := append([]traffic.Workload{{Spec: specs[0], Inject: traffic.Inject.Periodic(interval, 13)}},
+		backlogged(specs[1:]...)...)
 	run := func(name string, factory func(int) arb.Arbiter) DecouplingOutcome {
-		var b build
-		sw := b.sw(fig4Config(), factory)
 		var seq traffic.Sequence
-		// The 1% flow complies with its contract: one 8-flit packet
-		// every 800 cycles.
-		interval := noc.CycleOf(uint64(float64(specs[0].PacketLength) / specs[0].Rate))
-		b.add(sw, traffic.Flow{Spec: specs[0], Gen: traffic.NewPeriodic(&seq, specs[0], interval, 13)})
-		for _, s := range specs[1:] {
-			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		if b.err != nil {
-			return DecouplingOutcome{Scheme: name, Err: b.err}
+		sw, err := crossbar(fig4Config(), factory, &seq, ws)
+		if err != nil {
+			return DecouplingOutcome{Scheme: name, Err: err}
 		}
 		col, err := runCollected(sw, &seq, o)
 		lat := func(src int) float64 {
@@ -86,11 +75,11 @@ func AblationDecoupling(o Options) []DecouplingOutcome {
 	jobs := []func() DecouplingOutcome{
 		func() DecouplingOutcome {
 			return run("OriginalVC", func(out int) arb.Arbiter {
-				return arb.NewOrigVC(fig4Radix, vticksFor(fig4Radix, specs, out))
+				return arb.NewOrigVC(fig4Radix, core.Vticks(fig4Radix, specs, out))
 			})
 		},
 		func() DecouplingOutcome {
-			return run("SSVC/Reset", ssvcFactoryBits(fig4Radix, fig5CounterBits, fig5SigBits, core.Reset, specs))
+			return run("SSVC/Reset", core.FromFlows(fig5SSVC(core.Reset), specs))
 		},
 		func() DecouplingOutcome { return run("CCSP[1]", ccspFactory) },
 	}

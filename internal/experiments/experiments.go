@@ -104,71 +104,47 @@ func fig4Config() switchsim.Config {
 	}
 }
 
-// vticksFor computes the per-input Vtick vector toward one output for a
-// set of flow specs.
-func vticksFor(radix int, specs []noc.FlowSpec, out int) []core.VTime {
-	vt := make([]core.VTime, radix)
-	for _, s := range specs {
-		if s.Dst == out && s.Class == noc.GuaranteedBandwidth {
-			vt[s.Src] = s.Vtick()
-		}
-	}
-	return vt
+// fig4SSVC is the Figure 4 arbiter geometry: a 12-bit auxVC with 4
+// significant bits, subtract-real-time policy. core.FromFlows programs
+// its Vticks from each run's flows.
+var fig4SSVC = core.Config{Radix: fig4Radix, CounterBits: counterBits, SigBits: fig4SigBits}
+
+// fig5SSVC is the Figure 5 geometry (9-bit auxVC, 3 significant bits)
+// under one counter policy.
+func fig5SSVC(policy core.CounterPolicy) core.Config {
+	return core.Config{Radix: fig4Radix, CounterBits: fig5CounterBits, SigBits: fig5SigBits, Policy: policy}
 }
 
-// ssvcFactory builds per-output SSVC arbiters configured from the flow
-// specs, with the default 12-bit counter.
-func ssvcFactory(radix, sigBits int, policy core.CounterPolicy, specs []noc.FlowSpec) func(int) arb.Arbiter {
-	return ssvcFactoryBits(radix, counterBits, sigBits, policy, specs)
+// backlogged gives every spec a four-packet backlog, the saturating
+// demand most experiments drive.
+func backlogged(specs ...noc.FlowSpec) []traffic.Workload {
+	ws := make([]traffic.Workload, len(specs))
+	for i, s := range specs {
+		ws[i] = traffic.Workload{Spec: s, Inject: traffic.Inject.Backlogged(4)}
+	}
+	return ws
 }
 
-// ssvcFactoryBits is ssvcFactory with an explicit auxVC counter width.
-func ssvcFactoryBits(radix, ctrBits, sigBits int, policy core.CounterPolicy, specs []noc.FlowSpec) func(int) arb.Arbiter {
-	return func(out int) arb.Arbiter {
-		return core.NewSSVC(core.Config{
-			Radix:       radix,
-			CounterBits: ctrBits,
-			SigBits:     sigBits,
-			Policy:      policy,
-			Vticks:      vticksFor(radix, specs, out),
-		})
+// attach adds the workloads to an engine whose construction returned
+// err, in order (traffic.Attach). Either failure comes back tagged with
+// the package prefix: setup errors thread into Outcome.Err instead of
+// panicking, because a setup panic inside a sweep worker would kill the
+// whole pool (ssvc-lint's panicfreeze invariant).
+func attach(e fabric.Engine, err error, seq *traffic.Sequence, ws []traffic.Workload) error {
+	if err == nil {
+		err = traffic.Attach(e, seq, ws...)
 	}
+	if err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
 }
 
-// build accumulates engine-construction errors so experiment setup can
-// stay linear while threading failures into Outcome.Err instead of
-// panicking: the engines freeze sick on internal violations
-// (fabric.ErrorReporter), and since a setup panic inside a sweep worker
-// would kill the whole pool, setup follows the same discipline
-// (ssvc-lint's panicfreeze invariant). Callers check err once, after
-// the last construction step and before driving the engine.
-type build struct{ err error }
-
-// fail records the first error, tagged with the package prefix.
-func (b *build) fail(err error) {
-	if b.err == nil && err != nil {
-		b.err = fmt.Errorf("experiments: %w", err)
-	}
-}
-
-// sw constructs a crossbar, recording any error; on a prior or current
-// failure the returned switch may be nil and must not be driven.
-func (b *build) sw(cfg switchsim.Config, f func(int) arb.Arbiter) *switchsim.Switch {
-	if b.err != nil {
-		return nil
-	}
-	sw, err := switchsim.New(cfg, f)
-	b.fail(err)
-	return sw
-}
-
-// add attaches a flow to an engine built earlier; after any recorded
-// failure it is a no-op, so construction code needs no per-call checks.
-func (b *build) add(e fabric.Engine, f traffic.Flow) {
-	if b.err != nil || e == nil {
-		return
-	}
-	b.fail(e.AddFlow(f))
+// crossbar builds a crossbar and attaches the workloads to it; on an
+// error the switch must not be driven.
+func crossbar(cfg switchsim.Config, newArb func(int) arb.Arbiter, seq *traffic.Sequence, ws []traffic.Workload) (*switchsim.Switch, error) {
+	sw, err := switchsim.New(cfg, newArb)
+	return sw, attach(sw, err, seq, ws)
 }
 
 // pool returns the worker pool for fanning independent sweep points:

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/glbound"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
+	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
 )
 
@@ -136,26 +136,23 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 		PacketLength: fig4PacketLen,
 	}
 
-	var b build
-	sw := b.sw(fig4Config(), func(out int) arb.Arbiter {
-		return core.NewSSVC(core.Config{
-			Radix: fig4Radix, CounterBits: fig5CounterBits, SigBits: fig5SigBits,
-			Policy: policy, Vticks: vticksFor(fig4Radix, specs, out),
-			EnableGL: true,
-			GLVtick:  glSpec.Vtick(),
-			GLBurst:  2,
-		})
-	})
-	if sw != nil {
-		b.fail(sw.SetFaults(faults.Config{
+	arbCfg := fig5SSVC(policy)
+	arbCfg.EnableGL, arbCfg.GLVtick, arbCfg.GLBurst = true, glSpec.Vtick(), 2
+	sw, err := switchsim.New(fig4Config(), core.FromFlows(arbCfg, specs))
+	if err == nil {
+		err = sw.SetFaults(faults.Config{
 			Seed:        faultSeed,
 			CorruptProb: faultCorruptProb,
 			Stalls:      []faults.StallWindow{{Port: 0, From: stallFrom, Until: stallUntil}},
 			FailStops:   []faults.FailStop{{Input: true, Port: faultFailedInput, At: failAt}},
-		}))
+		})
 	}
-	if b.err != nil {
-		return FaultOutcome{Policy: name, RecoveryCycles: -1, Err: b.err}
+	var seq traffic.Sequence
+	ws := append(backlogged(specs...),
+		traffic.Workload{Spec: glSpec, Inject: traffic.Inject.Periodic(faultGLEvery, 13)},
+		traffic.Workload{Spec: beSpec, Inject: traffic.Inject.Backlogged(4)})
+	if err := attach(sw, err, &seq, ws); err != nil {
+		return FaultOutcome{Policy: name, RecoveryCycles: -1, Err: err}
 	}
 
 	oc := FaultOutcome{Policy: name, RecoveryCycles: -1}
@@ -181,20 +178,10 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 				})
 			}
 		}
-		if err := sw.Arbiter(0).(*core.SSVC).SetVticks(vticksFor(fig4Radix, newSpecs, 0)); err != nil && refitErr == nil {
+		if err := sw.Arbiter(0).(*core.SSVC).SetVticks(core.Vticks(fig4Radix, newSpecs, 0)); err != nil && refitErr == nil {
 			refitErr = fmt.Errorf("experiments: %w", err)
 		}
 	})
-
-	var seq traffic.Sequence
-	for _, s := range specs {
-		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-	}
-	b.add(sw, traffic.Flow{Spec: glSpec, Gen: traffic.NewPeriodic(&seq, glSpec, faultGLEvery, 13)})
-	b.add(sw, traffic.Flow{Spec: beSpec, Gen: traffic.NewBacklogged(&seq, beSpec, 4)})
-	if b.err != nil {
-		return FaultOutcome{Policy: name, RecoveryCycles: -1, Err: b.err}
-	}
 
 	phases := stats.NewWindowed(o.Warmup, failAt, settledAt, o.total())
 	series := stats.NewSeries(faultSeriesWindow)

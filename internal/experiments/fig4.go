@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
@@ -67,21 +68,18 @@ func fig4Point(sc *sweepScratch, qos bool, inj float64, o Options) Fig4Point {
 			PacketLength: fig4PacketLen,
 		}
 	}
-	var factory func(int) arb.Arbiter
-	if qos {
-		factory = ssvcFactory(fig4Radix, fig4SigBits, 0, specs)
-	} else {
+	factory := core.FromFlows(fig4SSVC, specs)
+	if !qos {
 		factory = func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) }
 	}
-	var b build
-	sw := b.sw(fig4Config(), factory)
-	var seq traffic.Sequence
+	ws := make([]traffic.Workload, len(specs))
 	for i, s := range specs {
-		gen := traffic.NewBernoulli(&seq, s, inj, o.Seed+uint64(i)*7919)
-		b.add(sw, traffic.Flow{Spec: s, Gen: gen})
+		ws[i] = traffic.Workload{Spec: s, Inject: traffic.Inject.Bernoulli(inj, o.Seed+uint64(i)*7919)}
 	}
-	if b.err != nil {
-		return Fig4Point{InjectionRate: inj, PerFlow: make([]float64, fig4Radix), Err: b.err}
+	var seq traffic.Sequence
+	sw, err := crossbar(fig4Config(), factory, &seq, ws)
+	if err != nil {
+		return Fig4Point{InjectionRate: inj, PerFlow: make([]float64, fig4Radix), Err: err}
 	}
 	col, err := sc.runCollected(sw, &seq, o)
 

@@ -74,40 +74,38 @@ type fig5Curve struct {
 	err  error
 }
 
-func fig5Run(sc *sweepScratch, policy string, o Options) fig5Curve {
+// fig5Specs are the Figure 5 mix: input i reserves Fig5Allocations[i]
+// percent of output 0.
+func fig5Specs() []noc.FlowSpec {
 	specs := make([]noc.FlowSpec, fig4Radix)
 	for i, a := range Fig5Allocations {
-		specs[i] = noc.FlowSpec{
-			Src: i, Dst: 0,
-			Class:        noc.GuaranteedBandwidth,
-			Rate:         a / 100,
-			PacketLength: fig4PacketLen,
+		specs[i] = noc.FlowSpec{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: a / 100, PacketLength: fig4PacketLen}
+	}
+	return specs
+}
+
+func fig5Run(sc *sweepScratch, policy string, o Options) fig5Curve {
+	specs := fig5Specs()
+	var factory func(int) arb.Arbiter
+	if policy == "OriginalVC" {
+		factory = func(out int) arb.Arbiter {
+			return arb.NewOrigVC(fig4Radix, core.Vticks(fig4Radix, specs, out))
 		}
 	}
-	var factory func(int) arb.Arbiter
-	switch policy {
-	case "OriginalVC":
-		factory = func(out int) arb.Arbiter {
-			return arb.NewOrigVC(fig4Radix, vticksFor(fig4Radix, specs, out))
+	// The SSVC curves are named after their counter policy.
+	for _, p := range []core.CounterPolicy{core.SubtractRealTime, core.Halve, core.Reset} {
+		if p.String() == policy {
+			factory = core.FromFlows(fig5SSVC(p), specs)
 		}
-	case "SubtractRealClock":
-		factory = ssvcFactoryBits(fig4Radix, fig5CounterBits, fig5SigBits, core.SubtractRealTime, specs)
-	case "DivideBy2":
-		factory = ssvcFactoryBits(fig4Radix, fig5CounterBits, fig5SigBits, core.Halve, specs)
-	case "Reset":
-		factory = ssvcFactoryBits(fig4Radix, fig5CounterBits, fig5SigBits, core.Reset, specs)
-	default:
+	}
+	if factory == nil {
 		return fig5Curve{lats: make([]float64, len(specs)),
 			err: fmt.Errorf("experiments: unknown Figure 5 policy %q", policy)}
 	}
-	var b build
-	sw := b.sw(fig4Config(), factory)
 	var seq traffic.Sequence
-	for _, s := range specs {
-		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-	}
-	if b.err != nil {
-		return fig5Curve{lats: make([]float64, len(specs)), err: b.err}
+	sw, err := crossbar(fig4Config(), factory, &seq, backlogged(specs...))
+	if err != nil {
+		return fig5Curve{lats: make([]float64, len(specs)), err: err}
 	}
 	col, err := sc.runCollected(sw, &seq, o)
 	out := make([]float64, len(specs))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/glbound"
 	"swizzleqos/internal/noc"
@@ -95,29 +94,15 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 		}
 	}
 	pktsPerBuf := sc.GLBufferFlits / sc.GLPacketLen
-	factory := func(outPort int) arb.Arbiter {
-		return core.NewSSVC(core.Config{
-			Radix:       fig4Radix,
-			CounterBits: counterBits,
-			SigBits:     fig4SigBits,
-			Policy:      core.SubtractRealTime,
-			Vticks:      vticksFor(fig4Radix, gbSpecs, outPort),
-			EnableGL:    true,
-			// The leaky bucket must admit one full adversarial burst;
-			// long-run policing is exercised separately.
-			GLVtick: noc.VTimeOf(uint64(sc.GLPacketLen * 20)),
-			GLBurst: sc.NGL * pktsPerBuf,
-		})
-	}
+	arbCfg := fig4SSVC
+	arbCfg.EnableGL = true
+	// The leaky bucket must admit one full adversarial burst; long-run
+	// policing is exercised separately.
+	arbCfg.GLVtick, arbCfg.GLBurst = noc.VTimeOf(uint64(sc.GLPacketLen*20)), sc.NGL*pktsPerBuf
 	cfg := fig4Config()
 	cfg.GLBufferFlits = sc.GLBufferFlits
-	var b build
-	sw := b.sw(cfg, factory)
 
-	var seq traffic.Sequence
-	for _, s := range gbSpecs {
-		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-	}
+	ws := backlogged(gbSpecs...)
 	// GL bursts: every input fills its buffer at the same instants,
 	// several times per run, spaced far enough apart for policing and
 	// buffers to recover.
@@ -148,10 +133,12 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 				times = append(times, tm)
 			}
 		}
-		b.add(sw, traffic.Flow{Spec: spec, Gen: traffic.NewTrace(&seq, spec, times)})
+		ws = append(ws, traffic.Workload{Spec: spec, Inject: traffic.Inject.Trace(times...)})
 	}
-	if b.err != nil {
-		return GLOutcome{Scenario: sc, PredictedWait: out.PredictedWait, Err: b.err}
+	var seq traffic.Sequence
+	sw, err := crossbar(cfg, core.FromFlows(arbCfg, gbSpecs), &seq, ws)
+	if err != nil {
+		return GLOutcome{Scenario: sc, PredictedWait: out.PredictedWait, Err: err}
 	}
 
 	sw.OnDeliver(func(p *noc.Packet) {

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/glbound"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/stats"
-	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
 )
 
@@ -80,27 +78,12 @@ func GLBursts(o Options) GLBurstsResult {
 		}
 	}
 
-	factory := func(out int) arb.Arbiter {
-		return core.NewSSVC(core.Config{
-			Radix:       radix,
-			CounterBits: counterBits,
-			SigBits:     fig4SigBits,
-			Policy:      core.SubtractRealTime,
-			Vticks:      vticksFor(radix, gbSpecs, out),
-			EnableGL:    true,
-			GLVtick:     noc.FlowSpec{Rate: 0.10, PacketLength: glLen}.Vtick(),
-			GLBurst:     totalBurstPkts,
-		})
-	}
+	arbCfg := core.Config{Radix: radix, CounterBits: counterBits, SigBits: fig4SigBits, EnableGL: true,
+		GLVtick: noc.FlowSpec{Rate: 0.10, PacketLength: glLen}.Vtick(), GLBurst: totalBurstPkts}
 	cfg := fig4Config()
 	cfg.GLBufferFlits = bufFlits
-	var b build
-	sw := b.sw(cfg, factory)
 
-	var seq traffic.Sequence
-	for _, s := range gbSpecs[nGL:] {
-		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-	}
+	ws := backlogged(gbSpecs[nGL:]...)
 	// Synchronized bursts, spaced far enough apart for the policing
 	// bucket and buffers to recover.
 	gap := noc.CycleOf(uint64(20 * totalBurstPkts * (glLen + 1)))
@@ -129,10 +112,12 @@ func GLBursts(o Options) GLBurstsResult {
 				times = append(times, tm)
 			}
 		}
-		b.add(sw, traffic.Flow{Spec: spec, Gen: traffic.NewTrace(&seq, spec, times)})
+		ws = append(ws, traffic.Workload{Spec: spec, Inject: traffic.Inject.Trace(times...)})
 	}
-	if b.err != nil {
-		return GLBurstsResult{LMax: glLen, Err: b.err}
+	var seq traffic.Sequence
+	sw, err := crossbar(cfg, core.FromFlows(arbCfg, gbSpecs), &seq, ws)
+	if err != nil {
+		return GLBurstsResult{LMax: glLen, Err: err}
 	}
 	sw.OnDeliver(func(p *noc.Packet) {
 		if p.Class != noc.GuaranteedLatency {
@@ -186,6 +171,3 @@ func (r GLBurstsResult) AllHold() bool {
 	}
 	return true
 }
-
-// keep switchsim referenced for the config type used above.
-var _ = switchsim.Config{}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/core"
 	"swizzleqos/internal/gsf"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
@@ -47,14 +48,10 @@ func AblationGSF(o Options) []GSFOutcome {
 
 	run := func(name string, cfg switchsim.Config, factory func(int) arb.Arbiter,
 		ctl *gsf.Controller) GSFOutcome {
-		var b build
-		sw := b.sw(cfg, factory)
 		var seq traffic.Sequence
-		for _, s := range specs {
-			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		if b.err != nil {
-			return GSFOutcome{Scheme: name, Err: b.err}
+		sw, err := crossbar(cfg, factory, &seq, backlogged(specs...))
+		if err != nil {
+			return GSFOutcome{Scheme: name, Err: err}
 		}
 		col := stats.NewCollector(o.Warmup, o.total())
 		sw.OnDeliver(func(p *noc.Packet) {
@@ -88,7 +85,7 @@ func AblationGSF(o Options) []GSFOutcome {
 	barriers := []noc.Cycle{0, 256, 512, 1024}
 	return runner.Map(o.pool(), 1+len(barriers), func(i int) GSFOutcome {
 		if i == 0 {
-			return run("SSVC", fig4Config(), ssvcFactory(fig4Radix, fig4SigBits, 0, specs), nil)
+			return run("SSVC", fig4Config(), core.FromFlows(fig4SSVC, specs), nil)
 		}
 		barrier := barriers[i-1]
 		// Frame capacity 320 keeps every budget a whole number of

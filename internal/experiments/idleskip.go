@@ -50,6 +50,11 @@ func IdleSkip(o Options) []IdleSkipRow {
 	return runner.Map(o.pool(), len(engines), func(i int) IdleSkipRow { return engines[i](o) })
 }
 
+// idleSkipFlow is one low-rate GB flow of the study.
+func idleSkipFlow(spec noc.FlowSpec, seed uint64) traffic.Workload {
+	return traffic.Workload{Spec: spec, Inject: traffic.Inject.Bernoulli(idleSkipLoad, seed)}
+}
+
 // idleSkipSwitch is the radix-64 crossbar, one low-rate GB flow per input.
 func idleSkipSwitch(o Options) IdleSkipRow {
 	const radix = 64
@@ -57,86 +62,76 @@ func idleSkipSwitch(o Options) IdleSkipRow {
 	for i := range vticks {
 		vticks[i] = noc.FlowSpec{Rate: 0.2, PacketLength: 4}.Vtick()
 	}
-	var b build
-	sw := b.sw(switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
+	ws := make([]traffic.Workload, radix)
+	for i := range ws {
+		ws[i] = idleSkipFlow(noc.FlowSpec{Src: i, Dst: (i * 7) % radix,
+			Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}, o.Seed+uint64(i))
+	}
+	var seq traffic.Sequence
+	sw, err := crossbar(switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
 		func(int) arb.Arbiter {
 			return core.NewSSVC(core.Config{
 				Radix: radix, CounterBits: 12, SigBits: 4,
 				Policy: core.SubtractRealTime, Vticks: vticks,
 			})
-		})
-	var seq traffic.Sequence
-	for i := 0; i < radix; i++ {
-		spec := noc.FlowSpec{Src: i, Dst: (i * 7) % radix,
-			Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}
-		b.add(sw, traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, idleSkipLoad, o.Seed+uint64(i))})
+		}, &seq, ws)
+	if err != nil {
+		return skipRow("switch radix-64", radix, &fabric.Counters{}, o.total(), err)
 	}
 	sw.OnRelease(seq.Recycle)
-	if b.err == nil {
-		sw.Run(o.total())
-	}
-	return skipRow("switch radix-64", radix, &sw.Counters, o.total(), firstErr(b.err, sw.Err()))
+	sw.Run(o.total())
+	return skipRow("switch radix-64", radix, &sw.Counters, o.total(), sw.Err())
 }
 
 // idleSkipMesh is the 8x8 mesh, one low-rate GB flow per node.
 func idleSkipMesh(o Options) IdleSkipRow {
 	const w, h = 8, 8
+	nodes := w * h
+	ws := make([]traffic.Workload, nodes)
+	for i := range ws {
+		dst := (i*7 + 3) % nodes
+		if dst == i {
+			dst = (dst + 1) % nodes
+		}
+		ws[i] = idleSkipFlow(noc.FlowSpec{Src: i, Dst: dst, Class: noc.GuaranteedBandwidth, PacketLength: 4}, o.Seed+uint64(i))
+	}
 	m, err := mesh.New(mesh.Config{Width: w, Height: h, BufferFlits: 16})
-	if err == nil {
-		var seq traffic.Sequence
-		nodes := w * h
-		for i := 0; i < nodes && err == nil; i++ {
-			dst := (i*7 + 3) % nodes
-			if dst == i {
-				dst = (dst + 1) % nodes
-			}
-			spec := noc.FlowSpec{Src: i, Dst: dst, Class: noc.GuaranteedBandwidth, PacketLength: 4}
-			err = m.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, idleSkipLoad, o.Seed+uint64(i))})
-		}
-		if err == nil {
-			m.OnRelease(seq.Recycle)
-			m.Run(o.total())
-		}
+	var seq traffic.Sequence
+	if err := attach(m, err, &seq, ws); err != nil {
+		return skipRow("mesh 8x8", nodes*5, &fabric.Counters{}, o.total(), err)
 	}
-	var c fabric.Counters
-	if m != nil {
-		c = m.Counters
-		err = firstErr(err, m.Err())
-	}
-	return skipRow("mesh 8x8", w*h*5, &c, o.total(), err)
+	m.OnRelease(seq.Recycle)
+	m.Run(o.total())
+	return skipRow("mesh 8x8", nodes*5, &m.Counters, o.total(), m.Err())
 }
 
 // idleSkipClos is the two-level Clos, one low-rate cross-leaf GB flow
 // per terminal.
 func idleSkipClos(o Options) IdleSkipRow {
 	topo, err := compose.TwoLevelClos(4, 4, 2)
-	var net *compose.Network
-	if err == nil {
-		net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16})
-	}
 	ports := 0
 	for _, p := range topo.Ports {
 		ports += p
 	}
+	var net *compose.Network
 	if err == nil {
-		var seq traffic.Sequence
+		net, err = compose.New(compose.Config{Topology: topo, BufferFlits: 16})
+	}
+	var ws []traffic.Workload
+	if err == nil {
 		terms := net.Terminals()
-		for i := 0; i < terms && err == nil; i++ {
-			spec := noc.FlowSpec{Src: i, Dst: (i + 5) % terms,
-				Class: noc.GuaranteedBandwidth, PacketLength: 4}
-			err = net.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, idleSkipLoad, o.Seed+uint64(i))})
-		}
-		if err == nil {
-			net.OnRelease(seq.Recycle)
-			net.Run(o.total())
+		for i := 0; i < terms; i++ {
+			ws = append(ws, idleSkipFlow(noc.FlowSpec{Src: i, Dst: (i + 5) % terms,
+				Class: noc.GuaranteedBandwidth, PacketLength: 4}, o.Seed+uint64(i)))
 		}
 	}
-	var c fabric.Counters
-	if net != nil {
-		c = net.Counters
-		err = firstErr(err, net.Err())
+	var seq traffic.Sequence
+	if err := attach(net, err, &seq, ws); err != nil {
+		return skipRow("clos 4x4x2", ports, &fabric.Counters{}, o.total(), err)
 	}
-	return skipRow("clos 4x4x2", ports, &c, o.total(), err)
+	net.OnRelease(seq.Recycle)
+	net.Run(o.total())
+	return skipRow("clos 4x4x2", ports, &net.Counters, o.total(), net.Err())
 }
 
 // skipRow extracts the skip accounting from one engine's counters.
@@ -151,14 +146,6 @@ func skipRow(engine string, ports int, c *fabric.Counters, cycles noc.Cycle, err
 		Cycles:       cycles,
 		Err:          err,
 	}
-}
-
-// firstErr returns the first non-nil error.
-func firstErr(a, b error) error {
-	if a != nil {
-		return a
-	}
-	return b
 }
 
 // IdleSkipTable renders the skip accounting across engines.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/core"
 	"swizzleqos/internal/mesh"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
@@ -93,19 +94,16 @@ func Motivation(o Options) []MotivationOutcome {
 	// Single-stage Swizzle Switch with SSVC.
 	swizzleRun := func() MotivationOutcome {
 		flows := specs()
-		var b build
-		sw := b.sw(switchsim.Config{
+		var seq traffic.Sequence
+		sw, err := crossbar(switchsim.Config{
 			Radix:         nodes,
 			BEBufferFlits: fig4BufFlits,
 			GLBufferFlits: fig4BufFlits,
 			GBBufferFlits: fig4BufFlits,
-		}, ssvcFactory(nodes, fig4SigBits, 0, flows))
-		var seq traffic.Sequence
-		for _, s := range flows {
-			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		if b.err != nil {
-			return MotivationOutcome{System: "SwizzleSwitch+SSVC", Err: b.err}
+		}, core.FromFlows(core.Config{Radix: nodes, CounterBits: counterBits, SigBits: fig4SigBits}, flows),
+			&seq, backlogged(flows...))
+		if err != nil {
+			return MotivationOutcome{System: "SwizzleSwitch+SSVC", Err: err}
 		}
 		col, err := runCollected(sw, &seq, o)
 		return outcome("SwizzleSwitch+SSVC", col, err)
@@ -113,15 +111,10 @@ func Motivation(o Options) []MotivationOutcome {
 
 	// 4x4 mesh variants.
 	meshRun := func(name string, newArb func() arb.Arbiter) MotivationOutcome {
-		var b build
 		m, err := mesh.New(mesh.Config{Width: 4, Height: 4, BufferFlits: fig4BufFlits, NewArbiter: newArb})
-		b.fail(err)
 		var seq traffic.Sequence
-		for _, s := range specs() {
-			b.add(m, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		if b.err != nil {
-			return MotivationOutcome{System: name, Err: b.err}
+		if err := attach(m, err, &seq, backlogged(specs()...)); err != nil {
+			return MotivationOutcome{System: name, Err: err}
 		}
 		col, err := runCollected(m, &seq, o)
 		return outcome(name, col, err)

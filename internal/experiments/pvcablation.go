@@ -61,15 +61,11 @@ func AblationPVC(o Options) []PVCOutcome {
 	all := append(append([]noc.FlowSpec(nil), bulk...), urgent)
 
 	run := func(name string, cfg switchsim.Config, factory func(int) arb.Arbiter, urgentSpec noc.FlowSpec) PVCOutcome {
-		var b build
-		sw := b.sw(cfg, factory)
 		var seq traffic.Sequence
-		for _, s := range bulk {
-			b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-		}
-		b.add(sw, traffic.Flow{Spec: urgentSpec, Gen: traffic.NewPeriodic(&seq, urgentSpec, 701, 17)})
-		if b.err != nil {
-			return PVCOutcome{Scheme: name, Err: b.err}
+		ws := append(backlogged(bulk...), traffic.Workload{Spec: urgentSpec, Inject: traffic.Inject.Periodic(701, 17)})
+		sw, err := crossbar(cfg, factory, &seq, ws)
+		if err != nil {
+			return PVCOutcome{Scheme: name, Err: err}
 		}
 		col, err := runCollected(sw, &seq, o)
 		oc := PVCOutcome{Scheme: name, Err: err}
@@ -89,7 +85,7 @@ func AblationPVC(o Options) []PVCOutcome {
 	plainCfg := fig4Config()
 	plainCfg.GBBufferFlits = 2 * bulkLen
 
-	vticks := func(out int) []core.VTime { return vticksFor(fig4Radix, all, out) }
+	vticks := func(out int) []core.VTime { return core.Vticks(fig4Radix, all, out) }
 
 	urgentGL := urgent
 	urgentGL.Class = noc.GuaranteedLatency
@@ -108,15 +104,9 @@ func AblationPVC(o Options) []PVCOutcome {
 			}, urgent)
 		},
 		func() PVCOutcome {
-			return run("SSVC+GL", plainCfg, func(out int) arb.Arbiter {
-				return core.NewSSVC(core.Config{
-					Radix: fig4Radix, CounterBits: counterBits, SigBits: fig4SigBits,
-					Policy: core.SubtractRealTime, Vticks: vticks(out),
-					EnableGL: true,
-					GLVtick:  noc.FlowSpec{Rate: urgentGL.Rate, PacketLength: urgentLen}.Vtick(),
-					GLBurst:  2,
-				})
-			}, urgentGL)
+			arbCfg := fig4SSVC
+			arbCfg.EnableGL, arbCfg.GLVtick, arbCfg.GLBurst = true, noc.FlowSpec{Rate: urgentGL.Rate, PacketLength: urgentLen}.Vtick(), 2
+			return run("SSVC+GL", plainCfg, core.FromFlows(arbCfg, all), urgentGL)
 		},
 	}
 	return runner.Map(o.pool(), len(jobs), func(i int) PVCOutcome { return jobs[i]() })

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
@@ -90,37 +89,22 @@ func scale64Run(o Options) ScaleResult {
 
 	// 512-bit bus, radix 64: 8 lanes; BE + GL leave 6 GB levels, so 2
 	// significant bits (4 levels) fit.
-	factory := func(out int) arb.Arbiter {
-		return core.NewSSVC(core.Config{
-			Radix:       radix,
-			CounterBits: 10,
-			SigBits:     2,
-			Policy:      core.SubtractRealTime,
-			Vticks:      vticksFor(radix, specs, out),
-			EnableGL:    true,
-			GLVtick:     noc.FlowSpec{Rate: 0.05, PacketLength: glLen}.Vtick(),
-			GLBurst:     glBuf / glLen,
-		})
-	}
-	var b build
-	sw := b.sw(switchsim.Config{
-		Radix:         radix,
-		BEBufferFlits: fig4BufFlits,
-		GLBufferFlits: glBuf,
-		GBBufferFlits: fig4BufFlits,
-	}, factory)
-
-	var seq traffic.Sequence
-	for _, s := range specs {
-		b.add(sw, traffic.Flow{Spec: s, Gen: traffic.NewBacklogged(&seq, s, 4)})
-	}
+	arbCfg := core.Config{Radix: radix, CounterBits: 10, SigBits: 2, EnableGL: true,
+		GLVtick: noc.FlowSpec{Rate: 0.05, PacketLength: glLen}.Vtick(), GLBurst: glBuf / glLen}
 	var glTimes []noc.Cycle
 	for t := o.Warmup; t < o.total(); t += 5000 {
 		glTimes = append(glTimes, t)
 	}
-	b.add(sw, traffic.Flow{Spec: glSpec, Gen: traffic.NewTrace(&seq, glSpec, glTimes)})
-	if b.err != nil {
-		res.Err = b.err
+	var seq traffic.Sequence
+	sw, err := crossbar(switchsim.Config{
+		Radix:         radix,
+		BEBufferFlits: fig4BufFlits,
+		GLBufferFlits: glBuf,
+		GBBufferFlits: fig4BufFlits,
+	}, core.FromFlows(arbCfg, specs), &seq,
+		append(backlogged(specs...), traffic.Workload{Spec: glSpec, Inject: traffic.Inject.Trace(glTimes...)}))
+	if err != nil {
+		res.Err = err
 		return res
 	}
 

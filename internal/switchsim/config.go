@@ -63,14 +63,6 @@ type Config struct {
 	// else. It goes when the harness stops setting it.
 	Shards int
 
-	// DynamicFlows permits AddFlow while the simulation is running — the
-	// reservation control plane (internal/ctlplane) attaches and revokes
-	// flows live. It changes nothing else: a flow added mid-run generates
-	// from the next cycle on, event-driven if its generator schedules and
-	// polled otherwise, exactly like one attached before cycle 0. Without
-	// this flag, AddFlow after the first Step is an error.
-	DynamicFlows bool
-
 	// AdmissionGate, when non-nil, is consulted before a packet moves
 	// from its source queue into the input buffer; returning false
 	// leaves the packet queued at the source. Source-throttling QoS

@@ -27,7 +27,6 @@ type skipScenario struct {
 	load     float64 // per-flow Bernoulli rate; 0 means fully backlogged
 	cycles   noc.Cycle
 	gate     func(now noc.Cycle, p *noc.Packet) bool // Config.AdmissionGate
-	dynamic  bool                                    // Config.DynamicFlows
 	hot      int                                     // converging VOQs: GB flows per input onto outputs [0, hot)
 }
 
@@ -51,7 +50,7 @@ func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
 	glVtick := noc.FlowSpec{Rate: 0.05, PacketLength: 2}.Vtick()
 	cfg := Config{
 		Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16,
-		PacketChaining: sc.chaining, AdmissionGate: sc.gate, DynamicFlows: sc.dynamic,
+		PacketChaining: sc.chaining, AdmissionGate: sc.gate,
 	}
 	sw := mustNew(t, cfg, ssvcGLFactory(radix, vticks, glVtick, 2))
 	if fullWalk {

@@ -156,7 +156,7 @@ func TestOffersMatchScan(t *testing.T) {
 		}
 	})
 	t.Run("dynamicFlows", func(t *testing.T) {
-		sw := buildSkipSwitch(t, skipScenario{radix: 8, load: 0.1, dynamic: true}, false)
+		sw := buildSkipSwitch(t, skipScenario{radix: 8, load: 0.1}, false)
 		runScanned(t, sw, 500)
 		var seq traffic.Sequence
 		spec := noc.FlowSpec{Src: 3, Dst: 6, Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}

@@ -95,7 +95,7 @@ func TestRefusalMemoNeverHidesAHead(t *testing.T) {
 		}
 	})
 	t.Run("dynamicFlows", func(t *testing.T) {
-		sw := buildSkipSwitch(t, skipScenario{radix: 8, dynamic: true}, false)
+		sw := buildSkipSwitch(t, skipScenario{radix: 8}, false)
 		remembered := runRefusalChecked(t, sw, 500)
 		var seq traffic.Sequence
 		// A late flow into a GB queue the saturated input 3 already fills,

@@ -265,9 +265,6 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 	if f.Gen == nil {
 		return fmt.Errorf("switchsim: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
 	}
-	if s.now != 0 && !s.cfg.DynamicFlows {
-		return fmt.Errorf("switchsim: AddFlow at cycle %d requires Config.DynamicFlows", s.now)
-	}
 	if buf := s.inputs[f.Spec.Src].bufferFor(f.Spec.Class, f.Spec.Dst); f.Spec.PacketLength > buf.Cap() {
 		return fmt.Errorf("switchsim: flow %d->%d: %d-flit %v packets can never enter a %d-flit buffer",
 			f.Spec.Src, f.Spec.Dst, f.Spec.PacketLength, f.Spec.Class, buf.Cap())

@@ -91,7 +91,7 @@ func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
 	t.Helper()
 	var out tickOutcome
 	cfg := Config{
-		Radix: tickRadix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16, DynamicFlows: true,
+		Radix: tickRadix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16,
 		PacketChaining: tc.mode == "chaining", Preemption: tc.mode == "preemption",
 	}
 	var ssvcs []*core.SSVC

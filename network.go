@@ -3,82 +3,33 @@ package swizzleqos
 import (
 	"fmt"
 
+	"swizzleqos/internal/arb"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/stats"
 	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
 )
 
-// InjectionKind names a workload generator family.
-type InjectionKind int
-
-const (
-	// InjectBernoulli draws an independent injection decision each
-	// cycle, offering Rate flits/cycle on average.
-	InjectBernoulli InjectionKind = iota
-	// InjectBursty is an on/off source: back-to-back packets in bursts
-	// of MeanBurst packets on average, at a long-run load of Rate.
-	InjectBursty
-	// InjectPeriodic emits one packet every Interval cycles starting at
-	// Offset.
-	InjectPeriodic
-	// InjectBacklogged keeps Depth packets queued at all times — an
-	// infinite-demand source for saturation studies.
-	InjectBacklogged
-	// InjectTrace replays an explicit list of injection cycles.
-	InjectTrace
+// Workloads are data: a flow's contract plus its injection process,
+// shared with the experiments through internal/traffic. Construct
+// injections with the Inject helpers: swizzleqos.Inject.Bernoulli(0.2, 1).
+type (
+	InjectionKind = traffic.InjectionKind
+	Injection     = traffic.Injection
+	Workload      = traffic.Workload
 )
 
-// Injection describes how a flow's packets are generated. Construct
-// values with the Inject helpers for readable call sites.
-type Injection struct {
-	Kind      InjectionKind
-	Rate      float64 // Bernoulli, Bursty: offered flits/cycle
-	MeanBurst float64 // Bursty: average packets per burst
-	Interval  Cycle   // Periodic
-	Offset    Cycle   // Periodic
-	Depth     int     // Backlogged
-	Times     []Cycle // Trace
-	Seed      uint64  // Bernoulli, Bursty
-}
-
-// injectors groups the Injection constructors; use the package-level
-// Inject variable: swizzleqos.Inject.Bernoulli(0.2, 1).
-type injectors struct{}
+// Injection kinds; see internal/traffic for each generator family.
+const (
+	InjectBernoulli  = traffic.InjectBernoulli
+	InjectBursty     = traffic.InjectBursty
+	InjectPeriodic   = traffic.InjectPeriodic
+	InjectBacklogged = traffic.InjectBacklogged
+	InjectTrace      = traffic.InjectTrace
+)
 
 // Inject provides constructors for the Injection kinds.
-var Inject injectors
-
-// Bernoulli offers rate flits/cycle with independent per-cycle draws.
-func (injectors) Bernoulli(rate float64, seed uint64) Injection {
-	return Injection{Kind: InjectBernoulli, Rate: rate, Seed: seed}
-}
-
-// Bursty offers rate flits/cycle in bursts of meanBurst packets.
-func (injectors) Bursty(rate, meanBurst float64, seed uint64) Injection {
-	return Injection{Kind: InjectBursty, Rate: rate, MeanBurst: meanBurst, Seed: seed}
-}
-
-// Periodic emits one packet every interval cycles, starting at offset.
-func (injectors) Periodic(interval, offset Cycle) Injection {
-	return Injection{Kind: InjectPeriodic, Interval: interval, Offset: offset}
-}
-
-// Backlogged keeps depth packets queued at all times.
-func (injectors) Backlogged(depth int) Injection {
-	return Injection{Kind: InjectBacklogged, Depth: depth}
-}
-
-// Trace replays packets at the given (sorted) cycles.
-func (injectors) Trace(times ...Cycle) Injection {
-	return Injection{Kind: InjectTrace, Times: times}
-}
-
-// Workload couples a flow's contract with its injection process.
-type Workload struct {
-	Spec   FlowSpec
-	Inject Injection
-}
+var Inject = traffic.Inject
 
 // FlowKey identifies a flow in a Report.
 type FlowKey = stats.FlowKey
@@ -134,25 +85,29 @@ func New(cfg Config, workloads ...Workload) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newNetwork(cfg, factory, workloads)
+}
+
+// newNetwork is New's and NewPlanned's shared tail: the crossbar, its
+// flows in workload order, and the delivery fan-out.
+func newNetwork(cfg Config, newArb func(int) arb.Arbiter, workloads []Workload) (*Network, error) {
 	sw, err := switchsim.New(switchsim.Config{
 		Radix:          cfg.Radix,
 		BEBufferFlits:  cfg.BEBufferFlits,
 		GLBufferFlits:  cfg.GLBufferFlits,
 		GBBufferFlits:  cfg.GBBufferFlits,
 		PacketChaining: cfg.PacketChaining,
-	}, factory)
+	}, newArb)
 	if err != nil {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, sw: sw}
-	for _, w := range workloads {
-		gen, err := n.generator(w)
-		if err != nil {
-			return nil, err
-		}
-		if err := sw.AddFlow(traffic.Flow{Spec: w.Spec, Gen: gen}); err != nil {
-			return nil, err
-		}
+	ws := append([]Workload(nil), workloads...)
+	for i := range ws {
+		ws[i].Inject.Seed++ // the library's streams start one past the caller's seed
+	}
+	if err := traffic.Attach(sw, &n.seq, ws...); err != nil {
+		return nil, fmt.Errorf("swizzleqos: %w", err)
 	}
 	sw.OnDeliver(func(p *noc.Packet) {
 		if n.col != nil {
@@ -163,28 +118,6 @@ func New(cfg Config, workloads ...Workload) (*Network, error) {
 		}
 	})
 	return n, nil
-}
-
-func (n *Network) generator(w Workload) (traffic.Generator, error) {
-	switch w.Inject.Kind {
-	case InjectBernoulli:
-		if err := traffic.CheckBernoulli(w.Spec, w.Inject.Rate); err != nil {
-			return nil, fmt.Errorf("swizzleqos: flow %d->%d: %w", w.Spec.Src, w.Spec.Dst, err)
-		}
-		return traffic.NewBernoulli(&n.seq, w.Spec, w.Inject.Rate, w.Inject.Seed+1), nil
-	case InjectBursty:
-		if err := traffic.CheckBursty(w.Inject.Rate, w.Inject.MeanBurst); err != nil {
-			return nil, fmt.Errorf("swizzleqos: flow %d->%d: %w", w.Spec.Src, w.Spec.Dst, err)
-		}
-		return traffic.NewBursty(&n.seq, w.Spec, w.Inject.Rate, w.Inject.MeanBurst, w.Inject.Seed+1), nil
-	case InjectPeriodic:
-		return traffic.NewPeriodic(&n.seq, w.Spec, w.Inject.Interval, w.Inject.Offset), nil
-	case InjectBacklogged:
-		return traffic.NewBacklogged(&n.seq, w.Spec, w.Inject.Depth), nil
-	case InjectTrace:
-		return traffic.NewTrace(&n.seq, w.Spec, w.Inject.Times), nil
-	}
-	return nil, fmt.Errorf("swizzleqos: unknown injection kind %d", int(w.Inject.Kind))
 }
 
 // Config returns the (default-filled) configuration.

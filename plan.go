@@ -6,10 +6,7 @@ import (
 	"swizzleqos/internal/alloc"
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
-	"swizzleqos/internal/noc"
 	"swizzleqos/internal/stats"
-	"swizzleqos/internal/switchsim"
-	"swizzleqos/internal/traffic"
 )
 
 // PlanRequirements collects a system's flow contracts for design-time
@@ -52,51 +49,23 @@ func NewPlanned(plan *SwitchPlan, workloads ...Workload) (*Network, error) {
 			glBuf = op.GLBufferFlits
 		}
 	}
-	sw, err := switchsim.New(switchsim.Config{
+	for _, w := range workloads {
+		if err := w.Spec.Validate(plan.Radix); err != nil {
+			return nil, err
+		}
+	}
+	return newNetwork(Config{
 		Radix:         plan.Radix,
+		Arbitration:   SSVC,
+		Policy:        plan.Policy,
+		CounterBits:   plan.CounterBits,
+		SigBits:       plan.SigBits,
 		BEBufferFlits: 16,
 		GLBufferFlits: glBuf,
 		GBBufferFlits: 16,
 	}, func(out int) arb.Arbiter {
 		return core.NewSSVC(plan.SSVCConfig(out))
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := &Network{
-		cfg: Config{
-			Radix:         plan.Radix,
-			Arbitration:   SSVC,
-			Policy:        plan.Policy,
-			CounterBits:   plan.CounterBits,
-			SigBits:       plan.SigBits,
-			BEBufferFlits: 16,
-			GLBufferFlits: glBuf,
-			GBBufferFlits: 16,
-		},
-		sw: sw,
-	}
-	for _, w := range workloads {
-		if err := w.Spec.Validate(plan.Radix); err != nil {
-			return nil, err
-		}
-		gen, err := n.generator(w)
-		if err != nil {
-			return nil, err
-		}
-		if err := sw.AddFlow(traffic.Flow{Spec: w.Spec, Gen: gen}); err != nil {
-			return nil, err
-		}
-	}
-	sw.OnDeliver(func(p *noc.Packet) {
-		if n.col != nil {
-			n.col.OnDeliver(p)
-		}
-		if n.onDeliver != nil {
-			n.onDeliver(p)
-		}
-	})
-	return n, nil
+	}, workloads)
 }
 
 // PlanTable renders a plan's per-output programming as a table.

@@ -240,39 +240,27 @@ func (c *Config) fillDefaults(enableGL bool) error {
 // arbFactory builds the per-output arbiter constructor for the configured
 // arbitration family.
 func (c Config) arbFactory(specs []noc.FlowSpec) (func(int) arb.Arbiter, error) {
-	vticksFor := func(out int) []noc.VTime {
-		vt := make([]noc.VTime, c.Radix)
-		for _, s := range specs {
-			if s.Dst == out && s.Class == noc.GuaranteedBandwidth {
-				vt[s.Src] = s.Vtick()
-			}
-		}
-		return vt
-	}
 	switch c.Arbitration {
 	case SSVC:
 		glVtick := noc.VTime(0)
 		if c.GL.Rate > 0 {
 			glVtick = noc.FlowSpec{Rate: c.GL.Rate, PacketLength: c.GL.PacketLength}.Vtick()
 		}
-		return func(out int) arb.Arbiter {
-			return core.NewSSVC(core.Config{
-				Radix:       c.Radix,
-				CounterBits: c.CounterBits,
-				SigBits:     c.SigBits,
-				Policy:      c.Policy,
-				Vticks:      vticksFor(out),
-				EnableGL:    true,
-				GLVtick:     glVtick,
-				GLBurst:     c.GL.Burst,
-			})
-		}, nil
+		return core.FromFlows(core.Config{
+			Radix:       c.Radix,
+			CounterBits: c.CounterBits,
+			SigBits:     c.SigBits,
+			Policy:      c.Policy,
+			EnableGL:    true,
+			GLVtick:     glVtick,
+			GLBurst:     c.GL.Burst,
+		}, specs), nil
 	case LRG:
 		return func(int) arb.Arbiter { return arb.NewLRG(c.Radix) }, nil
 	case RoundRobin:
 		return func(int) arb.Arbiter { return arb.NewRoundRobin(c.Radix) }, nil
 	case OriginalVirtualClock:
-		return func(out int) arb.Arbiter { return arb.NewOrigVC(c.Radix, vticksFor(out)) }, nil
+		return func(out int) arb.Arbiter { return arb.NewOrigVC(c.Radix, core.Vticks(c.Radix, specs, out)) }, nil
 	case FixedPriority:
 		return func(int) arb.Arbiter { return arb.NewMultiLevel(c.Radix, nil) }, nil
 	}
