@@ -5,17 +5,17 @@
 //
 // Usage:
 //
-//	ssvc-lint [-root dir] [-allow file] [-strict] [-json] [packages]
+//	ssvc-lint [-root dir] [-json] [packages]
 //
 // The package argument is accepted for familiarity (`ssvc-lint ./...`)
 // but the tool always analyzes the rule-defined package sets of the
 // enclosing module. It prints one `file:line: [analyzer] message` per
-// finding and exits 1 if any survive the allowlist. -json switches the
-// findings stream to a JSON array of {file,line,analyzer,message}
-// objects (exit codes unchanged) for editor and CI integration; the
-// plain format is matched by .github/problem-matchers/ssvc-lint.json.
-// Allowlist entries that suppressed nothing are warnings by default;
-// -strict (the CI mode) makes them failures, so lint.allow cannot rot.
+// finding and exits 1 if any survive their //ssvc:allow markers (a
+// marker that excuses nothing is itself a finding, so exceptions cannot
+// rot). -json switches the findings stream to a JSON array of
+// {file,line,analyzer,message} objects (exit codes unchanged) for
+// editor and CI integration; the plain format is matched by
+// .github/problem-matchers/ssvc-lint.json.
 package main
 
 import (
@@ -36,8 +36,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("ssvc-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	root := fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
-	allowPath := fs.String("allow", "", "allowlist file (default: <root>/lint.allow)")
-	strict := fs.Bool("strict", false, "treat unused allowlist entries as failures")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of file:line lines")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -50,30 +48,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		*root = r
 	}
-	if *allowPath == "" {
-		*allowPath = filepath.Join(*root, "lint.allow")
-	}
-	allow, err := analysis.ParseAllowlistFile(*allowPath)
+	diags, err := analysis.RunAll(*root)
 	if err != nil {
 		fmt.Fprintln(stderr, "ssvc-lint:", err)
 		return 2
-	}
-	diags, err := analysis.RunAll(*root, allow)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssvc-lint:", err)
-		return 2
-	}
-	unused := allow.Unused()
-	for _, e := range unused {
-		kind := "warning"
-		if *strict {
-			kind = "error"
-		}
-		loc := e.File
-		if e.Line > 0 {
-			loc = fmt.Sprintf("%s:%d", e.File, e.Line)
-		}
-		fmt.Fprintf(stderr, "ssvc-lint: %s: unused allowlist entry: %s %s\n", kind, e.Analyzer, loc)
 	}
 	if *jsonOut {
 		if err := writeJSON(stdout, diags); err != nil {
@@ -87,10 +65,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "ssvc-lint: %d invariant violation(s)\n", len(diags))
-		return 1
-	}
-	if *strict && len(unused) > 0 {
-		fmt.Fprintf(stderr, "ssvc-lint: %d stale allowlist entr(y/ies) under -strict\n", len(unused))
 		return 1
 	}
 	return 0

@@ -12,6 +12,7 @@ package alloc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"swizzleqos/internal/core"
@@ -192,7 +193,7 @@ func Build(req Requirements) (*Plan, error) {
 			return nil, fmt.Errorf("alloc: two GB reservations for crosspoint (%d,%d)", f.Src, f.Dst)
 		}
 		lens[f.Dst][f.Src] = f.PacketLength
-		p.Vticks[f.Src] = uint64(float64(f.PacketLength) / f.Rate) // floor: entitlement >= rate
+		p.Vticks[f.Src] = noc.ClampUint64(float64(f.PacketLength)/f.Rate, math.MaxUint64) // floor: entitlement >= rate
 		if p.Vticks[f.Src] == 0 {
 			p.Vticks[f.Src] = 1
 		}

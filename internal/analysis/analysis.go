@@ -15,7 +15,7 @@
 // The package is stdlib-only (go/parser + go/types with the source
 // importer); the module has no dependencies and the build environment
 // has no network, so golang.org/x/tools is deliberately off the table.
-// Justified exceptions live in the lint.allow file at the module root.
+// Justified exceptions are //ssvc:allow markers at their sites (run.go).
 package analysis
 
 import (

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"bufio"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -34,9 +35,10 @@ func newLoader(t *testing.T) *analysis.Loader {
 	return l
 }
 
-// wantMarkers scans the fixture packages for `// want:<analyzer>`
-// trailing comments and returns the expected finding multiset keyed
-// "file:line analyzer", with file module-relative.
+// wantMarkers scans the fixture packages for `// want:<analyzer>...`
+// trailing comments, one name per expected finding on that line (on the
+// line above for a name prefixed ^), and returns the expected finding
+// multiset keyed "file:line analyzer", with file module-relative.
 func wantMarkers(t *testing.T, root string, rels ...string) map[string]int {
 	t.Helper()
 	want := map[string]int{}
@@ -61,8 +63,13 @@ func wantMarkers(t *testing.T, root string, rels ...string) map[string]int {
 				if i < 0 {
 					continue
 				}
-				an := strings.TrimSpace(line[i+len("// want:"):])
-				want[fmt.Sprintf("%s/%s:%d %s", rel, e.Name(), lineno, an)]++
+				for _, an := range strings.Fields(line[i+len("// want:"):]) {
+					at := lineno
+					if rest, ok := strings.CutPrefix(an, "^"); ok {
+						an, at = rest, lineno-1
+					}
+					want[fmt.Sprintf("%s/%s:%d %s", rel, e.Name(), at, an)]++
+				}
 			}
 			if err := sc.Err(); err != nil {
 				t.Fatal(err)
@@ -123,6 +130,7 @@ func TestRuleFixtures(t *testing.T) {
 		mustFind bool
 	}{
 		{rule: "determinism", pkgs: []string{"determbad", "determclean"}},
+		{rule: "determinism", pkgs: []string{"allowbad"}},
 		{rule: "panicfreeze", pkgs: []string{"panicbad"}},
 		{rule: "recycle", pkgs: []string{"recyclebad"}},
 		{rule: "countersafety", pkgs: []string{"countersafebad"}},
@@ -227,69 +235,6 @@ func TestHotpathDiagnose(t *testing.T) {
 	}
 }
 
-func TestAllowlist(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lint.allow")
-	content := strings.Join([]string{
-		"# a full-line comment",
-		"",
-		"determinism internal/stats/stats.go:189  # sort-after-collect",
-		"panicfreeze internal/runner/runner.go  # whole file",
-		"recycle internal/mesh/mesh.go:5  # never fires",
-	}, "\n")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	al, err := analysis.ParseAllowlistFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := []analysis.Diagnostic{
-		{File: "internal/stats/stats.go", Line: 189, Analyzer: "determinism", Message: "map range"},
-		{File: "internal/stats/stats.go", Line: 200, Analyzer: "determinism", Message: "wrong line"},
-		{File: "internal/runner/runner.go", Line: 7, Analyzer: "panicfreeze", Message: "any line"},
-		{File: "internal/runner/runner.go", Line: 7, Analyzer: "determinism", Message: "wrong analyzer"},
-	}
-	kept := al.Filter(ds)
-	if len(kept) != 2 {
-		t.Fatalf("kept %d diagnostics, want 2: %v", len(kept), kept)
-	}
-	if kept[0].Line != 200 || kept[1].Analyzer != "determinism" {
-		t.Errorf("wrong diagnostics survived: %v", kept)
-	}
-	unused := al.Unused()
-	if len(unused) != 1 || unused[0].Analyzer != "recycle" || unused[0].Line != 5 {
-		t.Errorf("Unused() = %v, want the recycle entry", unused)
-	}
-}
-
-func TestAllowlistMissingFile(t *testing.T) {
-	al, err := analysis.ParseAllowlistFile(filepath.Join(t.TempDir(), "absent"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := []analysis.Diagnostic{{File: "a.go", Line: 1, Analyzer: "recycle"}}
-	if kept := al.Filter(ds); len(kept) != 1 {
-		t.Errorf("empty allowlist dropped diagnostics: %v", kept)
-	}
-}
-
-func TestAllowlistParseErrors(t *testing.T) {
-	dir := t.TempDir()
-	for name, content := range map[string]string{
-		"extra-field": "determinism internal/a.go extra\n",
-		"bad-line":    "determinism internal/a.go:seven\n",
-	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := analysis.ParseAllowlistFile(path); err == nil {
-			t.Errorf("%s: want parse error, got none", name)
-		}
-	}
-}
-
 func TestDiagnosticString(t *testing.T) {
 	d := analysis.Diagnostic{File: "internal/a/b.go", Line: 7, Analyzer: "recycle", Message: "leaked on some path"}
 	want := "internal/a/b.go:7: [recycle] leaked on some path"
@@ -311,65 +256,63 @@ func TestSortDiagnostics(t *testing.T) {
 	}
 }
 
-// allowlistEntries returns the non-comment lines of lint.allow.
-func allowlistEntries(t *testing.T, root string) []string {
+// markerLines returns every line of the shipped tree's non-test Go
+// files that is an //ssvc:allow marker standing alone, as
+// "file:line text".
+func markerLines(t *testing.T, root string) []string {
 	t.Helper()
-	f, err := os.Open(filepath.Join(root, "lint.allow"))
+	var out []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for i, line := range strings.Split(string(data), "\n") {
+			if line = strings.TrimSpace(line); line == analysis.MarkAllow || strings.HasPrefix(line, analysis.MarkAllow+" ") {
+				out = append(out, fmt.Sprintf("%s:%d %s", filepath.ToSlash(rel), i+1, line))
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var entries []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		entries = append(entries, line)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return entries
+	return out
 }
 
-// TestModuleIsLintClean is the self-test: the shipped tree, filtered by
-// the shipped lint.allow, must produce zero findings and leave no
-// allowlist entry unused — the same check `make lint` (which runs
-// ssvc-lint -strict) enforces.
+// TestModuleIsLintClean is the self-test: the shipped tree must produce
+// zero findings, which includes every //ssvc:allow marker excusing a
+// finding of a rule that admits exceptions — the same check `make
+// lint` enforces. The markers may not grow: new findings are fixed at
+// the source, not waved through.
 func TestModuleIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module and invokes the compiler")
 	}
 	root := repoRoot(t)
-	allow, err := analysis.ParseAllowlistFile(filepath.Join(root, "lint.allow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := analysis.RunAll(root, allow)
+	ds, err := analysis.RunAll(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range ds {
 		t.Errorf("lint finding on shipped tree: %s", d)
 	}
-	for _, e := range allow.Unused() {
-		t.Errorf("stale allowlist entry suppresses nothing: %s %s:%d", e.Analyzer, e.File, e.Line)
-	}
-	// The interprocedural analyzers must hold over the real tree with
-	// no suppressions at all, and the allowlist must not grow: new
-	// findings are fixed at the source, not waved through.
-	entries := allowlistEntries(t, root)
 	const allowBudget = 6
-	if len(entries) > allowBudget {
-		t.Errorf("lint.allow has %d entries, budget is %d; fix findings instead of suppressing them", len(entries), allowBudget)
-	}
-	for _, line := range entries {
-		an := strings.Fields(line)[0]
-		switch an {
-		case "durability", "valuerange", "taint":
-			t.Errorf("lint.allow entry for %s: the interprocedural analyzers admit no suppressions (%s)", an, line)
-		}
+	if markers := markerLines(t, root); len(markers) > allowBudget {
+		t.Errorf("%d %s markers, budget is %d; fix findings instead of excusing them:\n%s",
+			len(markers), analysis.MarkAllow, allowBudget, strings.Join(markers, "\n"))
 	}
 }

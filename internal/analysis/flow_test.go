@@ -179,12 +179,17 @@ func TestRunRulesFailsClosed(t *testing.T) {
 			}},
 		}
 	}
-	ds, err := runRules(root, rules("here", "there"))
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []string{"here", "there"}
+	ds, err := runRules(l, all, rules(all...))
 	if err != nil || len(ds) != 1 || ds[0].File != "there/b.go" {
 		t.Fatalf("control: runRules = %v, %v; want the one panic in there/b.go", ds, err)
 	}
 	for _, r := range rules("here", "nosuchpkg", "there") {
-		if ds, err := runRules(root, []Rule{r}); err == nil {
+		if ds, err := runRules(l, all, []Rule{r}); err == nil {
 			t.Errorf("%s rule over a package set naming nosuchpkg ran anyway: %v", r.Name, ds)
 		}
 	}

@@ -248,33 +248,6 @@ func ivQuo(a, b ival) (ival, bool) {
 	return ivFromCorners(a.declared || b.declared, corners...), true
 }
 
-// ivRem models x % y: the result has x's sign and magnitude below
-// max(|y.lo|, |y.hi|).
-func ivRem(a, b ival) (ival, bool) {
-	maxAbs := new(big.Int).Abs(b.lo)
-	if h := new(big.Int).Abs(b.hi); h.Cmp(maxAbs) > 0 {
-		maxAbs = h
-	}
-	if maxAbs.Sign() == 0 {
-		return ival{}, false
-	}
-	bound := new(big.Int).Sub(maxAbs, big.NewInt(1))
-	out := ival{lo: big.NewInt(0), hi: big.NewInt(0), declared: a.declared || b.declared}
-	if a.lo.Sign() < 0 {
-		out.lo = new(big.Int).Neg(bound)
-		if a.lo.Cmp(out.lo) > 0 {
-			out.lo = a.lo
-		}
-	}
-	if a.hi.Sign() > 0 {
-		out.hi = bound
-		if a.hi.Cmp(out.hi) < 0 {
-			out.hi = a.hi
-		}
-	}
-	return out, true
-}
-
 // shiftCap bounds exact shift amounts so a hostile-range shift count
 // cannot make big.Int allocate gigabit numbers; anything past it is
 // far beyond every machine width and compares as overflow anyway.
@@ -299,50 +272,18 @@ func ivShl(a, k ival) ival {
 		shift(a.lo, klo), shift(a.lo, khi), shift(a.hi, klo), shift(a.hi, khi))
 }
 
-// ivShr computes x >> k (arithmetic shift, matching Go on signed
-// types) for k >= 0.
-func ivShr(a, k ival) ival {
-	klo, khi := clampShiftAmount(k.lo), clampShiftAmount(k.hi)
-	shift := func(v *big.Int, by uint) *big.Int { return new(big.Int).Rsh(v, by) }
-	return ivFromCorners(a.declared || k.declared,
-		shift(a.lo, klo), shift(a.lo, khi), shift(a.hi, klo), shift(a.hi, khi))
-}
-
-// ivBitOp approximates &, |, ^ and &^ for non-negative operands:
-// & cannot exceed either operand, | and ^ cannot reach the next power
-// of two above both, &^ cannot exceed the left operand. Negative
-// operands fall back to the type range (caller handles ok=false).
-func ivBitOp(op token.Token, a, b ival) (ival, bool) {
+// ivAnd approximates & for non-negative operands: the result cannot
+// exceed either operand. A negative operand gives ok=false (the caller
+// falls back to the type range).
+func ivAnd(a, b ival) (ival, bool) {
 	if a.lo.Sign() < 0 || b.lo.Sign() < 0 {
 		return ival{}, false
 	}
-	decl := a.declared || b.declared
-	zero := big.NewInt(0)
-	switch op {
-	case token.AND:
-		hi := a.hi
-		if b.hi.Cmp(hi) < 0 {
-			hi = b.hi
-		}
-		return ival{lo: zero, hi: hi, declared: decl}, true
-	case token.AND_NOT:
-		return ival{lo: zero, hi: a.hi, declared: decl}, true
-	case token.OR, token.XOR:
-		m := a.hi
-		if b.hi.Cmp(m) > 0 {
-			m = b.hi
-		}
-		one := big.NewInt(1)
-		hi := new(big.Int).Lsh(one, uint(m.BitLen()))
-		hi.Sub(hi, one)
-		return ival{lo: zero, hi: hi, declared: decl}, true
+	hi := a.hi
+	if b.hi.Cmp(hi) < 0 {
+		hi = b.hi
 	}
-	return ival{}, false
-}
-
-// ivNeg computes -x exactly.
-func ivNeg(a ival) ival {
-	return ival{lo: new(big.Int).Neg(a.hi), hi: new(big.Int).Neg(a.lo), declared: a.declared}
+	return ival{lo: big.NewInt(0), hi: hi, declared: a.declared || b.declared}, true
 }
 
 // refineLeft returns x refined by the comparison `x op y` holding, for
@@ -393,22 +334,6 @@ func negateCmp(op token.Token) token.Token {
 		return token.EQL
 	}
 	return token.ILLEGAL
-}
-
-// flipCmp swaps a comparison's operands, so the right becomes the left:
-// x < y  ==  y > x.
-func flipCmp(op token.Token) token.Token {
-	switch op {
-	case token.LSS:
-		return token.GTR
-	case token.GTR:
-		return token.LSS
-	case token.LEQ:
-		return token.GEQ
-	case token.GEQ:
-		return token.LEQ
-	}
-	return op // ==, != are symmetric
 }
 
 // ---------------------------------------------------------------------
@@ -687,19 +612,10 @@ func (cx *ivCtx) eval(pkg *Package, env ivEnv, e ast.Expr) (ival, bool) {
 		if !ok {
 			return tb, true
 		}
-		switch e.Op {
-		case token.ADD:
+		if e.Op == token.ADD {
 			return x, true
-		case token.SUB:
-			return clampToType(ivNeg(x), tb), true
-		case token.XOR:
-			// ^x == typeMax - x on unsigned, -x - 1 on signed.
-			if isUnsignedInt(t) {
-				return clampToType(ivSub(ival{lo: tb.hi, hi: tb.hi}, x), tb), true
-			}
-			return clampToType(ivSub(ivNeg(x), mkIval(1, 1)), tb), true
 		}
-		return tb, true
+		return ival{lo: tb.lo, hi: tb.hi, declared: x.declared}, true
 	case *ast.CallExpr:
 		return cx.evalCall(pkg, env, e, t, tb)
 	case *ast.SelectorExpr:
@@ -714,7 +630,10 @@ func (cx *ivCtx) eval(pkg *Package, env ivEnv, e ast.Expr) (ival, bool) {
 // evalBinary applies one arithmetic transfer function and clamps the
 // result to the expression's type: a result that fits is exact, one
 // that could wrap degrades to the full type range (the declared flag
-// survives so valuerange still reports the wrapping site).
+// survives so valuerange still reports the wrapping site). Only + - *
+// / << and & have transfer functions, the operators some proof over
+// the tree needs; the rest give their type's range, declared flag
+// kept.
 func (cx *ivCtx) evalBinary(pkg *Package, env ivEnv, op token.Token, xe, ye ast.Expr, t types.Type) (ival, bool) {
 	tb, ok := typeIval(t)
 	if !ok {
@@ -739,30 +658,20 @@ func (cx *ivCtx) evalBinary(pkg *Package, env ivEnv, op token.Token, xe, ye ast.
 			return tb, true
 		}
 		r = q
-	case token.REM:
-		q, ok := ivRem(x, y)
-		if !ok {
-			return tb, true
-		}
-		r = q
 	case token.SHL:
 		if y.lo.Sign() < 0 {
 			return tb, true // possibly-negative count panics, not wraps
 		}
 		r = ivShl(x, y)
-	case token.SHR:
-		if y.lo.Sign() < 0 {
-			return tb, true
-		}
-		r = ivShr(x, y)
-	case token.AND, token.OR, token.XOR, token.AND_NOT:
-		q, ok := ivBitOp(op, x, y)
+	case token.AND:
+		q, ok := ivAnd(x, y)
 		if !ok {
 			return tb, true
 		}
 		r = q
 	default:
-		return tb, true
+		// %, >>, |, ^ and &^: no check needs their bounds.
+		return ival{lo: tb.lo, hi: tb.hi, declared: x.declared || y.declared}, true
 	}
 	return clampToType(r, tb), true
 }
@@ -980,35 +889,9 @@ func (cx *ivCtx) applyAssign(pkg *Package, env ivEnv, s *ast.AssignStmt) {
 			}
 		}
 	default:
-		// Compound assignment: lhs op= rhs.
-		var op token.Token
-		switch s.Tok {
-		case token.ADD_ASSIGN:
-			op = token.ADD
-		case token.SUB_ASSIGN:
-			op = token.SUB
-		case token.MUL_ASSIGN:
-			op = token.MUL
-		case token.QUO_ASSIGN:
-			op = token.QUO
-		case token.REM_ASSIGN:
-			op = token.REM
-		case token.SHL_ASSIGN:
-			op = token.SHL
-		case token.SHR_ASSIGN:
-			op = token.SHR
-		case token.AND_ASSIGN:
-			op = token.AND
-		case token.OR_ASSIGN:
-			op = token.OR
-		case token.XOR_ASSIGN:
-			op = token.XOR
-		case token.AND_NOT_ASSIGN:
-			op = token.AND_NOT
-		default:
-			cx.killNode(pkg, env, s)
-			return
-		}
+		// Compound assignment: lhs op= rhs. go/token declares the
+		// *_ASSIGN tokens in their operators' order, as go/types uses.
+		op := s.Tok - token.ADD_ASSIGN + token.ADD
 		lhs := s.Lhs[0]
 		t := exprType(pkg, lhs)
 		if t != nil && isIntegerKind(t) {
@@ -1067,7 +950,9 @@ func (cx *ivCtx) callKillNames(pkg *Package, call *ast.CallExpr, names map[strin
 
 // refineLeaf refines the environment by one comparison (the only
 // binary expression that reaches a leaf) known to evaluate to holds:
-// both operands narrow, under the negated operator when it is refuted.
+// the left operand narrows, under the negated operator when it is
+// refuted. The guards the proofs rest on put the guarded value on the
+// left.
 func (cx *ivCtx) refineLeaf(pkg *Package, env ivEnv, cond ast.Expr, holds bool) {
 	c, ok := cond.(*ast.BinaryExpr)
 	if !ok {
@@ -1077,18 +962,11 @@ func (cx *ivCtx) refineLeaf(pkg *Package, env ivEnv, cond ast.Expr, holds bool) 
 	if !holds {
 		op = negateCmp(op)
 	}
-	cx.refineCompare(pkg, env, c.X, c.Y, op)
-}
-
-// refineCompare narrows both operands of `x op y` known to hold.
-func (cx *ivCtx) refineCompare(pkg *Package, env ivEnv, xe, ye ast.Expr, op token.Token) {
-	x, okX := cx.eval(pkg, env, xe)
-	y, okY := cx.eval(pkg, env, ye)
-	if !okX || !okY {
-		return
+	x, okX := cx.eval(pkg, env, c.X)
+	y, okY := cx.eval(pkg, env, c.Y)
+	if okX && okY {
+		cx.storeRefined(pkg, env, c.X, refineLeft(op, x, y))
 	}
-	cx.storeRefined(pkg, env, xe, refineLeft(op, x, y))
-	cx.storeRefined(pkg, env, ye, refineLeft(flipCmp(op), y, x))
 }
 
 // storeRefined records a refinement for a keyable non-constant

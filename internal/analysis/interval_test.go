@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"math/big"
@@ -113,7 +115,6 @@ func TestTypeIval(t *testing.T) {
 func TestIvalArith(t *testing.T) {
 	wantIval(t, "add", ivAdd(mkIval(1, 5), mkIval(10, 20)), mkIval(11, 25))
 	wantIval(t, "sub", ivSub(mkIval(1, 5), mkIval(10, 20)), mkIval(-19, -5))
-	wantIval(t, "neg", ivNeg(mkIval(-3, 7)), mkIval(-7, 3))
 
 	// Multiplication takes the extreme of all four corner products:
 	// [-2,3] * [-5,7] has corners 10, -14, -15, 21.
@@ -147,26 +148,6 @@ func TestIvalQuo(t *testing.T) {
 	}
 }
 
-func TestIvalRem(t *testing.T) {
-	// |x % y| < max(|y.lo|, |y.hi|) and the result follows x's sign.
-	r, ok := ivRem(mkIval(0, 1000), mkIval(1, 7))
-	if !ok {
-		t.Fatalf("rem not ok")
-	}
-	wantIval(t, "rem", r, mkIval(0, 6))
-
-	r, _ = ivRem(mkIval(-1000, -1), mkIval(3, 10))
-	wantIval(t, "rem negative", r, mkIval(-9, 0))
-
-	// The dividend's own range clamps the bound when tighter.
-	r, _ = ivRem(mkIval(0, 3), mkIval(1, 100))
-	wantIval(t, "rem clamped", r, mkIval(0, 3))
-
-	if _, ok := ivRem(mkIval(1, 10), mkIval(0, 0)); ok {
-		t.Fatalf("remainder by the zero singleton reported a result")
-	}
-}
-
 func TestShiftClamp(t *testing.T) {
 	if got := clampShiftAmount(big.NewInt(-4)); got != 0 {
 		t.Fatalf("clampShiftAmount(-4) = %d, want 0", got)
@@ -180,7 +161,6 @@ func TestShiftClamp(t *testing.T) {
 	}
 
 	wantIval(t, "shl", ivShl(mkIval(1, 1), mkIval(0, 6)), mkIval(1, 64))
-	wantIval(t, "shr", ivShr(mkIval(16, 64), mkIval(2, 2)), mkIval(4, 16))
 
 	// A hostile declared count caps at shiftCap rather than making
 	// big.Int allocate a gigabit number; the result still compares as
@@ -193,40 +173,19 @@ func TestShiftClamp(t *testing.T) {
 }
 
 func TestIvalBitOps(t *testing.T) {
-	a, b := mkIval(0, 100), mkIval(0, 37)
-
-	and, ok := ivBitOp(token.AND, a, b)
+	and, ok := ivAnd(mkIval(0, 100), mkIval(0, 37))
 	if !ok {
 		t.Fatalf("AND not ok")
 	}
 	wantIval(t, "and", and, mkIval(0, 37))
 
-	andNot, _ := ivBitOp(token.AND_NOT, a, b)
-	wantIval(t, "and-not", andNot, mkIval(0, 100))
-
-	// OR and XOR cannot reach the next power of two above both
-	// operands: max hi is 100, BitLen 7, so the bound is 127.
-	or, _ := ivBitOp(token.OR, a, b)
-	wantIval(t, "or", or, mkIval(0, 127))
-	xor, _ := ivBitOp(token.XOR, a, b)
-	wantIval(t, "xor", xor, mkIval(0, 127))
-
 	// Negative operands fall back to the type range.
-	if _, ok := ivBitOp(token.AND, mkIval(-1, 5), b); ok {
+	if _, ok := ivAnd(mkIval(-1, 5), mkIval(0, 37)); ok {
 		t.Fatalf("AND accepted a possibly-negative operand")
 	}
-	if !mustBitOp(t, token.OR, decl(a), b).declared {
-		t.Fatalf("bit op dropped declared flag")
+	if and, _ := ivAnd(decl(mkIval(0, 100)), mkIval(0, 37)); !and.declared {
+		t.Fatalf("AND dropped declared flag")
 	}
-}
-
-func mustBitOp(t *testing.T, op token.Token, a, b ival) ival {
-	t.Helper()
-	v, ok := ivBitOp(op, a, b)
-	if !ok {
-		t.Fatalf("ivBitOp(%v) not ok", op)
-	}
-	return v
 }
 
 func TestRefineLeft(t *testing.T) {
@@ -267,14 +226,64 @@ func TestCmpHelpers(t *testing.T) {
 			t.Fatalf("negateCmp(%v) = %v, want %v", op, got, want)
 		}
 	}
-	flip := map[token.Token]token.Token{
-		token.LSS: token.GTR, token.GTR: token.LSS,
-		token.LEQ: token.GEQ, token.GEQ: token.LEQ,
-		token.EQL: token.EQL, token.NEQ: token.NEQ,
+}
+
+// TestEvalOperators drives the evaluator over every integer operator on
+// uint8 operands x ∈ [1,10] (declared) and y ∈ [2,3]. The operators with
+// a transfer function are exact until the result escapes the type; the
+// rest give the type's range with the declared flag kept, so a site that
+// reads them is still checked against the full range, never skipped.
+func TestEvalOperators(t *testing.T) {
+	const src = "package p\n\nvar x, y uint8\n"
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for op, want := range flip {
-		if got := flipCmp(op); got != want {
-			t.Fatalf("flipCmp(%v) = %v, want %v", op, got, want)
-		}
+	pkg := &Package{Files: []*ast.File{file}, Info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}}
+	if pkg.Types, err = new(types.Config).Check("p", fset, pkg.Files, pkg.Info); err != nil {
+		t.Fatal(err)
+	}
+	u8 := pkg.Types.Scope().Lookup("x").Type()
+	full, _ := typeIval(u8)
+	env := ivEnv{
+		"x": {iv: decl(mkIval(1, 10)), def: full, t: u8},
+		"y": {iv: mkIval(2, 3), def: full, t: u8},
+	}
+	cx := &ivCtx{ranges: map[*types.Var]ival{}}
+	for _, tc := range []struct {
+		name, expr string
+		want       ival
+	}{
+		{"add", "x + y", decl(mkIval(3, 13))},
+		{"sub wraps", "x - y", decl(full)},
+		{"mul", "x * y", decl(mkIval(2, 30))},
+		{"quo", "x / y", decl(mkIval(0, 5))},
+		{"shl", "x << y", decl(mkIval(4, 80))},
+		{"and", "x & y", decl(mkIval(0, 3))},
+		{"rem", "x % y", decl(full)},
+		{"shr", "x >> y", decl(full)},
+		{"or", "x | y", decl(full)},
+		{"xor", "x ^ y", decl(full)},
+		{"andnot", "x &^ y", decl(full)},
+		{"rem undeclared", "y % y", full},
+		{"plus", "+x", decl(mkIval(1, 10))},
+		{"neg", "-x", decl(full)},
+		{"not", "^x", decl(full)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := parser.ParseExpr(tc.expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := types.CheckExpr(fset, pkg.Types, token.NoPos, e, pkg.Info); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := cx.eval(pkg, env, e)
+			if !ok {
+				t.Fatalf("%s: no interval", tc.expr)
+			}
+			wantIval(t, tc.expr, got, tc.want)
+		})
 	}
 }

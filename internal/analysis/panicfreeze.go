@@ -12,7 +12,7 @@ import (
 // Outcome.Err — so a panic anywhere on these paths would kill a whole
 // sweep pool instead of one sweep point. The few justified panics
 // (internal/stats constructor preconditions, the runner's deliberate
-// worker-panic re-raise) are carried in lint.allow.
+// worker-panic re-raise) carry //ssvc:allow markers.
 func panicFreeze(p *pass, pkg *Package) {
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {

@@ -2,8 +2,8 @@ package analysis
 
 // This file is the rule table and the single place naming which
 // packages each invariant covers. Paths are module-relative. DESIGN.md
-// ("Invariants") documents the rules themselves; lint.allow at the
-// module root carries the justified exceptions.
+// ("Invariants") documents the rules themselves; //ssvc:allow markers
+// at their sites carry the justified exceptions.
 
 // Rule is one invariant: the name its diagnostics carry, the packages it
 // covers, and exactly one of three bodies.
@@ -68,7 +68,7 @@ var DeterminismPackages = []string{
 // them and a rendered table. Constructor preconditions in leaf
 // packages (arb, traffic, core, circuit) stay panics by API contract
 // and are not in this set; the stats constructors and the runner's
-// worker-panic re-raise are in the set but allowlisted.
+// worker-panic re-raise are in the set but excused by markers.
 var PanicFreezePackages = []string{
 	"internal/fabric",
 	"internal/switchsim",
@@ -107,11 +107,15 @@ var DurabilityPackages = []string{
 // the admission budget's Frame-scaled cost products, the Eq 1-3
 // schedulability terms, and the datapath shift/mask kernels. Input
 // contracts live on their config structs as //ssvc:range annotations.
+// noc and alloc turn reserved rates into Vticks, so their float
+// conversions must clamp (check 3).
 var ValueRangePackages = []string{
 	"internal/ctlplane",
 	"internal/glbound",
 	"internal/core",
 	"internal/arb",
+	"internal/noc",
+	"internal/alloc",
 }
 
 // TaintPackages are where untrusted input enters (the TCP line

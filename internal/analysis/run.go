@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/token"
+	"os"
 	"runtime"
+	"strings"
 
 	"swizzleqos/internal/runner"
 )
@@ -40,56 +43,26 @@ func (r Rule) check(l *Loader, cg *callGraph, pkgs []*Package) []Diagnostic {
 }
 
 // Run executes one rule of the table, by name, over the given
-// module-relative packages (the fixture tests' entry point). A tree rule
-// builds its call graph from everything l has loaded by then, so its
-// findings can depend on what else went through the same Loader.
+// module-relative packages (the fixture tests' entry point), //ssvc:allow
+// markers included. A tree rule builds its call graph from everything l
+// has loaded by then, so its findings can depend on what else went
+// through the same Loader.
 func Run(l *Loader, name string, rels []string) ([]Diagnostic, error) {
 	for _, r := range Rules {
-		if r.Name != name {
-			continue
+		if r.Name == name {
+			r.Packages = fixed(rels)
+			return runRules(l, rels, []Rule{r})
 		}
-		if r.raw != nil {
-			return r.raw(l, rels)
-		}
-		pkgs, err := l.loadAll(rels)
-		if err != nil {
-			return nil, err
-		}
-		var cg *callGraph
-		if r.tree != nil {
-			cg = buildCallGraph(l)
-		}
-		diags := r.check(l, cg, pkgs)
-		SortDiagnostics(diags)
-		return diags, nil
 	}
 	return nil, fmt.Errorf("analysis: no rule named %q", name)
 }
 
 // RunAll executes every rule of the table over the module rooted at
-// root, filters the result through the allowlist (nil for none), and
-// returns the surviving diagnostics sorted. This is the single entry
-// point shared by cmd/ssvc-lint and the package's self-test, so "the
-// tool passes" and "the test passes" can never drift apart.
-func RunAll(root string, allow *Allowlist) ([]Diagnostic, error) {
-	diags, err := runRules(root, Rules)
-	if err != nil {
-		return nil, err
-	}
-	diags = allow.Filter(diags)
-	SortDiagnostics(diags)
-	return diags, nil
-}
-
-// runRules type-checks every module package once, serially (the Loader
-// is not safe for concurrent use), builds the one call graph the tree
-// rules share, and resolves each rule's package set, where a package
-// that is not in the module is an error, not a rule silently run over
-// what is left. After that the Loader's caches are read-only and the
-// rules fan out on a bounded pool: one task per package for a
-// per-package rule, one per tree or raw rule. runner.Map returns results
-// in task order, so the output does not depend on scheduling.
-func runRules(root string, rules []Rule) ([]Diagnostic, error) {
+// root and returns the findings no //ssvc:allow marker excuses, sorted.
+// This is the single entry point shared by cmd/ssvc-lint and the
+// package's self-test, so "the tool passes" and "the test passes" can
+// never drift apart.
+func RunAll(root string) ([]Diagnostic, error) {
 	l, err := NewLoader(root)
 	if err != nil {
 		return nil, err
@@ -98,7 +71,21 @@ func runRules(root string, rules []Rule) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := l.loadAll(all); err != nil {
+	return runRules(l, all, Rules)
+}
+
+// runRules type-checks the packages all names once, serially (the
+// Loader is not safe for concurrent use), builds the one call graph the
+// tree rules share, and resolves each rule's package set, where a
+// package that is not in the module is an error, not a rule silently run
+// over what is left. After that the Loader's caches are read-only and
+// the rules fan out on a bounded pool: one task per package for a
+// per-package rule, one per tree or raw rule. runner.Map returns results
+// in task order, so the output does not depend on scheduling. The
+// //ssvc:allow markers in all then excuse what they name.
+func runRules(l *Loader, all []string, rules []Rule) ([]Diagnostic, error) {
+	scope, err := l.loadAll(all)
+	if err != nil {
 		return nil, err
 	}
 	cg := buildCallGraph(l)
@@ -115,7 +102,7 @@ func runRules(root string, rules []Rule) ([]Diagnostic, error) {
 		}
 		if r.raw != nil {
 			tasks = append(tasks, func() result {
-				rl, err := NewLoader(root)
+				rl, err := NewLoader(l.Root)
 				if err != nil {
 					return result{err: err}
 				}
@@ -144,5 +131,90 @@ func runRules(root string, rules []Rule) ([]Diagnostic, error) {
 		}
 		diags = append(diags, res.diags...)
 	}
+	diags, err = excuse(l, scope, rules, diags)
+	if err != nil {
+		return nil, err
+	}
+	SortDiagnostics(diags)
 	return diags, nil
+}
+
+// MarkAllow states an exception at its site: a line
+//
+//	//ssvc:allow <rule> <why>
+//
+// standing alone excuses <rule>'s findings on the next line only. The
+// marker is itself a finding of rule "allow" when it gives no reason,
+// names a rule whose proofs admit no exception, or excuses nothing, so
+// an exception cannot outlive the code it excused.
+const MarkAllow = "//ssvc:allow"
+
+// noExceptions are the rules whose proofs hold on the shipped tree with
+// no exception at all.
+var noExceptions = map[string]bool{"durability": true, "valuerange": true, "taint": true}
+
+// excuse drops the findings the //ssvc:allow markers in pkgs excuse and
+// adds a finding for each marker that fails. A marker naming a rule
+// that is not among rules is left alone: what it would excuse was not
+// looked for.
+func excuse(l *Loader, pkgs []*Package, rules []Rule, diags []Diagnostic) ([]Diagnostic, error) {
+	type site struct {
+		file, rule string
+		line       int
+	}
+	found := map[site]bool{}
+	for _, d := range diags {
+		found[site{d.File, d.Analyzer, d.Line}] = true
+	}
+	ran := map[string]bool{}
+	for _, r := range rules {
+		ran[r.Name] = true
+	}
+	excused := map[site]bool{}
+	var failed []Diagnostic
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			var src []byte
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if !isMarker(c.Text, MarkAllow) {
+						continue
+					}
+					tf := l.Fset.File(c.Pos())
+					if src == nil {
+						var err error
+						if src, err = os.ReadFile(tf.Name()); err != nil {
+							return nil, err
+						}
+					}
+					file, line := l.Rel(c.Pos())
+					alone := len(bytes.TrimSpace(src[tf.Offset(tf.LineStart(line)):tf.Offset(c.Pos())])) == 0
+					rule, why, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(c.Text, MarkAllow)), " ")
+					below := site{file, rule, line + 1}
+					msg := ""
+					switch {
+					case strings.TrimSpace(why) == "":
+						msg = fmt.Sprintf("%s %s gives no reason; say why the finding below is safe", MarkAllow, rule)
+					case noExceptions[rule]:
+						msg = fmt.Sprintf("%s names %s, which admits no exceptions; fix the finding instead", MarkAllow, rule)
+					case !ran[rule]:
+					case alone && found[below]:
+						excused[below] = true
+					default:
+						msg = fmt.Sprintf("%s %s excuses nothing: it must stand alone on the line above a %s finding", MarkAllow, rule, rule)
+					}
+					if msg != "" {
+						failed = append(failed, Diagnostic{File: file, Line: line, Analyzer: "allow", Message: msg})
+					}
+				}
+			}
+		}
+	}
+	kept := diags[:0]
+	for _, d := range diags {
+		if !excused[site{d.File, d.Analyzer, d.Line}] {
+			kept = append(kept, d)
+		}
+	}
+	return append(kept, failed...), nil
 }

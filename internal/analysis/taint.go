@@ -26,13 +26,13 @@ import (
 // that merely passes a parameter through does not poison every call
 // site the moment one caller hands it something untrusted — each call
 // instantiates the summary's dependency bits with the taint of its
-// own arguments. Summaries are also per result slot, so a function
-// returning (clean *Plane, tainted warning, error) taints only the
-// warning at the caller. Sink checks stay context-insensitive on
-// purpose (a function reachable with tainted input must validate
-// before its sinks, whoever the caller was): the global paramTaint
-// fixpoint records which parameter slots ever receive absolute taint,
-// and dependency bits resolve against it at each report site.
+// own arguments. A function has one summary, over all its results: a
+// call taints every value it returns alike. Sink checks stay
+// context-insensitive on purpose (a function reachable with tainted
+// input must validate before its sinks, whoever the caller was): the
+// global paramTaint fixpoint records which parameter slots ever
+// receive absolute taint, and dependency bits resolve against it at
+// each report site.
 //
 // Channels propagate absolutely: a send of a tainted value taints the
 // channel's element type module-wide, which is how the serve daemon's
@@ -59,7 +59,7 @@ func taint(p *pass, pkgs []*Package) {
 	tc := newTaintCtx(p)
 
 	// Global fixpoint: function-local flows record absolute taint into
-	// callee parameter slots, per-result dependency summaries, and
+	// callee parameter slots, return dependency summaries, and
 	// channel element types; iterate until nothing new is learned.
 	// Everything is monotone (masks only gain bits), so this
 	// terminates.
@@ -128,9 +128,9 @@ type taintCtx struct {
 	sinks    map[*types.Func]bool
 	barriers map[*types.Func]bool
 
-	paramTaint map[*types.Func][]bool      // receiver-first slots, absolute taint
-	retTaint   map[*types.Func][]taintMask // per result slot, over the callee's own slots
-	chanTaint  map[string]bool             // keyed by element type string
+	paramTaint map[*types.Func][]bool    // receiver-first slots, absolute taint
+	retTaint   map[*types.Func]taintMask // all results, over the callee's own slots
+	chanTaint  map[string]bool           // keyed by element type string
 
 	changed    bool
 	curPkg     *Package
@@ -144,7 +144,7 @@ func newTaintCtx(p *pass) *taintCtx {
 		sinks:      map[*types.Func]bool{},
 		barriers:   map[*types.Func]bool{},
 		paramTaint: map[*types.Func][]bool{},
-		retTaint:   map[*types.Func][]taintMask{},
+		retTaint:   map[*types.Func]taintMask{},
 		chanTaint:  map[string]bool{},
 	}
 	for fn, fi := range p.cg.funcs {
@@ -261,19 +261,11 @@ func (tc *taintCtx) transferNode(n ast.Node, st taintState) {
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
+				if !ok || len(vs.Values) == 0 {
 					continue
 				}
-				switch {
-				case len(vs.Values) == len(vs.Names):
-					for i, name := range vs.Names {
-						tc.setIdent(st, name, tc.taintOf(st, vs.Values[i]))
-					}
-				case len(vs.Values) == 1:
-					masks := tc.multiValueMasks(st, vs.Values[0], len(vs.Names))
-					for i, name := range vs.Names {
-						tc.setIdent(st, name, masks[i])
-					}
+				for i, name := range vs.Names {
+					tc.setIdent(st, name, tc.taintOf(st, vs.Values[min(i, len(vs.Values)-1)]))
 				}
 			}
 		}
@@ -306,42 +298,19 @@ func (tc *taintCtx) transferNode(n ast.Node, st taintState) {
 		if tc.curFn == nil {
 			return
 		}
-		sig, ok := tc.curFn.Type().(*types.Signature)
-		if !ok {
-			return
+		var m taintMask
+		for _, r := range s.Results {
+			m |= tc.taintOf(st, r)
 		}
-		nres := sig.Results().Len()
-		if nres == 0 {
-			return
-		}
-		masks := make([]taintMask, nres)
-		switch {
-		case len(s.Results) == nres:
-			for i, r := range s.Results {
-				masks[i] = tc.taintOf(st, r)
-			}
-		case len(s.Results) == 1:
-			copy(masks, tc.multiValueMasks(st, s.Results[0], nres))
-		case len(s.Results) == 0:
+		if len(s.Results) == 0 {
 			// Bare return: named results carry the values out.
-			for i := 0; i < nres; i++ {
-				masks[i] = st[sig.Results().At(i)]
+			res := tc.curFn.Type().(*types.Signature).Results()
+			for i := 0; i < res.Len(); i++ {
+				m |= st[res.At(i)]
 			}
 		}
-		tc.recordRet(tc.curFn, masks)
-	}
-}
-
-// recordRet ORs a return's per-slot masks into the function's summary.
-func (tc *taintCtx) recordRet(fn *types.Func, masks []taintMask) {
-	rt := tc.retTaint[fn]
-	if rt == nil {
-		rt = make([]taintMask, len(masks))
-		tc.retTaint[fn] = rt
-	}
-	for i, m := range masks {
-		if i < len(rt) && rt[i]|m != rt[i] {
-			rt[i] |= m
+		if tc.retTaint[tc.curFn]|m != tc.retTaint[tc.curFn] {
+			tc.retTaint[tc.curFn] |= m
 			tc.changed = true
 		}
 	}
@@ -353,49 +322,16 @@ func (tc *taintCtx) transferAssign(st taintState, s *ast.AssignStmt) {
 		tc.setLval(st, s.Lhs[0], tc.taintOf(st, s.Lhs[0])|tc.taintOf(st, s.Rhs[0]))
 		return
 	}
-	switch {
-	case len(s.Lhs) == len(s.Rhs):
-		masks := make([]taintMask, len(s.Rhs))
-		for i, r := range s.Rhs {
-			masks[i] = tc.taintOf(st, r)
-		}
-		for i, lhs := range s.Lhs {
-			tc.setLval(st, lhs, masks[i])
-		}
-	case len(s.Rhs) == 1:
-		// Multi-value: call results bind per slot (so a clean first
-		// result is not poisoned by a tainted sibling); type
-		// assertions, map indexes, and receives share the source's
-		// mask.
-		masks := tc.multiValueMasks(st, s.Rhs[0], len(s.Lhs))
-		for i, lhs := range s.Lhs {
-			tc.setLval(st, lhs, masks[i])
-		}
+	// All right-hand sides are read before any target is written; a
+	// multi-value source (call, type assertion, map index, receive)
+	// binds one mask to every target.
+	masks := make([]taintMask, len(s.Rhs))
+	for i, r := range s.Rhs {
+		masks[i] = tc.taintOf(st, r)
 	}
-}
-
-// multiValueMasks evaluates a single expression bound to n targets:
-// per-result call summaries when the callee resolves, otherwise the
-// expression's mask replicated.
-func (tc *taintCtx) multiValueMasks(st taintState, e ast.Expr, n int) []taintMask {
-	if call, ok := unparen(e).(*ast.CallExpr); ok {
-		if tv, isConv := tc.curPkg.Info.Types[call.Fun]; !isConv || !tv.IsType() {
-			return tc.callResultMasks(st, call, n)
-		}
+	for i, lhs := range s.Lhs {
+		tc.setLval(st, lhs, masks[min(i, len(masks)-1)])
 	}
-	m := tc.taintOf(st, e)
-	if u, ok := unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-		if t := exprType(tc.curPkg, u.X); t != nil {
-			if ch, ok := t.Underlying().(*types.Chan); ok && tc.chanTaint[chanKey(ch)] {
-				m |= absMask
-			}
-		}
-	}
-	masks := make([]taintMask, n)
-	for i := range masks {
-		masks[i] = m
-	}
-	return masks
 }
 
 // setLval binds a mask to an assignment target: strong update for
@@ -497,11 +433,7 @@ func (tc *taintCtx) taintOf(st taintState, e ast.Expr) taintMask {
 		}
 		return m
 	case *ast.CallExpr:
-		var m taintMask
-		for _, r := range tc.callResultMasks(st, e, 1) {
-			m |= r
-		}
-		return m
+		return tc.callMask(st, e)
 	}
 	return 0
 }
@@ -549,19 +481,18 @@ func (tc *taintCtx) callRecvExpr(call *ast.CallExpr) ast.Expr {
 	return nil
 }
 
-// callResultMasks evaluates a call expression into n result masks:
-// conversions and builtins pass their operands through, sources are
-// absolutely tainted, barriers are trusted, module functions have
-// their per-result summaries instantiated with this call site's
-// argument masks, and unknown callees pass input taint through.
-func (tc *taintCtx) callResultMasks(st taintState, call *ast.CallExpr, n int) []taintMask {
-	masks := make([]taintMask, n)
+// callMask evaluates a call expression's results: conversions and
+// builtins pass their operands through, sources are absolutely tainted,
+// barriers are trusted, module functions have their return summary
+// instantiated with this call site's argument masks, and unknown
+// callees pass input taint through.
+func (tc *taintCtx) callMask(st taintState, call *ast.CallExpr) taintMask {
 	pkg := tc.curPkg
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			masks[0] = tc.taintOf(st, call.Args[0])
+			return tc.taintOf(st, call.Args[0])
 		}
-		return masks
+		return 0
 	}
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
 		if _, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
@@ -569,46 +500,29 @@ func (tc *taintCtx) callResultMasks(st taintState, call *ast.CallExpr, n int) []
 			for _, a := range call.Args {
 				m |= tc.taintOf(st, a)
 			}
-			for i := range masks {
-				masks[i] = m
-			}
-			return masks
+			return m
 		}
 	}
 	fns := tc.cg.callees(tc.curPkg, call)
 	if len(fns) == 0 {
 		// Unresolved (func value): pass-through of input taint.
-		m := tc.inputMask(st, call)
-		for i := range masks {
-			masks[i] = m
-		}
-		return masks
+		return tc.inputMask(st, call)
 	}
-	or := func(i int, m taintMask) {
-		if i >= n {
-			i = n - 1
-		}
-		masks[i] |= m
-	}
+	var m taintMask
 	for _, fn := range fns {
 		switch {
 		case isTaintSource(fn):
-			or(0, absMask) // the parsed value; the error is a message
+			m |= absMask
 		case tc.barriers[fn]:
 			// trusted
 		case tc.cg.funcs[fn] != nil:
-			for i, rm := range tc.retTaint[fn] {
-				or(i, tc.instantiate(st, fn, call, rm))
-			}
+			m |= tc.instantiate(st, fn, call, tc.retTaint[fn])
 		default:
 			// Outside the module: pass-through.
-			m := tc.inputMask(st, call)
-			for i := range masks {
-				masks[i] |= m
-			}
+			m |= tc.inputMask(st, call)
 		}
 	}
-	return masks
+	return m
 }
 
 // instantiate maps a callee return summary into the caller's mask

@@ -56,7 +56,7 @@ func Decay(x float64) float64 {
 	return math.Exp(-x) // want:determinism
 }
 
-// Sum iterates a map; even a commutative body must be allowlisted
+// Sum iterates a map; even a commutative body must be excused
 // explicitly, so the analyzer flags the range itself.
 func Sum(m map[int]float64) float64 {
 	var s float64

@@ -54,9 +54,6 @@ func NewCCSP(rates, bursts []float64, priorities []int, workConserving bool) *CC
 	}
 }
 
-// Credit returns input i's current credit, for tests.
-func (a *CCSP) Credit(i int) float64 { return a.credit[i] }
-
 // Arbitrate implements Arbiter: the highest static priority among
 // eligible (credit-covered) requests wins; with work conservation, slack
 // falls through to the highest-priority requester.

@@ -168,3 +168,6 @@ func TestTDMPanics(t *testing.T) {
 		}()
 	}
 }
+
+// Credit returns input i's current credit, for tests.
+func (a *CCSP) Credit(i int) float64 { return a.credit[i] }

@@ -51,18 +51,6 @@ func (s *LRGState) row(i int) []uint64 { return s.rows[i*s.words : (i+1)*s.words
 // Size returns the number of inputs tracked.
 func (s *LRGState) Size() int { return s.n }
 
-// Pick returns the least recently granted input among candidates, or -1 if
-// candidates is empty.
-func (s *LRGState) Pick(candidates []int) int {
-	best := -1
-	for _, c := range candidates {
-		if best < 0 || s.HasPriority(c, best) {
-			best = c
-		}
-	}
-	return best
-}
-
 // HasPriority reports whether input a beats input b under the current
 // order, i.e. a was granted less recently than b: one crosspoint bit.
 //

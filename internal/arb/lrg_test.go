@@ -338,3 +338,15 @@ func FuzzLRGMatrix(f *testing.F) {
 		checkLRGAgainstList(t, "end", s, l, nil)
 	})
 }
+
+// Pick returns the least recently granted input among candidates, or -1 if
+// candidates is empty.
+func (s *LRGState) Pick(candidates []int) int {
+	best := -1
+	for _, c := range candidates {
+		if best < 0 || s.HasPriority(c, best) {
+			best = c
+		}
+	}
+	return best
+}

@@ -268,7 +268,7 @@ func (c *schedCallCounter) Emit(now noc.Cycle) *noc.Packet {
 // is set by the reservations that are live in it. A plane that has
 // served 500 add/remove rounds makes, over the next 10 000 cycles,
 // exactly the calls of a fresh plane holding the same live set — not one
-// poll of a detached flow's valve. Counts only, no clocks.
+// poll of a detached flow's generator. Counts only, no clocks.
 func TestGeneratorCallsFlatInHistory(t *testing.T) {
 	const rounds, window = 500, 10000
 	liveSet := []string{

@@ -194,57 +194,11 @@ type flowKey struct {
 	class    noc.Class
 }
 
-// valve wraps a reservation's generator so revocation and lease expiry
-// can silence it in place. Shutting the valve is what makes retiring the
-// flow sound (switchsim.Switch.RetireFlow wants a generator that will
-// never emit again); any packets already queued drain at whatever
-// priority the zeroed Vtick leaves them — best effort — and the flow is
-// reclaimed when the last one leaves.
-type valve struct {
+// attached is a reservation's traffic source: its generator, for the
+// snapshot, and the switch's flow index it feeds, for RetireFlow.
+type attached struct {
 	gen  traffic.Stateful
-	off  bool
-	flow int // the switch's flow index, for RetireFlow
-}
-
-func (v *valve) Tick(now noc.Cycle, queued int) *noc.Packet {
-	if v.off {
-		return nil
-	}
-	return v.gen.Tick(now, queued)
-}
-
-// schedValve is the valve over a generator that schedules: it forwards
-// the traffic.Scheduler face, so the flow generates from the source
-// calendar instead of being polled. A shut valve announces no arrival
-// and emits nothing for one it announced earlier.
-type schedValve struct {
-	valve
-	sched traffic.Scheduler
-}
-
-func (v *schedValve) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
-	if v.off {
-		return 0, false
-	}
-	return v.sched.NextArrival(from, queued)
-}
-
-func (v *schedValve) Emit(now noc.Cycle) *noc.Packet {
-	if v.off {
-		return nil
-	}
-	return v.sched.Emit(now)
-}
-
-// newValve wraps gen, as a traffic.Scheduler exactly when gen is one,
-// and returns the generator to attach with the valve that shuts it.
-func newValve(gen traffic.Stateful, flow int) (traffic.Generator, *valve) {
-	if s, ok := gen.(traffic.Scheduler); ok {
-		sv := &schedValve{valve{gen: gen, flow: flow}, s}
-		return sv, &sv.valve
-	}
-	v := &valve{gen: gen, flow: flow}
-	return v, v
+	flow int
 }
 
 // leaseEntry schedules a deterministic expiry.
@@ -327,7 +281,7 @@ type Plane struct {
 	recovered Recovery
 
 	leases   leaseHeap
-	valves   map[uint64]*valve
+	attached map[uint64]attached
 	feedback map[flowKey]*traffic.ClosedLoop
 	vtArena  []noc.VTime
 
@@ -385,7 +339,7 @@ func New(cfg SimConfig) (*Plane, error) {
 		sw:        sw,
 		tab:       tab,
 		snapAt:    cfg.SnapEvery, // first checkpoint one cadence in
-		valves:    make(map[uint64]*valve),
+		attached:  make(map[uint64]attached),
 		feedback:  make(map[flowKey]*traffic.ClosedLoop),
 		vtArena:   make([]noc.VTime, cfg.Radix),
 		traceHash: traceSeed,
@@ -693,7 +647,8 @@ func (p *Plane) newSource(res *Reservation) traffic.Stateful {
 // the switch and re-derives the output's Vticks.
 func (p *Plane) materializeAdd(res *Reservation) {
 	req := res.Req
-	src, v := newValve(p.newSource(res), p.sw.Flows())
+	a := attached{gen: p.newSource(res), flow: p.sw.Flows()}
+	var src traffic.Generator = a.gen
 	if p.wrapSource != nil {
 		src = p.wrapSource(src)
 	}
@@ -701,7 +656,7 @@ func (p *Plane) materializeAdd(res *Reservation) {
 		p.fail(fmt.Errorf("ctlplane: materialize reservation %d: %w", res.ID, err))
 		return
 	}
-	p.valves[res.ID] = v
+	p.attached[res.ID] = a
 	if res.ExpiresAt != 0 {
 		p.leases.push(leaseEntry{at: res.ExpiresAt, id: res.ID})
 	}
@@ -710,20 +665,21 @@ func (p *Plane) materializeAdd(res *Reservation) {
 	}
 }
 
-// detach silences a revoked/expired reservation's source and hands the
-// flow back to the switch, which drops it from generation now and from
-// admission once its queue has drained. Admission forbids duplicate
-// (src,dst,class) reservations, so a present feedback entry under this
-// key always belongs to this reservation.
+// detach hands a revoked/expired reservation's flow back to the switch,
+// which stops generating it now (its generator is never asked again)
+// and drops it from admission once its queue has drained; packets
+// already queued drain at whatever priority the zeroed Vtick leaves
+// them, best effort. Admission forbids duplicate (src,dst,class)
+// reservations, so a present feedback entry under this key always
+// belongs to this reservation.
 func (p *Plane) detach(res *Reservation) {
-	v, ok := p.valves[res.ID]
+	a, ok := p.attached[res.ID]
 	if !ok {
 		return
 	}
-	v.off = true
-	delete(p.valves, res.ID)
-	p.sw.RetireFlow(v.flow)
-	if _, isCL := v.gen.(*traffic.ClosedLoop); isCL {
+	delete(p.attached, res.ID)
+	p.sw.RetireFlow(a.flow)
+	if _, isCL := a.gen.(*traffic.ClosedLoop); isCL {
 		delete(p.feedback, flowKey{res.Req.Src, res.Req.Dst, res.Req.Class})
 	}
 }

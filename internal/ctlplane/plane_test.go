@@ -415,6 +415,25 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 	}
 }
 
+// TestTinyRateAdmitsAlikeEverywhere: validate accepts any rate in
+// (0,1], and a rate whose Vtick overflows 64 bits must price and program
+// the same on every architecture, or one journal replays to two traces.
+// The Vtick saturates, so the cost rounds up to one Frame unit and the
+// granted Vtick is the whole Frame-scaled packet time.
+func TestTinyRateAdmitsAlikeEverywhere(t *testing.T) {
+	tab, err := NewTable(TableConfig{Radix: 4, LMax: 8, GLBufferFlits: 16, GBShare: 0.8, GLShare: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rej := tab.Admit(FlowReq{Src: 0, Dst: 1, Class: noc.GuaranteedBandwidth, Rate: 1e-300, PacketLen: 8}, 0, 0)
+	if rej != nil {
+		t.Fatalf("admit rejected: %+v", rej)
+	}
+	if res.Cost != 1 || res.GrantedVtick() != noc.VTimeOf(8*Frame) {
+		t.Fatalf("cost %d, granted Vtick %d; want 1 and %d", res.Cost, res.GrantedVtick(), 8*Frame)
+	}
+}
+
 // TestLMaxMustFitTheBuffers: admission takes packets up to LMax, and
 // switchsim.AddFlow refuses a flow whose packets could never enter their
 // class's buffer, which would fail the plane sick on a client's command.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 
 	"swizzleqos/internal/noc"
 )
@@ -168,10 +169,10 @@ func tableStateEqual(a, b TableState) bool {
 	if a.NextID != b.NextID || a.Policy != b.Policy {
 		return false
 	}
-	if !uintsEqual(a.GBBudget, b.GBBudget) {
+	if !slices.Equal(a.GBBudget, b.GBBudget) {
 		return false
 	}
-	if !intsEqual(a.InDown, b.InDown) || !intsEqual(a.OutDown, b.OutDown) {
+	if !slices.Equal(a.InDown, b.InDown) || !slices.Equal(a.OutDown, b.OutDown) {
 		return false
 	}
 	if len(a.Reservations) != len(b.Reservations) {
@@ -179,30 +180,6 @@ func tableStateEqual(a, b TableState) bool {
 	}
 	for i := range a.Reservations {
 		if !reflect.DeepEqual(a.Reservations[i], b.Reservations[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func uintsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -43,12 +43,12 @@ func (p *Plane) appendState(b []byte, live []Reservation) ([]byte, error) {
 	b = wire.Uint(b, p.delivered)
 	b = p.seq.AppendState(b)
 	for i := range live {
-		v, ok := p.valves[live[i].ID]
+		a, ok := p.attached[live[i].ID]
 		if !ok {
 			return b, fmt.Errorf("ctlplane: reservation %d has no source attached", live[i].ID)
 		}
-		b = wire.Int(b, v.flow)
-		b = v.gen.AppendState(b)
+		b = wire.Int(b, a.flow)
+		b = a.gen.AppendState(b)
 	}
 	return p.sw.AppendState(b)
 }
@@ -115,9 +115,8 @@ func restore(cfg SimConfig, s *SnapRecord) (*Plane, error) {
 		if err := gen.RestoreState(r); err != nil {
 			return nil, err
 		}
-		src, v := newValve(gen, idx)
-		p.valves[res.ID] = v
-		sources = append(sources, source{traffic.Flow{Spec: res.Req.Spec(), Gen: src}, idx})
+		p.attached[res.ID] = attached{gen: gen, flow: idx}
+		sources = append(sources, source{traffic.Flow{Spec: res.Req.Spec(), Gen: gen}, idx})
 		if res.ExpiresAt != 0 {
 			p.leases.push(leaseEntry{at: res.ExpiresAt, id: res.ID})
 		}

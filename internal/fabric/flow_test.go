@@ -273,3 +273,7 @@ func TestSkipMask(t *testing.T) {
 		t.Fatalf("after ForgetSkips: skipped %v", got)
 	}
 }
+
+// EventDriven reports whether Generate uses the arrival calendar for the
+// flows that can schedule (meaningful after the first Generate).
+func (s *Sources) EventDriven() bool { return s.calReady && !s.forcePoll }

@@ -8,7 +8,7 @@ import (
 	"swizzleqos/internal/traffic"
 )
 
-// tap is the tests' stand-in for the control plane's valve: a generator
+// tap is a generator
 // that can be shut for good, forwarding the Scheduler face exactly when
 // the wrapped generator has one.
 type tap struct {

@@ -132,20 +132,3 @@ func New(cfg Config) (*Mesh, error) {
 
 // Nodes returns the number of terminals (Width * Height).
 func (m *Mesh) Nodes() int { return m.width * m.height }
-
-// Diameter returns the mesh diameter in hops.
-func (m *Mesh) Diameter() int { return m.width + m.height - 2 }
-
-// HopCount returns the XY route length between two nodes.
-func (m *Mesh) HopCount(src, dst int) int {
-	sx, sy := src%m.width, src/m.width
-	dx, dy := dst%m.width, dst/m.width
-	return abs(sx-dx) + abs(sy-dy)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

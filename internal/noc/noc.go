@@ -8,7 +8,10 @@
 // moves one flit per cycle.
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Class is a traffic class, in increasing order of network priority.
 type Class uint8
@@ -134,7 +137,8 @@ func (f FlowSpec) Validate(radix int) error {
 // Vtick returns the flow's virtual clock increment in cycles: the average
 // inter-packet time of a flow sending PacketLength-flit packets at its
 // reserved rate. Transmitting one packet advances the flow's virtual clock
-// by this amount (paper §2.2).
+// by this amount (paper §2.2). A rate too small for the increment to fit
+// 64 bits saturates at math.MaxUint64 on every architecture.
 func (f FlowSpec) Vtick() VTime {
 	if f.Rate <= 0 {
 		return 0
@@ -143,5 +147,5 @@ func (f FlowSpec) Vtick() VTime {
 	if v < 1 {
 		v = 1
 	}
-	return VTimeOf(uint64(v + 0.5))
+	return VTimeOf(ClampUint64(v+0.5, math.MaxUint64))
 }

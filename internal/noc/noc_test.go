@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,9 @@ func TestVtick(t *testing.T) {
 		{0.3, 8, 27},
 		// Unreserved.
 		{0, 8, 0},
+		// 8/1e-300 does not fit 64 bits: saturate, on every architecture
+		// (a bare conversion gives 2^63 on amd64 and 0 on 386).
+		{1e-300, 8, VTimeOf(math.MaxUint64)},
 	}
 	for _, tc := range cases {
 		f := FlowSpec{Rate: tc.rate, PacketLength: tc.len}

@@ -312,6 +312,7 @@ func MapScratch[S, T any](p *Pool, n int, newScratch func() S, fn func(s S, i in
 	}
 	work(true)
 	if jp := panicked.Load(); jp != nil {
+		//ssvc:allow panicfreeze re-raises a worker panic on the caller; swallowing it would hide the original bug
 		panic(jp)
 	}
 	return results

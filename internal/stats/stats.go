@@ -120,6 +120,7 @@ func NewCollector(warmup, end noc.Cycle) *Collector {
 // pointers obtained earlier are recycled.
 func (c *Collector) Reset(warmup, end noc.Cycle) {
 	c.Warmup, c.End = warmup, end
+	//ssvc:allow determinism Reset empties the map onto the free list; the order of the clears is unobservable
 	for k, f := range c.flows {
 		delete(c.flows, k)
 		*f = FlowStats{LatMin: math.MaxUint64}
@@ -186,6 +187,7 @@ func (c *Collector) Flow(k FlowKey) *FlowStats { return c.flows[k] }
 // Keys returns the observed flow keys in deterministic order.
 func (c *Collector) Keys() []FlowKey {
 	keys := make([]FlowKey, 0, len(c.flows))
+	//ssvc:allow determinism Keys collects the keys, then sorts them before returning
 	for k := range c.flows {
 		keys = append(keys, k)
 	}

@@ -19,6 +19,7 @@ type Series struct {
 // NewSeries returns a sampler with the given window length in cycles.
 func NewSeries(window noc.Cycle) *Series {
 	if window == 0 {
+		//ssvc:allow panicfreeze constructor precondition at experiment setup, before any engine exists to freeze
 		panic("stats: series window must be positive")
 	}
 	return &Series{window: window, flits: make(map[FlowKey][]uint64)}

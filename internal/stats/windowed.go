@@ -17,11 +17,13 @@ type Windowed struct {
 // must be at least two.
 func NewWindowed(bounds ...noc.Cycle) *Windowed {
 	if len(bounds) < 2 {
+		//ssvc:allow panicfreeze constructor precondition: fewer than two bounds is a programming error
 		panic("stats: windowed collector needs at least two bounds")
 	}
 	w := &Windowed{phases: make([]*Collector, len(bounds)-1)}
 	for i := range w.phases {
 		if bounds[i] > bounds[i+1] {
+			//ssvc:allow panicfreeze constructor precondition: unsorted bounds are a programming error
 			panic("stats: windowed collector bounds must be non-decreasing")
 		}
 		w.phases[i] = NewCollector(bounds[i], bounds[i+1])
@@ -40,9 +42,6 @@ func (w *Windowed) OnDeliver(p *noc.Packet) {
 		}
 	}
 }
-
-// Phases returns the number of phases.
-func (w *Windowed) Phases() int { return len(w.phases) }
 
 // Phase returns phase i's collector.
 func (w *Windowed) Phase(i int) *Collector { return w.phases[i] }

@@ -52,3 +52,6 @@ func TestWindowedPhaseWindows(t *testing.T) {
 		t.Fatalf("phase 1 window = %d, want 30", got)
 	}
 }
+
+// Phases returns the number of phases.
+func (w *Windowed) Phases() int { return len(w.phases) }

@@ -277,12 +277,12 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 // takes this index.
 func (s *Switch) Flows() int { return s.sources.Len() }
 
-// RetireFlow reclaims flow index f (AddFlow order), whose generator the
-// caller has shut for good: it is never generated again, and once its
-// source queue has drained it leaves its input's admission rotation and
-// its queue is released (fabric.Sources.Retire). Call it between cycles.
-// Delivery order is unaffected; what a retired flow still holds is a slot
-// in the per-flow tables, a few words per flow ever added.
+// RetireFlow reclaims flow index f (AddFlow order) and stops its
+// generator: it is never asked again, and once its source queue has
+// drained it leaves its input's admission rotation and its queue is
+// released (fabric.Sources.Retire). Call it between cycles. Delivery
+// order is unaffected; what a retired flow still holds is a slot in the
+// per-flow tables, a few words per flow ever added.
 func (s *Switch) RetireFlow(f int) { s.sources.Retire(f) }
 
 // SourceQueueLen returns flow index f's current source-queue depth in
