@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,12 +19,16 @@ func goldenOptions() Options {
 }
 
 // TestGoldenTables pins the exact rendering of the deterministic tables:
-// the simulation-free hardware models plus the mesh motivation and Clos
+// the simulation-free hardware models, the mesh motivation and Clos
 // composition experiments (which exercise all three cycle-accurate
-// engines). Run with -update-golden after an intentional change to the
-// hardware models, the engines, or the table renderer.
+// engines), and the guarantee tables with the summary lines ssvc-bench
+// prints under them. Run with -update-golden after an intentional change
+// to the hardware models, the engines, or the table renderer.
 func TestGoldenTables(t *testing.T) {
 	o := goldenOptions()
+	adh := Adherence(20, o)
+	glb := GLBound(o)
+	bursts := GLBursts(o)
 	cases := []struct {
 		name string
 		got  string
@@ -37,6 +42,13 @@ func TestGoldenTables(t *testing.T) {
 		{"faults.txt", FaultsTable(Faults(o)).String()},
 		{"idleskip.txt", IdleSkipTable(IdleSkip(o)).String()},
 		{"ctlplane.txt", CtlPlaneTable(CtlPlane(o)).String()},
+		{"adherence.txt", adh.Table().String() + fmt.Sprintf("worst %.3f failures %d\n", adh.WorstRatio, adh.Failures)},
+		{"glbound.txt", glb.Table().String() + fmt.Sprintf("all hold %v tightness %.2f\n", glb.AllHold(), glb.Tightness())},
+		{"glbursts.txt", bursts.Table().String() + fmt.Sprintf("all hold %v\n", bursts.AllHold())},
+		{"scale64.txt", Scale64(o).Table().String()},
+		{"sigbits.txt", SigBitsTable(AblationSigBits(o)).String()},
+		{"gsf.txt", GSFTable(AblationGSF(o)).String()},
+		{"convergence.txt", ConvergenceTable(Convergence(o)).String()},
 	}
 	for _, tc := range cases {
 		path := filepath.Join("testdata", tc.name)
