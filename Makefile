@@ -88,9 +88,13 @@ perf-pairs:
 # the traced side ticks every arbiter every cycle and the bare side ticks
 # on deadlines, and the harness fails unless the two agree on every slice
 # digest — the tick-cadence differential on the benchmark's own inputs.
+# paper_suite: the whole ssvc-bench suite at seed 1, 2000 cycles, must
+# print the bytes whose hash bench/expected.json pins, so a change to
+# what any experiment prints fails here on every push.
 perf-smoke:
 	$(GO) run ./bench -seconds 0.1 -workload ctl_recover
 	$(GO) run ./bench -seconds 0.1 -workload serve_churn
+	$(GO) run ./bench -seconds 0.1 -workload paper_suite
 	$(GO) run ./bench -seconds 0.1 -trace 1 -workload xbar64_sparse
 	$(GO) run ./bench -seconds 0.1 -trace 1 -workload xbar64_sat
 	$(GO) run ./bench -seconds 0.1 -trace 1 -workload routed_sat

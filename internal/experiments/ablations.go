@@ -117,8 +117,8 @@ func AblationFixedPriority(o Options) []FixedPriorityOutcome {
 		col, err := runCollected(sw, &seq, o)
 		return FixedPriorityOutcome{
 			Scheme:            name,
-			AggressorAccepted: col.Throughput(stats.FlowKey{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth}),
-			VictimAccepted:    col.Throughput(stats.FlowKey{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth}),
+			AggressorAccepted: col.Throughput(stats.SpecKey(specs[0])),
+			VictimAccepted:    col.Throughput(stats.SpecKey(specs[1])),
 			Err:               err,
 		}
 	}
@@ -245,13 +245,7 @@ func AblationSigBits(o Options) []SigBitsOutcome {
 				return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, Err: err}
 			}
 			col, err := sc.runCollected(sw, &seq, o)
-			worst := 1e9
-			for i, r := range rates {
-				ratio := col.Throughput(stats.FlowKey{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth}) / r
-				if ratio < worst {
-					worst = ratio
-				}
-			}
+			worst, _ := col.WorstAdherence(specs)
 			return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, WorstRatio: worst, Err: err}
 		})
 }

@@ -117,15 +117,11 @@ func adherenceCombo(sc *sweepScratch, mix adherenceMix, o Options) AdherenceComb
 	}
 	col, err := sc.runCollected(sw, &seq, o)
 	combo.Err = err
-	for i := range specs {
-		combo.Accepted[i] = col.Throughput(stats.FlowKey{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth})
+	for i, s := range specs {
+		combo.Accepted[i] = col.Throughput(stats.SpecKey(s))
 		combo.TotalAccepted += combo.Accepted[i]
-		ratio := combo.Accepted[i] / combo.Rates[i]
-		if ratio < combo.WorstRatio {
-			combo.WorstRatio = ratio
-			combo.WorstFlow = i
-		}
 	}
+	combo.WorstRatio, combo.WorstFlow = col.WorstAdherence(specs)
 	return combo
 }
 

@@ -68,14 +68,11 @@ func ComposeQoS(o Options) []ComposeOutcome {
 	}
 
 	evaluate := func(system string, col *stats.Collector, err error) ComposeOutcome {
-		oc := ComposeOutcome{System: system, PerFlowWorst: 1e9, AggregateWorst: 1e9, Err: err}
+		oc := ComposeOutcome{System: system, AggregateWorst: 1e9, Err: err}
+		oc.PerFlowWorst, _ = col.WorstAdherence(specs)
 		bySrc := make([]float64, len(aggregate))
-		for _, c := range contracts {
-			got := col.Throughput(stats.FlowKey{Src: c.src, Dst: c.dst, Class: noc.GuaranteedBandwidth})
-			bySrc[c.src] += got
-			if ratio := got / c.rate; ratio < oc.PerFlowWorst {
-				oc.PerFlowWorst = ratio
-			}
+		for _, s := range specs {
+			bySrc[s.Src] += col.Throughput(stats.SpecKey(s))
 		}
 		for src, sum := range bySrc {
 			if aggregate[src] == 0 {

@@ -57,7 +57,7 @@ func Convergence(o Options) []ConvergenceOutcome {
 		})
 	}
 
-	run := func(name string, factory func(int) arb.Arbiter) ConvergenceOutcome {
+	scheme := func(name string, factory func(int) arb.Arbiter) ConvergenceOutcome {
 		sw, err := switchsim.New(fig4Config(), factory)
 		var seq traffic.Sequence
 		if err == nil {
@@ -73,12 +73,8 @@ func Convergence(o Options) []ConvergenceOutcome {
 			return ConvergenceOutcome{Scheme: name, ConvergenceWindows: -1, Err: err}
 		}
 		series := stats.NewSeries(windowLen)
-		sw.OnDeliver(series.OnDeliver)
-		sw.OnRelease(seq.Recycle)
-		sw.Run(o.total())
-
-		key := stats.FlowKey{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth}
-		oc := ConvergenceOutcome{Scheme: name, ConvergenceWindows: -1, Err: sw.Err()}
+		oc := ConvergenceOutcome{Scheme: name, ConvergenceWindows: -1, Err: run(sw, &seq, o, series.OnDeliver)}
+		key := stats.SpecKey(specs[0])
 		// Idle-phase utilisation, skipping warmup.
 		first := int((o.Warmup / windowLen).Uint()) + 1
 		lastIdle := int((wake / windowLen).Uint()) - 1
@@ -101,9 +97,9 @@ func Convergence(o Options) []ConvergenceOutcome {
 
 	// The two schemes are independent simulations; fan them out.
 	jobs := []func() ConvergenceOutcome{
-		func() ConvergenceOutcome { return run("SSVC", core.FromFlows(fig4SSVC, specs)) },
+		func() ConvergenceOutcome { return scheme("SSVC", core.FromFlows(fig4SSVC, specs)) },
 		func() ConvergenceOutcome {
-			return run("LRG", func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) })
+			return scheme("LRG", func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) })
 		},
 	}
 	return runner.Map(o.pool(), len(jobs), func(i int) ConvergenceOutcome { return jobs[i]() })

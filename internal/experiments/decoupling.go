@@ -47,14 +47,14 @@ func AblationDecoupling(o Options) []DecouplingOutcome {
 			return DecouplingOutcome{Scheme: name, Err: err}
 		}
 		col, err := runCollected(sw, &seq, o)
-		lat := func(src int) float64 {
-			f := col.Flow(stats.FlowKey{Src: src, Dst: 0, Class: noc.GuaranteedBandwidth})
+		lat := func(s noc.FlowSpec) float64 {
+			f := col.Flow(stats.SpecKey(s))
 			if f == nil {
 				return 0
 			}
 			return f.MeanNetworkLatency()
 		}
-		oc := DecouplingOutcome{Scheme: name, LowAllocLat: lat(0), HighAllocLat: lat(fig4Radix - 1), Err: err}
+		oc := DecouplingOutcome{Scheme: name, LowAllocLat: lat(specs[0]), HighAllocLat: lat(specs[fig4Radix-1]), Err: err}
 		if oc.HighAllocLat > 0 {
 			oc.Coupling = oc.LowAllocLat / oc.HighAllocLat
 		}

@@ -167,17 +167,25 @@ func engineErr(e fabric.Engine) error {
 	return nil
 }
 
-// runCollected drives a configured engine (crossbar, mesh, or composed
-// network — anything implementing fabric.Engine) and returns the
-// collected steady-state statistics, plus the engine's terminal error if
-// the run froze early. Delivered packets are recycled through seq, so
-// the cycle loop stops allocating once the in-flight population peaks.
-func runCollected(e fabric.Engine, seq *traffic.Sequence, o Options) (*stats.Collector, error) {
-	col := stats.NewCollector(o.Warmup, o.total())
-	e.OnDeliver(col.OnDeliver)
+// run drives an engine for the options' whole run and returns its
+// terminal error if the run froze early. observe, when non-nil, sees
+// every delivery; delivered packets are recycled through seq, so the
+// cycle loop stops allocating once the in-flight population peaks.
+func run(e fabric.Engine, seq *traffic.Sequence, o Options, observe func(*noc.Packet)) error {
+	if observe != nil {
+		e.OnDeliver(observe)
+	}
 	e.OnRelease(seq.Recycle)
 	e.Run(o.total())
-	return col, engineErr(e)
+	return engineErr(e)
+}
+
+// runCollected runs an engine (crossbar, mesh, or composed network —
+// anything implementing fabric.Engine) and returns the statistics of
+// the options' measurement window, plus the engine's terminal error.
+func runCollected(e fabric.Engine, seq *traffic.Sequence, o Options) (*stats.Collector, error) {
+	col := stats.NewCollector(o.Warmup, o.total())
+	return col, run(e, seq, o, col.OnDeliver)
 }
 
 // sweepScratch is per-worker reusable state for parallel sweeps: one
@@ -192,14 +200,10 @@ func newSweepScratch() *sweepScratch {
 	return &sweepScratch{col: stats.NewCollector(0, 0)}
 }
 
-// runCollected drives an engine over the options' measurement window
-// using the scratch collector, returning the engine's terminal error if
-// the run froze early. The caller must copy results out of the returned
-// collector before its worker starts the next sweep point.
+// runCollected is runCollected on the scratch collector. The caller
+// must copy results out of the returned collector before its worker
+// starts the next sweep point.
 func (sc *sweepScratch) runCollected(e fabric.Engine, seq *traffic.Sequence, o Options) (*stats.Collector, error) {
 	sc.col.Reset(o.Warmup, o.total())
-	e.OnDeliver(sc.col.OnDeliver)
-	e.OnRelease(seq.Recycle)
-	e.Run(o.total())
-	return sc.col, engineErr(e)
+	return sc.col, run(e, seq, o, sc.col.OnDeliver)
 }

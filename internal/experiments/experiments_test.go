@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,36 @@ func TestGLBoundHolds(t *testing.T) {
 			t.Errorf("worst wait should grow with NGL: %d (NGL=%d) vs %d (NGL=%d)",
 				res.Outcomes[i].MeasuredWait, res.Outcomes[i].Scenario.NGL,
 				res.Outcomes[i-1].MeasuredWait, res.Outcomes[i-1].Scenario.NGL)
+		}
+	}
+}
+
+// TestGLBoundNeedsEvidence: a window too short for any GL packet to be
+// delivered proves nothing about Eq. 1, so no scenario may hold.
+func TestGLBoundNeedsEvidence(t *testing.T) {
+	for _, oc := range GLBound(Options{Cycles: 5, Warmup: 5}).Outcomes {
+		if oc.Holds {
+			t.Errorf("NGL=%d GL pkt=%d holds on %d GL packets", oc.Scenario.NGL, oc.Scenario.GLPacketLen, oc.GLDelivered)
+		}
+	}
+}
+
+func TestGLHoldsVerdict(t *testing.T) {
+	froze := errors.New("engine froze")
+	cases := []struct {
+		wait, packets uint64
+		err           error
+		want          bool
+	}{
+		{wait: 10, packets: 3, want: true},
+		{wait: 20, packets: 3, want: true}, // at the bound
+		{wait: 21, packets: 3},             // over it
+		{wait: 0, packets: 0},              // no evidence
+		{wait: 10, packets: 3, err: froze}, // the run failed
+	}
+	for _, c := range cases {
+		if got := glHolds(c.wait, c.packets, 20, c.err); got != c.want {
+			t.Errorf("glHolds(%d, %d, 20, %v) = %v, want %v", c.wait, c.packets, c.err, got, c.want)
 		}
 	}
 }

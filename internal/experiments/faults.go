@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/faults"
@@ -60,8 +59,10 @@ type FaultOutcome struct {
 	// compared with GLBound: the Eq. 1 bound recomputed for the degraded
 	// switch plus the worst-case retransmission penalty (see
 	// faultGLRetryPenalty).
-	GLWaitMax   uint64
-	GLBound     float64
+	GLWaitMax uint64
+	GLBound   float64
+	// GLBoundHeld needs evidence: a GL packet delivered after the settle
+	// window, besides no wait over GLBound and no Err.
 	GLBoundHeld bool
 	Faults      faults.Counters
 	// Err is the engine's terminal error if the run froze early.
@@ -161,16 +162,18 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 	// through oc.Err after the run.
 	var refitErr error
 	failed := make([]bool, fig4Radix)
+	// survivors are the GB specs at their recomputed reservations.
+	var survivors []noc.FlowSpec
 	sw.OnFailStop(func(now noc.Cycle, f faults.FailStop) {
 		if !f.Input {
 			return
 		}
 		failed[f.Port] = true
 		oc.Recomputed = faults.Redistribute(rates, func(i int) bool { return failed[i] })
-		newSpecs := make([]noc.FlowSpec, 0, len(oc.Recomputed))
+		survivors = make([]noc.FlowSpec, 0, len(oc.Recomputed))
 		for i, r := range oc.Recomputed {
 			if r > 0 {
-				newSpecs = append(newSpecs, noc.FlowSpec{
+				survivors = append(survivors, noc.FlowSpec{
 					Src: i, Dst: 0,
 					Class:        noc.GuaranteedBandwidth,
 					Rate:         r,
@@ -178,39 +181,32 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 				})
 			}
 		}
-		if err := sw.Arbiter(0).(*core.SSVC).SetVticks(core.Vticks(fig4Radix, newSpecs, 0)); err != nil && refitErr == nil {
+		if err := sw.Arbiter(0).(*core.SSVC).SetVticks(core.Vticks(fig4Radix, survivors, 0)); err != nil && refitErr == nil {
 			refitErr = fmt.Errorf("experiments: %w", err)
 		}
 	})
 
 	phases := stats.NewWindowed(o.Warmup, failAt, settledAt, o.total())
 	series := stats.NewSeries(faultSeriesWindow)
-	sw.OnDeliver(func(p *noc.Packet) {
+	oc.Err = run(sw, &seq, o, func(p *noc.Packet) {
 		phases.OnDeliver(p)
 		series.OnDeliver(p)
 	})
-	sw.OnRelease(seq.Recycle)
-	sw.Run(o.total())
-	oc.Err = sw.Err()
 	if oc.Err == nil {
 		oc.Err = refitErr
 	}
 	oc.Faults = sw.FaultTotals()
 
-	oc.BeforeMinAdherence = minGBAdherence(phases.Phase(0), rates)
-	oc.DuringMinAdherence = minGBAdherence(phases.Phase(1), oc.Recomputed)
-	oc.AfterMinAdherence = minGBAdherence(phases.Phase(2), oc.Recomputed)
+	oc.BeforeMinAdherence, _ = phases.Phase(0).WorstAdherence(specs)
+	oc.DuringMinAdherence, _ = phases.Phase(1).WorstAdherence(survivors)
+	oc.AfterMinAdherence, _ = phases.Phase(2).WorstAdherence(survivors)
 
 	// Recovery: the first sampling window at/after the fail-stop where
 	// every surviving GB flow holds 95% of its recomputed reservation.
 	failWin := int((failAt / faultSeriesWindow).Uint())
 	worstWin := failWin
-	for i, r := range oc.Recomputed {
-		if r <= 0 {
-			continue
-		}
-		k := stats.FlowKey{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth}
-		hit := series.FirstWindowAtLeast(k, failWin, 0.95*r)
+	for _, s := range survivors {
+		hit := series.FirstWindowAtLeast(stats.SpecKey(s), failWin, 0.95*s.Rate)
 		if hit < 0 {
 			worstWin = -1
 			break
@@ -237,10 +233,9 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 	if degraded, err := params.Degrade(glFailed); err == nil {
 		oc.GLBound = degraded.MaxWait() + faultGLRetryPenalty(glSpec.Vtick())
 	}
-	if f := phases.Phase(2).Flow(stats.FlowKey{Src: faultGLInput, Dst: 0, Class: noc.GuaranteedLatency}); f != nil {
-		oc.GLWaitMax = f.WaitMax
-	}
-	oc.GLBoundHeld = float64(oc.GLWaitMax) <= oc.GLBound
+	var glPackets uint64
+	oc.GLWaitMax, glPackets = phases.Phase(2).WorstWait(glSpec.Dst, glSpec.Class)
+	oc.GLBoundHeld = glHolds(oc.GLWaitMax, glPackets, oc.GLBound, oc.Err)
 	return oc
 }
 
@@ -260,25 +255,6 @@ func faultGLRetryPenalty(glVtick core.VTime) float64 {
 		penalty += uint64(fig4PacketLen) + backoff + glVtick.Uint()
 	}
 	return float64(penalty)
-}
-
-// minGBAdherence returns the worst accepted/reserved ratio across the GB
-// flows with a positive reservation in the given rate vector.
-func minGBAdherence(col *stats.Collector, rates []float64) float64 {
-	worst := math.Inf(1)
-	for i, r := range rates {
-		if r <= 0 {
-			continue
-		}
-		a := col.Adherence(stats.FlowKey{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth}, r)
-		if a < worst {
-			worst = a
-		}
-	}
-	if math.IsInf(worst, 1) {
-		return 0
-	}
-	return worst
 }
 
 // FaultsTable renders the degradation sweep, one row per counter policy.

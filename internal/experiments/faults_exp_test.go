@@ -78,13 +78,26 @@ func (e *sickEngine) Err() error                 { return e.err }
 var _ fabric.Engine = (*sickEngine)(nil)
 var _ fabric.ErrorReporter = (*sickEngine)(nil)
 
+// TestFaultsGLNeedsEvidence: in a run this short no GL packet is
+// delivered after the settle window, so no policy's GL bound may hold.
+func TestFaultsGLNeedsEvidence(t *testing.T) {
+	for _, oc := range Faults(Options{Cycles: 100, Warmup: 10}) {
+		if oc.GLBoundHeld {
+			t.Errorf("%s: GL bound held with GL wait max %d", oc.Policy, oc.GLWaitMax)
+		}
+	}
+}
+
 // TestRunCollectedSurfacesEngineError pins the error path every
 // experiment shares: a sick engine's terminal error must come back from
-// runCollected instead of being silently swallowed.
+// run and runCollected instead of being silently swallowed.
 func TestRunCollectedSurfacesEngineError(t *testing.T) {
 	sick := errors.New("engine froze")
 	var seq traffic.Sequence
 	o := Options{Cycles: 10, Warmup: 1}
+	if err := run(&sickEngine{err: sick}, &seq, o, nil); !errors.Is(err, sick) {
+		t.Fatalf("run returned %v, want the engine error", err)
+	}
 	if _, err := runCollected(&sickEngine{err: sick}, &seq, o); !errors.Is(err, sick) {
 		t.Fatalf("free runCollected returned %v, want the engine error", err)
 	}

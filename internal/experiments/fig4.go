@@ -84,8 +84,8 @@ func fig4Point(sc *sweepScratch, qos bool, inj float64, o Options) Fig4Point {
 	col, err := sc.runCollected(sw, &seq, o)
 
 	p := Fig4Point{InjectionRate: inj, PerFlow: make([]float64, fig4Radix), Err: err}
-	for i := range specs {
-		p.PerFlow[i] = col.Throughput(stats.FlowKey{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth})
+	for i, s := range specs {
+		p.PerFlow[i] = col.Throughput(stats.SpecKey(s))
 		p.Total += p.PerFlow[i]
 	}
 	return p

@@ -109,9 +109,8 @@ func fig5Run(sc *sweepScratch, policy string, o Options) fig5Curve {
 	}
 	col, err := sc.runCollected(sw, &seq, o)
 	out := make([]float64, len(specs))
-	for i := range specs {
-		f := col.Flow(stats.FlowKey{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth})
-		if f != nil {
+	for i, s := range specs {
+		if f := col.Flow(stats.SpecKey(s)); f != nil {
 			out[i] = f.MeanNetworkLatency()
 		}
 	}

@@ -27,8 +27,10 @@ type GLOutcome struct {
 	Scenario      GLScenario
 	PredictedWait float64    // tau_GL from Eq. 1
 	MeasuredWait  core.Cycle // worst observed waiting time (enqueue to grant)
-	Holds         bool
-	GLDelivered   uint64
+	// Holds needs evidence: GLDelivered > 0, besides no wait over
+	// PredictedWait and no Err.
+	Holds       bool
+	GLDelivered uint64
 	// Err is set when the scenario could not be constructed or the run
 	// froze early; Holds is false in that case.
 	Err error
@@ -138,21 +140,13 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 	var seq traffic.Sequence
 	sw, err := crossbar(cfg, core.FromFlows(arbCfg, gbSpecs), &seq, ws)
 	if err != nil {
-		return GLOutcome{Scenario: sc, PredictedWait: out.PredictedWait, Err: err}
+		out.Err = err
+		return out
 	}
-
-	sw.OnDeliver(func(p *noc.Packet) {
-		if p.Class != noc.GuaranteedLatency {
-			return
-		}
-		out.GLDelivered++
-		if w := p.WaitingTime(); w > out.MeasuredWait {
-			out.MeasuredWait = w
-		}
-	})
-	sw.OnRelease(seq.Recycle)
-	sw.Run(o.total())
-	out.Holds = float64(out.MeasuredWait.Uint()) <= out.PredictedWait
+	col, err := runCollected(sw, &seq, o)
+	wait, n := col.WorstWait(0, noc.GuaranteedLatency)
+	out.MeasuredWait, out.GLDelivered, out.Err = noc.CycleOf(wait), n, err
+	out.Holds = glHolds(wait, n, out.PredictedWait, err)
 	return out
 }
 
@@ -167,10 +161,17 @@ func (r GLBoundResult) Table() *stats.Table {
 	return t
 }
 
+// glHolds is the verdict on a GL bound: it holds only on evidence — at
+// least one GL packet delivered in the window judged — when no packet
+// waited longer than bound and the run did not fail.
+func glHolds(wait, packets uint64, bound float64, err error) bool {
+	return err == nil && packets > 0 && float64(wait) <= bound
+}
+
 // AllHold reports whether the bound held in every scenario.
 func (r GLBoundResult) AllHold() bool {
 	for _, o := range r.Outcomes {
-		if !o.Holds || o.GLDelivered == 0 {
+		if !o.Holds {
 			return false
 		}
 	}

@@ -78,9 +78,7 @@ func idleSkipSwitch(o Options) IdleSkipRow {
 	if err != nil {
 		return skipRow("switch radix-64", radix, &fabric.Counters{}, o.total(), err)
 	}
-	sw.OnRelease(seq.Recycle)
-	sw.Run(o.total())
-	return skipRow("switch radix-64", radix, &sw.Counters, o.total(), sw.Err())
+	return skipRow("switch radix-64", radix, &sw.Counters, o.total(), run(sw, &seq, o, nil))
 }
 
 // idleSkipMesh is the 8x8 mesh, one low-rate GB flow per node.
@@ -100,9 +98,7 @@ func idleSkipMesh(o Options) IdleSkipRow {
 	if err := attach(m, err, &seq, ws); err != nil {
 		return skipRow("mesh 8x8", nodes*5, &fabric.Counters{}, o.total(), err)
 	}
-	m.OnRelease(seq.Recycle)
-	m.Run(o.total())
-	return skipRow("mesh 8x8", nodes*5, &m.Counters, o.total(), m.Err())
+	return skipRow("mesh 8x8", nodes*5, &m.Counters, o.total(), run(m, &seq, o, nil))
 }
 
 // idleSkipClos is the two-level Clos, one low-rate cross-leaf GB flow
@@ -129,9 +125,7 @@ func idleSkipClos(o Options) IdleSkipRow {
 	if err := attach(net, err, &seq, ws); err != nil {
 		return skipRow("clos 4x4x2", ports, &fabric.Counters{}, o.total(), err)
 	}
-	net.OnRelease(seq.Recycle)
-	net.Run(o.total())
-	return skipRow("clos 4x4x2", ports, &net.Counters, o.total(), net.Err())
+	return skipRow("clos 4x4x2", ports, &net.Counters, o.total(), run(net, &seq, o, nil))
 }
 
 // skipRow extracts the skip accounting from one engine's counters.

@@ -74,19 +74,13 @@ func Motivation(o Options) []MotivationOutcome {
 			System:           system,
 			VictimThroughput: col.Throughput(victimKey),
 			VictimReserved:   reserved,
-			WorstRatio:       1e9,
 			Err:              err,
 		}
 		if f := col.Flow(victimKey); f != nil {
 			oc.VictimMeanLat = f.MeanLatency()
 		}
 		oc.MeetsReservation = oc.VictimThroughput >= reserved*0.95
-		for _, s := range specs() {
-			k := stats.FlowKey{Src: s.Src, Dst: s.Dst, Class: s.Class}
-			if ratio := col.Throughput(k) / s.Rate; ratio < oc.WorstRatio {
-				oc.WorstRatio = ratio
-			}
-		}
+		oc.WorstRatio, _ = col.WorstAdherence(specs())
 		oc.AllMet = oc.WorstRatio >= 0.98
 		return oc
 	}

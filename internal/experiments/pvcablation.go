@@ -69,7 +69,7 @@ func AblationPVC(o Options) []PVCOutcome {
 		}
 		col, err := runCollected(sw, &seq, o)
 		oc := PVCOutcome{Scheme: name, Err: err}
-		if f := col.Flow(stats.FlowKey{Src: urgentSpec.Src, Dst: 0, Class: urgentSpec.Class}); f != nil {
+		if f := col.Flow(stats.SpecKey(urgentSpec)); f != nil {
 			oc.UrgentMean = f.MeanNetworkLatency()
 			oc.UrgentMax = f.LatMax
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swizzleqos/internal/core"
+	"swizzleqos/internal/glbound"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
@@ -51,7 +52,7 @@ func scale64Run(o Options) ScaleResult {
 		glLen   = 4
 		glBuf   = 16
 	)
-	res := ScaleResult{Radix: radix, WorstRatio: 1e9}
+	res := ScaleResult{Radix: radix}
 
 	// 31 hotspot flows from inputs 1..31 with reservations proportional
 	// to 1/(i+1), scaled to 75% of the channel.
@@ -108,31 +109,16 @@ func scale64Run(o Options) ScaleResult {
 		return res
 	}
 
-	col := stats.NewCollector(o.Warmup, o.total())
-	sw.OnDeliver(func(p *noc.Packet) {
-		col.OnDeliver(p)
-		if p.Class == noc.GuaranteedLatency && p.DeliveredAt >= o.Warmup {
-			if w := p.WaitingTime(); w > res.GLWorstWait {
-				res.GLWorstWait = w
-			}
-		}
-	})
-	// Packet recycling keeps the 64-output cycle loop allocation-free.
-	sw.OnRelease(seq.Recycle)
-	sw.Run(o.total())
-	res.Err = sw.Err()
-
-	for _, s := range specs[:res.HotspotFlows] {
-		ratio := col.Throughput(stats.FlowKey{Src: s.Src, Dst: s.Dst, Class: s.Class}) / s.Rate
-		if ratio < res.WorstRatio {
-			res.WorstRatio = ratio
-		}
-	}
+	col, err := runCollected(sw, &seq, o)
+	res.Err = err
+	res.WorstRatio, _ = col.WorstAdherence(specs[:res.HotspotFlows])
 	res.HotspotTotal = col.OutputThroughput(hotspot)
 	for out := 32; out < radix; out++ {
 		res.BackgroundTotal += col.OutputThroughput(out)
 	}
-	res.GLBound = float64(gbLen) + 1*(float64(glBuf)+float64(glBuf)/float64(glLen))
+	wait, _ := col.WorstWait(hotspot, noc.GuaranteedLatency)
+	res.GLWorstWait = noc.CycleOf(wait)
+	res.GLBound = glbound.Params{LMax: gbLen, LMin: glLen, NGL: 1, BufferFlits: glBuf}.MaxWait()
 	res.DeliveredPackets = col.TotalPackets()
 	return res
 }

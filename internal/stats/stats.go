@@ -25,6 +25,9 @@ func (k FlowKey) String() string { return fmt.Sprintf("%d->%d/%v", k.Src, k.Dst,
 // KeyOf returns the flow key of a packet.
 func KeyOf(p *noc.Packet) FlowKey { return FlowKey{Src: p.Src, Dst: p.Dst, Class: p.Class} }
 
+// SpecKey returns the flow key of a flow spec.
+func SpecKey(s noc.FlowSpec) FlowKey { return FlowKey{Src: s.Src, Dst: s.Dst, Class: s.Class} }
+
 // FlowStats accumulates one flow's measurements.
 type FlowStats struct {
 	Packets uint64
@@ -244,6 +247,39 @@ func (c *Collector) Adherence(k FlowKey, reserved float64) float64 {
 		return 0
 	}
 	return c.Throughput(k) / reserved
+}
+
+// WorstAdherence returns the smallest Adherence over the flows that
+// reserve a rate, and the index in flows of the first flow at that
+// minimum: the measured side of the GB promise (§4.2, §4.3: every flow
+// within 2% of its reservation). It returns (0, -1) when no flow
+// reserves a rate.
+func (c *Collector) WorstAdherence(flows []noc.FlowSpec) (float64, int) {
+	worst, at := 0.0, -1
+	for i, s := range flows {
+		if s.Rate <= 0 {
+			continue
+		}
+		if a := c.Adherence(SpecKey(s), s.Rate); at < 0 || a < worst {
+			worst, at = a, i
+		}
+	}
+	return worst, at
+}
+
+// WorstWait returns the longest waiting time of any class packet
+// delivered toward dst in the window, and how many such packets there
+// were: the measured side of the GL bound (Eq. 1), and the evidence a
+// verdict on it needs.
+func (c *Collector) WorstWait(dst int, class noc.Class) (wait, packets uint64) {
+	for _, k := range c.Keys() {
+		if k.Dst == dst && k.Class == class {
+			f := c.flows[k]
+			wait = max(wait, f.WaitMax)
+			packets += f.Packets
+		}
+	}
+	return wait, packets
 }
 
 // TotalPackets returns the number of packets delivered in the window.

@@ -107,6 +107,40 @@ func TestOutputThroughput(t *testing.T) {
 	}
 }
 
+func TestWorstAdherence(t *testing.T) {
+	c := NewCollector(0, 100)
+	c.OnDeliver(delivered(0, 0, noc.GuaranteedBandwidth, 20, 0, 0, 1, 30)) // 0.2 of 0.2 reserved
+	c.OnDeliver(delivered(1, 0, noc.GuaranteedBandwidth, 5, 0, 0, 1, 40))  // 0.05 of 0.1 reserved
+	c.OnDeliver(delivered(2, 0, noc.GuaranteedBandwidth, 5, 0, 0, 1, 50))  // 0.05 of 0.1 reserved
+	flows := []noc.FlowSpec{
+		{Src: 3, Dst: 0, Class: noc.BestEffort}, // reserves nothing: skipped
+		{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.2},
+		{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.1},
+		{Src: 2, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.1},
+	}
+	if ratio, at := c.WorstAdherence(flows); ratio != 0.5 || at != 2 {
+		t.Errorf("WorstAdherence = (%g, %d), want (0.5, 2): the first flow at the minimum", ratio, at)
+	}
+	if ratio, at := c.WorstAdherence(flows[:1]); ratio != 0 || at != -1 {
+		t.Errorf("WorstAdherence with no reservation = (%g, %d), want (0, -1)", ratio, at)
+	}
+}
+
+func TestWorstWait(t *testing.T) {
+	c := NewCollector(10, 100)
+	c.OnDeliver(delivered(0, 0, noc.GuaranteedLatency, 4, 0, 0, 9, 9))     // before the window
+	c.OnDeliver(delivered(0, 0, noc.GuaranteedLatency, 4, 20, 20, 26, 30)) // wait 6
+	c.OnDeliver(delivered(1, 0, noc.GuaranteedLatency, 4, 20, 21, 25, 29)) // wait 4
+	c.OnDeliver(delivered(2, 0, noc.GuaranteedBandwidth, 4, 20, 20, 60, 64))
+	c.OnDeliver(delivered(3, 1, noc.GuaranteedLatency, 4, 20, 20, 70, 74))
+	if wait, n := c.WorstWait(0, noc.GuaranteedLatency); wait != 6 || n != 2 {
+		t.Errorf("WorstWait = (%d, %d), want (6, 2)", wait, n)
+	}
+	if wait, n := c.WorstWait(2, noc.GuaranteedLatency); wait != 0 || n != 0 {
+		t.Errorf("WorstWait on an idle output = (%d, %d), want (0, 0)", wait, n)
+	}
+}
+
 func TestFlowKeyString(t *testing.T) {
 	k := FlowKey{Src: 3, Dst: 7, Class: noc.GuaranteedLatency}
 	if got := k.String(); got != "3->7/GL" {

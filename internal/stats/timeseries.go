@@ -61,6 +61,9 @@ func (s *Series) Throughput(k FlowKey, idx int) float64 {
 // TotalThroughput returns the summed flits/cycle of all flows toward dst
 // in window idx.
 func (s *Series) TotalThroughput(dst, idx int) float64 {
+	if idx < 0 {
+		return 0
+	}
 	var flits uint64
 	for _, k := range s.keys {
 		buf := s.flits[k]

@@ -40,6 +40,17 @@ func TestSeriesTotalThroughput(t *testing.T) {
 	}
 }
 
+func TestSeriesNegativeWindow(t *testing.T) {
+	s := NewSeries(100)
+	s.OnDeliver(delivered(0, 5, noc.BestEffort, 8, 0, 0, 1, 20))
+	if got := s.Throughput(FlowKey{Src: 0, Dst: 5, Class: noc.BestEffort}, -1); got != 0 {
+		t.Errorf("Throughput(-1) = %g, want 0", got)
+	}
+	if got := s.TotalThroughput(5, -1); got != 0 {
+		t.Errorf("TotalThroughput(-1) = %g, want 0", got)
+	}
+}
+
 func TestSeriesFirstWindowAtLeast(t *testing.T) {
 	s := NewSeries(10)
 	k := FlowKey{Src: 0, Dst: 0, Class: noc.BestEffort}
