@@ -183,6 +183,8 @@ fuzz:
 	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzRefusalMemo -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzOffers -fuzztime 30s
+	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzCalendar -fuzztime 30s
+	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzCollector -fuzztime 30s
 	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s

@@ -95,7 +95,9 @@ func (a *CCSP) Tick(now noc.Cycle) {
 	elapsed := float64((now - a.lastTick).Uint())
 	a.lastTick = now
 	for i := range a.credit {
-		a.credit[i] += a.rate[i] * elapsed
+		// Converted so the product cannot fuse into the sum (FMA): the
+		// decoupling table's credits are the same bits on every GOARCH.
+		a.credit[i] += float64(a.rate[i] * elapsed)
 		if a.credit[i] > a.burst[i] {
 			a.credit[i] = a.burst[i]
 		}

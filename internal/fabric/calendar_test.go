@@ -1,0 +1,454 @@
+package fabric
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"swizzleqos/internal/noc"
+	"swizzleqos/internal/traffic"
+)
+
+// calHeap is the arrival calendar as one binary min-heap on (cycle, flow
+// index), the shape it had before the timing wheel: FuzzCalendar's oracle.
+type calHeap []calEntry
+
+// calPush files an entry. The heap is ordered on (cycle, flow index), so
+// same-cycle entries pop in flow order.
+func (h *calHeap) calPush(e calEntry) {
+	*h = append(*h, e)
+	h.calUp(len(*h) - 1)
+}
+
+// calUp restores the heap order above position c.
+func (h calHeap) calUp(c int) {
+	for c > 0 {
+		parent := (c - 1) / 2
+		if !calLess(h[c], h[parent]) {
+			break
+		}
+		h[c], h[parent] = h[parent], h[c]
+		c = parent
+	}
+}
+
+// calDown restores the heap order below position c.
+func (h calHeap) calDown(c int) {
+	n := len(h)
+	for {
+		l, r := 2*c+1, 2*c+2
+		min := c
+		if l < n && calLess(h[l], h[min]) {
+			min = l
+		}
+		if r < n && calLess(h[r], h[min]) {
+			min = r
+		}
+		if min == c {
+			return
+		}
+		h[c], h[min] = h[min], h[c]
+		c = min
+	}
+}
+
+// calPop removes and returns the earliest entry.
+func (h *calHeap) calPop() calEntry {
+	top := (*h)[0]
+	last := len(*h) - 1
+	(*h)[0] = (*h)[last]
+	*h = (*h)[:last]
+	h.calDown(0)
+	return top
+}
+
+// calRemove deletes the entry at heap position c.
+func (h *calHeap) calRemove(c int) {
+	last := len(*h) - 1
+	(*h)[c] = (*h)[last]
+	*h = (*h)[:last]
+	if c < last {
+		h.calDown(c)
+		h.calUp(c)
+	}
+}
+
+func calLess(a, b calEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.fi < b.fi
+}
+
+// calCompare orders distinct entries as calLess does, for slices.SortFunc.
+func calCompare(a, b calEntry) int {
+	if calLess(a, b) {
+		return -1
+	}
+	return 1
+}
+
+// filed returns every arrival the set's calendar holds, wheel and far
+// heap, sorted on (cycle, flow index).
+func (s *Sources) filed() []calEntry {
+	var out []calEntry
+	for d := uint64(0); d < calSlots; d++ {
+		at := s.base + noc.CycleOf(d)
+		for _, fi := range s.wheel[at%calSlots] {
+			out = append(out, calEntry{at: at, fi: fi})
+		}
+	}
+	out = append(out, s.far...)
+	slices.SortFunc(out, calCompare)
+	return out
+}
+
+// firing is one generator call: a scheduling flow's Emit for the arrival
+// it announced at `at`, or a polled flow's Tick.
+type firing struct {
+	fi      int
+	at, now noc.Cycle
+	polled  bool
+}
+
+// calDeltas are the scripted gaps from a NextArrival's `from` to the
+// arrival it announces. Arming from the cycle after the wheel's base, 63
+// is the last slot inside the horizon and 64 the first cycle beyond it;
+// the zeros make same-cycle ties common.
+var calDeltas = []noc.Cycle{0, 0, 0, 0, 1, 2, 3, 62, 63, 63, 64, 64, 65, 127, 128, 129, 1000, 1 << 40}
+
+// calDelta is the gap flow fi's call-th NextArrival announces under
+// seed: a pure function, so the set and the oracle hear the same script.
+func calDelta(seed uint64, fi int, call uint64) noc.Cycle {
+	z := seed ^ uint64(fi)*0x9e3779b97f4a7c15 ^ call*0xbf58476d1ce4e5b9
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return calDeltas[z%uint64(len(calDeltas))]
+}
+
+// scriptGen schedules its arrivals from calDelta and logs every Emit. It
+// never emits a packet, so queues stay empty and no flow ever blocks.
+type scriptGen struct {
+	fi    int
+	seed  uint64
+	calls uint64
+	at    noc.Cycle // the arrival last announced
+	log   *[]firing
+}
+
+func (g *scriptGen) NextArrival(from noc.Cycle, _ int) (noc.Cycle, bool) {
+	g.at = from + calDelta(g.seed, g.fi, g.calls)
+	g.calls++
+	return g.at, true
+}
+
+func (g *scriptGen) Emit(now noc.Cycle) *noc.Packet {
+	*g.log = append(*g.log, firing{fi: g.fi, at: g.at, now: now})
+	return nil
+}
+
+func (g *scriptGen) Tick(noc.Cycle, int) *noc.Packet { panic("a scheduling flow was polled") }
+
+// pollGen cannot schedule: it logs every Tick and never emits.
+type pollGen struct {
+	fi  int
+	log *[]firing
+}
+
+func (g *pollGen) Tick(now noc.Cycle, _ int) *noc.Packet {
+	*g.log = append(*g.log, firing{fi: g.fi, now: now, polled: true})
+	return nil
+}
+
+// calOracle replays the same schedule through calHeap with the
+// generation protocol the heap calendar ran: arm every flow at the first
+// Generate, arm a late add from lastNow+1, pop every entry due at or
+// before now in (cycle, flow) order merged with the polled walk on flow
+// index, and re-arm a fired flow from now+1.
+type calOracle struct {
+	h       calHeap
+	gens    []*scriptGen // nil for a polled flow
+	polled  []int
+	retired []bool
+	ready   bool
+	lastNow noc.Cycle
+	log     []firing
+}
+
+func (o *calOracle) arm(i int, from noc.Cycle) {
+	if g := o.gens[i]; g != nil {
+		at, _ := g.NextArrival(from, 0)
+		o.h.calPush(calEntry{at: at, fi: int32(i)})
+		return
+	}
+	o.polled = append(o.polled, i)
+}
+
+func (o *calOracle) add(g *scriptGen) {
+	o.gens = append(o.gens, g)
+	o.retired = append(o.retired, false)
+	if o.ready {
+		o.arm(len(o.gens)-1, o.lastNow+1)
+	}
+}
+
+func (o *calOracle) retire(i int) {
+	if o.retired[i] {
+		return
+	}
+	o.retired[i] = true
+	if o.gens[i] == nil {
+		o.polled = slices.DeleteFunc(o.polled, func(fi int) bool { return fi == i })
+		return
+	}
+	for c, e := range o.h {
+		if int(e.fi) == i {
+			o.h.calRemove(c)
+			return
+		}
+	}
+}
+
+func (o *calOracle) generate(now noc.Cycle) {
+	if !o.ready {
+		o.ready = true
+		for i := range o.gens {
+			if !o.retired[i] {
+				o.arm(i, now)
+			}
+		}
+	}
+	o.lastNow = now
+	pi := 0
+	for len(o.h) > 0 && o.h[0].at <= now {
+		e := o.h.calPop()
+		for ; pi < len(o.polled) && o.polled[pi] < int(e.fi); pi++ {
+			o.log = append(o.log, firing{fi: o.polled[pi], now: now, polled: true})
+		}
+		g := o.gens[e.fi]
+		g.Emit(now)
+		at, _ := g.NextArrival(now+1, 0)
+		o.h.calPush(calEntry{at: at, fi: e.fi})
+	}
+	for ; pi < len(o.polled); pi++ {
+		o.log = append(o.log, firing{fi: o.polled[pi], now: now, polled: true})
+	}
+}
+
+// calCoverage counts what a schedule exercised.
+type calCoverage struct {
+	fired, ties, skips, late, lateAdds, retires int
+}
+
+// checkCalendar runs one schedule through a source set and the heap
+// oracle and fails at the first firing, or the first filed arrival, on
+// which they differ. ops[0] seeds the arrival script and ops[1] picks the
+// first cycle; each further byte is one op: low three bits 0 add a flow
+// (one in four polled), 1 retire one, 2 jump 2 to 157 cycles ahead, anything
+// else step one cycle.
+func checkCalendar(t *testing.T, ops []byte, cov *calCoverage) {
+	t.Helper()
+	if len(ops) < 2 {
+		return
+	}
+	seed := uint64(ops[0])*0x2545f4914f6cdd1d + 1
+	s := NewSources(1)
+	o := &calOracle{}
+	var log []firing
+	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 1}
+	next, started := noc.Cycle(ops[1])<<32, false
+	generate := func(now noc.Cycle) {
+		s.Generate(now)
+		o.generate(now)
+		next, started = now+1, true
+	}
+	for step, b := range ops[2:] {
+		switch b % 8 {
+		case 0:
+			fi := s.Len()
+			var gen traffic.Generator
+			if (b>>3)%4 == 0 {
+				gen = &pollGen{fi: fi, log: &log}
+				o.add(nil)
+			} else {
+				gen = &scriptGen{fi: fi, seed: seed, log: &log}
+				o.add(&scriptGen{fi: fi, seed: seed, log: &o.log})
+			}
+			s.Add(traffic.Flow{Spec: spec, Gen: gen}, 0)
+			if started {
+				cov.lateAdds++
+			}
+		case 1:
+			if n := s.Len(); n > 0 {
+				i := int(b>>3) % n
+				if !o.retired[i] {
+					cov.retires++
+				}
+				s.Retire(i)
+				o.retire(i)
+			}
+		case 2:
+			if started {
+				cov.skips++
+				generate(next + 1 + noc.Cycle(b>>3)*5)
+				break
+			}
+			generate(next)
+		default:
+			generate(next)
+		}
+		if msg := compareCalendar(s, o, log); msg != "" {
+			t.Fatalf("op %d (%#02x): %s", step, b, msg)
+		}
+	}
+	for k, f := range log {
+		if f.polled {
+			continue
+		}
+		cov.fired++
+		if f.at < f.now {
+			cov.late++ // due in a skipped cycle
+		}
+		if k > 0 && !log[k-1].polled && log[k-1].at == f.at {
+			cov.ties++
+		}
+	}
+}
+
+// compareCalendar returns how the set and the oracle differ, or "".
+func compareCalendar(s *Sources, o *calOracle, log []firing) string {
+	if len(log) != len(o.log) {
+		return fmt.Sprintf("%d generator calls, the heap made %d", len(log), len(o.log))
+	}
+	for k := range log {
+		if log[k] != o.log[k] {
+			return fmt.Sprintf("call %d is %+v, the heap made %+v", k, log[k], o.log[k])
+		}
+	}
+	got, want := s.filed(), slices.Clone(o.h)
+	slices.SortFunc(want, calCompare)
+	if !slices.Equal(got, want) {
+		return fmt.Sprintf("calendar holds %v, the heap %v", got, want)
+	}
+	for _, e := range s.far {
+		if e.at < s.base+calSlots {
+			return fmt.Sprintf("far heap holds flow %d at cycle %d, inside the horizon from %d", e.fi, e.at, s.base)
+		}
+	}
+	return ""
+}
+
+// calSeed expands a seed into a schedule: a handful of flows up front,
+// then mostly single steps with adds, retires and skips among them.
+func calSeed(seed uint64, n int) []byte {
+	rng := traffic.NewRNG(seed)
+	ops := []byte{byte(seed), byte(seed >> 8), 0, 8, 16, 24, 32, 40, 48, 56}
+	for len(ops) < n {
+		b := byte(rng.Uint64())
+		if b%8 < 3 && rng.Intn(3) != 0 {
+			b |= 3 // a plain step
+		}
+		ops = append(ops, b)
+	}
+	return ops
+}
+
+// TestCalendarMatchesHeap holds the timing wheel to the heap calendar it
+// replaced over seeded schedules: same flows fired, in the same (cycle,
+// flow index) order merged with the polled walk, and the same arrivals
+// filed after every op.
+func TestCalendarMatchesHeap(t *testing.T) {
+	var cov calCoverage
+	for seed := uint64(1); seed <= 24; seed++ {
+		checkCalendar(t, calSeed(seed, 1200), &cov)
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.fired < 5000 || cov.ties < 500 || cov.skips < 500 || cov.late < 500 || cov.lateAdds < 100 || cov.retires < 100 {
+		t.Fatalf("schedules lost coverage: %+v", cov)
+	}
+}
+
+// FuzzCalendar lets the fuzzer search the schedule space of
+// TestCalendarMatchesHeap.
+func FuzzCalendar(f *testing.F) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(calSeed(seed, 400))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		checkCalendar(t, ops, new(calCoverage))
+	})
+}
+
+// TestGenerateSkippedCycles pins Generate's contract when cycles are
+// skipped: arrivals due in the skipped cycles fire at the next call, in
+// (cycle, flow index) order and ahead of those due at that cycle, and
+// re-arm from the cycle after it — not a wheel turn later.
+func TestGenerateSkippedCycles(t *testing.T) {
+	var log []firing
+	gaps := [][]noc.Cycle{
+		{3, 0},       // flow 0: cycle 3, then the cycle after the call
+		{2, 0},       // flow 1: cycle 2
+		{3, 0},       // flow 2: cycle 3, tied with flow 0
+		{5, 0},       // flow 3: cycle 5, the call's own cycle
+		{70, 0},      // flow 4: beyond the horizon, and skipped over too
+		{6, 0},       // flow 5: after the call
+		{1 << 40, 0}, // flow 6: never
+	}
+	s := NewSources(1)
+	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 1}
+	for i, g := range gaps {
+		s.Add(traffic.Flow{Spec: spec, Gen: &fixedGen{scriptGen: scriptGen{fi: i, log: &log}, gaps: g}}, 0)
+	}
+	s.Add(traffic.Flow{Spec: spec, Gen: &pollGen{fi: len(gaps), log: &log}}, 0)
+
+	s.Generate(0)
+	s.Generate(5) // cycles 1 to 4 skipped
+	want := []firing{
+		{fi: 7, now: 0, polled: true},
+		{fi: 1, at: 2, now: 5},
+		{fi: 0, at: 3, now: 5},
+		{fi: 2, at: 3, now: 5},
+		{fi: 3, at: 5, now: 5},
+		{fi: 7, now: 5, polled: true},
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("after Generate(5) the calls were\n%v\nwant\n%v", log, want)
+	}
+
+	log = log[:0]
+	s.Generate(100) // 70 is skipped over as well
+	want = []firing{
+		{fi: 0, at: 6, now: 100},
+		{fi: 1, at: 6, now: 100},
+		{fi: 2, at: 6, now: 100},
+		{fi: 3, at: 6, now: 100},
+		{fi: 5, at: 6, now: 100},
+		{fi: 4, at: 70, now: 100},
+		{fi: 7, now: 100, polled: true},
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("after Generate(100) the calls were\n%v\nwant\n%v", log, want)
+	}
+	got := s.filed()
+	for _, e := range got[:len(got)-1] {
+		if e.at != 101 {
+			t.Fatalf("a flow fired at cycle 100 re-armed at %d, want 101: %v", e.at, got)
+		}
+	}
+	if last := got[len(got)-1]; last.fi != 6 || len(got) != 7 {
+		t.Fatalf("calendar after cycle 100 is %v", got)
+	}
+}
+
+// fixedGen announces the gaps in order, then repeats the last.
+type fixedGen struct {
+	scriptGen
+	gaps []noc.Cycle
+}
+
+func (g *fixedGen) NextArrival(from noc.Cycle, _ int) (noc.Cycle, bool) {
+	g.at = from + g.gaps[min(g.calls, uint64(len(g.gaps)-1))]
+	g.calls++
+	return g.at, true
+}

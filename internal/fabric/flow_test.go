@@ -174,9 +174,9 @@ func TestSourcesNilEmit(t *testing.T) {
 			s.Skip(0)
 		}
 	}
-	if s.GroupQueued(0) != 1 || heads != 1 || len(s.cal) != 0 || !s.blocked[0] {
+	if s.GroupQueued(0) != 1 || heads != 1 || len(s.filed()) != 0 || !s.blocked[0] {
 		t.Fatalf("after the nil Emit: depth %d, new heads %d, calendar %d, parked %v",
-			s.GroupQueued(0), heads, len(s.cal), s.blocked[0])
+			s.GroupQueued(0), heads, len(s.filed()), s.blocked[0])
 	}
 }
 

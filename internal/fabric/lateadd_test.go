@@ -217,7 +217,7 @@ func checkLateAddSchedule(t *testing.T, ops []byte, cov *lateAddCoverage) {
 		switch ev.kind[i] {
 		case kindBernoulli, kindBursty, kindSparse:
 			at, found := noc.Cycle(0), false
-			for _, e := range ev.s.cal {
+			for _, e := range ev.s.filed() {
 				if int(e.fi) == i {
 					at, found = e.at, true
 				}

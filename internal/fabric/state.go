@@ -130,9 +130,12 @@ const (
 func (s *Sources) Clock() (calReady bool, lastNow noc.Cycle) { return s.calReady, s.lastNow }
 
 // RestoreClock installs what Clock returned into a fresh set, before any
-// RestoreFlow.
+// RestoreFlow. A set that has generated fires next at lastNow+1.
 func (s *Sources) RestoreClock(calReady bool, lastNow noc.Cycle) {
 	s.calReady, s.lastNow = calReady, lastNow
+	if calReady {
+		s.base = lastNow + 1
+	}
 }
 
 // GroupOf returns the injection group flow i was added to; a released
@@ -140,14 +143,21 @@ func (s *Sources) RestoreClock(calReady bool, lastNow noc.Cycle) {
 func (s *Sources) GroupOf(i int) int { return s.groupOf[i] }
 
 // IndexCalendar notes every filed arrival against its flow, once, for the
-// AppendFlowState calls that follow it: where an entry sits in the heap is
-// history, when it fires is state. The index is stale after any cycle.
+// AppendFlowState calls that follow it: whether an arrival sits in the
+// wheel or the far heap, and where, is history; when it fires is state.
+// The index is stale after any cycle.
 func (s *Sources) IndexCalendar() {
 	if cap(s.armedAt) < len(s.flows) {
 		s.armedAt = make([]noc.Cycle, 2*len(s.flows))
 	}
 	s.armedAt = s.armedAt[:len(s.flows)]
-	for _, e := range s.cal {
+	for d := uint64(0); d < calSlots; d++ {
+		at := s.base + noc.CycleOf(d)
+		for _, fi := range s.wheel[at%calSlots] {
+			s.armedAt[fi] = at
+		}
+	}
+	for _, e := range s.far {
 		s.armedAt[e.fi] = e.at
 	}
 }
@@ -281,10 +291,8 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 		return nil
 	}
 	s.live++
-	// Add's promise: Generate never grows the heap.
-	if cap(s.cal) < s.live {
-		s.cal = append(make([]calEntry, 0, 2*s.live), s.cal...)
-	}
+	// Add's promise: Generate never grows the far heap.
+	s.reserveFar()
 	switch arm {
 	case armPolled:
 		s.polled = append(s.polled, i)
@@ -292,7 +300,7 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 		s.sched[i], s.blocked[i] = sched, true
 	case armCalendar:
 		s.sched[i] = sched
-		s.calPush(calEntry{at: at, fi: int32(i)})
+		s.file(at, int32(i))
 	}
 	return nil
 }

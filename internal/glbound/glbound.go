@@ -58,7 +58,9 @@ func (p Params) Validate() error {
 // GL flit that can be buffered ahead of the packet, and N_GL*b/lmin the
 // arbitration cycle paid by each buffered GL packet.
 func (p Params) MaxWait() float64 {
-	return float64(p.LMax) + float64(p.NGL)*(float64(p.BufferFlits)+float64(p.BufferFlits)/float64(p.LMin))
+	// The conversion keeps the product from fusing into the sum (FMA),
+	// so the bound is the same number on every GOARCH.
+	return float64(p.LMax) + float64(float64(p.NGL)*(float64(p.BufferFlits)+float64(p.BufferFlits)/float64(p.LMin)))
 }
 
 // Degrade returns the parameters after `failed` GL-injecting inputs

@@ -87,7 +87,8 @@ func (c StorageConfig) CrosspointBytes() float64 { return float64(c.CrosspointBi
 // TotalCrosspointBytes returns the crosspoint state across all
 // radix-squared crosspoints, in bytes.
 func (c StorageConfig) TotalCrosspointBytes() float64 {
-	return float64(c.Radix*c.Radix) * c.CrosspointBytes()
+	// Converted so the product cannot fuse into TotalBytes' sum (FMA).
+	return float64(float64(c.Radix*c.Radix) * c.CrosspointBytes())
 }
 
 // TotalBytes returns the switch's total SSVC storage: input buffering

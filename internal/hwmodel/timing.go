@@ -58,13 +58,16 @@ func (c TimingConfig) Lanes() int { return c.ChannelBits / c.Radix }
 // BaseDelayNs returns the modelled arbitration period of the plain Swizzle
 // Switch in nanoseconds.
 func (c TimingConfig) BaseDelayNs() float64 {
-	return baseDelayNs + perPortDelayNs*float64(c.Radix) + perBitDelayNs*float64(c.ChannelBits)
+	// Each product is converted so it cannot fuse into the sum (FMA) on
+	// the architectures that have one: Table 2 prints the same bits on
+	// every GOARCH.
+	return baseDelayNs + float64(perPortDelayNs*float64(c.Radix)) + float64(perBitDelayNs*float64(c.ChannelBits))
 }
 
 // SSVCDelayNs returns the modelled period with the SSVC sense-amp
 // multiplexer on the critical path.
 func (c TimingConfig) SSVCDelayNs() float64 {
-	return c.BaseDelayNs() + perLaneDelayNs*math.Sqrt(float64(c.Lanes()))
+	return c.BaseDelayNs() + float64(perLaneDelayNs*math.Sqrt(float64(c.Lanes())))
 }
 
 // BaseFrequencyGHz returns the plain switch's clock frequency.

@@ -4,10 +4,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"swizzleqos/internal/noc"
 )
@@ -103,32 +104,38 @@ type Collector struct {
 	Warmup noc.Cycle
 	End    noc.Cycle
 
-	flows map[FlowKey]*FlowStats
-	// free recycles FlowStats structs across Reset calls, so a worker
-	// reusing one collector for a whole sweep stops allocating once its
-	// flow population peaks.
-	free []*FlowStats
+	// keys and flows list the flows seen in the window, in first-delivery
+	// order. flows keeps its recycled FlowStats past its length after a
+	// Reset, so a worker reusing one collector for a whole sweep stops
+	// allocating once its flow population peaks.
+	keys  []FlowKey
+	flows []*FlowStats
+	// slots is an open-addressed table over keys (linear probing, never
+	// more than half full): 1 + the flow's index in keys, or 0 for empty.
+	// A key's home is the top bits of its packed form times a
+	// multiplicative constant; shift is 64 - log2(len(slots)).
+	slots []int32
+	shift uint
 }
 
 // NewCollector returns a collector measuring cycles [warmup, end). end 0
 // means "until the run stops"; call Close with the final cycle to fix the
 // window length for throughput computation.
 func NewCollector(warmup, end noc.Cycle) *Collector {
-	return &Collector{Warmup: warmup, End: end, flows: make(map[FlowKey]*FlowStats)}
+	return &Collector{Warmup: warmup, End: end}
 }
 
 // Reset clears the collector for a new measurement window, retaining its
-// allocations (the flow map and per-flow structs) for reuse. Results read
-// from the collector before Reset must have been copied out — FlowStats
-// pointers obtained earlier are recycled.
+// allocations (the flow table and per-flow structs) for reuse. Results
+// read from the collector before Reset must have been copied out —
+// FlowStats pointers obtained earlier are recycled.
 func (c *Collector) Reset(warmup, end noc.Cycle) {
 	c.Warmup, c.End = warmup, end
-	//ssvc:allow determinism Reset empties the map onto the free list; the order of the clears is unobservable
-	for k, f := range c.flows {
-		delete(c.flows, k)
+	for _, f := range c.flows {
 		*f = FlowStats{LatMin: math.MaxUint64}
-		c.free = append(c.free, f)
 	}
+	c.keys, c.flows = c.keys[:0], c.flows[:0]
+	clear(c.slots)
 }
 
 // Close fixes the window end for throughput computations when End was 0.
@@ -153,14 +160,12 @@ func (c *Collector) OnDeliver(p *noc.Packet) {
 		return
 	}
 	k := KeyOf(p)
-	f := c.flows[k]
-	if f == nil {
-		if n := len(c.free); n > 0 {
-			f, c.free = c.free[n-1], c.free[:n-1]
-		} else {
-			f = &FlowStats{LatMin: math.MaxUint64}
-		}
-		c.flows[k] = f
+	pos := c.find(k)
+	var f *FlowStats
+	if pos >= 0 {
+		f = c.flows[c.slots[pos]-1]
+	} else {
+		f = c.insert(k, ^pos)
 	}
 	lat := p.TotalLatency().Uint()
 	wait := p.WaitingTime().Uint()
@@ -181,28 +186,79 @@ func (c *Collector) OnDeliver(p *noc.Packet) {
 	f.hist[bitLen(lat)]++
 }
 
+// find returns the slot holding k, or ^slot of the empty slot where k
+// belongs (^0 when the table is not built yet).
+func (c *Collector) find(k FlowKey) int {
+	if len(c.slots) == 0 {
+		return ^0
+	}
+	mask := len(c.slots) - 1
+	packed := uint64(k.Src)<<34 ^ uint64(k.Dst)<<2 ^ uint64(k.Class)
+	for i := int(packed * 0x9e3779b97f4a7c15 >> c.shift); ; i = (i + 1) & mask {
+		j := c.slots[i]
+		if j == 0 {
+			return ^i
+		}
+		if c.keys[j-1] == k {
+			return i
+		}
+	}
+}
+
+// insert lists k as the window's next flow, at empty slot pos, and
+// returns its statistics: a recycled FlowStats when Reset left one.
+func (c *Collector) insert(k FlowKey, pos int) *FlowStats {
+	n := len(c.keys)
+	if 2*(n+1) > len(c.slots) {
+		c.grow()
+		pos = ^c.find(k)
+	}
+	var f *FlowStats
+	if n < cap(c.flows) {
+		f = c.flows[:n+1][n]
+	}
+	if f == nil {
+		f = &FlowStats{LatMin: math.MaxUint64}
+	}
+	c.keys = append(c.keys, k)
+	c.flows = append(c.flows, f)
+	c.slots[pos] = int32(n + 1)
+	return f
+}
+
+// grow doubles the table (16 slots at first) and re-files every key.
+func (c *Collector) grow() {
+	size := max(16, 2*len(c.slots))
+	c.slots = make([]int32, size)
+	c.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for j, k := range c.keys {
+		c.slots[^c.find(k)] = int32(j + 1)
+	}
+}
+
 func bitLen(v uint64) int { return bits.Len64(v) }
 
 // Flow returns the statistics for a flow, or nil if it delivered nothing
 // in the window.
-func (c *Collector) Flow(k FlowKey) *FlowStats { return c.flows[k] }
-
-// Keys returns the observed flow keys in deterministic order.
-func (c *Collector) Keys() []FlowKey {
-	keys := make([]FlowKey, 0, len(c.flows))
-	//ssvc:allow determinism Keys collects the keys, then sorts them before returning
-	for k := range c.flows {
-		keys = append(keys, k)
+func (c *Collector) Flow(k FlowKey) *FlowStats {
+	if pos := c.find(k); pos >= 0 {
+		return c.flows[c.slots[pos]-1]
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	return nil
+}
+
+// Keys returns the observed flow keys in deterministic order: by
+// destination, then source, then class.
+func (c *Collector) Keys() []FlowKey {
+	keys := append(make([]FlowKey, 0, len(c.keys)), c.keys...)
+	slices.SortFunc(keys, func(a, b FlowKey) int {
 		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
+			return cmp.Compare(a.Dst, b.Dst)
 		}
 		if a.Src != b.Src {
-			return a.Src < b.Src
+			return cmp.Compare(a.Src, b.Src)
 		}
-		return a.Class < b.Class
+		return cmp.Compare(a.Class, b.Class)
 	})
 	return keys
 }
@@ -210,7 +266,7 @@ func (c *Collector) Keys() []FlowKey {
 // Throughput returns a flow's accepted throughput in flits per cycle over
 // the measurement window.
 func (c *Collector) Throughput(k FlowKey) float64 {
-	f := c.flows[k]
+	f := c.Flow(k)
 	w := c.Window()
 	if f == nil || w == 0 {
 		return 0
@@ -225,13 +281,11 @@ func (c *Collector) OutputThroughput(dst int) float64 {
 	if w == 0 {
 		return 0
 	}
-	// Sorted-key iteration: the sum is integer (order-insensitive), but
-	// fixing the order keeps every aggregate on the one deterministic
-	// path and survives a future switch to float accumulation.
+	// An integer sum, so the order of the flow list cannot show.
 	var flits uint64
-	for _, k := range c.Keys() {
+	for j, k := range c.keys {
 		if k.Dst == dst {
-			flits += c.flows[k].Flits
+			flits += c.flows[j].Flits
 		}
 	}
 	return float64(flits) / float64(w.Uint())
@@ -272,9 +326,9 @@ func (c *Collector) WorstAdherence(flows []noc.FlowSpec) (float64, int) {
 // were: the measured side of the GL bound (Eq. 1), and the evidence a
 // verdict on it needs.
 func (c *Collector) WorstWait(dst int, class noc.Class) (wait, packets uint64) {
-	for _, k := range c.Keys() {
+	for j, k := range c.keys {
 		if k.Dst == dst && k.Class == class {
-			f := c.flows[k]
+			f := c.flows[j]
 			wait = max(wait, f.WaitMax)
 			packets += f.Packets
 		}
@@ -285,8 +339,8 @@ func (c *Collector) WorstWait(dst int, class noc.Class) (wait, packets uint64) {
 // TotalPackets returns the number of packets delivered in the window.
 func (c *Collector) TotalPackets() uint64 {
 	var n uint64
-	for _, k := range c.Keys() {
-		n += c.flows[k].Packets
+	for _, f := range c.flows {
+		n += f.Packets
 	}
 	return n
 }
