@@ -52,10 +52,13 @@ lint:
 # saturated cycle, the crossbar's refusal memory against the heads it
 # hides and its admission tries per saturated cycle), then a
 # short-benchtime sweep of the arbitration and cycle-loop benchmarks and
-# of the Bernoulli scan's cost per draw at six probabilities. The sweep
-# is informational: CI hardware is too noisy to gate on ns/op, and the
-# allocation gate over the same configurations is TestSteadyStateAllocs,
-# which `make test` runs.
+# of the Bernoulli scan's cost per draw at six probabilities, for each
+# path: path=dispatch as a generator runs it, path=go (the two-lane Go
+# scan) and path=kernel (the AVX-512 kernel, on a CPU that has one), so
+# the cut-over between the two (kernelOdds, p = 1/16) stays re-checkable.
+# The sweep is informational: CI hardware is too noisy to gate on ns/op,
+# and the allocation gate over the same configurations is
+# TestSteadyStateAllocs, which `make test` runs.
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'

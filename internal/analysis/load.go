@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -111,6 +112,16 @@ func (l *Loader) parseDir(importPath string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		// The files the compiler would build here: a _GOARCH suffix or a
+		// //go:build line for another target leaves a file out, as it
+		// does for the standard library the source importer reads.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -208,8 +208,10 @@ func (s *Sources) AppendGroupState(b []byte, g int) []byte {
 // slot, attached to group. src is the port the group injects at; live
 // returns the flow of a live slot, generator restored. Queued packets must
 // be the flow's own — generated at src, and one flow's packets share
-// destination, class and length — and an arming must be one the
-// generator's kind and the set's clock allow. The set's derived tables
+// destination, class and length — in ascending ID, created no later than
+// the set's clock (so none before the set's first Generate), and never
+// admitted: no stamp, no time past creation, no retry. An arming must be
+// one the generator's kind and the set's clock allow. The set's derived tables
 // (schedulers, polled list, depths, the nonempty mask) follow from what
 // is read.
 func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, live func() (traffic.Flow, error)) error {
@@ -261,6 +263,9 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 	if r.Err() == nil && slot == slotRetiring && n == 0 {
 		r.Failf("fabric: a retiring flow with an empty queue would have been released")
 	}
+	if r.Err() == nil && n > 0 && !s.calReady {
+		r.Failf("fabric: %d packets queued in a set that has not generated", n)
+	}
 	for k := 0; k < n && r.Err() == nil; k++ {
 		p := ReadPacket(r, lim)
 		if r.Err() != nil {
@@ -271,12 +276,23 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 			like = fq.queue[0]
 		}
 		spec := fq.Flow.Spec
-		if p.Src != src || p.Dst != like.Dst || p.Class != like.Class || p.Length != like.Length ||
-			slot == slotLive && (p.Dst != spec.Dst || p.Class != spec.Class || p.Length != spec.PacketLength) {
+		switch {
+		case p.Src != src || p.Dst != like.Dst || p.Class != like.Class || p.Length != like.Length ||
+			slot == slotLive && (p.Dst != spec.Dst || p.Class != spec.Class || p.Length != spec.PacketLength):
 			r.Failf("fabric: packet %d (%d->%d %v, %d flits) is not of the flow whose queue holds it", p.ID, p.Src, p.Dst, p.Class, p.Length)
-			break
+		case p.Stamp != 0 || p.EnqueuedAt != 0 || p.GrantedAt != 0 || p.DeliveredAt != 0 || p.Retries != 0 || p.HoldUntil != 0:
+			// Admission stamps and enqueues a packet as it leaves the
+			// source queue, and none ever returns to one.
+			r.Failf("fabric: source-queued packet %d has been admitted (stamp %d, enqueued %d, granted %d, delivered %d, %d retries, held until %d)",
+				p.ID, p.Stamp.Uint(), p.EnqueuedAt.Uint(), p.GrantedAt.Uint(), p.DeliveredAt.Uint(), p.Retries, p.HoldUntil.Uint())
+		case p.CreatedAt > s.lastNow:
+			r.Failf("fabric: source-queued packet %d created at cycle %d, after the set's last cycle %d", p.ID, p.CreatedAt.Uint(), s.lastNow.Uint())
+		case k > 0 && p.ID <= fq.queue[k-1].ID:
+			// One sequence numbers every packet in creation order.
+			r.Failf("fabric: source-queued packet %d stands behind packet %d", p.ID, fq.queue[k-1].ID)
+		default:
+			fq.push(p)
 		}
-		fq.push(p)
 	}
 	if err := r.Err(); err != nil {
 		return err

@@ -73,27 +73,51 @@ func (r *RNG) draw(o odds) bool { return r.Uint64()>>11 < uint64(o) }
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.draw(oddsOf(p)) }
 
-// laneOdds is where failuresBefore stops scanning in lanes: from p = 1/4
+// laneOdds is where the Go scan stops scanning in lanes: from p = 1/4
 // up, the first draw usually succeeds and the second lane is wasted work.
-// Below it, cut (see failuresBefore) stays under 2^63 and cannot wrap.
+// Below it, cut (see scan) stays under 2^63 and cannot wrap.
 const laneOdds = 1 << 51
+
+// kernelOdds is where failuresBefore hands the scan to the AVX-512
+// kernel, where the CPU has one. A kernel call pays about a dozen Go
+// draws before its first block resolves (two multiplies' latency, the
+// mask scan, the exit branch): the two paths are level near p = 1/8, the
+// Go scan is ahead from 1/4 up, and the kernel from 1/16 down
+// (BenchmarkBernoulliNextArrival, path=go against path=kernel).
+const kernelOdds = 1 << 49
 
 // failuresBefore draws until the first success and returns how many draws
 // failed before it: the draws, their order and the final state are those
-// of calling draw in a loop, but the state lives in a register across the
+// of calling draw in a loop, but the state lives in registers across the
 // scan instead of going through r once per draw. o must be nonzero, or no
 // draw ever succeeds.
 //
-// Below laneOdds it advances two draws a step, s+γ and s+2γ, whose
-// multiplies are independent and overlap; two lanes fit in registers
-// (more spill, and cost the one-draw path a stack frame). A draw succeeds
-// when its output is below lim = o<<11. The output's top 31 bits are
-// those of mixed, so mixed below cut, lim rounded up to a multiple of
-// 2^33, is necessary, and only a lane past that one compare pays for the
-// exact test. Lanes are resolved in order, so the first success wins.
+// Below kernelOdds, on a CPU with AVX-512F and AVX-512DQ (haveKernel,
+// read once at init), the scan is scan32 (scan_amd64.s): 32 draws an
+// iteration in four ZMM registers, the lowest successful lane winning.
+// Everywhere else it is the Go scan, the portable path and the kernel's
+// reference (DESIGN.md "Bernoulli scan kernel"). failuresBefore is small
+// enough to inline, so a generator pays one call for either path.
+func (r *RNG) failuresBefore(o odds) uint64 {
+	return r.scan(o, haveKernel && o < kernelOdds)
+}
+
+// scan is failuresBefore on the path kernel names, for any o: scan32, or
+// the Go scan. Below laneOdds the Go scan advances two draws a step, s+γ
+// and s+2γ, whose multiplies are independent and overlap; two lanes fit
+// in registers, more spill. A draw succeeds when its output is below
+// lim = o<<11. The output's top 31 bits are those of mixed, so mixed
+// below cut, lim rounded up to a multiple of 2^33, is necessary, and only
+// a lane past that one compare pays for the exact test. Lanes are
+// resolved in order, so the first success wins.
 //
 //ssvc:hotpath
-func (r *RNG) failuresBefore(o odds) uint64 {
+func (r *RNG) scan(o odds, kernel bool) uint64 {
+	if kernel {
+		n, s := scan32(r.state, uint64(o)<<11)
+		r.state = s
+		return n
+	}
 	s := r.state
 	n := uint64(0)
 	if o >= laneOdds {

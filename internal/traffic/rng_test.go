@@ -24,21 +24,52 @@ func oneByOne(r *RNG, o odds, limit uint64) (uint64, bool) {
 // finishes: a rarer success is not compared.
 const scanCap = 1 << 16
 
+// scanPath is one way failuresBefore can scan, called directly whatever
+// the odds.
+type scanPath struct {
+	name string
+	scan func(r *RNG, o odds) uint64
+}
+
+// scanPaths are the Go scan, the kernel where this CPU has one, and the
+// dispatch between them.
+func scanPaths() []scanPath {
+	paths := []scanPath{{"go", func(r *RNG, o odds) uint64 { return r.scan(o, false) }}}
+	if haveKernel {
+		paths = append(paths, scanPath{"kernel", func(r *RNG, o odds) uint64 { return r.scan(o, true) }})
+	}
+	return append(paths, scanPath{"dispatch", (*RNG).failuresBefore})
+}
+
+// logPaths says which scan paths a test held to the oracle, so a log
+// shows whether the kernel was exercised.
+func logPaths(t testing.TB) {
+	t.Helper()
+	if haveKernel {
+		t.Log("scan paths: go, kernel (AVX-512F/DQ), dispatch")
+	} else {
+		t.Log("scan paths: go, dispatch; the kernel is not exercised (no AVX-512F/DQ, or not amd64)")
+	}
+}
+
 // checkScan runs scans failuresBefore calls from state seed against the
-// oracle and stops at the first one whose success lies beyond scanCap.
+// oracle on every scan path and stops at the first one whose success
+// lies beyond scanCap.
 func checkScan(t *testing.T, o odds, seed uint64, scans int) {
 	t.Helper()
-	got, ref := &RNG{state: seed}, &RNG{state: seed}
-	for scan := 0; scan < scans; scan++ {
-		want, ok := oneByOne(ref, o, scanCap)
-		if !ok {
-			return
-		}
-		if n := got.failuresBefore(o); n != want {
-			t.Fatalf("odds %d state %#x scan %d: %d failed draws, oracle %d", o, seed, scan, n, want)
-		}
-		if *got != *ref {
-			t.Fatalf("odds %d state %#x scan %d: state %#x, oracle %#x", o, seed, scan, got.state, ref.state)
+	for _, path := range scanPaths() {
+		got, ref := &RNG{state: seed}, &RNG{state: seed}
+		for scan := 0; scan < scans; scan++ {
+			want, ok := oneByOne(ref, o, scanCap)
+			if !ok {
+				break
+			}
+			if n := path.scan(got, o); n != want {
+				t.Fatalf("%s: odds %d state %#x scan %d: %d failed draws, oracle %d", path.name, o, seed, scan, n, want)
+			}
+			if *got != *ref {
+				t.Fatalf("%s: odds %d state %#x scan %d: state %#x, oracle %#x", path.name, o, seed, scan, got.state, ref.state)
+			}
 		}
 	}
 }
@@ -92,42 +123,46 @@ func unmix(z uint64) uint64 {
 func placed(out, k uint64) uint64 { return unmix(unshift(out, 31)) - (k+1)*splitMixGamma }
 
 func TestScanLanesMatchOneByOne(t *testing.T) {
+	logPaths(t)
 	for _, out := range []uint64{0, 1, 1 << 33, 1<<64 - 1, 0x0123456789abcdef} {
 		if got := splitMix(placed(out, 0) + splitMixGamma); got != out {
 			t.Fatalf("output %#x placed, %#x drawn", out, got)
 		}
 	}
 	sparse := oddsOf(0.0025)
-	all := []odds{1, sparse, laneOdds - 1, laneOdds, 1 << 53}
-	// Output 0, a success at any odds, placed at each of the first ten
-	// draws: both lanes of five blocks. At p = 2^-53 nothing earlier
-	// succeeds.
-	lanes := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	all := []odds{1, sparse, kernelOdds - 1, kernelOdds, laneOdds - 1, laneOdds, 1<<53 - 1, 1 << 53}
+	// Output 0, a success at any odds, placed at each of the first 66
+	// draws: every lane of the kernel's first two blocks and the first
+	// two of its third, and both lanes of the Go scan's first 33 steps.
+	// At p = 2^-53 nothing earlier succeeds.
+	const draws = 66
 	for _, o := range all {
-		for _, k := range lanes {
+		for k := uint64(0); k < draws; k++ {
 			checkScan(t, o, placed(0, k), 1)
 		}
 	}
-	for _, k := range lanes {
-		if n := (&RNG{state: placed(0, k)}).failuresBefore(1); n != k {
-			t.Fatalf("p=2^-53, success placed at draw %d: scan returned %d", k, n)
+	for _, path := range scanPaths() {
+		for k := uint64(0); k < draws; k++ {
+			if n := path.scan(&RNG{state: placed(0, k)}, 1); n != k {
+				t.Fatalf("%s: p=2^-53, success placed at draw %d: scan returned %d", path.name, k, n)
+			}
 		}
 	}
-	// Unplaced successes on both sides of the switch-over and at p = 1.
+	// Unplaced successes on both sides of each switch-over and at p = 1.
 	for _, o := range all[1:] {
 		for seed := uint64(0); seed < 64; seed++ {
 			checkScan(t, o, seed, 8)
 		}
 	}
 	// The threshold at each lane: lim-1, the largest output that
-	// succeeds, and lim, whose top 31 bits pass the prefilter while the
-	// output fails the exact test.
+	// succeeds, and lim, whose top 31 bits pass the Go scan's prefilter
+	// while the output fails the exact test.
 	lim := uint64(sparse) << 11
 	if lim%(1<<33) == 0 {
 		t.Fatal("lim is a multiple of 2^33: no output at lim passes the prefilter")
 	}
 	for _, out := range []uint64{lim - 1, lim} {
-		for k := uint64(0); k < 4; k++ {
+		for k := uint64(0); k < 32; k++ {
 			seed := placed(out, k)
 			if n, _ := oneByOne(&RNG{state: seed}, sparse, scanCap); (out < lim) != (n == k) || n < k {
 				t.Fatalf("output %#x placed at draw %d: the oracle's first success is draw %d", out, k, n)
@@ -148,6 +183,7 @@ var bernoulliEdges = []float64{
 }
 
 func TestBernoulliThresholdEdges(t *testing.T) {
+	logPaths(t)
 	for p, want := range map[float64]odds{
 		0: 0, 0x1p-53: 1, math.SmallestNonzeroFloat64: 1, 0.5: 1 << 52, 1 - 0x1p-53: 1<<53 - 1, 1: 1 << 53,
 	} {
@@ -169,6 +205,10 @@ func FuzzBernoulliScan(f *testing.F) {
 	for _, p := range []float64{0x1p-53, math.SmallestNonzeroFloat64} {
 		f.Add(p, placed(0, 700))
 	}
+	logPaths(f)
+	// Both sides of the kernel's cut-over.
+	f.Add(0x1p-4, uint64(3))
+	f.Add(0x1p-4-0x1p-53, uint64(4))
 	f.Fuzz(func(t *testing.T, p float64, seed uint64) {
 		checkBernoulliScan(t, p, seed, 512)
 	})
@@ -177,10 +217,13 @@ func FuzzBernoulliScan(f *testing.F) {
 // BenchmarkBernoulliNextArrival measures the scan at the sparse
 // workloads' rate (2 % load in 8-flit packets: p = 0.0025), Figure 4's
 // range, the control plane's GB load and the lanes' switch-over region,
-// and reports the cost of one draw.
+// and reports the cost of one draw: path=dispatch through
+// Bernoulli.NextArrival, path=go and path=kernel (where this CPU has
+// one) each scan called directly, whatever the odds, so that the two
+// paths' costs on either side of kernelOdds (p = 1/16) can be compared.
 func BenchmarkBernoulliNextArrival(b *testing.B) {
 	for _, p := range []float64{0.0025, 0.00625, 0.0375, 0.125, 0.5, 0.9} {
-		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+		b.Run(fmt.Sprintf("p=%g/path=dispatch", p), func(b *testing.B) {
 			var seq Sequence
 			g := NewBernoulli(&seq, specGB(p, 1), p, 1)
 			from := noc.Cycle(0)
@@ -191,5 +234,18 @@ func BenchmarkBernoulliNextArrival(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(from.Uint()), "ns/draw")
 		})
+		for _, path := range scanPaths() {
+			if path.name == "dispatch" {
+				continue
+			}
+			b.Run(fmt.Sprintf("p=%g/path=%s", p, path.name), func(b *testing.B) {
+				r, o := NewRNG(1), oddsOf(p)
+				draws := uint64(0)
+				for i := 0; i < b.N; i++ {
+					draws += path.scan(r, o) + 1
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(draws), "ns/draw")
+			})
+		}
 	}
 }
