@@ -48,9 +48,10 @@ lint:
 # list, the shared standing offers, arbiter clock and admission-skip mask
 # against their fabric oracles, each engine's standing offers against a
 # per-cycle scan, the routed
-# engine in lock step with its scan oracle, its offer evaluations per
-# saturated cycle, the crossbar's refusal memory against the heads it
-# hides and its admission tries per saturated cycle), then a
+# engine in lock step with its scan oracle, its sleeping outputs and
+# completion calendar against the same oracle, its offer evaluations and
+# serve calls per saturated cycle, the crossbar's refusal memory against
+# the heads it hides and its admission tries per saturated cycle), then a
 # short-benchtime sweep of the arbitration and cycle-loop benchmarks and
 # of the Bernoulli scan's cost per draw at six probabilities, for each
 # path: path=dispatch as a generator runs it, path=go (the two-lane Go
@@ -64,7 +65,7 @@ bench-arb:
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
 	$(GO) test ./internal/fabric/ -run 'FuzzOffers|TestClocksMatchEveryCycle|TestSkipMask'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains'
-	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants'
+	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants|TestSleepingOutputsNeverHideAGrant|TestServeVisitsFollowGrants'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ ./internal/traffic/
 

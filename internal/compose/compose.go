@@ -65,10 +65,10 @@ type Topology struct {
 
 // Validate reports a descriptive error for malformed topologies. Every
 // topology passes through it (New calls it), so the engine may assume
-// what it checks: every reference is in range, every linked input port
-// has exactly one upstream link, and no link enters or leaves a port a
-// terminal attaches to — such a port is fed only by injection and only
-// ejects.
+// what it checks: every reference is in range, no two terminals attach
+// at one port, every linked input port has exactly one upstream link,
+// and no link enters or leaves a port a terminal attaches to — such a
+// port is fed only by injection and only ejects.
 func (t Topology) Validate() error {
 	if len(t.Ports) == 0 {
 		return fmt.Errorf("compose: no nodes")
@@ -88,14 +88,20 @@ func (t Topology) Validate() error {
 	inRange := func(r PortRef) bool {
 		return r.Node >= 0 && r.Node < len(t.Ports) && r.Port >= 0 && r.Port < t.Ports[r.Node]
 	}
-	fed := make([]bool, total)    // input ports a terminal or a link already feeds
-	attach := make([]bool, total) // ports a terminal attaches to
-	for _, term := range t.Terminals {
+	fed := make([]bool, total)   // input ports a terminal or a link already feeds
+	attach := make([]int, total) // 1 + the terminal attached at each port, 0 for none
+	for i, term := range t.Terminals {
 		if !inRange(term) {
 			return fmt.Errorf("compose: port reference %+v out of range", term)
 		}
-		fed[base[term.Node]+term.Port] = true
-		attach[base[term.Node]+term.Port] = true
+		// A transfer ejects at a port, not at a terminal, so a second
+		// terminal here would be handed the first one's packets.
+		flat := base[term.Node] + term.Port
+		if attach[flat] != 0 {
+			return fmt.Errorf("compose: terminals %d and %d both attach at %+v", attach[flat]-1, i, term)
+		}
+		fed[flat] = true
+		attach[flat] = i + 1
 	}
 	// Walk the ports in order and look each one up, rather than ranging
 	// over the map, so the first error reported does not depend on map
@@ -110,7 +116,7 @@ func (t Topology) Validate() error {
 				continue
 			}
 			matched++
-			if attach[base[n]+p] {
+			if attach[base[n]+p] != 0 {
 				return fmt.Errorf("compose: link %+v -> %+v leaves a terminal's port, which must eject", from, to)
 			}
 			if !inRange(to) {
@@ -373,6 +379,25 @@ type Network struct {
 	// after a transfer; all: every port.
 	portNode      []int32
 	tx, cool, all []uint64
+	// blocked: sleeping outputs, whose every standing request the
+	// downstream buffer refused (see serve). up[f] is the flat id of the
+	// output linked into input f, -1 at an attachment port: a grant that
+	// pops input f wakes output up[f].
+	blocked []uint64
+	up      []int32
+
+	// The completion calendar: transmitting output f finishes in cycle
+	// due[f], and its bit stands in the wheel's slot for that cycle,
+	// wheel[slot*words:(slot+1)*words] with slot = due[f] & wheelMask.
+	// The wheel has a power-of-two number of slots above BufferFlits, so
+	// the at most L <= BufferFlits cycles to a due cycle never wrap.
+	wheel     []uint64
+	wheelMask uint64
+	due       []noc.Cycle
+
+	// serves counts serve calls: a diagnostic of the host's work, in no
+	// counter block or digest (like fabric.Offers.Evals).
+	serves uint64
 
 	arbReqs []arb.Request // scratch: requests handed to one arbitration
 
@@ -427,8 +452,19 @@ func New(cfg Config) (*Network, error) {
 	net.offers = fabric.NewOffers(cfg.Topology.Ports, net.offerOf)
 	words := arb.MaskWords(net.totalPorts)
 	net.tx, net.cool, net.all = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+	net.blocked = make([]uint64, words)
 	for f := 0; f < net.totalPorts; f++ {
 		arb.MaskSet(net.all, f)
+	}
+	slots := 2
+	for slots <= cfg.BufferFlits {
+		slots *= 2
+	}
+	net.wheel, net.wheelMask = make([]uint64, slots*words), uint64(slots-1)
+	net.due = make([]noc.Cycle, net.totalPorts)
+	net.up = make([]int32, net.totalPorts)
+	for f := range net.up {
+		net.up[f] = -1
 	}
 	terms := len(cfg.Topology.Terminals)
 	for id, ports := range cfg.Topology.Ports {
@@ -449,6 +485,9 @@ func New(cfg Config) (*Network, error) {
 			n.arbs[p] = newArb(id, p, ports)
 			net.clocks.Add(n.arbs[p])
 			n.next[p], n.hasNext[p] = cfg.Topology.Links[PortRef{Node: id, Port: p}]
+			if n.hasNext[p] {
+				net.up[net.portBase[n.next[p].Node]+n.next[p].Port] = int32(n.fbase + p)
+			}
 		}
 		net.nodes = append(net.nodes, n)
 	}
@@ -580,6 +619,16 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	}
 	if f.Gen == nil {
 		return fmt.Errorf("compose: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
+	}
+	// The spec rules switchsim's FlowSpec.Validate applies, less the
+	// reservation rate: a routed flow reserves nothing. A packet of no
+	// flits would also finish its transmission in the cycle that grants
+	// it, a cycle the completion calendar has already drained.
+	if !f.Spec.Class.Valid() {
+		return fmt.Errorf("compose: flow %d->%d: invalid class %v", f.Spec.Src, f.Spec.Dst, f.Spec.Class)
+	}
+	if f.Spec.PacketLength < 1 {
+		return fmt.Errorf("compose: flow %d->%d: packet length %d must be positive", f.Spec.Src, f.Spec.Dst, f.Spec.PacketLength)
 	}
 	if f.Spec.PacketLength > n.cfg.BufferFlits {
 		return fmt.Errorf("compose: flow %d->%d: %d-flit packets can never enter a %d-flit buffer",
@@ -740,6 +789,7 @@ func (n *Network) abortTx(nd *node, out int) {
 	nd.inBusy[from] = false
 	nd.out[out] = nil
 	arb.MaskClear(n.tx, nd.fbase+out)
+	arb.MaskClear(n.slot(n.due[nd.fbase+out]), nd.fbase+out)
 	n.txPool.Put(tx)
 	if nd.hasNext[out] {
 		next := nd.next[out]
@@ -748,34 +798,70 @@ func (n *Network) abortTx(nd *node, out int) {
 	n.dropPkt(pkt)
 }
 
-// transfer advances every transmitting output one flit, in ascending
-// node and port order. A completion clears only its own tx bit and no
-// transfer starts here, so the per-word snapshot is this cycle's set.
+// slot returns the completion calendar's mask for cycle c.
+//
+//ssvc:hotpath
+func (n *Network) slot(c noc.Cycle) []uint64 {
+	words := len(n.tx)
+	s := int(c.Uint()&n.wheelMask) * words
+	return n.wheel[s : s+words]
+}
+
+// file starts the completion calendar entry of the output at flat id f,
+// granted a packet of length flits in cycle now: its last flit moves in
+// cycle now+length.
+//
+//ssvc:hotpath
+func (n *Network) file(f int, now noc.Cycle, length int) {
+	n.due[f] = now + noc.CycleOf(uint64(length))
+	arb.MaskSet(n.slot(n.due[f]), f)
+}
+
+// transfer moves one flit on every transmitting output, then finishes
+// the transmissions whose last flit that was, the outputs filed in the
+// calendar's slot for now, in ascending node and port order. Nothing is
+// filed in that slot meanwhile (a grant files at least one cycle ahead,
+// and no grant runs here), so draining it word by word is exact. Under a
+// fault schedule every transmitting output first asks StallOutput, in
+// the same order: a stalled link moves nothing, and its completion moves
+// one slot later.
 //
 //ssvc:hotpath
 func (n *Network) transfer(now noc.Cycle) {
-	for w, mm := range n.tx {
+	if n.faults == nil {
+		for _, m := range n.tx {
+			n.DataCycles += uint64(bits.OnesCount64(m))
+		}
+	} else {
+		for w, mm := range n.tx {
+			for ; mm != 0; mm &= mm - 1 {
+				f := w<<6 + bits.TrailingZeros64(mm)
+				if !n.faults.StallOutput(now, f) {
+					n.DataCycles++
+					continue
+				}
+				arb.MaskClear(n.slot(n.due[f]), f)
+				n.file(f, n.due[f], 1)
+			}
+		}
+	}
+	slot := n.slot(now)
+	for w, mm := range slot {
+		slot[w] = 0
 		for ; mm != 0; mm &= mm - 1 {
-			n.transferPort(w<<6+bits.TrailingZeros64(mm), now)
+			n.finish(w<<6+bits.TrailingZeros64(mm), now)
 		}
 	}
 }
 
-// transferPort advances the busy output channel at flat id f one flit.
+// finish ends the transmission at flat id f, whose last flit moved in
+// cycle now: the packet enters the downstream buffer or is delivered.
 //
 //ssvc:hotpath
-func (n *Network) transferPort(f int, now noc.Cycle) {
+func (n *Network) finish(f int, now noc.Cycle) {
 	nd := n.nodes[n.portNode[f]]
 	port := f - nd.fbase
-	if n.faults != nil && n.faults.StallOutput(now, f) {
-		return // stalled link: the in-flight transfer freezes
-	}
 	tx := nd.out[port]
-	n.DataCycles++
-	tx.Remaining--
-	if tx.Remaining > 0 {
-		return
-	}
 	pkt, from := tx.Pkt, tx.Input
 	n.complete(nd, f)
 	// Receiver-side modeled CRC check (see internal/faults): a
@@ -809,8 +895,9 @@ func (n *Network) transferPort(f int, now noc.Cycle) {
 
 // arbitrate re-derives the marked offers (fabric.Offers), then serves
 // the outputs leaving a cooldown or holding an offer, less the ones
-// transmitting, in ascending node and port order. The rest are idle and
-// are counted unvisited, as the walk over all ports counted them. A fault
+// transmitting, in ascending node and port order; a sleeping one (see
+// serve) only counts its idle cycle. The rest are idle and are counted
+// unvisited, as the walk over all ports counted them. A fault
 // schedule widens both masks to every port (HoldUntil makes an offer
 // depend on now; dead and stalled outputs have rules of their own) and
 // skips nothing. The refresh runs after transfer, so an input freed this
@@ -840,6 +927,13 @@ func (n *Network) arbitrate(now noc.Cycle) {
 			if n.err != nil {
 				return
 			}
+			// A sleeping output counts the idle cycle its refused visit
+			// would have. The bit is read as the walk reaches it: a
+			// grant earlier in the walk may have woken it.
+			if n.blocked[w]&(visit&-visit) != 0 {
+				n.IdleCycles++
+				continue
+			}
 			n.serve(w<<6+bits.TrailingZeros64(visit), now)
 		}
 	}
@@ -865,15 +959,21 @@ func (n *Network) offerOf(f int, now noc.Cycle) (int, arb.Request, bool) {
 	if p == nil || p.HoldUntil > now {
 		return 0, arb.Request{}, false
 	}
-	return nd.fbase + int(nd.route[p.Dst]), arb.Request{Input: port, Class: p.Class, Packet: p}, true
+	out := nd.fbase + int(nd.route[p.Dst])
+	arb.MaskClear(n.blocked, out) // a new request may fit where the standing ones did not
+	return out, arb.Request{Input: port, Class: p.Class, Packet: p}, true
 }
 
 // serve spends the cycle of the idle output at flat id f: it leaves
 // its cooldown, or arbitrates among its standing offers, less those the
-// downstream buffer has no room for.
+// downstream buffer has no room for. An output whose every offer that
+// buffer refuses falls asleep (blocked) until the buffer pops or a new
+// offer is derived at it; no output sleeps under a fault schedule,
+// where retries, unreserves and flushes also free buffer space.
 //
 //ssvc:hotpath
 func (n *Network) serve(f int, now noc.Cycle) {
+	n.serves++
 	nd := n.nodes[n.portNode[f]]
 	out := f - nd.fbase
 	if n.faults != nil {
@@ -911,6 +1011,9 @@ func (n *Network) serve(f int, now noc.Cycle) {
 				kept = append(kept, r)
 			}
 		}
+		if len(kept) == 0 && n.faults == nil {
+			arb.MaskSet(n.blocked, f)
+		}
 		reqs = kept
 	}
 	if len(reqs) == 0 {
@@ -934,6 +1037,9 @@ func (n *Network) serve(f int, now noc.Cycle) {
 			now, nd.id, req.Packet.ID, head))
 		return
 	}
+	if u := n.up[nd.fbase+req.Input]; u >= 0 {
+		arb.MaskClear(n.blocked, int(u)) // the pop frees space in u's downstream buffer
+	}
 	// Zero doubles as "not yet granted", so without grantAtSource a
 	// packet granted at cycle 0 is stamped again at its next node.
 	if p.GrantedAt == 0 && (!n.cfg.Topology.grantAtSource || nd.id == n.cfg.Topology.Terminals[p.Src].Node) {
@@ -950,5 +1056,6 @@ func (n *Network) serve(f int, now noc.Cycle) {
 	nd.inBusy[req.Input] = true
 	nd.out[out] = n.txPool.Get(p, req.Input)
 	arb.MaskSet(n.tx, f)
+	n.file(f, now, p.Length)
 	nd.arbs[out].Granted(now, req)
 }

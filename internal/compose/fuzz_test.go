@@ -32,7 +32,7 @@ func decodeRoutedFuzz(b []byte) routedFuzzCase {
 			faults:    "none", // the schedule comes from the bytes, not from buildBucketNet
 		},
 		faulty: in[0]&32 != 0,
-		late:   noc.FlowSpec{Src: int(in[12]), Dst: int(in[13]), Class: noc.BestEffort, PacketLength: []int{1, 4, 16, 17}[in[14]&3]},
+		late:   noc.FlowSpec{Src: int(in[12]), Dst: int(in[13]), Class: noc.BestEffort, PacketLength: []int{1, 4, 16, 17, 0}[in[14]%5]},
 		lateAt: noc.Cycle(in[15]),
 	}
 }
@@ -62,6 +62,8 @@ func (fc routedFuzzCase) schedule(n *Network) faults.Config {
 // TestBucketsMatchScan in lock step on whatever the bytes describe and
 // requires the same counters and the same delivery trace after every
 // cycle, the same fault totals at the end, and never a panic. The
+// oracle moves every transmission a flit a cycle, the per-flit walk the
+// engine's completion calendar and its stall postponement replace. The
 // offers are held to the head scan of TestOffersMatchScan on the way.
 // An output fail-stop here lands on any port, link-fed ones included,
 // where the packets discarded at the dead route free buffer space that
@@ -79,6 +81,7 @@ func FuzzRoutedOffers(f *testing.F) {
 	f.Add([]byte{2 | 4 | 32, 1, 1, 201, 61, 100, 24, 51, 6, 91, 0, 25, 2, 13, 2, 30}) // clos: a spine downlink dies
 	f.Add([]byte{3 | 4 | 32, 3, 7, 11, 255, 0, 5, 0, 0, 41, 0, 9, 0, 69, 0, 0})       // star70: a hub output dies
 	f.Add([]byte{3 | 32, 5, 2, 101, 31, 40, 75, 201, 33, 0, 0, 0, 69, 0, 1, 120})
+	f.Add([]byte{0 | 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 4, 60}) // a late flow of 0-flit packets
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fc := decodeRoutedFuzz(b)
 		got := buildBucketNet(t, fc.bc)
@@ -97,8 +100,9 @@ func FuzzRoutedOffers(f *testing.F) {
 		n.afterRefresh = func(now noc.Cycle) { scanOffers(t, n, now) }
 		for n.now < 320 {
 			if n.now == fc.lateAt {
-				// Out-of-range terminals, a flow to itself and 17-flit
-				// packets into 16-flit buffers must be refused by both.
+				// Out-of-range terminals, a flow to itself, 17-flit
+				// packets into 16-flit buffers and packets of no flits
+				// must be refused by both.
 				errGot := n.AddFlow(traffic.Flow{Spec: fc.late, Gen: traffic.NewBacklogged(got.seq, fc.late, 2)})
 				errWant := want.net.AddFlow(traffic.Flow{Spec: fc.late, Gen: traffic.NewBacklogged(want.seq, fc.late, 2)})
 				if (errGot == nil) != (errWant == nil) {

@@ -184,15 +184,22 @@ func TestOfferEvalsFollowGrants(t *testing.T) {
 // TestAddFlowRejectsOversizedPackets: a packet enters a buffer whole, so
 // a flow whose packets are longer than the buffers could never be
 // admitted. It used to be accepted and its source queue grew for ever.
+// Packets of no or negative length and an undefined class are refused
+// too, as switchsim's FlowSpec.Validate refuses them: a -3-flit packet
+// passed every CanAccept and drove buffer occupancy negative.
 func TestAddFlowRejectsOversizedPackets(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		buffer, length int
+		class          noc.Class
 		wantErr        bool
 	}{
 		{name: "fitsExactly", buffer: 4, length: 4},
 		{name: "oneOver", buffer: 4, length: 5, wantErr: true},
 		{name: "twiceOver", buffer: 4, length: 8, wantErr: true},
+		{name: "noFlits", buffer: 4, length: 0, wantErr: true},
+		{name: "negativeLength", buffer: 4, length: -3, wantErr: true},
+		{name: "undefinedClass", buffer: 4, length: 4, class: noc.Class(9), wantErr: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo, err := Mesh(2, 2)
@@ -204,11 +211,13 @@ func TestAddFlowRejectsOversizedPackets(t *testing.T) {
 				t.Fatal(err)
 			}
 			var seq traffic.Sequence
-			spec := noc.FlowSpec{Src: 0, Dst: 3, Class: noc.BestEffort, PacketLength: tc.length}
-			err = n.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, 0.5, 1)})
+			spec := noc.FlowSpec{Src: 0, Dst: 3, Class: tc.class, PacketLength: tc.length}
+			// NewBacklogged, unlike NewBernoulli, builds a generator for any
+			// length, so the refusal is AddFlow's.
+			err = n.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBacklogged(&seq, spec, 2)})
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("AddFlow accepted %d-flit packets into %d-flit buffers", tc.length, tc.buffer)
+					t.Fatalf("AddFlow accepted %d-flit %v packets into %d-flit buffers", tc.length, tc.class, tc.buffer)
 				}
 				return
 			}

@@ -14,14 +14,17 @@ import (
 	"swizzleqos/internal/traffic"
 )
 
-// The request buckets, the route table and the barren-admission mask are
-// three ways of not doing work whose outcome is known. What they skip
-// survives here as the oracle: a serial cycle over the same Network state
-// that asks Topology.Route for every head every cycle, has every idle
-// output scan every head for the ones routed to it, and calls AdmitGroup
-// on every group with a queued packet (every group at all under a fault
-// schedule). transfer, the arbiter clock and fail-stop handling are not
-// what the engine changed and are shared.
+// The request buckets, the route table, the barren-admission mask, the
+// sleeping outputs and the completion calendar are ways of not doing work
+// whose outcome is known. What they skip survives here as the oracle: a
+// serial cycle over the same Network state that asks Topology.Route for
+// every head every cycle, has every idle output scan every head for the
+// ones routed to it, calls AdmitGroup on every group with a queued packet
+// (every group at all under a fault schedule), and moves every
+// transmission one flit a cycle, finishing it when its Remaining count
+// runs out. What happens once a transmission ends (Network.finish), the
+// arbiter clock and fail-stop handling are not what the engine changed
+// and are shared.
 type scanOracle struct {
 	n      *Network
 	heads  []*noc.Packet
@@ -56,7 +59,7 @@ func (o *scanOracle) step() {
 		}
 	}
 	o.inject(now)
-	n.transfer(now)
+	o.transfer(now)
 	o.arbitrate(now)
 	n.clocks.Tick(now)
 	n.now++
@@ -96,6 +99,27 @@ func (o *scanOracle) inject(now noc.Cycle) {
 		}
 	}
 	n.SkippedAdmits += uint64(n.sources.Groups() - visited)
+}
+
+// transfer is the per-flit walk: every transmitting output, in ascending
+// node and port order, asks StallOutput under a fault schedule, moves one
+// flit unless stalled, and finishes on its last.
+func (o *scanOracle) transfer(now noc.Cycle) {
+	n := o.n
+	for w, mm := range n.tx {
+		for ; mm != 0; mm &= mm - 1 {
+			f := w<<6 + bits.TrailingZeros64(mm)
+			if n.faults != nil && n.faults.StallOutput(now, f) {
+				continue
+			}
+			nd := n.nodes[n.portNode[f]]
+			tx := nd.out[f-nd.fbase]
+			n.DataCycles++
+			if tx.Remaining--; tx.Remaining == 0 {
+				n.finish(f, now)
+			}
+		}
+	}
 }
 
 func (o *scanOracle) arbitrate(now noc.Cycle) {

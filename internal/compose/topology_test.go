@@ -66,6 +66,19 @@ func TestMalformedTopologiesRejected(t *testing.T) {
 				return route(node, terminal)
 			}
 		}, "terminal 0 leaves the network at {Node:0 Port:3}"},
+		// Route is consistent with the shared port, so only Validate can
+		// tell: terminal 1's packets would eject at terminal 0's port
+		// and count as delivered.
+		{"twoTerminalsAtOnePort", func(tp *Topology) {
+			tp.Terminals[1] = tp.Terminals[0]
+			route := tp.Route
+			tp.Route = func(node, terminal int) int {
+				if node == 0 && terminal == 1 {
+					return 0
+				}
+				return route(node, terminal)
+			}
+		}, "terminals 0 and 1 both attach at {Node:0 Port:0}"},
 		{"routingCycle", func(tp *Topology) {
 			route := tp.Route
 			tp.Route = func(node, terminal int) int {
