@@ -193,5 +193,8 @@ fuzz:
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s
 	$(GO) test ./internal/compose/ -run '^$$' -fuzz FuzzRoutedOffers -fuzztime 30s
+	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzAdmission -fuzztime 30s
+	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzCommandLine -fuzztime 30s
+	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzPlanVsTable -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzRestoreState -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./cmd/ssvc-sim/ -fuzz FuzzScenarioParse -fuzztime 30s

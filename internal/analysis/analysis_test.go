@@ -114,12 +114,10 @@ func compareFindings(t *testing.T, want, got map[string]int, ds []analysis.Diagn
 // mustFind rows are the meta-tests: each fixture is a faithful copy of
 // shipped code with one defect injected (durmut: ApplyAll's batch commit
 // with the fsync deleted; rangemut: costOf with the PacketLen contract
-// widened to 2^62; taintmut: parse → validate → price with the
-// validation call deleted), so a rule that stops reporting it has gone
-// blind. Per-package rules share one Loader, since what they find in a
-// package cannot depend on another; a tree rule gets a fresh one,
-// because its call graph indexes everything its Loader has loaded (two
-// taint fixtures on one Loader would meet through channel taint).
+// widened to 2^62), so a rule that stops reporting it has gone blind.
+// Per-package rules share one Loader, since what they find in a package
+// cannot depend on another; a tree rule gets a fresh one, because its
+// call graph indexes everything its Loader has loaded.
 func TestRuleFixtures(t *testing.T) {
 	const src = "internal/analysis/testdata/src/"
 	shared := newLoader(t)
@@ -141,8 +139,6 @@ func TestRuleFixtures(t *testing.T) {
 		{rule: "durability", pkgs: []string{"durmut"}, tree: true, mustFind: true},
 		{rule: "valuerange", pkgs: []string{"rangebad"}, tree: true},
 		{rule: "valuerange", pkgs: []string{"rangemut"}, tree: true, mustFind: true},
-		{rule: "taint", pkgs: []string{"taintbad"}, tree: true},
-		{rule: "taint", pkgs: []string{"taintmut"}, tree: true, mustFind: true},
 	} {
 		t.Run(tc.rule+"/"+tc.pkgs[0], func(t *testing.T) {
 			if tc.rule == "hotpath" && testing.Short() {

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// This file is the interprocedural layer under the durability, valuerange
-// and taint analyzers: a whole-module function index with, per function,
+// This file is the interprocedural layer under the durability and
+// valuerange analyzers: a whole-module function index with, per function,
 // the list of functions its body (closures included) may call. A call
 // resolves statically to a named function or concrete method, and a call
 // through an interface resolves by class-hierarchy analysis to every
@@ -20,24 +20,15 @@ import (
 // standard library), which have no body in the index.
 
 // Annotation markers recognized on functions. DESIGN.md "Invariants"
-// rules 8-10 document the semantics.
+// rules 8 and 9 document the semantics.
 const (
 	// MarkSerialOnly annotates a function that must only run on the
 	// plane's single owner goroutine; a spawned goroutine that reaches it
 	// is flagged (durability).
 	MarkSerialOnly = "//ssvc:serial-only"
-	// MarkSink annotates a function whose arguments feed the exact
-	// fixed-point arithmetic (cost products, schedulability bounds,
-	// vtick counters); the taint analyzer requires every value reaching
-	// a sink argument to have crossed a barrier first. DESIGN.md
-	// invariant 10 documents the rule.
-	MarkSink = "//ssvc:sink"
-	// MarkBarrier annotates a validation function: calling it launders
-	// the taint off its receiver and arguments (the callee rejects
-	// out-of-range, NaN, or Inf input before it can reach a sink), and
-	// its results are trusted. valuerange likewise exempts float-to-
-	// integer conversions inside barrier bodies, since clamping is
-	// exactly what barriers are for.
+	// MarkBarrier annotates a clamping helper (noc.ClampUint64):
+	// valuerange exempts the float-to-integer conversions inside its
+	// body, since clamping the operand first is exactly what it is for.
 	MarkBarrier = "//ssvc:barrier"
 )
 

@@ -10,8 +10,8 @@ import (
 // the decomposition of branch conditions into the comparisons that hold
 // along an edge, and the check-then-transfer replay that emits
 // diagnostics at the fixpoint. A rule brings only its lattice, as a
-// flow value: guard facts (dataflow.go), intervals (interval.go), taint
-// masks (taint.go) and durability's must- and may-facts (durability.go).
+// flow value: guard facts (dataflow.go), intervals (interval.go) and
+// durability's must- and may-facts (durability.go).
 
 // flow is one rule's abstract domain over states of type S. States are
 // mutable (maps, or pointers to structs): transfer and leaf update

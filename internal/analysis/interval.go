@@ -38,12 +38,11 @@ import (
 //
 // with decimal (optionally negative) integer bounds and <field>
 // matching one of the names declared on that line. The declared range
-// is an input contract — the control plane's validate barriers reject
-// anything outside it — and the valuerange analyzer proves that
-// arithmetic over declared values cannot wrap or truncate (DESIGN.md
-// invariant 9 documents the rule; taint, invariant 10, enforces that
-// untrusted input actually crosses a barrier before reaching the
-// arithmetic that trusts these declarations).
+// is an input contract — the config Validate methods and admit.Check
+// reject anything outside it, and the admission arithmetic takes only
+// an admit.Req, which only Check builds — and the valuerange analyzer
+// proves that arithmetic over declared values cannot wrap or truncate
+// (DESIGN.md invariant 9 documents the rule).
 const MarkRange = "//ssvc:range"
 
 // ival is one abstract value: every concrete value v satisfies
@@ -418,7 +417,8 @@ type ivCtx struct {
 }
 
 // newIvCtx collects //ssvc:range annotations and //ssvc:barrier
-// function markers from every package the call graph indexed.
+// function markers (the clamping helpers) from every package the call
+// graph indexed.
 // Malformed annotations become diagnostics (fail closed and visible),
 // never silent trust.
 func newIvCtx(p *pass) *ivCtx {

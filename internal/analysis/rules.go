@@ -33,7 +33,6 @@ var Rules = []Rule{
 	{Name: "units", Packages: unitsPackages, perPackage: units},
 	{Name: "durability", Packages: fixed(DurabilityPackages), tree: durability},
 	{Name: "valuerange", Packages: fixed(ValueRangePackages), tree: valueRange},
-	{Name: "taint", Packages: fixed(TaintPackages), tree: taint},
 }
 
 func fixed(rels []string) func(*Loader) ([]string, error) {
@@ -107,25 +106,17 @@ var DurabilityPackages = []string{
 // the admission budget's Frame-scaled cost products, the Eq 1-3
 // schedulability terms, and the datapath shift/mask kernels. Input
 // contracts live on their config structs as //ssvc:range annotations.
-// noc and alloc turn reserved rates into Vticks, so their float
-// conversions must clamp (check 3).
+// noc and alloc turn reserved rates into Vticks, and the daemon parses
+// the line protocol's numbers, so their float conversions must clamp
+// (check 3).
 var ValueRangePackages = []string{
 	"internal/ctlplane",
+	"cmd/ssvc-serve",
 	"internal/glbound",
 	"internal/core",
 	"internal/arb",
 	"internal/noc",
 	"internal/alloc",
-}
-
-// TaintPackages are where untrusted input enters (the TCP line
-// protocol, the on-disk journal) and where it is consumed by the
-// fixed-point arithmetic; the taint analyzer requires a
-// //ssvc:barrier validation on every path from the first to the
-// second (DESIGN.md invariant 10).
-var TaintPackages = []string{
-	"internal/ctlplane",
-	"cmd/ssvc-serve",
 }
 
 // unitsPackages is the whole module except internal/noc, the one place

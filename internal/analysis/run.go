@@ -151,7 +151,7 @@ const MarkAllow = "//ssvc:allow"
 
 // noExceptions are the rules whose proofs hold on the shipped tree with
 // no exception at all.
-var noExceptions = map[string]bool{"durability": true, "valuerange": true, "taint": true}
+var noExceptions = map[string]bool{"durability": true, "valuerange": true}
 
 // excuse drops the findings the //ssvc:allow markers in pkgs excuse and
 // adds a finding for each marker that fails. A marker naming a rule

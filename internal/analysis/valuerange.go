@@ -36,8 +36,8 @@ import (
 //  4. Declared-range stores: writing a value to an annotated field is
 //     flagged only when the value's interval is provably disjoint from
 //     the declaration (lenient by design: config constructors narrow
-//     trusted values into annotated fields, and the barriers validate
-//     at runtime; a provably-disjoint store is a contract violation no
+//     trusted values into annotated fields, and the Validate methods
+//     and admit.Check enforce the ranges at runtime; a provably-disjoint store is a contract violation no
 //     runtime check will save).
 func valueRange(p *pass, pkgs []*Package) {
 	vc := &vrChecker{ivCtx: newIvCtx(p)}

@@ -100,7 +100,7 @@ func (unclocked) NextTick() noc.Cycle { return NeverTick }
 // RestoreState, on an arbiter freshly built from the same configuration,
 // reads it back at cycle now — the cycle the snapshot was taken, against
 // which clocked state is validated. Configuration is never part of the
-// state. RestoreState is a taint barrier: whatever the bytes say, an
+// state. RestoreState is a trust boundary: whatever the bytes say, an
 // arbiter it accepts is one some run of grants and ticks could have left.
 type Stateful interface {
 	AppendState(b []byte) []byte

@@ -87,10 +87,7 @@ type Config struct {
 }
 
 // Validate reports a descriptive error for malformed configurations. It
-// enforces the //ssvc:range bounds declared on the struct and is the
-// taint barrier for externally sourced arbiter configurations.
-//
-//ssvc:barrier
+// enforces the //ssvc:range bounds declared on the struct.
 func (c Config) Validate() error {
 	if c.Radix < 2 || c.Radix > 4096 {
 		return fmt.Errorf("core: radix %d outside [2,4096]", c.Radix)
@@ -238,12 +235,8 @@ func (s *SSVC) Levels() int { return s.levels }
 // Accumulated auxVC state and the LRG order are preserved — surviving
 // flows keep their earned priority and simply tick at the new rate from
 // the next grant on, exactly as the hardware would after an update of
-// the reservation table.
-//
-// It is a taint sink: Vtick vectors must be derived from admitted
-// (validated) reservations, never raw protocol input.
-//
-//ssvc:sink
+// the reservation table. Any Vtick is a valid register value; only the
+// vector's length is checked.
 func (s *SSVC) SetVticks(vt []VTime) error {
 	if len(vt) != s.cfg.Radix {
 		return fmt.Errorf("core: got %d vticks for radix %d", len(vt), s.cfg.Radix)

@@ -2,8 +2,10 @@ package ctlplane
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
+	"swizzleqos/internal/ctlplane/admit"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/glbound"
 	"swizzleqos/internal/noc"
@@ -71,20 +73,18 @@ func (r *Reservation) GrantedVtick() noc.VTime {
 	return noc.VTimeOf(q)
 }
 
-// costOf returns the Frame-unit channel share a request consumes,
-// derived from its Vtick: a PacketLen-flit packet every Vtick cycles.
-// Deriving the cost from the (rounded) Vtick rather than the raw rate
-// makes "sum of admitted Vticks fits the frame" the literal invariant.
-// It is a taint sink: every request reaching it must have crossed a
-// //ssvc:barrier validation (Table.validate) first.
-//
-//ssvc:sink
-func costOf(req FlowReq) uint64 {
-	vt := req.Spec().Vtick().Uint()
+// costOf returns the Frame-unit channel share a checked request
+// consumes, derived from its Vtick: a PacketLen-flit packet every Vtick
+// cycles. Deriving the cost from the (rounded) Vtick rather than the raw
+// rate makes "sum of admitted Vticks fits the frame" the literal
+// invariant. The zero Req has rate 0, hence Vtick 0, and costs nothing.
+func costOf(req admit.Req) uint64 {
+	f := req.Flow()
+	vt := f.Spec().Vtick().Uint()
 	if vt == 0 {
 		return 0
 	}
-	num := Frame * uint64(req.PacketLen)
+	num := Frame * uint64(f.PacketLen)
 	cost := num / vt
 	if num%vt != 0 {
 		cost++ // round up: admission must cover the full Vtick
@@ -129,11 +129,9 @@ type TableConfig struct {
 }
 
 // Validate reports a descriptive error for malformed configurations.
-// It enforces exactly the //ssvc:range contract declared on the struct,
-// which is why it carries the barrier marker: a config that passed here
-// is safe input for the Frame-scaled budget arithmetic.
-//
-//ssvc:barrier
+// It enforces exactly the //ssvc:range contract declared on the struct:
+// a config that passed here is safe input for the Frame-scaled budget
+// arithmetic.
 func (tc TableConfig) Validate() error {
 	if tc.Radix < 2 || tc.Radix > 4096 {
 		return fmt.Errorf("ctlplane: radix %d must be in [2,4096]", tc.Radix)
@@ -212,53 +210,23 @@ func (t *Table) GB(o int) []*Reservation { return t.gb[o] }
 // GL returns output o's GL reservations in admission order.
 func (t *Table) GL(o int) []*Reservation { return t.gl[o] }
 
-// validRate reports whether rate is a usable bandwidth fraction. The
-// accepting form means NaN fails and lands in the rejection, never in
-// the fixed-point budget math.
-//
-//ssvc:barrier
-func validRate(rate float64) bool { return rate > 0 && rate <= 1 }
-
 // validShare reports whether a GB budget share can coexist with the
 // fixed GL share; NaN fails the accepting comparison.
-//
-//ssvc:barrier
 func validShare(share, glShare float64) bool {
 	return share >= 0 && share+glShare <= 1
 }
 
-// validate checks a request against the switch geometry. It is the
-// //ssvc:barrier the taint analyzer requires between the line
-// protocol's parsed fields and the fixed-point cost arithmetic.
-//
-//ssvc:barrier
-func (t *Table) validate(req FlowReq) *Reject {
-	if req.Src < 0 || req.Src >= t.cfg.Radix || req.Dst < 0 || req.Dst >= t.cfg.Radix {
-		return reject(ReasonBadRequest, "ports %d->%d outside radix %d", req.Src, req.Dst, t.cfg.Radix)
+// expiry returns the cycle at which a lease taken at now ends, or 0 for
+// no lease. A lease that would run past the last cycle is refused: its
+// end would wrap, expiring the reservation early or, at 0, never.
+func expiry(lease, now noc.Cycle) (noc.Cycle, *Reject) {
+	if lease == 0 {
+		return 0, nil
 	}
-	if req.Class != noc.GuaranteedBandwidth && req.Class != noc.GuaranteedLatency {
-		return reject(ReasonBadRequest, "class %v is not reservable; only GB and GL pass admission", req.Class)
+	if lease > noc.SatSub(noc.CycleOf(math.MaxUint64), now) {
+		return 0, reject(ReasonBadRequest, "lease %d from cycle %d passes the last cycle", lease.Uint(), now.Uint())
 	}
-	if req.PacketLen < 1 || req.PacketLen > t.cfg.LMax {
-		return reject(ReasonBadRequest, "packet length %d outside [1,%d]", req.PacketLen, t.cfg.LMax)
-	}
-	// Float range checks use the accepting form: NaN fails every ordered
-	// comparison, so a NaN (reachable via the line protocol's ParseFloat)
-	// is rejected here instead of reaching the fixed-point budget math.
-	if !validRate(req.Rate) {
-		return reject(ReasonBadRequest, "rate %g outside (0,1]", req.Rate)
-	}
-	if !(req.Load >= 0 && req.Load <= 1) || req.Users < 0 {
-		return reject(ReasonBadRequest, "load %g must be in [0,1] and users %d non-negative", req.Load, req.Users)
-	}
-	if req.Class == noc.GuaranteedLatency {
-		if req.Latency == 0 || req.Burst < 1 {
-			return reject(ReasonBadRequest, "GL requests need latency=<cycles> and burst>=1")
-		}
-	} else if req.Latency != 0 || req.Burst != 0 {
-		return reject(ReasonBadRequest, "latency/burst are GL-only options")
-	}
-	return nil
+	return now + lease, nil
 }
 
 // retryHint returns the cycles until the earliest lease expiry at
@@ -278,12 +246,18 @@ func (t *Table) retryHint(o int, now noc.Cycle) noc.Cycle {
 	return noc.SatSub(best, now)
 }
 
-// Admit checks a request against the budgets and, if it fits, records
-// the reservation. lease 0 means no expiry.
-func (t *Table) Admit(req FlowReq, lease noc.Cycle, now noc.Cycle) (*Reservation, *Reject) {
-	if rej := t.validate(req); rej != nil {
+// Admit checks a request against the switch geometry and the budgets
+// and, if it fits, records the reservation. lease 0 means no expiry.
+func (t *Table) Admit(f FlowReq, lease noc.Cycle, now noc.Cycle) (*Reservation, *Reject) {
+	checked, err := admit.Check(f, t.cfg.Radix, t.cfg.LMax)
+	if err != nil {
+		return nil, reject(ReasonBadRequest, "%v", err)
+	}
+	expires, rej := expiry(lease, now)
+	if rej != nil {
 		return nil, rej
 	}
+	req := checked.Flow()
 	if t.inDown[req.Src] || t.outDown[req.Dst] {
 		return nil, reject(ReasonPortDown, "port %d->%d has fail-stopped", req.Src, req.Dst)
 	}
@@ -296,7 +270,7 @@ func (t *Table) Admit(req FlowReq, lease noc.Cycle, now noc.Cycle) (*Reservation
 			return nil, reject(ReasonExists, "reservation %d already holds %d->%d/%v", r.ID, req.Src, req.Dst, req.Class)
 		}
 	}
-	cost := costOf(req)
+	cost := costOf(checked)
 	if req.Class == noc.GuaranteedBandwidth {
 		used := t.gbUsed(req.Dst)
 		if noc.SatAdd(used, cost) > t.gbBudget[req.Dst] {
@@ -313,16 +287,13 @@ func (t *Table) Admit(req FlowReq, lease noc.Cycle, now noc.Cycle) (*Reservation
 			rej.RetryAfter = t.retryHint(req.Dst, now)
 			return nil, rej
 		}
-		if rej := t.glCheck(req.Dst, &req); rej != nil {
+		if rej := t.glCheck(req.Dst, &checked); rej != nil {
 			rej.RetryAfter = t.retryHint(req.Dst, now)
 			return nil, rej
 		}
 	}
-	res := &Reservation{ID: t.nextID, Req: req, Cost: cost, GrantedCost: cost}
+	res := &Reservation{ID: t.nextID, Req: req, Cost: cost, GrantedCost: cost, ExpiresAt: expires}
 	t.nextID++
-	if lease > 0 {
-		res.ExpiresAt = now + lease
-	}
 	*set = append(*set, res)
 	t.byID[res.ID] = res
 	if req.Class == noc.GuaranteedBandwidth {
@@ -368,14 +339,16 @@ func (t *Table) Resize(id uint64, rate float64, lease noc.Cycle, setLease bool, 
 	if !ok {
 		return nil, reject(ReasonNotFound, "no reservation %d", id)
 	}
+	newReq, newCost := res.Req, res.Cost
 	if rate != 0 {
-		// Accepting form: a NaN rate must be rejected, not resized to.
-		if !validRate(rate) {
-			return nil, reject(ReasonBadRequest, "rate %g outside (0,1]", rate)
-		}
-		newReq := res.Req
+		// The request is re-checked at its new rate: a NaN rate is
+		// rejected, not resized to.
 		newReq.Rate = rate
-		newCost := costOf(newReq)
+		checked, err := admit.Check(newReq, t.cfg.Radix, t.cfg.LMax)
+		if err != nil {
+			return nil, reject(ReasonBadRequest, "%v", err)
+		}
+		newCost = costOf(checked)
 		if res.Req.Class == noc.GuaranteedBandwidth {
 			used := noc.SatAdd(noc.SatSub(t.gbUsed(res.Req.Dst), res.Cost), newCost)
 			if used > t.gbBudget[res.Req.Dst] {
@@ -393,17 +366,18 @@ func (t *Table) Resize(id uint64, rate float64, lease noc.Cycle, setLease bool, 
 				return nil, rej
 			}
 		}
-		res.Req = newReq
-		res.Cost = newCost
-		res.GrantedCost = newCost
 	}
+	expires := res.ExpiresAt
 	if setLease {
-		if lease == 0 {
-			res.ExpiresAt = 0
-		} else {
-			res.ExpiresAt = now + lease
+		var rej *Reject
+		if expires, rej = expiry(lease, now); rej != nil {
+			return nil, rej
 		}
 	}
+	if rate != 0 {
+		res.Req, res.Cost, res.GrantedCost = newReq, newCost, newCost
+	}
+	res.ExpiresAt = expires
 	if res.Req.Class == noc.GuaranteedBandwidth {
 		t.renormalize(res.Req.Dst)
 	}
@@ -588,11 +562,10 @@ func (t *Table) Vticks(o int, vt []noc.VTime) []noc.VTime {
 // glCheck verifies the Eq. 1-3 guaranteed-latency analysis for output
 // o's GL set plus an optional additional request: the Eq. 1 worst-case
 // wait must fit every member's constraint, and every member's requested
-// burst must fit its Eq. 2-3 budget. Like costOf it is a taint sink:
-// extra must already have passed Table.validate.
-//
-//ssvc:sink
-func (t *Table) glCheck(o int, extra *FlowReq) *Reject {
+// burst must fit its Eq. 2-3 budget. Like costOf it takes the extra
+// request only as admit.Check returned it; the zero Req has packet
+// length 0, which glbound.Params.Validate refuses.
+func (t *Table) glCheck(o int, extra *admit.Req) *Reject {
 	type member struct {
 		latency noc.Cycle
 		burst   int
@@ -603,7 +576,8 @@ func (t *Table) glCheck(o int, extra *FlowReq) *Reject {
 		members = append(members, member{r.Req.Latency, r.Req.Burst, r.Req.PacketLen})
 	}
 	if extra != nil {
-		members = append(members, member{extra.Latency, extra.Burst, extra.PacketLen})
+		f := extra.Flow()
+		members = append(members, member{f.Latency, f.Burst, f.PacketLen})
 	}
 	if len(members) == 0 {
 		return nil
@@ -684,14 +658,11 @@ func (t *Table) State() TableState {
 }
 
 // restore installs a journaled state into a table NewTable has just
-// built. It is the taint barrier between a snapshot record and the
-// admission arithmetic: every index is checked against the radix, every
-// request re-validated and re-costed, and the over-commit invariant (the
-// granted rates fit each budget) recomputed, so a table it accepts is one
-// the commands could have built. Reservations arrive sorted by id, which
-// is admission order: ids only grow.
-//
-//ssvc:barrier
+// built. Every index is checked against the radix, every request
+// re-checked through admit.Check and re-costed, and the over-commit
+// invariant (the granted rates fit each budget) recomputed, so a table
+// it accepts is one the commands could have built. Reservations arrive
+// sorted by id, which is admission order: ids only grow.
 func (t *Table) restore(st TableState) error {
 	if st.Policy > PolicyReject {
 		return fmt.Errorf("ctlplane: unknown policy %d", st.Policy)
@@ -725,8 +696,9 @@ func (t *Table) restore(st TableState) error {
 			return fmt.Errorf("ctlplane: reservation id %d out of order (after %d, next %d)", res.ID, last, st.NextID)
 		}
 		last = res.ID
-		if rej := t.validate(res.Req); rej != nil {
-			return fmt.Errorf("ctlplane: reservation %d: %s", res.ID, rej.Msg)
+		checked, err := admit.Check(res.Req, t.cfg.Radix, t.cfg.LMax)
+		if err != nil {
+			return fmt.Errorf("ctlplane: reservation %d: %v", res.ID, err)
 		}
 		if t.inDown[res.Req.Src] || t.outDown[res.Req.Dst] {
 			return fmt.Errorf("ctlplane: reservation %d holds failed port %d->%d", res.ID, res.Req.Src, res.Req.Dst)
@@ -740,7 +712,7 @@ func (t *Table) restore(st TableState) error {
 				return fmt.Errorf("ctlplane: reservations %d and %d both hold %d->%d/%v", r.ID, res.ID, res.Req.Src, res.Req.Dst, res.Req.Class)
 			}
 		}
-		if want := costOf(res.Req); res.Cost != want || res.GrantedCost > Frame ||
+		if want := costOf(checked); res.Cost != want || res.GrantedCost > Frame ||
 			(res.Req.Class == noc.GuaranteedLatency && res.GrantedCost != want) {
 			return fmt.Errorf("ctlplane: reservation %d costs %d (granted %d), its request %d", res.ID, res.Cost, res.GrantedCost, want)
 		}

@@ -2,8 +2,10 @@ package ctlplane
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"swizzleqos/internal/ctlplane/admit"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
@@ -22,7 +24,11 @@ func checkAdmissionInvariants(tab *Table) error {
 	for o := 0; o < fuzzRadix; o++ {
 		var admitted, granted, gl uint64
 		for _, r := range tab.GB(o) {
-			if want := costOf(r.Req); r.Cost != want {
+			checked, err := admit.Check(r.Req, fuzzRadix, tab.cfg.LMax)
+			if err != nil {
+				return fmt.Errorf("output %d: reservation %d fails its check: %v", o, r.ID, err)
+			}
+			if want := costOf(checked); r.Cost != want {
 				return fmt.Errorf("output %d: reservation %d cost %d, recomputed %d", o, r.ID, r.Cost, want)
 			}
 			if tab.Policy() == PolicyReject && r.GrantedCost != r.Cost {
@@ -180,5 +186,80 @@ func FuzzAdmission(f *testing.F) {
 			data = data[:4096]
 		}
 		driveAdmission(t, data)
+	})
+}
+
+// TestZeroReqIsHarmless pins the one admit.Req that code outside package
+// admit can build without Check: the zero value costs nothing, and the
+// Eq. 1-3 check refuses it, on an empty GL set and on an occupied one.
+func TestZeroReqIsHarmless(t *testing.T) {
+	if c := costOf(admit.Req{}); c != 0 {
+		t.Fatalf("zero Req costs %d Frame units", c)
+	}
+	tab, err := NewTable(TableConfig{Radix: fuzzRadix, LMax: 8, GLBufferFlits: 16, GBShare: 0.8, GLShare: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, rej := tab.Admit(FlowReq{Src: 0, Dst: 1, Class: noc.GuaranteedLatency, Rate: 0.02, PacketLen: 4, Latency: 400, Burst: 1}, 0, 0); rej != nil {
+		t.Fatalf("GL admit rejected: %+v", rej)
+	}
+	for o := 0; o < 2; o++ {
+		if rej := tab.glCheck(o, &admit.Req{}); rej == nil || rej.Reason != ReasonBadRequest {
+			t.Errorf("output %d: glCheck passed the zero Req (rej=%+v)", o, rej)
+		}
+	}
+}
+
+// typedReasons is every Reason a refused command may carry.
+var typedReasons = map[Reason]bool{
+	ReasonBadRequest: true, ReasonExists: true, ReasonNotFound: true, ReasonGBBudget: true,
+	ReasonGLBudget: true, ReasonGLBound: true, ReasonPortDown: true, ReasonFrozen: true, ReasonJournal: true,
+}
+
+// FuzzCommandLine is FuzzAdmission's twin through the parsers: each line
+// of the input goes through ParseCommand and, if it parses, Apply on a
+// plane of fuzzRadix ports, five cycles after the one before. No command
+// may panic or freeze the plane, a refusal must carry a typed Reason, and
+// the admission table must pass the from-scratch oracle after each one.
+//
+//	go test -run '^$' -fuzz FuzzCommandLine ./internal/ctlplane/
+func FuzzCommandLine(f *testing.F) {
+	for _, seed := range []string{
+		"add gb 0 1 rate=0.1 len=4 lease=18446744073709551615",
+		"add gb 0 1 rate=0.1 len=4 users=4611686018427387904",
+		"add gb 0 1 rate=0.1 len=4 users=2147483647", // the largest a 32-bit int parses
+		"add gb 0 1 rate=0.3 len=8 load=0.5\nadd gb 2 1 rate=0.3 len=8 lease=4000\nresize 1 rate=0.2 lease=6000",
+		"add gl 3 1 rate=0.04 len=4 latency=400 burst=2 users=2\nremove 1",
+		"add gb 1 2 rate=0.3 len=8 users=3\nbudget 2 share=0.25\npolicy reject",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := New(SimConfig{Radix: fuzzRadix, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(text, "\n")
+		if len(lines) > 16 {
+			lines = lines[:16]
+		}
+		for _, line := range lines {
+			if err := p.Advance(5); err != nil {
+				t.Fatal(err)
+			}
+			cmd, err := ParseCommand(line)
+			if err != nil {
+				continue
+			}
+			if r := p.Apply(cmd); !r.OK && !typedReasons[r.Reason] {
+				t.Fatalf("%q: untyped refusal %s", line, r)
+			}
+			if err := p.Err(); err != nil {
+				t.Fatalf("%q froze the plane: %v", line, err)
+			}
+			if err := checkAdmissionInvariants(p.Table()); err != nil {
+				t.Fatalf("%q broke the table: %v", line, err)
+			}
+		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"swizzleqos/internal/ctlplane/admit"
 	"swizzleqos/internal/noc"
 )
 
@@ -42,30 +43,9 @@ func (op Op) String() string {
 }
 
 // FlowReq is the client-visible description of a requested reservation.
-type FlowReq struct {
-	Src       int       `json:"src"`
-	Dst       int       `json:"dst"`
-	Class     noc.Class `json:"class"`
-	Rate      float64   `json:"rate"`
-	PacketLen int       `json:"len"` //ssvc:range PacketLen 1..1048576
-
-	// Latency is the GL latency constraint L_n in cycles (Eq. 1-3);
-	// Burst is the requested GL burst sigma in packets. GL only.
-	Latency noc.Cycle `json:"latency,omitempty"`
-	Burst   int       `json:"burst,omitempty"`
-
-	// Users > 0 attaches a closed-loop request/response source with that
-	// population (traffic.ClosedLoop); 0 attaches an open-loop source.
-	Users int `json:"users,omitempty"`
-	// Load is the open-loop offered load in flits/cycle; 0 means offer
-	// exactly the reserved rate.
-	Load float64 `json:"load,omitempty"`
-}
-
-// Spec returns the noc flow contract for the requested reservation.
-func (r FlowReq) Spec() noc.FlowSpec {
-	return noc.FlowSpec{Src: r.Src, Dst: r.Dst, Class: r.Class, Rate: r.Rate, PacketLength: r.PacketLen}
-}
+// It lives in package admit, beside the Check that turns it into the
+// only form the admission arithmetic accepts.
+type FlowReq = admit.FlowReq
 
 // Command is one control-plane mutation. Accepted commands are journaled
 // verbatim with their apply cycle, so the struct is the durable wire
@@ -100,8 +80,6 @@ type Command struct {
 // budget fit, GL schedulability) are the admission table's job; this
 // check guarantees the command's shape and that its floats are not
 // NaN.
-//
-//ssvc:barrier
 func (c Command) Validate() error {
 	switch c.Op {
 	case OpAdd:

@@ -126,10 +126,8 @@ func (c SimConfig) glVtick() noc.VTime {
 
 // Validate reports a descriptive error for malformed configurations;
 // WithDefaults output always passes. Like TableConfig.Validate it is
-// the runtime enforcement of the struct's //ssvc:range contract and so
-// doubles as the taint barrier for journal-decoded headers.
-//
-//ssvc:barrier
+// the runtime enforcement of the struct's //ssvc:range contract, for
+// journal-decoded headers too.
 func (c SimConfig) Validate() error {
 	if err := c.tableConfig().Validate(); err != nil {
 		return err
@@ -534,13 +532,11 @@ func (p *Plane) journalFailed(err error, out []Result, unseen int, now noc.Cycle
 }
 
 // admit validates cmd and runs it through the admission table at cycle
-// now. An accepted command has changed the table and nothing else. It is
-// the taint barrier of the command path: whatever the line protocol or a
-// journal handed in, a command that comes back without a Reject has
-// passed Command.Validate and the table's own range and budget checks,
-// and the change holds only reservations the table built.
-//
-//ssvc:barrier
+// now. An accepted command has changed the table and nothing else:
+// whatever the line protocol or a journal handed in, a command that
+// comes back without a Reject has passed Command.Validate and the
+// table's admit.Check and budget checks, and the change holds only
+// reservations the table built.
 func (p *Plane) admit(cmd *Command, now noc.Cycle) (change, *Reject) {
 	if err := p.Err(); err != nil {
 		return change{}, &Reject{Reason: ReasonFrozen, Msg: err.Error()}

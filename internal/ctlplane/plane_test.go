@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -491,6 +492,9 @@ func TestRejectedCommandsDontDisturb(t *testing.T) {
 						"resize 999 rate=0.5",
 						"budget 99 share=0.5",
 						"add gl 1 1 rate=0.9 len=8 latency=1 burst=99",
+						"add gb 7 6 rate=0.1 len=4 lease=18446744073709551615", // ends past the last cycle
+						"add gb 7 6 rate=0.1 len=4 lease=18446744073709551611",
+						"add gb 7 6 rate=0.1 len=4 users=2147483647", // too many users to allocate
 					} {
 						cmd, err := ParseCommand(bad)
 						if err != nil {
@@ -524,6 +528,40 @@ func TestRejectedCommandsDontDisturb(t *testing.T) {
 	}
 	if !tableStateEqual(clean.Table().State(), noisy.Table().State()) {
 		t.Fatal("rejected commands disturbed the admission table")
+	}
+
+	// Numbers that parse but that the plane cannot honour are bad
+	// requests, in both the add and the resize path: a lease whose end
+	// would wrap past the last cycle (taken at cycle 5, these two would
+	// end at cycle 4 and at 0, which means no lease), and a closed-loop
+	// population too large to allocate.
+	before := clean.Table().State()
+	id := before.Reservations[0].ID
+	for _, bad := range []string{
+		"add gb 7 6 rate=0.1 len=4 lease=18446744073709551615",
+		"add gb 7 6 rate=0.1 len=4 lease=18446744073709551611",
+		fmt.Sprintf("resize %d lease=18446744073709551615", id),
+		fmt.Sprintf("resize %d rate=0.01 lease=18446744073709551611", id),
+		"add gb 7 6 rate=0.1 len=4 users=2147483647",
+		"add gb 7 6 rate=0.1 len=4 users=65537",
+	} {
+		cmd, err := ParseCommand(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := clean.Apply(cmd); r.OK || r.Reason != ReasonBadRequest {
+			t.Errorf("%q at cycle %d: %s, want a bad-request rejection", bad, clean.Now().Uint(), r)
+		}
+	}
+	if !tableStateEqual(before, clean.Table().State()) {
+		t.Fatal("a refused lease or population changed the admission table")
+	}
+	cmd, err := ParseCommand("add gb 7 6 rate=0.1 len=4 users=65536")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := clean.Apply(cmd); !r.OK {
+		t.Fatalf("the largest population refused: %s", r)
 	}
 }
 

@@ -58,11 +58,9 @@ func headerConfig(hdr Record) (SimConfig, error) {
 // (ssvc-serve -replay), the recovery of one no snapshot can restore, and
 // the oracle restoring from a snapshot is tested against.
 //
-// Rebuild is a taint barrier: every journal-decoded value either passes
-// SimConfig.Validate (the header) or re-enters admission through Apply
-// (the commands), so the returned plane holds only validated state.
-//
-//ssvc:barrier
+// Every journal-decoded value either passes SimConfig.Validate (the
+// header) or re-enters admission through Apply (the commands), so the
+// returned plane holds only validated state.
 func Rebuild(recs []Record, ro ReplayOptions) (*Plane, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("ctlplane: empty journal")
@@ -86,10 +84,8 @@ func Rebuild(recs []Record, ro ReplayOptions) (*Plane, error) {
 }
 
 // replay re-executes journal records on the plane, verifying as it goes;
-// first is the journal index of recs[0], for the messages. Like Rebuild
-// it is a barrier: the commands re-enter admission through Apply.
-//
-//ssvc:barrier
+// first is the journal index of recs[0], for the messages. The commands
+// re-enter admission through Apply.
 func (p *Plane) replay(recs []Record, first int) error {
 	for i, rec := range recs {
 		switch rec.Kind {

@@ -54,16 +54,14 @@ func (p *Plane) appendState(b []byte, live []Reservation) ([]byte, error) {
 }
 
 // restore builds the plane a state-carrying snapshot describes, on the
-// configuration of the journal's header. It is the taint barrier of
-// recovery from a snapshot: the table passes Table.restore, every layer
-// checks what it reads against its geometry and against the table, the
-// failed ports must be the ones the fault schedule kills before the
-// snapshot's cycle and the arbiters' Vticks the ones the table grants, and
-// then the plane must encode to the very bytes it was read from and pass
-// verifySnap against the record's own fields. Any error means the
+// configuration of the journal's header. Nothing of the snapshot is
+// trusted: the table passes Table.restore, every layer checks what it
+// reads against its geometry and against the table, the failed ports
+// must be the ones the fault schedule kills before the snapshot's cycle
+// and the arbiters' Vticks the ones the table grants, and then the plane
+// must encode to the very bytes it was read from and pass verifySnap
+// against the record's own fields. Any error means the
 // snapshot is not used; nothing of it survives.
-//
-//ssvc:barrier
 func restore(cfg SimConfig, s *SnapRecord) (*Plane, error) {
 	p, err := New(cfg)
 	if err != nil {

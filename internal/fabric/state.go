@@ -17,7 +17,7 @@ import (
 // are storage, not state, and are never written; nor are a buffer's drain
 // count and the source set's refusal memory, which a restored set starts
 // without (a forgotten refusal costs one try). Every restore function
-// is a taint barrier: it returns an error, and leaves no panic behind for
+// is a trust boundary: it returns an error, and leaves no panic behind for
 // the cycle loop to find, whatever bytes it is given. A value a restore
 // function refused is not to be used.
 

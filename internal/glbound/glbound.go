@@ -32,10 +32,8 @@ type Params struct {
 }
 
 // Validate reports a descriptive error for malformed parameters. It is
-// the runtime enforcement of the //ssvc:range contract above and the
-// taint barrier the control plane's glCheck relies on.
-//
-//ssvc:barrier
+// the runtime enforcement of the //ssvc:range contract above, and the
+// check the control plane's glCheck relies on.
 func (p Params) Validate() error {
 	if p.LMin < 1 || p.LMax < p.LMin || p.LMax > 1<<20 {
 		return fmt.Errorf("glbound: packet lengths must satisfy 1 <= lmin <= lmax <= %d, got lmin=%d lmax=%d", 1<<20, p.LMin, p.LMax)

@@ -6,7 +6,7 @@
 //
 // The encoding is append-only into a caller-owned buffer, so taking a
 // snapshot allocates nothing once the buffer has reached the state's
-// size. The Reader is the restore side's taint barrier in miniature: it
+// size. The Reader is the restore side's trust boundary in miniature: it
 // never panics and never reads past its input, every count and index is
 // read against a bound the caller states, and the first violation sticks
 // — later reads return zeros, and Err reports it — so a restore function
