@@ -66,7 +66,7 @@ bench-arb:
 	$(GO) test ./internal/fabric/ -run 'FuzzOffers|TestClocksMatchEveryCycle|TestSkipMask'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains'
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants|TestSleepingOutputsNeverHideAGrant|TestServeVisitsFollowGrants'
-	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
+	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|SwitchCycleFaults|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ ./internal/traffic/
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): six
@@ -193,6 +193,7 @@ fuzz:
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s
 	$(GO) test ./internal/compose/ -run '^$$' -fuzz FuzzRoutedOffers -fuzztime 30s
+	$(GO) test ./internal/switchsim/ -run '^$$' -fuzz FuzzFaultWalk -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzAdmission -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzCommandLine -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzPlanVsTable -fuzztime 30s

@@ -132,7 +132,7 @@ type acked struct {
 	cycle uint64
 }
 
-var okRE = regexp.MustCompile(`^ok id=(\d+) cycle=(\d+)$`)
+var okRE = regexp.MustCompile(`^ok id=(\d+) cycle=(\d+)(?: vtick=\d+)?$`)
 
 func parseOK(reply string) (id, cycle uint64, ok bool) {
 	m := okRE.FindStringSubmatch(reply)

@@ -361,6 +361,9 @@ type Network struct {
 
 	faults   *faults.Injector
 	portBase []int // flat fault-port id of each node's port 0
+	// Kept by the injector (faults.New), zero without one: terminals, and
+	// outputs by flat port id.
+	deadIn, deadOut, stalled []uint64
 
 	// offers holds every input's standing offer (see arbitrate) and clocks
 	// ticks every arbiter, in node and port order, on their deadlines.
@@ -376,9 +379,9 @@ type Network struct {
 	// Event masks over the flat port ids, which are what a cycle walks:
 	// flat id f is port f-fbase of node portNode[f], and its fault port.
 	// tx: transmitting outputs; cool: outputs that owe the idle cycle
-	// after a transfer; all: every port.
-	portNode      []int32
-	tx, cool, all []uint64
+	// after a transfer.
+	portNode []int32
+	tx, cool []uint64
 	// blocked: sleeping outputs, whose every standing request the
 	// downstream buffer refused (see serve). up[f] is the flat id of the
 	// output linked into input f, -1 at an attachment port: a grant that
@@ -451,11 +454,9 @@ func New(cfg Config) (*Network, error) {
 	net.sources = fabric.NewSources(groups)
 	net.offers = fabric.NewOffers(cfg.Topology.Ports, net.offerOf)
 	words := arb.MaskWords(net.totalPorts)
-	net.tx, net.cool, net.all = make([]uint64, words), make([]uint64, words), make([]uint64, words)
-	net.blocked = make([]uint64, words)
-	for f := 0; f < net.totalPorts; f++ {
-		arb.MaskSet(net.all, f)
-	}
+	net.tx, net.cool, net.blocked = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+	net.deadOut, net.stalled = make([]uint64, words), make([]uint64, words)
+	net.deadIn = make([]uint64, arb.MaskWords(len(cfg.Topology.Terminals)))
 	slots := 2
 	for slots <= cfg.BufferFlits {
 		slots *= 2
@@ -535,11 +536,13 @@ func (n *Network) checkRoutes() error {
 
 // recomputeActive rebuilds the work counts and activePorts from first
 // principles after fault handling has flushed state wholesale, and
-// forgets every barren admission: a fail-stop empties buffers and changes
-// which terminals are dead. A stale offer needs nothing: a schedule has
-// arbitrate re-derive every input before it reads one. Cold path.
+// forgets every barren admission, standing offer (every input is marked)
+// and sleeping output: a fail-stop empties buffers, frees reservations
+// and changes which ports are dead. Cold path.
 func (n *Network) recomputeActive() {
 	n.sources.ForgetSkips()
+	n.offers.Reset()
+	arb.MaskZero(n.blocked)
 	n.activePorts = 0
 	for _, nd := range n.nodes {
 		n.work[nd.id] = 0
@@ -578,7 +581,7 @@ func (n *Network) fail(err error) {
 // port) ids — node n's port p is PortBase(n)+p. A packet whose static
 // route reaches a dead port is discarded at that node. There is no
 // per-flow re-reservation in degraded mode: shared crosspoints cannot
-// tell surviving flows apart (§4.4).
+// tell surviving flows apart (§4.4). The cycle stays the same masked walk.
 func (n *Network) SetFaults(cfg faults.Config) error {
 	if n.now != 0 {
 		return fmt.Errorf("compose: SetFaults after cycle 0 (now=%d)", n.now)
@@ -586,18 +589,13 @@ func (n *Network) SetFaults(cfg faults.Config) error {
 	if err := cfg.Validate(n.Terminals(), n.totalPorts); err != nil {
 		return err
 	}
-	n.faults = faults.New(cfg)
+	n.faults = faults.New(cfg, n.deadIn, n.deadOut, n.stalled)
 	return nil
 }
 
 // FaultTotals returns the injector's fault counters (zero if no schedule
 // is installed).
-func (n *Network) FaultTotals() faults.Counters {
-	if n.faults == nil {
-		return faults.Counters{}
-	}
-	return n.faults.Totals()
-}
+func (n *Network) FaultTotals() faults.Counters { return n.faults.Totals() }
 
 // PortBase returns the flat fault-port id of node's port 0 (see
 // SetFaults).
@@ -697,15 +695,14 @@ func (n *Network) Run(cycles noc.Cycle) {
 // buffers and dead terminals wholesale (recomputeActive). A dead
 // terminal's group always hands its head over, so it is never masked.
 // SkippedAdmits counts the groups with an empty queue, whatever the mask
-// says, and stays zero under a fault schedule, whose cycle is the
-// full-walk reference of the idle-skipping tests.
+// says.
 //
 //ssvc:hotpath
 func (n *Network) admit(now noc.Cycle) {
 	try := func(p *noc.Packet) bool {
 		// A fail-stopped terminal generates into a dead attachment port:
 		// accept and discard so the source queue cannot grow unbounded.
-		if n.faults != nil && n.faults.InputDead(p.Src) {
+		if arb.MaskHas(n.deadIn, p.Src) {
 			n.dropPkt(p)
 			return true
 		}
@@ -731,9 +728,7 @@ func (n *Network) admit(now noc.Cycle) {
 			}
 		}
 	}
-	if n.faults == nil {
-		n.SkippedAdmits += uint64(n.sources.Groups() - queued)
-	}
+	n.SkippedAdmits += uint64(n.sources.Groups() - queued)
 }
 
 // complete tears down the channel at flat id f of node nd: the input may
@@ -791,11 +786,18 @@ func (n *Network) abortTx(nd *node, out int) {
 	arb.MaskClear(n.tx, nd.fbase+out)
 	arb.MaskClear(n.slot(n.due[nd.fbase+out]), nd.fbase+out)
 	n.txPool.Put(tx)
+	n.unreserve(nd, out, pkt.Length)
+	n.dropPkt(pkt)
+}
+
+// unreserve returns the downstream space a transmission on output out of
+// nd had claimed, and wakes the output that feeds that buffer.
+func (n *Network) unreserve(nd *node, out, length int) {
 	if nd.hasNext[out] {
 		next := nd.next[out]
-		n.nodes[next.Node].in[next.Port].Unreserve(pkt.Length)
+		n.nodes[next.Node].in[next.Port].Unreserve(length)
+		arb.MaskClear(n.blocked, nd.fbase+out)
 	}
-	n.dropPkt(pkt)
 }
 
 // slot returns the completion calendar's mask for cycle c.
@@ -821,28 +823,18 @@ func (n *Network) file(f int, now noc.Cycle, length int) {
 // the transmissions whose last flit that was, the outputs filed in the
 // calendar's slot for now, in ascending node and port order. Nothing is
 // filed in that slot meanwhile (a grant files at least one cycle ahead,
-// and no grant runs here), so draining it word by word is exact. Under a
-// fault schedule every transmitting output first asks StallOutput, in
-// the same order: a stalled link moves nothing, and its completion moves
-// one slot later.
+// and no grant runs here), so draining it word by word is exact. A
+// stalled transmitting output moves nothing, and its completion moves one
+// slot later.
 //
 //ssvc:hotpath
 func (n *Network) transfer(now noc.Cycle) {
-	if n.faults == nil {
-		for _, m := range n.tx {
-			n.DataCycles += uint64(bits.OnesCount64(m))
-		}
-	} else {
-		for w, mm := range n.tx {
-			for ; mm != 0; mm &= mm - 1 {
-				f := w<<6 + bits.TrailingZeros64(mm)
-				if !n.faults.StallOutput(now, f) {
-					n.DataCycles++
-					continue
-				}
-				arb.MaskClear(n.slot(n.due[f]), f)
-				n.file(f, n.due[f], 1)
-			}
+	for w, mm := range n.tx {
+		n.DataCycles += uint64(bits.OnesCount64(mm &^ n.stalled[w]))
+		for mm &= n.stalled[w]; mm != 0; mm &= mm - 1 {
+			f := w<<6 + bits.TrailingZeros64(mm)
+			arb.MaskClear(n.slot(n.due[f]), f)
+			n.file(f, n.due[f], 1)
 		}
 	}
 	slot := n.slot(now)
@@ -868,10 +860,7 @@ func (n *Network) finish(f int, now noc.Cycle) {
 	// corrupted hop is NACKed back to the upstream queue head
 	// (reservation released) or dropped once out of retries.
 	if n.faults != nil && n.faults.CorruptArrival(pkt) {
-		if nd.hasNext[port] {
-			next := nd.next[port]
-			n.nodes[next.Node].in[next.Port].Unreserve(pkt.Length)
-		}
+		n.unreserve(nd, port, pkt.Length)
 		if n.faults.Retry(now, pkt) {
 			nd.in[from].PushFront(pkt)
 			n.push(nd, from)
@@ -895,35 +884,35 @@ func (n *Network) finish(f int, now noc.Cycle) {
 
 // arbitrate re-derives the marked offers (fabric.Offers), then serves
 // the outputs leaving a cooldown or holding an offer, less the ones
-// transmitting, in ascending node and port order; a sleeping one (see
-// serve) only counts its idle cycle. The rest are idle and are counted
-// unvisited, as the walk over all ports counted them. A fault
-// schedule widens both masks to every port (HoldUntil makes an offer
-// depend on now; dead and stalled outputs have rules of their own) and
-// skips nothing. The refresh runs after transfer, so an input freed this
-// cycle can be granted this cycle. No input is marked here and serve
-// touches only its own output's bits, so the per-word snapshots are this
-// cycle's sets.
+// transmitting and the stalled ones, in ascending node and port order; a
+// sleeping one (see serve) only counts its idle cycle, a dead one only
+// discards what is offered to it. The rest are idle and counted unvisited,
+// but for the halted (dead or stalled) ones, idle or skipped in no count.
+// The refresh runs after transfer, so an input freed this cycle can be
+// granted this cycle. No input is marked here and serve touches only its
+// own output's bits, so the per-word snapshots are this cycle's sets.
 //
 //ssvc:hotpath
 func (n *Network) arbitrate(now noc.Cycle) {
-	set := n.offers.Dirty()
-	if n.faults != nil {
-		set = n.all
-	}
-	n.offers.Refresh(set, now)
+	n.offers.Refresh(n.offers.Dirty(), now)
 	if n.afterRefresh != nil {
 		n.afterRefresh(now)
 	}
 	offered := n.offers.Offered()
 	idle, skipped := n.totalPorts, n.totalPorts-n.activePorts
 	for w := range n.tx {
-		visit := n.cool[w] | offered[w]
-		idle -= bits.OnesCount64(visit | n.tx[w])
-		if n.faults != nil {
-			visit = n.all[w]
+		halted := n.deadOut[w] | n.stalled[w]
+		idle -= bits.OnesCount64(n.cool[w] | offered[w] | n.tx[w] | halted)
+		// A halted port of a node with no work is no skipped idle cycle.
+		for ; halted != 0; halted &= halted - 1 {
+			if n.work[n.portNode[w<<6+bits.TrailingZeros64(halted)]] == 0 {
+				skipped--
+			}
 		}
-		for visit &^= n.tx[w]; visit != 0; visit &= visit - 1 {
+	}
+	for w := range n.tx {
+		visit := n.cool[w] | offered[w]
+		for visit &^= n.tx[w] | n.stalled[w]&^n.deadOut[w]; visit != 0; visit &= visit - 1 {
 			if n.err != nil {
 				return
 			}
@@ -937,16 +926,15 @@ func (n *Network) arbitrate(now noc.Cycle) {
 			n.serve(w<<6+bits.TrailingZeros64(visit), now)
 		}
 	}
-	if n.faults == nil {
-		n.IdleCycles += uint64(idle)
-		n.SkippedOutputs += uint64(skipped)
-	}
+	n.IdleCycles += uint64(idle)
+	n.SkippedOutputs += uint64(skipped)
 }
 
 // offerOf is the network's one question to its standing offers: what
 // the input at flat id f offers at cycle now. An idle input offers its
 // head, unless the head sits out a retransmission backoff, to the output
-// the head routes to.
+// the head routes to. A held head marks f, so its offer is re-derived
+// every cycle until the deadline.
 //
 //ssvc:hotpath
 func (n *Network) offerOf(f int, now noc.Cycle) (int, arb.Request, bool) {
@@ -956,7 +944,11 @@ func (n *Network) offerOf(f int, now noc.Cycle) (int, arb.Request, bool) {
 		return 0, arb.Request{}, false
 	}
 	p := nd.in[port].Head()
-	if p == nil || p.HoldUntil > now {
+	if p == nil {
+		return 0, arb.Request{}, false
+	}
+	if p.HoldUntil > now {
+		n.offers.Mark(f)
 		return 0, arb.Request{}, false
 	}
 	out := nd.fbase + int(nd.route[p.Dst])
@@ -967,31 +959,31 @@ func (n *Network) offerOf(f int, now noc.Cycle) (int, arb.Request, bool) {
 // serve spends the cycle of the idle output at flat id f: it leaves
 // its cooldown, or arbitrates among its standing offers, less those the
 // downstream buffer has no room for. An output whose every offer that
-// buffer refuses falls asleep (blocked) until the buffer pops or a new
-// offer is derived at it; no output sleeps under a fault schedule,
-// where retries, unreserves and flushes also free buffer space.
+// buffer refuses falls asleep (blocked) until the buffer frees space (a
+// pop, an unreserve, a fail-stop's flush) or a new offer is derived at
+// it.
 //
 //ssvc:hotpath
 func (n *Network) serve(f int, now noc.Cycle) {
 	n.serves++
 	nd := n.nodes[n.portNode[f]]
 	out := f - nd.fbase
-	if n.faults != nil {
-		if n.faults.OutputDead(f) {
-			// The static route dead-ends here: discard what is offered,
-			// so upstream buffers keep draining toward the fault point,
-			// but only now, after the lower nodes' arbitrations.
-			for _, r := range n.offers.Requests(f, n.arbReqs[:0]) {
-				n.offers.Withdraw(nd.fbase + r.Input)
-				n.dropPkt(nd.in[r.Input].Pop())
-				n.subWork(nd)
-				n.sources.Unskip(nd.groups[r.Input]...)
+	if arb.MaskHas(n.deadOut, f) {
+		// The static route dead-ends here: discard what is offered, so
+		// upstream buffers keep draining toward the fault point, but only
+		// now, after the lower nodes' arbitrations. Each pop wakes the
+		// output feeding that buffer and brings up the next head.
+		for _, r := range n.offers.Requests(f, n.arbReqs[:0]) {
+			n.offers.Withdraw(nd.fbase + r.Input)
+			n.offers.Mark(nd.fbase + r.Input)
+			n.dropPkt(nd.in[r.Input].Pop())
+			n.subWork(nd)
+			n.sources.Unskip(nd.groups[r.Input]...)
+			if u := n.up[nd.fbase+r.Input]; u >= 0 {
+				arb.MaskClear(n.blocked, int(u))
 			}
-			return
 		}
-		if n.faults.StallOutput(now, f) {
-			return
-		}
+		return
 	}
 	if arb.MaskHas(n.cool, f) {
 		arb.MaskClear(n.cool, f)
@@ -1011,7 +1003,7 @@ func (n *Network) serve(f int, now noc.Cycle) {
 				kept = append(kept, r)
 			}
 		}
-		if len(kept) == 0 && n.faults == nil {
+		if len(kept) == 0 {
 			arb.MaskSet(n.blocked, f)
 		}
 		reqs = kept

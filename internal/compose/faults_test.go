@@ -3,6 +3,7 @@ package compose
 import (
 	"testing"
 
+	"swizzleqos/internal/arb"
 	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
@@ -100,6 +101,42 @@ func TestComposeDeadEjectionPortDropsItsTraffic(t *testing.T) {
 	}
 	if n.Dropped == 0 {
 		t.Fatal("no drops counted at the dead port")
+	}
+}
+
+// TestDeadOutputDropsItsCooldown kills an ejection port in the cycle
+// after it completed a transmission. A completion's idle cycle is spent
+// in the cycle of the completion (transfer, then arbitrate), so no
+// cooldown outlives it into the fail-stop: the node drains to no work and
+// its ports are skipped again.
+func TestDeadOutputDropsItsCooldown(t *testing.T) {
+	deadPort := -1
+	build := func(cfg faults.Config) *Network {
+		n := mustClos(t, 2, 4, 4)
+		deadPort = n.PortBase(0) + 1 // terminal 1's ejection port at leaf 0
+		if err := n.SetFaults(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var seq traffic.Sequence
+		spec := noc.FlowSpec{Src: 2, Dst: 1, Class: noc.BestEffort, PacketLength: 4}
+		addFlow(t, n, spec, traffic.NewTrace(&seq, spec, []noc.Cycle{0}))
+		return n
+	}
+	twin := build(faults.Config{})
+	for twin.Delivered == 0 {
+		if twin.now > 100 {
+			t.Fatal("the ejection port never completed a transmission")
+		}
+		twin.Step()
+	}
+	n := build(faults.Config{FailStops: []faults.FailStop{{Port: deadPort, At: twin.now}}})
+	n.Run(twin.now + 20)
+	if arb.MaskHas(n.cool, deadPort) || n.work[0] != 0 || n.activePorts != 0 {
+		t.Fatalf("after the drain: cooldown %v, leaf 0 work %d, active ports %d; want false, 0, 0",
+			arb.MaskHas(n.cool, deadPort), n.work[0], n.activePorts)
+	}
+	if n.Delivered != 1 {
+		t.Fatalf("delivered %d packets, want the one that completed before the fail-stop", n.Delivered)
 	}
 }
 

@@ -56,8 +56,16 @@ func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 			if arb.MaskHas(n.cool, f) {
 				work++
 			}
-			if arb.MaskHas(n.offers.Dirty(), f) {
-				t.Fatalf("cycle %d: node %d input %d is still dirty after the refresh", now, nd.id, port)
+			// Only an idle input whose head sits out a backoff stays
+			// marked, to be asked again next cycle; a dead output owes no
+			// idle cycle.
+			held := !nd.inBusy[port] && nd.in[port].Head() != nil && nd.in[port].Head().HoldUntil > now
+			if arb.MaskHas(n.offers.Dirty(), f) != held {
+				t.Fatalf("cycle %d: node %d input %d: dirty after the refresh %v, held head %v",
+					now, nd.id, port, arb.MaskHas(n.offers.Dirty(), f), held)
+			}
+			if arb.MaskHas(n.cool, f) && arb.MaskHas(n.deadOut, f) {
+				t.Fatalf("cycle %d: node %d output %d is dead and cooling", now, nd.id, port)
 			}
 		}
 		for out := range nd.out {
@@ -84,9 +92,9 @@ func scanOffers(t *testing.T, n *Network, now noc.Cycle) {
 	if n.activePorts != activePorts {
 		t.Fatalf("cycle %d: activePorts %d, recount %d", now, n.activePorts, activePorts)
 	}
-	for _, m := range [][]uint64{n.tx, n.cool, n.offers.Offered()} {
-		for w := range m {
-			if m[w]&^n.all[w] != 0 {
+	for _, m := range [][]uint64{n.tx, n.cool, n.offers.Offered(), n.blocked} {
+		for f := n.totalPorts; f < len(m)*64; f++ {
+			if arb.MaskHas(m, f) {
 				t.Fatalf("cycle %d: a bit is set past the last port", now)
 			}
 		}

@@ -19,17 +19,36 @@ import (
 // whose outcome is known. What they skip survives here as the oracle: a
 // serial cycle over the same Network state that asks Topology.Route for
 // every head every cycle, has every idle output scan every head for the
-// ones routed to it, calls AdmitGroup on every group with a queued packet
-// (every group at all under a fault schedule), and moves every
-// transmission one flit a cycle, finishing it when its Remaining count
-// runs out. What happens once a transmission ends (Network.finish), the
-// arbiter clock and fail-stop handling are not what the engine changed
-// and are shared.
+// ones routed to it, calls AdmitGroup on every group with a queued packet,
+// and moves every transmission one flit a cycle, finishing it when its
+// Remaining count runs out. It reads the stall windows from the schedule
+// itself, port by port as it visits, and counts the live stalled
+// output-cycles it meets (stalls), where the engine reads the injector's
+// mask and the injector counts in bulk. What happens once a transmission
+// ends (Network.finish), the arbiter clock and fail-stop handling are not
+// what the engine changed and are shared.
 type scanOracle struct {
 	n      *Network
 	heads  []*noc.Packet
 	routes []int
 	reqs   []arb.Request
+	stalls uint64
+}
+
+// halted reports whether output f moves nothing and grants nothing in
+// cycle now, counting the cycle of a live stalled one.
+func (o *scanOracle) halted(f int, now noc.Cycle) bool {
+	n := o.n
+	if n.faults == nil || arb.MaskHas(n.deadOut, f) {
+		return n.faults != nil
+	}
+	for _, w := range n.faults.Config().Stalls {
+		if w.Port == f && now >= w.From && now < w.Until {
+			o.stalls++
+			return true
+		}
+	}
+	return false
 }
 
 // newScanOracle sizes the oracle's scratch for n's widest node.
@@ -69,7 +88,7 @@ func (o *scanOracle) inject(now noc.Cycle) {
 	n := o.n
 	n.Injected += n.sources.Generate(now)
 	try := func(p *noc.Packet) bool {
-		if n.faults != nil && n.faults.InputDead(p.Src) {
+		if n.faults != nil && arb.MaskHas(n.deadIn, p.Src) {
 			n.dropPkt(p)
 			return true
 		}
@@ -82,12 +101,6 @@ func (o *scanOracle) inject(now noc.Cycle) {
 		n.Admitted++
 		n.push(nd, at.Port)
 		return true
-	}
-	if n.faults != nil {
-		for g := 0; g < n.sources.Groups(); g++ {
-			n.sources.AdmitGroup(g, try)
-		}
-		return
 	}
 	visited := 0
 	for w, mm := range n.sources.NonEmptyMask() {
@@ -102,14 +115,14 @@ func (o *scanOracle) inject(now noc.Cycle) {
 }
 
 // transfer is the per-flit walk: every transmitting output, in ascending
-// node and port order, asks StallOutput under a fault schedule, moves one
-// flit unless stalled, and finishes on its last.
+// node and port order, moves one flit unless halted, and finishes on its
+// last.
 func (o *scanOracle) transfer(now noc.Cycle) {
 	n := o.n
 	for w, mm := range n.tx {
 		for ; mm != 0; mm &= mm - 1 {
 			f := w<<6 + bits.TrailingZeros64(mm)
-			if n.faults != nil && n.faults.StallOutput(now, f) {
+			if o.halted(f, now) {
 				continue
 			}
 			nd := n.nodes[n.portNode[f]]
@@ -122,29 +135,25 @@ func (o *scanOracle) transfer(now noc.Cycle) {
 	}
 }
 
+// arbitrate visits every node with work; the ports of the others are
+// idle and skipped, but for the halted ones.
 func (o *scanOracle) arbitrate(now noc.Cycle) {
 	n := o.n
-	if n.faults != nil {
-		for _, nd := range n.nodes {
-			if n.err != nil {
-				return
-			}
-			o.arbitrateNode(nd, now)
-		}
-		return
-	}
-	visitedPorts := 0
+	skipped := uint64(0)
 	for _, nd := range n.nodes {
-		if n.work[nd.id] == 0 {
-			continue
-		}
 		if n.err != nil {
 			return
 		}
-		o.arbitrateNode(nd, now)
-		visitedPorts += len(nd.out)
+		if n.work[nd.id] > 0 {
+			o.arbitrateNode(nd, now)
+			continue
+		}
+		for out := range nd.out {
+			if !o.halted(nd.fbase+out, now) {
+				skipped++
+			}
+		}
 	}
-	skipped := uint64(n.totalPorts - visitedPorts)
 	n.IdleCycles += skipped
 	n.SkippedOutputs += skipped
 }
@@ -164,7 +173,7 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 			continue
 		}
 		route := n.cfg.Topology.Route(nd.id, p.Dst)
-		if n.faults != nil && n.faults.OutputDead(n.portBase[nd.id]+route) {
+		if n.faults != nil && arb.MaskHas(n.deadOut, n.portBase[nd.id]+route) {
 			n.dropPkt(nd.in[port].Pop())
 			n.subWork(nd)
 			continue
@@ -176,7 +185,7 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 		if nd.out[out] != nil {
 			continue
 		}
-		if n.faults != nil && (n.faults.OutputDead(n.portBase[nd.id]+out) || n.faults.StallOutput(now, n.portBase[nd.id]+out)) {
+		if o.halted(nd.fbase+out, now) {
 			continue
 		}
 		if arb.MaskHas(n.cool, nd.fbase+out) {
@@ -409,7 +418,7 @@ func skippedGroups(t *testing.T, n *Network) int {
 		admissible := false
 		got := n.sources.AdmitGroup(g, func(p *noc.Packet) bool {
 			at := n.cfg.Topology.Terminals[p.Src]
-			if (n.faults != nil && n.faults.InputDead(p.Src)) || n.nodes[at.Node].in[at.Port].CanAccept(p.Length) {
+			if (n.faults != nil && arb.MaskHas(n.deadIn, p.Src)) || n.nodes[at.Node].in[at.Port].CanAccept(p.Length) {
 				admissible = true
 			}
 			return false
@@ -484,6 +493,9 @@ func TestBucketsMatchScan(t *testing.T) {
 						}
 						if n.FaultTotals() != want.net.FaultTotals() {
 							t.Errorf("fault counters diverge:\n got %+v\nwant %+v", n.FaultTotals(), want.net.FaultTotals())
+						}
+						if oracle.stalls != n.FaultTotals().StallCycles {
+							t.Errorf("the injector counted %d stall cycles, the oracle met %d", n.FaultTotals().StallCycles, oracle.stalls)
 						}
 						if fault == "real" && (n.FaultTotals().Retransmissions == 0 || n.FaultTotals().StallCycles == 0 || n.Dropped == 0) {
 							t.Errorf("the fault schedule did not bite: %+v, %d dropped", n.FaultTotals(), n.Dropped)

@@ -142,12 +142,20 @@ type Result struct {
 	// (the earliest lease expiry at the contended output); 0 = no hint.
 	RetryAfter noc.Cycle
 	Msg        string
+	// Vtick is what an accepted add or resize programmed: the
+	// reservation's GrantedVtick, the virtual-clock increment its flow is
+	// charged per packet. 0 for every other command.
+	Vtick noc.VTime
 }
 
 // String renders the line-protocol response.
 func (r Result) String() string {
 	if r.OK {
-		return fmt.Sprintf("ok id=%d cycle=%d", r.ID, r.Cycle.Uint())
+		s := fmt.Sprintf("ok id=%d cycle=%d", r.ID, r.Cycle.Uint())
+		if r.Vtick > 0 {
+			s += fmt.Sprintf(" vtick=%d", r.Vtick.Uint())
+		}
+		return s
 	}
 	s := fmt.Sprintf("err reason=%s cycle=%d", r.Reason, r.Cycle.Uint())
 	if r.RetryAfter > 0 {

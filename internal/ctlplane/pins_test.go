@@ -148,7 +148,7 @@ func pinnedRuns() []pinnedRun {
 			total: 12000,
 			hash:  0x3880a7951b85052e,
 			deliv: 2633,
-			ctr:   fabric.Counters{Injected: 0xac8, Admitted: 0xa58, Delivered: 0xa49, Dropped: 0x4c, ArbCycles: 0x143f, IdleCycles: 0xfe18, DataCycles: 0x5121, SkippedOutputs: 0x0, SkippedAdmits: 0x0},
+			ctr:   fabric.Counters{Injected: 0xac8, Admitted: 0xa58, Delivered: 0xa49, Dropped: 0x4c, ArbCycles: 0x143f, IdleCycles: 0xfe18, DataCycles: 0x5121, SkippedOutputs: 0xfe18, SkippedAdmits: 0x15e98},
 		},
 	}
 }

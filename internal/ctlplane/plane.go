@@ -501,7 +501,11 @@ func (p *Plane) ApplyAll(cmds []Command, out []Result) []Result {
 		}
 		p.materialize(cmd, ch)
 		p.pending = append(p.pending, len(out))
-		out = append(out, Result{ID: ch.id(), Cycle: now})
+		r := Result{ID: ch.id(), Cycle: now}
+		if cmd.Op == OpAdd || cmd.Op == OpResize {
+			r.Vtick = ch.res.GrantedVtick()
+		}
+		out = append(out, r)
 	}
 	if p.jr != nil {
 		if err := p.jr.Sync(); err != nil {

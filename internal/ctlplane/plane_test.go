@@ -602,3 +602,30 @@ func TestLeaseExpiryFreesBudget(t *testing.T) {
 		t.Fatalf("post-expiry add rejected: %s", r)
 	}
 }
+
+// TestReplyCarriesVtick: an accepted add or resize replies with the Vtick
+// the arbiter is programmed with, the ceiling of Frame*L over the granted
+// cost, so a client sees the rounding its reservation got (0.60 at L = 4
+// entitles 4/7 = 0.571 of the channel); other replies carry none.
+func TestReplyCarriesVtick(t *testing.T) {
+	p, err := New(SimConfig{Radix: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ line, want string }{
+		{"add gb 0 1 rate=0.6 len=4", "ok id=1 cycle=0 vtick=7"},
+		{"add gl 2 1 rate=0.04 len=4 latency=400 burst=2", "ok id=2 cycle=0 vtick=100"},
+		{"resize 1 rate=0.35", "ok id=1 cycle=0 vtick=11"},
+		{"resize 1 lease=500", "ok id=1 cycle=0 vtick=11"},
+		{"remove 2", "ok id=2 cycle=0"},
+		{"budget 1 share=0.5", "ok id=0 cycle=0"},
+	} {
+		cmd, err := ParseCommand(c.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Apply(cmd).String(); got != c.want {
+			t.Errorf("%q: reply %q, want %q", c.line, got, c.want)
+		}
+	}
+}

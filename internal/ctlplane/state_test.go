@@ -50,10 +50,19 @@ const oracleScript = `
 
 const oracleTotal = noc.Cycle(12000)
 
+// oracleConfig is the oracle script's plane. With faults it runs a live
+// schedule whose every fault is in force across a snapshot (every 1000
+// cycles): CRC corruption whose retries back off for 300 cycles and more,
+// so held heads cross snapshots; stall windows over the snapshots at 3000
+// and 6000; and an input fail-stop from 7000 on.
 func oracleConfig(withFaults bool) SimConfig {
 	cfg := SimConfig{Radix: 8, Seed: 5, SnapEvery: 1000, Degrade: true}
 	if withFaults {
-		cfg.Faults = &faults.Config{Seed: 9, FailStops: []faults.FailStop{{Input: true, Port: 4, At: 7000}}}
+		cfg.Faults = &faults.Config{
+			Seed: 9, CorruptProb: 0.02, BackoffBase: 300, BackoffCap: 700,
+			Stalls:    []faults.StallWindow{{Port: 1, From: 2600, Until: 3400}, {Port: 3, From: 5900, Until: 6050}},
+			FailStops: []faults.FailStop{{Input: true, Port: 4, At: 7000}},
+		}
 	}
 	return cfg
 }
@@ -180,6 +189,11 @@ func TestRestoreEqualsReplay(t *testing.T) {
 			}
 			if want := int(oracleTotal/1000) + 1; snaps != want {
 				t.Fatalf("%d snapshots in the journal, want %d", snaps, want)
+			}
+			// Forty retries of at least 300 cycles over 12000 leave some
+			// head in backoff across a snapshot.
+			if tot := live.sw.FaultTotals(); withFaults && (tot.Retransmissions < 40 || tot.StallCycles != 950) {
+				t.Fatalf("the live schedule did not bite: %+v", tot)
 			}
 		})
 	}

@@ -60,10 +60,11 @@ func NewOffers(ports []int, offer func(in int, now noc.Cycle) (out int, req arb.
 //ssvc:hotpath
 func (o *Offers) Mark(in int) { arb.MaskSet(o.dirty, in) }
 
-// Refresh re-derives the offer of every input in set, then forgets every
-// mark. set is the engine's choice: the marks themselves (Dirty), some of
-// them, or more. An offer re-derived at the output it stands at only
-// replaces its request; one that moved or vanished is withdrawn.
+// Refresh forgets every mark and re-derives the offer of every input in
+// set, whose offer function may mark it again for the next Refresh. set
+// is the engine's choice: the marks themselves (Dirty), some of them, or
+// more. An offer re-derived at the output it stands at only replaces its
+// request; one that moved or vanished is withdrawn.
 //
 //ssvc:hotpath
 func (o *Offers) Refresh(set []uint64, now noc.Cycle) {

@@ -21,17 +21,23 @@
 //     flows' reserved bandwidth is redistributed to surviving GB flows
 //     (see Redistribute and core.SSVC.SetVticks).
 //
+// Every fault is an event with a cycle, so an engine walks one masked
+// cycle with or without a schedule: BeginCycle fires the fail-stops and
+// stall-window edges due and keeps the engine's dead and stalled port
+// masks. A retried packet's backoff (HoldUntil) is the engine's to watch:
+// its input re-derives its offer every cycle until the deadline.
+//
 // An Injector is owned by exactly one engine instance and consumes only
 // its own RNG stream, so parallel sweeps stay byte-identical at any
-// worker count. Every engine fault check is guarded by a nil test: an
-// engine with no injector configured is bit-for-bit identical to one
-// built before this package existed, and allocates nothing extra.
+// worker count.
 package faults
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
+	"swizzleqos/internal/arb"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
 	"swizzleqos/internal/wire"
@@ -105,15 +111,23 @@ type Injector struct {
 	cfg  Config
 	rng  *traffic.RNG
 	rest []FailStop // pending fail-stops, sorted by At
-	dead map[int]struct{}
+
+	// edge is the next cycle a stall window opens or closes: the stall
+	// mask changes there and only there.
+	edge noc.Cycle
+	// The engine's port masks BeginCycle keeps (see New).
+	deadIn, deadOut, stalled []uint64
 
 	// Counters is exported state; engines surface it via FaultTotals.
 	Counters
 }
 
-// New returns an injector for the given schedule. Fail-stops fire in At
-// order (ties in listed order).
-func New(cfg Config) *Injector {
+// New returns an injector for the given schedule that keeps the engine's
+// all-zero port masks: fail-stopped inputs, fail-stopped outputs and the
+// outputs a stall window covers in the cycle of the last BeginCycle (an
+// output halts while dead or stalled). Fail-stops fire in At order (ties
+// in listed order).
+func New(cfg Config, deadIn, deadOut, stalled []uint64) *Injector {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
@@ -127,10 +141,12 @@ func New(cfg Config) *Injector {
 	copy(rest, cfg.FailStops)
 	sort.SliceStable(rest, func(i, j int) bool { return rest[i].At < rest[j].At })
 	return &Injector{
-		cfg:  cfg,
-		rng:  traffic.NewRNG(cfg.Seed),
-		rest: rest,
-		dead: make(map[int]struct{}, len(rest)),
+		cfg:     cfg,
+		rng:     traffic.NewRNG(cfg.Seed),
+		rest:    rest,
+		deadIn:  deadIn,
+		deadOut: deadOut,
+		stalled: stalled,
 	}
 }
 
@@ -138,33 +154,56 @@ func New(cfg Config) *Injector {
 // filled in).
 func (in *Injector) Config() Config { return in.cfg }
 
-// Totals returns a copy of the fault counter block.
-func (in *Injector) Totals() Counters { return in.Counters }
+// Totals returns a copy of the fault counter block; a nil injector (no
+// schedule) counts nothing.
+func (in *Injector) Totals() Counters {
+	if in == nil {
+		return Counters{}
+	}
+	return in.Counters
+}
 
 // BeginCycle fires every fail-stop scheduled at or before now, marking
-// the ports dead, and returns the batch that fired this cycle so the
-// engine can flush state for them (buffers, in-flight transmissions,
-// arbiter reservations). The returned slice aliases internal storage and
-// is valid until the next call; in fault-free cycles it is nil and the
-// call does no work and allocates nothing.
+// the ports dead, re-derives the stall mask if a window edge has come,
+// and counts one StallCycle per live stalled output. It returns the
+// fail-stops that fired so the engine can flush state for them (buffers,
+// in-flight transmissions, arbiter reservations); the slice aliases
+// internal storage. The call allocates nothing.
 func (in *Injector) BeginCycle(now noc.Cycle) []FailStop {
-	if len(in.rest) == 0 || in.rest[0].At > now {
-		return nil
-	}
 	n := 0
 	for n < len(in.rest) && in.rest[n].At <= now {
-		in.dead[key(in.rest[n].Input, in.rest[n].Port)] = struct{}{}
+		if f := in.rest[n]; f.Input {
+			arb.MaskSet(in.deadIn, f.Port)
+		} else {
+			arb.MaskSet(in.deadOut, f.Port)
+		}
 		n++
 	}
-	fired := in.rest[:n]
+	if now >= in.edge {
+		in.edge = arb.NeverTick
+		arb.MaskZero(in.stalled)
+		for _, w := range in.cfg.Stalls {
+			switch {
+			case w.From > now:
+				in.edge = min(in.edge, w.From)
+			case w.Until > now:
+				arb.MaskSet(in.stalled, w.Port)
+				in.edge = min(in.edge, w.Until)
+			}
+		}
+	}
+	for w, m := range in.stalled {
+		in.StallCycles += uint64(bits.OnesCount64(m &^ in.deadOut[w]))
+	}
+	fired := in.rest[:n:n]
 	in.rest = in.rest[n:]
 	return fired
 }
 
 // AppendState appends the injector's state for a full-state snapshot
 // (internal/ctlplane): the corruption RNG word, how many of the scheduled
-// fail-stops have fired, and the counters. The dead set is the ports of
-// the fired ones; the schedule itself is configuration.
+// fail-stops have fired, and the counters. The masks follow from those and
+// the cycle; the schedule itself is configuration.
 func (in *Injector) AppendState(b []byte) []byte {
 	b = in.rng.AppendState(b)
 	b = wire.Int(b, len(in.cfg.FailStops)-len(in.rest))
@@ -189,44 +228,11 @@ func (in *Injector) RestoreState(r *wire.Reader, now noc.Cycle) error {
 	if (fired > 0 && in.rest[fired-1].At >= now) || (fired < len(in.rest) && in.rest[fired].At < now) {
 		return fmt.Errorf("faults: %d fail-stop(s) fired is not the schedule's count before cycle %d", fired, now.Uint())
 	}
-	for _, f := range in.rest[:fired] {
-		in.dead[key(f.Input, f.Port)] = struct{}{}
+	if now > 0 {
+		in.BeginCycle(now - 1) // fires exactly the fired ones
 	}
-	in.rest = in.rest[fired:]
 	in.Counters = c
 	return nil
-}
-
-func key(input bool, port int) int {
-	if input {
-		return ^port // inputs map to negative keys, outputs to non-negative
-	}
-	return port
-}
-
-// InputDead reports whether input port p has fail-stopped.
-func (in *Injector) InputDead(p int) bool {
-	_, ok := in.dead[key(true, p)]
-	return ok
-}
-
-// OutputDead reports whether output port p has fail-stopped.
-func (in *Injector) OutputDead(p int) bool {
-	_, ok := in.dead[key(false, p)]
-	return ok
-}
-
-// StallOutput reports whether output port p must stay silent this cycle
-// because a stall window covers now. Each stalled port-cycle is counted
-// exactly once; engines must consult it at most once per port per cycle.
-func (in *Injector) StallOutput(now noc.Cycle, port int) bool {
-	for _, w := range in.cfg.Stalls {
-		if w.Port == port && now >= w.From && now < w.Until {
-			in.StallCycles++
-			return true
-		}
-	}
-	return false
 }
 
 // CorruptArrival rolls the CRC check for a packet whose last flit just

@@ -4,16 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"swizzleqos/internal/arb"
 	"swizzleqos/internal/noc"
 )
 
 func TestBeginCycleFiresInOrder(t *testing.T) {
-	in := New(Config{FailStops: []FailStop{
+	in := newInjector(Config{FailStops: []FailStop{
 		{Input: false, Port: 2, At: 50},
 		{Input: true, Port: 1, At: 10},
 		{Input: false, Port: 0, At: 10},
-	}})
-	if fired := in.BeginCycle(9); fired != nil {
+	}}, 8, 8)
+	if fired := in.BeginCycle(9); len(fired) != 0 {
 		t.Fatalf("cycle 9 fired %v, want nothing", fired)
 	}
 	fired := in.BeginCycle(10)
@@ -23,41 +24,65 @@ func TestBeginCycleFiresInOrder(t *testing.T) {
 	if !fired[0].Input || fired[0].Port != 1 || fired[1].Input || fired[1].Port != 0 {
 		t.Fatalf("cycle 10 fired %v in wrong order", fired)
 	}
-	if !in.InputDead(1) || !in.OutputDead(0) || in.OutputDead(2) {
+	if !inputDead(in, 1) || !outputDead(in, 0) || outputDead(in, 2) {
 		t.Fatal("dead-port state wrong after cycle 10")
 	}
-	if fired := in.BeginCycle(11); fired != nil {
+	if fired := in.BeginCycle(11); len(fired) != 0 {
 		t.Fatalf("cycle 11 re-fired %v", fired)
 	}
 	if fired := in.BeginCycle(60); len(fired) != 1 || fired[0].Port != 2 {
 		t.Fatalf("cycle 60 fired %v, want output 2", fired)
 	}
-	if !in.OutputDead(2) {
+	if !outputDead(in, 2) {
 		t.Fatal("output 2 not dead after its fail-stop")
 	}
 	// Input and output id spaces must not collide.
-	if in.InputDead(0) || in.InputDead(2) || in.OutputDead(1) {
+	if inputDead(in, 0) || inputDead(in, 2) || outputDead(in, 1) {
 		t.Fatal("dead-port state leaked across the input/output namespaces")
 	}
 }
 
+// TestStallWindow steps the stall mask over overlapping windows, an empty
+// one and a fail-stop of a stalled port: a port is stalled exactly while
+// some window covers the cycle, and StallCycles counts one a cycle for
+// each stalled port that is still alive.
 func TestStallWindow(t *testing.T) {
-	in := New(Config{Stalls: []StallWindow{{Port: 3, From: 100, Until: 103}}})
-	if in.StallOutput(99, 3) || in.StallOutput(103, 3) || in.StallOutput(100, 2) {
-		t.Fatal("stall outside window or port")
+	cfg := Config{
+		Stalls: []StallWindow{
+			{Port: 3, From: 100, Until: 103},
+			{Port: 3, From: 102, Until: 105},
+			{Port: 70, From: 101, Until: 110},
+			{Port: 5, From: 104, Until: 104},
+		},
+		FailStops: []FailStop{{Port: 70, At: 107}},
 	}
-	for now := noc.Cycle(100); now < 103; now++ {
-		if !in.StallOutput(now, 3) {
-			t.Fatalf("cycle %d: port 3 not stalled", now)
+	in := newInjector(cfg, 8, 72)
+	want := uint64(0)
+	for now := noc.Cycle(95); now < 115; now++ {
+		in.BeginCycle(now)
+		for port := 0; port < 72; port++ {
+			covered := false
+			for _, w := range cfg.Stalls {
+				covered = covered || (w.Port == port && now >= w.From && now < w.Until)
+			}
+			if got := arb.MaskHas(in.stalled, port); got != covered {
+				t.Fatalf("cycle %d: port %d stalled=%v, want %v", now, port, got, covered)
+			}
+			if covered && !outputDead(in, port) {
+				want++
+			}
+		}
+		if got := in.Totals().StallCycles; got != want {
+			t.Fatalf("cycle %d: StallCycles = %d, want %d", now, got, want)
 		}
 	}
-	if got := in.Totals().StallCycles; got != 3 {
-		t.Fatalf("StallCycles = %d, want 3", got)
+	if want != 5+6 {
+		t.Fatalf("scenario counted %d stall cycles, want 11", want)
 	}
 }
 
 func TestRetryBudgetAndBackoff(t *testing.T) {
-	in := New(Config{MaxRetries: 3, BackoffBase: 4, BackoffCap: 10})
+	in := newInjector(Config{MaxRetries: 3, BackoffBase: 4, BackoffCap: 10}, 8, 8)
 	p := &noc.Packet{ID: 1, Length: 8}
 	wantHold := []noc.Cycle{1004, 1008, 1010} // 4, 8, then capped at 10
 	for i, want := range wantHold {
@@ -80,7 +105,7 @@ func TestRetryBudgetAndBackoff(t *testing.T) {
 func TestRetryBackoffShiftOverflow(t *testing.T) {
 	// A pathological retry count must not shift the delay past the cap
 	// (or wrap to zero).
-	in := New(Config{MaxRetries: 100, BackoffBase: 8, BackoffCap: 512})
+	in := newInjector(Config{MaxRetries: 100, BackoffBase: 8, BackoffCap: 512}, 8, 8)
 	p := &noc.Packet{}
 	p.Retries = 70 // delay would be 8<<70 without the guard
 	if !in.Retry(0, p) {
@@ -93,7 +118,7 @@ func TestRetryBackoffShiftOverflow(t *testing.T) {
 
 func TestCorruptArrivalDeterminism(t *testing.T) {
 	roll := func() (hits int, pattern []bool) {
-		in := New(Config{Seed: 7, CorruptProb: 0.25})
+		in := newInjector(Config{Seed: 7, CorruptProb: 0.25}, 8, 8)
 		for i := 0; i < 400; i++ {
 			c := in.CorruptArrival(&noc.Packet{})
 			pattern = append(pattern, c)
@@ -119,7 +144,7 @@ func TestCorruptArrivalDeterminism(t *testing.T) {
 }
 
 func TestCorruptArrivalDisabled(t *testing.T) {
-	in := New(Config{Seed: 7}) // CorruptProb 0
+	in := newInjector(Config{Seed: 7}, 8, 8) // CorruptProb 0
 	for i := 0; i < 100; i++ {
 		if in.CorruptArrival(&noc.Packet{}) {
 			t.Fatal("corruption fired with probability 0")
@@ -185,4 +210,14 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
+}
+
+func inputDead(in *Injector, p int) bool  { return arb.MaskHas(in.deadIn, p) }
+func outputDead(in *Injector, p int) bool { return arb.MaskHas(in.deadOut, p) }
+
+// newInjector builds an injector with port masks for numIn inputs and
+// numOut outputs.
+func newInjector(cfg Config, numIn, numOut int) *Injector {
+	out := arb.MaskWords(numOut)
+	return New(cfg, make([]uint64, arb.MaskWords(numIn)), make([]uint64, out), make([]uint64, out))
 }

@@ -6,6 +6,7 @@ import (
 
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
+	"swizzleqos/internal/faults"
 	"swizzleqos/internal/heaptest"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
@@ -87,10 +88,19 @@ func recycledSwitch(tb testing.TB, radix int) *Switch {
 // idleSwitch is the low-load regime the event-driven masks target: each
 // input carries a 2%-rate Bernoulli GB flow, so in most cycles almost
 // every port is provably idle.
-func idleSwitch(tb testing.TB, radix int) *Switch {
+func idleSwitch(tb testing.TB, radix int) *Switch { return idleSwitchFaults(tb, radix, nil) }
+
+// idleSwitchFaults is idleSwitch with a fault schedule installed, if one
+// is given, before the warm-up.
+func idleSwitchFaults(tb testing.TB, radix int, cfg *faults.Config) *Switch {
 	sw, err := New(Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16}, benchSSVC(radix))
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if cfg != nil {
+		if err := sw.SetFaults(*cfg); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	seq := new(traffic.Sequence)
 	for i := 0; i < radix; i++ {
@@ -142,6 +152,35 @@ func BenchmarkSwitchCycleIdle(b *testing.B) {
 	for _, radix := range idleRadices {
 		b.Run(fmt.Sprintf("radix%d/SSVC", radix), func(b *testing.B) {
 			sw := idleSwitch(b, radix)
+			b.ReportAllocs()
+			b.ResetTimer()
+			sw.Run(noc.Cycle(b.N))
+			b.ReportMetric(float64(sw.SkippedOutputs)/float64(sw.Now()), "skips/cycle")
+		})
+	}
+}
+
+// BenchmarkSwitchCycleFaults measures idleSwitch's radix-64, 2 %-load
+// cycle with no fault schedule, with an inert one (faults.Config{}, which
+// injects nothing) and with a live one: 1 % CRC corruption with retries,
+// sixteen 1000-cycle stalls of one output or another, one every 10000
+// cycles from the warm-up on, and an input and an output fail-stopped
+// during the warm-up. All three walk the same masked
+// cycle; before faults became events the inert and live schedules ran a
+// full walk of every port.
+func BenchmarkSwitchCycleFaults(b *testing.B) {
+	live := &faults.Config{Seed: 3, CorruptProb: 0.01,
+		FailStops: []faults.FailStop{{Input: true, Port: 5, At: 1000}, {Port: 9, At: 2000}}}
+	for k := 0; k < 16; k++ {
+		from := noc.CycleOf(uint64(10000 * k))
+		live.Stalls = append(live.Stalls, faults.StallWindow{Port: 7 * k % 64, From: from, Until: from + 1000})
+	}
+	for _, sc := range []struct {
+		name string
+		cfg  *faults.Config
+	}{{"none", nil}, {"inert", &faults.Config{}}, {"live", live}} {
+		b.Run(sc.name, func(b *testing.B) {
+			sw := idleSwitchFaults(b, 64, sc.cfg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			sw.Run(noc.Cycle(b.N))

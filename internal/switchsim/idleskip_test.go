@@ -1,18 +1,18 @@
 package switchsim
 
 import (
-	"fmt"
 	"testing"
 
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/faults"
+	"swizzleqos/internal/gsf"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
 )
 
 // delivery records one packet delivery for trace comparison between the
-// event-driven and full-walk cycle loops.
+// masked walk and the full-walk oracle.
 type delivery struct {
 	id       uint64
 	src, dst int
@@ -24,10 +24,13 @@ type skipScenario struct {
 	name     string
 	radix    int
 	chaining bool
+	preempt  bool    // preempting PVC arbiters (Config.Preemption)
+	gsf      bool    // GSF's source gate and frame arbiters
 	load     float64 // per-flow Bernoulli rate; 0 means fully backlogged
 	cycles   noc.Cycle
 	gate     func(now noc.Cycle, p *noc.Packet) bool // Config.AdmissionGate
 	hot      int                                     // converging VOQs: GB flows per input onto outputs [0, hot)
+	faults   *faults.Config                          // a fault schedule, installed before the first cycle
 }
 
 // buildSkipSwitch builds a switch carrying a deterministic mixed-class
@@ -35,12 +38,9 @@ type skipScenario struct {
 // With hot > 0 the GB load converges instead: every input but each
 // fourth carries one GB flow to each of the outputs [0, hot), so an
 // input holds several GB queues waiting on different full VOQs, and each
-// fourth input carries one BE flow onto output hot or hot+1. fullWalk
-// installs an inert fault schedule — the zero faults.Config injects
-// nothing — which forces the reference full-scan admission loop and full
-// output walk, turning the event-driven masks and the refusal memory off
-// without changing any observable behavior.
-func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
+// fourth input carries one BE flow onto output hot or hot+1. deliver, if
+// set, observes every delivery.
+func buildSkipSwitch(t *testing.T, sc skipScenario, deliver func(*noc.Packet)) *Switch {
 	t.Helper()
 	radix := sc.radix
 	vticks := make([]core.VTime, radix)
@@ -50,11 +50,34 @@ func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
 	glVtick := noc.FlowSpec{Rate: 0.05, PacketLength: 2}.Vtick()
 	cfg := Config{
 		Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16,
-		PacketChaining: sc.chaining, AdmissionGate: sc.gate,
+		PacketChaining: sc.chaining, Preemption: sc.preempt, AdmissionGate: sc.gate,
 	}
-	sw := mustNew(t, cfg, ssvcGLFactory(radix, vticks, glVtick, 2))
-	if fullWalk {
-		if err := sw.SetFaults(faults.Config{}); err != nil {
+	factory := ssvcGLFactory(radix, vticks, glVtick, 2)
+	if sc.preempt {
+		factory = func(int) arb.Arbiter { return arb.NewPVC(radix, vticks, 10) }
+	}
+	observe := deliver
+	if sc.gsf {
+		rates := make([]float64, radix)
+		for i := range rates {
+			rates[i] = 0.2
+		}
+		ctl := gsf.NewController(gsf.Config{Inputs: radix, FrameFlits: 160, Window: 1, BarrierLatency: 48, Rates: rates})
+		cfg.AdmissionGate = ctl.Admit
+		factory = func(int) arb.Arbiter { return gsf.NewArbiter(radix, ctl) }
+		observe = func(p *noc.Packet) {
+			ctl.Delivered(p)
+			if deliver != nil {
+				deliver(p)
+			}
+		}
+	}
+	sw := mustNew(t, cfg, factory)
+	if observe != nil {
+		sw.OnDeliver(observe)
+	}
+	if sc.faults != nil {
+		if err := sw.SetFaults(*sc.faults); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,14 +118,38 @@ func buildSkipSwitch(t *testing.T, sc skipScenario, fullWalk bool) *Switch {
 	return sw
 }
 
-// TestEventDrivenMatchesFullWalk drives the default event-driven cycle
-// loop and the reference full-walk loop (forced via an inert fault
-// schedule) over identical workloads and demands byte-identical
-// behavior: every counter and the complete delivery trace must match.
-// The only permitted difference is the skip accounting itself, which
-// must be zero on the full walk and (at low load) positive on the
-// event-driven path, and the refusal memory, which the full walk never
-// fills and the converging-VOQ shapes must use.
+// liveSchedule is a fault schedule that bites on buildSkipSwitch's load
+// at any radix: CRC corruption with retries and a short backoff, two
+// overlapping stall windows on output 1 and one on the last output, an
+// input and an output fail-stop, and a stall of the output that dies.
+func liveSchedule(radix int) *faults.Config {
+	return &faults.Config{
+		Seed:        11,
+		CorruptProb: 0.03,
+		BackoffBase: 3,
+		BackoffCap:  40,
+		Stalls: []faults.StallWindow{
+			{Port: 1, From: 300, Until: 420},
+			{Port: 1, From: 400, Until: 460},
+			{Port: radix - 1, From: 150, Until: 900},
+			{Port: 6, From: 1100, Until: 1400},
+		},
+		FailStops: []faults.FailStop{
+			{Input: true, Port: 3, At: 700},
+			{Port: 6, At: 1200},
+		},
+	}
+}
+
+// TestEventDrivenMatchesFullWalk drives the masked walk and the full-walk
+// oracle (fullwalk_test.go) in lock step over identical workloads and
+// demands byte-identical behaviour (lockStep): every counter after every
+// cycle but SkippedAdmits, the fault counters, the complete delivery
+// trace and the output-cycle identity. The scenarios run fault-free, under
+// an admission gate, under GSF's gate and under live fault schedules:
+// fail-stops, stalls, corruption with retry, and all of them with GSF. At
+// low load the masked walk must skip, and on the converging-VOQ shapes it
+// must remember refusals and make fewer admission tries than the oracle.
 func TestEventDrivenMatchesFullWalk(t *testing.T) {
 	scenarios := []skipScenario{
 		{name: "lowLoadRadix8", radix: 8, load: 0.05, cycles: 4000},
@@ -112,85 +159,49 @@ func TestEventDrivenMatchesFullWalk(t *testing.T) {
 		{name: "convergingRadix8", radix: 8, hot: 2, cycles: 3000},
 		{name: "convergingChainingRadix64", radix: 64, chaining: true, hot: 4, cycles: 2000},
 		{name: "convergingMidLoadRadix64", radix: 64, hot: 3, load: 0.3, cycles: 2000},
+		{name: "gateRadix8", radix: 8, cycles: 3000,
+			gate: func(now noc.Cycle, p *noc.Packet) bool { return (uint64(now)+uint64(p.Src))%3 != 0 }},
+		{name: "gsfRadix8", radix: 8, gsf: true, cycles: 3000},
+		{name: "failStopsRadix8", radix: 8, load: 0.2, cycles: 2000, faults: &faults.Config{
+			FailStops: []faults.FailStop{{Input: true, Port: 2, At: 500}, {Port: 5, At: 900}, {Port: 0, At: 1500}}}},
+		{name: "stallsChainingRadix8", radix: 8, chaining: true, cycles: 2000, faults: &faults.Config{
+			Stalls: []faults.StallWindow{{Port: 1, From: 100, Until: 300}, {Port: 1, From: 250, Until: 400}, {Port: 4, From: 0, Until: 50}}}},
+		{name: "corruptRetryRadix8", radix: 8, load: 0.15, cycles: 3000, faults: &faults.Config{
+			Seed: 3, CorruptProb: 0.1, BackoffBase: 2, BackoffCap: 64}},
+		{name: "liveChainingRadix70", radix: 70, chaining: true, load: 0.1, cycles: 2000, faults: liveSchedule(70)},
+		{name: "liveConvergingRadix64", radix: 64, hot: 4, cycles: 2000, faults: liveSchedule(64)},
+		{name: "liveLowLoadRadix64", radix: 64, load: 0.02, cycles: 3000, faults: liveSchedule(64)},
+		{name: "liveGSFRadix8", radix: 8, gsf: true, cycles: 2000, faults: liveSchedule(8)},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			var traces [2][]delivery
-			var sws [2]*Switch
-			var remembered [2]int
-			for v := 0; v < 2; v++ {
-				fullWalk := v == 1
-				sw := buildSkipSwitch(t, sc, fullWalk)
-				idx := v
-				sw.OnDeliver(func(p *noc.Packet) {
-					traces[idx] = append(traces[idx], delivery{p.ID, p.Src, p.Dst, p.DeliveredAt})
-				})
-				for c := noc.Cycle(0); c < sc.cycles && sw.Err() == nil; c++ {
-					sw.Step()
-					remembered[v] += checkRefusals(t, sw)
+			r := lockStep(t, sc.cycles, func(deliver func(*noc.Packet)) *Switch { return buildSkipSwitch(t, sc, deliver) })
+			ev, ref := r.ev, r.ref
+			if ev.Delivered == 0 {
+				t.Fatal("scenario delivered nothing")
+			}
+			if sc.load > 0 && sc.load <= 0.05 && (ev.SkippedOutputs == 0 || ev.SkippedAdmits == 0) {
+				t.Errorf("low-load run skipped nothing: outputs=%d admits=%d", ev.SkippedOutputs, ev.SkippedAdmits)
+			}
+			if sc.hot > 0 && (r.remembered == 0 || ev.sources.Tries()-r.probeTries >= ref.sources.Tries()) {
+				t.Errorf("converging VOQs: the masked walk remembered %d refusals and made %d tries, the full walk %d",
+					r.remembered, ev.sources.Tries()-r.probeTries, ref.sources.Tries())
+			}
+			if sc.faults != nil {
+				tot := ev.FaultTotals()
+				if sc.faults.CorruptProb > 0 && tot.Retransmissions == 0 {
+					t.Error("the schedule retried nothing")
 				}
-				if err := sw.Err(); err != nil {
-					t.Fatalf("fullWalk=%v: engine froze: %v", fullWalk, err)
+				if len(sc.faults.Stalls) > 0 && tot.StallCycles == 0 {
+					t.Error("the schedule stalled nothing")
 				}
-				sws[v] = sw
-			}
-			ev, ref := sws[0], sws[1]
-			if remembered[1] != 0 {
-				t.Errorf("the full walk remembered %d refusals", remembered[1])
-			}
-			if sc.hot > 0 && (remembered[0] == 0 || ev.sources.Tries() >= ref.sources.Tries()) {
-				t.Errorf("converging VOQs: event-driven remembered %d refusals and made %d tries, full walk %d",
-					remembered[0], ev.sources.Tries(), ref.sources.Tries())
-			}
-			counters := []struct {
-				name    string
-				ev, ref uint64
-			}{
-				{"Injected", ev.Injected, ref.Injected},
-				{"Admitted", ev.Admitted, ref.Admitted},
-				{"Delivered", ev.Delivered, ref.Delivered},
-				{"Dropped", ev.Dropped, ref.Dropped},
-				{"ArbCycles", ev.ArbCycles, ref.ArbCycles},
-				{"IdleCycles", ev.IdleCycles, ref.IdleCycles},
-				{"DataCycles", ev.DataCycles, ref.DataCycles},
-				{"Chained", ev.Chained, ref.Chained},
-				{"Preempted", ev.Preempted, ref.Preempted},
-			}
-			for _, c := range counters {
-				if c.ev != c.ref {
-					t.Errorf("%s: event-driven %d != full-walk %d", c.name, c.ev, c.ref)
+				if len(sc.faults.FailStops) > 0 && ev.Dropped == 0 {
+					t.Error("the fail-stops dropped nothing")
 				}
 			}
-			if ref.SkippedOutputs != 0 || ref.SkippedAdmits != 0 {
-				t.Errorf("full walk must not skip: outputs=%d admits=%d",
-					ref.SkippedOutputs, ref.SkippedAdmits)
-			}
-			if sc.load > 0 && sc.load <= 0.05 {
-				if ev.SkippedOutputs == 0 {
-					t.Error("low-load event-driven run skipped no output cycles")
-				}
-				if ev.SkippedAdmits == 0 {
-					t.Error("low-load event-driven run skipped no admission scans")
-				}
-			}
-			// Every output-cycle is accounted exactly once: a flit moved, a
-			// preemption, an arbitration, or idleness (visited or skipped).
-			for v, sw := range sws {
-				got := sw.DataCycles + sw.ArbCycles + sw.IdleCycles + sw.Preempted
-				want := uint64(sc.radix) * uint64(sw.Now())
-				if got != want {
-					t.Errorf("switch %d: output-cycle accounting %d != radix*cycles %d", v, got, want)
-				}
-			}
-			if len(traces[0]) != len(traces[1]) {
-				t.Fatalf("delivery counts differ: event-driven %d, full-walk %d",
-					len(traces[0]), len(traces[1]))
-			}
-			for i := range traces[0] {
-				if traces[0][i] != traces[1][i] {
-					t.Fatalf("delivery %d differs: event-driven %+v, full-walk %+v",
-						i, traces[0][i], traces[1][i])
-				}
+			if sc.gsf && (ev.SkippedAdmits == 0 || r.remembered == 0) {
+				t.Errorf("under GSF the masked walk skipped %d admission scans and remembered %d refusals",
+					ev.SkippedAdmits, r.remembered)
 			}
 		})
 	}
@@ -198,17 +209,15 @@ func TestEventDrivenMatchesFullWalk(t *testing.T) {
 
 // buildPreemptSwitch builds a radix-8 switch of preempting PVC arbiters
 // in which a fast flow's packet preempts a slow flow's mid-flight, twice.
-func buildPreemptSwitch(t *testing.T, fullWalk bool) *Switch {
+func buildPreemptSwitch(t *testing.T, deliver func(*noc.Packet)) *Switch {
 	t.Helper()
 	const radix = 8
 	cfg := testConfig()
 	cfg.Preemption = true
 	vticks := []noc.VTime{2000, 20, 50, 50, 0, 0, 0, 0}
 	sw := mustNew(t, cfg, func(int) arb.Arbiter { return arb.NewPVC(radix, vticks, 10) })
-	if fullWalk {
-		if err := sw.SetFaults(faults.Config{}); err != nil {
-			t.Fatal(err)
-		}
+	if deliver != nil {
+		sw.OnDeliver(deliver)
 	}
 	var seq traffic.Sequence
 	slow := noc.FlowSpec{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.004, PacketLength: 8}
@@ -223,31 +232,19 @@ func buildPreemptSwitch(t *testing.T, fullWalk bool) *Switch {
 }
 
 // TestEventDrivenMatchesFullWalkPreemption repeats the differential with
-// a preempting PVC arbiter, exercising the preemption path's mask
-// maintenance (victim PushFront, channel teardown, immediate regrant).
+// preempting PVC arbiters, exercising the preemption path's mask
+// maintenance (victim PushFront, channel teardown, immediate regrant):
+// the two-preemption trace, and a saturated radix-8 load under a live
+// fault schedule.
 func TestEventDrivenMatchesFullWalkPreemption(t *testing.T) {
-	var traces [2][]delivery
-	var sws [2]*Switch
-	for v := 0; v < 2; v++ {
-		sw := buildPreemptSwitch(t, v == 1)
-		idx := v
-		sw.OnDeliver(func(p *noc.Packet) {
-			traces[idx] = append(traces[idx], delivery{p.ID, p.Src, p.Dst, p.DeliveredAt})
-		})
-		sw.Run(400)
-		sws[v] = sw
-	}
-	if sws[0].Preempted == 0 {
+	r := lockStep(t, 400, func(deliver func(*noc.Packet)) *Switch { return buildPreemptSwitch(t, deliver) })
+	if r.ev.Preempted == 0 {
 		t.Fatal("scenario exercised no preemption")
 	}
-	if sws[0].Preempted != sws[1].Preempted || sws[0].Delivered != sws[1].Delivered ||
-		sws[0].WastedFlits != sws[1].WastedFlits {
-		t.Fatalf("event-driven (pre=%d del=%d waste=%d) != full-walk (pre=%d del=%d waste=%d)",
-			sws[0].Preempted, sws[0].Delivered, sws[0].WastedFlits,
-			sws[1].Preempted, sws[1].Delivered, sws[1].WastedFlits)
-	}
-	if fmt.Sprint(traces[0]) != fmt.Sprint(traces[1]) {
-		t.Fatalf("delivery traces differ:\nevent-driven %v\nfull-walk    %v", traces[0], traces[1])
+	sc := skipScenario{radix: 8, preempt: true, load: 0.3, faults: liveSchedule(8)}
+	r = lockStep(t, 2000, func(deliver func(*noc.Packet)) *Switch { return buildSkipSwitch(t, sc, deliver) })
+	if r.ev.Preempted == 0 || r.ev.FaultTotals().Retransmissions == 0 {
+		t.Fatalf("the faulted PVC run preempted %d packets and retried %d", r.ev.Preempted, r.ev.FaultTotals().Retransmissions)
 	}
 }
 
@@ -258,7 +255,7 @@ func TestEventDrivenMatchesFullWalkPreemption(t *testing.T) {
 func TestIdleSkipCountersDeterministic(t *testing.T) {
 	sc := skipScenario{radix: 16, load: 0.03, cycles: 5000}
 	run := func() *Switch {
-		sw := buildSkipSwitch(t, sc, false)
+		sw := buildSkipSwitch(t, sc, nil)
 		sw.Run(sc.cycles)
 		return sw
 	}

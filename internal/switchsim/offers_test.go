@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"slices"
 	"testing"
 
 	"swizzleqos/internal/arb"
@@ -17,6 +18,9 @@ import (
 // packet pointer, in ascending input order.
 func scanOffers(t *testing.T, sw *Switch, now noc.Cycle) {
 	t.Helper()
+	// A head sitting out its backoff marks its input at every refresh
+	// until its deadline, so the scan's own questions mark nothing new.
+	marked := slices.Clone(sw.offers.Dirty())
 	scan := make([][]arb.Request, len(sw.outputs))
 	for _, in := range sw.inputs {
 		dst, req, ok := sw.currentRequest(in.id, now)
@@ -42,6 +46,10 @@ func scanOffers(t *testing.T, sw *Switch, now noc.Cycle) {
 			t.Fatalf("cycle %d: output %d offered bit %v with %d requesters",
 				now, out.id, arb.MaskHas(sw.offers.Offered(), out.id), len(want))
 		}
+	}
+	if !slices.Equal(marked, sw.offers.Dirty()) {
+		t.Fatalf("cycle %d: inputs marked after the refresh %x, the scan's questions mark %x",
+			now, marked, sw.offers.Dirty())
 	}
 }
 
@@ -79,7 +87,7 @@ func offerScenarios() []skipScenario {
 func TestOffersMatchScan(t *testing.T) {
 	for _, sc := range offerScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			sw := buildSkipSwitch(t, sc, false)
+			sw := buildSkipSwitch(t, sc, nil)
 			runScanned(t, sw, sc.cycles)
 			if sw.Delivered == 0 {
 				t.Fatal("scenario delivered nothing")
@@ -117,14 +125,14 @@ func TestOffersMatchScan(t *testing.T) {
 		}
 	})
 	t.Run("preemption", func(t *testing.T) {
-		sw := buildPreemptSwitch(t, false)
+		sw := buildPreemptSwitch(t, nil)
 		runScanned(t, sw, 400)
 		if sw.Preempted == 0 {
 			t.Fatal("scenario exercised no preemption")
 		}
 	})
 	t.Run("faults", func(t *testing.T) {
-		sw := buildSkipSwitch(t, skipScenario{radix: 8, chaining: true}, false)
+		sw := buildSkipSwitch(t, skipScenario{radix: 8, chaining: true}, nil)
 		if err := sw.SetFaults(faults.Config{
 			Seed:        7,
 			CorruptProb: 0.05,
@@ -156,7 +164,7 @@ func TestOffersMatchScan(t *testing.T) {
 		}
 	})
 	t.Run("dynamicFlows", func(t *testing.T) {
-		sw := buildSkipSwitch(t, skipScenario{radix: 8, load: 0.1}, false)
+		sw := buildSkipSwitch(t, skipScenario{radix: 8, load: 0.1}, nil)
 		runScanned(t, sw, 500)
 		var seq traffic.Sequence
 		spec := noc.FlowSpec{Src: 3, Dst: 6, Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}

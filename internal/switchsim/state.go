@@ -107,7 +107,7 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 		}
 	}
 	dead := func(p *noc.Packet) bool {
-		return s.faults != nil && (s.faults.InputDead(p.Src) || s.faults.OutputDead(p.Dst))
+		return arb.MaskHas(s.deadIn, p.Src) || arb.MaskHas(s.deadOut, p.Dst)
 	}
 
 	// The source set generates on every cycle, so its clock follows now.
@@ -191,7 +191,6 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 
 	// An input is busy exactly while an output is sending its packet, and
 	// an admission scan is skipped only where it would admit nothing.
-	masked := s.faults == nil && s.cfg.AdmissionGate == nil
 	for _, in := range s.inputs {
 		if in.busy != sending[in.id] {
 			return fmt.Errorf("switchsim: input %d busy=%v with sending=%v", in.id, in.busy, sending[in.id])
@@ -199,9 +198,9 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 		if !skip[in.id] {
 			continue
 		}
-		barren := masked
+		barren := true
 		s.sources.AdmitGroup(in.id, func(p *noc.Packet) bool {
-			if in.bufferFor(p.Class, p.Dst).CanAccept(p.Length) {
+			if dead(p) || in.bufferFor(p.Class, p.Dst).CanAccept(p.Length) {
 				barren = false
 			}
 			return false

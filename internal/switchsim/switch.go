@@ -29,8 +29,9 @@ type inputPort struct {
 // guaranteed-bandwidth queue in round-robin order, then the best-effort
 // head. A busy input offers nothing. A head sitting out a retransmission
 // backoff (HoldUntil > now, see internal/faults) blocks its own queue but
-// not the input's other queues; HoldUntil is always zero in fault-free
-// runs.
+// not the input's other queues, and marks the input (ready), so its offer
+// is re-derived every cycle until the deadline; HoldUntil is always zero
+// in fault-free runs.
 //
 //ssvc:hotpath
 func (s *Switch) currentRequest(i int, now noc.Cycle) (dst int, req arb.Request, ok bool) {
@@ -38,7 +39,7 @@ func (s *Switch) currentRequest(i int, now noc.Cycle) (dst int, req arb.Request,
 	if in.busy {
 		return 0, arb.Request{}, false
 	}
-	if p := in.gl.Head(); p != nil && p.HoldUntil <= now {
+	if p := in.gl.Head(); p != nil && s.ready(i, p, now) {
 		return p.Dst, arb.Request{Input: i, Class: noc.GuaranteedLatency, Packet: p}, true
 	}
 	// The occupancy mask turns the round-robin scan over all radix
@@ -48,7 +49,7 @@ func (s *Switch) currentRequest(i int, now noc.Cycle) (dst int, req arb.Request,
 	if first := arb.MaskNextFrom(in.gbOcc, in.gbRR); first >= 0 {
 		n := len(in.gb)
 		for o := first; ; {
-			if p := in.gb[o].Head(); p != nil && p.HoldUntil <= now {
+			if p := in.gb[o].Head(); p != nil && s.ready(i, p, now) {
 				return o, arb.Request{Input: i, Class: noc.GuaranteedBandwidth, Packet: p}, true
 			}
 			next := o + 1
@@ -60,10 +61,20 @@ func (s *Switch) currentRequest(i int, now noc.Cycle) (dst int, req arb.Request,
 			}
 		}
 	}
-	if p := in.be.Head(); p != nil && p.HoldUntil <= now {
+	if p := in.be.Head(); p != nil && s.ready(i, p, now) {
 		return p.Dst, arb.Request{Input: i, Class: noc.BestEffort, Packet: p}, true
 	}
 	return 0, arb.Request{}, false
+}
+
+// ready reports whether head p of input i is out of its backoff at now;
+// one still in it marks i for the next refresh.
+func (s *Switch) ready(i int, p *noc.Packet, now noc.Cycle) bool {
+	if p.HoldUntil <= now {
+		return true
+	}
+	s.offers.Mark(i)
+	return false
 }
 
 // bufferFor returns the buffer a packet of the given class/destination
@@ -132,6 +143,8 @@ type Switch struct {
 	all    []uint64 // every port
 	visit  []uint64 // scratch: this cycle's inputs to refresh, then its outputs to serve
 
+	deadIn, deadOut, stalled []uint64 // kept by the injector (faults.New); zero without one
+
 	arbReqs []arb.Request // scratch: requests handed to one arbitration
 
 	now noc.Cycle
@@ -174,6 +187,7 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 		visit:   make([]uint64, words),
 		arbReqs: make([]arb.Request, 0, cfg.Radix),
 	}
+	s.deadIn, s.deadOut, s.stalled = make([]uint64, words), make([]uint64, words), make([]uint64, words)
 	s.offers = fabric.NewOffers([]int{cfg.Radix}, s.currentRequest)
 	// Pre-seed the transmission free list (one in-flight packet per output
 	// is the maximum) so the steady-state loop never allocates.
@@ -228,8 +242,7 @@ func (s *Switch) fail(err error) {
 }
 
 // SetFaults installs a fault-injection schedule. It must be called
-// before the first Step; fault-free switches skip every injection check
-// through a single nil test per site.
+// before the first Step; the cycle stays the same masked walk.
 func (s *Switch) SetFaults(cfg faults.Config) error {
 	if s.now != 0 {
 		return fmt.Errorf("switchsim: SetFaults after cycle 0 (now=%d)", s.now)
@@ -237,7 +250,7 @@ func (s *Switch) SetFaults(cfg faults.Config) error {
 	if err := cfg.Validate(s.cfg.Radix, s.cfg.Radix); err != nil {
 		return err
 	}
-	s.faults = faults.New(cfg)
+	s.faults = faults.New(cfg, s.deadIn, s.deadOut, s.stalled)
 	return nil
 }
 
@@ -250,12 +263,7 @@ func (s *Switch) OnFailStop(fn func(now noc.Cycle, f faults.FailStop)) { s.onFai
 
 // FaultTotals returns the injector's fault counters (zero if no schedule
 // is installed).
-func (s *Switch) FaultTotals() faults.Counters {
-	if s.faults == nil {
-		return faults.Counters{}
-	}
-	return s.faults.Totals()
-}
+func (s *Switch) FaultTotals() faults.Counters { return s.faults.Totals() }
 
 // AddFlow attaches a flow and its generator to the switch.
 func (s *Switch) AddFlow(f traffic.Flow) error {
@@ -300,7 +308,7 @@ func (s *Switch) BufferOccupancy(i int, class noc.Class, dst int) int {
 	return s.inputs[i].bufferFor(class, dst).Flits()
 }
 
-// Step advances the simulation one cycle: fault scheduling, generation,
+// Step advances the simulation one cycle: fault events, generation,
 // admission, output channel processing (data or arbitration), then
 // arbiter clock ticks. After a terminal error, Step is a no-op.
 //
@@ -340,28 +348,26 @@ func (s *Switch) Run(n noc.Cycle) {
 //
 //ssvc:hotpath
 func (s *Switch) admit(now noc.Cycle) {
-	// Fault dooming and admission gates are time-varying, so those
-	// configurations neither skip a scan nor name a buffer.
-	masked := s.faults == nil && s.cfg.AdmissionGate == nil
+	gated := false
 	try := func(p *noc.Packet) bool {
 		// Packets from a fail-stopped input or toward a fail-stopped
 		// output are doomed: accept them out of the source queue and
 		// discard immediately, so no packet bound for a dead port ever
 		// occupies buffer space or pins an input's round-robin offer.
-		if s.faults != nil && (s.faults.InputDead(p.Src) || s.faults.OutputDead(p.Dst)) {
+		if arb.MaskHas(s.deadIn, p.Src) || arb.MaskHas(s.deadOut, p.Dst) {
 			s.dropPkt(p)
 			return true
 		}
 		buf := s.inputs[p.Src].bufferFor(p.Class, p.Dst)
 		if !buf.CanAccept(p.Length) {
-			if masked {
-				// Nothing but a drain of buf can change this verdict, so
-				// Sources skips the flow until one (fabric.Sources.Refused).
-				s.sources.Refused(buf)
-			}
+			// Nothing but a drain of buf can change this verdict (a
+			// fail-stop forgets it), so Sources skips the flow until one
+			// (fabric.Sources.Refused).
+			s.sources.Refused(buf)
 			return false
 		}
 		if s.cfg.AdmissionGate != nil && !s.cfg.AdmissionGate(now, p) {
+			gated = true
 			return false
 		}
 		p.EnqueuedAt = now
@@ -375,16 +381,18 @@ func (s *Switch) admit(now noc.Cycle) {
 	}
 	// An input whose last scan admitted nothing is skipped until something
 	// that could change the outcome happens: a buffer pop frees space
-	// (grant clears the bit) or a source queue turns nonempty (Sources
-	// clears it). Inside a scan, a flow whose head a full buffer refused is
-	// skipped until that buffer drains (the refusal memory above). With no
-	// bit ever set, the walk is the full scan of every input.
+	// (grant clears the bit), a source queue turns nonempty (Sources
+	// clears it) or a fail-stop (recomputeMasks). Inside a scan, a flow
+	// whose head a full buffer refused is skipped until that buffer drains
+	// (the refusal memory above). A gate's verdict can change with time,
+	// so a scan it refused in is not skipped: it sees every attempt.
 	skip := s.sources.SkipMask()
 	s.SkippedAdmits += uint64(arb.MaskCount(skip))
 	for w, m := range skip {
 		for m = s.all[w] &^ m; m != 0; m &= m - 1 {
 			i := w<<6 + bits.TrailingZeros64(m)
-			if s.sources.AdmitGroup(i, try) == nil && masked {
+			gated = false
+			if s.sources.AdmitGroup(i, try) == nil && !gated {
 				s.sources.Skip(i)
 			}
 		}
@@ -435,30 +443,25 @@ func (s *Switch) freeInput(in *inputPort) {
 // It begins by refreshing the standing offers (fabric.Offers) of the
 // marked inputs that can offer, the buffered idle ones: a busy input has
 // no offer and an empty one nothing to offer, and the completion, or the
-// next push, marks it again. Retransmission backoff makes a held head's
-// offer depend on now, so under a fault schedule every buffered idle input
-// is refreshed every cycle. Marks made while the outputs are served wait
-// for the next cycle's refresh: an input freed by a completion at one
-// output cannot be granted at another in the same cycle (its channel is
-// still draining the last flit).
+// next push, marks it again, as does a head sitting out a retransmission
+// backoff (currentRequest), until its deadline. Marks made while the
+// outputs are served wait for the next cycle's refresh: an input freed by
+// a completion at one output cannot be granted at another in the same
+// cycle (its channel is still draining the last flit).
 //
 // Then it visits only the outputs with an in-flight packet or at least
-// one offer (ascending); everything skipped is provably idle and
-// accounted in bulk. The visit set is fixed before the first grant, so
-// which outputs count as visited never depends on the offers this cycle's
-// grants withdraw. A fault schedule widens the visit set to every output:
-// dead and stalled channels have rules of their own (serveOutput) and
-// nothing is skipped.
+// one offer (ascending), less the halted ones: a dead or stalled output
+// moves no flit and grants nothing, and its cycle counts as neither idle
+// nor skipped (the injector counts a live stalled one's StallCycle).
+// Everything else skipped is provably idle and accounted in bulk. The
+// visit set is fixed before the first grant, so which outputs count as
+// visited never depends on the offers this cycle's grants withdraw.
 //
 //ssvc:hotpath
 func (s *Switch) serveOutputs(now noc.Cycle) {
 	dirty := s.offers.Dirty()
 	for w := range s.visit {
-		m := dirty[w]
-		if s.faults != nil {
-			m = s.all[w]
-		}
-		s.visit[w] = m & s.inQ[w] &^ s.inBusy[w]
+		s.visit[w] = dirty[w] & s.inQ[w] &^ s.inBusy[w]
 	}
 	s.offers.Refresh(s.visit, now)
 	if s.afterRefresh != nil {
@@ -467,11 +470,9 @@ func (s *Switch) serveOutputs(now noc.Cycle) {
 	offered := s.offers.Offered()
 	visited := 0
 	for w := range s.visit {
-		s.visit[w] = offered[w] | s.outTx[w]
-		if s.faults != nil {
-			s.visit[w] = s.all[w]
-		}
-		visited += bits.OnesCount64(s.visit[w])
+		halted := s.deadOut[w] | s.stalled[w]
+		s.visit[w] = (offered[w] | s.outTx[w]) &^ halted
+		visited += bits.OnesCount64(s.visit[w] | halted)
 	}
 	for w, m := range s.visit {
 		for ; m != 0; m &= m - 1 {
@@ -489,14 +490,10 @@ func (s *Switch) serveOutputs(now noc.Cycle) {
 }
 
 // serveOutput advances one output channel: move a flit or spend the cycle
-// arbitrating, never both. A dead channel does neither, and a stalled one
-// freezes its in-flight transfer and grants nothing.
+// arbitrating, never both.
 //
 //ssvc:hotpath
 func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
-	if s.faults != nil && (s.faults.OutputDead(out.id) || s.faults.StallOutput(now, out.id)) {
-		return
-	}
 	if out.tx != nil {
 		if s.cfg.Preemption && out.pre != nil {
 			if s.tryPreempt(out, now) {
@@ -717,7 +714,7 @@ func (s *Switch) applyFailStop(now noc.Cycle, f faults.FailStop) {
 // the masks afterwards is simpler and safer than patching them through
 // each drop. Standing offers go the same way: all are withdrawn and
 // every input marked, so the next refresh re-derives them. Every
-// admission skip is forgotten. Cold path.
+// admission skip and remembered refusal is forgotten. Cold path.
 func (s *Switch) recomputeMasks() {
 	arb.MaskZero(s.inQ)
 	arb.MaskZero(s.inBusy)
