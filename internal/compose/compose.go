@@ -615,8 +615,8 @@ func (n *Network) AddFlow(f traffic.Flow) error {
 	if f.Spec.Src == f.Spec.Dst {
 		return fmt.Errorf("compose: flow %d->%d routes to itself", f.Spec.Src, f.Spec.Dst)
 	}
-	if f.Gen == nil {
-		return fmt.Errorf("compose: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
+	if _, ok := f.Gen.(traffic.Scheduler); !ok {
+		return fmt.Errorf("compose: flow %d->%d has no scheduling generator", f.Spec.Src, f.Spec.Dst)
 	}
 	// The spec rules switchsim's FlowSpec.Validate applies, less the
 	// reservation rate: a routed flow reserves nothing. A packet of no

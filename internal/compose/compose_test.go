@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"strings"
 	"testing"
 
 	"swizzleqos/internal/noc"
@@ -165,4 +166,23 @@ func TestValidation(t *testing.T) {
 	if err := n.AddFlow(traffic.Flow{Spec: out, Gen: traffic.NewBacklogged(&seq, out, 1)}); err == nil {
 		t.Error("out-of-range terminal accepted")
 	}
+}
+
+// tickOnly hides every face of a generator but Tick.
+type tickOnly struct{ traffic.Generator }
+
+// TestAddFlowRefusesPolledGenerator: the network's sources run from the
+// arrival calendar alone, so a generator that cannot schedule is refused.
+func TestAddFlowRefusesPolledGenerator(t *testing.T) {
+	n := mustClos(t, 2, 2, 2)
+	var seq traffic.Sequence
+	spec := noc.FlowSpec{Src: 0, Dst: 3, Class: noc.BestEffort, PacketLength: 2}
+	err := n.AddFlow(traffic.Flow{Spec: spec, Gen: tickOnly{traffic.NewBacklogged(&seq, spec, 1)}})
+	if err == nil || !strings.Contains(err.Error(), "scheduling generator") {
+		t.Fatalf("a Tick-only generator: AddFlow returned %v", err)
+	}
+	if err := n.AddFlow(traffic.Flow{Spec: spec}); err == nil {
+		t.Fatal("a flow without a generator was accepted")
+	}
+	addFlow(t, n, spec, traffic.NewBacklogged(&seq, spec, 1))
 }

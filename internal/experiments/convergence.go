@@ -65,8 +65,8 @@ func Convergence(o Options) []ConvergenceOutcome {
 			// no injection kind describes that, so it is added by hand,
 			// ahead of the others.
 			err = sw.AddFlow(traffic.Flow{Spec: specs[0], Gen: &gatedBacklog{
-				inner: traffic.NewBacklogged(&seq, specs[0], 4),
-				from:  wake,
+				Backlogged: traffic.NewBacklogged(&seq, specs[0], 4),
+				gate:       wake,
 			}})
 		}
 		if err := attach(sw, err, &seq, backlogged(specs[1:]...)); err != nil {
@@ -105,18 +105,25 @@ func Convergence(o Options) []ConvergenceOutcome {
 	return runner.Map(o.pool(), len(jobs), func(i int) ConvergenceOutcome { return jobs[i]() })
 }
 
-// gatedBacklog wraps a generator, suppressing it before cycle from.
+// gatedBacklog is a backlogged source that stays silent before cycle gate.
 type gatedBacklog struct {
-	inner traffic.Generator
-	from  noc.Cycle
+	*traffic.Backlogged
+	gate noc.Cycle
 }
+
+var _ traffic.Scheduler = (*gatedBacklog)(nil)
 
 // Tick implements traffic.Generator.
 func (g *gatedBacklog) Tick(now noc.Cycle, queued int) *noc.Packet {
-	if now < g.from {
+	if now < g.gate {
 		return nil
 	}
-	return g.inner.Tick(now, queued)
+	return g.Backlogged.Tick(now, queued)
+}
+
+// NextArrival implements traffic.Scheduler; Emit is the inner source's.
+func (g *gatedBacklog) NextArrival(from noc.Cycle, queued int) (noc.Cycle, bool) {
+	return g.Backlogged.NextArrival(max(from, g.gate), queued)
 }
 
 // ConvergenceTable renders the transient comparison.

@@ -103,12 +103,11 @@ func (s *Sources) filed() []calEntry {
 	return out
 }
 
-// firing is one generator call: a scheduling flow's Emit for the arrival
-// it announced at `at`, or a polled flow's Tick.
+// firing is one generator call: a flow's Emit for the arrival it
+// announced at `at`.
 type firing struct {
 	fi      int
 	at, now noc.Cycle
-	polled  bool
 }
 
 // calDeltas are the scripted gaps from a NextArrival's `from` to the
@@ -150,26 +149,13 @@ func (g *scriptGen) Emit(now noc.Cycle) *noc.Packet {
 
 func (g *scriptGen) Tick(noc.Cycle, int) *noc.Packet { panic("a scheduling flow was polled") }
 
-// pollGen cannot schedule: it logs every Tick and never emits.
-type pollGen struct {
-	fi  int
-	log *[]firing
-}
-
-func (g *pollGen) Tick(now noc.Cycle, _ int) *noc.Packet {
-	*g.log = append(*g.log, firing{fi: g.fi, now: now, polled: true})
-	return nil
-}
-
 // calOracle replays the same schedule through calHeap with the
 // generation protocol the heap calendar ran: arm every flow at the first
 // Generate, arm a late add from lastNow+1, pop every entry due at or
-// before now in (cycle, flow) order merged with the polled walk on flow
-// index, and re-arm a fired flow from now+1.
+// before now in (cycle, flow) order, and re-arm a fired flow from now+1.
 type calOracle struct {
 	h       calHeap
-	gens    []*scriptGen // nil for a polled flow
-	polled  []int
+	gens    []*scriptGen
 	retired []bool
 	ready   bool
 	lastNow noc.Cycle
@@ -177,12 +163,8 @@ type calOracle struct {
 }
 
 func (o *calOracle) arm(i int, from noc.Cycle) {
-	if g := o.gens[i]; g != nil {
-		at, _ := g.NextArrival(from, 0)
-		o.h.calPush(calEntry{at: at, fi: int32(i)})
-		return
-	}
-	o.polled = append(o.polled, i)
+	at, _ := o.gens[i].NextArrival(from, 0)
+	o.h.calPush(calEntry{at: at, fi: int32(i)})
 }
 
 func (o *calOracle) add(g *scriptGen) {
@@ -198,10 +180,6 @@ func (o *calOracle) retire(i int) {
 		return
 	}
 	o.retired[i] = true
-	if o.gens[i] == nil {
-		o.polled = slices.DeleteFunc(o.polled, func(fi int) bool { return fi == i })
-		return
-	}
 	for c, e := range o.h {
 		if int(e.fi) == i {
 			o.h.calRemove(c)
@@ -220,19 +198,12 @@ func (o *calOracle) generate(now noc.Cycle) {
 		}
 	}
 	o.lastNow = now
-	pi := 0
 	for len(o.h) > 0 && o.h[0].at <= now {
 		e := o.h.calPop()
-		for ; pi < len(o.polled) && o.polled[pi] < int(e.fi); pi++ {
-			o.log = append(o.log, firing{fi: o.polled[pi], now: now, polled: true})
-		}
 		g := o.gens[e.fi]
 		g.Emit(now)
 		at, _ := g.NextArrival(now+1, 0)
 		o.h.calPush(calEntry{at: at, fi: e.fi})
-	}
-	for ; pi < len(o.polled); pi++ {
-		o.log = append(o.log, firing{fi: o.polled[pi], now: now, polled: true})
 	}
 }
 
@@ -244,9 +215,9 @@ type calCoverage struct {
 // checkCalendar runs one schedule through a source set and the heap
 // oracle and fails at the first firing, or the first filed arrival, on
 // which they differ. ops[0] seeds the arrival script and ops[1] picks the
-// first cycle; each further byte is one op: low three bits 0 add a flow
-// (one in four polled), 1 retire one, 2 jump 2 to 157 cycles ahead, anything
-// else step one cycle.
+// first cycle; each further byte is one op: low three bits 0 add a flow,
+// 1 retire one, 2 jump 2 to 157 cycles ahead, anything else step one
+// cycle.
 func checkCalendar(t *testing.T, ops []byte, cov *calCoverage) {
 	t.Helper()
 	if len(ops) < 2 {
@@ -267,15 +238,8 @@ func checkCalendar(t *testing.T, ops []byte, cov *calCoverage) {
 		switch b % 8 {
 		case 0:
 			fi := s.Len()
-			var gen traffic.Generator
-			if (b>>3)%4 == 0 {
-				gen = &pollGen{fi: fi, log: &log}
-				o.add(nil)
-			} else {
-				gen = &scriptGen{fi: fi, seed: seed, log: &log}
-				o.add(&scriptGen{fi: fi, seed: seed, log: &o.log})
-			}
-			s.Add(traffic.Flow{Spec: spec, Gen: gen}, 0)
+			o.add(&scriptGen{fi: fi, seed: seed, log: &o.log})
+			s.Add(traffic.Flow{Spec: spec, Gen: &scriptGen{fi: fi, seed: seed, log: &log}}, 0)
 			if started {
 				cov.lateAdds++
 			}
@@ -303,14 +267,11 @@ func checkCalendar(t *testing.T, ops []byte, cov *calCoverage) {
 		}
 	}
 	for k, f := range log {
-		if f.polled {
-			continue
-		}
 		cov.fired++
 		if f.at < f.now {
 			cov.late++ // due in a skipped cycle
 		}
-		if k > 0 && !log[k-1].polled && log[k-1].at == f.at {
+		if k > 0 && log[k-1].at == f.at {
 			cov.ties++
 		}
 	}
@@ -356,8 +317,7 @@ func calSeed(seed uint64, n int) []byte {
 
 // TestCalendarMatchesHeap holds the timing wheel to the heap calendar it
 // replaced over seeded schedules: same flows fired, in the same (cycle,
-// flow index) order merged with the polled walk, and the same arrivals
-// filed after every op.
+// flow index) order, and the same arrivals filed after every op.
 func TestCalendarMatchesHeap(t *testing.T) {
 	var cov calCoverage
 	for seed := uint64(1); seed <= 24; seed++ {
@@ -400,17 +360,14 @@ func TestGenerateSkippedCycles(t *testing.T) {
 	for i, g := range gaps {
 		s.Add(traffic.Flow{Spec: spec, Gen: &fixedGen{scriptGen: scriptGen{fi: i, log: &log}, gaps: g}}, 0)
 	}
-	s.Add(traffic.Flow{Spec: spec, Gen: &pollGen{fi: len(gaps), log: &log}}, 0)
 
 	s.Generate(0)
 	s.Generate(5) // cycles 1 to 4 skipped
 	want := []firing{
-		{fi: 7, now: 0, polled: true},
 		{fi: 1, at: 2, now: 5},
 		{fi: 0, at: 3, now: 5},
 		{fi: 2, at: 3, now: 5},
 		{fi: 3, at: 5, now: 5},
-		{fi: 7, now: 5, polled: true},
 	}
 	if !slices.Equal(log, want) {
 		t.Fatalf("after Generate(5) the calls were\n%v\nwant\n%v", log, want)
@@ -425,7 +382,6 @@ func TestGenerateSkippedCycles(t *testing.T) {
 		{fi: 3, at: 6, now: 100},
 		{fi: 5, at: 6, now: 100},
 		{fi: 4, at: 70, now: 100},
-		{fi: 7, now: 100, polled: true},
 	}
 	if !slices.Equal(log, want) {
 		t.Fatalf("after Generate(100) the calls were\n%v\nwant\n%v", log, want)

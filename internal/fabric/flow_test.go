@@ -88,64 +88,6 @@ func TestSourcesEventDrivenMatchesPolled(t *testing.T) {
 	}
 }
 
-// nonScheduler wraps a generator, hiding its Scheduler face, and counts
-// the polls it receives.
-type nonScheduler struct {
-	g     traffic.Generator
-	ticks int
-}
-
-func (n *nonScheduler) Tick(now noc.Cycle, queued int) *noc.Packet {
-	n.ticks++
-	return n.g.Tick(now, queued)
-}
-
-// TestSourcesPolledFallback: generation mode is per flow. A generator
-// that cannot schedule is polled every cycle, its scheduling neighbours
-// stay on the calendar, and same-cycle emissions of the two kinds merge
-// in flow order — the packet IDs of the all-polled walk.
-func TestSourcesPolledFallback(t *testing.T) {
-	var seq traffic.Sequence
-	spec := func(dst int) noc.FlowSpec {
-		return noc.FlowSpec{Src: 0, Dst: dst, Class: noc.BestEffort, PacketLength: 4}
-	}
-	stub := &nonScheduler{g: traffic.NewBacklogged(&seq, spec(1), 1<<20)}
-	idle := &nonScheduler{g: traffic.NewBernoulli(&seq, spec(3), 0, 1)}
-	s := NewSources(1)
-	s.Add(traffic.Flow{Spec: spec(0), Gen: traffic.NewBacklogged(&seq, spec(0), 1<<20)}, 0)
-	s.Add(traffic.Flow{Spec: spec(1), Gen: stub}, 0)
-	s.Add(traffic.Flow{Spec: spec(2), Gen: traffic.NewBacklogged(&seq, spec(2), 1<<20)}, 0)
-	s.Add(traffic.Flow{Spec: spec(3), Gen: idle}, 0)
-	const cycles = 50
-	for c := noc.Cycle(0); c < cycles; c++ {
-		if got := s.Generate(c); got != 3 {
-			t.Fatalf("cycle %d generated %d packets, want 3", c, got)
-		}
-	}
-	if !s.EventDriven() {
-		t.Fatal("one non-scheduling generator demoted the whole set")
-	}
-	if len(s.polled) != 2 || s.polled[0] != 1 || s.polled[1] != 3 {
-		t.Fatalf("polled flows %v, want [1 3]", s.polled)
-	}
-	if s.sched[0] == nil || s.sched[2] == nil || s.sched[1] != nil || s.sched[3] != nil {
-		t.Fatal("scheduling flows must be on the calendar and only they")
-	}
-	if stub.ticks != cycles || idle.ticks != cycles {
-		t.Fatalf("polled generators ticked %d and %d times over %d cycles", stub.ticks, idle.ticks, cycles)
-	}
-	// Flow f's k-th packet was the (3k+f+1)-th emission overall.
-	for f := 0; f < 3; f++ {
-		fq := s.Flow(f)
-		for k := 0; fq.Queued() > 0; k++ {
-			if p := fq.Pop(); p.ID != uint64(3*k+f+1) || p.Dst != f {
-				t.Fatalf("flow %d packet %d has ID %d dst %d, want ID %d: same-cycle merge is out of flow order",
-					f, k, p.ID, p.Dst, 3*k+f+1)
-			}
-		}
-	}
-}
-
 // TestSourcesNilEmit: a generator shut between announcing an arrival and
 // its cycle emits nothing; Generate must neither count nor queue it, and
 // the flow parks instead of being asked again every cycle.

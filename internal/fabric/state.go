@@ -119,9 +119,9 @@ const (
 // How a live flow's generation is armed when the snapshot is taken.
 const (
 	armNone     = iota // no Generate has run yet; the first one arms it
-	armPolled          // ticked every cycle
-	armBlocked         // scheduling, parked until a queue pop
-	armCalendar        // scheduling, with an arrival filed in the calendar
+	armPolled          // ticked every cycle: the set is DisableEventDriven's
+	armBlocked         // parked until a queue pop
+	armCalendar        // with an arrival filed in the calendar
 )
 
 // Clock returns whether the set has generated yet and at which cycle
@@ -180,7 +180,7 @@ func (s *Sources) AppendFlowState(b []byte, i int) []byte {
 		switch {
 		case !s.calReady:
 			b = wire.Uint(b, armNone)
-		case s.sched[i] == nil:
+		case s.forcePoll:
 			b = wire.Uint(b, armPolled)
 		case s.blocked[i]:
 			b = wire.Uint(b, armBlocked)
@@ -211,9 +211,9 @@ func (s *Sources) AppendGroupState(b []byte, g int) []byte {
 // destination, class and length — in ascending ID, created no later than
 // the set's clock (so none before the set's first Generate), and never
 // admitted: no stamp, no time past creation, no retry. An arming must be
-// one the generator's kind and the set's clock allow. The set's derived tables
-// (schedulers, polled list, depths, the nonempty mask) follow from what
-// is read.
+// one the set's mode and clock allow, and a set that schedules takes only
+// a generator that does. The set's derived tables (schedulers, depths,
+// the nonempty mask) follow from what is read.
 func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, live func() (traffic.Flow, error)) error {
 	slot := r.Uint()
 	if r.Err() == nil && slot > slotLive {
@@ -245,15 +245,14 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 			return fmt.Errorf("fabric: restored flow %d->%d does not inject at port %d", f.Spec.Src, f.Spec.Dst, src)
 		}
 		fq.Flow = f
-		if sched, _ = f.Gen.(traffic.Scheduler); s.forcePoll {
-			sched = nil
-		}
+		sched, _ = f.Gen.(traffic.Scheduler)
 		if arm = r.Uint(); arm == armCalendar {
 			at = noc.CycleOf(r.Uint())
 		}
-		if r.Err() == nil && (!s.calReady && arm != armNone ||
-			s.calReady && sched == nil && arm != armPolled ||
-			s.calReady && sched != nil && arm != armBlocked && arm != armCalendar ||
+		if r.Err() == nil && (!s.forcePoll && sched == nil ||
+			!s.calReady && arm != armNone ||
+			s.calReady && s.forcePoll && arm != armPolled ||
+			s.calReady && !s.forcePoll && arm != armBlocked && arm != armCalendar ||
 			arm == armCalendar && at <= s.lastNow) {
 			r.Failf("fabric: flow %d->%d cannot be armed as %d (arrival %d) behind cycle %d",
 				f.Spec.Src, f.Spec.Dst, arm, at.Uint(), s.lastNow.Uint())
@@ -310,8 +309,6 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 	// Add's promise: Generate never grows the far heap.
 	s.reserveFar()
 	switch arm {
-	case armPolled:
-		s.polled = append(s.polled, i)
 	case armBlocked:
 		s.sched[i], s.blocked[i] = sched, true
 	case armCalendar:

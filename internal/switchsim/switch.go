@@ -270,8 +270,8 @@ func (s *Switch) AddFlow(f traffic.Flow) error {
 	if err := f.Spec.Validate(s.cfg.Radix); err != nil {
 		return err
 	}
-	if f.Gen == nil {
-		return fmt.Errorf("switchsim: flow %d->%d has no generator", f.Spec.Src, f.Spec.Dst)
+	if _, ok := f.Gen.(traffic.Scheduler); !ok {
+		return fmt.Errorf("switchsim: flow %d->%d has no scheduling generator", f.Spec.Src, f.Spec.Dst)
 	}
 	if buf := s.inputs[f.Spec.Src].bufferFor(f.Spec.Class, f.Spec.Dst); f.Spec.PacketLength > buf.Cap() {
 		return fmt.Errorf("switchsim: flow %d->%d: %d-flit %v packets can never enter a %d-flit buffer",

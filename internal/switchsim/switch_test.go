@@ -351,6 +351,25 @@ func TestAddFlowValidation(t *testing.T) {
 	}
 }
 
+// tickOnly hides every face of a generator but Tick.
+type tickOnly struct{ traffic.Generator }
+
+// TestAddFlowRefusesPolledGenerator: the switch's sources run from the
+// arrival calendar alone, so a generator that cannot schedule is refused,
+// and the refusal takes no flow index.
+func TestAddFlowRefusesPolledGenerator(t *testing.T) {
+	sw := mustNew(t, testConfig(), lrgFactory(8))
+	var seq traffic.Sequence
+	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 4}
+	err := sw.AddFlow(traffic.Flow{Spec: spec, Gen: tickOnly{traffic.NewBernoulli(&seq, spec, 0.5, 1)}})
+	if err == nil || !strings.Contains(err.Error(), "scheduling generator") || sw.Flows() != 0 {
+		t.Fatalf("a Tick-only generator: AddFlow returned %v with %d flows attached", err, sw.Flows())
+	}
+	if err := sw.AddFlow(traffic.Flow{Spec: spec, Gen: traffic.NewBernoulli(&seq, spec, 0.5, 1)}); err != nil || sw.Flows() != 1 {
+		t.Fatalf("the same generator with its schedule: AddFlow returned %v with %d flows attached", err, sw.Flows())
+	}
+}
+
 // TestAddFlowRejectsOversizedPackets: a packet enters its class's buffer
 // whole, so a flow whose packets are longer than that buffer could never
 // be admitted. It used to be accepted and its source queue grew for ever.

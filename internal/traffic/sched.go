@@ -2,26 +2,26 @@ package traffic
 
 import "swizzleqos/internal/noc"
 
-// Scheduler is the event-driven face of a generator: instead of being
-// polled with Tick every cycle, a scheduling generator predicts the
-// cycle of its next emission so the sources layer can sleep until then
-// (fabric.Sources keeps a calendar over these). The contract mirrors
-// the polled protocol exactly:
+// Scheduler is how every shipped generator is driven: instead of being
+// polled with Tick every cycle, it predicts the cycle of its next
+// emission so the sources layer can sleep until then (fabric.Sources
+// keeps a calendar over these). The contract mirrors the polled protocol:
 //
-//   - NextArrival(from, queued) returns the earliest cycle >= from at
-//     which Tick would have returned a packet, given that the flow's
-//     queue depth stays `queued` until then. It consumes exactly the
-//     RNG draws the per-cycle Tick calls for cycles [from, arrival]
-//     would have consumed, in the same order — so a generator driven
-//     through NextArrival/Emit produces bit-identical packet streams
-//     (and leaves its RNG in the identical state) to one driven
-//     through Tick. ok=false means no arrival will ever come without
-//     an external event: the trace ran dry, the rate is zero, or a
-//     depth-bounded source is full until a queue pop re-arms it.
+//   - NextArrival(from, queued) returns a cycle >= from before which Tick
+//     would have returned nil every cycle, given that the flow's queue
+//     depth stays `queued` until then. It consumes exactly the RNG
+//     draws the per-cycle Tick calls for cycles [from, arrival] would
+//     have consumed, in the same order — so a generator driven through
+//     NextArrival/Emit produces bit-identical packet streams (and leaves
+//     its RNG in the identical state) to one driven through Tick.
+//     ok=false means no arrival will ever come without an external
+//     event: the trace ran dry, the rate is zero, or a depth-bounded
+//     source is full until a queue pop re-arms it.
 //   - Emit(now) creates the packet for the arrival NextArrival
 //     announced; now must be that arrival cycle. It performs any draws
 //     the polled protocol ties to the emission itself (Bursty's
-//     burst-exit draw).
+//     burst-exit draw), and returns nil where Tick would have
+//     (ClosedLoop, while a request is in flight).
 //
 // The caller alternates NextArrival/Emit strictly: one Emit per
 // successful NextArrival, then a fresh NextArrival(now+1, ...).
@@ -34,13 +34,14 @@ type Scheduler interface {
 	Emit(now noc.Cycle) *noc.Packet
 }
 
-// Compile-time checks: every stock generator schedules.
+// Compile-time checks: every shipped generator schedules.
 var (
 	_ Scheduler = (*Bernoulli)(nil)
 	_ Scheduler = (*Periodic)(nil)
 	_ Scheduler = (*Bursty)(nil)
 	_ Scheduler = (*Backlogged)(nil)
 	_ Scheduler = (*Trace)(nil)
+	_ Scheduler = (*ClosedLoop)(nil)
 )
 
 // NextArrival implements Scheduler: scan forward one Bernoulli draw per
