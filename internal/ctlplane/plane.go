@@ -430,7 +430,7 @@ func (p *Plane) deliverHook(pkt *noc.Packet) {
 	h = mix(h, uint64(pkt.Retries))
 	p.traceHash = h
 	if g, ok := p.feedback[flowKey{pkt.Src, pkt.Dst, pkt.Class}]; ok {
-		g.Completed(pkt.DeliveredAt)
+		g.Completed(pkt)
 	}
 	if p.onDeliver != nil {
 		p.onDeliver(pkt)

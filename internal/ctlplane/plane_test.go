@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +12,8 @@ import (
 
 	"swizzleqos/internal/faults"
 	"swizzleqos/internal/noc"
+	"swizzleqos/internal/runner"
+	"swizzleqos/internal/traffic"
 )
 
 // testScript exercises every command type: leased and unleased GB adds,
@@ -627,5 +630,94 @@ func TestReplyCarriesVtick(t *testing.T) {
 		if got := p.Apply(cmd).String(); got != c.want {
 			t.Errorf("%q: reply %q, want %q", c.line, got, c.want)
 		}
+	}
+}
+
+// TestClosedLoopCountsOnlyItsOwnPackets: a reservation removed with
+// packets still queued drains on its (src, dst, class) after a users=
+// reservation has taken that key. The closed loop must answer to its own
+// deliveries only: a twin, ticked every cycle from the add and fed only
+// the new flow's deliveries at the cycles the plane made them, must end
+// with the same Issued, Done and TimedOut and the same state.
+func TestClosedLoopCountsOnlyItsOwnPackets(t *testing.T) {
+	cfg := SimConfig{Radix: 8, Seed: 3}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(line string) uint64 {
+		t.Helper()
+		cmd, err := ParseCommand(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := p.Apply(cmd)
+		if !res.OK {
+			t.Fatalf("%q: %s", line, res)
+		}
+		return res.ID
+	}
+	// Output 1 is offered 2.7 flits a cycle, so 0->1 queues at its source.
+	old := apply("add gb 0 1 rate=0.2 len=8 load=0.9")
+	apply("add gb 2 1 rate=0.2 len=8 load=0.9")
+	apply("add gb 3 1 rate=0.2 len=8 load=0.9")
+	if err := p.AdvanceTo(3000); err != nil {
+		t.Fatal(err)
+	}
+	apply(fmt.Sprintf("remove %d", old))
+	if err := p.AdvanceTo(3100); err != nil {
+		t.Fatal(err)
+	}
+	added := p.Now()
+	id := apply("add gb 0 1 rate=0.2 len=8 users=4")
+	g := p.attached[id].gen.(*traffic.ClosedLoop)
+
+	type delivery struct {
+		at  noc.Cycle
+		pkt noc.Packet
+	}
+	var own []delivery
+	stale := 0
+	p.OnDeliver(func(pkt *noc.Packet) {
+		if pkt.Src != 0 || pkt.Dst != 1 || pkt.Class != noc.GuaranteedBandwidth {
+			return
+		}
+		if pkt.CreatedAt < added {
+			if g.InFlight() > 0 {
+				stale++ // a delivery the closed loop could have taken for its own
+			}
+			return
+		}
+		own = append(own, delivery{p.Now(), *pkt})
+	})
+	const end = 15000
+	if err := p.AdvanceTo(end); err != nil {
+		t.Fatal(err)
+	}
+	if stale == 0 || len(own) < 100 {
+		t.Fatalf("the script lost its point: %d earlier packets delivered during a request, %d of the closed loop's own", stale, len(own))
+	}
+
+	twin := traffic.NewClosedLoop(new(traffic.Sequence), p.tab.Get(id).Req.Spec(), traffic.ClosedLoopConfig{Users: 4},
+		runner.DeriveSeed(cfg.Seed, int(id)))
+	for now, k := added, 0; now < end; now++ {
+		twin.Tick(now, 0)
+		for ; k < len(own) && own[k].at == now; k++ {
+			twin.Completed(&own[k].pkt)
+		}
+	}
+	if g.Issued != twin.Issued || g.Done != twin.Done || g.TimedOut != twin.TimedOut {
+		t.Fatalf("closed loop issued/done/timed out %d/%d/%d, a twin fed its own deliveries only %d/%d/%d",
+			g.Issued, g.Done, g.TimedOut, twin.Issued, twin.Done, twin.TimedOut)
+	}
+	// Past the leading watermark, which numbers each one's own sequence,
+	// the two states must be the same bytes.
+	state := func(c *traffic.ClosedLoop) []byte {
+		b := c.AppendState(nil)
+		_, n := binary.Uvarint(b)
+		return b[n:]
+	}
+	if !bytes.Equal(state(g), state(twin)) {
+		t.Fatal("the closed loop's state is not its twin's")
 	}
 }

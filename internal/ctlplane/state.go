@@ -21,8 +21,10 @@ import (
 // nothing that grows with the state, and each restores and validates its
 // own.
 
-// stateVersion is the first value of a blob, for the day its layout moves.
-const stateVersion = 1
+// stateVersion is the first value of a blob, moved with its layout. Version
+// 2 arms closed-loop flows on the calendar, where version 1 polled them,
+// and writes each closed loop's watermark.
+const stateVersion = 2
 
 // words lists the counters in the order a state blob carries them.
 func (s *PlaneStats) words() [6]*uint64 {

@@ -407,6 +407,37 @@ func TestCorruptStateFallsBack(t *testing.T) {
 	}
 }
 
+// TestOldStateVersionFallsBack: a journal whose snapshots carry version-1
+// state blobs (closed-loop flows polled, no watermark) is one this build
+// cannot restore. Every snapshot is refused by its version, by name, and
+// recovery re-executes from the header to the trace of the run that
+// wrote the journal.
+func TestOldStateVersionFallsBack(t *testing.T) {
+	ref, path := journaledRun(t, t.TempDir(), testTotal, true)
+	lines, recs := snapshotLines(t, path)
+	if len(lines) == 0 {
+		t.Fatal("no state-carrying snapshot in the journal")
+	}
+	for _, k := range lines {
+		if v := recs[k].Snap.State[0]; v != stateVersion {
+			t.Fatalf("a fresh blob starts with version %d, want %d", v, stateVersion)
+		}
+		rewriteRecord(t, path, k, func(rec *Record) { rec.Snap.State[0] = 1 })
+	}
+	p, warn, err := RecoverFile(path, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.CloseJournal()
+	if want := fmt.Sprintf("state blob version 1, this build reads %d", stateVersion); strings.Count(warn, want) != len(lines) {
+		t.Fatalf("recovery warned %q: want each of %d snapshots refused by its version", warn, len(lines))
+	}
+	if rec := p.Recovered(); rec.Snapshot != 0 || rec.Reexecuted != testTotal {
+		t.Fatalf("recovered %+v, want every cycle re-executed from the header", rec)
+	}
+	samePlane(t, "version-1 journal", p, ref) // rejections are not journaled, so not counted
+}
+
 // TestStatelessJournalRecoversFromGenesis strips the state from every
 // snapshot, which is what a journal written before snapshots carried one
 // looks like: recovery re-executes from the header, silently, as it

@@ -79,6 +79,7 @@ func (g *Periodic) RestoreState(r *wire.Reader) error {
 // written oldest request first, which is all its head index means, and a
 // user is awaiting exactly while the ring names it.
 func (g *ClosedLoop) AppendState(b []byte) []byte {
+	b = wire.Uint(b, g.watermark)
 	b = g.rng.AppendState(b)
 	for u := range g.thinkUntil {
 		b = wire.Uint(b, g.thinkUntil[u].Uint())
@@ -102,9 +103,14 @@ func (g *ClosedLoop) AppendState(b []byte) []byte {
 // with the snapshot source's configuration. A user has at most one
 // request in flight, and is awaiting exactly while it has one: the ring
 // is refused unless it names distinct users that have nothing left to
-// emit, because push relies on a free slot being there.
+// emit, because push relies on a free slot being there. The watermark
+// may not stand above the sequence, restored before its generators.
 func (g *ClosedLoop) RestoreState(r *wire.Reader) error {
 	users := len(g.thinkUntil)
+	watermark := r.Uint()
+	if r.Err() == nil && watermark > g.seq.next {
+		r.Failf("traffic: closed-loop watermark %d above the sequence's last packet %d", watermark, g.seq.next)
+	}
 	var rng RNG
 	rng.RestoreState(r)
 	think := make([]noc.Cycle, users)
@@ -139,6 +145,7 @@ func (g *ClosedLoop) RestoreState(r *wire.Reader) error {
 		return err
 	}
 	*g.rng = rng
+	g.watermark = watermark
 	g.thinkUntil, g.remaining, g.reqSize, g.awaiting = think, remaining, reqSize, awaiting
 	g.rr, g.ring, g.head, g.count = rr, ring, 0, count
 	g.Issued, g.Done, g.TimedOut = issued, done, timedOut
