@@ -179,10 +179,12 @@ cover:
 		echo "coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; \
 	}
 
-# Short fuzzing sessions for the fuzz targets.
+# Short fuzzing sessions for the fuzz targets: every func Fuzz* in the
+# tree, which TestMakeFuzzListsEveryTarget holds this list to.
 fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzSSVCGrantSequence -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzThermRoundTrip -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSSVCSaturationModel -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzBufferInvariants -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzRefusalMemo -fuzztime 30s
@@ -190,6 +192,7 @@ fuzz:
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzCalendar -fuzztime 30s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzCollector -fuzztime 30s
 	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
+	$(GO) test ./internal/traffic/ -run '^$$' -fuzz FuzzClosedLoopSchedule -fuzztime 30s
 	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s
 	$(GO) test ./internal/compose/ -run '^$$' -fuzz FuzzRoutedOffers -fuzztime 30s
