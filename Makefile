@@ -186,7 +186,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzThermRoundTrip -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSSVCSaturationModel -fuzztime 30s
 	$(GO) test ./internal/fabric/ -fuzz FuzzBufferInvariants -fuzztime 30s
-	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s
+	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzRefusalMemo -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzOffers -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzCalendar -fuzztime 30s

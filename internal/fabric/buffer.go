@@ -14,6 +14,10 @@ import "swizzleqos/internal/noc"
 // grant time, Commit on the last flit), so an in-flight packet can never
 // be dropped for lack of downstream space; the single-stage crossbar
 // simply never reserves.
+//
+// The packets sit in a ring (see ring) that grows only when it is full,
+// so a buffer's storage follows the most it ever held, not how many
+// packets have passed through it, and nothing compacts.
 type Buffer struct {
 	capFlits int
 	flits    int
@@ -25,8 +29,7 @@ type Buffer struct {
 	// CanAccept refused stays refused until drains moves. Sources' refusal
 	// memory waits on it (Sources.Refused).
 	drains uint64
-	pkts   []*noc.Packet
-	head   int
+	q      ring
 }
 
 // NewBuffer returns an empty buffer holding capFlits flits.
@@ -57,7 +60,7 @@ func (b *Buffer) Unreserve(length int) {
 // flit arrives.
 func (b *Buffer) Commit(p *noc.Packet) {
 	b.reserved -= p.Length
-	b.pkts = append(b.pkts, p)
+	b.q.push(p)
 	b.flits += p.Length
 }
 
@@ -65,7 +68,7 @@ func (b *Buffer) Commit(p *noc.Packet) {
 //
 //ssvc:hotpath
 func (b *Buffer) Push(p *noc.Packet) {
-	b.pkts = append(b.pkts, p)
+	b.q.push(p)
 	b.flits += p.Length
 }
 
@@ -80,35 +83,18 @@ func (b *Buffer) Admit(p *noc.Packet) bool {
 }
 
 // Head returns the oldest packet without removing it, or nil.
-func (b *Buffer) Head() *noc.Packet {
-	if b.head >= len(b.pkts) {
-		return nil
-	}
-	return b.pkts[b.head]
-}
+func (b *Buffer) Head() *noc.Packet { return b.q.peek() }
 
 // Pop removes and returns the oldest packet, or nil.
 //
 //ssvc:hotpath
 func (b *Buffer) Pop() *noc.Packet {
-	if b.head >= len(b.pkts) {
+	p := b.q.pop()
+	if p == nil {
 		return nil
 	}
-	p := b.pkts[b.head]
-	b.pkts[b.head] = nil
-	b.head++
 	b.flits -= p.Length
 	b.drains++
-	// Compact once the dead prefix dominates, keeping Pop amortised O(1)
-	// without unbounded growth.
-	if b.head > 32 && b.head*2 >= len(b.pkts) {
-		n := copy(b.pkts, b.pkts[b.head:])
-		for i := n; i < len(b.pkts); i++ {
-			b.pkts[i] = nil
-		}
-		b.pkts = b.pkts[:n]
-		b.head = 0
-	}
 	return p
 }
 
@@ -117,43 +103,26 @@ func (b *Buffer) Pop() *noc.Packet {
 // may transiently exceed the buffer's capacity (the hardware holds the
 // retransmission at the source until acknowledged).
 func (b *Buffer) PushFront(p *noc.Packet) {
-	if b.head > 0 {
-		b.head--
-		b.pkts[b.head] = p
-	} else {
-		b.pkts = append(b.pkts, nil)
-		copy(b.pkts[1:], b.pkts)
-		b.pkts[0] = p
-	}
+	b.q.pushFront(p)
 	b.flits += p.Length
 }
 
-// DropWhere removes every queued packet matching pred, invoking onDrop
-// for each removed packet, and returns how many were removed. It filters
-// in place and resets the dead-prefix head index. This is a cold-path
-// operation used when a port fail-stops and the packets parked toward it
-// must be flushed; the steady-state loop never calls it.
+// DropWhere removes every queued packet matching pred, oldest first,
+// invoking onDrop for each removed packet, and returns how many were
+// removed; the survivors keep their order. This is a cold-path operation
+// used when a port fail-stops and the packets parked toward it must be
+// flushed; the steady-state loop never calls it.
 func (b *Buffer) DropWhere(pred func(*noc.Packet) bool, onDrop func(*noc.Packet)) int {
-	kept := 0
-	dropped := 0
-	for i := b.head; i < len(b.pkts); i++ {
-		p := b.pkts[i]
-		if pred(p) {
-			dropped++
-			b.flits -= p.Length
-			if onDrop != nil {
-				onDrop(p)
-			}
-			continue
+	dropped := b.q.remove(func(p *noc.Packet) bool {
+		if !pred(p) {
+			return false
 		}
-		b.pkts[kept] = p
-		kept++
-	}
-	for i := kept; i < len(b.pkts); i++ {
-		b.pkts[i] = nil
-	}
-	b.pkts = b.pkts[:kept]
-	b.head = 0
+		b.flits -= p.Length
+		if onDrop != nil {
+			onDrop(p)
+		}
+		return true
+	})
 	if dropped > 0 {
 		b.drains++
 	}
@@ -161,7 +130,11 @@ func (b *Buffer) DropWhere(pred func(*noc.Packet) bool, onDrop func(*noc.Packet)
 }
 
 // Len returns the number of queued packets.
-func (b *Buffer) Len() int { return len(b.pkts) - b.head }
+func (b *Buffer) Len() int { return b.q.len() }
+
+// Slots returns how many packets the buffer's storage holds before it
+// next grows.
+func (b *Buffer) Slots() int { return len(b.q.slots) }
 
 // Flits returns the occupied capacity in flits.
 func (b *Buffer) Flits() int { return b.flits }

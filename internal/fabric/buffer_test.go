@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/traffic"
@@ -86,7 +88,9 @@ func TestBufferPushFront(t *testing.T) {
 	}
 }
 
-func TestBufferCompaction(t *testing.T) {
+// TestBufferRingStaysAtPeak passes 2,000 packets through a buffer one at
+// a time: its ring never holds more than the first array's 4 slots.
+func TestBufferRingStaysAtPeak(t *testing.T) {
 	b := NewBuffer(1 << 20)
 	var next uint64
 	for round := 0; round < 2000; round++ {
@@ -96,11 +100,23 @@ func TestBufferCompaction(t *testing.T) {
 			t.Fatalf("round %d: pop = %d, want %d", round, got.ID, next)
 		}
 	}
-	if len(b.pkts)-b.head != 0 {
+	if b.Len() != 0 {
 		t.Fatal("buffer not empty after balanced push/pop")
 	}
-	if cap(b.pkts) > 256 {
-		t.Fatalf("backing array grew to %d entries; compaction failed", cap(b.pkts))
+	if n := len(b.q.slots); n > ringBound(1) {
+		t.Fatalf("ring grew to %d slots holding one packet at a time", n)
+	}
+}
+
+// TestBufferSize pins Buffer to the 64-byte size class on 64-bit words:
+// the crossbar holds radix² + 2·radix of them, and one more word would
+// put each in the 80-byte class.
+func TestBufferSize(t *testing.T) {
+	if bits.UintSize != 64 {
+		t.Skipf("the pin is for 64-bit words, not %d-bit", bits.UintSize)
+	}
+	if n := unsafe.Sizeof(Buffer{}); n != 64 {
+		t.Fatalf("Buffer is %d bytes, want 64", n)
 	}
 }
 
@@ -108,14 +124,14 @@ func TestBufferCompaction(t *testing.T) {
 // sustained storm of Pop / PushFront cycles (every in-flight packet
 // NACKed a random number of times before finally succeeding, new
 // packets admitted throughout), flit accounting stays exact against a
-// shadow model and the backing pkts slice stays bounded — the
-// head-index compaction in Pop must keep working when PushFront keeps
-// rewinding the head.
+// shadow model and the ring stays within the bound of the most packets
+// it held, however often PushFront rewinds its head.
 func TestBufferNACKStorm(t *testing.T) {
 	rng := traffic.NewRNG(42)
 	b := NewBuffer(1 << 20)
 	var shadow []*noc.Packet // reference FIFO
 	shadowFlits := 0
+	peak := 0
 	var next uint64
 	for round := 0; round < 20000; round++ {
 		// Admit up to 2 fresh packets of random length.
@@ -126,6 +142,7 @@ func TestBufferNACKStorm(t *testing.T) {
 			shadow = append(shadow, p)
 			shadowFlits += p.Length
 		}
+		peak = max(peak, len(shadow))
 		if len(shadow) == 0 {
 			continue
 		}
@@ -154,17 +171,14 @@ func TestBufferNACKStorm(t *testing.T) {
 			t.Fatalf("round %d: len = %d, want %d", round, b.Len(), len(shadow))
 		}
 	}
-	// The live population never exceeded a few packets, so the backing
-	// array must have stayed small: compaction ran despite PushFront
-	// repeatedly rewinding the head index.
-	if cap(b.pkts) > 1024 {
-		t.Fatalf("backing array grew to %d entries under NACK storm; compaction failed", cap(b.pkts))
+	if n := len(b.q.slots); n > ringBound(peak) {
+		t.Fatalf("ring grew to %d slots under the NACK storm, peak occupancy %d", n, peak)
 	}
 }
 
 // TestBufferDropWhere covers the fail-stop flush path: selective removal
-// keeps flit accounting and FIFO order of the survivors, and resets the
-// dead prefix.
+// behind a popped head keeps flit accounting and FIFO order of the
+// survivors.
 func TestBufferDropWhere(t *testing.T) {
 	b := NewBuffer(100)
 	for i := 1; i <= 6; i++ {
@@ -172,7 +186,7 @@ func TestBufferDropWhere(t *testing.T) {
 		p.Dst = i % 2 // odd IDs -> dst 1, even -> dst 0
 		b.Push(p)
 	}
-	b.Pop() // create a dead prefix (head > 0)
+	b.Pop() // move the head off slot 0
 	var dropped []uint64
 	n := b.DropWhere(
 		func(p *noc.Packet) bool { return p.Dst == 1 },
@@ -191,7 +205,9 @@ func TestBufferDropWhere(t *testing.T) {
 	}
 }
 
-func TestFlowQueueCompaction(t *testing.T) {
+// TestFlowQueueRingStaysAtPeak is TestBufferRingStaysAtPeak for a source
+// queue.
+func TestFlowQueueRingStaysAtPeak(t *testing.T) {
 	var fq FlowQueue
 	var next uint64
 	for round := 0; round < 5000; round++ {
@@ -204,8 +220,8 @@ func TestFlowQueueCompaction(t *testing.T) {
 			t.Fatalf("round %d: pop = %d, want %d", round, got.ID, next)
 		}
 	}
-	if cap(fq.queue) > 512 {
-		t.Fatalf("flow queue grew to %d entries; compaction failed", cap(fq.queue))
+	if n := len(fq.q.slots); n > ringBound(1) {
+		t.Fatalf("flow queue grew to %d slots holding one packet at a time", n)
 	}
 }
 

@@ -9,11 +9,12 @@
 // definition of each.
 //
 // Everything here is tuned for the engines' steady-state cycle loops:
-// queues compact in place instead of reallocating, transmissions come
-// from a free list, and the release hook feeds delivered packets back to
-// traffic.Sequence so generation reuses retired packet structs. With
-// recycling wired, all three engines run their steady state without heap
-// allocation (see the *CycleRecycled benchmarks in each engine package).
+// every queue is a ring whose storage grows only at a new peak and is
+// reused after, transmissions come from a free list, and the release
+// hook feeds delivered packets back to traffic.Sequence so generation
+// reuses retired packet structs. With recycling wired, all three engines
+// run their steady state without heap allocation (see the *CycleRecycled
+// benchmarks in each engine package).
 //
 // Like the engines themselves, nothing in this package is safe for
 // concurrent use; parallel sweeps give every engine its own instance

@@ -13,42 +13,27 @@ import (
 // measured at the output, following standard interconnection-network
 // methodology.
 type FlowQueue struct {
-	Flow  traffic.Flow
-	queue []*noc.Packet
-	head  int
+	Flow traffic.Flow
+	q    ring
 }
 
 // Queued returns the source-queue depth in packets.
-func (f *FlowQueue) Queued() int { return len(f.queue) - f.head }
+func (f *FlowQueue) Queued() int { return f.q.len() }
 
 // Peek returns the head packet without removing it, or nil.
-func (f *FlowQueue) Peek() *noc.Packet {
-	if f.head >= len(f.queue) {
-		return nil
-	}
-	return f.queue[f.head]
-}
+func (f *FlowQueue) Peek() *noc.Packet { return f.q.peek() }
 
-// Pop removes and returns the head packet. The queue compacts in place
-// once the dead prefix dominates, so a long-lived source stays at its
-// peak footprint instead of growing without bound.
-func (f *FlowQueue) Pop() *noc.Packet {
-	p := f.queue[f.head]
-	f.queue[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.queue) {
-		n := copy(f.queue, f.queue[f.head:])
-		for i := n; i < len(f.queue); i++ {
-			f.queue[i] = nil
-		}
-		f.queue = f.queue[:n]
-		f.head = 0
-	}
-	return p
-}
+// Pop removes and returns the head packet, or nil. The queue's storage
+// stays at its peak depth (see ring), so a long-lived source neither
+// grows without bound nor reallocates in steady state.
+func (f *FlowQueue) Pop() *noc.Packet { return f.q.pop() }
+
+// Slots returns how many packets the queue's storage holds before it
+// next grows.
+func (f *FlowQueue) Slots() int { return len(f.q.slots) }
 
 // push appends a generated packet.
-func (f *FlowQueue) push(p *noc.Packet) { f.queue = append(f.queue, p) }
+func (f *FlowQueue) push(p *noc.Packet) { f.q.push(p) }
 
 // Sources is the set of flow source queues attached to an engine,
 // grouped by injection point (the input port of the crossbar, the

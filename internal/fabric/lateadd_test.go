@@ -1,7 +1,7 @@
 package fabric
 
 import (
-	"fmt"
+	"bytes"
 	"testing"
 
 	"swizzleqos/internal/noc"
@@ -52,6 +52,14 @@ func newTap(g traffic.Generator) (traffic.Generator, *tap) {
 }
 
 const lateAddGroups = 3
+
+// lateAddMaxFlows caps the flows a schedule adds: an add past it is a
+// plain cycle. The polled reference never removes a flow, so it walks
+// every flow ever added, shut or not, on every cycle; without a cap an
+// input that adds a flow on every other byte costs the square of its
+// length, and the fuzzer crawls. No seed of
+// TestSourcesLateAddRetireMatchesPolled adds more than 66.
+const lateAddMaxFlows = 128
 
 // Generator kinds of the late-add schedules. kindClosedLoop is fed a
 // completion for each of its packets admitted, so its schedule moves
@@ -119,9 +127,10 @@ func (r *lateAddSet) add(kind, group int) {
 	r.s.Add(traffic.Flow{Spec: spec, Gen: gen}, group)
 }
 
-// lateAddCoverage counts what the schedules run so far exercised.
+// lateAddCoverage counts what the schedules run so far exercised;
+// capped counts the adds lateAddMaxFlows turned into plain cycles.
 type lateAddCoverage struct {
-	lateAdds, retiredEmpty, retiredQueued, shutOnly, admitted, completed, timedOut int
+	lateAdds, retiredEmpty, retiredQueued, shutOnly, admitted, completed, timedOut, capped int
 }
 
 // checkLateAddSchedule interprets ops as a schedule of mid-run adds,
@@ -143,14 +152,16 @@ func checkLateAddSchedule(t *testing.T, ops []byte, cov *lateAddCoverage) {
 		}
 		return 0
 	}
-	same := func(when string, pe, pr *noc.Packet) {
+	// same holds admission k (a cycle, or a step of the drain) of group g
+	// on both sides to one packet.
+	same := func(what string, k uint64, g int, pe, pr *noc.Packet) {
 		t.Helper()
 		if (pe == nil) != (pr == nil) {
-			t.Fatalf("%s: event-driven admitted %v, polled %v", when, pe, pr)
+			t.Fatalf("%s %d group %d: event-driven admitted %v, polled %v", what, k, g, pe, pr)
 		}
 		if pe != nil && (pe.ID != pr.ID || pe.Dst != pr.Dst || pe.CreatedAt != pr.CreatedAt) {
-			t.Fatalf("%s: event-driven packet (id %d flow %d created %d), polled (id %d flow %d created %d)",
-				when, pe.ID, pe.Dst, pe.CreatedAt, pr.ID, pr.Dst, pr.CreatedAt)
+			t.Fatalf("%s %d group %d: event-driven packet (id %d flow %d created %d), polled (id %d flow %d created %d)",
+				what, k, g, pe.ID, pe.Dst, pe.CreatedAt, pr.ID, pr.Dst, pr.CreatedAt)
 		}
 	}
 
@@ -160,6 +171,10 @@ func checkLateAddSchedule(t *testing.T, ops []byte, cov *lateAddCoverage) {
 		v := int(b >> 3)
 		switch b % 8 {
 		case 0, 1:
+			if len(ev.taps) >= lateAddMaxFlows {
+				cov.capped++
+				break
+			}
 			ev.add(v%lateAddKinds, v/lateAddKinds%lateAddGroups)
 			ref.add(v%lateAddKinds, v/lateAddKinds%lateAddGroups)
 			live = append(live, len(ev.taps)-1)
@@ -193,7 +208,7 @@ func checkLateAddSchedule(t *testing.T, ops []byte, cov *lateAddCoverage) {
 			mode := accept >> (2 * g) & 3
 			try := func(p *noc.Packet) bool { return mode >= 2 || (mode == 1 && p.ID%2 == 0) }
 			pe, pr := ev.s.AdmitGroup(g, try), ref.s.AdmitGroup(g, try)
-			same(fmt.Sprintf("cycle %d group %d", now, g), pe, pr)
+			same("cycle", now.Uint(), g, pe, pr)
 			if pe != nil {
 				cov.admitted++
 				if cl := ev.cl[pe.Dst]; cl != nil {
@@ -216,8 +231,8 @@ func checkLateAddSchedule(t *testing.T, ops []byte, cov *lateAddCoverage) {
 	}
 	all := func(*noc.Packet) bool { return true }
 	for g := 0; g < lateAddGroups; g++ {
-		for k := 0; ev.s.GroupQueued(g) > 0 || ref.s.GroupQueued(g) > 0; k++ {
-			same(fmt.Sprintf("drain %d of group %d", k, g), ev.s.AdmitGroup(g, all), ref.s.AdmitGroup(g, all))
+		for k := uint64(0); ev.s.GroupQueued(g) > 0 || ref.s.GroupQueued(g) > 0; k++ {
+			same("drain", k, g, ev.s.AdmitGroup(g, all), ref.s.AdmitGroup(g, all))
 		}
 	}
 
@@ -304,6 +319,9 @@ func TestSourcesLateAddRetireMatchesPolled(t *testing.T) {
 		total.completed < 200 || total.timedOut < 20 {
 		t.Fatalf("schedules lost coverage: %+v", total)
 	}
+	if total.capped != 0 {
+		t.Fatalf("the seeds tried %d adds past lateAddMaxFlows", total.capped)
+	}
 }
 
 // FuzzSourcesLateAdd lets the fuzzer search the schedule space of
@@ -314,6 +332,9 @@ func FuzzSourcesLateAdd(f *testing.F) {
 	}
 	// Retire the only flow of a group with the pointer behind it, then add.
 	f.Add([]byte{0x10, 0xff, 0x04, 0xff, 0x04, 0xff, 0x02, 0x00, 0x10, 0xff, 0x04, 0xff})
+	// An add on every cycle, admitting everything: lateAddMaxFlows turns
+	// the last adds into plain cycles.
+	f.Add(bytes.Repeat([]byte{0x08, 0xff}, 200))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkLateAddSchedule(t, ops, new(lateAddCoverage))
 	})

@@ -13,7 +13,7 @@ import (
 // This file is the kernel's share of a full-state snapshot
 // (internal/ctlplane, DESIGN.md "Recovery"): packets, input buffers and
 // source sets append their state to the engine's buffer and restore it
-// into freshly built values. Free lists, dead queue prefixes and scratch
+// into freshly built values. Free lists, a queue's spare slots and scratch
 // are storage, not state, and are never written; nor are a buffer's drain
 // count and the source set's refusal memory, which a restored set starts
 // without (a forgotten refusal costs one try). Every restore function
@@ -74,8 +74,8 @@ func ReadPacket(r *wire.Reader, lim PacketBounds) *noc.Packet {
 func (b *Buffer) AppendState(buf []byte) []byte {
 	buf = wire.Int(buf, b.reserved)
 	buf = wire.Int(buf, b.Len())
-	for _, p := range b.pkts[b.head:] {
-		buf = AppendPacket(buf, p)
+	for k := range b.Len() {
+		buf = AppendPacket(buf, b.q.at(k))
 	}
 	return buf
 }
@@ -190,8 +190,8 @@ func (s *Sources) AppendFlowState(b []byte, i int) []byte {
 		}
 	}
 	b = wire.Int(b, fq.Queued())
-	for _, p := range fq.queue[fq.head:] {
-		b = AppendPacket(b, p)
+	for k := range fq.Queued() {
+		b = AppendPacket(b, fq.q.at(k))
 	}
 	return b
 }
@@ -272,7 +272,7 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 		}
 		like := p
 		if k > 0 {
-			like = fq.queue[0]
+			like = fq.q.at(0)
 		}
 		spec := fq.Flow.Spec
 		switch {
@@ -286,9 +286,9 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 				p.ID, p.Stamp.Uint(), p.EnqueuedAt.Uint(), p.GrantedAt.Uint(), p.DeliveredAt.Uint(), p.Retries, p.HoldUntil.Uint())
 		case p.CreatedAt > s.lastNow:
 			r.Failf("fabric: source-queued packet %d created at cycle %d, after the set's last cycle %d", p.ID, p.CreatedAt.Uint(), s.lastNow.Uint())
-		case k > 0 && p.ID <= fq.queue[k-1].ID:
+		case k > 0 && p.ID <= fq.q.at(k-1).ID:
 			// One sequence numbers every packet in creation order.
-			r.Failf("fabric: source-queued packet %d stands behind packet %d", p.ID, fq.queue[k-1].ID)
+			r.Failf("fabric: source-queued packet %d stands behind packet %d", p.ID, fq.q.at(k-1).ID)
 		default:
 			fq.push(p)
 		}

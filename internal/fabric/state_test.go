@@ -22,8 +22,8 @@ func queuedFlow(t *testing.T, last noc.Cycle) (traffic.Flow, []noc.Packet) {
 		s.Generate(now)
 	}
 	var queue []noc.Packet
-	for _, p := range s.Flow(0).queue {
-		queue = append(queue, *p)
+	for k := range s.Flow(0).Queued() {
+		queue = append(queue, *s.Flow(0).q.at(k))
 	}
 	if len(queue) < 3 {
 		t.Fatalf("%d packets queued by cycle %d", len(queue), last)

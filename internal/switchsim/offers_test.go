@@ -114,7 +114,7 @@ func TestOffersMatchScan(t *testing.T) {
 		sw.afterRefresh = func(now noc.Cycle) {
 			scanOffers(t, sw, now)
 			for _, in := range sw.inputs[:2] {
-				if _, req, ok := sw.offers.Standing(in.id); ok && req.Class == noc.GuaranteedLatency && in.gb[2].Len() > 0 {
+				if _, req, ok := sw.offers.Standing(in.id); ok && req.Class == noc.GuaranteedLatency && sw.BufferOccupancy(in.id, noc.GuaranteedBandwidth, 2) > 0 {
 					swapped++
 				}
 			}
@@ -146,6 +146,9 @@ func TestOffersMatchScan(t *testing.T) {
 			scanOffers(t, sw, now)
 			for _, in := range sw.inputs {
 				for _, q := range in.gb {
+					if q == nil {
+						continue
+					}
 					if p := q.Head(); p != nil && p.HoldUntil > now {
 						held++
 					}

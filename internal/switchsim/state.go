@@ -19,7 +19,14 @@ import (
 // the in-flight transmission and the arbiter. The work masks and the
 // standing offers are images of that state and are re-derived; the offers'
 // Evals count is a diagnostic of the host's work, not of the simulation, and starts
-// again at zero.
+// again at zero. A GB virtual output queue not yet built is written as
+// the empty buffer it stands for, and restore builds one only for an
+// entry that holds packets or a reservation, so a restored switch
+// re-encodes to the same bytes.
+
+// unbuiltVOQ is what AppendState writes for a VOQ not yet built. Nothing
+// is ever pushed onto it.
+var unbuiltVOQ fabric.Buffer
 
 // counterWords lists the counters a snapshot carries, in the order it
 // carries them.
@@ -61,6 +68,9 @@ func (s *Switch) AppendState(b []byte) ([]byte, error) {
 		b = in.gl.AppendState(b)
 		b = in.be.AppendState(b)
 		for _, q := range in.gb {
+			if q == nil {
+				q = &unbuiltVOQ
+			}
 			b = q.AppendState(b)
 		}
 	}
@@ -154,9 +164,18 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 		if err := restore(in.be, noc.BestEffort, -1); err != nil {
 			return err
 		}
-		for o, q := range in.gb {
-			if err := restore(q, noc.GuaranteedBandwidth, o); err != nil {
+		// A VOQ is built only for an entry that holds something; the rest
+		// read into one spare, empty buffer.
+		var spare *fabric.Buffer
+		for o := range in.gb {
+			if spare == nil {
+				spare = fabric.NewBuffer(s.cfg.GBBufferFlits)
+			}
+			if err := restore(spare, noc.GuaranteedBandwidth, o); err != nil {
 				return err
+			}
+			if spare.Len() > 0 || spare.Reserved() > 0 {
+				in.gb[o], spare = spare, nil
 			}
 		}
 	}
@@ -200,7 +219,7 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 		}
 		barren := true
 		s.sources.AdmitGroup(in.id, func(p *noc.Packet) bool {
-			if dead(p) || in.bufferFor(p.Class, p.Dst).CanAccept(p.Length) {
+			if dead(p) || p.Class == noc.GuaranteedBandwidth && in.gb[p.Dst] == nil || in.bufferFor(p.Class, p.Dst).CanAccept(p.Length) {
 				barren = false
 			}
 			return false

@@ -17,10 +17,11 @@ type inputPort struct {
 	id    int
 	be    *fabric.Buffer
 	gl    *fabric.Buffer
-	gb    []*fabric.Buffer // one virtual output queue per output
+	gb    []*fabric.Buffer // one virtual output queue per output, nil until first use
 	busy  bool             // transmitting a granted packet
 	gbRR  int              // round-robin pointer over GB queues
 	gbOcc []uint64         // mask of nonempty GB virtual output queues
+	gbCap int              // flits a GB virtual output queue holds
 }
 
 // currentRequest is the crossbar's one question to its standing offers
@@ -78,16 +79,32 @@ func (s *Switch) ready(i int, p *noc.Packet, now noc.Cycle) bool {
 }
 
 // bufferFor returns the buffer a packet of the given class/destination
-// occupies at this input.
+// occupies at this input, building a GB virtual output queue the first
+// time a flow or a packet is bound for it.
 func (in *inputPort) bufferFor(class noc.Class, dst int) *fabric.Buffer {
 	switch class {
 	case noc.GuaranteedLatency:
 		return in.gl
 	case noc.GuaranteedBandwidth:
-		return in.gb[dst]
+		if q := in.gb[dst]; q != nil {
+			return q
+		}
+		return in.buildVOQ(dst)
 	default:
 		return in.be
 	}
+}
+
+// buildVOQ builds the GB virtual output queue toward dst. Most
+// (input, output) pairs never carry a GB flow, so the queues are built
+// on first use; once built, a queue is never replaced (the source set's
+// refusal memory holds on to it). It stays out of line so its allocation
+// is not charged to the hot callers of bufferFor.
+//
+//go:noinline
+func (in *inputPort) buildVOQ(dst int) *fabric.Buffer {
+	in.gb[dst] = fabric.NewBuffer(in.gbCap)
+	return in.gb[dst]
 }
 
 // outputPort is one output channel: its arbiter and channel state. The
@@ -199,9 +216,7 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 			gl:    fabric.NewBuffer(cfg.GLBufferFlits),
 			gb:    make([]*fabric.Buffer, cfg.Radix),
 			gbOcc: make([]uint64, words),
-		}
-		for o := range in.gb {
-			in.gb[o] = fabric.NewBuffer(cfg.GBBufferFlits)
+			gbCap: cfg.GBBufferFlits,
 		}
 		s.inputs[i] = in
 		arb.MaskSet(s.all, i)
@@ -303,9 +318,14 @@ func (s *Switch) SourceQueueLen(f int) int {
 }
 
 // BufferOccupancy returns the flit occupancy of the class buffer at input
-// i (for GB, the queue toward output dst).
+// i (for GB, the queue toward output dst). It builds no queue: one not yet
+// built holds nothing.
 func (s *Switch) BufferOccupancy(i int, class noc.Class, dst int) int {
-	return s.inputs[i].bufferFor(class, dst).Flits()
+	in := s.inputs[i]
+	if class == noc.GuaranteedBandwidth && in.gb[dst] == nil {
+		return 0
+	}
+	return in.bufferFor(class, dst).Flits()
 }
 
 // Step advances the simulation one cycle: fault events, generation,
@@ -684,7 +704,9 @@ func (s *Switch) applyFailStop(now noc.Cycle, f faults.FailStop) {
 		in.be.DropWhere(all, s.dropPkt)
 		in.gl.DropWhere(all, s.dropPkt)
 		for _, q := range in.gb {
-			q.DropWhere(all, s.dropPkt)
+			if q != nil {
+				q.DropWhere(all, s.dropPkt)
+			}
 		}
 		for _, out := range s.outputs {
 			if out.tx != nil && out.tx.Input == f.Port {
@@ -697,7 +719,9 @@ func (s *Switch) applyFailStop(now noc.Cycle, f faults.FailStop) {
 		for _, in := range s.inputs {
 			in.be.DropWhere(toDead, s.dropPkt)
 			in.gl.DropWhere(toDead, s.dropPkt)
-			in.gb[f.Port].DropWhere(all, s.dropPkt)
+			if q := in.gb[f.Port]; q != nil {
+				q.DropWhere(all, s.dropPkt)
+			}
 		}
 		if out := s.outputs[f.Port]; out.tx != nil {
 			s.abortTx(out)
@@ -725,10 +749,10 @@ func (s *Switch) recomputeMasks() {
 		n := in.gl.Len() + in.be.Len()
 		arb.MaskZero(in.gbOcc)
 		for o, q := range in.gb {
-			if q.Len() > 0 {
+			if q != nil && q.Len() > 0 {
 				arb.MaskSet(in.gbOcc, o)
+				n += q.Len()
 			}
-			n += q.Len()
 		}
 		s.pkts[in.id] = n
 		if n > 0 {
