@@ -64,11 +64,11 @@ func BenchmarkFig5LatencyFairness(b *testing.B) {
 
 // BenchmarkRateAdherence regenerates the §4.2 check across random
 // reservation mixes; the metric is the worst accepted/reserved ratio
-// (paper: within 2% of the reservation, i.e. >= 0.98).
+// (paper: within 2% of the reservation, i.e. >= GBTolerance).
 func BenchmarkRateAdherence(b *testing.B) {
 	var res experiments.AdherenceResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.Adherence(5, benchOptions())
+		res = experiments.RateAdherence(5, benchOptions())
 	}
 	b.ReportMetric(res.WorstRatio, "worstAcceptedOverReserved")
 }
@@ -179,7 +179,7 @@ func BenchmarkMotivationSingleStageVsMesh(b *testing.B) {
 		case "Mesh+LRG":
 			b.ReportMetric(oc.VictimThroughput, "victimMeshLRG")
 		case "Mesh+WRR(static ports)":
-			b.ReportMetric(oc.WorstRatio, "worstRatioMeshWRR")
+			b.ReportMetric(oc.GB.Worst, "worstRatioMeshWRR")
 		}
 	}
 }
@@ -205,7 +205,7 @@ func BenchmarkScale64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = experiments.Scale64(benchOptions())
 	}
-	b.ReportMetric(res.WorstRatio, "worstHotspotRatio")
+	b.ReportMetric(res.GB.Worst, "worstHotspotRatio")
 	b.ReportMetric(res.BackgroundTotal, "backgroundFlitsPerCycle")
 }
 
@@ -223,7 +223,7 @@ func BenchmarkGLBursts(b *testing.B) {
 	}
 	b.ReportMetric(holds, "budgetsHold")
 	last := res.Outcomes[len(res.Outcomes)-1]
-	b.ReportMetric(float64(last.MeasuredWait)/last.Constraint, "loosestTightness")
+	b.ReportMetric(last.GL.Worst/last.GL.Bound, "loosestTightness")
 }
 
 // BenchmarkConvergence measures the transient after a 40%-reserved flow
@@ -274,9 +274,9 @@ func BenchmarkAblationGSF(b *testing.B) {
 	for _, oc := range out {
 		switch oc.Scheme {
 		case "SSVC":
-			b.ReportMetric(oc.WorstRatio, "worstRatioSSVC")
+			b.ReportMetric(oc.GB.Worst, "worstRatioSSVC")
 		case "GSF(barrier=0)":
-			b.ReportMetric(oc.WorstRatio, "worstRatioGSFfast")
+			b.ReportMetric(oc.GB.Worst, "worstRatioGSFfast")
 		case "GSF(barrier=1024)":
 			b.ReportMetric(oc.Utilisation, "utilGSFslow")
 		}

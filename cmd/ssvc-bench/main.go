@@ -5,13 +5,11 @@
 // Usage:
 //
 //	ssvc-bench [-exp all|fig4a|fig4b|fig5|adherence|table1|table2|area|energy|lanes|glbursts|glbound|chaining|fixedpriority|static|sigbits|gsf|decoupling|convergence|scale64|pvc|compose|motivation|idleskip|ctlplane|faults]
-//	           [-faults] [-quick] [-csv] [-cycles N] [-warmup N] [-seed N] [-workers N]
+//	           [-quick] [-csv] [-cycles N] [-warmup N] [-seed N] [-workers N]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // -exp takes names in any order and prints their tables in the order
-// above; an unknown name is an error. -faults is shorthand for the
-// fault-injection experiment: alone it runs just that experiment;
-// combined with -exp it adds faults to the selection.
+// above; an unknown name is an error.
 //
 // At most -workers sweep points (default: GOMAXPROCS) run at once in the
 // whole process, not in each table: the selected experiments share one
@@ -64,7 +62,7 @@ var suite = []experiment{
 		fmt.Fprintln(w)
 	}},
 	{"adherence", func(o options, w io.Writer, show func(*stats.Table)) {
-		res := experiments.Adherence(20, o)
+		res := experiments.RateAdherence(20, o)
 		show(res.Table())
 		fmt.Fprintf(w, "  worst accepted/reserved across %d combos: %.3f (failures below 98%%: %d)\n\n",
 			len(res.Combos), res.WorstRatio, res.Failures)
@@ -131,13 +129,12 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ssvc-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp        = fs.String("exp", "all", "experiments to run, comma separated: "+expNames())
-		faultsOnly = fs.Bool("faults", false, "run the fault-injection experiment (adds to -exp if both are given)")
-		quick      = fs.Bool("quick", false, "use short runs (lower accuracy)")
-		asCSV      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		cycles     = fs.Uint64("cycles", 0, "override measurement cycles")
-		warmup     = fs.Uint64("warmup", 0, "override warmup cycles")
-		seed       = fs.Uint64("seed", 1, "workload RNG seed")
+		exp    = fs.String("exp", "all", "experiments to run, comma separated: "+expNames())
+		quick  = fs.Bool("quick", false, "use short runs (lower accuracy)")
+		asCSV  = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		cycles = fs.Uint64("cycles", 0, "override measurement cycles")
+		warmup = fs.Uint64("warmup", 0, "override warmup cycles")
+		seed   = fs.Uint64("seed", 1, "workload RNG seed")
 
 		workers    = fs.Int("workers", 0, "sweep points running at once, over all tables (0 = GOMAXPROCS, 1 = serial)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -147,21 +144,8 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	names := strings.Split(*exp, ",")
-	if *faultsOnly {
-		expSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "exp" {
-				expSet = true
-			}
-		})
-		if !expSet {
-			names = nil
-		}
-		names = append(names, "faults")
-	}
 	want := make([]bool, len(suite))
-	for _, name := range names {
+	for _, name := range strings.Split(*exp, ",") {
 		name = strings.TrimSpace(name)
 		i := slices.IndexFunc(suite, func(e experiment) bool { return e.name == name })
 		switch {

@@ -77,35 +77,6 @@ func TestBenchMainProfiles(t *testing.T) {
 	}
 }
 
-func TestBenchMainFaultsShorthand(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := benchMain([]string{"-faults", "-cycles", "5000", "-warmup", "500"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	got := out.String()
-	if !strings.Contains(got, "Fault injection") {
-		t.Fatalf("missing faults table:\n%s", got)
-	}
-	if !strings.Contains(got, "fail-stops at cycle") {
-		t.Fatalf("missing schedule line:\n%s", got)
-	}
-	if strings.Contains(got, "Table 1") {
-		t.Fatalf("-faults alone must not run the full suite:\n%s", got)
-	}
-}
-
-func TestBenchMainFaultsCombinesWithExp(t *testing.T) {
-	var out, errOut strings.Builder
-	args := []string{"-faults", "-exp", "table1", "-cycles", "5000", "-warmup", "500"}
-	if code := benchMain(args, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	got := out.String()
-	if !strings.Contains(got, "Fault injection") || !strings.Contains(got, "Table 1") {
-		t.Fatalf("-faults -exp table1 must run both:\n%s", got)
-	}
-}
-
 // TestBenchMainUnknownExperiment: one unknown name refuses the whole
 // selection, known names beside it included, and names what -exp takes.
 func TestBenchMainUnknownExperiment(t *testing.T) {

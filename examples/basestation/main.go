@@ -84,7 +84,7 @@ func main() {
 
 		radio := rep.Throughput(swizzleqos.FlowKey{Src: 0, Dst: memPort, Class: swizzleqos.GuaranteedBandwidth})
 		verdict := "MISSED"
-		if radio >= 0.40*0.98 {
+		if radio >= 0.40*swizzleqos.GBTolerance {
 			verdict = "met"
 		}
 		fmt.Printf("radio DSP requirement (0.40 flits/cycle): %.3f -> %s\n\n", radio, verdict)

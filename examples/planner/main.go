@@ -88,7 +88,7 @@ func main() {
 	for _, s := range req.GB {
 		got := rep.Throughput(swizzleqos.FlowKey{Src: s.Src, Dst: s.Dst, Class: s.Class})
 		status := "ok"
-		if got < s.Rate*0.98 {
+		if got < s.Rate*swizzleqos.GBTolerance {
 			status = "VIOLATED"
 		}
 		fmt.Printf("  GB %2d->%2d reserved %.3f accepted %.3f  %s\n", s.Src, s.Dst, s.Rate, got, status)

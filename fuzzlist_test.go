@@ -11,7 +11,9 @@ import (
 
 // TestMakeFuzzListsEveryTarget holds `make fuzz` to the tree: every
 // func Fuzz* in a _test.go file has a line in the Makefile's fuzz target
-// that fuzzes it in its own package, and every line there names one.
+// that fuzzes it in its own package, and every line there names one. CI
+// runs `make fuzz` and names no -fuzz target of its own, so the Makefile
+// keeps the one list.
 func TestMakeFuzzListsEveryTarget(t *testing.T) {
 	listed := map[string]string{} // target -> package directory
 	f, err := os.Open("Makefile")
@@ -70,5 +72,13 @@ func TestMakeFuzzListsEveryTarget(t *testing.T) {
 		if !found[name] {
 			t.Errorf("`make fuzz` runs %s, which no _test.go file declares", name)
 		}
+	}
+
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`-fuzz[= ]+['"]?(\w+)`).FindAllStringSubmatch(string(ci), -1) {
+		t.Errorf("ci.yml fuzzes %s itself; run `make fuzz` instead", m[1])
 	}
 }

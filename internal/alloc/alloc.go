@@ -13,7 +13,6 @@ package alloc
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/glbound"
@@ -213,13 +212,11 @@ func Build(req Requirements) (*Plan, error) {
 		capacity = float64(lmax) / float64(lmax+1)
 	}
 	vtickMax := uint64(1)<<req.VtickBits - 1
-	outs := make([]int, 0, len(plan.Outputs))
-	for out := range plan.Outputs {
-		outs = append(outs, out)
-	}
-	sort.Ints(outs)
-	for _, out := range outs {
+	for out := 0; out < req.Radix; out++ { // every planned output passed Validate(req.Radix)
 		p := plan.Outputs[out]
+		if p == nil {
+			continue
+		}
 		if total := p.GBReserved + p.GLReserved; total > capacity {
 			return nil, fmt.Errorf("alloc: output %d oversubscribed: GB %.3f + GL %.3f > capacity %.3f",
 				out, p.GBReserved, p.GLReserved, capacity)
@@ -279,7 +276,7 @@ func fitRegisters(p *OutputPlan, req Requirements, lens []int, vtickMax uint64, 
 // the total admissible burst, and verifies every latency constraint
 // against Eqs. 1-3.
 func planGL(req Requirements, plan *Plan, get func(int) *OutputPlan, lmax int) error {
-	byOut := make(map[int][]GLRequirement)
+	byOut := make([][]GLRequirement, req.Radix) // GL flows per output, in ascending output order
 	for i, g := range req.GL {
 		spec := noc.FlowSpec{Src: g.Src, Dst: g.Dst, Class: noc.GuaranteedLatency,
 			Rate: 0.01, PacketLength: g.PacketLength}
@@ -292,6 +289,9 @@ func planGL(req Requirements, plan *Plan, get func(int) *OutputPlan, lmax int) e
 		byOut[g.Dst] = append(byOut[g.Dst], g)
 	}
 	for out, flows := range byOut {
+		if len(flows) == 0 {
+			continue
+		}
 		p := get(out)
 		nGL := len(flows)
 		lmin := flows[0].PacketLength

@@ -85,6 +85,20 @@ func TestBuildSSVCConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuildNamesLowestBadOutput: with GL contracts that no plan can meet
+// on three outputs, the error names the lowest of them on every call.
+func TestBuildNamesLowestBadOutput(t *testing.T) {
+	req := Requirements{Radix: 8, BusWidthBits: 128}
+	for i, dst := range []int{5, 2, 6} { // each bound below the 4-cycle channel release
+		req.GL = append(req.GL, GLRequirement{Src: i, Dst: dst, PacketLength: 4, LatencyBound: 1, BurstPackets: 1})
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := Build(req); err == nil || !strings.HasPrefix(err.Error(), "alloc: output 2 ") {
+			t.Fatalf("call %d: error %v, want one naming output 2", i, err)
+		}
+	}
+}
+
 func TestBuildRejectsOversubscription(t *testing.T) {
 	req := baseReq()
 	req.GB = append(req.GB, gb(3, 0, 0.30, 8)) // 1.0 GB + >=0.05 GL

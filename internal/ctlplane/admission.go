@@ -332,8 +332,10 @@ func (t *Table) drop(res *Reservation) {
 }
 
 // Resize changes a reservation's rate (rate > 0) and/or lease
-// (setLease; lease 0 clears). The new rate passes the same budget and
-// GL-bound checks as an add.
+// (setLease; lease 0 clears). The new rate passes admit.Check and the
+// output's GB or GL budget, as an add does. It needs no GL-bound
+// re-check: glCheck reads a GL flow's latency, burst and packet length,
+// never its rate, and a resize changes none of them.
 func (t *Table) Resize(id uint64, rate float64, lease noc.Cycle, setLease bool, now noc.Cycle) (*Reservation, *Reject) {
 	res, ok := t.byID[id]
 	if !ok {

@@ -245,8 +245,7 @@ func AblationSigBits(o Options) []SigBitsOutcome {
 				return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, Err: err}
 			}
 			col, err := sc.runCollected(sw, &seq, o)
-			worst, _ := col.WorstAdherence(specs)
-			return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, WorstRatio: worst, Err: err}
+			return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, WorstRatio: col.GB(specs).Worst, Err: err}
 		})
 }
 

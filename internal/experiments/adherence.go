@@ -15,8 +15,7 @@ type AdherenceCombo struct {
 	Rates         []float64
 	PacketLens    []int
 	Accepted      []float64
-	WorstRatio    float64 // min over flows of accepted/reserved
-	WorstFlow     int
+	GB            stats.Verdict // At is the worst flow
 	TotalAccepted float64
 	// Err is the engine's terminal error if the run froze early.
 	Err error
@@ -29,16 +28,16 @@ type AdherenceCombo struct {
 type AdherenceResult struct {
 	Combos     []AdherenceCombo
 	WorstRatio float64
-	Failures   int // flows below 98% of their reservation
+	Failures   int // flows below GBTolerance of their reservation
 }
 
-// Adherence draws `combos` random reservation mixes (rates summing to at
+// RateAdherence draws `combos` random reservation mixes (rates summing to at
 // most 75% of the channel, packet lengths in {4, 8, 16}) with every input
 // saturated, and measures each flow's accepted throughput against its
 // reservation under SSVC. The mixes are drawn serially from one RNG
 // stream — so the parameter sequence is identical at any worker count —
 // and the independent simulations then fan across o.Workers goroutines.
-func Adherence(combos int, o Options) AdherenceResult {
+func RateAdherence(combos int, o Options) AdherenceResult {
 	o = o.withDefaults()
 	rng := traffic.NewRNG(o.Seed * 0x9E37)
 	mixes := make([]adherenceMix, combos)
@@ -51,14 +50,8 @@ func Adherence(combos int, o Options) AdherenceResult {
 			return adherenceCombo(sc, mixes[i], o)
 		})
 	for _, combo := range res.Combos {
-		if combo.WorstRatio < res.WorstRatio {
-			res.WorstRatio = combo.WorstRatio
-		}
-		for i := range combo.Rates {
-			if combo.Accepted[i] < 0.98*combo.Rates[i] {
-				res.Failures++
-			}
-		}
+		res.WorstRatio = min(res.WorstRatio, combo.GB.Worst)
+		res.Failures += combo.GB.Failing
 	}
 	return res
 }
@@ -98,7 +91,6 @@ func adherenceCombo(sc *sweepScratch, mix adherenceMix, o Options) AdherenceComb
 		Rates:      append([]float64(nil), mix.rates...),
 		PacketLens: append([]int(nil), mix.lens...),
 		Accepted:   make([]float64, fig4Radix),
-		WorstRatio: 1e9,
 	}
 	specs := make([]noc.FlowSpec, fig4Radix)
 	for i := range specs {
@@ -121,7 +113,7 @@ func adherenceCombo(sc *sweepScratch, mix adherenceMix, o Options) AdherenceComb
 		combo.Accepted[i] = col.Throughput(stats.SpecKey(s))
 		combo.TotalAccepted += combo.Accepted[i]
 	}
-	combo.WorstRatio, combo.WorstFlow = col.WorstAdherence(specs)
+	combo.GB = col.GB(specs)
 	return combo
 }
 
@@ -136,7 +128,7 @@ func (r AdherenceResult) Table() *stats.Table {
 			reserved += rr
 		}
 		t.AddRow(i+1, fmt.Sprintf("%.3f", reserved), fmt.Sprintf("%.3f", c.TotalAccepted),
-			fmt.Sprintf("%.3f", c.WorstRatio), c.WorstFlow)
+			fmt.Sprintf("%.3f", c.GB.Worst), c.GB.At)
 	}
 	return t
 }

@@ -69,7 +69,7 @@ func ComposeQoS(o Options) []ComposeOutcome {
 
 	evaluate := func(system string, col *stats.Collector, err error) ComposeOutcome {
 		oc := ComposeOutcome{System: system, AggregateWorst: 1e9, Err: err}
-		oc.PerFlowWorst, _ = col.WorstAdherence(specs)
+		oc.PerFlowWorst = col.GB(specs).Worst
 		bySrc := make([]float64, len(aggregate))
 		for _, s := range specs {
 			bySrc[s.Src] += col.Throughput(stats.SpecKey(s))

@@ -9,12 +9,6 @@ import (
 	"swizzleqos/internal/stats"
 )
 
-// ctlChurnFlow is the long-lived GB reservation whose guarantee
-// adherence the experiment reports: src 0 -> dst 1 at 30%, offered
-// well above its reservation so adherence measures the arbiter, not
-// the source.
-var ctlChurnKey = stats.FlowKey{Src: 0, Dst: 1, Class: noc.GuaranteedBandwidth}
-
 // CtlPlaneOutcome is one budget-shrink policy's behaviour under
 // reservation churn: leased admissions, over-budget rejections, a
 // mid-run budget shrink, and deterministic lease expirations, all
@@ -138,13 +132,14 @@ func ctlPlaneRun(name string, degrade bool, o Options) CtlPlaneOutcome {
 	out.Revoked = st.Revoked
 	out.Delivered = p.Delivered()
 	out.TraceHash = p.TraceHash()
-	// Judge the churn flow against its admitted 30% for the whole run.
-	// The flow offers double its reservation, so with excess bandwidth
-	// the ratio runs above 1; under degrade the mid-run budget shrink
-	// scales every grant down and the ratio drops, while under reject
-	// the newest neighbour is revoked instead and the flow keeps more.
-	if res := p.Table().Get(1); res != nil {
-		out.Adherence = col.Adherence(ctlChurnKey, res.Req.Rate)
+	// Judge the churn flow, reservation 1 (0 -> 1), against its admitted
+	// 30% for the whole run. The flow offers double its reservation, so
+	// with excess bandwidth the ratio runs above 1; under degrade the
+	// mid-run budget shrink scales every grant down and the ratio drops,
+	// while under reject the newest neighbour is revoked instead and the
+	// flow keeps more.
+	if r := p.Table().Get(1); r != nil {
+		out.Adherence = col.GB([]noc.FlowSpec{{Src: r.Req.Src, Dst: r.Req.Dst, Class: r.Req.Class, Rate: r.Req.Rate}}).Worst
 	}
 	return out
 }

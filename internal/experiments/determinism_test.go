@@ -19,7 +19,7 @@ func TestWorkersByteIdenticalTables(t *testing.T) {
 	cases := []renderCase{
 		{"fig4", func(o Options) string { return Fig4(true, o).Table().String() }},
 		{"fig5", func(o Options) string { return Fig5(o).Table().String() }},
-		{"adherence", func(o Options) string { return Adherence(6, o).Table().String() }},
+		{"adherence", func(o Options) string { return RateAdherence(6, o).Table().String() }},
 		{"glbound", func(o Options) string { return GLBound(o).Table().String() }},
 		{"motivation", func(o Options) string { return MotivationTable(Motivation(o)).String() }},
 		{"static", func(o Options) string { return StaticTable(AblationStaticSchedulers(o)).String() }},

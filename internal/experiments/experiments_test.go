@@ -1,9 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"strings"
 	"testing"
+
+	"swizzleqos/internal/stats"
 )
 
 // Shape tests: these assert the qualitative results the paper reports for
@@ -110,13 +111,15 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestAdherence(t *testing.T) {
-	res := Adherence(5, quick())
-	if res.Failures != 0 {
-		t.Fatalf("%d flows fell below 98%% of their reservation (worst ratio %.3f)",
-			res.Failures, res.WorstRatio)
+	res := RateAdherence(5, quick())
+	for i, c := range res.Combos {
+		if c.Err != nil || !c.GB.Holds() {
+			t.Errorf("combo %d: GB verdict %+v (err %v): every flow within 2%% of its reservation", i+1, c.GB, c.Err)
+		}
 	}
-	if res.WorstRatio < 0.98 {
-		t.Fatalf("worst accepted/reserved = %.3f, want >= 0.98 (the paper's 2%%)", res.WorstRatio)
+	if res.Failures != 0 {
+		t.Fatalf("%d flows fell below GBTolerance of their reservation (worst ratio %.3f)",
+			res.Failures, res.WorstRatio)
 	}
 	if res.Table().NumRows() != 5 {
 		t.Fatalf("table rows = %d, want 5", res.Table().NumRows())
@@ -136,10 +139,10 @@ func TestGLBoundHolds(t *testing.T) {
 	// Contention grows the measured worst case monotonically in NGL for
 	// the first four scenarios.
 	for i := 1; i < 4; i++ {
-		if res.Outcomes[i].MeasuredWait <= res.Outcomes[i-1].MeasuredWait {
-			t.Errorf("worst wait should grow with NGL: %d (NGL=%d) vs %d (NGL=%d)",
-				res.Outcomes[i].MeasuredWait, res.Outcomes[i].Scenario.NGL,
-				res.Outcomes[i-1].MeasuredWait, res.Outcomes[i-1].Scenario.NGL)
+		if res.Outcomes[i].GL.Worst <= res.Outcomes[i-1].GL.Worst {
+			t.Errorf("worst wait should grow with NGL: %.0f (NGL=%d) vs %.0f (NGL=%d)",
+				res.Outcomes[i].GL.Worst, res.Outcomes[i].Scenario.NGL,
+				res.Outcomes[i-1].GL.Worst, res.Outcomes[i-1].Scenario.NGL)
 		}
 	}
 }
@@ -148,28 +151,8 @@ func TestGLBoundHolds(t *testing.T) {
 // delivered proves nothing about Eq. 1, so no scenario may hold.
 func TestGLBoundNeedsEvidence(t *testing.T) {
 	for _, oc := range GLBound(Options{Cycles: 5, Warmup: 5}).Outcomes {
-		if oc.Holds {
-			t.Errorf("NGL=%d GL pkt=%d holds on %d GL packets", oc.Scenario.NGL, oc.Scenario.GLPacketLen, oc.GLDelivered)
-		}
-	}
-}
-
-func TestGLHoldsVerdict(t *testing.T) {
-	froze := errors.New("engine froze")
-	cases := []struct {
-		wait, packets uint64
-		err           error
-		want          bool
-	}{
-		{wait: 10, packets: 3, want: true},
-		{wait: 20, packets: 3, want: true}, // at the bound
-		{wait: 21, packets: 3},             // over it
-		{wait: 0, packets: 0},              // no evidence
-		{wait: 10, packets: 3, err: froze}, // the run failed
-	}
-	for _, c := range cases {
-		if got := glHolds(c.wait, c.packets, 20, c.err); got != c.want {
-			t.Errorf("glHolds(%d, %d, 20, %v) = %v, want %v", c.wait, c.packets, c.err, got, c.want)
+		if oc.Holds() {
+			t.Errorf("NGL=%d GL pkt=%d holds on %d GL packets", oc.Scenario.NGL, oc.Scenario.GLPacketLen, oc.GL.Evidence)
 		}
 	}
 }
@@ -295,8 +278,8 @@ func TestMotivationSingleStageVsMesh(t *testing.T) {
 	wrr := byName["Mesh+WRR(static ports)"]
 
 	// The single-stage switch honours every contract.
-	if !ssvc.AllMet {
-		t.Errorf("SSVC worst ratio %.3f; all reservations should be met", ssvc.WorstRatio)
+	if !ssvc.GB.Holds() {
+		t.Errorf("SSVC worst ratio %.3f; all reservations should be met", ssvc.GB.Worst)
 	}
 	// The plain mesh starves the victim once its flow merges with the
 	// aggressors (port-level fairness compounds per hop).
@@ -308,8 +291,8 @@ func TestMotivationSingleStageVsMesh(t *testing.T) {
 	}
 	// Static per-port weights over-serve the victim and break other
 	// contracts: no weight setting expresses per-flow reservations.
-	if wrr.AllMet {
-		t.Errorf("mesh WRR worst ratio %.3f; static port weights should not satisfy all four contracts", wrr.WorstRatio)
+	if wrr.GB.Holds() {
+		t.Errorf("mesh WRR worst ratio %.3f; static port weights should not satisfy all four contracts", wrr.GB.Worst)
 	}
 	// And the single-stage switch is also faster for the victim.
 	if ssvc.VictimMeanLat >= lrg.VictimMeanLat {
@@ -322,18 +305,18 @@ func TestScale64(t *testing.T) {
 	if res.Table().NumRows() == 0 {
 		t.Fatal("scale table empty")
 	}
-	if res.WorstRatio < 0.98 {
-		t.Errorf("radix-64 hotspot worst accepted/reserved = %.3f, want >= 0.98", res.WorstRatio)
+	if !res.GB.Holds() {
+		t.Errorf("radix-64 hotspot GB verdict %+v: every flow within 2%% of its reservation", res.GB)
 	}
 	if res.HotspotTotal < 0.87 {
 		t.Errorf("hotspot throughput %.3f, want ~8/9 (saturated)", res.HotspotTotal)
 	}
 	// 32 background outputs each carry a 0.5-reserved saturating flow.
-	if res.BackgroundTotal < 32*0.5*0.98 {
-		t.Errorf("background total %.1f flits/cycle, want >= %.1f", res.BackgroundTotal, 32*0.5*0.98)
+	if res.BackgroundTotal < 32*0.5*stats.GBTolerance {
+		t.Errorf("background total %.1f flits/cycle, want >= %.1f", res.BackgroundTotal, 32*0.5*stats.GBTolerance)
 	}
-	if float64(res.GLWorstWait) > res.GLBound {
-		t.Errorf("GL worst wait %d exceeds bound %.0f at radix 64", res.GLWorstWait, res.GLBound)
+	if res.Err != nil || !res.GL.Holds() {
+		t.Errorf("GL verdict %+v (err %v) at radix 64: the bound must hold on evidence", res.GL, res.Err)
 	}
 }
 
@@ -348,9 +331,9 @@ func TestGLBurstsMeetConstraints(t *testing.T) {
 	// Budgets are not trivially loose: the loosest flow's worst wait
 	// reaches at least half its constraint.
 	last := res.Outcomes[len(res.Outcomes)-1]
-	if float64(last.MeasuredWait) < last.Constraint/2 {
-		t.Errorf("loosest flow waited only %d of %d cycles; scenario too weak",
-			last.MeasuredWait, int(last.Constraint))
+	if last.GL.Worst < last.GL.Bound/2 {
+		t.Errorf("loosest flow waited only %.0f of %.0f cycles; scenario too weak",
+			last.GL.Worst, last.GL.Bound)
 	}
 }
 
@@ -433,8 +416,8 @@ func TestAblationGSF(t *testing.T) {
 	// utilisation.
 	for _, name := range []string{"SSVC", "GSF(barrier=0)", "GSF(barrier=256)"} {
 		oc := byName[name]
-		if oc.WorstRatio < 0.98 {
-			t.Errorf("%s worst ratio %.3f, want >= 0.98", name, oc.WorstRatio)
+		if oc.Err != nil || !oc.GB.Holds() {
+			t.Errorf("%s GB verdict %+v (err %v): every flow within 2%% of its reservation", name, oc.GB, oc.Err)
 		}
 		if oc.Utilisation < 0.97 {
 			t.Errorf("%s utilisation %.3f, want ~1", name, oc.Utilisation)
@@ -444,9 +427,9 @@ func TestAblationGSF(t *testing.T) {
 	// guarantees and utilisation collapse together — the §2.2 "adds
 	// overhead and can be slow" criticism, quantified.
 	slow := byName["GSF(barrier=1024)"]
-	if slow.Utilisation > 0.5 || slow.WorstRatio > 0.5 {
+	if slow.Utilisation > 0.5 || slow.GB.Worst > 0.5 {
 		t.Errorf("slow-barrier GSF should collapse, got ratio %.3f util %.3f",
-			slow.WorstRatio, slow.Utilisation)
+			slow.GB.Worst, slow.Utilisation)
 	}
 	// SSVC needs no frame machinery at all.
 	if byName["SSVC"].Throttled != 0 {

@@ -55,16 +55,11 @@ type FaultOutcome struct {
 	// flow first reaches 95% of its recomputed reservation within one
 	// sampling window; -1 if one never does.
 	RecoveryCycles int64
-	// GLWaitMax is the GL flow's worst post-fault waiting time, to be
-	// compared with GLBound: the Eq. 1 bound recomputed for the degraded
-	// switch plus the worst-case retransmission penalty (see
-	// faultGLRetryPenalty).
-	GLWaitMax uint64
-	GLBound   float64
-	// GLBoundHeld needs evidence: a GL packet delivered after the settle
-	// window, besides no wait over GLBound and no Err.
-	GLBoundHeld bool
-	Faults      faults.Counters
+	// GL judges the GL flow's waits after the settle window against the
+	// Eq. 1 bound recomputed for the degraded switch plus the worst-case
+	// retransmission penalty (see faultGLRetryPenalty).
+	GL     stats.Verdict
+	Faults faults.Counters
 	// Err is the engine's terminal error if the run froze early.
 	Err error
 }
@@ -197,9 +192,9 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 	}
 	oc.Faults = sw.FaultTotals()
 
-	oc.BeforeMinAdherence, _ = phases.Phase(0).WorstAdherence(specs)
-	oc.DuringMinAdherence, _ = phases.Phase(1).WorstAdherence(survivors)
-	oc.AfterMinAdherence, _ = phases.Phase(2).WorstAdherence(survivors)
+	oc.BeforeMinAdherence = phases.Phase(0).GB(specs).Worst
+	oc.DuringMinAdherence = phases.Phase(1).GB(survivors).Worst
+	oc.AfterMinAdherence = phases.Phase(2).GB(survivors).Worst
 
 	// Recovery: the first sampling window at/after the fail-stop where
 	// every surviving GB flow holds 95% of its recomputed reservation.
@@ -230,12 +225,11 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 		LMax: fig4PacketLen, LMin: faultGLLen,
 		NGL: 1, BufferFlits: fig4BufFlits,
 	}
+	var bound float64
 	if degraded, err := params.Degrade(glFailed); err == nil {
-		oc.GLBound = degraded.MaxWait() + faultGLRetryPenalty(glSpec.Vtick())
+		bound = degraded.MaxWait() + faultGLRetryPenalty(glSpec.Vtick())
 	}
-	var glPackets uint64
-	oc.GLWaitMax, glPackets = phases.Phase(2).WorstWait(glSpec.Dst, glSpec.Class)
-	oc.GLBoundHeld = glHolds(oc.GLWaitMax, glPackets, oc.GLBound, oc.Err)
+	oc.GL = phases.Phase(2).GL(bound, glSpec)
 	return oc
 }
 
@@ -271,7 +265,7 @@ func FaultsTable(outcomes []FaultOutcome) *stats.Table {
 			fmt.Sprintf("%.3f", oc.BeforeMinAdherence),
 			fmt.Sprintf("%.3f", oc.DuringMinAdherence),
 			fmt.Sprintf("%.3f", oc.AfterMinAdherence),
-			rec, oc.GLWaitMax, fmt.Sprintf("%.0f", oc.GLBound), oc.GLBoundHeld,
+			rec, fmt.Sprintf("%.0f", oc.GL.Worst), fmt.Sprintf("%.0f", oc.GL.Bound), oc.Err == nil && oc.GL.Holds(),
 			oc.Faults.Corruptions, oc.Faults.Retransmissions, oc.Faults.Drops)
 	}
 	return t

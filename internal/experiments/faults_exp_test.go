@@ -38,9 +38,8 @@ func TestFaultsAcceptance(t *testing.T) {
 		if oc.RecoveryCycles < 0 {
 			t.Errorf("%s: surviving flows never recovered", oc.Policy)
 		}
-		if !oc.GLBoundHeld {
-			t.Errorf("%s: GL wait max %d exceeds degraded bound %.0f",
-				oc.Policy, oc.GLWaitMax, oc.GLBound)
+		if !oc.GL.Holds() {
+			t.Errorf("%s: GL verdict %+v: the degraded bound does not hold", oc.Policy, oc.GL)
 		}
 		if oc.Faults.Corruptions == 0 {
 			t.Errorf("%s: no corruption injected", oc.Policy)
@@ -82,8 +81,8 @@ var _ fabric.ErrorReporter = (*sickEngine)(nil)
 // delivered after the settle window, so no policy's GL bound may hold.
 func TestFaultsGLNeedsEvidence(t *testing.T) {
 	for _, oc := range Faults(Options{Cycles: 100, Warmup: 10}) {
-		if oc.GLBoundHeld {
-			t.Errorf("%s: GL bound held with GL wait max %d", oc.Policy, oc.GLWaitMax)
+		if oc.Err == nil && oc.GL.Holds() {
+			t.Errorf("%s: GL bound held on %d GL packets", oc.Policy, oc.GL.Evidence)
 		}
 	}
 }

@@ -22,19 +22,20 @@ type GLScenario struct {
 	GBPacketLen   int
 }
 
-// GLOutcome compares the analytic bound with the measured worst case.
+// GLOutcome compares the analytic bound with the measured worst case:
+// GL judges the GL flows' waits (enqueue to grant) against tau_GL from
+// Eq. 1.
 type GLOutcome struct {
-	Scenario      GLScenario
-	PredictedWait float64    // tau_GL from Eq. 1
-	MeasuredWait  core.Cycle // worst observed waiting time (enqueue to grant)
-	// Holds needs evidence: GLDelivered > 0, besides no wait over
-	// PredictedWait and no Err.
-	Holds       bool
-	GLDelivered uint64
+	Scenario GLScenario
+	GL       stats.Verdict
 	// Err is set when the scenario could not be constructed or the run
-	// froze early; Holds is false in that case.
+	// froze early; the outcome does not hold in that case.
 	Err error
 }
+
+// Holds reports whether the bound held on evidence in a run that did not
+// fail.
+func (o GLOutcome) Holds() bool { return o.Err == nil && o.GL.Holds() }
 
 // GLBoundResult aggregates the §3.4 validation scenarios.
 type GLBoundResult struct {
@@ -81,7 +82,7 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 	if err := params.Validate(); err != nil {
 		return GLOutcome{Scenario: sc, Err: fmt.Errorf("experiments: %w", err)}
 	}
-	out := GLOutcome{Scenario: sc, PredictedWait: params.MaxWait()}
+	out := GLOutcome{Scenario: sc, GL: stats.Verdict{At: -1, Bound: params.MaxWait()}}
 
 	// GB background: all eight inputs saturate the output with modest
 	// reservations, so a GB packet is always mid-flight when the GL
@@ -122,8 +123,9 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 	if len(burstTimes) == 0 {
 		burstTimes = append(burstTimes, o.Warmup)
 	}
-	for i := 0; i < sc.NGL; i++ {
-		spec := noc.FlowSpec{
+	glSpecs := make([]noc.FlowSpec, sc.NGL)
+	for i := range glSpecs {
+		glSpecs[i] = noc.FlowSpec{
 			Src: i, Dst: 0,
 			Class:        noc.GuaranteedLatency,
 			Rate:         0.05,
@@ -135,7 +137,7 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 				times = append(times, tm)
 			}
 		}
-		ws = append(ws, traffic.Workload{Spec: spec, Inject: traffic.Inject.Trace(times...)})
+		ws = append(ws, traffic.Workload{Spec: glSpecs[i], Inject: traffic.Inject.Trace(times...)})
 	}
 	var seq traffic.Sequence
 	sw, err := crossbar(cfg, core.FromFlows(arbCfg, gbSpecs), &seq, ws)
@@ -144,9 +146,7 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 		return out
 	}
 	col, err := runCollected(sw, &seq, o)
-	wait, n := col.WorstWait(0, noc.GuaranteedLatency)
-	out.MeasuredWait, out.GLDelivered, out.Err = noc.CycleOf(wait), n, err
-	out.Holds = glHolds(wait, n, out.PredictedWait, err)
+	out.GL, out.Err = col.GL(out.GL.Bound, glSpecs...), err
 	return out
 }
 
@@ -156,22 +156,15 @@ func (r GLBoundResult) Table() *stats.Table {
 		"NGL", "GL pkt(flits)", "buffer b(flits)", "tau_GL predicted", "measured worst", "holds", "GL packets")
 	for _, o := range r.Outcomes {
 		t.AddRow(o.Scenario.NGL, o.Scenario.GLPacketLen, o.Scenario.GLBufferFlits,
-			fmt.Sprintf("%.0f", o.PredictedWait), o.MeasuredWait, o.Holds, o.GLDelivered)
+			fmt.Sprintf("%.0f", o.GL.Bound), fmt.Sprintf("%.0f", o.GL.Worst), o.Holds(), o.GL.Evidence)
 	}
 	return t
-}
-
-// glHolds is the verdict on a GL bound: it holds only on evidence — at
-// least one GL packet delivered in the window judged — when no packet
-// waited longer than bound and the run did not fail.
-func glHolds(wait, packets uint64, bound float64, err error) bool {
-	return err == nil && packets > 0 && float64(wait) <= bound
 }
 
 // AllHold reports whether the bound held in every scenario.
 func (r GLBoundResult) AllHold() bool {
 	for _, o := range r.Outcomes {
-		if !o.Holds {
+		if !o.Holds() {
 			return false
 		}
 	}
@@ -183,8 +176,7 @@ func (r GLBoundResult) AllHold() bool {
 func (r GLBoundResult) Tightness() float64 {
 	worst := 0.0
 	for _, o := range r.Outcomes {
-		ratio := float64(o.MeasuredWait.Uint()) / o.PredictedWait
-		worst = math.Max(worst, ratio)
+		worst = math.Max(worst, o.GL.Worst/o.GL.Bound)
 	}
 	return worst
 }

@@ -16,12 +16,10 @@ import (
 // never wait longer than L_n, even when every other GL flow bursts its
 // own budget simultaneously.
 type GLBurstOutcome struct {
-	Constraint   float64    // L_n, cycles
-	BudgetPkts   float64    // sigma_n from Eqs. 2-3
-	BurstSent    int        // floor(sigma_n), packets per burst
-	MeasuredWait core.Cycle // worst waiting time observed
-	Holds        bool
-	Packets      uint64
+	BudgetPkts float64 // sigma_n from Eqs. 2-3
+	BurstSent  int     // floor(sigma_n), packets per burst
+	// GL judges the flow's waits against its constraint L_n.
+	GL stats.Verdict
 }
 
 // GLBurstsResult is the full Eqs. 2-3 validation.
@@ -123,15 +121,8 @@ func GLBursts(o Options) GLBurstsResult {
 	col, err := runCollected(sw, &seq, o)
 	res.Err = err
 	for i, b := range budgets {
-		oc := GLBurstOutcome{Constraint: b.Latency, BudgetPkts: b.MaxPackets, BurstSent: bursts[i]}
-		if f := col.Flow(stats.SpecKey(glSpecs[i])); f != nil {
-			oc.MeasuredWait, oc.Packets = noc.CycleOf(f.WaitMax), f.Packets
-		}
-		// Unlike GLBound, a row holds without evidence: bench/expected.json
-		// pins this table at a length where no burst lands. AllHold asks
-		// for packets.
-		oc.Holds = float64(oc.MeasuredWait.Uint()) <= b.Latency
-		res.Outcomes = append(res.Outcomes, oc)
+		res.Outcomes = append(res.Outcomes, GLBurstOutcome{BudgetPkts: b.MaxPackets, BurstSent: bursts[i],
+			GL: col.GL(b.Latency, glSpecs[i])})
 	}
 	return res
 }
@@ -141,9 +132,12 @@ func (r GLBurstsResult) Table() *stats.Table {
 	t := stats.NewTable(
 		"§3.4 Eqs. 2-3: admissible GL bursts, constraint vs measured worst wait (cycles)",
 		"constraint L_n", "sigma_n(pkts)", "burst sent", "measured worst", "holds", "packets")
+	// Unlike GLBound, a row holds without evidence: bench/expected.json
+	// pins this table at a length where no burst lands. AllHold asks for
+	// packets.
 	for _, oc := range r.Outcomes {
-		t.AddRow(fmt.Sprintf("%.0f", oc.Constraint), fmt.Sprintf("%.1f", oc.BudgetPkts),
-			oc.BurstSent, oc.MeasuredWait, oc.Holds, oc.Packets)
+		t.AddRow(fmt.Sprintf("%.0f", oc.GL.Bound), fmt.Sprintf("%.1f", oc.BudgetPkts),
+			oc.BurstSent, fmt.Sprintf("%.0f", oc.GL.Worst), oc.GL.Failing == 0, oc.GL.Evidence)
 	}
 	return t
 }
@@ -154,7 +148,7 @@ func (r GLBurstsResult) AllHold() bool {
 		return false
 	}
 	for _, oc := range r.Outcomes {
-		if !oc.Holds || oc.Packets == 0 {
+		if !oc.GL.Holds() {
 			return false
 		}
 	}

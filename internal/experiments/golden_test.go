@@ -26,7 +26,7 @@ func goldenOptions() Options {
 // to the hardware models, the engines, or the table renderer.
 func TestGoldenTables(t *testing.T) {
 	o := goldenOptions()
-	adh := Adherence(20, o)
+	adh := RateAdherence(20, o)
 	glb := GLBound(o)
 	bursts := GLBursts(o)
 	cases := []struct {

@@ -17,10 +17,10 @@ import (
 // reservation mix.
 type GSFOutcome struct {
 	Scheme      string
-	WorstRatio  float64 // min accepted/reserved across flows
-	Utilisation float64 // accepted / effective channel capacity
-	Throttled   uint64  // GSF only: source-throttled admissions
-	Retired     uint64  // GSF only: frames recycled
+	GB          stats.Verdict // every flow's reservation
+	Utilisation float64       // accepted / effective channel capacity
+	Throttled   uint64        // GSF only: source-throttled admissions
+	Retired     uint64        // GSF only: frames recycled
 	// Err is set when the switch could not be constructed or the run
 	// froze early.
 	Err error
@@ -62,7 +62,7 @@ func AblationGSF(o Options) []GSFOutcome {
 			}
 		}
 		oc := GSFOutcome{Scheme: name, Err: run(sw, &seq, o, observe)}
-		oc.WorstRatio, _ = col.WorstAdherence(specs)
+		oc.GB = col.GB(specs)
 		// A float sum in spec order, not OutputThroughput's integer one:
 		// the two can differ in the last printed digit.
 		var total float64
@@ -110,7 +110,7 @@ func GSFTable(outcomes []GSFOutcome) *stats.Table {
 		"§2.2 frame-based QoS: GSF vs SSVC on the saturated reservation mix (sum 85%)",
 		"scheme", "worst accepted/reserved", "utilisation", "throttled", "frames retired")
 	for _, oc := range outcomes {
-		t.AddRow(oc.Scheme, fmt.Sprintf("%.3f", oc.WorstRatio),
+		t.AddRow(oc.Scheme, fmt.Sprintf("%.3f", oc.GB.Worst),
 			fmt.Sprintf("%.3f", oc.Utilisation), oc.Throttled, oc.Retired)
 	}
 	return t

@@ -18,10 +18,9 @@ type MotivationOutcome struct {
 	System           string
 	VictimThroughput float64 // accepted flits/cycle
 	VictimReserved   float64
-	VictimMeanLat    float64 // mean total latency, cycles
-	MeetsReservation bool    // the victim's own contract
-	WorstRatio       float64 // min accepted/reserved across all four flows
-	AllMet           bool    // every flow within 2% of its reservation
+	VictimMeanLat    float64       // mean total latency, cycles
+	MeetsReservation bool          // the victim's own contract
+	GB               stats.Verdict // all four flows' reservations
 	// Err is the engine's terminal error if the run froze early.
 	Err error
 }
@@ -80,8 +79,7 @@ func Motivation(o Options) []MotivationOutcome {
 			oc.VictimMeanLat = f.MeanLatency()
 		}
 		oc.MeetsReservation = oc.VictimThroughput >= reserved*0.95
-		oc.WorstRatio, _ = col.WorstAdherence(specs())
-		oc.AllMet = oc.WorstRatio >= 0.98
+		oc.GB = col.GB(specs())
 		return oc
 	}
 
@@ -138,7 +136,7 @@ func MotivationTable(outcomes []MotivationOutcome) *stats.Table {
 	for _, oc := range outcomes {
 		t.AddRow(oc.System, fmt.Sprintf("%.3f", oc.VictimThroughput),
 			fmt.Sprintf("%.2f", oc.VictimReserved), oc.MeetsReservation,
-			fmt.Sprintf("%.3f", oc.WorstRatio), oc.AllMet,
+			fmt.Sprintf("%.3f", oc.GB.Worst), oc.GB.Holds(),
 			fmt.Sprintf("%.1f", oc.VictimMeanLat))
 	}
 	return t

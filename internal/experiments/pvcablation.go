@@ -8,7 +8,6 @@ import (
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
-	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
 )
 
@@ -60,7 +59,9 @@ func AblationPVC(o Options) []PVCOutcome {
 	}
 	all := append(append([]noc.FlowSpec(nil), bulk...), urgent)
 
-	run := func(name string, cfg switchsim.Config, factory func(int) arb.Arbiter, urgentSpec noc.FlowSpec) PVCOutcome {
+	cfg := fig4Config()
+	cfg.GBBufferFlits = 2 * bulkLen
+	run := func(name string, factory func(int) arb.Arbiter, urgentSpec noc.FlowSpec) PVCOutcome {
 		var seq traffic.Sequence
 		ws := append(backlogged(bulk...), traffic.Workload{Spec: urgentSpec, Inject: traffic.Inject.Periodic(701, 17)})
 		sw, err := crossbar(cfg, factory, &seq, ws)
@@ -79,12 +80,6 @@ func AblationPVC(o Options) []PVCOutcome {
 		return oc
 	}
 
-	preemptCfg := fig4Config()
-	preemptCfg.GBBufferFlits = 2 * bulkLen
-	preemptCfg.Preemption = true
-	plainCfg := fig4Config()
-	plainCfg.GBBufferFlits = 2 * bulkLen
-
 	vticks := func(out int) []core.VTime { return core.Vticks(fig4Radix, all, out) }
 
 	urgentGL := urgent
@@ -94,19 +89,19 @@ func AblationPVC(o Options) []PVCOutcome {
 	// The three schemes are independent simulations; fan them out.
 	jobs := []func() PVCOutcome{
 		func() PVCOutcome {
-			return run("OrigVC(no preemption)", plainCfg, func(out int) arb.Arbiter {
+			return run("OrigVC(no preemption)", func(out int) arb.Arbiter {
 				return arb.NewOrigVC(fig4Radix, vticks(out))
 			}, urgent)
 		},
 		func() PVCOutcome {
-			return run("PVC(threshold=64)", preemptCfg, func(out int) arb.Arbiter {
+			return run("PVC(threshold=64)", func(out int) arb.Arbiter {
 				return arb.NewPVC(fig4Radix, vticks(out), 64)
 			}, urgent)
 		},
 		func() PVCOutcome {
 			arbCfg := fig4SSVC
 			arbCfg.EnableGL, arbCfg.GLVtick, arbCfg.GLBurst = true, noc.FlowSpec{Rate: urgentGL.Rate, PacketLength: urgentLen}.Vtick(), 2
-			return run("SSVC+GL", plainCfg, core.FromFlows(arbCfg, all), urgentGL)
+			return run("SSVC+GL", core.FromFlows(arbCfg, all), urgentGL)
 		},
 	}
 	return runner.Map(o.pool(), len(jobs), func(i int) PVCOutcome { return jobs[i]() })

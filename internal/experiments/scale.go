@@ -18,11 +18,10 @@ import (
 type ScaleResult struct {
 	Radix            int
 	HotspotFlows     int
-	WorstRatio       float64 // min accepted/reserved on the hotspot
-	HotspotTotal     float64 // accepted flits/cycle at the hotspot
-	BackgroundTotal  float64 // accepted flits/cycle across background outputs
-	GLWorstWait      core.Cycle
-	GLBound          float64
+	GB               stats.Verdict // the hotspot flows' reservations
+	HotspotTotal     float64       // accepted flits/cycle at the hotspot
+	BackgroundTotal  float64       // accepted flits/cycle across background outputs
+	GL               stats.Verdict // the GL flow's waits against tau_GL
 	DeliveredPackets uint64
 	// Err is set when the switch could not be constructed or the run
 	// froze early.
@@ -111,14 +110,12 @@ func scale64Run(o Options) ScaleResult {
 
 	col, err := runCollected(sw, &seq, o)
 	res.Err = err
-	res.WorstRatio, _ = col.WorstAdherence(specs[:res.HotspotFlows])
+	res.GB = col.GB(specs[:res.HotspotFlows])
 	res.HotspotTotal = col.OutputThroughput(hotspot)
 	for out := 32; out < radix; out++ {
 		res.BackgroundTotal += col.OutputThroughput(out)
 	}
-	wait, _ := col.WorstWait(hotspot, noc.GuaranteedLatency)
-	res.GLWorstWait = noc.CycleOf(wait)
-	res.GLBound = glbound.Params{LMax: gbLen, LMin: glLen, NGL: 1, BufferFlits: glBuf}.MaxWait()
+	res.GL = col.GL(glbound.Params{LMax: gbLen, LMin: glLen, NGL: 1, BufferFlits: glBuf}.MaxWait(), glSpec)
 	res.DeliveredPackets = col.TotalPackets()
 	return res
 }
@@ -128,11 +125,11 @@ func (r ScaleResult) Table() *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("§4.4 scale: radix-%d switch, %d reserved hotspot flows + uniform background", r.Radix, r.HotspotFlows),
 		"metric", "value")
-	t.AddRow("worst hotspot accepted/reserved", fmt.Sprintf("%.3f", r.WorstRatio))
+	t.AddRow("worst hotspot accepted/reserved", fmt.Sprintf("%.3f", r.GB.Worst))
 	t.AddRow("hotspot throughput (flits/cycle)", fmt.Sprintf("%.3f", r.HotspotTotal))
 	t.AddRow("background throughput (flits/cycle)", fmt.Sprintf("%.1f", r.BackgroundTotal))
-	t.AddRow("GL worst wait (cycles)", r.GLWorstWait)
-	t.AddRow("GL bound tau_GL (cycles)", fmt.Sprintf("%.0f", r.GLBound))
+	t.AddRow("GL worst wait (cycles)", fmt.Sprintf("%.0f", r.GL.Worst))
+	t.AddRow("GL bound tau_GL (cycles)", fmt.Sprintf("%.0f", r.GL.Bound))
 	t.AddRow("packets delivered", r.DeliveredPackets)
 	return t
 }

@@ -126,15 +126,23 @@ func compareCollector(c *Collector, ref *mapCollector) string {
 				return fmt.Sprintf("OutputThroughput(%d) = %g, reference %d flits over %d cycles", dst, got, flits, w.Uint())
 			}
 		}
+		// The GL verdict over every source toward dst, at a bound some
+		// waits exceed.
 		for class := noc.Class(0); class < noc.NumClasses; class++ {
+			var specs []noc.FlowSpec
 			var wait, packets uint64
-			for _, k := range want {
-				if k.Dst == dst && k.Class == class {
-					wait, packets = max(wait, ref.flows[k].WaitMax), packets+ref.flows[k].Packets
+			failing := 0
+			for _, src := range collectorPorts {
+				specs = append(specs, noc.FlowSpec{Src: src, Dst: dst, Class: class})
+				if f := ref.flows[FlowKey{Src: src, Dst: dst, Class: class}]; f != nil {
+					wait, packets = max(wait, f.WaitMax), packets+f.Packets
+					if f.WaitMax > 16 {
+						failing++
+					}
 				}
 			}
-			if gw, gp := c.WorstWait(dst, class); gw != wait || gp != packets {
-				return fmt.Sprintf("WorstWait(%d, %v) = (%d, %d), reference (%d, %d)", dst, class, gw, gp, wait, packets)
+			if v := c.GL(16, specs...); v.Worst != float64(wait) || v.Evidence != packets || v.Failing != failing {
+				return fmt.Sprintf("GL(16) toward %d, %v = %+v, reference worst %d, %d packets, %d failing", dst, class, v, wait, packets, failing)
 			}
 		}
 	}

@@ -291,49 +291,74 @@ func (c *Collector) OutputThroughput(dst int) float64 {
 	return float64(flits) / float64(w.Uint())
 }
 
-// Adherence returns a flow's guarantee-adherence ratio: accepted
-// throughput over the measurement window divided by its reserved rate in
-// flits per cycle. 1.0 means the reservation was exactly honored; values
-// a little above 1 are normal for a backlogged flow absorbing slack
-// bandwidth. Returns 0 when the reservation is zero.
-func (c *Collector) Adherence(k FlowKey, reserved float64) float64 {
-	if reserved <= 0 {
-		return 0
-	}
-	return c.Throughput(k) / reserved
+// GBTolerance is the share of its reservation a GB flow must accept for
+// the GB promise to hold: "within 2%" of the reserved rate (§4.2, §4.3).
+const GBTolerance = 0.98
+
+// Verdict judges one promise over a set of flows: the GB reserved rate
+// (Collector.GB) or the GL waiting bound (Collector.GL). A failed run is
+// judged by the caller, as err == nil && v.Holds().
+type Verdict struct {
+	// Worst is the worst flow's measurement: the smallest accepted/
+	// reserved ratio for GB, the longest wait in cycles for GL. At is the
+	// index of the first flow at Worst, -1 when none was judged.
+	Worst float64
+	At    int
+	// Bound is what a flow is held to: GBTolerance of its reservation for
+	// GB, the wait in cycles for GL. Failing counts the flows beyond it.
+	Bound   float64
+	Failing int
+	// Evidence counts the packets the judged flows delivered in the window.
+	Evidence uint64
 }
 
-// WorstAdherence returns the smallest Adherence over the flows that
-// reserve a rate, and the index in flows of the first flow at that
-// minimum: the measured side of the GB promise (§4.2, §4.3: every flow
-// within 2% of its reservation). It returns (0, -1) when no flow
-// reserves a rate.
-func (c *Collector) WorstAdherence(flows []noc.FlowSpec) (float64, int) {
-	worst, at := 0.0, -1
+// Holds reports whether the promise held on evidence: at least one packet
+// judged, and no flow failing.
+func (v Verdict) Holds() bool { return v.Evidence > 0 && v.Failing == 0 }
+
+// GB judges the GB promise over the flows that reserve a rate: each must
+// accept at least GBTolerance of its reservation over the window. Worst
+// is the smallest accepted/reserved ratio.
+func (c *Collector) GB(flows []noc.FlowSpec) Verdict {
+	v := Verdict{At: -1, Bound: GBTolerance}
 	for i, s := range flows {
 		if s.Rate <= 0 {
 			continue
 		}
-		if a := c.Adherence(SpecKey(s), s.Rate); at < 0 || a < worst {
-			worst, at = a, i
+		got := c.Throughput(SpecKey(s))
+		if ratio := got / s.Rate; v.At < 0 || ratio < v.Worst {
+			v.Worst, v.At = ratio, i
+		}
+		if got < GBTolerance*s.Rate {
+			v.Failing++
+		}
+		if f := c.Flow(SpecKey(s)); f != nil {
+			v.Evidence += f.Packets
 		}
 	}
-	return worst, at
+	return v
 }
 
-// WorstWait returns the longest waiting time of any class packet
-// delivered toward dst in the window, and how many such packets there
-// were: the measured side of the GL bound (Eq. 1), and the evidence a
-// verdict on it needs.
-func (c *Collector) WorstWait(dst int, class noc.Class) (wait, packets uint64) {
-	for j, k := range c.keys {
-		if k.Dst == dst && k.Class == class {
-			f := c.flows[j]
-			wait = max(wait, f.WaitMax)
-			packets += f.Packets
+// GL judges the GL promise (Eq. 1) over flows: no packet of theirs
+// delivered in the window may have waited longer than bound cycles.
+// Worst is the longest wait.
+func (c *Collector) GL(bound float64, flows ...noc.FlowSpec) Verdict {
+	v := Verdict{At: -1, Bound: bound}
+	for i, s := range flows {
+		f := c.Flow(SpecKey(s))
+		if f == nil {
+			continue
 		}
+		wait := float64(f.WaitMax)
+		if v.At < 0 || wait > v.Worst {
+			v.Worst, v.At = wait, i
+		}
+		if wait > bound {
+			v.Failing++
+		}
+		v.Evidence += f.Packets
 	}
-	return wait, packets
+	return v
 }
 
 // TotalPackets returns the number of packets delivered in the window.

@@ -107,37 +107,86 @@ func TestOutputThroughput(t *testing.T) {
 	}
 }
 
-func TestWorstAdherence(t *testing.T) {
+func TestGBVerdict(t *testing.T) {
 	c := NewCollector(0, 100)
 	c.OnDeliver(delivered(0, 0, noc.GuaranteedBandwidth, 20, 0, 0, 1, 30)) // 0.2 of 0.2 reserved
 	c.OnDeliver(delivered(1, 0, noc.GuaranteedBandwidth, 5, 0, 0, 1, 40))  // 0.05 of 0.1 reserved
 	c.OnDeliver(delivered(2, 0, noc.GuaranteedBandwidth, 5, 0, 0, 1, 50))  // 0.05 of 0.1 reserved
+	c.OnDeliver(delivered(3, 0, noc.BestEffort, 4, 0, 0, 1, 60))
 	flows := []noc.FlowSpec{
-		{Src: 3, Dst: 0, Class: noc.BestEffort}, // reserves nothing: skipped
+		{Src: 3, Dst: 0, Class: noc.BestEffort}, // reserves nothing: not judged
 		{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.2},
 		{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.1},
 		{Src: 2, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.1},
 	}
-	if ratio, at := c.WorstAdherence(flows); ratio != 0.5 || at != 2 {
-		t.Errorf("WorstAdherence = (%g, %d), want (0.5, 2): the first flow at the minimum", ratio, at)
+	want := Verdict{Worst: 0.5, At: 2, Bound: GBTolerance, Failing: 2, Evidence: 3}
+	if v := c.GB(flows); v != want || v.Holds() {
+		t.Errorf("GB = %+v (holds %v), want %+v: the first flow at the minimum, two failing", v, v.Holds(), want)
 	}
-	if ratio, at := c.WorstAdherence(flows[:1]); ratio != 0 || at != -1 {
-		t.Errorf("WorstAdherence with no reservation = (%g, %d), want (0, -1)", ratio, at)
+	if v := c.GB(flows[:2]); v.Failing != 0 || !v.Holds() || v.Worst != 1 || v.At != 1 {
+		t.Errorf("GB of a flow at its reservation = %+v, want it to hold", v)
+	}
+	if v := c.GB(flows[:1]); v != (Verdict{At: -1, Bound: GBTolerance}) || v.Holds() {
+		t.Errorf("GB with no reservation = %+v, want nothing judged and no verdict of holding", v)
 	}
 }
 
-func TestWorstWait(t *testing.T) {
+// TestGBToleranceForm pins the GB rule to accepted < GBTolerance*reserved.
+// At this pair the product equals what was accepted, so the flow holds,
+// while the ratio accepted/reserved, which Worst reports, falls one ulp
+// below GBTolerance.
+func TestGBToleranceForm(t *testing.T) {
+	const reserved = 0.06692038748222122
+	c := NewCollector(0, 411110081)
+	c.OnDeliver(delivered(0, 0, noc.GuaranteedBandwidth, 26961413, 0, 0, 1, 2))
+	k := FlowKey{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth}
+	if got := c.Throughput(k); got != 0.06558197973257679 {
+		t.Fatalf("throughput = %v, want 0.06558197973257679", got)
+	}
+	v := c.GB([]noc.FlowSpec{{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: reserved}})
+	if v.Failing != 0 || !v.Holds() {
+		t.Errorf("GB = %+v: a flow accepting exactly GBTolerance of its reservation must hold", v)
+	}
+	if v.Worst >= GBTolerance {
+		t.Errorf("Worst = %v, want the ratio accepted/reserved, just below %v", v.Worst, GBTolerance)
+	}
+}
+
+func TestGLVerdict(t *testing.T) {
 	c := NewCollector(10, 100)
 	c.OnDeliver(delivered(0, 0, noc.GuaranteedLatency, 4, 0, 0, 9, 9))     // before the window
 	c.OnDeliver(delivered(0, 0, noc.GuaranteedLatency, 4, 20, 20, 26, 30)) // wait 6
 	c.OnDeliver(delivered(1, 0, noc.GuaranteedLatency, 4, 20, 21, 25, 29)) // wait 4
-	c.OnDeliver(delivered(2, 0, noc.GuaranteedBandwidth, 4, 20, 20, 60, 64))
-	c.OnDeliver(delivered(3, 1, noc.GuaranteedLatency, 4, 20, 20, 70, 74))
-	if wait, n := c.WorstWait(0, noc.GuaranteedLatency); wait != 6 || n != 2 {
-		t.Errorf("WorstWait = (%d, %d), want (6, 2)", wait, n)
+	c.OnDeliver(delivered(1, 0, noc.GuaranteedLatency, 4, 30, 30, 33, 37)) // wait 3
+	c.OnDeliver(delivered(3, 1, noc.GuaranteedLatency, 4, 20, 20, 70, 74)) // wait 50, not judged
+	gl := func(src int) noc.FlowSpec { return noc.FlowSpec{Src: src, Dst: 0, Class: noc.GuaranteedLatency} }
+	flows := []noc.FlowSpec{gl(2), gl(1), gl(0)} // input 2 delivers nothing
+	if v, want := c.GL(6, flows...), (Verdict{Worst: 6, At: 2, Bound: 6, Evidence: 3}); v != want || !v.Holds() {
+		t.Errorf("GL at the bound = %+v, want %+v, holding", v, want)
 	}
-	if wait, n := c.WorstWait(2, noc.GuaranteedLatency); wait != 0 || n != 0 {
-		t.Errorf("WorstWait on an idle output = (%d, %d), want (0, 0)", wait, n)
+	if v, want := c.GL(5, flows...), (Verdict{Worst: 6, At: 2, Bound: 5, Failing: 1, Evidence: 3}); v != want || v.Holds() {
+		t.Errorf("GL over the bound = %+v, want %+v, not holding", v, want)
+	}
+	if v := c.GL(6, gl(2)); v != (Verdict{At: -1, Bound: 6}) || v.Holds() {
+		t.Errorf("GL of a flow that delivered nothing = %+v, want no evidence and no verdict of holding", v)
+	}
+}
+
+// TestVerdictHolds: a promise holds only on evidence and with no flow
+// failing.
+func TestVerdictHolds(t *testing.T) {
+	for _, c := range []struct {
+		v    Verdict
+		want bool
+	}{
+		{Verdict{Evidence: 3}, true},
+		{Verdict{Evidence: 3, Failing: 1}, false},
+		{Verdict{}, false},           // no evidence
+		{Verdict{Failing: 1}, false}, // failing, and no evidence
+	} {
+		if got := c.v.Holds(); got != c.want {
+			t.Errorf("%+v.Holds() = %v, want %v", c.v, got, c.want)
+		}
 	}
 }
 

@@ -147,11 +147,9 @@ func TestPreemptionAbortsAndRetransmits(t *testing.T) {
 	// A low-rate flow's packet with a far-future stamp holds the
 	// channel; a fresh high-priority packet preempts it mid-flight. The
 	// victim retries from its queue head and still completes.
-	cfg := testConfig()
-	cfg.Preemption = true
 	vticks := []core.VTime{2000, 20, 0, 0, 0, 0, 0, 0}
 	var pvc *arb.PVC
-	sw, err := New(cfg, func(out int) arb.Arbiter {
+	sw, err := New(testConfig(), func(out int) arb.Arbiter {
 		a := arb.NewPVC(8, vticks, 10)
 		if out == 0 {
 			pvc = a
@@ -188,10 +186,12 @@ func TestPreemptionAbortsAndRetransmits(t *testing.T) {
 	}
 }
 
-func TestPreemptionDisabledByDefault(t *testing.T) {
-	// Without cfg.Preemption the same scenario lets the holder finish.
+// TestOrigVCNeverPreempts: an output preempts only when its arbiter is
+// an arb.Preemptor. Under original Virtual Clock, which is not, the same
+// scenario lets the holder finish.
+func TestOrigVCNeverPreempts(t *testing.T) {
 	vticks := []core.VTime{2000, 20, 0, 0, 0, 0, 0, 0}
-	sw, err := New(testConfig(), func(int) arb.Arbiter { return arb.NewPVC(8, vticks, 10) })
+	sw, err := New(testConfig(), func(int) arb.Arbiter { return arb.NewOrigVC(8, vticks) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPreemptionDisabledByDefault(t *testing.T) {
 	sw.OnDeliver(func(p *noc.Packet) { order = append(order, p.Src) })
 	sw.Run(100)
 	if sw.Preempted != 0 {
-		t.Fatalf("preempted = %d without cfg.Preemption", sw.Preempted)
+		t.Fatalf("preempted = %d under OrigVC", sw.Preempted)
 	}
 	if len(order) != 2 || order[0] != 0 {
 		t.Fatalf("delivery order %v, want the holder (0) first", order)

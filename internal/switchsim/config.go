@@ -50,13 +50,6 @@ type Config struct {
 	// are unaffected — chaining buys throughput, never ordering.
 	PacketChaining bool
 
-	// Preemption lets arbiters implementing arb.Preemptor abort an
-	// in-flight packet in favour of a sufficiently higher-priority
-	// waiting one (Preemptive Virtual Clock [7]). The aborted packet is
-	// NACKed to the head of its queue and fully retransmitted; the
-	// flits already sent are counted in the switch's WastedFlits.
-	Preemption bool
-
 	// Shards is a stub kept for the benchmark harness under bench/, which
 	// sets it: the switch runs one serial cycle (DESIGN.md "No intra-run
 	// parallelism"), so Validate accepts 0 and 1 and refuses anything

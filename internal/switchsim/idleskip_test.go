@@ -24,7 +24,7 @@ type skipScenario struct {
 	name     string
 	radix    int
 	chaining bool
-	preempt  bool    // preempting PVC arbiters (Config.Preemption)
+	preempt  bool    // preempting PVC arbiters
 	gsf      bool    // GSF's source gate and frame arbiters
 	load     float64 // per-flow Bernoulli rate; 0 means fully backlogged
 	cycles   noc.Cycle
@@ -50,7 +50,7 @@ func buildSkipSwitch(t *testing.T, sc skipScenario, deliver func(*noc.Packet)) *
 	glVtick := noc.FlowSpec{Rate: 0.05, PacketLength: 2}.Vtick()
 	cfg := Config{
 		Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16,
-		PacketChaining: sc.chaining, Preemption: sc.preempt, AdmissionGate: sc.gate,
+		PacketChaining: sc.chaining, AdmissionGate: sc.gate,
 	}
 	factory := ssvcGLFactory(radix, vticks, glVtick, 2)
 	if sc.preempt {
@@ -212,10 +212,8 @@ func TestEventDrivenMatchesFullWalk(t *testing.T) {
 func buildPreemptSwitch(t *testing.T, deliver func(*noc.Packet)) *Switch {
 	t.Helper()
 	const radix = 8
-	cfg := testConfig()
-	cfg.Preemption = true
 	vticks := []noc.VTime{2000, 20, 50, 50, 0, 0, 0, 0}
-	sw := mustNew(t, cfg, func(int) arb.Arbiter { return arb.NewPVC(radix, vticks, 10) })
+	sw := mustNew(t, testConfig(), func(int) arb.Arbiter { return arb.NewPVC(radix, vticks, 10) })
 	if deliver != nil {
 		sw.OnDeliver(deliver)
 	}

@@ -515,10 +515,8 @@ func (s *Switch) serveOutputs(now noc.Cycle) {
 //ssvc:hotpath
 func (s *Switch) serveOutput(out *outputPort, now noc.Cycle) {
 	if out.tx != nil {
-		if s.cfg.Preemption && out.pre != nil {
-			if s.tryPreempt(out, now) {
-				return
-			}
+		if out.pre != nil && s.tryPreempt(out, now) {
+			return
 		}
 		s.transfer(out, now)
 		return

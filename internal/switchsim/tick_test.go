@@ -92,7 +92,7 @@ func runTickCase(t *testing.T, tc tickCase, oracle bool) tickOutcome {
 	var out tickOutcome
 	cfg := Config{
 		Radix: tickRadix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16,
-		PacketChaining: tc.mode == "chaining", Preemption: tc.mode == "preemption",
+		PacketChaining: tc.mode == "chaining",
 	}
 	var ssvcs []*core.SSVC
 	var ticks []*int

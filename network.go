@@ -37,6 +37,10 @@ type FlowKey = stats.FlowKey
 // FlowStats holds a flow's measured statistics.
 type FlowStats = stats.FlowStats
 
+// GBTolerance is the share of its reservation a GB flow must accept for
+// its guarantee to hold: "within 2%" (§4.2, §4.3).
+const GBTolerance = stats.GBTolerance
+
 // Network is a QoS-enabled switch plus its attached workloads. It is not
 // safe for concurrent use.
 type Network struct {
@@ -56,30 +60,30 @@ func New(cfg Config, workloads ...Workload) (*Network, error) {
 		return nil, fmt.Errorf("swizzleqos: at least one workload is required")
 	}
 	specs := make([]noc.FlowSpec, len(workloads))
-	reserved := make(map[int]float64)
 	enableGL := cfg.GL.Rate > 0
 	for i, w := range workloads {
 		if err := w.Spec.Validate(cfg.Radix); err != nil {
 			return nil, err
 		}
 		specs[i] = w.Spec
-		switch w.Spec.Class {
-		case noc.GuaranteedBandwidth:
-			reserved[w.Spec.Dst] += w.Spec.Rate
-		case noc.GuaranteedLatency:
-			enableGL = true
-		}
-	}
-	// §3.3: per output, the GB reservations plus the GL reservation must
-	// fit within the channel.
-	for out, sum := range reserved {
-		if sum+cfg.GL.Rate > 1 {
-			return nil, fmt.Errorf("swizzleqos: output %d oversubscribed: GB reservations %.2f + GL %.2f exceed the channel",
-				out, sum, cfg.GL.Rate)
-		}
+		enableGL = enableGL || w.Spec.Class == noc.GuaranteedLatency
 	}
 	if err := cfg.fillDefaults(enableGL); err != nil {
 		return nil, err
+	}
+	// §3.3: per output, the GB reservations plus the GL reservation must
+	// fit within the channel. The lowest oversubscribed output is named.
+	reserved := make([]float64, cfg.Radix)
+	for _, s := range specs {
+		if s.Class == noc.GuaranteedBandwidth {
+			reserved[s.Dst] += s.Rate
+		}
+	}
+	for out, sum := range reserved {
+		if sum > 0 && sum+cfg.GL.Rate > 1 {
+			return nil, fmt.Errorf("swizzleqos: output %d oversubscribed: GB reservations %.2f + GL %.2f exceed the channel",
+				out, sum, cfg.GL.Rate)
+		}
 	}
 	factory, err := cfg.arbFactory(specs)
 	if err != nil {

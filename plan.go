@@ -44,9 +44,9 @@ func NewPlanned(plan *SwitchPlan, workloads ...Workload) (*Network, error) {
 		return nil, fmt.Errorf("swizzleqos: at least one workload is required")
 	}
 	glBuf := 16
-	for _, op := range plan.Outputs {
-		if op.GLBufferFlits > glBuf {
-			glBuf = op.GLBufferFlits
+	for out := 0; out < plan.Radix; out++ {
+		if op := plan.Outputs[out]; op != nil {
+			glBuf = max(glBuf, op.GLBufferFlits)
 		}
 	}
 	for _, w := range workloads {

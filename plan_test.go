@@ -45,7 +45,7 @@ func TestPlanAndRun(t *testing.T) {
 	rep := net.Report()
 	for _, s := range planRequirements().GB {
 		got := rep.Throughput(swizzleqos.FlowKey{Src: s.Src, Dst: s.Dst, Class: s.Class})
-		if got < s.Rate*0.98 {
+		if got < s.Rate*swizzleqos.GBTolerance {
 			t.Errorf("planned flow %d->%d accepted %.3f, reserved %.2f", s.Src, s.Dst, got, s.Rate)
 		}
 	}

@@ -147,6 +147,21 @@ func TestArbitrationString(t *testing.T) {
 	}
 }
 
+// TestNewNamesLowestOversubscribedOutput: with three oversubscribed
+// outputs, the error names the lowest of them on every call.
+func TestNewNamesLowestOversubscribedOutput(t *testing.T) {
+	var over []swizzleqos.Workload
+	for i, dst := range []int{5, 2, 6} {
+		over = append(over, gbWorkload(2*i, dst, 0.6, swizzleqos.Inject.Backlogged(1)),
+			gbWorkload(2*i+1, dst, 0.6, swizzleqos.Inject.Backlogged(1)))
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := swizzleqos.New(swizzleqos.DefaultConfig(8), over...); err == nil || !strings.Contains(err.Error(), "output 2 oversubscribed") {
+			t.Fatalf("call %d: error %v, want one naming output 2", i, err)
+		}
+	}
+}
+
 func TestNewRejectsBadConfigs(t *testing.T) {
 	cfg := swizzleqos.DefaultConfig(8)
 	if _, err := swizzleqos.New(cfg); err == nil {
