@@ -182,23 +182,23 @@ cover:
 # Short fuzzing sessions for the fuzz targets: every func Fuzz* in the
 # tree, which TestMakeFuzzListsEveryTarget holds this list to.
 fuzz:
-	$(GO) test ./internal/core/ -fuzz FuzzSSVCGrantSequence -fuzztime 30s
-	$(GO) test ./internal/core/ -fuzz FuzzThermRoundTrip -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSSVCGrantSequence -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzThermRoundTrip -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSSVCSaturationModel -fuzztime 30s
-	$(GO) test ./internal/fabric/ -fuzz FuzzBufferInvariants -fuzztime 30s
-	$(GO) test ./internal/fabric/ -fuzz FuzzSourcesLateAdd -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzBufferInvariants -fuzztime 30s
+	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzSourcesLateAdd -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzRefusalMemo -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzOffers -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzCalendar -fuzztime 30s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz FuzzCollector -fuzztime 30s
-	$(GO) test ./internal/traffic/ -fuzz FuzzBernoulliScan -fuzztime 30s
+	$(GO) test ./internal/traffic/ -run '^$$' -fuzz FuzzBernoulliScan -fuzztime 30s
 	$(GO) test ./internal/traffic/ -run '^$$' -fuzz FuzzClosedLoopSchedule -fuzztime 30s
-	$(GO) test ./internal/circuit/ -fuzz FuzzBitplaneEquivalence -fuzztime 30s
-	$(GO) test ./internal/arb/ -fuzz FuzzLRGMatrix -fuzztime 30s
+	$(GO) test ./internal/circuit/ -run '^$$' -fuzz FuzzBitplaneEquivalence -fuzztime 30s
+	$(GO) test ./internal/arb/ -run '^$$' -fuzz FuzzLRGMatrix -fuzztime 30s
 	$(GO) test ./internal/compose/ -run '^$$' -fuzz FuzzRoutedOffers -fuzztime 30s
 	$(GO) test ./internal/switchsim/ -run '^$$' -fuzz FuzzFaultWalk -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzAdmission -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzCommandLine -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzPlanVsTable -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzRestoreState -fuzztime 30s -fuzzminimizetime 2s
-	$(GO) test ./cmd/ssvc-sim/ -fuzz FuzzScenarioParse -fuzztime 30s
+	$(GO) test ./cmd/ssvc-sim/ -run '^$$' -fuzz FuzzScenarioParse -fuzztime 30s

@@ -11,9 +11,9 @@ import (
 
 // TestMakeFuzzListsEveryTarget holds `make fuzz` to the tree: every
 // func Fuzz* in a _test.go file has a line in the Makefile's fuzz target
-// that fuzzes it in its own package, and every line there names one. CI
-// runs `make fuzz` and names no -fuzz target of its own, so the Makefile
-// keeps the one list.
+// that fuzzes it in its own package and runs no unit test, and every line
+// there names one. CI runs `make fuzz` and names no -fuzz target of its
+// own, so the Makefile keeps the one list.
 func TestMakeFuzzListsEveryTarget(t *testing.T) {
 	listed := map[string]string{} // target -> package directory
 	f, err := os.Open("Makefile")
@@ -30,6 +30,9 @@ func TestMakeFuzzListsEveryTarget(t *testing.T) {
 		case in && strings.HasPrefix(text, "\t"):
 			if m := line.FindStringSubmatch(text); m != nil {
 				listed[m[2]] = m[1]
+				if !strings.Contains(text, `-run '^$$'`) {
+					t.Errorf("`make fuzz` runs %s without -run '^$$', so it reruns the unit tests of ./%s", m[2], m[1])
+				}
 			}
 		default:
 			in = false

@@ -104,7 +104,7 @@ func adherenceCombo(sc *sweepScratch, mix adherenceMix, o Options) AdherenceComb
 	var seq traffic.Sequence
 	sw, err := crossbar(fig4Config(), core.FromFlows(fig4SSVC, specs), &seq, backlogged(specs...))
 	if err != nil {
-		combo.Err = err
+		combo.GB, combo.Err = stats.GBNotRun(specs), err
 		return combo
 	}
 	col, err := sc.runCollected(sw, &seq, o)

@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"swizzleqos/internal/fabric"
 	"swizzleqos/internal/noc"
+	"swizzleqos/internal/stats"
 	"swizzleqos/internal/traffic"
 )
 
@@ -83,6 +87,41 @@ func TestFaultsGLNeedsEvidence(t *testing.T) {
 	for _, oc := range Faults(Options{Cycles: 100, Warmup: 10}) {
 		if oc.Err == nil && oc.GL.Holds() {
 			t.Errorf("%s: GL bound held on %d GL packets", oc.Policy, oc.GL.Evidence)
+		}
+	}
+}
+
+// TestEngineErrorFailsVerdict: a run whose engine failed does not hold,
+// whatever its verdict says, both in GLOutcome.Holds and in the faults
+// table's held? column.
+func TestEngineErrorFailsVerdict(t *testing.T) {
+	held := stats.Verdict{Evidence: 3}
+	froze := errors.New("engine froze")
+	for _, c := range []struct {
+		gl   stats.Verdict
+		err  error
+		want bool
+	}{
+		{held, nil, true},
+		{held, froze, false},
+		{stats.Verdict{Evidence: 3, Failing: 1}, nil, false},
+		{stats.Verdict{}, nil, false}, // no evidence
+	} {
+		if got := (GLOutcome{GL: c.gl, Err: c.err}).Holds(); got != c.want {
+			t.Errorf("GLOutcome{GL: %+v, Err: %v}.Holds() = %v, want %v", c.gl, c.err, got, c.want)
+		}
+		var csv strings.Builder
+		if err := FaultsTable([]FaultOutcome{{Policy: "p", GL: c.gl, Err: c.err}}).RenderCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
+		header, row := strings.Split(lines[0], ","), strings.Split(lines[1], ",")
+		col := slices.Index(header, "held?")
+		if col < 0 {
+			t.Fatalf("faults table has no held? column: %q", lines[0])
+		}
+		if got, want := row[col], fmt.Sprint(c.want); got != want {
+			t.Errorf("faults table with GL %+v, Err %v: held? = %s, want %s", c.gl, c.err, got, want)
 		}
 	}
 }

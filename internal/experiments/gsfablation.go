@@ -51,7 +51,7 @@ func AblationGSF(o Options) []GSFOutcome {
 		var seq traffic.Sequence
 		sw, err := crossbar(cfg, factory, &seq, backlogged(specs...))
 		if err != nil {
-			return GSFOutcome{Scheme: name, Err: err}
+			return GSFOutcome{Scheme: name, GB: stats.GBNotRun(specs), Err: err}
 		}
 		col := stats.NewCollector(o.Warmup, o.total())
 		observe := col.OnDeliver

@@ -95,7 +95,7 @@ func Motivation(o Options) []MotivationOutcome {
 		}, core.FromFlows(core.Config{Radix: nodes, CounterBits: counterBits, SigBits: fig4SigBits}, flows),
 			&seq, backlogged(flows...))
 		if err != nil {
-			return MotivationOutcome{System: "SwizzleSwitch+SSVC", Err: err}
+			return MotivationOutcome{System: "SwizzleSwitch+SSVC", GB: stats.GBNotRun(flows), Err: err}
 		}
 		col, err := runCollected(sw, &seq, o)
 		return outcome("SwizzleSwitch+SSVC", col, err)
@@ -106,7 +106,7 @@ func Motivation(o Options) []MotivationOutcome {
 		m, err := mesh.New(mesh.Config{Width: 4, Height: 4, BufferFlits: fig4BufFlits, NewArbiter: newArb})
 		var seq traffic.Sequence
 		if err := attach(m, err, &seq, backlogged(specs()...)); err != nil {
-			return MotivationOutcome{System: name, Err: err}
+			return MotivationOutcome{System: name, GB: stats.GBNotRun(specs()), Err: err}
 		}
 		col, err := runCollected(m, &seq, o)
 		return outcome(name, col, err)

@@ -104,7 +104,7 @@ func scale64Run(o Options) ScaleResult {
 	}, core.FromFlows(arbCfg, specs), &seq,
 		append(backlogged(specs...), traffic.Workload{Spec: glSpec, Inject: traffic.Inject.Trace(glTimes...)}))
 	if err != nil {
-		res.Err = err
+		res.GB, res.Err = stats.GBNotRun(specs[:res.HotspotFlows]), err
 		return res
 	}
 

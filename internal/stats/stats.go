@@ -339,6 +339,19 @@ func (c *Collector) GB(flows []noc.FlowSpec) Verdict {
 	return v
 }
 
+// GBNotRun is the GB verdict on flows whose run never started: nothing
+// was measured (At is -1), and every flow that reserves a rate fails,
+// having accepted none of it.
+func GBNotRun(flows []noc.FlowSpec) Verdict {
+	v := Verdict{At: -1, Bound: GBTolerance}
+	for _, s := range flows {
+		if s.Rate > 0 {
+			v.Failing++
+		}
+	}
+	return v
+}
+
 // GL judges the GL promise (Eq. 1) over flows: no packet of theirs
 // delivered in the window may have waited longer than bound cycles.
 // Worst is the longest wait.

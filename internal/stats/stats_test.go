@@ -129,6 +129,9 @@ func TestGBVerdict(t *testing.T) {
 	if v := c.GB(flows[:1]); v != (Verdict{At: -1, Bound: GBTolerance}) || v.Holds() {
 		t.Errorf("GB with no reservation = %+v, want nothing judged and no verdict of holding", v)
 	}
+	if v, want := GBNotRun(flows), (Verdict{At: -1, Bound: GBTolerance, Failing: 3}); v != want || v.Holds() {
+		t.Errorf("GBNotRun = %+v, want %+v: nothing measured, every reserving flow failing", v, want)
+	}
 }
 
 // TestGBToleranceForm pins the GB rule to accepted < GBTolerance*reserved.
