@@ -198,6 +198,7 @@ fuzz:
 	$(GO) test ./internal/compose/ -run '^$$' -fuzz FuzzRoutedOffers -fuzztime 30s
 	$(GO) test ./internal/switchsim/ -run '^$$' -fuzz FuzzFaultWalk -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzAdmission -fuzztime 30s
+	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzCostProducts -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzCommandLine -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzPlanVsTable -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzRestoreState -fuzztime 30s -fuzzminimizetime 2s

@@ -2,7 +2,9 @@ package analysis_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -111,10 +113,9 @@ func compareFindings(t *testing.T, want, got map[string]int, ds []analysis.Diagn
 
 // TestRuleFixtures runs every rule over its fixture packages and
 // compares the findings with the fixtures' `// want:` markers. The
-// mustFind rows are the meta-tests: each fixture is a faithful copy of
-// shipped code with one defect injected (durmut: ApplyAll's batch commit
-// with the fsync deleted; rangemut: costOf with the PacketLen contract
-// widened to 2^62), so a rule that stops reporting it has gone blind.
+// mustFind row is a meta-test: durmut is a faithful copy of ApplyAll's
+// batch commit with the fsync deleted, so a rule that stops reporting
+// it has gone blind.
 // Per-package rules share one Loader, since what they find in a package
 // cannot depend on another; a tree rule gets a fresh one, because its
 // call graph indexes everything its Loader has loaded.
@@ -137,8 +138,8 @@ func TestRuleFixtures(t *testing.T) {
 		{rule: "hotpath", pkgs: []string{"hotbad"}},
 		{rule: "durability", pkgs: []string{"durabilitybad"}, tree: true},
 		{rule: "durability", pkgs: []string{"durmut"}, tree: true, mustFind: true},
-		{rule: "valuerange", pkgs: []string{"rangebad"}, tree: true},
-		{rule: "valuerange", pkgs: []string{"rangemut"}, tree: true, mustFind: true},
+		{rule: "floatconv", pkgs: []string{"floatbad"}},
+		{rule: "marker", pkgs: []string{"markerbad"}},
 	} {
 		t.Run(tc.rule+"/"+tc.pkgs[0], func(t *testing.T) {
 			if tc.rule == "hotpath" && testing.Short() {
@@ -160,6 +161,32 @@ func TestRuleFixtures(t *testing.T) {
 				t.Fatalf("%s missed the defect injected into %s", tc.rule, tc.pkgs[0])
 			}
 			compareFindings(t, wantMarkers(t, repoRoot(t), rels...), diagSet(ds), ds)
+		})
+	}
+}
+
+// TestMutantsFailToTypeCheck: the §3.3 cost product Frame·L is
+// wrap-free because its operands are 32-bit (noc.Mul32) and the length
+// bound is a uint32 constant (admit.MaxPacketLen). Each fixture is a
+// faithful copy of that path with the bound widened from 2^20 to 2^62 —
+// rangemut widens the constant, widemut widens it with its type — and
+// must fail to type-check at its want:typecheck line.
+func TestMutantsFailToTypeCheck(t *testing.T) {
+	root := repoRoot(t)
+	for _, name := range []string{"rangemut", "widemut"} {
+		t.Run(name, func(t *testing.T) {
+			rel := "internal/analysis/testdata/src/" + name
+			l := newLoader(t)
+			_, err := l.Load(l.Module + "/" + rel)
+			var te types.Error
+			if !errors.As(err, &te) {
+				t.Fatalf("%s type-checked (err %v): a length bound past 32 bits compiles", name, err)
+			}
+			file, line := l.Rel(te.Pos)
+			want := wantMarkers(t, root, rel)
+			if got := fmt.Sprintf("%s:%d typecheck", file, line); len(want) != 1 || want[got] != 1 {
+				t.Fatalf("type error at %s:%d (%s), want it at the want:typecheck line %v", file, line, te.Msg, want)
+			}
 		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// This file is the interprocedural layer under the durability and
-// valuerange analyzers: a whole-module function index with, per function,
+// This file is the interprocedural layer under the durability
+// analyzer: a whole-module function index with, per function,
 // the list of functions its body (closures included) may call. A call
 // resolves statically to a named function or concrete method, and a call
 // through an interface resolves by class-hierarchy analysis to every
@@ -19,18 +19,10 @@ import (
 // cycle runs — and so are calls into packages outside the module (the
 // standard library), which have no body in the index.
 
-// Annotation markers recognized on functions. DESIGN.md "Invariants"
-// rules 8 and 9 document the semantics.
-const (
-	// MarkSerialOnly annotates a function that must only run on the
-	// plane's single owner goroutine; a spawned goroutine that reaches it
-	// is flagged (durability).
-	MarkSerialOnly = "//ssvc:serial-only"
-	// MarkBarrier annotates a clamping helper (noc.ClampUint64):
-	// valuerange exempts the float-to-integer conversions inside its
-	// body, since clamping the operand first is exactly what it is for.
-	MarkBarrier = "//ssvc:barrier"
-)
+// MarkSerialOnly annotates a function that must only run on the
+// plane's single owner goroutine; a spawned goroutine that reaches it
+// is flagged (durability, DESIGN.md "Invariants" rule 8).
+const MarkSerialOnly = "//ssvc:serial-only"
 
 // funcInfo ties a type-checked function object back to its syntax.
 type funcInfo struct {
@@ -91,12 +83,8 @@ func (cg *callGraph) indexPackage(pkg *Package) {
 				continue
 			}
 			cg.funcs[fn] = &funcInfo{decl: fd, pkg: pkg}
-			if fd.Doc != nil {
-				for _, c := range fd.Doc.List {
-					if isMarker(c.Text, MarkSerialOnly) {
-						cg.serialOnly[fn] = true
-					}
-				}
+			if hasMarker(fd.Doc, MarkSerialOnly) {
+				cg.serialOnly[fn] = true
 			}
 		}
 	}
@@ -141,27 +129,6 @@ func (cg *callGraph) callees(pkg *Package, call *ast.CallExpr) []*types.Func {
 		}
 	}
 	return nil
-}
-
-// fieldVarOf resolves a selector to the struct field it denotes, or nil
-// for methods and package-qualified names.
-func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if fv, ok := s.Obj().(*types.Var); ok {
-			return fv
-		}
-	}
-	return nil
-}
-
-// indirectType reports whether the type is an indirection boundary:
-// mutating memory behind it does not dirty the value itself.
-func indirectType(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface, *types.Signature:
-		return true
-	}
-	return false
 }
 
 // implementers resolves an interface method call to every concrete

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"math/big"
 )
 
 // counterSafety flags the arithmetic bug class behind the PR 1 glbound
@@ -19,7 +20,7 @@ import (
 //     `if a < b { return 0 }; return a - b` — the shape of noc.SatSub —
 //     passes, as do guards established by loop conditions, &&-chains,
 //     negations, and tagless switch cases. Bound reasoning is genuine
-//     intervals (factIval in interval.go): x's proven lower bound —
+//     intervals (factIval below): x's proven lower bound —
 //     from a constant, a guard fact like `x > 0` (with `x != 0` on an
 //     unsigned x recognized as exactly that, admitting the
 //     bitmask-iteration idiom `for m != 0 { m &= m - 1 }`), or the
@@ -109,7 +110,7 @@ func checkSub(p *pass, pkg *Package, fs factSet, n ast.Node, x, y ast.Expr) {
 	if _, ok := fs[guardFact{a: xs, b: ys}.key()]; ok {
 		return
 	}
-	// Interval reasoning (interval.go): x's lower bound — from a
+	// Interval reasoning (factIval): x's lower bound — from a
 	// constant value, a guard fact like `x > 0`, or the shift-of-a-
 	// positive-base structure of `1<<k` — at or above y's upper bound
 	// proves the subtraction safe. This subsumes the retired
@@ -301,4 +302,92 @@ func bitWidth(t types.Type) int {
 		return 64
 	}
 	return 0
+}
+
+// ival is an integer interval: every concrete value v satisfies
+// lo <= v <= hi. Bounds are exact integers, never open: an unknown
+// value of type T carries T's full range (typeIval).
+type ival struct {
+	lo, hi *big.Int
+}
+
+// bigFromConst converts a go/constant value to an exact integer, or
+// nil when it is not an integer.
+func bigFromConst(v constant.Value) *big.Int {
+	v = constant.ToInt(v)
+	if v.Kind() != constant.Int {
+		return nil
+	}
+	b, ok := new(big.Int).SetString(v.ExactString(), 10)
+	if !ok {
+		return nil
+	}
+	return b
+}
+
+// typeIval returns the full value range of an integer type. int, uint
+// and uintptr count as 64-bit (matching bitWidth); type parameters
+// resolve through their constraint (the module's only constraint is
+// noc.Counter, ~uint64).
+func typeIval(t types.Type) (ival, bool) {
+	if t == nil || !isInteger(t) {
+		return ival{}, false
+	}
+	w := bitWidth(t)
+	if w <= 0 {
+		return ival{}, false
+	}
+	one := big.NewInt(1)
+	if isUnsignedInt(t) {
+		hi := new(big.Int).Lsh(one, uint(w))
+		return ival{lo: big.NewInt(0), hi: hi.Sub(hi, one)}, true
+	}
+	hi := new(big.Int).Lsh(one, uint(w-1))
+	lo := new(big.Int).Neg(hi)
+	return ival{lo: lo, hi: new(big.Int).Sub(hi, one)}, true
+}
+
+// factIval bounds e for rule 1 from constants, type ranges, and the
+// guard-fact lower bounds the must-dataflow pass has already proven —
+// no fixpoint of its own, so rule 1 stays cheap at module scope.
+func factIval(pkg *Package, fs factSet, e ast.Expr) ival {
+	if cv := constVal(pkg, e); cv != nil {
+		if b := bigFromConst(cv); b != nil {
+			return ival{lo: b, hi: b}
+		}
+	}
+	iv, ok := typeIval(exprType(pkg, e))
+	if !ok {
+		// No type information: the caller only compares bounds, so an
+		// unconstrained interval is the safe answer.
+		w := new(big.Int).Lsh(big.NewInt(1), 64)
+		return ival{lo: new(big.Int).Neg(w), hi: w}
+	}
+	// Guard facts carry constant lower bounds: x >= c (or x > c).
+	key := types.ExprString(e)
+	for _, f := range fs {
+		if f.a != key || f.bVal == nil {
+			continue
+		}
+		b := bigFromConst(f.bVal)
+		if b == nil {
+			continue
+		}
+		if f.strict {
+			b = new(big.Int).Add(b, big.NewInt(1))
+		}
+		if b.Cmp(iv.lo) > 0 {
+			iv.lo = b
+		}
+	}
+	// A left shift of a positive constant base is at least the base
+	// whenever the shift is meaningful (the 1<<k mask idiom).
+	if sh, ok := unparen(e).(*ast.BinaryExpr); ok && sh.Op == token.SHL {
+		if bv := constVal(pkg, sh.X); bv != nil {
+			if b := bigFromConst(bv); b != nil && b.Sign() > 0 && b.Cmp(iv.lo) > 0 {
+				iv.lo = b
+			}
+		}
+	}
+	return iv
 }

@@ -162,11 +162,10 @@ func guardLeaf(info *types.Info, cond ast.Expr, holds bool, fs factSet) {
 // killedNames is the kill model: the identifiers a CFG node may
 // invalidate — an assigned identifier (or the root of an assigned
 // selector/index chain), an inc/dec target, a range key/value, a
-// declared name, any identifier whose address is taken within the node —
-// plus whatever the call hook, when non-nil, adds for each call the node
-// makes. all reports a target that resolves to no root (a pointer
+// declared name, any identifier whose address is taken within the
+// node. all reports a target that resolves to no root (a pointer
 // indirection): everything known must then be dropped.
-func killedNames(n ast.Node, call func(*ast.CallExpr, map[string]bool)) (names map[string]bool, all bool) {
+func killedNames(n ast.Node) (names map[string]bool, all bool) {
 	names = map[string]bool{}
 	var targets []ast.Expr
 	switch s := n.(type) {
@@ -193,16 +192,9 @@ func killedNames(n ast.Node, call func(*ast.CallExpr, map[string]bool)) (names m
 		}
 	}
 	walkNode(n, func(m ast.Node) {
-		switch m := m.(type) {
-		case *ast.UnaryExpr:
-			// Address-of hands the variable to code that may mutate it.
-			if m.Op == token.AND {
-				collectIdents(m.X, names)
-			}
-		case *ast.CallExpr:
-			if call != nil {
-				call(m, names)
-			}
+		// Address-of hands the variable to code that may mutate it.
+		if m, ok := m.(*ast.UnaryExpr); ok && m.Op == token.AND {
+			collectIdents(m.X, names)
 		}
 	})
 	return names, all
@@ -220,7 +212,7 @@ func mentionsAny(idents, names map[string]bool) bool {
 
 // applyNodeKills drops the facts a statement may invalidate.
 func applyNodeKills(fs factSet, n ast.Node) {
-	names, all := killedNames(n, nil)
+	names, all := killedNames(n)
 	if all {
 		clear(fs)
 		return
@@ -284,11 +276,31 @@ func walkNode(n ast.Node, visit func(ast.Node)) {
 func guardFlow(info *types.Info) flow[factSet] {
 	return flow[factSet]{
 		clone: maps.Clone[factSet],
-		join: func(cur, in factSet, _ int) (factSet, bool) {
+		join: func(cur, in factSet) (factSet, bool) {
 			merged := intersectFacts(cur, in)
 			return merged, len(merged) != len(cur)
 		},
 		transfer: func(n ast.Node, fs factSet) { applyNodeKills(fs, n) },
 		leaf:     func(c ast.Expr, holds bool, fs factSet) { guardLeaf(info, c, holds, fs) },
 	}
+}
+
+// negateCmp maps a comparison operator to its negation (the operator
+// that holds on the false edge).
+func negateCmp(op token.Token) token.Token {
+	switch op {
+	case token.LSS:
+		return token.GEQ
+	case token.GEQ:
+		return token.LSS
+	case token.LEQ:
+		return token.GTR
+	case token.GTR:
+		return token.LEQ
+	case token.EQL:
+		return token.NEQ
+	case token.NEQ:
+		return token.EQL
+	}
+	return token.ILLEGAL
 }

@@ -6,6 +6,11 @@ import (
 	"strings"
 )
 
+// MarkBarrier annotates a clamping helper (noc.ClampUint64): floatConv
+// exempts the float-to-integer conversions inside its body, since
+// pinning the operand into range first is exactly what it is for.
+const MarkBarrier = "//ssvc:barrier"
+
 // globalRandFuncs are the math/rand (and math/rand/v2) package-level
 // functions that draw from the process-global source. Seeded generators
 // built with New/NewSource/NewPCG are fine: they are pure functions of
@@ -92,5 +97,37 @@ func checkForbiddenSelector(p *pass, pkg *Package, sel *ast.SelectorExpr) {
 		p.report(sel.Pos(), "math.%s may round differently on another GOARCH; golden tables must be byte-identical on every architecture, so use exact arithmetic", name)
 	case (path == "math/rand" || path == "math/rand/v2") && globalRandFuncs[name]:
 		p.report(sel.Pos(), "global %s.%s draws from a process-wide source; use a traffic.RNG (or rand.New) seeded from Options.Seed", path, name)
+	}
+}
+
+// floatConv flags every non-constant float-to-integer conversion outside
+// a //ssvc:barrier function. The Go spec leaves the result of an
+// out-of-range conversion (NaN and Inf included) to the implementation,
+// so two architectures can disagree on it: a rate or share that crosses
+// into the fixed-point Frame and Vtick domains goes through a clamp such
+// as noc.ClampUint64 instead. A barrier's function literals are inside
+// the clamp; a literal anywhere else is checked like any other code.
+func floatConv(p *pass, pkg *Package) {
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && hasMarker(fd.Doc, MarkBarrier) {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				dst, arg := pkg.Info.Types[call.Fun], pkg.Info.Types[call.Args[0]]
+				if !dst.IsType() || !isInteger(dst.Type) || arg.Value != nil || arg.Type == nil {
+					return true
+				}
+				if b, ok := arg.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
+					p.report(call.Pos(), "unchecked %s conversion of a float: out-of-range values (including NaN and Inf) convert platform-dependently; clamp through a %s helper such as noc.ClampUint64",
+						dst.Type, MarkBarrier)
+				}
+				return true
+			})
+		}
 	}
 }

@@ -147,7 +147,7 @@ func (dc *durChecker) checkAckOrdering(pkg *Package, fd *ast.FuncDecl) {
 	})
 	solve(g, newDurFacts(appends), flow[*durFacts]{
 		clone: (*durFacts).clone,
-		join: func(cur, in *durFacts, _ int) (*durFacts, bool) {
+		join: func(cur, in *durFacts) (*durFacts, bool) {
 			merged := meetDur(cur, in)
 			return merged, !durEqual(merged, cur)
 		},
@@ -411,7 +411,7 @@ func (fs *unsyncFacts) close() { *fs = unsyncFacts{} }
 func (dc *durChecker) checkUnsynced(pkg *Package, fd *ast.FuncDecl) {
 	solve(buildCFG(fd.Body), &unsyncFacts{}, flow[*unsyncFacts]{
 		clone: func(fs *unsyncFacts) *unsyncFacts { c := *fs; return &c },
-		join: func(cur, in *unsyncFacts, _ int) (*unsyncFacts, bool) {
+		join: func(cur, in *unsyncFacts) (*unsyncFacts, bool) {
 			// May-analysis: union; an open side's pending error wins.
 			merged := *cur
 			if in.open && !cur.open {

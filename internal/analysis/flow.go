@@ -10,8 +10,8 @@ import (
 // the decomposition of branch conditions into the comparisons that hold
 // along an edge, and the check-then-transfer replay that emits
 // diagnostics at the fixpoint. A rule brings only its lattice, as a
-// flow value: guard facts (dataflow.go), intervals (interval.go) and
-// durability's must- and may-facts (durability.go).
+// flow value: guard facts (dataflow.go) and durability's must- and
+// may-facts (durability.go).
 
 // flow is one rule's abstract domain over states of type S. States are
 // mutable (maps, or pointers to structs): transfer and leaf update
@@ -20,11 +20,10 @@ import (
 type flow[S any] struct {
 	clone func(S) S
 	// join merges in, arriving along one more edge, into cur, the state
-	// recorded at a block's entry; visits counts the joins that block has
-	// absorbed, this one included (the interval domain widens on it).
-	// changed reports that the block must run again from the result. A
-	// domain that only grows may update cur in place and return it.
-	join func(cur, in S, visits int) (next S, changed bool)
+	// recorded at a block's entry. changed reports that the block must
+	// run again from the result. A domain that only grows may update cur
+	// in place and return it.
+	join func(cur, in S) (next S, changed bool)
 	// transfer advances s across one CFG node.
 	transfer func(n ast.Node, s S)
 	// leaf, when set, refines s by one operand of a branch condition:
@@ -74,11 +73,9 @@ type solved[S any] struct {
 }
 
 // solve runs f to a fixpoint over g from the given entry state. It
-// terminates when join does: on a finite lattice with a monotone join,
-// or once join widens.
+// terminates on a finite lattice with a monotone join.
 func solve[S any](g *cfgGraph, entry S, f flow[S]) *solved[S] {
 	sv := &solved[S]{f: f, g: g, in: make([]S, len(g.blocks)), reached: make([]bool, len(g.blocks))}
-	visits := make([]int, len(g.blocks))
 	sv.in[g.entry.index], sv.reached[g.entry.index] = entry, true
 	work := []*cfgBlock{g.entry}
 	for len(work) > 0 {
@@ -97,8 +94,7 @@ func solve[S any](g *cfgGraph, entry S, f flow[S]) *solved[S] {
 				work = append(work, e.to)
 				continue
 			}
-			visits[to]++
-			if next, changed := f.join(sv.in[to], ef, visits[to]); changed {
+			if next, changed := f.join(sv.in[to], ef); changed {
 				sv.in[to] = next
 				work = append(work, e.to)
 			}

@@ -66,12 +66,12 @@ func f(p, q bool) {
 		t.Fatal(err)
 	}
 	type facts = map[string]bool
-	var visitsSeen []int
+	joins := 0
 	transfers := map[string]int{}
 	f := flow[facts]{
 		clone: maps.Clone[facts],
-		join: func(cur, in facts, visits int) (facts, bool) {
-			visitsSeen = append(visitsSeen, visits)
+		join: func(cur, in facts) (facts, bool) {
+			joins++
 			merged := facts{}
 			for k := range cur {
 				if in[k] {
@@ -131,10 +131,11 @@ func f(p, q bool) {
 	if transfers["use()"] < 3 {
 		t.Errorf("use() transferred %d times: the loop body must run again once b is lost, and once more in the replay", transfers["use()"])
 	}
-	// The loop head absorbs the back edge twice (b present, then gone);
-	// a block's first arrival is not a join.
-	if !slices.Contains(visitsSeen, 2) || slices.Contains(visitsSeen, 0) {
-		t.Errorf("join saw visits %v: want counts from 1, reaching 2 at the loop head", visitsSeen)
+	// The loop head absorbs the back edge twice (b present, then gone),
+	// the if's merge point at least once per pass round the loop, and
+	// the loop exit once; a block's first arrival is not a join.
+	if joins < 4 {
+		t.Errorf("join ran %d times, want at least 4", joins)
 	}
 }
 

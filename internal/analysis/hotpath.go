@@ -102,14 +102,7 @@ func hotFuncsInFile(l *Loader, file *ast.File) []HotFunc {
 		if !ok || fd.Doc == nil || fd.Body == nil {
 			continue
 		}
-		annotated := false
-		for _, c := range fd.Doc.List {
-			if isMarker(c.Text, HotpathMarker) {
-				annotated = true
-				break
-			}
-		}
-		if !annotated {
+		if !hasMarker(fd.Doc, HotpathMarker) {
 			continue
 		}
 		fname, start := l.Rel(fd.Pos())
@@ -136,6 +129,20 @@ func hotFuncsInFile(l *Loader, file *ast.File) []HotFunc {
 
 func isMarker(text, marker string) bool {
 	return text == marker || strings.HasPrefix(text, marker+" ")
+}
+
+// hasMarker reports whether a comment group, possibly nil, carries
+// marker.
+func hasMarker(cg *ast.CommentGroup, marker string) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if isMarker(c.Text, marker) {
+			return true
+		}
+	}
+	return false
 }
 
 func funcName(fd *ast.FuncDecl) string {

@@ -32,7 +32,8 @@ var Rules = []Rule{
 	{Name: "countersafety", Packages: modulePackageRels, perPackage: counterSafety},
 	{Name: "units", Packages: unitsPackages, perPackage: units},
 	{Name: "durability", Packages: fixed(DurabilityPackages), tree: durability},
-	{Name: "valuerange", Packages: fixed(ValueRangePackages), tree: valueRange},
+	{Name: "floatconv", Packages: fixed(FloatConvPackages), perPackage: floatConv},
+	{Name: "marker", Packages: modulePackageRels, perPackage: unknownMarkers},
 }
 
 func fixed(rels []string) func(*Loader) ([]string, error) {
@@ -106,15 +107,11 @@ var DurabilityPackages = []string{
 	"cmd/ssvc-serve",
 }
 
-// ValueRangePackages carry the declared-critical integer arithmetic
-// the interval engine proves overflow-safe (DESIGN.md invariant 9):
-// the admission budget's Frame-scaled cost products, the Eq 1-3
-// schedulability terms, and the datapath shift/mask kernels. Input
-// contracts live on their config structs as //ssvc:range annotations.
-// noc and alloc turn reserved rates into Vticks, and the daemon parses
-// the line protocol's numbers, so their float conversions must clamp
-// (check 3).
-var ValueRangePackages = []string{
+// FloatConvPackages turn reserved rates and shares into fixed-point
+// Frame units and Vticks (ctlplane, noc, alloc, glbound, core, arb),
+// or parse the line protocol's numbers (the daemon): a float that
+// crosses into an integer there must be clamped first.
+var FloatConvPackages = []string{
 	"internal/ctlplane",
 	"cmd/ssvc-serve",
 	"internal/glbound",

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"swizzleqos/internal/runner"
@@ -151,7 +152,33 @@ const MarkAllow = "//ssvc:allow"
 
 // noExceptions are the rules whose proofs hold on the shipped tree with
 // no exception at all.
-var noExceptions = map[string]bool{"durability": true, "valuerange": true}
+var noExceptions = map[string]bool{"durability": true, "floatconv": true, "marker": true}
+
+// knownMarkers are the markers some rule reads; every marker comment
+// begins with markerPrefix.
+var knownMarkers = []string{HotpathMarker, HotpathCold, MarkAllow, MarkSerialOnly, MarkBarrier}
+
+const markerPrefix = "//ssvc:"
+
+// unknownMarkers flags a comment that begins like a marker but names
+// none of knownMarkers: a misspelt //ssvc:hotpath would silently take
+// its function out of the hotpath rule, and a marker that no rule reads
+// would look like a contract that nobody checks. A comment that only
+// mentions a marker after other words is prose, and is not looked at.
+func unknownMarkers(p *pass, pkg *Package) {
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !strings.HasPrefix(c.Text, markerPrefix) ||
+					slices.ContainsFunc(knownMarkers, func(m string) bool { return isMarker(c.Text, m) }) {
+					continue
+				}
+				name, _, _ := strings.Cut(c.Text, " ")
+				p.report(c.Pos(), "%s is no marker: the markers are %s", name, strings.Join(knownMarkers, ", "))
+			}
+		}
+	}
+}
 
 // excuse drops the findings the //ssvc:allow markers in pkgs excuse and
 // adds a finding for each marker that fails. A marker naming a rule

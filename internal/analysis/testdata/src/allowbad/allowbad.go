@@ -41,7 +41,7 @@ func Count(m map[int]bool) int {
 
 // Parse's marker names a rule whose proofs admit no exceptions.
 func Parse(xs []int) int {
-	//ssvc:allow valuerange the interprocedural rules take no exceptions // want:allow
+	//ssvc:allow durability the interprocedural rules take no exceptions // want:allow
 	return len(xs)
 }
 

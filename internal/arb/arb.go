@@ -32,11 +32,8 @@ import (
 
 // Request describes one input port contending for an output channel in the
 // current cycle. Packet is the head packet the input would transmit if
-// granted. Input is a port number, so it shares the radix bound declared
-// on every config struct; the annotation lets the valuerange analyzer
-// carry that bound into the mask and shift kernels.
+// granted. Input is a port number, below the switch's radix.
 type Request struct {
-	//ssvc:range Input 0..4095
 	Input  int
 	Class  noc.Class
 	Packet *noc.Packet

@@ -11,13 +11,15 @@ import (
 // pointer wins. Like LRG it converges to an equal bandwidth split under
 // congestion but can be unfair over short windows when request patterns
 // correlate with the pointer position.
+//
+// NewRoundRobin bounds n to 1..4096 and the modulo keeps next below n,
+// so the pointer arithmetic cannot wrap for any Input below 2^31-4096
+// (a 32-bit int's range less n), far above any radix a switch is built
+// with.
 type RoundRobin struct {
 	unclocked
-	//ssvc:range n 1..4096
 	n int
 	// next is the highest-priority input this cycle.
-	//
-	//ssvc:range next 0..4095
 	next int
 }
 

@@ -104,3 +104,25 @@ func TestMultiLevelCustomLevels(t *testing.T) {
 		t.Fatalf("winner %d, want 1 under inverted levels", reqs[w].Input)
 	}
 }
+
+// TestRoundRobinRadix4096 pins the top of NewRoundRobin's range: the
+// pointer wraps from input 4095 back to 0, the distance from it to
+// input 4095 is the largest, and one input more is refused.
+func TestRoundRobinRadix4096(t *testing.T) {
+	a := NewRoundRobin(4096)
+	a.Granted(0, Request{Input: 4094})
+	reqs := []Request{{Input: 0}, {Input: 4095}}
+	if w := a.Arbitrate(0, reqs); w != 1 {
+		t.Fatalf("pointer at 4095: winner %d, want 1 (input 4095)", w)
+	}
+	a.Granted(0, reqs[1])
+	if w := a.Arbitrate(0, reqs); w != 0 {
+		t.Fatalf("pointer wrapped to 0: winner %d, want 0 (input 0)", w)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewRoundRobin(4097) did not panic")
+		}
+	}()
+	NewRoundRobin(4097)
+}

@@ -45,25 +45,23 @@ func (p CounterPolicy) String() string {
 	return fmt.Sprintf("CounterPolicy(%d)", uint8(p))
 }
 
-// Config parameterises one SSVC arbiter (one output channel). The
-// //ssvc:range annotations are the bounds Validate enforces, stated
-// where the valuerange analyzer can use them to prove the counter
-// widths and quantum shifts stay inside uint64.
+// MaxSigBits is the widest thermometer code Validate accepts: 2^16
+// priority levels, each a bitplane of its own. The widest modelled bus,
+// 512 bits at radix 2, has 256 lanes, which is 8 bits; the experiments
+// use 1-6. The cap also keeps 1<<SigBits inside a 32-bit int.
+const MaxSigBits = 16
+
+// Config parameterises one SSVC arbiter (one output channel). Validate
+// bounds every integer field.
 type Config struct {
 	// Radix is the number of input ports.
-	//
-	//ssvc:range Radix 2..4096
 	Radix int
 	// CounterBits is the total auxVC counter width. Table 1 uses 3+8
 	// bits; Figure 4 uses 4 significant bits over a 12-bit counter.
-	//
-	//ssvc:range CounterBits 2..32
 	CounterBits int
 	// SigBits is the number of auxVC most significant bits mapped to the
 	// thermometer code: the coarse comparison distinguishes 2^SigBits
 	// priority levels, one per GB lane.
-	//
-	//ssvc:range SigBits 1..31
 	SigBits int
 	// Policy is the finite-counter management method.
 	Policy CounterPolicy
@@ -82,12 +80,10 @@ type Config struct {
 	// ... to prevent its abuse"). GLVtick 0 disables policing.
 	EnableGL bool
 	GLVtick  VTime
-	//ssvc:range GLBurst 0..1048576
-	GLBurst int
+	GLBurst  int
 }
 
-// Validate reports a descriptive error for malformed configurations. It
-// enforces the //ssvc:range bounds declared on the struct.
+// Validate reports a descriptive error for malformed configurations.
 func (c Config) Validate() error {
 	if c.Radix < 2 || c.Radix > 4096 {
 		return fmt.Errorf("core: radix %d outside [2,4096]", c.Radix)
@@ -95,8 +91,8 @@ func (c Config) Validate() error {
 	if c.CounterBits < 2 || c.CounterBits > 32 {
 		return fmt.Errorf("core: counter width %d outside [2,32]", c.CounterBits)
 	}
-	if c.SigBits < 1 || c.SigBits >= c.CounterBits {
-		return fmt.Errorf("core: %d significant bits must lie in [1,%d)", c.SigBits, c.CounterBits)
+	if c.SigBits < 1 || c.SigBits >= c.CounterBits || c.SigBits > MaxSigBits {
+		return fmt.Errorf("core: %d significant bits must lie in [1,%d)", c.SigBits, min(c.CounterBits, MaxSigBits+1))
 	}
 	if len(c.Vticks) != c.Radix {
 		return fmt.Errorf("core: got %d vticks for radix %d", len(c.Vticks), c.Radix)
@@ -163,12 +159,15 @@ func NewSSVC(cfg Config) *SSVC {
 		panic(err)
 	}
 	cfg.Vticks = append([]VTime(nil), cfg.Vticks...)
+	// Validate holds 1 <= SigBits < CounterBits <= 32, so every width
+	// below is exact in a uint8 and far below noc.Pow2's 64.
+	quantum := noc.VTimeOf(noc.Pow2(uint8(cfg.CounterBits - cfg.SigBits)))
 	s := &SSVC{
 		cfg:     cfg,
-		levels:  1 << cfg.SigBits,
-		quantum: 1 << (cfg.CounterBits - cfg.SigBits),
-		max:     1<<cfg.CounterBits - 1,
-		next:    noc.CycleOfVTime(1 << (cfg.CounterBits - cfg.SigBits)),
+		levels:  int(noc.Pow2(uint8(cfg.SigBits))),
+		quantum: quantum,
+		max:     noc.VTimeOf(noc.SatSub(noc.Pow2(uint8(cfg.CounterBits)), 1)),
+		next:    noc.CycleOfVTime(quantum),
 		aux:     make([]VTime, cfg.Radix),
 		lrg:     arb.NewLRGState(cfg.Radix),
 	}
@@ -286,11 +285,13 @@ func (s *SSVC) glEligible(now Cycle) bool {
 	}
 	// Validate guarantees GLBurst >= 1 whenever policing is enabled; the
 	// floor keeps the burst-1 conversion non-negative by construction.
+	// A Vtick near 2^64 (a tiny GL share) would wrap the product to a
+	// smaller allowance, so it saturates instead.
 	burst := s.cfg.GLBurst
 	if burst < 1 {
 		burst = 1
 	}
-	allowance := noc.VTimeOf(uint64(burst-1)) * s.cfg.GLVtick
+	allowance := noc.SatMul(noc.VTimeOf(uint64(burst-1)), s.cfg.GLVtick)
 	return s.glVC <= noc.SatAdd(noc.VTimeOfCycle(now), allowance)
 }
 

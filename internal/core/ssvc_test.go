@@ -56,6 +56,9 @@ func TestConfigValidate(t *testing.T) {
 		{"counter too wide", func(c *Config) { c.CounterBits = 40 }},
 		{"sig bits zero", func(c *Config) { c.SigBits = 0 }},
 		{"sig bits eat counter", func(c *Config) { c.SigBits = 12 }},
+		{"sig bits above 16", func(c *Config) { c.CounterBits = 32; c.SigBits = MaxSigBits + 1 }},
+		{"radix too large", func(c *Config) { c.Radix = 4097; c.Vticks = uniformVticks(4097, 20) }},
+		{"gl burst too large", func(c *Config) { c.GLBurst = 1<<20 + 1 }},
 		{"vtick count", func(c *Config) { c.Vticks = uniformVticks(3, 20) }},
 		{"gl burst", func(c *Config) { c.EnableGL = true; c.GLVtick = 10; c.GLBurst = 0 }},
 	}
@@ -64,6 +67,34 @@ func TestConfigValidate(t *testing.T) {
 		tc.mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+	// The top of every range is accepted (validated only: an SSVC with
+	// 2^16 level planes is not built here).
+	top := testConfig(uniformVticks(4096, 20))
+	top.Radix, top.CounterBits, top.SigBits, top.GLBurst = 4096, 32, MaxSigBits, 1<<20
+	if err := top.Validate(); err != nil {
+		t.Errorf("top of every range rejected: %v", err)
+	}
+}
+
+// TestGLAllowanceSaturates pins the GL burst allowance (GLBurst-1)·GLVtick
+// at a Vtick near 2^64, the one a tiny GL share gives: three back-to-back
+// GL packets are eligible at 2^62, and still at 2^63, where a wrapping
+// product would have made the allowance 0 and refused the second.
+func TestGLAllowanceSaturates(t *testing.T) {
+	for _, vt := range []VTime{1 << 62, 1 << 63} {
+		cfg := testConfig(uniformVticks(8, 20))
+		cfg.EnableGL, cfg.GLVtick, cfg.GLBurst = true, vt, 3
+		s := NewSSVC(cfg)
+		var got [3]bool
+		for i := range got {
+			if got[i] = s.glEligible(0); got[i] {
+				s.Granted(0, glReq(0))
+			}
+		}
+		if got != [3]bool{true, true, true} {
+			t.Errorf("GLVtick %d: eligible %v, want all three", vt, got)
 		}
 	}
 }

@@ -61,16 +61,16 @@ type Reservation struct {
 // granted rate: the inter-packet time of PacketLen-flit packets at that
 // rate, rounded up so the arbiter never over-serves the grant. Zero
 // (fully degraded) demotes the crosspoint to best-effort priority.
+// Every reservation a Table holds passed admit.Check (on admission, or
+// in restore), so PacketLen <= admit.MaxPacketLen and the product fits
+// in 41 bits; the checked product stands guard for a Reservation built
+// by hand, saturating instead of wrapping.
 func (r *Reservation) GrantedVtick() noc.VTime {
 	if r.GrantedCost == 0 {
 		return 0
 	}
-	num := Frame * uint64(r.Req.PacketLen)
-	q := num / r.GrantedCost
-	if num%r.GrantedCost != 0 {
-		q++ // round up: never over-serve the grant
-	}
-	return noc.VTimeOf(q)
+	num := noc.SatMul(Frame, uint64(r.Req.PacketLen))
+	return noc.VTimeOf(noc.CeilDiv(num, r.GrantedCost)) // never over-serve the grant
 }
 
 // costOf returns the Frame-unit channel share a checked request
@@ -78,18 +78,14 @@ func (r *Reservation) GrantedVtick() noc.VTime {
 // cycles. Deriving the cost from the (rounded) Vtick rather than the raw
 // rate makes "sum of admitted Vticks fits the frame" the literal
 // invariant. The zero Req has rate 0, hence Vtick 0, and costs nothing.
+// Frame and the checked length are both 32-bit values, so Frame·L
+// cannot wrap (noc.Mul32), and neither can the round-up (noc.CeilDiv).
 func costOf(req admit.Req) uint64 {
-	f := req.Flow()
-	vt := f.Spec().Vtick().Uint()
+	vt := req.Flow().Spec().Vtick().Uint()
 	if vt == 0 {
 		return 0
 	}
-	num := Frame * uint64(f.PacketLen)
-	cost := num / vt
-	if num%vt != 0 {
-		cost++ // round up: admission must cover the full Vtick
-	}
-	return cost
+	return noc.CeilDiv(noc.Mul32(Frame, req.PacketLen()), vt) // cover the full Vtick
 }
 
 // Reject describes a refused command.
@@ -103,21 +99,13 @@ func reject(reason Reason, format string, args ...any) *Reject {
 	return &Reject{Reason: reason, Msg: fmt.Sprintf(format, args...)}
 }
 
-// TableConfig sizes an admission table. The //ssvc:range annotations
-// are the input contract the valuerange analyzer assumes when proving
-// the Frame-scaled budget arithmetic overflow-safe; Validate enforces
-// the same bounds at runtime.
+// TableConfig sizes an admission table; Validate bounds every field.
 type TableConfig struct {
-	//ssvc:range Radix 2..4096
 	Radix int
 	// LMax is the largest packet length admissible anywhere in the
 	// network, in flits — the lmax of the Eq. 1-3 analysis.
-	//
-	//ssvc:range LMax 1..1048576
 	LMax int
 	// GLBufferFlits is the per-input GL buffer depth b of Eq. 1.
-	//
-	//ssvc:range GLBufferFlits 1..1048576
 	GLBufferFlits int
 	// GBShare and GLShare are the per-output budget fractions for the
 	// two reserving classes (GB per-output budgets can be moved later
@@ -128,16 +116,15 @@ type TableConfig struct {
 	Policy  Policy
 }
 
-// Validate reports a descriptive error for malformed configurations.
-// It enforces exactly the //ssvc:range contract declared on the struct:
+// Validate reports a descriptive error for malformed configurations:
 // a config that passed here is safe input for the Frame-scaled budget
-// arithmetic.
+// arithmetic and the Eq. 1-3 parameters.
 func (tc TableConfig) Validate() error {
 	if tc.Radix < 2 || tc.Radix > 4096 {
 		return fmt.Errorf("ctlplane: radix %d must be in [2,4096]", tc.Radix)
 	}
-	if tc.LMax < 1 || tc.LMax > 1<<20 {
-		return fmt.Errorf("ctlplane: lmax %d must be in [1,%d]", tc.LMax, 1<<20)
+	if tc.LMax < 1 || tc.LMax > int(admit.MaxPacketLen) {
+		return fmt.Errorf("ctlplane: lmax %d must be in [1,%d]", tc.LMax, admit.MaxPacketLen)
 	}
 	if tc.GLBufferFlits < 1 || tc.GLBufferFlits > 1<<20 {
 		return fmt.Errorf("ctlplane: GL buffer depth %d must be in [1,%d] flits", tc.GLBufferFlits, 1<<20)

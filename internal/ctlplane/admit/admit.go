@@ -13,6 +13,14 @@ import (
 	"swizzleqos/internal/noc"
 )
 
+// MaxPacketLen is the longest packet, in flits, any switch admits:
+// TableConfig's LMax is at most this, and Check refuses a longer
+// request whatever lmax it is given. It is a uint32, so the bound
+// itself cannot be widened past 32 bits without a compile error, and
+// Req.PacketLen hands the checked length out in the type that keeps
+// the §3.3 cost product Frame·L inside 64 bits (noc.Mul32).
+const MaxPacketLen uint32 = 1 << 20
+
 // maxUsers bounds a closed-loop source's population: each user is a
 // slot the generator allocates up front.
 const maxUsers = 1 << 16
@@ -23,7 +31,7 @@ type FlowReq struct {
 	Dst       int       `json:"dst"`
 	Class     noc.Class `json:"class"`
 	Rate      float64   `json:"rate"`
-	PacketLen int       `json:"len"` //ssvc:range PacketLen 1..1048576
+	PacketLen int       `json:"len"`
 
 	// Latency is the GL latency constraint L_n in cycles (Eq. 1-3);
 	// Burst is the requested GL burst sigma in packets. GL only.
@@ -32,7 +40,7 @@ type FlowReq struct {
 
 	// Users > 0 attaches a closed-loop request/response source with that
 	// population (traffic.ClosedLoop); 0 attaches an open-loop source.
-	Users int `json:"users,omitempty"` //ssvc:range Users 0..65536
+	Users int `json:"users,omitempty"`
 	// Load is the open-loop offered load in flits/cycle; 0 means offer
 	// exactly the reserved rate.
 	Load float64 `json:"load,omitempty"`
@@ -54,9 +62,15 @@ type Req struct {
 // Flow returns the checked request.
 func (r Req) Flow() FlowReq { return r.flow }
 
+// PacketLen returns the checked packet length, which Check bounds to
+// [1, MaxPacketLen] (0 for the zero Req), so the conversion is exact.
+func (r Req) PacketLen() uint32 { return uint32(r.flow.PacketLen) }
+
 // Check validates a request against a switch of the given radix whose
-// longest admissible packet is lmax flits, and returns it as a Req.
+// longest admissible packet is lmax flits (never more than
+// MaxPacketLen), and returns it as a Req.
 func Check(f FlowReq, radix, lmax int) (Req, error) {
+	lmax = min(lmax, int(MaxPacketLen))
 	if f.Src < 0 || f.Src >= radix || f.Dst < 0 || f.Dst >= radix {
 		return Req{}, fmt.Errorf("ports %d->%d outside radix %d", f.Src, f.Dst, radix)
 	}

@@ -26,30 +26,21 @@ import (
 // journal header, so two planes built from equal configs (and fed equal
 // command sequences) produce identical delivery traces.
 type SimConfig struct {
-	//ssvc:range Radix 2..4096
-	Radix int `json:"radix"`
-	//ssvc:range BEBufferFlits 1..1048576
+	Radix         int `json:"radix"`
 	BEBufferFlits int `json:"beBuf"`
-	//ssvc:range GLBufferFlits 1..1048576
 	GLBufferFlits int `json:"glBuf"`
-	//ssvc:range GBBufferFlits 1..1048576
 	GBBufferFlits int `json:"gbBuf"`
 
-	//ssvc:range CounterBits 2..32
-	CounterBits int `json:"counterBits"`
-	//ssvc:range SigBits 1..31
+	CounterBits   int                `json:"counterBits"`
 	SigBits       int                `json:"sigBits"`
 	CounterPolicy core.CounterPolicy `json:"counterPolicy"`
 
 	// LMax bounds packet lengths network-wide (the Eq. 1-3 lmax).
-	//
-	//ssvc:range LMax 1..1048576
 	LMax int `json:"lmax"`
 	// GBShare and GLShare are the initial per-output budget fractions.
 	GBShare float64 `json:"gbShare"`
 	GLShare float64 `json:"glShare"`
-	//ssvc:range GLBurst 1..1048576
-	GLBurst int `json:"glBurst"`
+	GLBurst int     `json:"glBurst"`
 
 	// Degrade selects PolicyDegrade (true) or PolicyReject (false) as
 	// the initial budget-shrink policy; the policy command flips it.
@@ -125,9 +116,8 @@ func (c SimConfig) glVtick() noc.VTime {
 }
 
 // Validate reports a descriptive error for malformed configurations;
-// WithDefaults output always passes. Like TableConfig.Validate it is
-// the runtime enforcement of the struct's //ssvc:range contract, for
-// journal-decoded headers too.
+// WithDefaults output always passes. Like TableConfig.Validate it bounds
+// every integer field, for journal-decoded headers too.
 func (c SimConfig) Validate() error {
 	if err := c.tableConfig().Validate(); err != nil {
 		return err
@@ -154,8 +144,8 @@ func (c SimConfig) Validate() error {
 	if c.CounterBits < 2 || c.CounterBits > 32 {
 		return fmt.Errorf("ctlplane: counter bits %d must be in [2,32]", c.CounterBits)
 	}
-	if c.SigBits < 1 || c.SigBits >= c.CounterBits {
-		return fmt.Errorf("ctlplane: sig bits %d must be in [1,%d]", c.SigBits, c.CounterBits-1)
+	if hi := min(c.CounterBits-1, core.MaxSigBits); c.SigBits < 1 || c.SigBits > hi {
+		return fmt.Errorf("ctlplane: sig bits %d must be in [1,%d]", c.SigBits, hi)
 	}
 	return nil
 }

@@ -82,8 +82,8 @@ func ComposeQoS(o Options) []ComposeOutcome {
 				oc.AggregateWorst = ratio
 			}
 		}
-		oc.PerFlowHeld = oc.PerFlowWorst >= 0.95
-		oc.AggregateHeld = oc.AggregateWorst >= 0.95
+		oc.PerFlowHeld = oc.PerFlowWorst >= heldShare
+		oc.AggregateHeld = oc.AggregateWorst >= heldShare
 		return oc
 	}
 

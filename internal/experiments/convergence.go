@@ -88,7 +88,7 @@ func Convergence(o Options) []ConvergenceOutcome {
 			oc.IdleUtilisation = util / float64(n)
 		}
 		wakeWin := int((wake / windowLen).Uint())
-		if hit := series.FirstWindowAtLeast(key, wakeWin, bigRate*0.95); hit >= 0 {
+		if hit := series.FirstWindowAtLeast(key, wakeWin, bigRate*recoveredShare); hit >= 0 {
 			oc.ConvergenceWindows = hit - wakeWin
 		}
 		oc.SteadyThroughput = series.Throughput(key, series.Windows()-2)

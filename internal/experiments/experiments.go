@@ -18,6 +18,23 @@ import (
 	"swizzleqos/internal/traffic"
 )
 
+// The two 95 % thresholds are this reproduction's own: the paper judges
+// a GB flow only by §4.3's "within 2 %" (stats.GBTolerance), for one
+// SSVC crosspoint over a whole run.
+const (
+	// heldShare is the share of its reservation a flow must receive over
+	// the whole run to count as held where one SSVC switch is set beside
+	// what it replaces: a Clos of SSVC switches (ComposeQoS), a mesh and
+	// baseline arbiters (Motivation). Those tables contrast holding with
+	// collapsing toward FIFO shares, far below either tolerance.
+	heldShare = 0.95
+	// recoveredShare is the share of its (recomputed) reservation a flow
+	// must reach within one sampling window to count as converged
+	// (Convergence) or recovered (Faults): a window is a few hundred
+	// cycles, too short to hold to the whole-run 2 %.
+	recoveredShare = 0.95
+)
+
 // Options controls simulation length and reproducibility. The zero value
 // selects full-length runs; Quick shrinks them for fast benchmarks and CI.
 type Options struct {

@@ -201,7 +201,7 @@ func faultRun(name string, policy core.CounterPolicy, faultSeed uint64, o Option
 	failWin := int((failAt / faultSeriesWindow).Uint())
 	worstWin := failWin
 	for _, s := range survivors {
-		hit := series.FirstWindowAtLeast(stats.SpecKey(s), failWin, 0.95*s.Rate)
+		hit := series.FirstWindowAtLeast(stats.SpecKey(s), failWin, recoveredShare*s.Rate)
 		if hit < 0 {
 			worstWin = -1
 			break

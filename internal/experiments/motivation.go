@@ -78,7 +78,7 @@ func Motivation(o Options) []MotivationOutcome {
 		if f := col.Flow(victimKey); f != nil {
 			oc.VictimMeanLat = f.MeanLatency()
 		}
-		oc.MeetsReservation = oc.VictimThroughput >= reserved*0.95
+		oc.MeetsReservation = oc.VictimThroughput >= reserved*heldShare
 		oc.GB = col.GB(specs())
 		return oc
 	}

@@ -10,30 +10,21 @@ import (
 )
 
 // Params describes the guaranteed-latency contention scenario at one
-// output. The //ssvc:range annotations bound the Eq. 1-3 integer terms
-// for the valuerange analyzer; Validate enforces the same bounds.
+// output. Validate bounds the Eq. 1-3 integer terms.
 type Params struct {
 	// LMax and LMin are the maximum and minimum packet lengths in the
 	// network, in flits. LMax covers the channel-release wait for a
 	// packet (of any class) already holding the output.
-	//
-	//ssvc:range LMax 1..1048576
 	LMax int
-	//ssvc:range LMin 1..1048576
 	LMin int
 	// NGL is the number of inputs injecting GL traffic to this output.
-	//
-	//ssvc:range NGL 1..4096
 	NGL int
 	// BufferFlits is b, the per-input GL buffer depth in flits.
-	//
-	//ssvc:range BufferFlits 1..1048576
 	BufferFlits int
 }
 
 // Validate reports a descriptive error for malformed parameters. It is
-// the runtime enforcement of the //ssvc:range contract above, and the
-// check the control plane's glCheck relies on.
+// the check the control plane's glCheck relies on.
 func (p Params) Validate() error {
 	if p.LMin < 1 || p.LMax < p.LMin || p.LMax > 1<<20 {
 		return fmt.Errorf("glbound: packet lengths must satisfy 1 <= lmin <= lmax <= %d, got lmin=%d lmax=%d", 1<<20, p.LMin, p.LMax)

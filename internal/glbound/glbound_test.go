@@ -7,15 +7,22 @@ import (
 )
 
 func TestParamsValidate(t *testing.T) {
-	good := Params{LMax: 8, LMin: 2, NGL: 4, BufferFlits: 16}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid params rejected: %v", err)
+	for _, good := range []Params{
+		{LMax: 8, LMin: 2, NGL: 4, BufferFlits: 16},
+		{LMax: 1 << 20, LMin: 1 << 20, NGL: 4096, BufferFlits: 1 << 20},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid params rejected: %v", err)
+		}
 	}
 	bad := []Params{
 		{LMax: 1, LMin: 2, NGL: 1, BufferFlits: 4},
 		{LMax: 8, LMin: 0, NGL: 1, BufferFlits: 4},
 		{LMax: 8, LMin: 2, NGL: 0, BufferFlits: 4},
 		{LMax: 8, LMin: 2, NGL: 1, BufferFlits: 0},
+		{LMax: 1<<20 + 1, LMin: 2, NGL: 1, BufferFlits: 4},
+		{LMax: 8, LMin: 2, NGL: 4097, BufferFlits: 4},
+		{LMax: 8, LMin: 2, NGL: 1, BufferFlits: 1<<20 + 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

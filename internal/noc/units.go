@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // This file defines the simulator's two time domains as distinct types,
 // so the compiler — and the ssvc-lint units analyzer layered on top —
 // keeps them from being mixed silently:
@@ -19,10 +21,12 @@ package noc
 // uint64(now) or VTime(now) outside this file are rejected by the units
 // analyzer (see internal/analysis and DESIGN.md "Invariants").
 //
-// The saturating helpers (SatSub, SatAdd, SatShl) are the sanctioned
-// way to do counter arithmetic that could wrap: the countersafety
-// analyzer treats them as safe sinks, while an unguarded `a - b` on
-// unsigned operands is a finding.
+// The saturating helpers (SatSub, SatAdd, SatMul, SatShl) are the
+// sanctioned way to do counter arithmetic that could wrap: the
+// countersafety analyzer treats them as safe sinks, while an unguarded
+// `a - b` on unsigned operands is a finding. Mul32, CeilDiv and Pow2 are
+// the fixed-width products, round-ups and register widths whose operand
+// types or bodies keep them from wrapping at all.
 
 // Cycle is a point in (or span of) simulated real time, measured in
 // cycles of the switch clock. The zero value is cycle 0.
@@ -83,6 +87,40 @@ func SatAdd[T Counter](a, b T) T {
 	}
 	return s
 }
+
+// SatMul returns a*b, saturating at the maximum value instead of
+// wrapping: the product is taken in 128 bits and a non-zero high word
+// is refused. A wrapped product would turn a huge allowance (a burst of
+// packets times a huge Vtick) into a small one.
+func SatMul[T Counter](a, b T) T {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 {
+		return ^T(0)
+	}
+	return T(lo)
+}
+
+// Mul32 returns the exact product of two 32-bit values, which needs at
+// most 64 bits: the operand types are the proof that it cannot wrap.
+// The §3.3 cost product Frame·L is taken here, so a length that is not
+// bounded to 32 bits does not compile.
+func Mul32(a, b uint32) uint64 { return uint64(a) * uint64(b) }
+
+// CeilDiv returns n/d rounded up, for d > 0. The round-up cannot wrap
+// for any n: a remainder means d >= 2, so n/d is at most n/2.
+func CeilDiv(n, d uint64) uint64 {
+	q := n / d
+	if n%d != 0 {
+		q++
+	}
+	return q
+}
+
+// Pow2 returns 2^w, the weight of bit w of a register: the counter
+// widths, quanta and thermometer level counts of the SSVC. A width is a
+// uint8, and one of 64 or more saturates at the maximum instead of
+// shifting out to 0.
+func Pow2(w uint8) uint64 { return SatShl(uint64(1), uint(w)) }
 
 // SatShl returns v<<k, saturating at the maximum value when the shift
 // overflows (k >= 64, or set bits shifted out). It replaces the
