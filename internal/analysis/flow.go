@@ -10,8 +10,7 @@ import (
 // the decomposition of branch conditions into the comparisons that hold
 // along an edge, and the check-then-transfer replay that emits
 // diagnostics at the fixpoint. A rule brings only its lattice, as a
-// flow value: guard facts (dataflow.go) and durability's must- and
-// may-facts (durability.go).
+// flow value: counter safety's guard facts (dataflow.go).
 
 // flow is one rule's abstract domain over states of type S. States are
 // mutable (maps, or pointers to structs): transfer and leaf update
@@ -26,7 +25,7 @@ type flow[S any] struct {
 	join func(cur, in S) (next S, changed bool)
 	// transfer advances s across one CFG node.
 	transfer func(n ast.Node, s S)
-	// leaf, when set, refines s by one operand of a branch condition:
+	// leaf refines s by one operand of a branch condition:
 	// cond is never a parenthesis, a negation, && or ||, and evaluates to
 	// holds on the edge being followed.
 	leaf func(cond ast.Expr, holds bool, s S)
@@ -58,7 +57,7 @@ func splitCond(cond ast.Expr, holds bool, leaf func(cond ast.Expr, holds bool)) 
 
 // along refines s in place by the condition edge e carries, if any.
 func (f flow[S]) along(e cfgEdge, s S) {
-	if e.cond != nil && f.leaf != nil {
+	if e.cond != nil {
 		splitCond(e.cond, e.branch, func(c ast.Expr, holds bool) { f.leaf(c, holds, s) })
 	}
 }
@@ -84,7 +83,7 @@ func solve[S any](g *cfgGraph, entry S, f flow[S]) *solved[S] {
 		out := sv.out(blk)
 		for _, e := range blk.succs {
 			ef := out
-			if e.cond != nil && f.leaf != nil {
+			if e.cond != nil {
 				ef = f.clone(out)
 				f.along(e, ef)
 			}

@@ -106,3 +106,15 @@ func checkHandOff(p *pass, pkg *Package, call *ast.CallExpr, stack []ast.Node, r
 	}
 	p.report(call.Pos(), "result of %s is not handed off where it is taken; store it to a field, slot or package variable, or pass, return or send it", rule)
 }
+
+func funcDecls(pkg *Package) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
+}

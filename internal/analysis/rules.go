@@ -99,9 +99,9 @@ var RecycleSources = []MethodRule{
 	{TypeName: "TxPool", Method: "Get"},
 }
 
-// DurabilityPackages carry the crash-safety ordering contract: the
-// control plane (journal before acknowledgement, single-owner lease
-// heap) and the daemon that spawns goroutines around it.
+// DurabilityPackages carry the crash-safety contract: the control plane
+// (one acknowledgement writer, single-owner lease heap) and the daemon
+// that spawns goroutines around it.
 var DurabilityPackages = []string{
 	"internal/ctlplane",
 	"cmd/ssvc-serve",

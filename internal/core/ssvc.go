@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/noc"
@@ -100,8 +101,26 @@ func (c Config) Validate() error {
 	if c.GLBurst < 0 || c.GLBurst > 1<<20 {
 		return fmt.Errorf("core: GL burst %d outside [0,%d]", c.GLBurst, 1<<20)
 	}
-	if c.EnableGL && c.GLVtick > 0 && c.GLBurst < 1 {
-		return fmt.Errorf("core: GL policing needs a burst allowance of at least 1 packet, got %d", c.GLBurst)
+	if c.EnableGL && c.GLVtick > 0 {
+		if c.GLBurst < 1 {
+			return fmt.Errorf("core: GL policing needs a burst allowance of at least 1 packet, got %d", c.GLBurst)
+		}
+		return CheckGLBucket(c.GLVtick, c.GLBurst)
+	}
+	return nil
+}
+
+// CheckGLBucket refuses a GL leaky bucket whose clock can saturate within
+// one burst. From an empty bucket at cycle 0, k back-to-back grants move
+// the clock to k·vtick (Granted), and glEligible passes the next while
+// k·vtick <= (burst-1)·vtick: a burst of burst grants, which leaves the
+// clock at burst·vtick. Below 2^64 every sum is exact: the next grant is
+// refused and the bucket refills one grant per vtick cycles. At 2^64 the
+// clock saturates and refills early, and once (burst-1)·vtick saturates
+// too the bucket never refuses again.
+func CheckGLBucket(vtick VTime, burst int) error {
+	if hi, _ := bits.Mul64(uint64(burst), vtick.Uint()); hi != 0 {
+		return fmt.Errorf("core: GL bucket of %d packets at Vtick %d reaches 2^64 within one burst", burst, vtick.Uint())
 	}
 	return nil
 }

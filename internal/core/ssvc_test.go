@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"swizzleqos/internal/arb"
@@ -78,23 +79,34 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestGLAllowanceSaturates pins the GL burst allowance (GLBurst-1)·GLVtick
-// at a Vtick near 2^64, the one a tiny GL share gives: three back-to-back
-// GL packets are eligible at 2^62, and still at 2^63, where a wrapping
-// product would have made the allowance 0 and refused the second.
-func TestGLAllowanceSaturates(t *testing.T) {
-	for _, vt := range []VTime{1 << 62, 1 << 63} {
-		cfg := testConfig(uniformVticks(8, 20))
-		cfg.EnableGL, cfg.GLVtick, cfg.GLBurst = true, vt, 3
-		s := NewSSVC(cfg)
-		var got [3]bool
-		for i := range got {
-			if got[i] = s.glEligible(0); got[i] {
-				s.Granted(0, glReq(0))
-			}
+// TestGLBucketEdge pins CheckGLBucket's edge, GLBurst·GLVtick < 2^64,
+// from both sides at GLBurst 3. At the largest Vtick it takes,
+// (2^64-1)/3, the bucket still polices exactly: three back-to-back GL
+// grants at cycle 0, the fourth refused until cycle Vtick. One Vtick more
+// and Validate refuses the pair, whose clock would saturate within the
+// burst and refill early; at 2^63 the allowance itself saturated and
+// every grant passed.
+func TestGLBucketEdge(t *testing.T) {
+	const edge = VTime(math.MaxUint64 / 3)
+	cfg := testConfig(uniformVticks(8, 20))
+	cfg.EnableGL, cfg.GLVtick, cfg.GLBurst = true, edge, 3
+	s := NewSSVC(cfg)
+	var got [4]bool
+	for i := range got {
+		if got[i] = s.glEligible(0); got[i] {
+			s.Granted(0, glReq(0))
 		}
-		if got != [3]bool{true, true, true} {
-			t.Errorf("GLVtick %d: eligible %v, want all three", vt, got)
+	}
+	if got != [4]bool{true, true, true, false} {
+		t.Errorf("GLVtick %d: eligible %v, want a burst of three", edge, got)
+	}
+	if refill := noc.CycleOfVTime(edge); s.glEligible(refill-1) || !s.glEligible(refill) {
+		t.Errorf("GLVtick %d: the bucket does not refill at cycle %d", edge, refill)
+	}
+	for _, vt := range []VTime{edge + 1, 1 << 63} {
+		cfg.GLVtick = vt
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("GLVtick %d, GLBurst 3: a bucket that saturates within a burst was accepted", vt)
 		}
 	}
 }

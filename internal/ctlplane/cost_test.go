@@ -94,6 +94,36 @@ func TestConfigBounds(t *testing.T) {
 	}
 }
 
+// TestGLShareBucketEdge: SimConfig refuses a GL share whose leaky
+// bucket would not police, at the edge core.CheckGLBucket draws. At LMax
+// 8 and GLBurst 2 a share of 2^-60 gives Vtick 2^63, whose burst reaches
+// 2^64; the next float share up gives 2^63-1024 and builds a plane. A
+// share so small that LMax/share clamps is refused at any burst.
+func TestGLShareBucketEdge(t *testing.T) {
+	base := SimConfig{Radix: 4, LMax: 8, GLBurst: 2}.WithDefaults()
+	for _, tc := range []struct {
+		share float64
+		burst int
+		ok    bool
+	}{
+		{0x1p-60, 2, false},
+		{math.Nextafter(0x1p-60, 1), 2, true},
+		{0x1p-60, 1, true},
+		{5e-324, 1, false},
+	} {
+		c := base
+		c.GLShare, c.GLBurst = tc.share, tc.burst
+		err := c.Validate()
+		if tc.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "GL share") {
+			t.Errorf("share %g, burst %d (Vtick %d): Validate = %v, want ok %v", tc.share, tc.burst, c.glVtick(), err, tc.ok)
+			continue
+		}
+		if _, err := New(c); tc.ok && err != nil {
+			t.Errorf("share %g, burst %d: New = %v", tc.share, tc.burst, err)
+		}
+	}
+}
+
 // TestCheckBoundsLength: Check refuses a length above
 // admit.MaxPacketLen whatever lmax it is given, so Req.PacketLen's
 // uint32 is exact, and refuses a population above 2^16.

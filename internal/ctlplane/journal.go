@@ -32,6 +32,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -108,19 +109,29 @@ type journalFile interface {
 	Sync() error
 }
 
+// ErrUnsyncedWindow fails a Journal asked to mix command records with
+// checkpoints (snapshot and end records) between two Syncs: a checkpoint
+// behind unsynced commands, or a command behind an unsynced checkpoint.
+var ErrUnsyncedWindow = errors.New("ctlplane: journal record inside an unsynced window of the other kind")
+
 // Journal is an append-only record writer. Append buffers; Sync flushes
 // and fsyncs — the Plane syncs once after every batch of accepted
 // commands and after every snapshot, so an acknowledged command is never
-// lost. A journal that failed once stays failed: every later Append and
-// Sync returns the first error, so nothing written behind a lost record
-// can be reported durable.
+// lost. Between two Syncs, command records and checkpoints never mix:
+// Append refuses either behind the other with ErrUnsyncedWindow, so a
+// snapshot never races an unsynced command. A journal that failed once stays failed: every later Append
+// and Sync returns the first error, so nothing written behind a lost
+// record can be reported durable.
 type Journal struct {
 	f      journalFile
 	closer io.Closer
 	w      *bufio.Writer
 	path   string
 	dirty  bool // appended to since the last successful Sync
-	err    error
+	// cmds and checks say which kinds the unsynced records are: commands,
+	// or checkpoints.
+	cmds, checks bool
+	err          error
 
 	// Append encodes every record into rec through enc and frames it in
 	// head, so a record costs no allocation that grows with its size.
@@ -178,6 +189,10 @@ func (j *Journal) Append(rec *Record) error {
 	if j.err != nil {
 		return j.err
 	}
+	cmd, check := rec.Kind == KindCmd, rec.Kind == KindSnap || rec.Kind == KindEnd
+	if cmd && j.checks || check && j.cmds {
+		return j.fail(fmt.Errorf("%w (a %s record)", ErrUnsyncedWindow, rec.Kind))
+	}
 	j.rec.Reset()
 	if err := j.enc.Encode(rec); err != nil {
 		return j.fail(fmt.Errorf("ctlplane: marshal journal record: %w", err))
@@ -188,6 +203,7 @@ func (j *Journal) Append(rec *Record) error {
 	j.head = strconv.AppendUint(j.head, uint64(crc32.ChecksumIEEE(raw)), 10)
 	j.head = append(j.head, frameMiddle...)
 	j.dirty = true
+	j.cmds, j.checks = j.cmds || cmd, j.checks || check
 	for _, part := range [3][]byte{j.head, raw, frameSuffix} {
 		if _, err := j.w.Write(part); err != nil {
 			return j.fail(fmt.Errorf("ctlplane: write journal: %w", err))
@@ -218,9 +234,17 @@ func (j *Journal) Sync() error {
 	if err := j.f.Sync(); err != nil {
 		return j.fail(fmt.Errorf("ctlplane: fsync journal: %w", err))
 	}
-	j.dirty = false
+	j.dirty, j.cmds, j.checks = false, false, false
 	j.syncs++
 	return nil
+}
+
+// holds reports whether the journal is durable and holds exactly n
+// records appended behind the count from: nothing failed, nothing is
+// appended since the last successful Sync, and the record count rose
+// by n.
+func (j *Journal) holds(from uint64, n int) bool {
+	return j.err == nil && !j.dirty && j.records == from+uint64(n)
 }
 
 // Close flushes, fsyncs, and closes the file.

@@ -135,6 +135,14 @@ func (c SimConfig) Validate() error {
 			return fmt.Errorf("ctlplane: %s %d must be in [1,%d]", f.name, f.v, 1<<20)
 		}
 	}
+	// The GL share sets the leaky bucket's Vtick; a share so small that
+	// LMax/GLShare clamps at 2^64-1, or that a burst carries the bucket
+	// clock to 2^64, would leave the GL class unpoliced.
+	if vt := c.glVtick(); vt > 0 {
+		if err := core.CheckGLBucket(vt, c.GLBurst); err != nil || vt == noc.VTimeOf(math.MaxUint64) {
+			return fmt.Errorf("ctlplane: GL share %g too small: a burst of %d at Vtick LMax/share saturates the GL bucket", c.GLShare, c.GLBurst)
+		}
+	}
 	// Admission takes packets up to LMax in both reservable classes, and
 	// the switch refuses a flow whose packets could never enter its buffer.
 	if c.LMax > c.GLBufferFlits || c.LMax > c.GBBufferFlits {
@@ -260,7 +268,7 @@ type Plane struct {
 	snapAt noc.Cycle // next snapshot cycle (grid multiple of SnapEvery)
 
 	// pending is ApplyAll's scratch: the out indexes of the batch's
-	// accepted commands, whose results turn OK behind the sync.
+	// accepted commands, whose results acknowledge turns OK.
 	pending []int
 	// stateBuf is checkpoint's: every snapshot's state blob is encoded
 	// into it, so a checkpoint allocates nothing that grows with the state.
@@ -466,8 +474,8 @@ func (p *Plane) Apply(cmd Command) Result {
 // before the next is looked at, so the state changes and the journal
 // bytes are those of one Apply call per command. What the batch shares is
 // the fsync: one Journal.Sync after the last append, and only behind it
-// does any result turn OK. Rejections return typed reasons and a
-// retry-after hint without touching the running simulation or the
+// does acknowledge turn any result OK. Rejections return typed reasons
+// and a retry-after hint without touching the running simulation or the
 // journal. A failed append or sync freezes the plane, and every command
 // of the batch that admission had not already refused is answered
 // ReasonJournal: its record may or may not survive a restart.
@@ -476,6 +484,10 @@ func (p *Plane) Apply(cmd Command) Result {
 func (p *Plane) ApplyAll(cmds []Command, out []Result) []Result {
 	now := p.sw.Now()
 	p.pending = p.pending[:0]
+	var from uint64
+	if p.jr != nil {
+		from = p.jr.records
+	}
 	for i := range cmds {
 		cmd := &cmds[i]
 		ch, rej := p.admit(cmd, now)
@@ -501,6 +513,20 @@ func (p *Plane) ApplyAll(cmds []Command, out []Result) []Result {
 		if err := p.jr.Sync(); err != nil {
 			return p.journalFailed(err, out, 0, now)
 		}
+	}
+	return p.acknowledge(out, from, now)
+}
+
+// acknowledge turns the batch's accepted results OK, and is the only
+// code in the package that does. It does so only with the journal off,
+// or durable and holding exactly the batch's records: nothing failed,
+// nothing appended since the last successful Sync, and one record behind
+// from per result it turns OK. Otherwise the plane freezes and the batch
+// is answered ReasonJournal, as after a failed write.
+func (p *Plane) acknowledge(out []Result, from uint64, now noc.Cycle) []Result {
+	if p.jr != nil && !p.jr.holds(from, len(p.pending)) {
+		err := fmt.Errorf("ctlplane: %d accepted command(s) not durably journaled", len(p.pending))
+		return p.journalFailed(err, out, 0, now)
 	}
 	for _, i := range p.pending {
 		out[i].OK = true
