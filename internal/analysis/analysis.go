@@ -8,9 +8,9 @@
 //
 // A rule is written as a Rules entry with one body: a per-package
 // check, an interprocedural check over the shared call graph
-// (callgraph.go), or — hotpath alone — a parse-only check. A rule that
-// needs flow-sensitive facts describes its lattice as a flow value and
-// runs it on the one solver in flow.go; it reports through pass.report.
+// (callgraph.go), or — hotpath alone — a parse-only check; each
+// reports through pass.report. No rule builds a control-flow graph or
+// runs a fixpoint: every check is a walk of the typed syntax tree.
 //
 // The package is stdlib-only (go/parser + go/types with the source
 // importer); the module has no dependencies and the build environment

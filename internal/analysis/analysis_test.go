@@ -331,3 +331,25 @@ func TestModuleIsLintClean(t *testing.T) {
 			len(markers), analysis.MarkAllow, allowBudget, strings.Join(markers, "\n"))
 	}
 }
+
+// TestModulePackagesOnce: a directory whose files sort on both sides of
+// a subdirectory (the root, internal/ctlplane around admit/) is one
+// package, listed once, so no per-package rule checks it twice.
+func TestModulePackagesOnce(t *testing.T) {
+	ips, err := newLoader(t).ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, ip := range ips {
+		seen[ip]++
+	}
+	for _, ip := range []string{"swizzleqos", "swizzleqos/internal/ctlplane", "swizzleqos/internal/ctlplane/admit"} {
+		if seen[ip] != 1 {
+			t.Errorf("%s listed %d times", ip, seen[ip])
+		}
+	}
+	if len(seen) != len(ips) {
+		t.Errorf("%d packages listed as %d", len(seen), len(ips))
+	}
+}

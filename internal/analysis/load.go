@@ -11,7 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -233,14 +233,14 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		if rel != "." {
 			ip = l.Module + "/" + filepath.ToSlash(rel)
 		}
-		if len(pkgs) == 0 || pkgs[len(pkgs)-1] != ip {
-			pkgs = append(pkgs, ip)
-		}
+		pkgs = append(pkgs, ip)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(pkgs)
-	return pkgs, nil
+	// The walk visits a directory's files on both sides of its
+	// subdirectories, so one package may be listed more than once.
+	slices.Sort(pkgs)
+	return slices.Compact(pkgs), nil
 }

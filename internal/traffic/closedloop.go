@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"math/bits"
 
 	"swizzleqos/internal/noc"
@@ -129,21 +130,27 @@ func NewClosedLoop(seq *Sequence, spec noc.FlowSpec, cfg ClosedLoopConfig, seed 
 	return g
 }
 
-// drawThink returns a uniform think time in [ThinkMin, ThinkMax].
+// drawThink returns a uniform think time in [ThinkMin, ThinkMax]. The
+// draw stays in uint64: the range may hold all 2^64 cycle counts, which
+// is one plain draw, and no int (32 bits on a 32-bit build) holds its
+// size.
 func (g *ClosedLoop) drawThink() noc.Cycle {
-	span := int(noc.SatSub(g.cfg.ThinkMax, g.cfg.ThinkMin).Uint()) + 1
-	return g.cfg.ThinkMin + noc.CycleOf(uint64(g.rng.Intn(span)))
+	last := noc.SatSub(g.cfg.ThinkMax, g.cfg.ThinkMin).Uint() // the range holds last+1 values
+	d := g.rng.Uint64()
+	if last < math.MaxUint64 {
+		d %= last + 1
+	}
+	return g.cfg.ThinkMin + noc.CycleOf(d)
 }
 
 // drawSize returns a heavy-tailed request size in packets: SizeMin
 // doubled k times with probability 2^-k, truncated at SizeMax.
 func (g *ClosedLoop) drawSize() int {
 	k := bits.TrailingZeros64(g.rng.Uint64() | 1<<20) // cap the shift
-	size := g.cfg.SizeMin << k
-	if size > g.cfg.SizeMax || size < g.cfg.SizeMin { // < catches overflow
-		size = g.cfg.SizeMax
+	if bits.Len(uint(g.cfg.SizeMin))+k >= bits.UintSize {
+		return g.cfg.SizeMax // SizeMin<<k would pass the sign bit
 	}
-	return size
+	return min(g.cfg.SizeMin<<k, g.cfg.SizeMax)
 }
 
 // Tick implements Generator: it emits at most one packet per cycle,
@@ -154,7 +161,7 @@ func (g *ClosedLoop) Tick(now noc.Cycle, queued int) *noc.Packet {
 	for g.count > 0 && g.ring[g.head].deadline <= now {
 		r := g.pop()
 		g.awaiting[r.user] = false
-		g.thinkUntil[r.user] = now + g.drawThink()
+		g.thinkUntil[r.user] = noc.SatAdd(now, g.drawThink())
 		g.TimedOut++
 	}
 	for scanned := 0; scanned < len(g.thinkUntil); scanned++ {
@@ -204,7 +211,7 @@ func (g *ClosedLoop) Emit(now noc.Cycle) *noc.Packet { return g.Tick(now, 0) }
 func (g *ClosedLoop) emit(u int, now noc.Cycle) *noc.Packet {
 	g.remaining[u]--
 	if g.remaining[u] == 0 {
-		g.push(clRequest{user: u, outstanding: g.reqSize[u], deadline: now + g.cfg.Timeout})
+		g.push(clRequest{user: u, outstanding: g.reqSize[u], deadline: noc.SatAdd(now, g.cfg.Timeout)})
 		g.awaiting[u] = true
 	}
 	return newPacket(g.seq, g.spec, now)
@@ -230,7 +237,7 @@ func (g *ClosedLoop) Completed(p *noc.Packet) {
 	u := r.user
 	g.pop()
 	g.awaiting[u] = false
-	g.thinkUntil[u] = now + g.drawThink()
+	g.thinkUntil[u] = noc.SatAdd(now, g.drawThink())
 	g.Done++
 }
 

@@ -1,6 +1,9 @@
 package traffic
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -190,6 +193,66 @@ func TestClosedLoopHeavyTail(t *testing.T) {
 	if counts[2] < counts[4] || counts[4] < counts[8] {
 		t.Fatalf("octave frequencies not decreasing: %v", counts)
 	}
+}
+
+// TestClosedLoopWideRanges pins the draws at the edges of their types,
+// on 64-bit and 32-bit builds alike: a think range of 2^63, 2^64 or
+// (past a 32-bit int) 2^31+1 cycles builds and draws inside the range,
+// and a size whose next doublings pass the sign bit of int clamps to
+// SizeMax instead of wrapping to a smaller positive size.
+func TestClosedLoopWideRanges(t *testing.T) {
+	for _, c := range []struct{ lo, hi noc.Cycle }{
+		{0, 1 << 31},
+		{0, math.MaxInt64},
+		{0, math.MaxUint64},
+		{5, math.MaxUint64},
+		{math.MaxUint64, math.MaxUint64},
+	} {
+		t.Run(fmt.Sprintf("think=[%d,%d]", c.lo, c.hi), func(t *testing.T) {
+			var seq Sequence
+			g := NewClosedLoop(&seq, clSpec(), ClosedLoopConfig{Users: 4, ThinkMin: c.lo, ThinkMax: c.hi}, 1)
+			high := false
+			for i := 0; i < 256; i++ {
+				d := g.drawThink()
+				if d < c.lo || d > c.hi {
+					t.Fatalf("drew %d", d)
+				}
+				high = high || d-c.lo >= (c.hi-c.lo)/2
+			}
+			if !high && c.hi > c.lo {
+				t.Errorf("256 draws all in the lower half")
+			}
+		})
+	}
+	// SizeMin = 2^(W-3) + 2^(W-5): one doubling fits, two pass the sign
+	// bit, and three wrap to 2^(W-2), which is positive and above SizeMin.
+	t.Run("size", func(t *testing.T) {
+		const w = bits.UintSize
+		lo := 1<<(w-3) + 1<<(w-5)
+		var seq Sequence
+		g := NewClosedLoop(&seq, clSpec(), ClosedLoopConfig{SizeMin: lo, SizeMax: math.MaxInt}, 1)
+		counts := map[int]int{}
+		for i := 0; i < 4096; i++ {
+			counts[g.drawSize()]++
+		}
+		if len(counts) != 3 || counts[lo] == 0 || counts[lo<<1] == 0 || counts[math.MaxInt] == 0 {
+			t.Fatalf("sizes drawn %v, want only %d, %d and %d", counts, lo, lo<<1, math.MaxInt)
+		}
+	})
+	// A deadline or a think time past the last cycle saturates there.
+	t.Run("saturate", func(t *testing.T) {
+		var seq Sequence
+		g := NewClosedLoop(&seq, clSpec(), ClosedLoopConfig{ThinkMin: 4, ThinkMax: 4, SizeMin: 1, SizeMax: 1, Timeout: math.MaxUint64}, 1)
+		end := noc.Cycle(math.MaxUint64 - 2)
+		p := g.Tick(end, 0)
+		if p == nil || g.Tick(end+1, 0) != nil || g.TimedOut != 0 {
+			t.Fatalf("request at cycle %d: packet %v, %d timed out at the next cycle", end, p, g.TimedOut)
+		}
+		g.Completed(delivered(p, end))
+		if g.Done != 1 || g.thinkUntil[0] != math.MaxUint64 {
+			t.Fatalf("completed at cycle %d: done %d, thinks until %d", end, g.Done, g.thinkUntil[0])
+		}
+	})
 }
 
 // TestClosedLoopDeterminism: same seed, same behavior.
