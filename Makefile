@@ -44,7 +44,7 @@ lint:
 
 # Perf gate for the word-parallel arbitration path: the bitplane/scalar
 # equivalence fuzz seed corpus, the oracles the saturated crossbar and
-# routed cycles rest on (the LRG priority matrix against the move-to-back
+# routed cycles rest on (the LRG stamps against the move-to-back
 # list, the shared standing offers, arbiter clock and admission-skip mask
 # against their fabric oracles, each engine's standing offers against a
 # per-cycle scan, the routed
@@ -62,7 +62,7 @@ lint:
 # TestSteadyStateAllocs, which `make test` runs.
 bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
-	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix'
+	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix|TestLRGStampRenumber|TestListArbitersMatchRankReference'
 	$(GO) test ./internal/fabric/ -run 'FuzzOffers|TestClocksMatchEveryCycle|TestSkipMask'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains'
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants|TestSleepingOutputsNeverHideAGrant|TestServeVisitsFollowGrants'
@@ -193,6 +193,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSSVCGrantSequence -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzThermRoundTrip -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSSVCSaturationModel -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzSSVCEpoch -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzBufferInvariants -fuzztime 30s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzSourcesLateAdd -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzRefusalMemo -fuzztime 30s

@@ -2,28 +2,30 @@ package arb
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/wire"
 )
 
-// LRGState tracks a least-recently-granted priority order over n inputs
-// as the Swizzle Switch holds it: one priority bit per crosspoint pair,
-// self-updating on the output bus wires when a grant is made [15]. Row i
-// is input i's priority vector: bit j is set iff i was granted less
-// recently than j, so i beats j. The rows always describe a strict total
-// order (exactly one of bit j of row i and bit i of row j is set, the
-// diagonal is clear), which is what lets a winner be found by
-// elimination and a rank be read as a population count.
+// LRGState tracks a least-recently-granted priority order over n inputs.
+// The Swizzle Switch holds it as one priority bit per crosspoint pair,
+// self-updating on the output bus wires when a grant is made [15]; the
+// model holds the same order as recency stamps: stamp[i] is a grant
+// counter's value at input i's last grant, so i beats j iff
+// stamp[i] < stamp[j]. That comparison is crosspoint bit j of row i,
+// which internal/circuit and ssvc-verify model bit by bit and check
+// against this state. A grant is one store. The stamps are distinct, so
+// they always describe a strict total order.
 //
 // It is reused as the tie-breaker inside SSVC and as the selector of the
 // guaranteed-latency lane, at every radix from the 5-port mesh router to
 // the 256-input arbiter: one representation, no size threshold.
 type LRGState struct {
-	n     int
-	words int      // MaskWords(n): the length of one row
-	rows  []uint64 // n rows of words words each, row i at [i*words, (i+1)*words)
+	stamp []uint64 // per input: the value of next when it was last granted
+	next  uint64   // the stamp the next grant takes; above every stamp
 }
 
 // NewLRGState returns an LRG order over inputs 0..n-1, initially in index
@@ -32,104 +34,88 @@ func NewLRGState(n int) *LRGState {
 	if n <= 0 {
 		panic(fmt.Sprintf("arb: LRG size %d must be positive", n))
 	}
-	s := &LRGState{n: n, words: MaskWords(n)}
-	s.rows = make([]uint64, n*s.words)
-	for i := 0; i < n; i++ {
-		row := s.row(i)
-		for j := i + 1; j < n; j++ {
-			MaskSet(row, j)
-		}
+	s := &LRGState{stamp: make([]uint64, n), next: uint64(n)}
+	for i := range s.stamp {
+		s.stamp[i] = uint64(i)
 	}
 	return s
 }
 
-// row returns input i's priority vector.
-//
-//ssvc:hotpath
-func (s *LRGState) row(i int) []uint64 { return s.rows[i*s.words : (i+1)*s.words] }
-
 // Size returns the number of inputs tracked.
-func (s *LRGState) Size() int { return s.n }
+func (s *LRGState) Size() int { return len(s.stamp) }
 
 // HasPriority reports whether input a beats input b under the current
-// order, i.e. a was granted less recently than b: one crosspoint bit.
+// order, i.e. a was granted less recently than b: crosspoint bit b of
+// row a.
 //
 //ssvc:hotpath
-func (s *LRGState) HasPriority(a, b int) bool { return MaskHas(s.row(a), b) }
+func (s *LRGState) HasPriority(a, b int) bool { return s.stamp[a] < s.stamp[b] }
 
 // Rank returns the position of input i in the priority order (0 = highest
-// priority): the number of inputs i does not beat, itself excluded.
-//
-//ssvc:hotpath
-func (s *LRGState) Rank(i int) int { return s.n - 1 - MaskCount(s.row(i)) }
+// priority): the number of inputs granted less recently. It scans every
+// stamp; an arbiter compares with HasPriority instead.
+func (s *LRGState) Rank(i int) int {
+	r := 0
+	for _, st := range s.stamp {
+		if st < s.stamp[i] {
+			r++
+		}
+	}
+	return r
+}
 
 // Grant records that input i was granted, moving it to the lowest
-// priority position: every other input now beats i (column i is set) and
-// i beats nobody (row i is cleared). Up to radix 64 a row is one word and
-// the column is the whole array, 512 contiguous bytes at radix 64, ORed
-// four rows to a step; at larger radices only the word of each row that
-// holds bit i changes.
+// priority position. Should the stamps run out, they are first renumbered
+// to their ranks, which keeps the order.
 //
 //ssvc:hotpath
 func (s *LRGState) Grant(i int) {
-	bit := uint64(1) << (uint(i) & 63)
-	rows, step := s.rows, s.words
-	if step == 1 {
-		for ; len(rows) >= 4; rows = rows[4:] {
-			rows[0] |= bit
-			rows[1] |= bit
-			rows[2] |= bit
-			rows[3] |= bit
-		}
-		for k := range rows {
-			rows[k] |= bit
-		}
-		s.rows[i] = 0
-		return
+	if s.next == math.MaxUint64 {
+		s.rebase(0)
 	}
-	for w := i >> 6; w < len(rows); w += step {
-		rows[w] |= bit
+	s.stamp[i] = s.next
+	s.next++
+}
+
+// rebase renumbers the stamps to from+rank, in order, and the next grant
+// to follow them.
+func (s *LRGState) rebase(from uint64) {
+	for p, i := range s.Order() {
+		s.stamp[i] = from + uint64(p)
 	}
-	MaskZero(s.row(i))
+	s.next = from + uint64(len(s.stamp))
 }
 
 // MinRankIn returns the member of mask with the minimum rank — the
-// least recently granted candidate — or -1 when mask is empty. mask
-// must be MaskWords(Size()) long and contain only valid input bits.
-//
-// The winner is found by elimination, as the priority wires do it: take
-// any candidate, strike out everyone it beats, and if somebody is left
-// they all beat it, so move to one of them and repeat. Each step costs
-// one row word and discards the candidate together with everything
-// ranked below it, so it ends after about log2 of the candidates and
-// never more than their number.
+// least recently granted candidate, the smallest stamp — or -1 when mask
+// is empty. mask must be MaskWords(Size()) long and contain only valid
+// input bits.
 //
 //ssvc:hotpath
 func (s *LRGState) MinRankIn(mask []uint64) int {
-	best := -1
-	var row []uint64
+	best, least := -1, uint64(math.MaxUint64)
 	for w, m := range mask {
-		if best >= 0 {
-			m &^= row[w]
-		}
-		for m != 0 {
-			best = w<<6 + bits.TrailingZeros64(m)
-			row = s.row(best)
-			m &^= row[w] | 1<<(uint(best)&63)
+		for ; m != 0; m &= m - 1 {
+			i := w<<6 + bits.TrailingZeros64(m)
+			if st := s.stamp[i]; st < least {
+				best, least = i, st
+			}
 		}
 	}
 	return best
 }
 
 // MinRankIn1 is the single-word MinRankIn: the whole candidate set lives
-// in one register and each row is one word. Only valid when Size() <= 64.
+// in one register. Only valid when Size() <= 64.
 //
 //ssvc:hotpath
 func (s *LRGState) MinRankIn1(m uint64) int {
-	best := -1
-	for m != 0 {
-		best = bits.TrailingZeros64(m)
-		m &^= s.rows[best] | 1<<uint(best)
+	best, least := -1, uint64(math.MaxUint64)
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if st := s.stamp[i]; st < least {
+			best, least = i, st
+		}
 	}
 	return best
 }
@@ -137,42 +123,55 @@ func (s *LRGState) MinRankIn1(m uint64) int {
 // Order returns a copy of the current priority order, highest priority
 // first.
 func (s *LRGState) Order() []int {
-	out := make([]int, s.n)
-	for i := range out {
-		out[s.Rank(i)] = i
+	sorted := s.sortedStamps(nil)
+	out := make([]int, len(s.stamp))
+	for i, st := range s.stamp {
+		r, _ := slices.BinarySearch(sorted, st)
+		out[r] = i
 	}
 	return out
+}
+
+// sortedStamps returns the stamps in ascending order, in buf's storage
+// when it is long enough: an input's rank is its stamp's position there.
+func (s *LRGState) sortedStamps(buf []uint64) []uint64 {
+	sorted := append(buf[:0], s.stamp...)
+	slices.Sort(sorted)
+	return sorted
 }
 
 // SetOrder installs an explicit priority order (a permutation of 0..n-1).
 // It is used by the circuit-equivalence tests to enumerate all valid LRG
 // states.
 func (s *LRGState) SetOrder(order []int) error {
-	if len(order) != s.n {
-		return fmt.Errorf("arb: order length %d != size %d", len(order), s.n)
+	n := len(s.stamp)
+	if len(order) != n {
+		return fmt.Errorf("arb: order length %d != size %d", len(order), n)
 	}
-	seen := make([]uint64, s.words)
+	seen := make([]uint64, MaskWords(n))
 	for _, v := range order {
-		if v < 0 || v >= s.n || MaskHas(seen, v) {
+		if v < 0 || v >= n || MaskHas(seen, v) {
 			return fmt.Errorf("arb: order %v is not a permutation", order)
 		}
 		MaskSet(seen, v)
 	}
-	// Walking from the back, each input beats exactly those placed so far.
-	MaskZero(seen)
-	for p := s.n - 1; p >= 0; p-- {
-		copy(s.row(order[p]), seen)
-		MaskSet(seen, order[p])
+	for p, v := range order {
+		s.stamp[v] = uint64(p)
 	}
+	s.next = uint64(n)
 	return nil
 }
 
-// AppendState appends the priority order as each input's rank. The rows
-// are a strict total order, so the n ranks say everything the n*n
-// crosspoint bits do.
+// AppendState appends the priority order as each input's rank, read off
+// one sort of the stamps (on the stack up to 64 inputs). The ranks say
+// everything the n*n crosspoint bits do; the stamps' absolute values are
+// history.
 func (s *LRGState) AppendState(b []byte) []byte {
-	for i := 0; i < s.n; i++ {
-		b = wire.Int(b, s.Rank(i))
+	var buf [64]uint64
+	sorted := s.sortedStamps(buf[:])
+	for _, st := range s.stamp {
+		r, _ := slices.BinarySearch(sorted, st)
+		b = wire.Int(b, r)
 	}
 	return b
 }
@@ -181,12 +180,13 @@ func (s *LRGState) AppendState(b []byte) []byte {
 // that are not a permutation of 0..n-1 are refused and leave the state as
 // it was.
 func (s *LRGState) RestoreState(r *wire.Reader) error {
-	order := make([]int, s.n)
+	n := len(s.stamp)
+	order := make([]int, n)
 	for i := range order {
 		order[i] = -1
 	}
-	for i := 0; i < s.n; i++ {
-		if rank := r.Index(s.n); r.Err() == nil && order[rank] < 0 {
+	for i := 0; i < n; i++ {
+		if rank := r.Index(n); r.Err() == nil && order[rank] < 0 {
 			order[rank] = i
 		} else {
 			r.Failf("arb: LRG rank %d given twice", rank)

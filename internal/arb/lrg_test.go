@@ -1,6 +1,7 @@
 package arb
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -287,6 +288,41 @@ func TestLRGMatrixMatchesList(t *testing.T) {
 			}
 			l.setOrder(order)
 			check("after SetOrder")
+		}
+	}
+}
+
+// TestLRGStampRenumber runs the stamps up to the end of their range
+// through the rebase hook and grants across it: the grant that finds next
+// at 2^64-1 renumbers the stamps to their ranks first, and every query
+// before and after must still match the list.
+func TestLRGStampRenumber(t *testing.T) {
+	rng := traffic.NewRNG(3)
+	for _, n := range []int{1, 2, 5, 64, 65, 130} {
+		s, l := NewLRGState(n), newLRGList(n)
+		for g := 0; g < 3*n; g++ {
+			i := rng.Intn(n)
+			s.Grant(i)
+			l.grant(i)
+		}
+		s.rebase(math.MaxUint64 - uint64(n) - 3)
+		checkLRGAgainstList(t, "after rebase", s, l, nil)
+		wrapped := false
+		for g := 0; g < 8; g++ {
+			i := rng.Intn(n)
+			s.Grant(i)
+			l.grant(i)
+			wrapped = wrapped || s.next < math.MaxUint64-uint64(n)
+			var cand []int
+			for j := 0; j < n; j++ {
+				if rng.Bernoulli(0.5) {
+					cand = append(cand, j)
+				}
+			}
+			checkLRGAgainstList(t, "across the wrap", s, l, cand)
+		}
+		if !wrapped || s.next != uint64(n)+5 {
+			t.Fatalf("n=%d: next is %d after the wrap, want the stamps renumbered (%d)", n, s.next, n+5)
 		}
 	}
 }

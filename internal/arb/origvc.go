@@ -64,12 +64,10 @@ func (a *OrigVC) PacketArrived(now noc.Cycle, pkt *noc.Packet) {
 func (a *OrigVC) Arbitrate(now noc.Cycle, reqs []Request) int {
 	best := -1
 	bestStamp := noc.VTime(math.MaxUint64)
-	bestRank := a.state.Size()
 	for i, r := range reqs {
 		s := r.Packet.Stamp
-		rk := a.state.Rank(r.Input)
-		if best == -1 || s < bestStamp || (s == bestStamp && rk < bestRank) {
-			best, bestStamp, bestRank = i, s, rk
+		if best == -1 || s < bestStamp || (s == bestStamp && a.state.HasPriority(r.Input, reqs[best].Input)) {
+			best, bestStamp = i, s
 		}
 	}
 	return best

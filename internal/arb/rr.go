@@ -84,12 +84,10 @@ func NewMultiLevel(n int, levels func(Request) int) *MultiLevel {
 func (a *MultiLevel) Arbitrate(now noc.Cycle, reqs []Request) int {
 	best := -1
 	bestLevel := -1
-	bestRank := a.state.Size()
 	for i, r := range reqs {
 		lv := a.levels(r)
-		rk := a.state.Rank(r.Input)
-		if lv > bestLevel || (lv == bestLevel && rk < bestRank) {
-			best, bestLevel, bestRank = i, lv, rk
+		if lv > bestLevel || (lv == bestLevel && (best < 0 || a.state.HasPriority(r.Input, reqs[best].Input))) {
+			best, bestLevel = i, lv
 		}
 	}
 	return best

@@ -62,7 +62,6 @@ func (a *WFQ) Arbitrate(now noc.Cycle, reqs []Request) int {
 	a.active = len(reqs)
 	best := -1
 	bestF := math.Inf(1)
-	bestRank := a.state.Size()
 	for i, r := range reqs {
 		f, ok := a.stamps[r.Packet]
 		if !ok {
@@ -71,9 +70,8 @@ func (a *WFQ) Arbitrate(now noc.Cycle, reqs []Request) int {
 			a.PacketArrived(now, r.Packet)
 			f = a.stamps[r.Packet]
 		}
-		rk := a.state.Rank(r.Input)
-		if f < bestF || (f == bestF && rk < bestRank) {
-			best, bestF, bestRank = i, f, rk
+		if f < bestF || (f == bestF && (best < 0 || a.state.HasPriority(r.Input, reqs[best].Input))) {
+			best, bestF = i, f
 		}
 	}
 	return best

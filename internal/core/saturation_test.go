@@ -124,7 +124,7 @@ func FuzzSSVCSaturationModel(f *testing.F) {
 			i := int(b) % 4
 			// Predict the clamp from the documented update rule:
 			// aux <- max(aux, rel(now)) + Vtick, saturating at the ceiling.
-			a := s.aux[i]
+			a := s.Aux(i)
 			if r := s.rel(now); r > a {
 				a = r
 			}

@@ -138,9 +138,14 @@ type SSVC struct {
 	quantum VTime // value of one auxVC most-significant-bit step
 	max     VTime // counter saturation value
 
-	aux  []VTime // per-input auxVC, relative to base
-	base Cycle   // real-time epoch the aux values are relative to
-	next Cycle   // next quantum boundary: base + CycleOfVTime(quantum)
+	// Input i's auxVC, relative to base, is SatSub(aux[i], sub) (Aux):
+	// Tick subtracts a quantum from every counter by adding it to sub,
+	// which is exact because max(max(x-a, 0)-b, 0) = max(x-a-b, 0), and
+	// fold applies sub to the counters once it passes max.
+	aux  []VTime
+	sub  VTime // quanta subtracted from every aux since the last fold
+	base Cycle // real-time epoch the auxVC values are relative to
+	next Cycle // next quantum boundary: base + CycleOfVTime(quantum)
 	lrg  *arb.LRGState
 
 	glVC VTime // absolute leaky-bucket clock for the shared GL budget
@@ -277,7 +282,7 @@ func (s *SSVC) rel(now Cycle) VTime {
 // Coarse returns input i's quantised auxVC value: the SigBits most
 // significant counter bits, clamped to the top thermometer level.
 func (s *SSVC) Coarse(i int) int {
-	v := (s.aux[i] / s.quantum).Uint()
+	v := (s.Aux(i) / s.quantum).Uint()
 	if v >= uint64(s.levels) {
 		return s.levels - 1
 	}
@@ -290,8 +295,20 @@ func (s *SSVC) Therm(i int) []bool { return ThermCode(s.Coarse(i), s.levels) }
 // LRG exposes the tie-break state (shared by all classes).
 func (s *SSVC) LRG() *arb.LRGState { return s.lrg }
 
-// Aux returns input i's raw auxVC counter value (relative to the epoch).
-func (s *SSVC) Aux(i int) VTime { return s.aux[i] }
+// Aux returns input i's auxVC counter value (relative to the epoch):
+// what the hardware register holds, every quantum Tick subtracted.
+//
+//ssvc:hotpath
+func (s *SSVC) Aux(i int) VTime { return noc.SatSub(s.aux[i], s.sub) }
+
+// fold applies the quanta subtracted since the last fold to every
+// counter.
+func (s *SSVC) fold() {
+	for i := range s.aux {
+		s.aux[i] = noc.SatSub(s.aux[i], s.sub)
+	}
+	s.sub = 0
+}
 
 // Saturations returns how many halve/reset events have occurred.
 func (s *SSVC) Saturations() uint64 { return s.saturations }
@@ -336,19 +353,18 @@ func (s *SSVC) Granted(now noc.Cycle, req arb.Request) {
 			return
 		}
 		c0 := s.Coarse(req.Input)
-		a := s.aux[req.Input]
+		a := s.Aux(req.Input)
 		if r := s.rel(now); r > a {
 			a = r
 		}
 		a = noc.SatAdd(a, vt)
 		if a > s.max {
-			a = s.max
-			s.aux[req.Input] = a
+			s.aux[req.Input] = s.max + s.sub
 			s.moveLevel(req.Input, c0, s.levels-1)
 			s.onSaturation(now)
 			return
 		}
-		s.aux[req.Input] = a
+		s.aux[req.Input] = a + s.sub
 		s.moveLevel(req.Input, c0, s.Coarse(req.Input))
 	}
 }
@@ -367,6 +383,7 @@ func (s *SSVC) onSaturation(now noc.Cycle) {
 		return
 	case Halve:
 		s.saturations++
+		s.fold()
 		for i := range s.aux {
 			s.aux[i] /= 2
 		}
@@ -384,9 +401,8 @@ func (s *SSVC) onSaturation(now noc.Cycle) {
 		}
 	case Reset:
 		s.saturations++
-		for i := range s.aux {
-			s.aux[i] = 0
-		}
+		clear(s.aux)
+		s.sub = 0
 		copy(s.lvl[0], s.allMask)
 		for k := 1; k < s.levels; k++ {
 			arb.MaskZero(s.lvl[k])
@@ -400,6 +416,8 @@ func (s *SSVC) onSaturation(now noc.Cycle) {
 // most significant bits and shift all thermometer codes down by 1". The
 // real-time clock is the same piece of hardware under all three counter
 // policies; the policies differ only in how auxVC saturation is handled.
+// A quantum costs O(levels): the subtraction is one add to sub, and the
+// per-counter fold runs once sub passes max, every 2^SigBits quanta.
 //
 //ssvc:hotpath
 func (s *SSVC) Tick(now Cycle) {
@@ -410,13 +428,7 @@ func (s *SSVC) Tick(now Cycle) {
 		return
 	}
 	for noc.VTimeOfCycle(noc.SatSub(now, s.base)) >= s.quantum {
-		for i := range s.aux {
-			if s.aux[i] > s.quantum {
-				s.aux[i] -= s.quantum
-			} else {
-				s.aux[i] = 0
-			}
-		}
+		s.sub += s.quantum
 		s.base += noc.CycleOfVTime(s.quantum)
 		// coarse' = max(coarse-1, 0): shift every level plane down one
 		// position, folding level 1 into level 0. Rotating the plane
@@ -429,6 +441,9 @@ func (s *SSVC) Tick(now Cycle) {
 		spare := l1
 		copy(s.lvl[1:], s.lvl[2:])
 		s.lvl[s.levels-1] = spare
+	}
+	if s.sub > s.max {
+		s.fold()
 	}
 	s.next = s.base + noc.CycleOfVTime(s.quantum)
 }

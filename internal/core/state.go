@@ -16,7 +16,7 @@ var _ arb.Stateful = (*SSVC)(nil)
 // and are not written.
 func (s *SSVC) AppendState(b []byte) []byte {
 	for i := range s.aux {
-		b = wire.Uint(b, s.aux[i].Uint())
+		b = wire.Uint(b, s.Aux(i).Uint())
 		b = wire.Uint(b, s.cfg.Vticks[i].Uint())
 	}
 	b = wire.Uint(b, s.base.Uint())
@@ -57,6 +57,7 @@ func (s *SSVC) RestoreState(r *wire.Reader, now noc.Cycle) error {
 		return err
 	}
 	copy(s.aux, aux)
+	s.sub = 0
 	copy(s.cfg.Vticks, vt)
 	s.base, s.next = base, next
 	s.glVC, s.saturations = glVC, saturations

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -89,13 +90,14 @@ func calCompare(a, b calEntry) int {
 }
 
 // filed returns every arrival the set's calendar holds, wheel and far
-// heap, sorted on (cycle, flow index).
+// heap, sorted on (cycle, flow index). A wheel entry's cycle is its
+// slot's, not calAt, so compareCalendar can hold calAt to it.
 func (s *Sources) filed() []calEntry {
 	var out []calEntry
 	for d := uint64(0); d < calSlots; d++ {
 		at := s.base + noc.CycleOf(d)
-		for _, fi := range s.wheel[at%calSlots] {
-			out = append(out, calEntry{at: at, fi: fi})
+		for f := s.wheel[at%calSlots]; f != 0; f = s.calNext[f-1] {
+			out = append(out, calEntry{at: at, fi: f - 1})
 		}
 	}
 	out = append(out, s.far...)
@@ -111,10 +113,11 @@ type firing struct {
 }
 
 // calDeltas are the scripted gaps from a NextArrival's `from` to the
-// arrival it announces. Arming from the cycle after the wheel's base, 63
-// is the last slot inside the horizon and 64 the first cycle beyond it;
-// the zeros make same-cycle ties common.
-var calDeltas = []noc.Cycle{0, 0, 0, 0, 1, 2, 3, 62, 63, 63, 64, 64, 65, 127, 128, 129, 1000, 1 << 40}
+// arrival it announces. A flow that fired re-arms from the wheel's base,
+// so calSlots-1 files it in the last slot inside the horizon and calSlots
+// at the first cycle beyond it; the zeros make same-cycle ties common,
+// and the gaps of tens of cycles keep firings frequent.
+var calDeltas = []noc.Cycle{0, 0, 0, 0, 1, 2, 3, 62, 63, 63, 64, 64, 65, 127, 128, 129, calSlots - 1, calSlots, 1 << 40}
 
 // calDelta is the gap flow fi's call-th NextArrival announces under
 // seed: a pure function, so the set and the oracle hear the same script.
@@ -297,6 +300,11 @@ func compareCalendar(s *Sources, o *calOracle, log []firing) string {
 			return fmt.Sprintf("far heap holds flow %d at cycle %d, inside the horizon from %d", e.fi, e.at, s.base)
 		}
 	}
+	for _, e := range got {
+		if s.calAt[e.fi] != e.at {
+			return fmt.Sprintf("flow %d is filed at cycle %d, calAt says %d", e.fi, e.at, s.calAt[e.fi])
+		}
+	}
 	return ""
 }
 
@@ -335,6 +343,11 @@ func FuzzCalendar(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		f.Add(calSeed(seed, 400))
 	}
+	// Script 25 arms flows 2, 3 and 6 of eight at base+calSlots-1 (the
+	// last slot), base+calSlots (the first far cycle) and 2^40 out; the
+	// steps run the horizon past the first two.
+	horizon := append([]byte{25, 0}, make([]byte, 8)...)
+	f.Add(append(horizon, bytes.Repeat([]byte{3}, calSlots+2)...))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkCalendar(t, ops, new(calCoverage))
 	})
@@ -347,13 +360,13 @@ func FuzzCalendar(f *testing.F) {
 func TestGenerateSkippedCycles(t *testing.T) {
 	var log []firing
 	gaps := [][]noc.Cycle{
-		{3, 0},       // flow 0: cycle 3, then the cycle after the call
-		{2, 0},       // flow 1: cycle 2
-		{3, 0},       // flow 2: cycle 3, tied with flow 0
-		{5, 0},       // flow 3: cycle 5, the call's own cycle
-		{70, 0},      // flow 4: beyond the horizon, and skipped over too
-		{6, 0},       // flow 5: after the call
-		{1 << 40, 0}, // flow 6: never
+		{3, 0},            // flow 0: cycle 3, then the cycle after the call
+		{2, 0},            // flow 1: cycle 2
+		{3, 0},            // flow 2: cycle 3, tied with flow 0
+		{5, 0},            // flow 3: cycle 5, the call's own cycle
+		{calSlots + 6, 0}, // flow 4: beyond the horizon, and skipped over too
+		{6, 0},            // flow 5: after the call
+		{1 << 40, 0},      // flow 6: never
 	}
 	s := NewSources(1)
 	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 1}
@@ -374,26 +387,27 @@ func TestGenerateSkippedCycles(t *testing.T) {
 	}
 
 	log = log[:0]
-	s.Generate(100) // 70 is skipped over as well
+	const later = calSlots + 36
+	s.Generate(later) // flow 4's arrival is skipped over as well
 	want = []firing{
-		{fi: 0, at: 6, now: 100},
-		{fi: 1, at: 6, now: 100},
-		{fi: 2, at: 6, now: 100},
-		{fi: 3, at: 6, now: 100},
-		{fi: 5, at: 6, now: 100},
-		{fi: 4, at: 70, now: 100},
+		{fi: 0, at: 6, now: later},
+		{fi: 1, at: 6, now: later},
+		{fi: 2, at: 6, now: later},
+		{fi: 3, at: 6, now: later},
+		{fi: 5, at: 6, now: later},
+		{fi: 4, at: calSlots + 6, now: later},
 	}
 	if !slices.Equal(log, want) {
-		t.Fatalf("after Generate(100) the calls were\n%v\nwant\n%v", log, want)
+		t.Fatalf("after Generate(%d) the calls were\n%v\nwant\n%v", later, log, want)
 	}
 	got := s.filed()
 	for _, e := range got[:len(got)-1] {
-		if e.at != 101 {
-			t.Fatalf("a flow fired at cycle 100 re-armed at %d, want 101: %v", e.at, got)
+		if e.at != later+1 {
+			t.Fatalf("a flow fired at cycle %d re-armed at %d, want %d: %v", later, e.at, later+1, got)
 		}
 	}
 	if last := got[len(got)-1]; last.fi != 6 || len(got) != 7 {
-		t.Fatalf("calendar after cycle 100 is %v", got)
+		t.Fatalf("calendar after cycle %d is %v", later, got)
 	}
 }
 
@@ -407,4 +421,43 @@ func (g *fixedGen) NextArrival(from noc.Cycle, _ int) (noc.Cycle, bool) {
 	g.at = from + g.gaps[min(g.calls, uint64(len(g.gaps)-1))]
 	g.calls++
 	return g.at, true
+}
+
+// TestRetireLeavesNoCalendarEntry retires a flow listed in the middle of
+// a wheel slot and one waiting in the far heap: neither is filed after,
+// neither fires, and the flows around them fire as scheduled.
+func TestRetireLeavesNoCalendarEntry(t *testing.T) {
+	var log []firing
+	gaps := []noc.Cycle{5, 5, 5, calSlots + 5, 1 << 40}
+	s := NewSources(1)
+	spec := noc.FlowSpec{Src: 0, Dst: 1, Class: noc.BestEffort, PacketLength: 1}
+	for i, g := range gaps {
+		s.Add(traffic.Flow{Spec: spec, Gen: &fixedGen{scriptGen: scriptGen{fi: i, log: &log}, gaps: []noc.Cycle{g}}}, 0)
+	}
+	s.Generate(0)
+	if len(s.far) != 2 {
+		t.Fatalf("far heap holds %v, want flows 3 and 4", s.far)
+	}
+	s.Retire(1) // slot 5 lists 2, 1, 0: the middle entry
+	s.Retire(3) // in the far heap
+	want := []calEntry{{at: 5, fi: 0}, {at: 5, fi: 2}, {at: 1 << 40, fi: 4}}
+	if got := s.filed(); !slices.Equal(got, want) {
+		t.Fatalf("after retiring flows 1 and 3 the calendar holds %v, want %v", got, want)
+	}
+	for now := noc.Cycle(1); now <= calSlots+10; now++ {
+		s.Generate(now)
+	}
+	for _, f := range log {
+		if f.fi == 1 || f.fi == 3 {
+			t.Fatalf("retired flow %d fired: %v", f.fi, f)
+		}
+	}
+	if len(log) == 0 || log[0] != (firing{fi: 0, at: 5, now: 5}) || log[1] != (firing{fi: 2, at: 5, now: 5}) {
+		t.Fatalf("flows 0 and 2 fired %v, want both at cycle 5 first", log)
+	}
+	s.Retire(0)
+	s.Retire(4)
+	if got := s.filed(); len(got) != 1 || got[0].fi != 2 {
+		t.Fatalf("after retiring flows 0 and 4 the calendar holds %v, want flow 2 alone", got)
+	}
 }

@@ -91,17 +91,19 @@ type Sources struct {
 	lastNow   noc.Cycle           // cycle of the most recent Generate
 
 	// The arrival calendar: a timing wheel for the next calSlots cycles
-	// and a min-heap beyond them. An arrival at cycle `at` in
-	// [base, base+calSlots) is listed, unordered, in wheel[at%calSlots];
-	// a later one waits in far until base comes within calSlots of it.
+	// and a min-heap beyond them. A flow has at most one filed arrival,
+	// at cycle calAt[fi]. One in [base, base+calSlots) is listed,
+	// unordered, in slot at%calSlots: wheel[k] holds the first flow's
+	// index + 1 and calNext[fi] the next one's, 0 ending the list. A
+	// later arrival waits in far until base comes within calSlots of it.
 	// base is the next cycle Generate fires; every filed arrival is at or
 	// after it. due is the slot being fired, sorted on flow index.
-	wheel [calSlots][]int32
-	base  noc.Cycle
-	far   []calEntry
-	due   []int32
-
-	armedAt []noc.Cycle // snapshot scratch: per flow, its calendar entry's cycle (IndexCalendar)
+	wheel   [calSlots]int32
+	calAt   []noc.Cycle
+	calNext []int32
+	base    noc.Cycle
+	far     []calEntry
+	due     []int32
 }
 
 // refusal is one flow's entry in the refusal memory.
@@ -116,12 +118,11 @@ type calEntry struct {
 	fi int32
 }
 
-// calSlots is the timing wheel's horizon in cycles. Nearly every arrival
-// of a busy flow lands inside it; a sparse flow's waits in the far heap.
-// A wider wheel would send fewer arrivals through the heap, but each slot
-// grows its slice on first use: at 1024 slots a warm engine still
-// allocates often enough to fail TestSteadyStateAllocs.
-const calSlots = 64
+// calSlots is the timing wheel's horizon in cycles. Nearly every arrival,
+// a sparse flow's at 2 % load included, lands inside it, so few go
+// through the far heap. The lists are threaded through per-flow arrays,
+// so a slot costs one int32 and filing never allocates.
+const calSlots = 1024
 
 // NewSources returns a source set with the given number of injection
 // groups.
@@ -153,6 +154,8 @@ func (s *Sources) Add(f traffic.Flow, group int) int {
 	s.sched = append(s.sched, nil)
 	s.blocked = append(s.blocked, false)
 	s.retiring = append(s.retiring, false)
+	s.calAt = append(s.calAt, 0)
+	s.calNext = append(s.calNext, 0)
 	s.live++
 	if s.calReady {
 		s.reserveFar()
@@ -335,28 +338,36 @@ func (s *Sources) armFlow(i int, from noc.Cycle, queued int) {
 //
 //ssvc:hotpath
 func (s *Sources) file(at noc.Cycle, fi int32) {
+	s.calAt[fi] = at
 	if at < s.base+calSlots {
-		k := at % calSlots
-		s.wheel[k] = append(s.wheel[k], fi)
+		s.list(fi)
 		return
 	}
 	s.far = append(s.far, calEntry{at: at, fi: fi})
 	s.farUp(len(s.far) - 1)
 }
 
+// list puts flow fi at the head of its arrival's wheel slot.
+//
+//ssvc:hotpath
+func (s *Sources) list(fi int32) {
+	k := s.calAt[fi] % calSlots
+	s.calNext[fi] = s.wheel[k]
+	s.wheel[k] = fi + 1
+}
+
 // unfile drops flow fi's filed arrival, if it has one (Retire's cold
-// path). Order inside a wheel slot is free: Generate sorts it.
+// path): calAt names the one place it can be. A flow with none has a
+// calAt before base, whose slot does not list it.
 func (s *Sources) unfile(fi int32) {
-	for k := range s.wheel {
-		slot := s.wheel[k]
-		for j, f := range slot {
-			if f == fi {
-				last := len(slot) - 1
-				slot[j] = slot[last]
-				s.wheel[k] = slot[:last]
+	if at := s.calAt[fi]; at < s.base+calSlots {
+		for p := &s.wheel[at%calSlots]; *p != 0; p = &s.calNext[*p-1] {
+			if *p == fi+1 {
+				*p = s.calNext[fi]
 				return
 			}
 		}
+		return
 	}
 	for c, e := range s.far {
 		if e.fi == fi {
@@ -427,17 +438,18 @@ func (s *Sources) advance() []int32 {
 	k := s.base % calSlots
 	s.base++
 	due := s.due[:0]
-	if slot := s.wheel[k]; len(slot) > 0 {
-		due = append(due, slot...)
-		s.wheel[k] = slot[:0]
+	if s.wheel[k] != 0 {
+		for f := s.wheel[k]; f != 0; f = s.calNext[f-1] {
+			due = append(due, f-1)
+		}
+		s.wheel[k] = 0
 		s.due = due
 		if len(due) > 1 {
 			slices.Sort(due)
 		}
 	}
 	for len(s.far) > 0 && s.far[0].at < s.base+calSlots {
-		e := s.farRemove(0)
-		s.wheel[e.at%calSlots] = append(s.wheel[e.at%calSlots], e.fi)
+		s.list(s.farRemove(0).fi)
 	}
 	return due
 }

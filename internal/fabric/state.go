@@ -142,26 +142,6 @@ func (s *Sources) RestoreClock(calReady bool, lastNow noc.Cycle) {
 // slot keeps it.
 func (s *Sources) GroupOf(i int) int { return s.groupOf[i] }
 
-// IndexCalendar notes every filed arrival against its flow, once, for the
-// AppendFlowState calls that follow it: whether an arrival sits in the
-// wheel or the far heap, and where, is history; when it fires is state.
-// The index is stale after any cycle.
-func (s *Sources) IndexCalendar() {
-	if cap(s.armedAt) < len(s.flows) {
-		s.armedAt = make([]noc.Cycle, 2*len(s.flows))
-	}
-	s.armedAt = s.armedAt[:len(s.flows)]
-	for d := uint64(0); d < calSlots; d++ {
-		at := s.base + noc.CycleOf(d)
-		for _, fi := range s.wheel[at%calSlots] {
-			s.armedAt[fi] = at
-		}
-	}
-	for _, e := range s.far {
-		s.armedAt[e.fi] = e.at
-	}
-}
-
 // AppendFlowState appends flow slot i: what it holds, for a live flow how
 // its generation is armed, and the source queue. The generator's own
 // state is not here: whoever built the generator writes and restores it,
@@ -186,7 +166,7 @@ func (s *Sources) AppendFlowState(b []byte, i int) []byte {
 			b = wire.Uint(b, armBlocked)
 		default:
 			b = wire.Uint(b, armCalendar)
-			b = wire.Uint(b, s.armedAt[i].Uint())
+			b = wire.Uint(b, s.calAt[i].Uint())
 		}
 	}
 	b = wire.Int(b, fq.Queued())
@@ -229,6 +209,8 @@ func (s *Sources) RestoreFlow(r *wire.Reader, group, src int, lim PacketBounds, 
 	s.sched = append(s.sched, nil)
 	s.blocked = append(s.blocked, false)
 	s.retiring = append(s.retiring, slot != slotLive)
+	s.calAt = append(s.calAt, 0)
+	s.calNext = append(s.calNext, 0)
 	if slot == slotReleased {
 		return nil
 	}

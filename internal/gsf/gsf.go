@@ -172,12 +172,10 @@ func NewArbiter(n int, ctl *Controller) *Arbiter {
 func (a *Arbiter) Arbitrate(now noc.Cycle, reqs []arb.Request) int {
 	best := -1
 	var bestFrame noc.VTime
-	bestRank := a.state.Size()
 	for i, r := range reqs {
 		f := r.Packet.Stamp
-		rk := a.state.Rank(r.Input)
-		if best == -1 || f < bestFrame || (f == bestFrame && rk < bestRank) {
-			best, bestFrame, bestRank = i, f, rk
+		if best == -1 || f < bestFrame || (f == bestFrame && a.state.HasPriority(r.Input, reqs[best].Input)) {
+			best, bestFrame = i, f
 		}
 	}
 	return best

@@ -5,6 +5,7 @@ import (
 
 	"swizzleqos/internal/arb"
 	"swizzleqos/internal/noc"
+	"swizzleqos/internal/traffic"
 )
 
 func testConfig() Config {
@@ -155,5 +156,41 @@ func TestZeroRateGetsMinimalBudget(t *testing.T) {
 	c := NewController(cfg)
 	if c.Admit(0, pkt(0, 1)) {
 		t.Fatal("zero-rate source admitted without budget")
+	}
+}
+
+// TestArbiterMatchesRankReference holds the frame-ordered arbiter, which
+// breaks ties with HasPriority, to the Rank-keyed loop it ran before,
+// over random orders and request sets with repeated inputs and tied
+// frames.
+func TestArbiterMatchesRankReference(t *testing.T) {
+	rng := traffic.NewRNG(5)
+	for _, n := range []int{1, 4, 64, 65} {
+		a := NewArbiter(n, NewController(Config{Inputs: n, FrameFlits: 64, Window: 2, BarrierLatency: 8, Rates: make([]float64, n)}))
+		for trial := 0; trial < 300; trial++ {
+			for g := rng.Intn(4); g > 0; g-- {
+				a.state.Grant(rng.Intn(n))
+			}
+			reqs := make([]arb.Request, rng.Intn(9))
+			for k := range reqs {
+				in := rng.Intn(n)
+				if k > 0 && rng.Bernoulli(0.2) {
+					in = reqs[rng.Intn(k)].Input
+				}
+				reqs[k] = arb.Request{Input: in, Packet: &noc.Packet{Src: in, Stamp: noc.VTime(rng.Intn(3))}}
+			}
+			want := -1
+			var bestFrame noc.VTime
+			bestRank := a.state.Size()
+			for i, r := range reqs {
+				f, rk := r.Packet.Stamp, a.state.Rank(r.Input)
+				if want == -1 || f < bestFrame || (f == bestFrame && rk < bestRank) {
+					want, bestFrame, bestRank = i, f, rk
+				}
+			}
+			if got := a.Arbitrate(0, reqs); got != want {
+				t.Fatalf("n=%d trial %d: picked %d, the Rank loop %d (order %v)", n, trial, got, want, a.state.Order())
+			}
+		}
 	}
 }

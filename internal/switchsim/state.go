@@ -53,7 +53,6 @@ func (s *Switch) AppendState(b []byte) ([]byte, error) {
 	calReady, lastNow := s.sources.Clock()
 	b = wire.Bool(b, calReady)
 	b = wire.Uint(b, lastNow.Uint())
-	s.sources.IndexCalendar()
 	b = wire.Int(b, s.sources.Len())
 	for i := 0; i < s.sources.Len(); i++ {
 		b = wire.Int(b, s.sources.GroupOf(i))

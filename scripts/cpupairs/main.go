@@ -36,8 +36,9 @@ import (
 // pairs is the number of pairs behind each row.
 const pairs = 10
 
-// kernel is one benchmark at a fixed iteration count: about 1.5 s of
-// CPU alone on a 2 vCPU host.
+// kernel is one benchmark at a fixed iteration count: at least 1.5 s of
+// CPU alone on a 2 vCPU host. RoutedSaturated and CtlPlaneIdle run about
+// 3 s each: at 1.5 s and 0.7 s their A/A rows spread past ±2 %.
 type kernel struct {
 	name, pkg, bench string
 	n                int
@@ -46,8 +47,8 @@ type kernel struct {
 var kernels = []kernel{
 	{"SwitchCycleRecycled/radix64/SSVC", "switchsim", "^BenchmarkSwitchCycleRecycled$/^radix64$/^SSVC$", 500_000},
 	{"SwitchCycleIdle/radix64", "switchsim", "^BenchmarkSwitchCycleIdle$/^radix64$", 6_000_000},
-	{"RoutedSaturated", "compose", "^BenchmarkRoutedSaturated$", 100_000},
-	{"CtlPlaneIdle", "ctlplane", "^BenchmarkCtlPlaneIdle$", 6_000_000},
+	{"RoutedSaturated", "compose", "^BenchmarkRoutedSaturated$", 200_000},
+	{"CtlPlaneIdle", "ctlplane", "^BenchmarkCtlPlaneIdle$", 25_000_000},
 }
 
 func main() {
