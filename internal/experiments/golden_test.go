@@ -21,14 +21,22 @@ func goldenOptions() Options {
 // TestGoldenTables pins the exact rendering of the deterministic tables:
 // the simulation-free hardware models, the mesh motivation and Clos
 // composition experiments (which exercise all three cycle-accurate
-// engines), and the guarantee tables with the summary lines ssvc-bench
-// prints under them. Run with -update-golden after an intentional change
-// to the hardware models, the engines, or the table renderer.
+// engines), the crossbar comparisons of Figures 4 and 5 and the
+// ablations, and the guarantee tables, each with the summary lines
+// ssvc-bench prints under it. Run with -update-golden after an
+// intentional change to the hardware models, the engines, or the table
+// renderer.
 func TestGoldenTables(t *testing.T) {
 	o := goldenOptions()
 	adh := RateAdherence(20, o)
 	glb := GLBound(o)
 	bursts := GLBursts(o)
+	fig5 := Fig5(o)
+	fig5Text := fig5.Table().String()
+	for _, p := range Fig5Policies {
+		fig5Text += fmt.Sprintf("  %-18s latency spread (max/min) = %.2f, 1%%-allocation latency = %.1f\n",
+			p, fig5.LatencySpread(p), fig5.LowAllocationLatency(p))
+	}
 	cases := []struct {
 		name string
 		got  string
@@ -49,6 +57,15 @@ func TestGoldenTables(t *testing.T) {
 		{"sigbits.txt", SigBitsTable(AblationSigBits(o)).String()},
 		{"gsf.txt", GSFTable(AblationGSF(o)).String()},
 		{"convergence.txt", ConvergenceTable(Convergence(o)).String()},
+		{"fig4a.txt", Fig4(false, o).Table().String()},
+		{"fig4b.txt", Fig4(true, o).Table().String()},
+		{"fig5.txt", fig5Text},
+		{"chaining.txt", ChainingTable(AblationChaining(o)).String()},
+		{"fixedpriority.txt", FixedPriorityTable(AblationFixedPriority(o)).String()},
+		{"static.txt", StaticTable(AblationStaticSchedulers(o)).String()},
+		{"decoupling.txt", DecouplingTable(AblationDecoupling(o)).String()},
+		{"pvc.txt", PVCTable(AblationPVC(o)).String()},
+		{"energy.txt", EnergyTable().String()},
 	}
 	for _, tc := range cases {
 		path := filepath.Join("testdata", tc.name)
