@@ -212,4 +212,4 @@ fuzz:
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzPlanVsTable -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzRestoreState -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzJournalWindow -fuzztime 30s
-	$(GO) test ./cmd/ssvc-sim/ -run '^$$' -fuzz FuzzScenarioParse -fuzztime 30s
+	$(GO) test ./cmd/ssvc-sim/ -run '^$$' -fuzz FuzzScenarioParse -fuzztime 30s -fuzzminimizetime 2s

@@ -97,7 +97,7 @@ type netCmd struct {
 
 // serveMain is the testable entry point. Closing stop ends serve mode
 // cleanly before -total is reached.
-func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
+func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) (code int) {
 	fs := flag.NewFlagSet("ssvc-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -130,7 +130,16 @@ func serveMain(args []string, stdout, stderr io.Writer, stop <-chan struct{}) in
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer tw.Close()
+		// A trace that could not be written whole fails the run: a full
+		// disk must not leave a truncated trace behind an exit status 0.
+		defer func() {
+			if err := tw.Close(); err != nil {
+				fmt.Fprintln(stderr, "ssvc-serve: write trace:", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
 	}
 	var ro ctlplane.ReplayOptions
 	if tw != nil {
@@ -638,6 +647,8 @@ func (t *traceWriter) OnDeliver(p *noc.Packet) {
 		p.ID, p.Src, p.Dst, p.Class, p.Length, p.CreatedAt.Uint(), p.DeliveredAt.Uint(), p.Retries)
 }
 
+// Close flushes and closes the trace file. The buffered writer keeps
+// its first write error, and Flush returns it.
 func (t *traceWriter) Close() error {
 	if err := t.w.Flush(); err != nil {
 		t.f.Close()

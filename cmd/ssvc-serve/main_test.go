@@ -536,6 +536,34 @@ func TestRecoveryReport(t *testing.T) {
 	}
 }
 
+// TestTraceWriteError: a delivery trace that cannot be written fails
+// the run with exit status 1 and the write error on stderr, in serve
+// mode and in replay mode. /dev/full refuses every write with ENOSPC, as
+// a full disk does.
+func TestTraceWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	dir := t.TempDir()
+	script := filepath.Join(dir, "script")
+	if err := os.WriteFile(script, []byte("@100 add gb 0 1 rate=0.3 len=8 load=0.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, "j.jsonl")
+	for _, args := range [][]string{
+		{"-journal", journal, "-script", script, "-total", "20000", "-trace", "/dev/full"},
+		{"-replay", journal, "-trace", "/dev/full"},
+	} {
+		var out, errOut strings.Builder
+		if code := serveMain(args, &out, &errOut, nil); code != 1 {
+			t.Fatalf("%v: exit %d, want 1 (stderr %q)", args, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "write trace") || !strings.Contains(errOut.String(), "no space left") {
+			t.Fatalf("%v: stderr %q does not carry the write error", args, errOut.String())
+		}
+	}
+}
+
 // TestRemovedShardFlags: the switch runs one serial cycle, so -shards and
 // -shard-workers are unknown flags, in serve mode and in replay mode, and
 // exit 2 before any journal is touched.

@@ -4,15 +4,19 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"swizzleqos"
 )
 
-// FuzzScenarioParse throws arbitrary JSON at the scenario parser and
-// builder; they must reject garbage with errors, never panic.
+// FuzzScenarioParse throws arbitrary JSON at the scenario parser, the
+// builder and swizzleqos.New; they must reject garbage with errors,
+// never panic.
 func FuzzScenarioParse(f *testing.F) {
 	f.Add(exampleScenario)
 	f.Add(`{"radix": 2, "workloads": []}`)
 	f.Add(`{"radix": -1}`)
 	f.Add(`{"radix": 8, "workloads": [{"src": 0, "dst": 1, "class": "GB", "rate": 2.0, "packetLength": 0, "inject": {"kind": "trace", "times": [3,1]}}]}`)
+	f.Add(glWithoutBurst)
 	f.Fuzz(func(t *testing.T, raw string) {
 		var sc scenario
 		dec := json.NewDecoder(strings.NewReader(raw))
@@ -27,14 +31,13 @@ func FuzzScenarioParse(f *testing.F) {
 		}
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("build panicked on %q: %v", raw, r)
+				t.Fatalf("build or New panicked on %q: %v", raw, r)
 			}
 		}()
 		cfg, ws, err := sc.build()
 		if err != nil {
 			return
 		}
-		_ = cfg
-		_ = ws
+		_, _ = swizzleqos.New(cfg, ws...)
 	})
 }

@@ -153,20 +153,25 @@ func run(path, pktLog string) error {
 	if err != nil {
 		return err
 	}
+	// The packet log keeps its first write error, and later records are
+	// not written: a full disk fails the run instead of leaving a
+	// truncated log behind an exit status of 0.
+	var logFile *os.File
+	var logErr error
 	if pktLog != "" {
-		f, err := os.Create(pktLog)
-		if err != nil {
+		if logFile, err = os.Create(pktLog); err != nil {
 			return err
 		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
+		enc := json.NewEncoder(logFile)
 		net.OnDeliver(func(p *swizzleqos.Packet) {
-			_ = enc.Encode(packetRecord{
-				ID: p.ID, Src: p.Src, Dst: p.Dst,
-				Class: p.Class.String(), Length: p.Length,
-				Created: p.CreatedAt.Uint(), Enqueued: p.EnqueuedAt.Uint(),
-				Granted: p.GrantedAt.Uint(), Delivered: p.DeliveredAt.Uint(),
-			})
+			if logErr == nil {
+				logErr = enc.Encode(packetRecord{
+					ID: p.ID, Src: p.Src, Dst: p.Dst,
+					Class: p.Class.String(), Length: p.Length,
+					Created: p.CreatedAt.Uint(), Enqueued: p.EnqueuedAt.Uint(),
+					Granted: p.GrantedAt.Uint(), Delivered: p.DeliveredAt.Uint(),
+				})
+			}
 		})
 	}
 	warmup, measure := sc.WarmupCycles, sc.MeasureCycles
@@ -179,6 +184,14 @@ func run(path, pktLog string) error {
 	rep := net.Report()
 	fmt.Print(rep.Table())
 	fmt.Printf("total packets delivered: %d\n", rep.TotalPackets())
+	if logFile != nil {
+		if err := logFile.Close(); logErr == nil {
+			logErr = err
+		}
+		if logErr != nil {
+			return fmt.Errorf("packet log: %w", logErr)
+		}
+	}
 	return nil
 }
 

@@ -37,6 +37,41 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// glWithoutBurst reserves a GL rate but leaves glBurst at 0, a GL
+// bucket core refuses: ssvc-sim must exit 1 on it, not panic.
+const glWithoutBurst = `{"radix": 8, "glRate": 0.05, "glPacketLength": 4, "workloads": [
+  {"src": 0, "dst": 1, "class": "GB", "rate": 0.1, "packetLength": 8, "inject": {"kind": "backlogged", "depth": 1}}]}`
+
+func TestRunRefusesGLWithoutBurst(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(path, []byte(glWithoutBurst), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("run panicked: %v", r)
+		}
+	}()
+	if err := run(path, ""); err == nil || !strings.Contains(err.Error(), "burst allowance") {
+		t.Fatalf("run returned %v, want core's GL burst error", err)
+	}
+}
+
+// A packet log that cannot be written fails the run: /dev/full refuses
+// every write with ENOSPC, as a full disk does.
+func TestRunPacketLogWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(path, []byte(exampleScenario), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(path, "/dev/full"); err == nil || !strings.Contains(err.Error(), "packet log") {
+		t.Fatalf("run returned %v, want the packet log's write error", err)
+	}
+}
+
 func TestRunRejectsUnknownFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scenario.json")
 	if err := os.WriteFile(path, []byte(`{"radix": 8, "bogus": 1, "workloads": []}`), 0o644); err != nil {

@@ -65,12 +65,10 @@ func chainingRun(sc *sweepScratch, packetLen int, chaining bool, o Options) chai
 	for i := range specs {
 		specs[i] = noc.FlowSpec{Src: i, Dst: 0, Class: noc.BestEffort, PacketLength: packetLen}
 	}
-	var seq traffic.Sequence
-	sw, err := crossbar(cfg, func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) }, &seq, backlogged(specs...))
-	if err != nil {
+	col, _, err := sc.row(cfg, family(core.ArbLRG, fig4SSVC, nil), backlogged(specs...), o)
+	if col == nil {
 		return chainingPoint{err: err}
 	}
-	col, err := sc.runCollected(sw, &seq, o)
 	return chainingPoint{throughput: col.OutputThroughput(0), err: err}
 }
 
@@ -108,32 +106,23 @@ func AblationFixedPriority(o Options) []FixedPriorityOutcome {
 		{Src: 0, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.3, PacketLength: 8},
 		{Src: 1, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.3, PacketLength: 8},
 	}
-	run := func(name string, factory func(int) arb.Arbiter) FixedPriorityOutcome {
-		var seq traffic.Sequence
-		sw, err := crossbar(fig4Config(), factory, &seq, backlogged(specs...))
-		if err != nil {
-			return FixedPriorityOutcome{Scheme: name, Err: err}
-		}
-		col, err := runCollected(sw, &seq, o)
-		return FixedPriorityOutcome{
-			Scheme:            name,
-			AggressorAccepted: col.Throughput(stats.SpecKey(specs[0])),
-			VictimAccepted:    col.Throughput(stats.SpecKey(specs[1])),
-			Err:               err,
-		}
+	schemes := []scheme{
+		{"FixedPriority[14]", arbiters{build: func(int) arb.Arbiter {
+			// Message priority by input: input 0 is the high level.
+			return arb.NewMultiLevel(fig4Radix, func(r arb.Request) int { return -r.Input })
+		}}},
+		{"SSVC", family(core.ArbSSVC, fig4SSVC, specs)},
 	}
-	jobs := []func() FixedPriorityOutcome{
-		func() FixedPriorityOutcome {
-			return run("FixedPriority[14]", func(int) arb.Arbiter {
-				// Message priority by input: input 0 is the high level.
-				return arb.NewMultiLevel(fig4Radix, func(r arb.Request) int { return -r.Input })
-			})
-		},
-		func() FixedPriorityOutcome {
-			return run("SSVC", core.FromFlows(fig4SSVC, specs))
-		},
-	}
-	return runner.Map(o.pool(), len(jobs), func(i int) FixedPriorityOutcome { return jobs[i]() })
+	return runner.MapScratch(o.pool(), len(schemes), newSweepScratch,
+		func(sc *sweepScratch, i int) FixedPriorityOutcome {
+			col, _, err := sc.row(fig4Config(), schemes[i].arb, backlogged(specs...), o)
+			oc := FixedPriorityOutcome{Scheme: schemes[i].name, Err: err}
+			if col != nil {
+				oc.AggressorAccepted = col.Throughput(stats.SpecKey(specs[0]))
+				oc.VictimAccepted = col.Throughput(stats.SpecKey(specs[1]))
+			}
+			return oc
+		})
 }
 
 // FixedPriorityTable renders the starvation ablation.
@@ -162,15 +151,13 @@ type StaticOutcome struct {
 func AblationStaticSchedulers(o Options) []StaticOutcome {
 	o = o.withDefaults()
 	const packetLen = 8
-	specs := make([]noc.FlowSpec, fig4Radix)
+	wf := uniform(fig4Radix, 0.1)
+	specs := intoOutput0(packetLen, wf...)
 	weights := make([]int, fig4Radix)
 	quanta := make([]int, fig4Radix)
-	wf := make([]float64, fig4Radix)
-	for i := range specs {
-		specs[i] = noc.FlowSpec{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: 0.1, PacketLength: packetLen}
+	for i := range weights {
 		weights[i] = packetLen
 		quanta[i] = packetLen
-		wf[i] = 0.1
 	}
 	capacity := float64(packetLen) / float64(packetLen+1)
 	// Only the even inputs offer traffic.
@@ -178,29 +165,22 @@ func AblationStaticSchedulers(o Options) []StaticOutcome {
 	for i := 0; i < fig4Radix; i += 2 {
 		offered = append(offered, backlogged(specs[i])...)
 	}
-	run := func(sc *sweepScratch, name string, factory func(int) arb.Arbiter) StaticOutcome {
-		var seq traffic.Sequence
-		sw, err := crossbar(fig4Config(), factory, &seq, offered)
-		if err != nil {
-			return StaticOutcome{Scheme: name, Err: err}
-		}
-		col, err := sc.runCollected(sw, &seq, o)
-		return StaticOutcome{Scheme: name, Utilisation: col.OutputThroughput(0) / capacity, Err: err}
-	}
-	schemes := []struct {
-		name    string
-		factory func(int) arb.Arbiter
-	}{
-		{"TDM", func(int) arb.Arbiter { return arb.NewTDM(arb.UniformTDMTable(fig4Radix, packetLen+1)) }},
-		{"WRR(fixed)", func(int) arb.Arbiter { return arb.NewWRR(weights, false) }},
-		{"WRR(work-conserving)", func(int) arb.Arbiter { return arb.NewWRR(weights, true) }},
-		{"DWRR", func(int) arb.Arbiter { return arb.NewDWRR(quanta) }},
-		{"WFQ", func(int) arb.Arbiter { return arb.NewWFQ(wf) }},
-		{"SSVC", core.FromFlows(fig4SSVC, specs)},
+	schemes := []scheme{
+		{"TDM", arbiters{build: func(int) arb.Arbiter { return arb.NewTDM(arb.UniformTDMTable(fig4Radix, packetLen+1)) }}},
+		{"WRR(fixed)", arbiters{build: func(int) arb.Arbiter { return arb.NewWRR(weights, false) }}},
+		{"WRR(work-conserving)", arbiters{build: func(int) arb.Arbiter { return arb.NewWRR(weights, true) }}},
+		{"DWRR", arbiters{build: func(int) arb.Arbiter { return arb.NewDWRR(quanta) }}},
+		{"WFQ", arbiters{build: func(int) arb.Arbiter { return arb.NewWFQ(wf) }}},
+		{"SSVC", family(core.ArbSSVC, fig4SSVC, specs)},
 	}
 	return runner.MapScratch(o.pool(), len(schemes), newSweepScratch,
 		func(sc *sweepScratch, i int) StaticOutcome {
-			return run(sc, schemes[i].name, schemes[i].factory)
+			col, _, err := sc.row(fig4Config(), schemes[i].arb, offered, o)
+			oc := StaticOutcome{Scheme: schemes[i].name, Err: err}
+			if col != nil {
+				oc.Utilisation = col.OutputThroughput(0) / capacity
+			}
+			return oc
 		})
 }
 
@@ -230,22 +210,18 @@ type SigBitsOutcome struct {
 func AblationSigBits(o Options) []SigBitsOutcome {
 	o = o.withDefaults()
 	rates := []float64{0.3, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05}
-	specs := make([]noc.FlowSpec, fig4Radix)
-	for i, r := range rates {
-		specs[i] = noc.FlowSpec{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: r, PacketLength: fig4PacketLen}
-	}
+	specs := intoOutput0(fig4PacketLen, rates...)
 	return runner.MapScratch(o.pool(), 6, newSweepScratch,
 		func(sc *sweepScratch, idx int) SigBitsOutcome {
 			sig := idx + 1
 			cfg := fig4SSVC
 			cfg.SigBits = sig
-			var seq traffic.Sequence
-			sw, err := crossbar(fig4Config(), core.FromFlows(cfg, specs), &seq, backlogged(specs...))
-			if err != nil {
-				return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, Err: err}
+			col, _, err := sc.row(fig4Config(), family(core.ArbSSVC, cfg, specs), backlogged(specs...), o)
+			oc := SigBitsOutcome{SigBits: sig, Levels: 1 << sig, Err: err}
+			if col != nil {
+				oc.WorstRatio = col.GB(specs).Worst
 			}
-			col, err := sc.runCollected(sw, &seq, o)
-			return SigBitsOutcome{SigBits: sig, Levels: 1 << sig, WorstRatio: col.GB(specs).Worst, Err: err}
+			return oc
 		})
 }
 

@@ -101,14 +101,12 @@ func adherenceCombo(sc *sweepScratch, mix adherenceMix, o Options) AdherenceComb
 			PacketLength: combo.PacketLens[i],
 		}
 	}
-	var seq traffic.Sequence
-	sw, err := crossbar(fig4Config(), core.FromFlows(fig4SSVC, specs), &seq, backlogged(specs...))
-	if err != nil {
-		combo.GB, combo.Err = stats.GBNotRun(specs), err
+	col, _, err := sc.row(fig4Config(), family(core.ArbSSVC, fig4SSVC, specs), backlogged(specs...), o)
+	combo.Err = err
+	if col == nil {
+		combo.GB = stats.GBNotRun(specs)
 		return combo
 	}
-	col, err := sc.runCollected(sw, &seq, o)
-	combo.Err = err
 	for i, s := range specs {
 		combo.Accepted[i] = col.Throughput(stats.SpecKey(s))
 		combo.TotalAccepted += combo.Accepted[i]

@@ -89,12 +89,10 @@ func ComposeQoS(o Options) []ComposeOutcome {
 
 	// Single-stage radix-8 SSVC switch: one crosspoint per flow.
 	singleStage := func() ComposeOutcome {
-		var seq traffic.Sequence
-		sw, err := crossbar(fig4Config(), core.FromFlows(fig4SSVC, specs), &seq, backlogged(specs...))
-		if err != nil {
+		col, _, err := newSweepScratch().row(fig4Config(), family(core.ArbSSVC, fig4SSVC, specs), backlogged(specs...), o)
+		if col == nil {
 			return ComposeOutcome{System: "SingleStage radix-8 SSVC", Err: err}
 		}
-		col, err := runCollected(sw, &seq, o)
 		return evaluate("SingleStage radix-8 SSVC", col, err)
 	}
 
@@ -132,7 +130,7 @@ func ComposeQoS(o Options) []ComposeOutcome {
 		if err := attach(net, err, &seq, backlogged(specs...)); err != nil {
 			return ComposeOutcome{System: system, Err: err}
 		}
-		col, err := runCollected(net, &seq, o)
+		col, err := newSweepScratch().runCollected(net, &seq, o)
 		return evaluate(system, col, err)
 	}
 

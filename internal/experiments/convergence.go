@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
-	"swizzleqos/internal/switchsim"
 	"swizzleqos/internal/traffic"
 )
 
@@ -57,8 +55,14 @@ func Convergence(o Options) []ConvergenceOutcome {
 		})
 	}
 
-	scheme := func(name string, factory func(int) arb.Arbiter) ConvergenceOutcome {
-		sw, err := switchsim.New(fig4Config(), factory)
+	// The two schemes are independent simulations; fan them out.
+	schemes := []scheme{
+		{"SSVC", family(core.ArbSSVC, fig4SSVC, specs)},
+		{"LRG", family(core.ArbLRG, fig4SSVC, specs)},
+	}
+	return runner.Map(o.pool(), len(schemes), func(i int) ConvergenceOutcome {
+		name := schemes[i].name
+		sw, err := schemes[i].arb.crossbar(fig4Config())
 		var seq traffic.Sequence
 		if err == nil {
 			// The big flow injects nothing until wake-up, then saturates;
@@ -93,16 +97,7 @@ func Convergence(o Options) []ConvergenceOutcome {
 		}
 		oc.SteadyThroughput = series.Throughput(key, series.Windows()-2)
 		return oc
-	}
-
-	// The two schemes are independent simulations; fan them out.
-	jobs := []func() ConvergenceOutcome{
-		func() ConvergenceOutcome { return scheme("SSVC", core.FromFlows(fig4SSVC, specs)) },
-		func() ConvergenceOutcome {
-			return scheme("LRG", func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) })
-		},
-	}
-	return runner.Map(o.pool(), len(jobs), func(i int) ConvergenceOutcome { return jobs[i]() })
+	})
 }
 
 // gatedBacklog is a backlogged source that stays silent before cycle gate.

@@ -40,28 +40,7 @@ func AblationDecoupling(o Options) []DecouplingOutcome {
 	interval := noc.CycleOf(uint64(float64(specs[0].PacketLength) / specs[0].Rate))
 	ws := append([]traffic.Workload{{Spec: specs[0], Inject: traffic.Inject.Periodic(interval, 13)}},
 		backlogged(specs[1:]...)...)
-	run := func(name string, factory func(int) arb.Arbiter) DecouplingOutcome {
-		var seq traffic.Sequence
-		sw, err := crossbar(fig4Config(), factory, &seq, ws)
-		if err != nil {
-			return DecouplingOutcome{Scheme: name, Err: err}
-		}
-		col, err := runCollected(sw, &seq, o)
-		lat := func(s noc.FlowSpec) float64 {
-			f := col.Flow(stats.SpecKey(s))
-			if f == nil {
-				return 0
-			}
-			return f.MeanNetworkLatency()
-		}
-		oc := DecouplingOutcome{Scheme: name, LowAllocLat: lat(specs[0]), HighAllocLat: lat(specs[fig4Radix-1]), Err: err}
-		if oc.HighAllocLat > 0 {
-			oc.Coupling = oc.LowAllocLat / oc.HighAllocLat
-		}
-		return oc
-	}
-
-	ccspFactory := func(int) arb.Arbiter {
+	ccsp := func(int) arb.Arbiter {
 		rates := make([]float64, fig4Radix)
 		bursts := make([]float64, fig4Radix)
 		prios := make([]int, fig4Radix)
@@ -72,18 +51,32 @@ func AblationDecoupling(o Options) []DecouplingOutcome {
 		}
 		return arb.NewCCSP(rates, bursts, prios, true)
 	}
-	jobs := []func() DecouplingOutcome{
-		func() DecouplingOutcome {
-			return run("OriginalVC", func(out int) arb.Arbiter {
-				return arb.NewOrigVC(fig4Radix, core.Vticks(fig4Radix, specs, out))
-			})
-		},
-		func() DecouplingOutcome {
-			return run("SSVC/Reset", core.FromFlows(fig5SSVC(core.Reset), specs))
-		},
-		func() DecouplingOutcome { return run("CCSP[1]", ccspFactory) },
+	geom := fig5SSVC(core.Reset)
+	schemes := []scheme{
+		{"OriginalVC", family(core.ArbOriginalVirtualClock, geom, specs)},
+		{"SSVC/Reset", family(core.ArbSSVC, geom, specs)},
+		{"CCSP[1]", arbiters{build: ccsp}},
 	}
-	return runner.Map(o.pool(), len(jobs), func(i int) DecouplingOutcome { return jobs[i]() })
+	return runner.MapScratch(o.pool(), len(schemes), newSweepScratch,
+		func(sc *sweepScratch, i int) DecouplingOutcome {
+			col, _, err := sc.row(fig4Config(), schemes[i].arb, ws, o)
+			oc := DecouplingOutcome{Scheme: schemes[i].name, Err: err}
+			if col == nil {
+				return oc
+			}
+			lat := func(s noc.FlowSpec) float64 {
+				f := col.Flow(stats.SpecKey(s))
+				if f == nil {
+					return 0
+				}
+				return f.MeanNetworkLatency()
+			}
+			oc.LowAllocLat, oc.HighAllocLat = lat(specs[0]), lat(specs[fig4Radix-1])
+			if oc.HighAllocLat > 0 {
+				oc.Coupling = oc.LowAllocLat / oc.HighAllocLat
+			}
+			return oc
+		})
 }
 
 // DecouplingTable renders the related-work comparison.

@@ -132,6 +132,26 @@ func fig5SSVC(policy core.CounterPolicy) core.Config {
 	return core.Config{Radix: fig4Radix, CounterBits: fig5CounterBits, SigBits: fig5SigBits, Policy: policy}
 }
 
+// intoOutput0 is one GB flow per rate into output 0, the shape of every
+// single-output comparison: input i reserves rates[i], in packets of
+// packetLen flits.
+func intoOutput0(packetLen int, rates ...float64) []noc.FlowSpec {
+	specs := make([]noc.FlowSpec, len(rates))
+	for i, r := range rates {
+		specs[i] = noc.FlowSpec{Src: i, Dst: 0, Class: noc.GuaranteedBandwidth, Rate: r, PacketLength: packetLen}
+	}
+	return specs
+}
+
+// uniform is n copies of rate.
+func uniform(n int, rate float64) []float64 {
+	rates := make([]float64, n)
+	for i := range rates {
+		rates[i] = rate
+	}
+	return rates
+}
+
 // backlogged gives every spec a four-packet backlog, the saturating
 // demand most experiments drive.
 func backlogged(specs ...noc.FlowSpec) []traffic.Workload {
@@ -157,11 +177,32 @@ func attach(e fabric.Engine, err error, seq *traffic.Sequence, ws []traffic.Work
 	return nil
 }
 
-// crossbar builds a crossbar and attaches the workloads to it; on an
-// error the switch must not be driven.
-func crossbar(cfg switchsim.Config, newArb func(int) arb.Arbiter, seq *traffic.Sequence, ws []traffic.Workload) (*switchsim.Switch, error) {
-	sw, err := switchsim.New(cfg, newArb)
-	return sw, attach(sw, err, seq, ws)
+// arbiters is one row's per-output arbiter constructor, or the error
+// that kept core from building it.
+type arbiters struct {
+	build func(int) arb.Arbiter
+	err   error
+}
+
+// family is core's constructor of family a on geometry cfg for specs
+// (core.Arbitration.Arbiters): the arbiter as data.
+func family(a core.Arbitration, cfg core.Config, specs []noc.FlowSpec) arbiters {
+	build, err := a.Arbiters(cfg, specs)
+	return arbiters{build, err}
+}
+
+// crossbar builds a switch of geometry cfg with a's arbiters.
+func (a arbiters) crossbar(cfg switchsim.Config) (*switchsim.Switch, error) {
+	if a.err != nil {
+		return nil, a.err
+	}
+	return switchsim.New(cfg, a.build)
+}
+
+// scheme is one row of a crossbar comparison: its name and arbiters.
+type scheme struct {
+	name string
+	arb  arbiters
 }
 
 // pool returns the worker pool for fanning independent sweep points:
@@ -197,14 +238,6 @@ func run(e fabric.Engine, seq *traffic.Sequence, o Options, observe func(*noc.Pa
 	return engineErr(e)
 }
 
-// runCollected runs an engine (crossbar, mesh, or composed network —
-// anything implementing fabric.Engine) and returns the statistics of
-// the options' measurement window, plus the engine's terminal error.
-func runCollected(e fabric.Engine, seq *traffic.Sequence, o Options) (*stats.Collector, error) {
-	col := stats.NewCollector(o.Warmup, o.total())
-	return col, run(e, seq, o, col.OnDeliver)
-}
-
 // sweepScratch is per-worker reusable state for parallel sweeps: one
 // statistics collector recycled across every sweep point its worker
 // executes, so a long sweep allocates collector state once per worker
@@ -217,10 +250,28 @@ func newSweepScratch() *sweepScratch {
 	return &sweepScratch{col: stats.NewCollector(0, 0)}
 }
 
-// runCollected is runCollected on the scratch collector. The caller
-// must copy results out of the returned collector before its worker
-// starts the next sweep point.
+// runCollected runs an engine (crossbar, mesh, or composed network —
+// anything implementing fabric.Engine) and returns the statistics of
+// the options' measurement window, plus the engine's terminal error.
+// The statistics are the scratch collector's: the caller must copy
+// results out before its worker starts the next sweep point.
 func (sc *sweepScratch) runCollected(e fabric.Engine, seq *traffic.Sequence, o Options) (*stats.Collector, error) {
 	sc.col.Reset(o.Warmup, o.total())
 	return sc.col, run(e, seq, o, sc.col.OnDeliver)
+}
+
+// row is one crossbar row: a switch of geometry cfg with a's arbiters,
+// fed ws in order and run for the options' whole run on the scratch
+// collector. It returns the measurement window's collector, the switch
+// and the run's error; on a setup error (the arbiters, the switch or a
+// workload refused) the collector and switch are nil and must not be
+// read.
+func (sc *sweepScratch) row(cfg switchsim.Config, a arbiters, ws []traffic.Workload, o Options) (*stats.Collector, *switchsim.Switch, error) {
+	sw, err := a.crossbar(cfg)
+	var seq traffic.Sequence
+	if err := attach(sw, err, &seq, ws); err != nil {
+		return nil, nil, err
+	}
+	col, err := sc.runCollected(sw, &seq, o)
+	return col, sw, err
 }

@@ -136,14 +136,11 @@ func TestRunCollectedSurfacesEngineError(t *testing.T) {
 	if err := run(&sickEngine{err: sick}, &seq, o, nil); !errors.Is(err, sick) {
 		t.Fatalf("run returned %v, want the engine error", err)
 	}
-	if _, err := runCollected(&sickEngine{err: sick}, &seq, o); !errors.Is(err, sick) {
-		t.Fatalf("free runCollected returned %v, want the engine error", err)
-	}
 	sc := newSweepScratch()
 	if _, err := sc.runCollected(&sickEngine{err: sick}, &seq, o); !errors.Is(err, sick) {
-		t.Fatalf("scratch runCollected returned %v, want the engine error", err)
+		t.Fatalf("runCollected returned %v, want the engine error", err)
 	}
-	if _, err := runCollected(&sickEngine{}, &seq, o); err != nil {
+	if _, err := sc.runCollected(&sickEngine{}, &seq, o); err != nil {
 		t.Fatalf("healthy engine reported %v", err)
 	}
 }

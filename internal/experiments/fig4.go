@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
-	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
 	"swizzleqos/internal/traffic"
@@ -59,31 +57,20 @@ func Fig4(qos bool, o Options) Fig4Result {
 }
 
 func fig4Point(sc *sweepScratch, qos bool, inj float64, o Options) Fig4Point {
-	specs := make([]noc.FlowSpec, fig4Radix)
-	for i, r := range Fig4Rates {
-		specs[i] = noc.FlowSpec{
-			Src: i, Dst: 0,
-			Class:        noc.GuaranteedBandwidth,
-			Rate:         r,
-			PacketLength: fig4PacketLen,
-		}
-	}
-	factory := core.FromFlows(fig4SSVC, specs)
-	if !qos {
-		factory = func(int) arb.Arbiter { return arb.NewLRG(fig4Radix) }
+	specs := intoOutput0(fig4PacketLen, Fig4Rates...)
+	fam := core.ArbLRG
+	if qos {
+		fam = core.ArbSSVC
 	}
 	ws := make([]traffic.Workload, len(specs))
 	for i, s := range specs {
 		ws[i] = traffic.Workload{Spec: s, Inject: traffic.Inject.Bernoulli(inj, o.Seed+uint64(i)*7919)}
 	}
-	var seq traffic.Sequence
-	sw, err := crossbar(fig4Config(), factory, &seq, ws)
-	if err != nil {
-		return Fig4Point{InjectionRate: inj, PerFlow: make([]float64, fig4Radix), Err: err}
-	}
-	col, err := sc.runCollected(sw, &seq, o)
-
+	col, _, err := sc.row(fig4Config(), family(fam, fig4SSVC, specs), ws, o)
 	p := Fig4Point{InjectionRate: inj, PerFlow: make([]float64, fig4Radix), Err: err}
+	if col == nil {
+		return p
+	}
 	for i, s := range specs {
 		p.PerFlow[i] = col.Throughput(stats.SpecKey(s))
 		p.Total += p.PerFlow[i]

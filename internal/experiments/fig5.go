@@ -4,16 +4,28 @@ import (
 	"errors"
 	"fmt"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/runner"
 	"swizzleqos/internal/stats"
-	"swizzleqos/internal/traffic"
 )
 
 // Fig5Policies names the four curves of Figure 5 in plot order.
 var Fig5Policies = []string{"OriginalVC", "SubtractRealClock", "DivideBy2", "Reset"}
+
+// fig5Arbiters are the arbiters behind Fig5Policies, curve by curve, on
+// the Figure 5 geometry: original Virtual Clock (the policy is SSVC's
+// alone), then SSVC under each counter policy, whose String names the
+// curve.
+var fig5Arbiters = []struct {
+	family core.Arbitration
+	policy core.CounterPolicy
+}{
+	{core.ArbOriginalVirtualClock, core.SubtractRealTime},
+	{core.ArbSSVC, core.SubtractRealTime},
+	{core.ArbSSVC, core.Halve},
+	{core.ArbSSVC, core.Reset},
+}
 
 // Fig5Allocations are the per-flow reserved fractions (percent of the
 // output channel) whose latency is measured. They sum to 85%, inside the
@@ -57,7 +69,7 @@ func Fig5(o Options) Fig5Result {
 	// The four policy curves are independent simulations; fan them out.
 	lats := runner.MapScratch(o.pool(), len(Fig5Policies), newSweepScratch,
 		func(sc *sweepScratch, i int) fig5Curve {
-			return fig5Run(sc, Fig5Policies[i], o)
+			return fig5Run(sc, i, o)
 		})
 	for pi, policy := range Fig5Policies {
 		for i := range res.Points {
@@ -84,31 +96,15 @@ func fig5Specs() []noc.FlowSpec {
 	return specs
 }
 
-func fig5Run(sc *sweepScratch, policy string, o Options) fig5Curve {
+// fig5Run measures one curve of Figure 5.
+func fig5Run(sc *sweepScratch, curve int, o Options) fig5Curve {
 	specs := fig5Specs()
-	var factory func(int) arb.Arbiter
-	if policy == "OriginalVC" {
-		factory = func(out int) arb.Arbiter {
-			return arb.NewOrigVC(fig4Radix, core.Vticks(fig4Radix, specs, out))
-		}
-	}
-	// The SSVC curves are named after their counter policy.
-	for _, p := range []core.CounterPolicy{core.SubtractRealTime, core.Halve, core.Reset} {
-		if p.String() == policy {
-			factory = core.FromFlows(fig5SSVC(p), specs)
-		}
-	}
-	if factory == nil {
-		return fig5Curve{lats: make([]float64, len(specs)),
-			err: fmt.Errorf("experiments: unknown Figure 5 policy %q", policy)}
-	}
-	var seq traffic.Sequence
-	sw, err := crossbar(fig4Config(), factory, &seq, backlogged(specs...))
-	if err != nil {
-		return fig5Curve{lats: make([]float64, len(specs)), err: err}
-	}
-	col, err := sc.runCollected(sw, &seq, o)
+	a := fig5Arbiters[curve]
+	col, _, err := sc.row(fig4Config(), family(a.family, fig5SSVC(a.policy), specs), backlogged(specs...), o)
 	out := make([]float64, len(specs))
+	if col == nil {
+		return fig5Curve{lats: out, err: err}
+	}
 	for i, s := range specs {
 		if f := col.Flow(stats.SpecKey(s)); f != nil {
 			out[i] = f.MeanNetworkLatency()

@@ -87,15 +87,7 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 	// GB background: all eight inputs saturate the output with modest
 	// reservations, so a GB packet is always mid-flight when the GL
 	// burst lands.
-	gbSpecs := make([]noc.FlowSpec, fig4Radix)
-	for i := range gbSpecs {
-		gbSpecs[i] = noc.FlowSpec{
-			Src: i, Dst: 0,
-			Class:        noc.GuaranteedBandwidth,
-			Rate:         0.08,
-			PacketLength: sc.GBPacketLen,
-		}
-	}
+	gbSpecs := intoOutput0(sc.GBPacketLen, uniform(fig4Radix, 0.08)...)
 	pktsPerBuf := sc.GLBufferFlits / sc.GLPacketLen
 	arbCfg := fig4SSVC
 	arbCfg.EnableGL = true
@@ -139,14 +131,11 @@ func glBoundRun(sc GLScenario, o Options) GLOutcome {
 		}
 		ws = append(ws, traffic.Workload{Spec: glSpecs[i], Inject: traffic.Inject.Trace(times...)})
 	}
-	var seq traffic.Sequence
-	sw, err := crossbar(cfg, core.FromFlows(arbCfg, gbSpecs), &seq, ws)
-	if err != nil {
-		out.Err = err
-		return out
+	col, _, err := newSweepScratch().row(cfg, family(core.ArbSSVC, arbCfg, gbSpecs), ws, o)
+	out.Err = err
+	if col != nil {
+		out.GL = col.GL(out.GL.Bound, glSpecs...)
 	}
-	col, err := runCollected(sw, &seq, o)
-	out.GL, out.Err = col.GL(out.GL.Bound, glSpecs...), err
 	return out
 }
 

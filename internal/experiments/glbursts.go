@@ -51,15 +51,7 @@ func GLBursts(o Options) GLBurstsResult {
 	res := GLBurstsResult{LMax: glLen}
 
 	// GB background saturating the output.
-	gbSpecs := make([]noc.FlowSpec, radix)
-	for i := range gbSpecs {
-		gbSpecs[i] = noc.FlowSpec{
-			Src: i, Dst: 0,
-			Class:        noc.GuaranteedBandwidth,
-			Rate:         0.08,
-			PacketLength: gbLen,
-		}
-	}
+	gbSpecs := intoOutput0(gbLen, uniform(radix, 0.08)...)
 	totalBurstPkts := 0
 	bursts := make([]int, nGL)
 	for i, b := range budgets {
@@ -111,15 +103,13 @@ func GLBursts(o Options) GLBurstsResult {
 		}
 		ws = append(ws, traffic.Workload{Spec: glSpecs[i], Inject: traffic.Inject.Trace(times...)})
 	}
-	var seq traffic.Sequence
-	sw, err := crossbar(cfg, core.FromFlows(arbCfg, gbSpecs), &seq, ws)
-	if err != nil {
-		return GLBurstsResult{LMax: glLen, Err: err}
-	}
 	// A single simulation validates all four constraints at once (they
 	// must burst simultaneously), so there is nothing to fan out here.
-	col, err := runCollected(sw, &seq, o)
+	col, _, err := newSweepScratch().row(cfg, family(core.ArbSSVC, arbCfg, gbSpecs), ws, o)
 	res.Err = err
+	if col == nil {
+		return res
+	}
 	for i, b := range budgets {
 		res.Outcomes = append(res.Outcomes, GLBurstOutcome{BudgetPkts: b.MaxPackets, BurstSent: bursts[i],
 			GL: col.GL(b.Latency, glSpecs[i])})

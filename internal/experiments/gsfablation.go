@@ -35,22 +35,14 @@ type GSFOutcome struct {
 func AblationGSF(o Options) []GSFOutcome {
 	o = o.withDefaults()
 	rates := []float64{0.3, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05}
-	specs := make([]noc.FlowSpec, fig4Radix)
-	for i, r := range rates {
-		specs[i] = noc.FlowSpec{
-			Src: i, Dst: 0,
-			Class:        noc.GuaranteedBandwidth,
-			Rate:         r,
-			PacketLength: fig4PacketLen,
-		}
-	}
+	specs := intoOutput0(fig4PacketLen, rates...)
 	capacity := float64(fig4PacketLen) / float64(fig4PacketLen+1)
 
-	scheme := func(name string, cfg switchsim.Config, factory func(int) arb.Arbiter,
+	measure := func(name string, cfg switchsim.Config, factory func(int) arb.Arbiter,
 		ctl *gsf.Controller) GSFOutcome {
+		sw, err := switchsim.New(cfg, factory)
 		var seq traffic.Sequence
-		sw, err := crossbar(cfg, factory, &seq, backlogged(specs...))
-		if err != nil {
+		if err := attach(sw, err, &seq, backlogged(specs...)); err != nil {
 			return GSFOutcome{Scheme: name, GB: stats.GBNotRun(specs), Err: err}
 		}
 		col := stats.NewCollector(o.Warmup, o.total())
@@ -83,7 +75,7 @@ func AblationGSF(o Options) []GSFOutcome {
 	barriers := []noc.Cycle{0, 256, 512, 1024}
 	return runner.Map(o.pool(), 1+len(barriers), func(i int) GSFOutcome {
 		if i == 0 {
-			return scheme("SSVC", fig4Config(), core.FromFlows(fig4SSVC, specs), nil)
+			return measure("SSVC", fig4Config(), core.FromFlows(fig4SSVC, specs), nil)
 		}
 		barrier := barriers[i-1]
 		// Frame capacity 320 keeps every budget a whole number of
@@ -99,7 +91,7 @@ func AblationGSF(o Options) []GSFOutcome {
 		})
 		cfg := fig4Config()
 		cfg.AdmissionGate = ctl.Admit
-		return scheme(fmt.Sprintf("GSF(barrier=%d)", barrier), cfg,
+		return measure(fmt.Sprintf("GSF(barrier=%d)", barrier), cfg,
 			func(int) arb.Arbiter { return gsf.NewArbiter(fig4Radix, ctl) }, ctl)
 	})
 }

@@ -67,18 +67,17 @@ func idleSkipSwitch(o Options) IdleSkipRow {
 		ws[i] = idleSkipFlow(noc.FlowSpec{Src: i, Dst: (i * 7) % radix,
 			Class: noc.GuaranteedBandwidth, Rate: 0.2, PacketLength: 4}, o.Seed+uint64(i))
 	}
-	var seq traffic.Sequence
-	sw, err := crossbar(switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
-		func(int) arb.Arbiter {
+	_, sw, err := newSweepScratch().row(switchsim.Config{Radix: radix, BEBufferFlits: 16, GLBufferFlits: 16, GBBufferFlits: 16},
+		arbiters{build: func(int) arb.Arbiter {
 			return core.NewSSVC(core.Config{
 				Radix: radix, CounterBits: 12, SigBits: 4,
 				Policy: core.SubtractRealTime, Vticks: vticks,
 			})
-		}, &seq, ws)
-	if err != nil {
+		}}, ws, o)
+	if sw == nil {
 		return skipRow("switch radix-64", radix, &fabric.Counters{}, o.total(), err)
 	}
-	return skipRow("switch radix-64", radix, &sw.Counters, o.total(), run(sw, &seq, o, nil))
+	return skipRow("switch radix-64", radix, &sw.Counters, o.total(), err)
 }
 
 // idleSkipMesh is the 8x8 mesh, one low-rate GB flow per node.

@@ -86,18 +86,16 @@ func Motivation(o Options) []MotivationOutcome {
 	// Single-stage Swizzle Switch with SSVC.
 	swizzleRun := func() MotivationOutcome {
 		flows := specs()
-		var seq traffic.Sequence
-		sw, err := crossbar(switchsim.Config{
+		col, _, err := newSweepScratch().row(switchsim.Config{
 			Radix:         nodes,
 			BEBufferFlits: fig4BufFlits,
 			GLBufferFlits: fig4BufFlits,
 			GBBufferFlits: fig4BufFlits,
-		}, core.FromFlows(core.Config{Radix: nodes, CounterBits: counterBits, SigBits: fig4SigBits}, flows),
-			&seq, backlogged(flows...))
-		if err != nil {
+		}, family(core.ArbSSVC, core.Config{Radix: nodes, CounterBits: counterBits, SigBits: fig4SigBits}, flows),
+			backlogged(flows...), o)
+		if col == nil {
 			return MotivationOutcome{System: "SwizzleSwitch+SSVC", GB: stats.GBNotRun(flows), Err: err}
 		}
-		col, err := runCollected(sw, &seq, o)
 		return outcome("SwizzleSwitch+SSVC", col, err)
 	}
 
@@ -108,7 +106,7 @@ func Motivation(o Options) []MotivationOutcome {
 		if err := attach(m, err, &seq, backlogged(specs()...)); err != nil {
 			return MotivationOutcome{System: name, GB: stats.GBNotRun(specs()), Err: err}
 		}
-		col, err := runCollected(m, &seq, o)
+		col, err := newSweepScratch().runCollected(m, &seq, o)
 		return outcome(name, col, err)
 	}
 

@@ -42,15 +42,7 @@ func AblationPVC(o Options) []PVCOutcome {
 		bulkLen   = 64
 		urgentLen = 8
 	)
-	bulk := make([]noc.FlowSpec, 6)
-	for i := range bulk {
-		bulk[i] = noc.FlowSpec{
-			Src: i, Dst: 0,
-			Class:        noc.GuaranteedBandwidth,
-			Rate:         0.09,
-			PacketLength: bulkLen,
-		}
-	}
+	bulk := intoOutput0(bulkLen, uniform(6, 0.09)...)
 	urgent := noc.FlowSpec{
 		Src: 7, Dst: 0,
 		Class:        noc.GuaranteedBandwidth,
@@ -61,50 +53,41 @@ func AblationPVC(o Options) []PVCOutcome {
 
 	cfg := fig4Config()
 	cfg.GBBufferFlits = 2 * bulkLen
-	run := func(name string, factory func(int) arb.Arbiter, urgentSpec noc.FlowSpec) PVCOutcome {
-		var seq traffic.Sequence
-		ws := append(backlogged(bulk...), traffic.Workload{Spec: urgentSpec, Inject: traffic.Inject.Periodic(701, 17)})
-		sw, err := crossbar(cfg, factory, &seq, ws)
-		if err != nil {
-			return PVCOutcome{Scheme: name, Err: err}
-		}
-		col, err := runCollected(sw, &seq, o)
-		oc := PVCOutcome{Scheme: name, Err: err}
-		if f := col.Flow(stats.SpecKey(urgentSpec)); f != nil {
-			oc.UrgentMean = f.MeanNetworkLatency()
-			oc.UrgentMax = f.LatMax
-		}
-		oc.Goodput = col.OutputThroughput(0)
-		oc.Preemptions = sw.Preempted
-		oc.WastedFlits = sw.WastedFlits
-		return oc
-	}
-
-	vticks := func(out int) []core.VTime { return core.Vticks(fig4Radix, all, out) }
-
 	urgentGL := urgent
 	urgentGL.Class = noc.GuaranteedLatency
 	urgentGL.Rate = 0.05
+	arbCfg := fig4SSVC
+	arbCfg.EnableGL, arbCfg.GLVtick, arbCfg.GLBurst = true, noc.FlowSpec{Rate: urgentGL.Rate, PacketLength: urgentLen}.Vtick(), 2
 
 	// The three schemes are independent simulations; fan them out.
-	jobs := []func() PVCOutcome{
-		func() PVCOutcome {
-			return run("OrigVC(no preemption)", func(out int) arb.Arbiter {
-				return arb.NewOrigVC(fig4Radix, vticks(out))
-			}, urgent)
-		},
-		func() PVCOutcome {
-			return run("PVC(threshold=64)", func(out int) arb.Arbiter {
-				return arb.NewPVC(fig4Radix, vticks(out), 64)
-			}, urgent)
-		},
-		func() PVCOutcome {
-			arbCfg := fig4SSVC
-			arbCfg.EnableGL, arbCfg.GLVtick, arbCfg.GLBurst = true, noc.FlowSpec{Rate: urgentGL.Rate, PacketLength: urgentLen}.Vtick(), 2
-			return run("SSVC+GL", core.FromFlows(arbCfg, all), urgentGL)
-		},
+	schemes := []struct {
+		scheme
+		urgent noc.FlowSpec
+	}{
+		{scheme{"OrigVC(no preemption)", family(core.ArbOriginalVirtualClock, fig4SSVC, all)}, urgent},
+		{scheme{"PVC(threshold=64)", arbiters{build: func(out int) arb.Arbiter {
+			return arb.NewPVC(fig4Radix, core.Vticks(fig4Radix, all, out), 64)
+		}}}, urgent},
+		{scheme{"SSVC+GL", family(core.ArbSSVC, arbCfg, all)}, urgentGL},
 	}
-	return runner.Map(o.pool(), len(jobs), func(i int) PVCOutcome { return jobs[i]() })
+	return runner.MapScratch(o.pool(), len(schemes), newSweepScratch,
+		func(sc *sweepScratch, i int) PVCOutcome {
+			s := schemes[i]
+			ws := append(backlogged(bulk...), traffic.Workload{Spec: s.urgent, Inject: traffic.Inject.Periodic(701, 17)})
+			col, sw, err := sc.row(cfg, s.arb, ws, o)
+			oc := PVCOutcome{Scheme: s.name, Err: err}
+			if col == nil {
+				return oc
+			}
+			if f := col.Flow(stats.SpecKey(s.urgent)); f != nil {
+				oc.UrgentMean = f.MeanNetworkLatency()
+				oc.UrgentMax = f.LatMax
+			}
+			oc.Goodput = col.OutputThroughput(0)
+			oc.Preemptions = sw.Preempted
+			oc.WastedFlits = sw.WastedFlits
+			return oc
+		})
 }
 
 // PVCTable renders the preemption comparison.

@@ -95,21 +95,18 @@ func scale64Run(o Options) ScaleResult {
 	for t := o.Warmup; t < o.total(); t += 5000 {
 		glTimes = append(glTimes, t)
 	}
-	var seq traffic.Sequence
-	sw, err := crossbar(switchsim.Config{
+	col, _, err := newSweepScratch().row(switchsim.Config{
 		Radix:         radix,
 		BEBufferFlits: fig4BufFlits,
 		GLBufferFlits: glBuf,
 		GBBufferFlits: fig4BufFlits,
-	}, core.FromFlows(arbCfg, specs), &seq,
-		append(backlogged(specs...), traffic.Workload{Spec: glSpec, Inject: traffic.Inject.Trace(glTimes...)}))
-	if err != nil {
-		res.GB, res.Err = stats.GBNotRun(specs[:res.HotspotFlows]), err
+	}, family(core.ArbSSVC, arbCfg, specs),
+		append(backlogged(specs...), traffic.Workload{Spec: glSpec, Inject: traffic.Inject.Trace(glTimes...)}), o)
+	res.Err = err
+	if col == nil {
+		res.GB = stats.GBNotRun(specs[:res.HotspotFlows])
 		return res
 	}
-
-	col, err := runCollected(sw, &seq, o)
-	res.Err = err
 	res.GB = col.GB(specs[:res.HotspotFlows])
 	res.HotspotTotal = col.OutputThroughput(hotspot)
 	for out := 32; out < radix; out++ {

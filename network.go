@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swizzleqos/internal/arb"
+	"swizzleqos/internal/core"
 	"swizzleqos/internal/noc"
 	"swizzleqos/internal/stats"
 	"swizzleqos/internal/switchsim"
@@ -85,7 +86,21 @@ func New(cfg Config, workloads ...Workload) (*Network, error) {
 				out, sum, cfg.GL.Rate)
 		}
 	}
-	factory, err := cfg.arbFactory(specs)
+	// The family's arbiters: an SSVC geometry that core refuses (a GL
+	// rate without a burst, say) is an error here, not a panic later.
+	glVtick := noc.VTime(0)
+	if cfg.GL.Rate > 0 {
+		glVtick = noc.FlowSpec{Rate: cfg.GL.Rate, PacketLength: cfg.GL.PacketLength}.Vtick()
+	}
+	factory, err := cfg.Arbitration.Arbiters(core.Config{
+		Radix:       cfg.Radix,
+		CounterBits: cfg.CounterBits,
+		SigBits:     cfg.SigBits,
+		Policy:      cfg.Policy,
+		EnableGL:    true,
+		GLVtick:     glVtick,
+		GLBurst:     cfg.GL.Burst,
+	}, specs)
 	if err != nil {
 		return nil, err
 	}

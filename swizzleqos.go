@@ -40,7 +40,6 @@ package swizzleqos
 import (
 	"fmt"
 
-	"swizzleqos/internal/arb"
 	"swizzleqos/internal/core"
 	"swizzleqos/internal/glbound"
 	"swizzleqos/internal/hwmodel"
@@ -96,40 +95,16 @@ const (
 )
 
 // Arbitration selects the output-arbiter family for the whole switch.
-type Arbitration int
+type Arbitration = core.Arbitration
 
+// Arbitration families; see internal/core for each.
 const (
-	// SSVC is the paper's QoS arbitration (default).
-	SSVC Arbitration = iota
-	// LRG is the plain least-recently-granted Swizzle Switch — the
-	// no-QoS baseline.
-	LRG
-	// RoundRobin is rotating-priority arbitration.
-	RoundRobin
-	// OriginalVirtualClock uses exact per-packet Virtual Clock stamps
-	// (the Figure 5 baseline).
-	OriginalVirtualClock
-	// FixedPriority is the prior Swizzle Switch multi-level message QoS
-	// [14]: strict class priority with no bandwidth regulation.
-	FixedPriority
+	SSVC                 = core.ArbSSVC
+	LRG                  = core.ArbLRG
+	RoundRobin           = core.ArbRoundRobin
+	OriginalVirtualClock = core.ArbOriginalVirtualClock
+	FixedPriority        = core.ArbFixedPriority
 )
-
-// String returns the arbitration family name.
-func (a Arbitration) String() string {
-	switch a {
-	case SSVC:
-		return "SSVC"
-	case LRG:
-		return "LRG"
-	case RoundRobin:
-		return "RoundRobin"
-	case OriginalVirtualClock:
-		return "OriginalVirtualClock"
-	case FixedPriority:
-		return "FixedPriority"
-	}
-	return fmt.Sprintf("Arbitration(%d)", int(a))
-}
 
 // GLConfig reserves a small shared fraction of every output channel for
 // the guaranteed-latency class and bounds its bursts.
@@ -235,36 +210,6 @@ func (c *Config) fillDefaults(enableGL bool) error {
 		c.CounterBits = c.SigBits + 8
 	}
 	return nil
-}
-
-// arbFactory builds the per-output arbiter constructor for the configured
-// arbitration family.
-func (c Config) arbFactory(specs []noc.FlowSpec) (func(int) arb.Arbiter, error) {
-	switch c.Arbitration {
-	case SSVC:
-		glVtick := noc.VTime(0)
-		if c.GL.Rate > 0 {
-			glVtick = noc.FlowSpec{Rate: c.GL.Rate, PacketLength: c.GL.PacketLength}.Vtick()
-		}
-		return core.FromFlows(core.Config{
-			Radix:       c.Radix,
-			CounterBits: c.CounterBits,
-			SigBits:     c.SigBits,
-			Policy:      c.Policy,
-			EnableGL:    true,
-			GLVtick:     glVtick,
-			GLBurst:     c.GL.Burst,
-		}, specs), nil
-	case LRG:
-		return func(int) arb.Arbiter { return arb.NewLRG(c.Radix) }, nil
-	case RoundRobin:
-		return func(int) arb.Arbiter { return arb.NewRoundRobin(c.Radix) }, nil
-	case OriginalVirtualClock:
-		return func(out int) arb.Arbiter { return arb.NewOrigVC(c.Radix, core.Vticks(c.Radix, specs, out)) }, nil
-	case FixedPriority:
-		return func(int) arb.Arbiter { return arb.NewMultiLevel(c.Radix, nil) }, nil
-	}
-	return nil, fmt.Errorf("swizzleqos: unknown arbitration family %d", int(c.Arbitration))
 }
 
 // GLBoundParams re-exports the guaranteed-latency bound parameters (Eq. 1).

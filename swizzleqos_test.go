@@ -194,6 +194,43 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// An SSVC geometry that core.Config.Validate refuses is an error from
+// New, carrying core's reason, not a panic from the arbiter constructor.
+func TestNewRejectsBadSSVCGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*swizzleqos.Config)
+		want string
+	}{
+		{"GL rate without a burst", func(c *swizzleqos.Config) { c.GL.Burst = 0 }, "burst allowance of at least 1 packet, got 0"},
+		{"negative GL burst", func(c *swizzleqos.Config) { c.GL.Burst = -1 }, "GL burst -1"},
+		{"40-bit counters", func(c *swizzleqos.Config) { c.CounterBits = 40 }, "counter width 40"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := swizzleqos.DefaultConfig(8)
+			c.edit(&cfg)
+			var (
+				net *swizzleqos.Network
+				err error
+			)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("New panicked: %v", r)
+					}
+				}()
+				net, err = swizzleqos.New(cfg, gbWorkload(0, 1, 0.1, swizzleqos.Inject.Backlogged(1)))
+			}()
+			if err == nil || net != nil {
+				t.Fatalf("New returned (%v, %v), want an error", net, err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not say %q", err, c.want)
+			}
+		})
+	}
+}
+
 // An injection rate the generators cannot realise is an error from New,
 // not a panic — and not, as a NaN Bernoulli rate used to be, a Run that
 // never returns from its first cycle. 8-flit packets: more than 8
