@@ -47,7 +47,8 @@ lint:
 # routed cycles rest on (the LRG stamps against the move-to-back
 # list, the shared standing offers, arbiter clock and admission-skip mask
 # against their fabric oracles, each engine's standing offers against a
-# per-cycle scan, the routed
+# per-cycle scan, the crossbar in lock step with its spec (internal/spec,
+# a model that shares no code with it), the routed
 # engine in lock step with its scan oracle, its sleeping outputs and
 # completion calendar against the same oracle, its offer evaluations and
 # serve calls per saturated cycle, the crossbar's refusal memory against
@@ -64,7 +65,7 @@ bench-arb:
 	$(GO) test ./internal/circuit/ -run 'FuzzBitplaneEquivalence'
 	$(GO) test ./internal/arb/ -run 'TestLRGMatrixMatchesList|FuzzLRGMatrix|TestLRGStampRenumber|TestListArbitersMatchRankReference'
 	$(GO) test ./internal/fabric/ -run 'FuzzOffers|TestClocksMatchEveryCycle|TestSkipMask'
-	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains'
+	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains|TestSpecMatchesSwitch'
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants|TestSleepingOutputsNeverHideAGrant|TestServeVisitsFollowGrants'
 	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|SwitchCycleFaults|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ ./internal/traffic/
@@ -205,7 +206,7 @@ fuzz:
 	$(GO) test ./internal/circuit/ -run '^$$' -fuzz FuzzBitplaneEquivalence -fuzztime 30s
 	$(GO) test ./internal/arb/ -run '^$$' -fuzz FuzzLRGMatrix -fuzztime 30s
 	$(GO) test ./internal/compose/ -run '^$$' -fuzz FuzzRoutedOffers -fuzztime 30s
-	$(GO) test ./internal/switchsim/ -run '^$$' -fuzz FuzzFaultWalk -fuzztime 30s
+	$(GO) test ./internal/switchsim/ -run '^$$' -fuzz FuzzSpec -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzAdmission -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzCostProducts -fuzztime 30s
 	$(GO) test ./internal/ctlplane/ -run '^$$' -fuzz FuzzCommandLine -fuzztime 30s

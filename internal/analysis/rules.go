@@ -66,6 +66,9 @@ var DeterminismPackages = []string{
 	// lease-expiry or snapshot paths (time.Now, but also timers like
 	// time.Sleep/After) would make recovery diverge from the live run.
 	"internal/ctlplane",
+	// The crossbar's reference model: the engine is held to it cycle by
+	// cycle, so it must be as byte-deterministic as the engine.
+	"internal/spec",
 }
 
 // PanicFreezePackages must freeze sick through fabric.ErrorReporter /

@@ -9,7 +9,7 @@ import (
 // arbitration"). The hardware SSVC resolves a whole input set in one
 // clock: every crosspoint drives its thermometer code onto shared
 // bitlines and inhibit wires kill the losers in parallel. The software
-// image of that is a set of uint64 level planes — lvl[k] holds a bit per
+// image of that is a set of uint64 level planes — plane k holds a bit per
 // input whose coarse auxVC value is k — kept incrementally up to date by
 // Granted/Tick/onSaturation, so Arbitrate is a handful of word AND/OR
 // operations instead of a per-input walk. One word covers the paper's
@@ -23,8 +23,9 @@ func (s *SSVC) moveLevel(i, from, to int) {
 	if from == to {
 		return
 	}
-	arb.MaskClear(s.lvl[from], i)
-	arb.MaskSet(s.lvl[to], i)
+	w, bit := i>>6, uint64(1)<<(uint(i)&63)
+	s.lvl[from*s.words+w] &^= bit
+	s.lvl[to*s.words+w] |= bit
 }
 
 // Arbitrate implements arb.Arbiter. The decision is word-parallel by
@@ -92,7 +93,7 @@ func (s *SSVC) arbitrate1(now noc.Cycle, reqs []arb.Request) int {
 	// and the LRG priority matrix breaks ties inside the level.
 	if gbm != 0 {
 		for k := 0; ; k++ {
-			if c := gbm & s.lvl[k][0]; c != 0 {
+			if c := gbm & s.lvl[k]; c != 0 { // one word per plane
 				return int(reqIdx[s.lrg.MinRankIn1(c)])
 			}
 		}
@@ -143,7 +144,7 @@ func (s *SSVC) arbitrateWide(now noc.Cycle, reqs []arb.Request) int {
 	if anyGB {
 		cand := s.lvlS
 		for k := 0; ; k++ {
-			lk := s.lvl[k]
+			lk := s.plane(k)
 			any := false
 			for w := range cand {
 				cand[w] = gbM[w] & lk[w]

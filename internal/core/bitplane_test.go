@@ -67,8 +67,8 @@ func checkLevelPlanes(t *testing.T, s *SSVC, step string) {
 	for i := 0; i < s.cfg.Radix; i++ {
 		c := s.Coarse(i)
 		for k := 0; k < s.levels; k++ {
-			if got := arb.MaskHas(s.lvl[k], i); got != (k == c) {
-				t.Fatalf("%s: input %d coarse %d but lvl[%d] bit = %v", step, i, c, k, got)
+			if got := arb.MaskHas(s.plane(k), i); got != (k == c) {
+				t.Fatalf("%s: input %d coarse %d but plane %d bit = %v", step, i, c, k, got)
 			}
 		}
 	}

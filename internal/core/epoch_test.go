@@ -27,14 +27,7 @@ func (s *SSVC) tickEager(now Cycle) {
 			}
 		}
 		s.base += noc.CycleOfVTime(s.quantum)
-		l0, l1 := s.lvl[0], s.lvl[1]
-		for w := range l0 {
-			l0[w] |= l1[w]
-			l1[w] = 0
-		}
-		spare := l1
-		copy(s.lvl[1:], s.lvl[2:])
-		s.lvl[s.levels-1] = spare
+		s.shiftPlanes()
 	}
 	s.next = s.base + noc.CycleOfVTime(s.quantum)
 }

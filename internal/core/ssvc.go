@@ -153,11 +153,14 @@ type SSVC struct {
 	saturations uint64 // number of policy events (halve/reset), for tests
 
 	// Bitplane state (see bitplane.go and DESIGN.md "Bitplane
-	// arbitration"). lvl[k] masks the inputs whose coarse auxVC value is
-	// exactly k — the word-wide image of the per-lane thermometer codes —
-	// and is maintained incrementally by Granted/Tick/onSaturation.
-	// reserved masks inputs with a nonzero Vtick.
-	lvl      [][]uint64
+	// arbitration"). Level plane k, lvl[k*words:(k+1)*words] (plane),
+	// masks the inputs whose coarse auxVC value is exactly k — the
+	// word-wide image of the per-lane thermometer codes — and is
+	// maintained incrementally by Granted/Tick/onSaturation. The planes
+	// share one allocation, so a wide counter's 2^SigBits levels cost one
+	// object, not one each. reserved masks inputs with a nonzero Vtick.
+	lvl      []uint64
+	words    int // mask words per plane
 	reserved []uint64
 	allMask  []uint64 // bits 0..Radix-1 set
 	glM      []uint64 // Arbitrate scratch: GL requesters
@@ -196,10 +199,8 @@ func NewSSVC(cfg Config) *SSVC {
 		lrg:     arb.NewLRGState(cfg.Radix),
 	}
 	words := arb.MaskWords(cfg.Radix)
-	s.lvl = make([][]uint64, s.levels)
-	for k := range s.lvl {
-		s.lvl[k] = make([]uint64, words)
-	}
+	s.words = words
+	s.lvl = make([]uint64, s.levels*words)
 	s.reserved = make([]uint64, words)
 	s.allMask = make([]uint64, words)
 	s.glM = make([]uint64, words)
@@ -210,7 +211,7 @@ func NewSSVC(cfg Config) *SSVC {
 	for i := 0; i < cfg.Radix; i++ {
 		arb.MaskSet(s.allMask, i)
 	}
-	copy(s.lvl[0], s.allMask) // every auxVC starts at zero: coarse level 0
+	copy(s.plane(0), s.allMask) // every auxVC starts at zero: coarse level 0
 	s.rebuildReserved()
 	return s
 }
@@ -310,6 +311,25 @@ func (s *SSVC) fold() {
 	s.sub = 0
 }
 
+// plane returns level plane k: the inputs whose coarse auxVC value is k.
+//
+//ssvc:hotpath
+func (s *SSVC) plane(k int) []uint64 { return s.lvl[k*s.words : (k+1)*s.words] }
+
+// shiftPlanes is a quantum's coarse' = max(coarse-1, 0): every level
+// plane moves down one position, level 1 folding into level 0, and the
+// top plane empties. One memmove of the planes above level 1.
+//
+//ssvc:hotpath
+func (s *SSVC) shiftPlanes() {
+	l0, l1 := s.plane(0), s.plane(1)
+	for w := range l0 {
+		l0[w] |= l1[w]
+	}
+	copy(s.lvl[s.words:], s.lvl[2*s.words:])
+	clear(s.lvl[(s.levels-1)*s.words:])
+}
+
 // Saturations returns how many halve/reset events have occurred.
 func (s *SSVC) Saturations() uint64 { return s.saturations }
 
@@ -391,22 +411,18 @@ func (s *SSVC) onSaturation(now noc.Cycle) {
 		// hardware's "copy the top half of the thermometer code to the
 		// bottom half", one OR per plane pair.
 		for k := 0; k < s.levels/2; k++ {
-			lo, hi, dst := s.lvl[2*k], s.lvl[2*k+1], s.lvl[k]
+			lo, hi, dst := s.plane(2*k), s.plane(2*k+1), s.plane(k)
 			for w := range dst {
 				dst[w] = lo[w] | hi[w]
 			}
 		}
-		for k := s.levels / 2; k < s.levels; k++ {
-			arb.MaskZero(s.lvl[k])
-		}
+		clear(s.lvl[s.levels/2*s.words:])
 	case Reset:
 		s.saturations++
 		clear(s.aux)
 		s.sub = 0
-		copy(s.lvl[0], s.allMask)
-		for k := 1; k < s.levels; k++ {
-			arb.MaskZero(s.lvl[k])
-		}
+		clear(s.lvl)
+		copy(s.plane(0), s.allMask)
 	}
 }
 
@@ -430,17 +446,7 @@ func (s *SSVC) Tick(now Cycle) {
 	for noc.VTimeOfCycle(noc.SatSub(now, s.base)) >= s.quantum {
 		s.sub += s.quantum
 		s.base += noc.CycleOfVTime(s.quantum)
-		// coarse' = max(coarse-1, 0): shift every level plane down one
-		// position, folding level 1 into level 0. Rotating the plane
-		// headers (rather than copying words) keeps this O(levels).
-		l0, l1 := s.lvl[0], s.lvl[1]
-		for w := range l0 {
-			l0[w] |= l1[w]
-			l1[w] = 0
-		}
-		spare := l1
-		copy(s.lvl[1:], s.lvl[2:])
-		s.lvl[s.levels-1] = spare
+		s.shiftPlanes()
 	}
 	if s.sub > s.max {
 		s.fold()

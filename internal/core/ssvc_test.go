@@ -432,3 +432,17 @@ func TestPolicyStringsAndAccessors(t *testing.T) {
 		t.Errorf("granted input should be most recently granted, rank %d", s.LRG().Rank(0))
 	}
 }
+
+// TestNewSSVCAllocsFlatInSigBits: the 2^SigBits level planes share one
+// allocation, so building an SSVC costs the same number of objects at 3
+// significant bits as at 16 (65,536 planes), where one slice per plane
+// cost 65,549 objects and 2.1 MB at radix 2.
+func TestNewSSVCAllocsFlatInSigBits(t *testing.T) {
+	allocs := func(sigBits int) float64 {
+		cfg := Config{Radix: 2, CounterBits: 24, SigBits: sigBits, Policy: Halve, Vticks: []VTime{4, 8}}
+		return testing.AllocsPerRun(5, func() { NewSSVC(cfg) })
+	}
+	if narrow, wide := allocs(3), allocs(16); wide != narrow {
+		t.Fatalf("NewSSVC makes %v objects at SigBits 16 and %v at SigBits 3", wide, narrow)
+	}
+}

@@ -61,11 +61,9 @@ func (s *SSVC) RestoreState(r *wire.Reader, now noc.Cycle) error {
 	copy(s.cfg.Vticks, vt)
 	s.base, s.next = base, next
 	s.glVC, s.saturations = glVC, saturations
-	for k := range s.lvl {
-		arb.MaskZero(s.lvl[k])
-	}
+	clear(s.lvl)
 	for i := range s.aux {
-		arb.MaskSet(s.lvl[s.Coarse(i)], i)
+		arb.MaskSet(s.plane(s.Coarse(i)), i)
 	}
 	s.rebuildReserved()
 	return nil

@@ -125,7 +125,7 @@ func TestOffersMatchScan(t *testing.T) {
 		}
 	})
 	t.Run("preemption", func(t *testing.T) {
-		sw := buildPreemptSwitch(t, nil)
+		sw := preemptRig(nil).engine(t)
 		runScanned(t, sw, 400)
 		if sw.Preempted == 0 {
 			t.Fatal("scenario exercised no preemption")

@@ -73,7 +73,7 @@ func TestRefusalMemoNeverHidesAHead(t *testing.T) {
 		})
 	}
 	t.Run("preemption", func(t *testing.T) {
-		runRefusalChecked(t, buildPreemptSwitch(t, nil), 400)
+		runRefusalChecked(t, preemptRig(nil).engine(t), 400)
 	})
 	t.Run("faults", func(t *testing.T) {
 		for _, cfg := range []faults.Config{{}, {

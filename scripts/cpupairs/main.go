@@ -19,6 +19,11 @@
 // noise a B/A row must clear: a difference resolves when every B/A
 // ratio lies outside the A/A range.
 //
+// Every pair also writes one line to stderr: the kernel, the row, the
+// pair's index, its vCPU, which side started first, each side's CPU
+// seconds and their ratio, so an outlier can be traced to a vCPU or to a
+// launch order.
+//
 // Without taskset it exits 2: unpinned pairs would spread over both
 // vCPUs, whose speeds drift apart, and the ratios would measure that.
 package main
@@ -94,16 +99,24 @@ func run(base, head string) error {
 	fmt.Printf("%-34s %-4s %7s  %-17s %s\n", "kernel", "rows", "median", "[min, max]", "base_cpu_s")
 	for _, k := range kernels {
 		for _, row := range []struct {
-			name string
-			side int
-		}{{"A/A", 0}, {"B/A", 1}} {
+			name   string
+			side   int
+			labels [2]string // the first and second side, as the stderr lines name them
+		}{{"A/A", 0, [2]string{"A", "A'"}}, {"B/A", 1, [2]string{"A", "B"}}} {
 			ratios, cpu := make([]float64, pairs), make([]float64, pairs)
 			for i := range pairs {
-				t, err := pair(k, tmp, dirs, [2]int{0, row.side}, cpus[i/2%len(cpus)], i%2 == 1)
+				vcpu, swap := cpus[i/2%len(cpus)], i%2 == 1
+				t, err := pair(k, tmp, dirs, [2]int{0, row.side}, vcpu, swap)
 				if err != nil {
 					return fmt.Errorf("%s %s pair %d: %w", k.name, row.name, i, err)
 				}
 				ratios[i], cpu[i] = t[1]/t[0], t[0]
+				first := row.labels[0]
+				if swap {
+					first = row.labels[1]
+				}
+				fmt.Fprintf(os.Stderr, "pair %s %s %d cpu=%d first=%s %s=%.3fs %s=%.3fs ratio=%.3f\n",
+					k.name, row.name, i, vcpu, first, row.labels[0], t[0], row.labels[1], t[1], ratios[i])
 			}
 			slices.Sort(ratios)
 			slices.Sort(cpu)
