@@ -67,7 +67,7 @@ bench-arb:
 	$(GO) test ./internal/fabric/ -run 'FuzzOffers|TestClocksMatchEveryCycle|TestSkipMask'
 	$(GO) test ./internal/switchsim/ -run 'TestOffersMatchScan|TestRefusalMemoNeverHidesAHead|TestAdmitTriesFollowDrains|TestSpecMatchesSwitch'
 	$(GO) test ./internal/compose/ -run 'TestOffersMatchScan|TestBucketsMatchScan|TestOfferEvalsFollowGrants|TestSleepingOutputsNeverHideAGrant|TestServeVisitsFollowGrants'
-	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleIdle|SwitchCycleFaults|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
+	$(GO) test -run='^$$' -bench='BitplaneArbitrate|SwitchCycleRecycled|SwitchCycleSat|SwitchCycleIdle|SwitchCycleFaults|MeshCycleRecycled|ComposeCycleRecycled|RoutedSaturated|BernoulliNextArrival' \
 		-benchmem -benchtime=10000x ./internal/core/ ./internal/switchsim/ ./internal/mesh/ ./internal/compose/ ./internal/traffic/
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): six

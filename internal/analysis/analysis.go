@@ -53,14 +53,3 @@ func SortDiagnostics(ds []Diagnostic) {
 		return a.Message < b.Message
 	})
 }
-
-// MethodRule names a method by receiver type name, e.g. {TxPool, Get}.
-// The package path is intentionally not part of the rule so fixture
-// packages can declare their own pool types; within this module the
-// type names are unique.
-type MethodRule struct {
-	TypeName string
-	Method   string
-}
-
-func (r MethodRule) String() string { return r.TypeName + "." + r.Method }

@@ -112,13 +112,15 @@ func compareFindings(t *testing.T, want, got map[string]int, ds []analysis.Diagn
 }
 
 // TestRuleFixtures runs every rule over its fixture packages and
-// compares the findings with the fixtures' `// want:` markers.
+// compares the findings with the fixtures' `// want:` markers; a rule
+// of analysis.Rules with no fixture row fails it.
 // Per-package rules share one Loader, since what they find in a package
 // cannot depend on another; a tree rule gets a fresh one, because its
 // call graph indexes everything its Loader has loaded.
 func TestRuleFixtures(t *testing.T) {
 	const src = "internal/analysis/testdata/src/"
 	shared := newLoader(t)
+	covered := map[string]bool{}
 	for _, tc := range []struct {
 		rule string
 		pkgs []string
@@ -127,7 +129,6 @@ func TestRuleFixtures(t *testing.T) {
 		{rule: "determinism", pkgs: []string{"determbad", "determclean"}},
 		{rule: "determinism", pkgs: []string{"allowbad"}},
 		{rule: "panicfreeze", pkgs: []string{"panicbad"}},
-		{rule: "recycle", pkgs: []string{"recyclebad"}},
 		{rule: "countersafety", pkgs: []string{"countersafebad"}},
 		{rule: "units", pkgs: []string{"unitsbad"}},
 		// The real escape-analysis pipeline (go build -gcflags=-m).
@@ -136,6 +137,7 @@ func TestRuleFixtures(t *testing.T) {
 		{rule: "floatconv", pkgs: []string{"floatbad"}},
 		{rule: "marker", pkgs: []string{"markerbad"}},
 	} {
+		covered[tc.rule] = true
 		t.Run(tc.rule+"/"+tc.pkgs[0], func(t *testing.T) {
 			if tc.rule == "hotpath" && testing.Short() {
 				t.Skip("invokes the compiler")
@@ -154,6 +156,11 @@ func TestRuleFixtures(t *testing.T) {
 			}
 			compareFindings(t, wantMarkers(t, repoRoot(t), rels...), diagSet(ds), ds)
 		})
+	}
+	for _, r := range analysis.Rules {
+		if !covered[r.Name] {
+			t.Errorf("rule %s has no fixture row", r.Name)
+		}
 	}
 }
 
@@ -251,8 +258,8 @@ func TestHotpathDiagnose(t *testing.T) {
 }
 
 func TestDiagnosticString(t *testing.T) {
-	d := analysis.Diagnostic{File: "internal/a/b.go", Line: 7, Analyzer: "recycle", Message: "leaked on some path"}
-	want := "internal/a/b.go:7: [recycle] leaked on some path"
+	d := analysis.Diagnostic{File: "internal/a/b.go", Line: 7, Analyzer: "durability", Message: "OK written outside acknowledge"}
+	want := "internal/a/b.go:7: [durability] OK written outside acknowledge"
 	if got := d.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
@@ -260,7 +267,7 @@ func TestDiagnosticString(t *testing.T) {
 
 func TestSortDiagnostics(t *testing.T) {
 	ds := []analysis.Diagnostic{
-		{File: "b.go", Line: 1, Analyzer: "recycle"},
+		{File: "b.go", Line: 1, Analyzer: "units"},
 		{File: "a.go", Line: 9, Analyzer: "hotpath"},
 		{File: "a.go", Line: 2, Analyzer: "determinism"},
 	}

@@ -28,7 +28,6 @@ var Rules = []Rule{
 	{Name: "hotpath", Packages: modulePackageRels, raw: hotpath},
 	{Name: "determinism", Packages: fixed(DeterminismPackages), perPackage: determinism},
 	{Name: "panicfreeze", Packages: fixed(PanicFreezePackages), perPackage: panicFreeze},
-	{Name: "recycle", Packages: fixed(RecyclePackages), perPackage: recycle},
 	{Name: "countersafety", Packages: modulePackageRels, perPackage: counterSafety},
 	{Name: "units", Packages: unitsPackages, perPackage: units},
 	{Name: "durability", Packages: fixed(DurabilityPackages), tree: durability},
@@ -86,20 +85,6 @@ var PanicFreezePackages = []string{
 	"internal/faults",
 	"internal/stats",
 	"internal/runner",
-}
-
-// RecyclePackages are where pool values are obtained and must flow back
-// to a sink; RecycleSources names the pool methods that hand them out.
-var RecyclePackages = []string{
-	"internal/switchsim",
-	"internal/compose",
-	"internal/fabric",
-}
-
-// RecycleSources lists the free-list take methods tracked by the
-// recycle analyzer.
-var RecycleSources = []MethodRule{
-	{TypeName: "TxPool", Method: "Get"},
 }
 
 // DurabilityPackages carry the crash-safety contract: the control plane

@@ -355,7 +355,6 @@ type Network struct {
 	// its own (Topology.flowGroups), group t is terminal t's; otherwise
 	// sources starts with no groups and AddFlow grows one per flow.
 	sources *fabric.Sources
-	txPool  fabric.TxPool
 	now     noc.Cycle
 	err     error // terminal invariant violation; freezes the engine
 
@@ -397,6 +396,9 @@ type Network struct {
 	wheel     []uint64
 	wheelMask uint64
 	due       []noc.Cycle
+	// txs[f] is flat output f's one transmission: the node's out entry
+	// points at it while f transmits and is nil otherwise.
+	txs []fabric.Transmission
 
 	// serves counts serve calls: a diagnostic of the host's work, in no
 	// counter block or digest (like fabric.Offers.Evals).
@@ -444,9 +446,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	net.arbReqs = make([]arb.Request, 0, maxPorts)
 	net.work = make([]int, len(cfg.Topology.Ports))
-	// The transmission pool is sized to the network's total ports, the
-	// most that can transmit at once.
-	net.txPool.Preload(net.totalPorts)
 	groups := 0
 	if !cfg.Topology.flowGroups {
 		groups = len(cfg.Topology.Terminals)
@@ -463,6 +462,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	net.wheel, net.wheelMask = make([]uint64, slots*words), uint64(slots-1)
 	net.due = make([]noc.Cycle, net.totalPorts)
+	net.txs = make([]fabric.Transmission, net.totalPorts)
 	net.up = make([]int32, net.totalPorts)
 	for f := range net.up {
 		net.up[f] = -1
@@ -741,10 +741,9 @@ func (n *Network) complete(nd *node, f int) {
 	tx := nd.out[port]
 	nd.inBusy[tx.Input] = false
 	n.offers.Mark(nd.fbase + tx.Input)
-	nd.out[port] = nil
+	nd.out[port], tx.Pkt = nil, nil
 	arb.MaskClear(n.tx, f)
 	arb.MaskSet(n.cool, f)
-	n.txPool.Put(tx)
 }
 
 // dropPkt counts and releases a packet discarded by a fault.
@@ -782,10 +781,9 @@ func (n *Network) abortTx(nd *node, out int) {
 	tx := nd.out[out]
 	pkt, from := tx.Pkt, tx.Input
 	nd.inBusy[from] = false
-	nd.out[out] = nil
+	nd.out[out], tx.Pkt = nil, nil
 	arb.MaskClear(n.tx, nd.fbase+out)
 	arb.MaskClear(n.slot(n.due[nd.fbase+out]), nd.fbase+out)
-	n.txPool.Put(tx)
 	n.unreserve(nd, out, pkt.Length)
 	n.dropPkt(pkt)
 }
@@ -1046,7 +1044,7 @@ func (n *Network) serve(f int, now noc.Cycle) {
 	n.sources.Unskip(nd.groups[req.Input]...)
 	n.offers.Withdraw(nd.fbase + req.Input)
 	nd.inBusy[req.Input] = true
-	nd.out[out] = n.txPool.Get(p, req.Input)
+	nd.out[out] = n.txs[f].Start(p, req.Input)
 	arb.MaskSet(n.tx, f)
 	n.file(f, now, p.Length)
 	nd.arbs[out].Granted(now, req)

@@ -229,7 +229,7 @@ func (o *scanOracle) arbitrateNode(nd *node, now noc.Cycle) {
 			n.nodes[next.Node].in[next.Port].Reserve(p.Length)
 		}
 		nd.inBusy[req.Input] = true
-		nd.out[out] = n.txPool.Get(p, req.Input)
+		nd.out[out] = n.txs[nd.fbase+out].Start(p, req.Input)
 		arb.MaskSet(n.tx, nd.fbase+out)
 		nd.arbs[out].Granted(now, req)
 	}

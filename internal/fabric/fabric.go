@@ -10,7 +10,7 @@
 //
 // Everything here is tuned for the engines' steady-state cycle loops:
 // every queue is a ring whose storage grows only at a new peak and is
-// reused after, transmissions come from a free list, and the release
+// reused after, each output holds its one transmission, and the release
 // hook feeds delivered packets back to traffic.Sequence so generation
 // reuses retired packet structs. With recycling wired, all three engines
 // run their steady state without heap allocation (see the *CycleRecycled

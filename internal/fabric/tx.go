@@ -4,23 +4,31 @@ import "swizzleqos/internal/noc"
 
 // Transmission is an output channel's in-flight packet: the packet, the
 // input (port index) it is draining from, and the flits still to move.
+// An engine holds one per output channel, the most that can be in flight
+// there, and points at it while the channel transmits.
 type Transmission struct {
 	Pkt       *noc.Packet
 	Input     int
 	Remaining int
 }
 
-// TxPool is a free list of Transmission structs. Grant paths take from
-// the pool and completion paths return to it, so the steady-state cycle
-// loop never allocates a transmission: the pool's population settles at
-// the engine's peak in-flight count (at most one per output channel).
-// The zero value is ready to use.
+// Start fills t for a packet granted from input and returns it.
+//
+//ssvc:hotpath
+func (t *Transmission) Start(pkt *noc.Packet, input int) *Transmission {
+	t.Pkt, t.Input, t.Remaining = pkt, input, pkt.Length
+	return t
+}
+
+// TxPool is a free list of Transmission structs. No engine uses it (each
+// holds one transmission per output); it remains for the bench kernel
+// that times it. The zero value is ready to use.
 type TxPool struct {
 	free []*Transmission
 }
 
-// Preload seeds the pool with n transmissions so even the first grants
-// allocate nothing. Pass the engine's output-channel count.
+// Preload seeds the pool with n transmissions so even the first takes
+// allocate nothing.
 func (tp *TxPool) Preload(n int) {
 	for i := 0; i < n; i++ {
 		tp.free = append(tp.free, new(Transmission))
@@ -38,14 +46,12 @@ func (tp *TxPool) Get(pkt *noc.Packet, input int) *Transmission {
 	} else {
 		t = newTransmission()
 	}
-	t.Pkt, t.Input, t.Remaining = pkt, input, pkt.Length
-	return t
+	return t.Start(pkt, input)
 }
 
-// newTransmission is the pool-miss path. It is kept out of line so the
-// one amortised allocation (the pool population growing to the engine's
-// peak in-flight count) stays attributed here rather than being inlined
-// into //ssvc:hotpath grant loops.
+// newTransmission is the pool-miss path, kept out of line so its
+// allocation stays attributed here rather than inlined into
+// //ssvc:hotpath callers.
 //
 //go:noinline
 func newTransmission() *Transmission { return new(Transmission) }

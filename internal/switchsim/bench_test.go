@@ -142,6 +142,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	for _, radix := range idleRadices {
 		check(fmt.Sprintf("SwitchCycleIdle/radix%d/SSVC", radix), func(tb testing.TB) *Switch { return idleSwitch(tb, radix) })
 	}
+	check("SwitchCycleSat/radix64", satSwitch)
 }
 
 // BenchmarkSwitchCycleIdle measures the low-load regime: the cycle loop

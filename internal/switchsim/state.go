@@ -192,7 +192,7 @@ func (s *Switch) RestoreState(r *wire.Reader, maxLen int, flowAt func(i int) (tr
 					out.id, p.ID, p.Src, p.Dst, remaining, p.Length, input)
 			}
 			sending[input] = true
-			out.tx = s.txPool.Get(p, input)
+			out.tx = out.slot.Start(p, input)
 			out.tx.Remaining = remaining
 		}
 		st, ok := out.arb.(arb.Stateful)

@@ -116,7 +116,10 @@ type outputPort struct {
 	arb arb.Arbiter
 	obs arb.ArrivalObserver // non-nil iff arb observes arrivals
 	pre arb.Preemptor       // non-nil iff arb can preempt
-	tx  *fabric.Transmission
+	// tx points at slot while the output transmits and is nil otherwise:
+	// one packet is in flight per output at most.
+	tx   *fabric.Transmission
+	slot fabric.Transmission
 }
 
 // Switch is the cycle-accurate crossbar simulator. Create one with New,
@@ -138,10 +141,8 @@ type Switch struct {
 	outputs []*outputPort
 
 	// sources holds every flow in AddFlow order, one injection group per
-	// input, and the inputs whose admission scan is provably barren;
-	// txPool recycles the transmissions, one in flight per output at most.
+	// input, and the inputs whose admission scan is provably barren.
 	sources *fabric.Sources
-	txPool  fabric.TxPool
 
 	// offers holds every input's standing offer (see serveOutputs) and
 	// clocks ticks the output arbiters on their deadlines.
@@ -206,9 +207,6 @@ func New(cfg Config, newArb func(output int) arb.Arbiter) (*Switch, error) {
 	}
 	s.deadIn, s.deadOut, s.stalled = make([]uint64, words), make([]uint64, words), make([]uint64, words)
 	s.offers = fabric.NewOffers([]int{cfg.Radix}, s.currentRequest)
-	// Pre-seed the transmission free list (one in-flight packet per output
-	// is the maximum) so the steady-state loop never allocates.
-	s.txPool.Preload(cfg.Radix)
 	for i := range s.inputs {
 		in := &inputPort{
 			id:    i,
@@ -558,9 +556,8 @@ func (s *Switch) tryPreempt(out *outputPort, now noc.Cycle) bool {
 	s.freeInput(victim)
 	victim.bufferFor(tx.Pkt.Class, out.id).PushFront(tx.Pkt)
 	s.notePush(victim, tx.Pkt.Class, out.id)
-	out.tx = nil
+	out.tx, tx.Pkt = nil, nil
 	arb.MaskClear(s.outTx, out.id)
-	s.txPool.Put(tx)
 	s.grant(out, now, reqs[w], false)
 	return true
 }
@@ -583,9 +580,8 @@ func (s *Switch) transfer(out *outputPort, now noc.Cycle) {
 	pkt := tx.Pkt
 	in := s.inputs[tx.Input]
 	s.freeInput(in)
-	out.tx = nil
+	out.tx, tx.Pkt = nil, nil
 	arb.MaskClear(s.outTx, out.id)
-	s.txPool.Put(tx)
 	if s.faults != nil && s.faults.CorruptArrival(pkt) {
 		s.WastedFlits += uint64(pkt.Length)
 		if s.faults.Retry(now, pkt) {
@@ -675,7 +671,7 @@ func (s *Switch) grant(out *outputPort, now noc.Cycle, req arb.Request, chained 
 	if req.Class == noc.GuaranteedBandwidth {
 		in.gbRR = (out.id + 1) % s.cfg.Radix
 	}
-	out.tx = s.txPool.Get(p, req.Input)
+	out.tx = out.slot.Start(p, req.Input)
 	arb.MaskSet(s.outTx, out.id)
 	// The arbiter's bandwidth accounting covers chained packets too:
 	// every transmitted packet advances the flow's virtual clock.
@@ -774,7 +770,6 @@ func (s *Switch) abortTx(out *outputPort) {
 	pkt := tx.Pkt
 	s.WastedFlits += uint64(pkt.Length - tx.Remaining)
 	s.inputs[tx.Input].busy = false
-	out.tx = nil
-	s.txPool.Put(tx)
+	out.tx, tx.Pkt = nil, nil
 	s.dropPkt(pkt)
 }

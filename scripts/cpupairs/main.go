@@ -24,15 +24,21 @@
 // seconds and their ratio, so an outlier can be traced to a vCPU or to a
 // launch order.
 //
+// A side whose output holds no result line of the kernel fails the run:
+// a -test.bench pattern that matches nothing (a renamed kernel, or one a
+// checkout lacks) still prints PASS and exits 0.
+//
 // Without taskset it exits 2: unpinned pairs would spread over both
 // vCPUs, whose speeds drift apart, and the ratios would measure that.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -42,16 +48,19 @@ import (
 const pairs = 10
 
 // kernel is one benchmark at a fixed iteration count: at least 1.5 s of
-// CPU alone on a 2 vCPU host. RoutedSaturated and CtlPlaneIdle run about
-// 3 s each: at 1.5 s and 0.7 s their A/A rows spread past ±2 %.
+// CPU on a 2 vCPU host, as a side of a pair reads it. RoutedSaturated and
+// CtlPlaneIdle run about 3 s each: at 1.5 s and 0.7 s their A/A rows
+// spread past ±2 %. SwitchCycleRecycled is the permutation (one
+// requester per arbitration), SwitchCycleSat the xbar64_sat shape.
 type kernel struct {
 	name, pkg, bench string
 	n                int
 }
 
 var kernels = []kernel{
-	{"SwitchCycleRecycled/radix64/SSVC", "switchsim", "^BenchmarkSwitchCycleRecycled$/^radix64$/^SSVC$", 500_000},
-	{"SwitchCycleIdle/radix64", "switchsim", "^BenchmarkSwitchCycleIdle$/^radix64$", 6_000_000},
+	{"SwitchCycleRecycled/radix64/SSVC", "switchsim", "^BenchmarkSwitchCycleRecycled$/^radix64$/^SSVC$", 1_000_000},
+	{"SwitchCycleSat/radix64", "switchsim", "^BenchmarkSwitchCycleSat$/^radix64$", 1_600_000},
+	{"SwitchCycleIdle/radix64", "switchsim", "^BenchmarkSwitchCycleIdle$/^radix64$", 15_000_000},
 	{"RoutedSaturated", "compose", "^BenchmarkRoutedSaturated$", 200_000},
 	{"CtlPlaneIdle", "ctlplane", "^BenchmarkCtlPlaneIdle$", 25_000_000},
 }
@@ -166,13 +175,15 @@ func testBinary(tmp string, side int, k kernel) string {
 
 // pair runs kernel k once from each of two sides at the same time, each
 // from its package directory and both pinned to vCPU cpu, the second
-// started first when swap, and returns each child's CPU seconds.
+// started first when swap, and returns each child's CPU seconds. It
+// fails unless both children ran the kernel (ranKernel).
 func pair(k kernel, tmp string, dirs [2]string, sides [2]int, cpu int, swap bool) (t [2]float64, err error) {
 	var cmds [2]*exec.Cmd
+	var outs [2]bytes.Buffer
 	for i, side := range sides {
 		cmds[i] = exec.Command("taskset", "-c", strconv.Itoa(cpu), testBinary(tmp, side, k),
 			"-test.run=^$", "-test.bench="+k.bench, fmt.Sprintf("-test.benchtime=%dx", k.n), "-test.timeout=10m")
-		cmds[i].Dir, cmds[i].Stderr = filepath.Join(dirs[side], "internal", k.pkg), os.Stderr
+		cmds[i].Dir, cmds[i].Stdout, cmds[i].Stderr = filepath.Join(dirs[side], "internal", k.pkg), &outs[i], os.Stderr
 	}
 	order := []int{0, 1}
 	if swap {
@@ -189,10 +200,20 @@ func pair(k kernel, tmp string, dirs [2]string, sides [2]int, cpu int, swap bool
 	for i, c := range cmds {
 		if werr := c.Wait(); werr != nil && err == nil {
 			err = werr
+		} else if err == nil && !ranKernel(k, outs[i].String()) {
+			err = fmt.Errorf("%s ran no %s at %dx; its output: %q", dirs[sides[i]], k.name, k.n, outs[i].String())
 		}
 		t[i] = (c.ProcessState.UserTime() + c.ProcessState.SystemTime()).Seconds()
 	}
 	return t, err
+}
+
+// ranKernel reports whether a test binary's output holds a result line of
+// kernel k: its name (then a sub-benchmark's or the -GOMAXPROCS suffix),
+// then k.n iterations.
+func ranKernel(k kernel, out string) bool {
+	line := `(?m)^Benchmark` + regexp.QuoteMeta(k.name) + `([/-]\S*)?\s+` + strconv.Itoa(k.n) + `\s`
+	return regexp.MustCompile(line).MatchString(out)
 }
 
 func median(sorted []float64) float64 {

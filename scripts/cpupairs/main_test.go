@@ -25,3 +25,26 @@ func TestParseCPUList(t *testing.T) {
 		}
 	}
 }
+
+func TestRanKernel(t *testing.T) {
+	k := kernel{name: "SwitchCycleSat/radix64", n: 1_600_000}
+	for _, c := range []struct {
+		out  string
+		want bool
+	}{
+		// A pattern that matches no benchmark: PASS, exit 0, no result line.
+		{"PASS\n", false},
+		{"", false},
+		{"BenchmarkSwitchCycleSat/radix64 \t 1600000\t 1529 ns/op\nPASS\n", true},
+		{"goos: linux\nBenchmarkSwitchCycleSat/radix64-2 \t 1600000\t 1529 ns/op\t 0 allocs/op\nPASS\n", true},
+		{"BenchmarkSwitchCycleSat/radix64/SSVC \t 1600000\t 1529 ns/op\n", true},
+		// Another iteration count, or another kernel whose name extends k's.
+		{"BenchmarkSwitchCycleSat/radix64 \t 10000\t 1529 ns/op\n", false},
+		{"BenchmarkSwitchCycleSat/radix640 \t 1600000\t 1529 ns/op\n", false},
+		{"BenchmarkSwitchCycleRecycled/radix64/SSVC \t 1600000\t 1643 ns/op\n", false},
+	} {
+		if got := ranKernel(k, c.out); got != c.want {
+			t.Errorf("ranKernel(%q) = %v, want %v", c.out, got, c.want)
+		}
+	}
+}
